@@ -329,7 +329,7 @@ func BenchmarkLocalSort(b *testing.B) {
 			copy(s.Key, ref.Key)
 			copy(s.ID, ref.ID)
 			b.StartTimer()
-			psort.LocalSort(r, s)
+			psort.LocalSort(r, s, nil)
 		}
 	})
 }
@@ -362,11 +362,11 @@ func TestLocalSortSteadyStateAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		ref := unsortedStore(rng, 4096)
 		s := ref.Clone()
-		psort.LocalSort(r, s) // warm the sorter pool
+		psort.LocalSort(r, s, nil) // warm the sorter pool
 		allocs := testing.AllocsPerRun(20, func() {
 			copy(s.Key, ref.Key)
 			copy(s.ID, ref.ID)
-			psort.LocalSort(r, s)
+			psort.LocalSort(r, s, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("LocalSort steady state: %v allocs/op, want 0", allocs)
@@ -397,11 +397,11 @@ func TestLocalSort3DSteadyStateAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		ref := unsortedStore3(rng, 4096)
 		s := ref.Clone()
-		psort.LocalSort(r, s) // warm the sorter pool
+		psort.LocalSort(r, s, nil) // warm the sorter pool
 		allocs := testing.AllocsPerRun(20, func() {
 			copy(s.Key, ref.Key)
 			copy(s.ID, ref.ID)
-			psort.LocalSort(r, s)
+			psort.LocalSort(r, s, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("3-D LocalSort steady state: %v allocs/op, want 0", allocs)

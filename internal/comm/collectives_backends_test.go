@@ -1,16 +1,19 @@
 // Backend × world-size matrix for the core collectives: the same program —
 // Bcast, ReduceFloat64, Allgather, ScanSumInt, with every expectation
-// computed by a naive sequential loop — runs on the goroutine World and on
-// real loopback TCP sockets at P = 1 and a spread of non-power-of-two
-// sizes. The binomial trees, ring allgather and linear scan all follow
-// schedules whose edge cases live exactly at those sizes (odd trees with a
-// childless branch, a ring of one), and the TCP backend must agree with the
-// goroutine backend bit for bit.
+// computed by a naive sequential loop — runs on the goroutine World, on
+// real loopback TCP sockets and on the hierarchical host×core backend at
+// P = 1 and a spread of non-power-of-two sizes. The binomial trees, ring
+// allgather and linear scan all follow schedules whose edge cases live
+// exactly at those sizes (odd trees with a childless branch, a ring of
+// one), and every backend must agree with the goroutine backend bit for
+// bit.
 
 package comm
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"picpar/internal/machine"
 )
@@ -94,6 +97,17 @@ func TestCollectivesTCPBackend(t *testing.T) {
 			if err != nil {
 				t.Fatalf("tcp p=%d rank %d: %v", p, rank, err)
 			}
+		}
+	}
+}
+
+func TestCollectivesHierBackend(t *testing.T) {
+	for _, c := range []struct{ p, hosts int }{{1, 1}, {6, 2}, {6, 3}} {
+		backend := fmt.Sprintf("hier/%dhosts", c.hosts)
+		_, err := LaunchHierarchical(c.p, c.hosts, machine.CM5(), EnvWatchdog(10*time.Second), nil,
+			collectivesProgram(t, c.p, backend))
+		if err != nil {
+			t.Fatalf("%s p=%d: %v", backend, c.p, err)
 		}
 	}
 }

@@ -50,7 +50,6 @@ const (
 	tagScan
 	tagExpose
 	tagSystolic
-	tagNeighborCounts
 )
 
 // TagUser is the first tag value free for application use.
@@ -119,8 +118,10 @@ type World struct {
 
 	// boxes[dst*P+src] is the FIFO channel carrying messages src→dst.
 	boxes []chan message
-	// scratch is the out-of-band publication area used by Expose.
+	// scratch is the out-of-band publication area used by Expose; gate
+	// orders its writes before its reads.
 	scratch []any
+	gate    *gate
 
 	// watchdog, when positive, bounds how long a rank may block inside one
 	// Send (mailbox full past DefaultMailboxDepth) or Recv before the rank
@@ -158,6 +159,7 @@ func NewWorld(p int, params machine.Params) *World {
 	}
 	w := &World{P: p, Params: params}
 	w.scratch = make([]any, p)
+	w.gate = newGate(p)
 	w.boxes = make([]chan message, p*p)
 	for i := range w.boxes {
 		w.boxes[i] = make(chan message, DefaultMailboxDepth)
@@ -187,7 +189,10 @@ func (w *World) SetTopology(tp *Topology) {
 // ranks panics with a *TransportError wrapping ErrClosedWorld — a typed,
 // never-retried failure, so a rank outliving its world is diagnosed rather
 // than masked. Launch closes its world when the program returns.
-func (w *World) Close() { w.closed.Store(true) }
+func (w *World) Close() {
+	w.closed.Store(true)
+	w.gate.abort()
+}
 
 // warnf emits configuration warnings; a package variable so tests can
 // capture them. Default: stderr.
@@ -247,33 +252,21 @@ func (w *World) Run(fn func(t Transport)) machine.WorldStats {
 // the Tracer interpose on every rank uniformly.
 func (w *World) RunWrapped(wrap func(Transport) Transport, fn func(t Transport)) machine.WorldStats {
 	ranks := make([]*rank, w.P)
-	for i := 0; i < w.P; i++ {
-		ranks[i] = &rank{id: i, p: w.P, clock: machine.NewSimClock(), world: w}
+	for i := range ranks {
+		r := &rank{world: w}
+		r.core = newCore(r, i, w.P, w.Params, w.topo, &w.closed, machine.NewSimClock())
+		ranks[i] = r
 	}
 	var wg sync.WaitGroup
-	panics := make(chan any, w.P)
-	for i := 0; i < w.P; i++ {
+	panics := make(chan *RankPanic, w.P)
+	for _, r := range ranks {
 		wg.Add(1)
 		go func(r *rank) {
 			defer wg.Done()
-			defer func() {
-				if e := recover(); e != nil {
-					panics <- &RankPanic{Rank: r.id, Value: e}
-				}
-			}()
-			t := Transport(r)
-			if wrap != nil {
-				t = wrap(t)
+			if rp := runRank(r.id, r, wrap, fn); rp != nil {
+				panics <- rp
 			}
-			// Release any messages a decorator is still holding (e.g. a
-			// Faulty reorder hold) when the program returns, even on panic,
-			// so no peer is stranded waiting for withheld traffic.
-			defer func() {
-				defer func() { _ = recover() }() // a failed flush must not mask fn's panic
-				flushChain(t)
-			}()
-			fn(t)
-		}(ranks[i])
+		}(r)
 	}
 	wg.Wait()
 	select {
@@ -288,82 +281,11 @@ func (w *World) RunWrapped(wrap func(Transport) Transport, fn func(t Transport))
 	return ws
 }
 
-// rank is the channel-backed Transport implementation. It is owned by one
-// goroutine and must not be shared.
+// rank is the channel-backed link under the shared core: mailboxes are Go
+// channels, Expose publications a shared scratch table.
 type rank struct {
-	id int // this rank's id in [0, p)
-	p  int // number of ranks
-
-	clock machine.Clock
-	stats machine.Stats
-
+	core
 	world *World
-	// pending holds messages pulled off a mailbox while looking for a
-	// different tag; indexed by source rank.
-	pending [][]message
-}
-
-// Rank implements Transport.
-func (r *rank) Rank() int { return r.id }
-
-// Size implements Transport.
-func (r *rank) Size() int { return r.p }
-
-// Clock implements Transport.
-func (r *rank) Clock() machine.Clock { return r.clock }
-
-// Stats implements Transport.
-func (r *rank) Stats() *machine.Stats { return &r.stats }
-
-// Params implements Transport.
-func (r *rank) Params() machine.Params { return r.world.Params }
-
-// Compute implements Transport.
-func (r *rank) Compute(n int) {
-	if n <= 0 {
-		return
-	}
-	c := r.world.Params.ComputeCost(n)
-	r.clock.Advance(c)
-	r.stats.RecordCompute(c)
-}
-
-// ComputeTime implements Transport.
-func (r *rank) ComputeTime(t float64) {
-	if t <= 0 {
-		return
-	}
-	r.clock.Advance(t)
-	r.stats.RecordCompute(t)
-}
-
-// SetPhase implements Transport.
-func (r *rank) SetPhase(p machine.Phase) { r.stats.SetPhase(p) }
-
-// Send implements Transport. Structural misuse — an invalid destination or
-// a world already closed — panics with a typed *TransportError that no
-// reliability layer will retry.
-func (r *rank) Send(dst int, tag Tag, body any, nbytes int) {
-	if r.world.closed.Load() {
-		panic(&TransportError{Op: "send", Rank: r.id, Peer: dst, Tag: tag, Err: ErrClosedWorld})
-	}
-	if dst < 0 || dst >= r.p {
-		panic(&TransportError{Op: "send", Rank: r.id, Peer: dst, Tag: tag,
-			Err: fmt.Errorf("invalid rank %d (P=%d)", dst, r.p)})
-	}
-	if dst == r.id {
-		// Self-sends bypass the network: no τ/μ charge, matching the
-		// model where local data movement is part of computation.
-		r.deliverLocal(message{tag: tag, bytes: nbytes, sentAt: r.clock.Now(), body: body})
-		return
-	}
-	if tp := r.world.topo; tp != nil && !tp.Connected(r.id, dst) {
-		panic(&TransportError{Op: "send", Rank: r.id, Peer: dst, Tag: tag, Err: tp.errOutOf(r.id, dst)})
-	}
-	cost := r.world.Params.MsgCost(nbytes)
-	r.clock.Advance(cost)
-	r.stats.RecordSend(nbytes, cost)
-	r.post(dst, message{tag: tag, bytes: nbytes, sentAt: r.clock.Now(), body: body})
 }
 
 // post enqueues m for dst, tripping the watchdog if the mailbox stays full
@@ -392,53 +314,10 @@ func (r *rank) post(dst int, m message) {
 	}
 }
 
-func (r *rank) deliverLocal(m message) {
-	if r.pending == nil {
-		r.pending = make([][]message, r.p)
-	}
-	r.pending[r.id] = append(r.pending[r.id], m)
-}
-
-// Recv implements Transport.
-func (r *rank) Recv(src int, tag Tag) (any, int) {
-	if r.world.closed.Load() {
-		panic(&TransportError{Op: "recv", Rank: r.id, Peer: src, Tag: tag, Err: ErrClosedWorld})
-	}
-	if src < 0 || src >= r.p {
-		panic(&TransportError{Op: "recv", Rank: r.id, Peer: src, Tag: tag,
-			Err: fmt.Errorf("invalid rank %d (P=%d)", src, r.p)})
-	}
-	if tp := r.world.topo; tp != nil && src != r.id && !tp.Connected(r.id, src) {
-		panic(&TransportError{Op: "recv", Rank: r.id, Peer: src, Tag: tag, Err: tp.errOutOf(r.id, src)})
-	}
-	if r.pending == nil {
-		r.pending = make([][]message, r.p)
-	}
-	// Check messages already pulled off the wire.
-	q := r.pending[src]
-	for i := range q {
-		if q[i].tag == tag {
-			m := q[i]
-			r.pending[src] = append(q[:i], q[i+1:]...)
-			return r.consume(src, m)
-		}
-	}
-	if src == r.id {
-		panic(fmt.Sprintf("comm: rank %d self-recv tag %d with no matching self-send", r.id, tag))
-	}
+// pull takes the next message off src's mailbox, tripping the watchdog if
+// nothing arrives before the deadline.
+func (r *rank) pull(src int, tag Tag) message {
 	box := r.world.boxes[r.id*r.p+src]
-	for {
-		m := r.pull(box, src, tag)
-		if m.tag == tag {
-			return r.consume(src, m)
-		}
-		r.pending[src] = append(r.pending[src], m)
-	}
-}
-
-// pull takes the next message off box, tripping the watchdog if nothing
-// arrives before the deadline.
-func (r *rank) pull(box chan message, src int, tag Tag) message {
 	if r.world.watchdog <= 0 {
 		return <-box
 	}
@@ -477,26 +356,15 @@ func (w *World) deadlockReport(self string) string {
 	return b.String()
 }
 
-func (r *rank) consume(src int, m message) (any, int) {
-	if src == r.id {
-		return m.body, m.bytes // local delivery is free
+// publish writes this rank's slot of the world's scratch table and reads
+// the whole table once every rank has written.
+func (r *rank) publish(v any) []any {
+	w := r.world
+	w.scratch[r.id] = v
+	if !w.gate.wait() {
+		panic(&TransportError{Op: "expose", Rank: r.id, Peer: r.id, Tag: tagExpose, Err: ErrClosedWorld})
 	}
-	cost := r.world.Params.MsgCost(m.bytes)
-	r.clock.AdvanceTo(m.sentAt)
-	r.clock.Advance(cost)
-	r.stats.RecordRecv(m.bytes, cost)
-	return m.body, m.bytes
-}
-
-// Expose implements Transport. The enclosing barriers run on this backend
-// rank directly; a decorator wrapping the transport does not observe them
-// (Expose is out-of-band by contract).
-func (r *rank) Expose(v any) []any {
-	r.world.scratch[r.id] = v
-	barrier(r, tagExpose) // all publications complete
-	out := append([]any(nil), r.world.scratch...)
-	barrier(r, tagExpose) // all reads complete before anyone publishes again
-	return out
+	return append([]any(nil), w.scratch...)
 }
 
 // RecvFloat64s receives a []float64 message.

@@ -38,7 +38,7 @@ var ErrClosedWorld = errors.New("world is closed")
 // layer re-raises these untouched — retrying a send to a closed world would
 // only hide a teardown bug.
 type TransportError struct {
-	Op   string // "send" or "recv"
+	Op   string // "send", "recv" or "expose"
 	Rank int    // the rank performing the operation
 	Peer int    // the destination (send) or source (recv)
 	Tag  Tag

@@ -1,18 +1,17 @@
 // Topology-native all-to-many exchange. The classic AllToMany (collectives.go)
 // posts directly to every destination — an any-to-any assumption the sparse
-// topologies cannot honour. This file provides the alternatives and the
-// Exchanger seam the engine layer selects between:
+// topologies cannot honour. This file provides the alternatives, and the
+// Exchanger through which the engine layer selects one:
 //
 //   - AllToManySystolicFloat64s: Towards-Exascale-MD-style systolic pulse.
 //     All payloads travel the ±1 ring links in exactly p−1 deterministic
 //     pulses, each rank forwarding a single combined frame to its successor.
 //     Ring-legal, so it runs under every topology (±1 is in the collective
 //     skeleton).
-//   - ExchangeCountsNeighbor / AllToManyNeighborFloat64s: the stencil-local
-//     variants. Counts travel only the 2k adjacent links instead of the
-//     (p−1)-step allgather ring; data sends are validated against the
-//     topology so a protocol that silently assumed any-to-any reach fails
-//     with the typed out-of-topology error.
+//   - ExchangeCountsSparse / AllToManySparseFloat64s: the hybrid. Payloads
+//     between linked ranks keep the classic schedule; the rest ride one
+//     systolic relay pass that exists only when the traffic table shows
+//     unlinked pairs exchanging data.
 //
 // Determinism: the systolic pulse schedule is data-independent — every rank
 // sends exactly one frame per pulse, empty or not, so the message count and
@@ -28,136 +27,48 @@ import (
 	"picpar/internal/wire"
 )
 
-// Exchanger bundles the two halves of an all-to-many redistribution — the
-// traffic-table exchange and the payload exchange — behind one seam, so the
-// engine layer (psort, pic) selects a topology-native protocol without
-// knowing its schedule. A nil Exchanger everywhere means the classic
-// pairwise protocol.
-type Exchanger interface {
-	// Name identifies the protocol in traces and diagnostics.
-	Name() string
-	// Counts exchanges the traffic table: sendCounts[d] elements will go to
-	// rank d; returns recvCounts[s], the elements rank s will send here.
-	Counts(t Transport, sendCounts []int) (recvCounts []int)
-	// Exchange moves the payloads: send[d] goes to rank d, recvCounts from
-	// Counts. Returns received slices indexed by source; recv[self] may
-	// alias send[self].
-	Exchange(t Transport, send [][]float64, recvCounts []int) [][]float64
+// Exchanger selects the protocol of an all-to-many redistribution — the
+// traffic-table exchange plus the payload exchange — so the engine layer
+// (psort, pic) runs a topology-native protocol without knowing its
+// schedule. A nil *Exchanger is the classic pairwise protocol: Exchange is
+// nil-safe, which keeps that dispatch in one place.
+type Exchanger struct {
+	// tp is the sparse topology the hybrid protocol runs over; nil selects
+	// the systolic ring pulse.
+	tp *Topology
 }
 
-// pairwiseExchanger is the classic protocol: allgather counts + staggered
-// pairwise data exchange.
-type pairwiseExchanger struct{}
+// NewSystolicExchanger returns the ring-pulse protocol: classic counts (the
+// allgather is itself a ring protocol, so it is legal on every topology) +
+// AllToManySystolicFloat64s payloads.
+func NewSystolicExchanger() *Exchanger { return &Exchanger{} }
 
-// NewPairwiseExchanger returns the classic any-to-any protocol
-// (ExchangeCounts + AllToManyFloat64s) behind the Exchanger seam.
-func NewPairwiseExchanger() Exchanger { return pairwiseExchanger{} }
-
-func (pairwiseExchanger) Name() string { return "pairwise" }
-
-func (pairwiseExchanger) Counts(t Transport, sendCounts []int) []int {
-	return ExchangeCounts(t, sendCounts)
-}
-
-func (pairwiseExchanger) Exchange(t Transport, send [][]float64, recvCounts []int) [][]float64 {
-	return AllToManyFloat64s(t, send, recvCounts)
-}
-
-// systolicExchanger pulses payloads around the ring. Counts still use the
-// classic allgather — the allgather is itself a ring protocol, so it is
-// legal on every topology.
-type systolicExchanger struct{}
-
-// NewSystolicExchanger returns the ring-pulse protocol: classic counts
-// (ring-legal) + AllToManySystolicFloat64s payloads.
-func NewSystolicExchanger() Exchanger { return systolicExchanger{} }
-
-func (systolicExchanger) Name() string { return "systolic" }
-
-func (systolicExchanger) Counts(t Transport, sendCounts []int) []int {
-	return ExchangeCounts(t, sendCounts)
-}
-
-func (systolicExchanger) Exchange(t Transport, send [][]float64, recvCounts []int) [][]float64 {
-	return AllToManySystolicFloat64s(t, send, recvCounts)
-}
-
-// neighborExchanger restricts both halves to the topology's links.
-type neighborExchanger struct{ tp *Topology }
-
-// NewNeighborExchanger returns the stencil-local protocol over tp: counts
-// travel only adjacent links (ExchangeCountsNeighbor) and data sends are
-// validated against the topology before the pairwise exchange runs. Use it
-// when the caller guarantees locality (the paper's redistribution only ever
-// moves particles between SFC-adjacent partitions); a violated guarantee is
-// a typed error, not silent corruption.
-func NewNeighborExchanger(tp *Topology) Exchanger {
+// NewSparseExchanger returns the hybrid protocol over tp: stencil-direct
+// payloads on the classic schedule plus a systolic relay pass that only
+// exists on iterations whose traffic table shows unlinked pairs exchanging
+// data. This is the steady-state protocol of the neighbor-sparse topology:
+// redistribution usually moves particles between adjacent partitions, but a
+// cost-weighted repartition may decouple the particle and mesh alignments
+// arbitrarily, and correctness cannot hinge on a locality heuristic.
+func NewSparseExchanger(tp *Topology) *Exchanger {
 	if tp == nil {
-		panic("comm: NewNeighborExchanger(nil)")
+		panic("comm: NewSparseExchanger(nil)")
 	}
-	return neighborExchanger{tp: tp}
+	return &Exchanger{tp: tp}
 }
 
-func (e neighborExchanger) Name() string { return "neighbor" }
-
-func (e neighborExchanger) Counts(t Transport, sendCounts []int) []int {
-	return ExchangeCountsNeighbor(t, e.tp, sendCounts)
-}
-
-func (e neighborExchanger) Exchange(t Transport, send [][]float64, recvCounts []int) [][]float64 {
-	return AllToManyNeighborFloat64s(t, e.tp, send, recvCounts)
-}
-
-// ExchangeCountsNeighbor is ExchangeCounts restricted to tp's links: each
-// rank trades one count message with each of its 2k neighbors instead of
-// running the (p−1)-step allgather ring, so a stencil-local redistribution
-// learns its traffic table in O(k) messages. sendCounts must be zero for
-// every non-neighbor — a nonzero count to an unlinked rank is the same
-// typed out-of-topology error a direct send would raise. Non-neighbor
-// entries of recvCounts are zero by construction.
-func ExchangeCountsNeighbor(t Transport, tp *Topology, sendCounts []int) (recvCounts []int) {
-	p := t.Size()
-	id := t.Rank()
-	if len(sendCounts) != p {
-		panic(fmt.Sprintf("comm: ExchangeCountsNeighbor len=%d want P=%d", len(sendCounts), p))
+// Exchange runs both halves of the redistribution: sendCounts[d] elements
+// of send[d] go to rank d. Returns the received slices indexed by source;
+// recv[self] may alias send[self].
+func (e *Exchanger) Exchange(t Transport, send [][]float64, sendCounts []int) [][]float64 {
+	switch {
+	case e == nil:
+		return AllToManyFloat64s(t, send, ExchangeCounts(t, sendCounts))
+	case e.tp == nil:
+		return AllToManySystolicFloat64s(t, send, ExchangeCounts(t, sendCounts))
 	}
-	if tp.Size() != p {
-		panic(fmt.Sprintf("comm: ExchangeCountsNeighbor topology %s is for p=%d, world has P=%d",
-			tp.Name(), tp.Size(), p))
-	}
-	for d, n := range sendCounts {
-		if n > 0 && d != id && !tp.Connected(id, d) {
-			panic(&TransportError{Op: "send", Rank: id, Peer: d, Tag: tagNeighborCounts,
-				Err: tp.errOutOf(id, d)})
-		}
-	}
-	recvCounts = make([]int, p)
-	recvCounts[id] = sendCounts[id] // matches the classic table's diagonal
-	peers := tp.Peers(id)
-	for _, q := range peers {
-		t.Send(q, tagNeighborCounts, sendCounts[q], IntBytes)
-	}
-	for _, q := range peers {
-		body, _ := t.Recv(q, tagNeighborCounts)
-		recvCounts[q] = body.(int)
-	}
-	return recvCounts
-}
-
-// AllToManyNeighborFloat64s is the pairwise payload exchange with the
-// locality contract enforced: every nonzero send must target a neighbor
-// under tp. The schedule is the classic staggered exchange — empty sends
-// are skipped there, so when the contract holds the charges are identical
-// to AllToManyFloat64s on a full mesh.
-func AllToManyNeighborFloat64s(t Transport, tp *Topology, send [][]float64, recvCounts []int) [][]float64 {
-	id := t.Rank()
-	for d := range send {
-		if len(send[d]) > 0 && d != id && !tp.Connected(id, d) {
-			panic(&TransportError{Op: "send", Rank: id, Peer: d, Tag: tagAlltoMany,
-				Err: tp.errOutOf(id, d)})
-		}
-	}
-	return AllToManyFloat64s(t, send, recvCounts)
+	recvCounts, anyFar := ExchangeCountsSparse(t, e.tp, sendCounts)
+	return AllToManySparseFloat64s(t, e.tp, send, recvCounts, anyFar)
 }
 
 // ExchangeCountsSparse is ExchangeCounts with a far-traffic verdict: it runs
@@ -206,7 +117,7 @@ scan:
 // empty-handed or not.
 func AllToManySparseFloat64s(t Transport, tp *Topology, send [][]float64, recvCounts []int, anyFar bool) [][]float64 {
 	if !anyFar {
-		return AllToManyNeighborFloat64s(t, tp, send, recvCounts)
+		return allToManyLinked(t, tp, send, recvCounts)
 	}
 	p := t.Size()
 	id := t.Rank()
@@ -237,39 +148,21 @@ func AllToManySparseFloat64s(t Transport, tp *Topology, send [][]float64, recvCo
 	return recv
 }
 
-// sparseExchanger is the hybrid protocol behind the Exchanger seam. It is
-// stateful — Counts records the far-traffic verdict the matching Exchange
-// consumes — so each rank needs its own instance and the two calls must
-// stay paired, which is exactly how the engine layer drives the seam.
-type sparseExchanger struct {
-	tp     *Topology
-	anyFar bool
-}
-
-// NewSparseExchanger returns the hybrid protocol over tp: stencil-direct
-// payloads on the classic schedule plus a systolic relay pass that only
-// exists on iterations whose traffic table shows unlinked pairs exchanging
-// data. This is the steady-state protocol of the neighbor-sparse topology:
-// redistribution usually moves particles between adjacent partitions, but a
-// cost-weighted repartition may decouple the particle and mesh alignments
-// arbitrarily, and correctness cannot hinge on a locality heuristic.
-func NewSparseExchanger(tp *Topology) Exchanger {
-	if tp == nil {
-		panic("comm: NewSparseExchanger(nil)")
+// allToManyLinked is the pairwise payload exchange with the locality
+// contract enforced: every nonzero send must target a neighbor under tp — a
+// protocol that silently assumed any-to-any reach fails with the typed
+// out-of-topology error. The schedule is the classic staggered exchange —
+// empty sends are skipped there, so when the contract holds the charges are
+// identical to AllToManyFloat64s on a full mesh.
+func allToManyLinked(t Transport, tp *Topology, send [][]float64, recvCounts []int) [][]float64 {
+	id := t.Rank()
+	for d := range send {
+		if len(send[d]) > 0 && d != id && !tp.Connected(id, d) {
+			panic(&TransportError{Op: "send", Rank: id, Peer: d, Tag: tagAlltoMany,
+				Err: tp.errOutOf(id, d)})
+		}
 	}
-	return &sparseExchanger{tp: tp}
-}
-
-func (e *sparseExchanger) Name() string { return "sparse" }
-
-func (e *sparseExchanger) Counts(t Transport, sendCounts []int) []int {
-	recvCounts, anyFar := ExchangeCountsSparse(t, e.tp, sendCounts)
-	e.anyFar = anyFar
-	return recvCounts
-}
-
-func (e *sparseExchanger) Exchange(t Transport, send [][]float64, recvCounts []int) [][]float64 {
-	return AllToManySparseFloat64s(t, e.tp, send, recvCounts, e.anyFar)
+	return AllToManyFloat64s(t, send, recvCounts)
 }
 
 // systolicItem is one in-flight payload during the ring pulse.

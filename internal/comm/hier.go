@@ -11,9 +11,8 @@
 // usual, then hands the frame (frameRelay: world source, world destination,
 // tag, modelled size, post-send clock, body) to the host's gateway — a
 // netTransport whose relay hook routes inbound relay frames into
-// per-(local destination, world source) channels. The receiver's consume
-// charges exactly like every other backend (advance to the sender's clock,
-// then τ + n·μ), so simulated time is identical to a flat world; the
+// per-(local destination, world source) channels. Both charges are the shared
+// core's (core.go), so simulated time is identical to a flat world; the
 // gateway forwarding itself is raw socket traffic, never charged.
 //
 // Expose composes the same way: the two charged barriers run over the world
@@ -37,39 +36,6 @@ import (
 
 	"picpar/internal/machine"
 )
-
-// hostGate is a reusable in-process barrier over the m local ranks of one
-// host, abortable through the host's dead channel so a crashed sibling (or
-// a dead gateway link) can never strand a rank inside it.
-type hostGate struct {
-	n       int
-	mu      sync.Mutex
-	count   int
-	release chan struct{}
-}
-
-func newHostGate(n int) *hostGate {
-	return &hostGate{n: n, release: make(chan struct{})}
-}
-
-// wait blocks until all n participants arrive, or dead closes.
-func (g *hostGate) wait(dead <-chan struct{}) bool {
-	g.mu.Lock()
-	rel := g.release
-	g.count++
-	if g.count == g.n {
-		g.count = 0
-		g.release = make(chan struct{})
-		close(rel)
-	}
-	g.mu.Unlock()
-	select {
-	case <-rel:
-		return true
-	case <-dead:
-		return false
-	}
-}
 
 // hierHost is the shared state of one host: the intra-host mailboxes, the
 // inbound cross-host channels the gateway's relay fills, and the gateway
@@ -102,7 +68,7 @@ type hierHost struct {
 	// are not misread as peer-host crashes.
 	done atomic.Bool
 
-	gate *hostGate
+	gate *gate
 }
 
 // fail records the first host-level failure and releases everyone blocked.
@@ -110,6 +76,7 @@ func (h *hierHost) fail(reason string) {
 	h.deadOnce.Do(func() {
 		h.reason.Store(&reason)
 		close(h.dead)
+		h.gate.abort()
 	})
 }
 
@@ -149,244 +116,98 @@ func (h *hierHost) relay(f *netFrame) {
 	}
 }
 
-// hierTransport is one world rank's endpoint of the hierarchical backend.
-// Owned by one goroutine, like every Transport.
+// hierTransport is one world rank's link of the hierarchical backend under
+// the shared core: channel post intra-host, gateway relay cross-host,
+// identical modelled charge either way.
 type hierTransport struct {
+	core
 	host     *hierHost
-	rank     int // world rank
-	local    int // rank - host.base
-	p        int
-	params   machine.Params
+	local    int // id - host.base
 	watchdog time.Duration
-
-	clock   machine.Clock
-	stats   machine.Stats
-	pending [][]message // indexed by world source rank
 }
-
-// Rank implements Transport.
-func (n *hierTransport) Rank() int { return n.rank }
-
-// Size implements Transport.
-func (n *hierTransport) Size() int { return n.p }
-
-// Clock implements Transport.
-func (n *hierTransport) Clock() machine.Clock { return n.clock }
-
-// Stats implements Transport.
-func (n *hierTransport) Stats() *machine.Stats { return &n.stats }
-
-// Params implements Transport.
-func (n *hierTransport) Params() machine.Params { return n.params }
-
-// Compute implements Transport.
-func (n *hierTransport) Compute(c int) {
-	if c <= 0 {
-		return
-	}
-	cost := n.params.ComputeCost(c)
-	n.clock.Advance(cost)
-	n.stats.RecordCompute(cost)
-}
-
-// ComputeTime implements Transport.
-func (n *hierTransport) ComputeTime(t float64) {
-	if t <= 0 {
-		return
-	}
-	n.clock.Advance(t)
-	n.stats.RecordCompute(t)
-}
-
-// SetPhase implements Transport.
-func (n *hierTransport) SetPhase(p machine.Phase) { n.stats.SetPhase(p) }
 
 // hostOf maps a world rank to its host index.
 func (n *hierTransport) hostOf(r int) int { return r / n.host.m }
 
-// Send implements Transport: channel post intra-host, gateway relay
-// cross-host, identical modelled charge either way.
-func (n *hierTransport) Send(dst int, tag Tag, body any, nbytes int) {
-	if dst < 0 || dst >= n.p {
-		panic(&TransportError{Op: "send", Rank: n.rank, Peer: dst, Tag: tag,
-			Err: fmt.Errorf("invalid rank %d (P=%d)", dst, n.p)})
-	}
-	if dst == n.rank {
-		// Self-sends bypass the network: no τ/μ charge, matching the model.
-		n.deliverLocal(message{tag: tag, bytes: nbytes, sentAt: n.clock.Now(), body: body})
-		return
-	}
-	cost := n.params.MsgCost(nbytes)
-	n.clock.Advance(cost)
-	n.stats.RecordSend(nbytes, cost)
-	m := message{tag: tag, bytes: nbytes, sentAt: n.clock.Now(), body: body}
-	if n.hostOf(dst) == n.host.idx {
-		n.postLocal(dst, tag, m)
-		return
-	}
-	f := netFrame{kind: frameRelay, rank: n.rank, peer: dst, tag: tag,
-		nbytes: nbytes, sentAt: m.sentAt, body: body}
-	if err := n.host.gw.writePeer(n.hostOf(dst), &f); err != nil {
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: dst, Tag: tag, Phase: n.stats.CurrentPhase(),
-			Reason: "gateway send failed: " + err.Error(),
-		})
-	}
-}
-
-// postLocal enqueues m for a same-host rank, aborting on host death and
-// tripping the watchdog on a persistently full mailbox.
-func (n *hierTransport) postLocal(dst int, tag Tag, m message) {
-	box := n.host.boxes[(dst-n.host.base)*n.host.m+n.local]
-	fail := func() {
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: dst, Tag: tag, Phase: n.stats.CurrentPhase(),
-			Reason: n.host.failure(),
-		})
-	}
-	if n.watchdog <= 0 {
-		select {
-		case box <- m:
-		case <-n.host.dead:
-			fail()
+// post enqueues m for a same-host rank — aborting on host death and
+// tripping the watchdog on a persistently full mailbox — or hands it to the
+// gateway as a relay frame.
+func (n *hierTransport) post(dst int, m message) {
+	if n.hostOf(dst) != n.host.idx {
+		f := netFrame{kind: frameRelay, rank: n.id, peer: dst, tag: m.tag,
+			nbytes: m.bytes, sentAt: m.sentAt, body: m.body}
+		if err := n.host.gw.writePeer(n.hostOf(dst), &f); err != nil {
+			n.deliveryPanic(dst, m.tag, "gateway send failed: "+err.Error())
 		}
 		return
 	}
+	box := n.host.boxes[(dst-n.host.base)*n.host.m+n.local]
 	select {
 	case box <- m:
 		return
 	default:
 	}
-	timer := time.NewTimer(n.watchdog)
-	defer timer.Stop()
+	var expired <-chan time.Time // nil: no watchdog, never fires
+	if n.watchdog > 0 {
+		timer := time.NewTimer(n.watchdog)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
 	case box <- m:
 	case <-n.host.dead:
-		fail()
-	case <-timer.C:
+		n.deliveryPanic(dst, m.tag, n.host.failure())
+	case <-expired:
 		panic(fmt.Sprintf("comm: deadlock watchdog fired after %v: rank %d blocked sending tag %d to rank %d (hier backend, mailbox full at depth %d)",
-			n.watchdog, n.rank, tag, dst, cap(box)))
+			n.watchdog, n.id, m.tag, dst, cap(box)))
 	}
 }
 
-func (n *hierTransport) deliverLocal(m message) {
-	if n.pending == nil {
-		n.pending = make([][]message, n.p)
-	}
-	n.pending[n.rank] = append(n.pending[n.rank], m)
-}
-
-// Recv implements Transport.
-func (n *hierTransport) Recv(src int, tag Tag) (any, int) {
-	if src < 0 || src >= n.p {
-		panic(&TransportError{Op: "recv", Rank: n.rank, Peer: src, Tag: tag,
-			Err: fmt.Errorf("invalid rank %d (P=%d)", src, n.p)})
-	}
-	if n.pending == nil {
-		n.pending = make([][]message, n.p)
-	}
-	q := n.pending[src]
-	for i := range q {
-		if q[i].tag == tag {
-			m := q[i]
-			n.pending[src] = append(q[:i], q[i+1:]...)
-			return n.consume(src, m)
-		}
-	}
-	if src == n.rank {
-		panic(fmt.Sprintf("comm: rank %d self-recv tag %d with no matching self-send", n.rank, tag))
-	}
-	var box chan message
-	if n.hostOf(src) == n.host.idx {
-		box = n.host.boxes[n.local*n.host.m+(src-n.host.base)]
-	} else {
-		box = n.host.remote[n.local*n.p+src]
-	}
-	for {
-		m := n.pull(box, src, tag)
-		if m.tag == tag {
-			return n.consume(src, m)
-		}
-		n.pending[src] = append(n.pending[src], m)
-	}
-}
-
-// pull takes the next message off box, converting host death into a
+// pull takes the next message from src — off the intra-host mailbox or the
+// channel the gateway relay fills — converting host death into a
 // *DeliveryError and a watchdog overrun into a diagnostic panic. A message
 // already buffered is always preferred over a concurrent death signal.
-func (n *hierTransport) pull(box chan message, src int, tag Tag) message {
+func (n *hierTransport) pull(src int, tag Tag) message {
+	box := n.host.remote[n.local*n.p+src]
+	if n.hostOf(src) == n.host.idx {
+		box = n.host.boxes[n.local*n.host.m+(src-n.host.base)]
+	}
 	select {
 	case m := <-box:
 		return m
 	default:
 	}
-	fail := func() {
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: src, Tag: tag, Phase: n.stats.CurrentPhase(),
-			Reason: n.host.failure(),
-		})
+	var expired <-chan time.Time // nil: no watchdog, never fires
+	if n.watchdog > 0 {
+		timer := time.NewTimer(n.watchdog)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	if n.watchdog <= 0 {
-		select {
-		case m := <-box:
-			return m
-		case <-n.host.dead:
-			// Drain anything that raced in ahead of the failure.
-			select {
-			case m := <-box:
-				return m
-			default:
-			}
-			fail()
-		}
-	}
-	timer := time.NewTimer(n.watchdog)
-	defer timer.Stop()
 	select {
 	case m := <-box:
 		return m
 	case <-n.host.dead:
+		// Drain anything that raced in ahead of the failure.
 		select {
 		case m := <-box:
 			return m
 		default:
 		}
-		fail()
-	case <-timer.C:
-		panic(fmt.Sprintf("comm: deadlock watchdog fired after %v: rank %d blocked receiving tag %d from rank %d (hier backend)",
-			n.watchdog, n.rank, tag, src))
+		n.deliveryPanic(src, tag, n.host.failure())
+	case <-expired:
 	}
-	panic("unreachable")
+	panic(fmt.Sprintf("comm: deadlock watchdog fired after %v: rank %d blocked receiving tag %d from rank %d (hier backend)",
+		n.watchdog, n.id, tag, src))
 }
 
-// consume charges the receive exactly like every other backend.
-func (n *hierTransport) consume(src int, m message) (any, int) {
-	if src == n.rank {
-		return m.body, m.bytes // local delivery is free
-	}
-	cost := n.params.MsgCost(m.bytes)
-	n.clock.AdvanceTo(m.sentAt)
-	n.clock.Advance(cost)
-	n.stats.RecordRecv(m.bytes, cost)
-	return m.body, m.bytes
-}
-
-// Expose implements Transport: the two charged barriers run over the world
-// links as usual; between them the publications move intra-host through the
-// shared scratch table and cross-host leader-to-leader as uncharged
-// frameOOBFrom traffic.
-func (n *hierTransport) Expose(v any) []any {
-	barrier(n, tagExpose) // all ranks inside Expose; previous round fully read
+// publish moves the Expose publications intra-host through the shared
+// scratch table and cross-host leader-to-leader as uncharged frameOOBFrom
+// traffic.
+func (n *hierTransport) publish(v any) []any {
 	host := n.host
-	host.scratch[n.rank] = v
-	exposeFail := func(peer int, reason string) {
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: peer, Tag: tagExpose, Phase: n.stats.CurrentPhase(),
-			Reason: reason,
-		})
-	}
-	if !host.gate.wait(host.dead) { // all locals published
-		exposeFail(n.rank, host.failure())
+	host.scratch[n.id] = v
+	if !host.gate.wait() { // all locals published
+		n.deliveryPanic(n.id, tagExpose, host.failure())
 	}
 	if n.local == 0 && host.gw != nil {
 		// Leader: ship this host's publications to every other gateway and
@@ -399,26 +220,23 @@ func (n *hierTransport) Expose(v any) []any {
 				f := netFrame{kind: frameOOBFrom, rank: host.base + l, body: host.scratch[host.base+l]}
 				if err := host.gw.writePeer(pr.id, &f); err != nil {
 					host.fail("expose publication failed: " + err.Error())
-					exposeFail(pr.id, host.failure())
+					n.deliveryPanic(pr.id, tagExpose, host.failure())
 				}
 			}
 		}
-		want := n.p - host.m
-		for i := 0; i < want; i++ {
+		for want := n.p - host.m; want > 0; want-- {
 			select {
 			case m := <-host.oobIn:
 				host.scratch[m.from] = m.val
 			case <-host.dead:
-				exposeFail(n.rank, host.failure())
+				n.deliveryPanic(n.id, tagExpose, host.failure())
 			}
 		}
 	}
-	if !host.gate.wait(host.dead) { // leader done filling the table
-		exposeFail(n.rank, host.failure())
+	if !host.gate.wait() { // leader done filling the table
+		n.deliveryPanic(n.id, tagExpose, host.failure())
 	}
-	out := append([]any(nil), host.scratch...)
-	barrier(n, tagExpose) // all reads complete before anyone publishes again
-	return out
+	return append([]any(nil), host.scratch...)
 }
 
 // LaunchHierarchical runs fn as an SPMD program of p world ranks packed
@@ -452,9 +270,13 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 		serveErr <- nil
 	}
 
+	// closed marks the launch finished, so an endpoint leaked past it fails
+	// loudly with ErrClosedWorld like the flat backends' do.
+	var closed atomic.Bool
+	defer closed.Store(true)
 	transports := make([]*hierTransport, p)
 	hostErrs := make([]error, hosts)
-	panics := make(chan any, p)
+	panics := make(chan *RankPanic, p)
 	var wg sync.WaitGroup
 	for h := 0; h < hosts; h++ {
 		wg.Add(1)
@@ -470,7 +292,7 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 				scratch: make([]any, p),
 				oobIn:   make(chan oobMsg, p),
 				dead:    make(chan struct{}),
-				gate:    newHostGate(m),
+				gate:    newGate(m),
 			}
 			for i := range host.boxes {
 				host.boxes[i] = make(chan message, DefaultMailboxDepth)
@@ -485,7 +307,7 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 					Size:        hosts,
 					Params:      params,
 				}.withNetDefaults()
-				gw, err := dialWorldRelay(gwCfg, host.relay)
+				gw, err := dialWorld(gwCfg, host.relay)
 				if err != nil {
 					hostErrs[h] = fmt.Errorf("comm: host %d gateway: %w", h, err)
 					host.fail(hostErrs[h].Error())
@@ -517,32 +339,14 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 				lwg.Add(1)
 				go func(l int) {
 					defer lwg.Done()
-					r := &hierTransport{
-						host:     host,
-						rank:     host.base + l,
-						local:    l,
-						p:        p,
-						params:   params,
-						watchdog: watchdog,
-						clock:    machine.NewSimClock(),
+					r := &hierTransport{host: host, local: l, watchdog: watchdog}
+					r.core = newCore(r, host.base+l, p, params, nil, &closed, machine.NewSimClock())
+					transports[r.id] = r
+					if rp := runRank(r.id, r, wrap, fn); rp != nil {
+						crashed.Store(true)
+						host.fail(fmt.Sprintf("world rank %d panicked: %v", r.id, rp.Value))
+						panics <- rp
 					}
-					transports[r.rank] = r
-					defer func() {
-						if e := recover(); e != nil {
-							crashed.Store(true)
-							host.fail(fmt.Sprintf("world rank %d panicked: %v", r.rank, e))
-							panics <- &RankPanic{Rank: r.rank, Value: e}
-						}
-					}()
-					t := Transport(r)
-					if wrap != nil {
-						t = wrap(t)
-					}
-					defer func() {
-						defer func() { _ = recover() }() // a failed flush must not mask fn's panic
-						flushChain(t)
-					}()
-					fn(t)
 				}(l)
 			}
 			lwg.Wait()

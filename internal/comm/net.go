@@ -177,35 +177,18 @@ func NetRank(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) 
 		return st, fmt.Errorf("comm: NetRank topology %s is for p=%d, world has P=%d",
 			cfg.Topology.Name(), cfg.Topology.Size(), cfg.Size)
 	}
-	n, err := dialWorld(cfg)
+	n, err := dialWorld(cfg, nil)
 	if err != nil {
 		return st, fmt.Errorf("comm: rank %d join: %w", cfg.Rank, err)
 	}
-	defer func() {
-		if e := recover(); e != nil {
-			// Crash-safe teardown: no goodbye, close everything now. Peers
-			// observe EOF and diagnose this rank within their next Recv.
-			n.shutdown(false)
-			err = &RankPanic{Rank: cfg.Rank, Value: e}
-			return
-		}
-		n.shutdown(true)
-	}()
-	t := Transport(n)
-	if wrap != nil {
-		t = wrap(t)
+	if rp := runRank(cfg.Rank, n, wrap, fn); rp != nil {
+		// Crash-safe teardown: no goodbye, close everything now. Peers
+		// observe EOF and diagnose this rank within their next Recv.
+		n.shutdown(false)
+		return st, rp
 	}
-	func() {
-		// Release decorator-held messages (e.g. a Faulty reorder hold) even
-		// on panic, exactly as RunWrapped does for the goroutine backend.
-		defer func() {
-			defer func() { _ = recover() }() // a failed flush must not mask fn's panic
-			flushChain(t)
-		}()
-		fn(t)
-	}()
-	st = n.stats
-	return st, nil
+	n.shutdown(true)
+	return n.stats, nil
 }
 
 // LaunchLoopback runs fn as a p-rank SPMD program over real loopback TCP
@@ -216,6 +199,19 @@ func NetRank(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) 
 // filled in. Returns every rank's stats ledger and a per-rank error slice
 // (nil entries for clean ranks).
 func LaunchLoopback(tmpl NetConfig, p int, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
+	return launchLoopback(tmpl, p, false, wrap, fn)
+}
+
+// LaunchLoopbackElastic is LaunchLoopback with elastic recovery: the
+// coordinator serves assembly rounds until every rank is done, and each
+// rank runs under NetRankElastic, so a rank whose world collapses mid-run
+// (e.g. a fault decorator panicking a *DeliveryError) rejoins and retries
+// instead of failing the launch. Used by the recovery chaos tests.
+func LaunchLoopbackElastic(tmpl NetConfig, p int, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
+	return launchLoopback(tmpl, p, true, wrap, fn)
+}
+
+func launchLoopback(tmpl NetConfig, p int, elastic bool, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
 	ws := machine.WorldStats{Ranks: make([]machine.Stats, p)}
 	errs := make([]error, p)
 	co, err := StartCoordinator("127.0.0.1:0", p, tmpl.withNetDefaults().RendezvousTimeout)
@@ -226,8 +222,12 @@ func LaunchLoopback(tmpl NetConfig, p int, wrap func(Transport) Transport, fn fu
 		return ws, errs
 	}
 	defer co.Close()
+	serve, run := co.Serve, NetRank
+	if elastic {
+		serve, run = co.ServeElastic, NetRankElastic
+	}
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- co.Serve() }()
+	go func() { serveErr <- serve() }()
 
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
@@ -237,10 +237,13 @@ func LaunchLoopback(tmpl NetConfig, p int, wrap func(Transport) Transport, fn fu
 			cfg := tmpl
 			cfg.Coordinator = co.Addr()
 			cfg.Rank, cfg.Size = rank, p
-			ws.Ranks[rank], errs[rank] = NetRank(cfg, wrap, fn)
+			ws.Ranks[rank], errs[rank] = run(cfg, wrap, fn)
 		}(i)
 	}
 	wg.Wait()
+	if elastic {
+		co.Close() // ServeElastic only returns once the listener closes
+	}
 	if e := <-serveErr; e != nil {
 		for i := range errs {
 			if errs[i] == nil {
@@ -288,47 +291,6 @@ func NetRankElastic(cfg NetConfig, wrap func(Transport) Transport, fn func(Trans
 	}
 }
 
-// LaunchLoopbackElastic is LaunchLoopback with elastic recovery: the
-// coordinator serves assembly rounds until every rank is done, and each
-// rank runs under NetRankElastic, so a rank whose world collapses mid-run
-// (e.g. a fault decorator panicking a *DeliveryError) rejoins and retries
-// instead of failing the launch. Used by the recovery chaos tests.
-func LaunchLoopbackElastic(tmpl NetConfig, p int, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
-	ws := machine.WorldStats{Ranks: make([]machine.Stats, p)}
-	errs := make([]error, p)
-	co, err := StartCoordinator("127.0.0.1:0", p, tmpl.withNetDefaults().RendezvousTimeout)
-	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return ws, errs
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- co.ServeElastic() }()
-
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := tmpl
-			cfg.Coordinator = co.Addr()
-			cfg.Rank, cfg.Size = rank, p
-			ws.Ranks[rank], errs[rank] = NetRankElastic(cfg, wrap, fn)
-		}(i)
-	}
-	wg.Wait()
-	co.Close()
-	if e := <-serveErr; e != nil {
-		for i := range errs {
-			if errs[i] == nil {
-				errs[i] = fmt.Errorf("comm: rendezvous: %w", e)
-			}
-		}
-	}
-	return ws, errs
-}
-
 // oobMsg is one Expose publication in flight, attributed to its origin rank
 // so sparse worlds can circulate publications over the ring (the origin is
 // then not the connection's peer).
@@ -367,25 +329,21 @@ func (p *netPeer) failure() string {
 	return "peer connection lost"
 }
 
-// netTransport is the per-process Transport endpoint over the TCP mesh.
-// Like every Transport it is owned by one goroutine; the reader and
-// heartbeat goroutines only touch the channels and atomics.
+// netTransport is the TCP link under the shared core: one socket per linked
+// peer, a reader goroutine per socket. Like every Transport it is owned by
+// one goroutine; the reader and heartbeat goroutines only touch the
+// channels and atomics.
 type netTransport struct {
-	cfg  NetConfig
-	rank int
-	size int
+	core
+	cfg NetConfig
 
-	clock machine.Clock
-	stats machine.Stats
-
-	peers   []*netPeer // indexed by rank; own slot and non-topology ranks are nil
-	pending [][]message
+	peers []*netPeer // indexed by rank; own slot and non-topology ranks are nil
 
 	// relay, when non-nil, receives every frameRelay and frameOOBFrom frame
 	// read off this endpoint's connections instead of the default routing —
 	// the hook through which a hierarchical gateway (hier.go) forwards
 	// cross-host traffic to its in-process ranks. Set before the readers
-	// start (dialWorldRelay), never after.
+	// start (dialWorld), never after.
 	relay func(*netFrame)
 
 	closed  atomic.Bool
@@ -394,80 +352,20 @@ type netTransport struct {
 	hbDone  chan struct{}
 }
 
-// Rank implements Transport.
-func (n *netTransport) Rank() int { return n.rank }
-
-// Size implements Transport.
-func (n *netTransport) Size() int { return n.size }
-
-// Clock implements Transport.
-func (n *netTransport) Clock() machine.Clock { return n.clock }
-
-// Stats implements Transport.
-func (n *netTransport) Stats() *machine.Stats { return &n.stats }
-
-// Params implements Transport.
-func (n *netTransport) Params() machine.Params { return n.cfg.Params }
-
-// Compute implements Transport.
-func (n *netTransport) Compute(c int) {
-	if c <= 0 {
-		return
-	}
-	cost := n.cfg.Params.ComputeCost(c)
-	n.clock.Advance(cost)
-	n.stats.RecordCompute(cost)
-}
-
-// ComputeTime implements Transport.
-func (n *netTransport) ComputeTime(t float64) {
-	if t <= 0 {
-		return
-	}
-	n.clock.Advance(t)
-	n.stats.RecordCompute(t)
-}
-
-// SetPhase implements Transport.
-func (n *netTransport) SetPhase(p machine.Phase) { n.stats.SetPhase(p) }
-
-// Send implements Transport. The modelled charge is identical to the
-// goroutine backend's; the frame carries the modelled size and post-send
-// clock so the receiver's charge matches too. A dead peer or failed write
-// raises a *DeliveryError; an unencodable body or structural misuse raises
-// a *TransportError.
-func (n *netTransport) Send(dst int, tag Tag, body any, nbytes int) {
-	if n.closed.Load() {
-		panic(&TransportError{Op: "send", Rank: n.rank, Peer: dst, Tag: tag, Err: ErrClosedWorld})
-	}
-	if dst < 0 || dst >= n.size {
-		panic(&TransportError{Op: "send", Rank: n.rank, Peer: dst, Tag: tag,
-			Err: fmt.Errorf("invalid rank %d (P=%d)", dst, n.size)})
-	}
-	if dst == n.rank {
-		// Self-sends bypass the network: no τ/μ charge, matching the model.
-		n.deliverLocal(message{tag: tag, bytes: nbytes, sentAt: n.clock.Now(), body: body})
-		return
-	}
-	if tp := n.cfg.Topology; tp != nil && !tp.Connected(n.rank, dst) {
-		// No socket exists to this rank: the mesh was assembled sparse.
-		panic(&TransportError{Op: "send", Rank: n.rank, Peer: dst, Tag: tag, Err: tp.errOutOf(n.rank, dst)})
-	}
-	cost := n.cfg.Params.MsgCost(nbytes)
-	n.clock.Advance(cost)
-	n.stats.RecordSend(nbytes, cost)
-	f := netFrame{kind: frameData, tag: tag, nbytes: nbytes, sentAt: n.clock.Now(), body: body}
+// post writes m to dst's socket; the frame carries the modelled size and
+// post-send clock so the receiver's charge matches the goroutine backend's.
+// A dead peer or failed write raises a *DeliveryError; an unencodable body
+// raises a *TransportError.
+func (n *netTransport) post(dst int, m message) {
+	f := netFrame{kind: frameData, tag: m.tag, nbytes: m.bytes, sentAt: m.sentAt, body: m.body}
 	if err := n.writePeer(dst, &f); err != nil {
 		var ce *CodecError
 		if errors.As(err, &ce) {
 			// The body cannot travel this wire: a programming error, never
 			// retried.
-			panic(&TransportError{Op: "send", Rank: n.rank, Peer: dst, Tag: tag, Err: ce})
+			panic(&TransportError{Op: "send", Rank: n.id, Peer: dst, Tag: m.tag, Err: ce})
 		}
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: dst, Tag: tag, Phase: n.stats.CurrentPhase(),
-			Reason: "send failed: " + err.Error(),
-		})
+		n.deliveryPanic(dst, m.tag, "send failed: "+err.Error())
 	}
 }
 
@@ -491,150 +389,78 @@ func (n *netTransport) writePeer(dst int, f *netFrame) error {
 	return err
 }
 
-func (n *netTransport) deliverLocal(m message) {
-	if n.pending == nil {
-		n.pending = make([][]message, n.size)
-	}
-	n.pending[n.rank] = append(n.pending[n.rank], m)
-}
-
-// Recv implements Transport. A peer that died — abrupt EOF, heartbeat
-// silence, clean goodbye while traffic was still owed — fails the call with
-// a *DeliveryError within a bounded time instead of hanging.
-func (n *netTransport) Recv(src int, tag Tag) (any, int) {
-	if n.closed.Load() {
-		panic(&TransportError{Op: "recv", Rank: n.rank, Peer: src, Tag: tag, Err: ErrClosedWorld})
-	}
-	if src < 0 || src >= n.size {
-		panic(&TransportError{Op: "recv", Rank: n.rank, Peer: src, Tag: tag,
-			Err: fmt.Errorf("invalid rank %d (P=%d)", src, n.size)})
-	}
-	if n.pending == nil {
-		n.pending = make([][]message, n.size)
-	}
-	q := n.pending[src]
-	for i := range q {
-		if q[i].tag == tag {
-			m := q[i]
-			n.pending[src] = append(q[:i], q[i+1:]...)
-			return n.consume(src, m)
-		}
-	}
-	if src == n.rank {
-		panic(fmt.Sprintf("comm: rank %d self-recv tag %d with no matching self-send", n.rank, tag))
-	}
-	if tp := n.cfg.Topology; tp != nil && !tp.Connected(n.rank, src) {
-		panic(&TransportError{Op: "recv", Rank: n.rank, Peer: src, Tag: tag, Err: tp.errOutOf(n.rank, src)})
-	}
+// pull takes the next data message from src's reader. A peer that died —
+// abrupt EOF, heartbeat silence, clean goodbye while traffic was still
+// owed — fails the call with a *DeliveryError within a bounded time instead
+// of hanging; a watchdog overrun is a diagnostic panic.
+func (n *netTransport) pull(src int, tag Tag) message {
 	p := n.peers[src]
-	for {
-		m := n.pullNet(p, tag)
-		if m.tag == tag {
-			return n.consume(src, m)
+	if n.cfg.Watchdog > 0 {
+		select {
+		case m, ok := <-p.inbox:
+			if !ok {
+				n.deliveryPanic(src, tag, p.failure())
+			}
+			return m
+		default:
 		}
-		n.pending[src] = append(n.pending[src], m)
+		timer := time.NewTimer(n.cfg.Watchdog)
+		defer timer.Stop()
+		select {
+		case m, ok := <-p.inbox:
+			if !ok {
+				n.deliveryPanic(src, tag, p.failure())
+			}
+			return m
+		case <-timer.C:
+			panic(fmt.Sprintf("comm: deadlock watchdog fired after %v: rank %d blocked receiving tag %d from rank %d (tcp backend)",
+				n.cfg.Watchdog, n.id, tag, src))
+		}
 	}
+	m, ok := <-p.inbox
+	if !ok {
+		n.deliveryPanic(src, tag, p.failure())
+	}
+	return m
 }
 
-// pullNet takes the next data message from p's reader, converting peer
-// death into a *DeliveryError and a watchdog overrun into a diagnostic
-// panic.
-func (n *netTransport) pullNet(p *netPeer, tag Tag) message {
-	deliveryPanic := func() {
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: p.id, Tag: tag, Phase: n.stats.CurrentPhase(),
-			Reason: p.failure(),
-		})
-	}
-	if n.cfg.Watchdog <= 0 {
-		m, ok := <-p.inbox
-		if !ok {
-			deliveryPanic()
-		}
-		return m
-	}
-	select {
-	case m, ok := <-p.inbox:
-		if !ok {
-			deliveryPanic()
-		}
-		return m
-	default:
-	}
-	timer := time.NewTimer(n.cfg.Watchdog)
-	defer timer.Stop()
-	select {
-	case m, ok := <-p.inbox:
-		if !ok {
-			deliveryPanic()
-		}
-		return m
-	case <-timer.C:
-		panic(fmt.Sprintf("comm: deadlock watchdog fired after %v: rank %d blocked receiving tag %d from rank %d (tcp backend)",
-			n.cfg.Watchdog, n.rank, tag, p.id))
-	}
-}
-
-// consume charges the receive exactly like the goroutine backend: advance
-// to the sender's post-send clock, then charge the transfer.
-func (n *netTransport) consume(src int, m message) (any, int) {
-	if src == n.rank {
-		return m.body, m.bytes // local delivery is free
-	}
-	cost := n.cfg.Params.MsgCost(m.bytes)
-	n.clock.AdvanceTo(m.sentAt)
-	n.clock.Advance(cost)
-	n.stats.RecordRecv(m.bytes, cost)
-	return m.body, m.bytes
-}
-
-// Expose implements Transport: barrier, uncharged out-of-band exchange of
-// the published values over dedicated oob frames, barrier — the same two
-// charged barriers as the goroutine backend, so modelled time is identical.
+// publish exchanges the Expose publications over dedicated oob frames: raw
+// socket traffic, not modelled Sends, so Expose stays uncharged beyond the
+// core's two barriers on every topology.
 //
 // On a full mesh every rank writes its publication directly to every peer.
 // A sparse world has no socket to non-adjacent ranks, so publications are
 // circulated around the ±1 ring (always linked — the collective skeleton):
 // each rank injects its own value, then forwards what arrives from its
-// predecessor for p−1 rounds. The circulation is raw socket traffic, not
-// modelled Sends, so Expose stays uncharged beyond its two barriers on
-// every topology. A dead non-adjacent rank surfaces as a cascade: its
-// neighbors' Expose fails, they crash, and the EOF propagates around the
-// ring within the heartbeat bound.
-func (n *netTransport) Expose(v any) []any {
-	barrier(n, tagExpose) // all ranks inside Expose; previous round fully read
-	out := make([]any, n.size)
-	out[n.rank] = v
-	if tp := n.cfg.Topology; tp != nil && !tp.IsFullMesh() {
+// predecessor for p−1 rounds. A dead non-adjacent rank surfaces as a
+// cascade: its neighbors' Expose fails, they crash, and the EOF propagates
+// around the ring within the heartbeat bound.
+func (n *netTransport) publish(v any) []any {
+	out := make([]any, n.p)
+	out[n.id] = v
+	if n.topo != nil && !n.topo.IsFullMesh() {
 		n.exposeRing(v, out)
-	} else {
-		f := netFrame{kind: frameOOB, body: v}
-		for _, p := range n.peers {
-			if p == nil {
-				continue
-			}
-			if err := n.writePeer(p.id, &f); err != nil {
-				panic(&DeliveryError{
-					Rank: n.rank, Peer: p.id, Tag: tagExpose, Phase: n.stats.CurrentPhase(),
-					Reason: "expose publication failed: " + err.Error(),
-				})
-			}
+		return out
+	}
+	f := netFrame{kind: frameOOB, body: v}
+	for _, p := range n.peers {
+		if p == nil {
+			continue
 		}
-		for _, p := range n.peers {
-			if p == nil {
-				continue
-			}
-			m, ok := <-p.oob
-			if !ok {
-				panic(&DeliveryError{
-					Rank: n.rank, Peer: p.id, Tag: tagExpose, Phase: n.stats.CurrentPhase(),
-					Reason: p.failure(),
-				})
-			}
-			out[p.id] = m.val
+		if err := n.writePeer(p.id, &f); err != nil {
+			n.deliveryPanic(p.id, tagExpose, "expose publication failed: "+err.Error())
 		}
 	}
-	barrier(n, tagExpose) // all reads complete before anyone publishes again
+	for _, p := range n.peers {
+		if p == nil {
+			continue
+		}
+		m, ok := <-p.oob
+		if !ok {
+			n.deliveryPanic(p.id, tagExpose, p.failure())
+		}
+		out[p.id] = m.val
+	}
 	return out
 }
 
@@ -643,34 +469,28 @@ func (n *netTransport) Expose(v any) []any {
 // and forward-to-next (except in the last round, when the arriving value's
 // final stop is this rank).
 func (n *netTransport) exposeRing(v any, out []any) {
-	next := (n.rank + 1) % n.size
-	prev := (n.rank - 1 + n.size) % n.size
-	fail := func(peer int, reason string) {
-		panic(&DeliveryError{
-			Rank: n.rank, Peer: peer, Tag: tagExpose, Phase: n.stats.CurrentPhase(),
-			Reason: reason,
-		})
-	}
-	f := netFrame{kind: frameOOBFrom, rank: n.rank, body: v}
+	next := (n.id + 1) % n.p
+	prev := (n.id - 1 + n.p) % n.p
+	f := netFrame{kind: frameOOBFrom, rank: n.id, body: v}
 	if err := n.writePeer(next, &f); err != nil {
-		fail(next, "expose publication failed: "+err.Error())
+		n.deliveryPanic(next, tagExpose, "expose publication failed: "+err.Error())
 	}
 	pp := n.peers[prev]
-	seen := make([]bool, n.size)
-	for i := 0; i < n.size-1; i++ {
+	seen := make([]bool, n.p)
+	for i := 0; i < n.p-1; i++ {
 		m, ok := <-pp.oob
 		if !ok {
-			fail(prev, pp.failure())
+			n.deliveryPanic(prev, tagExpose, pp.failure())
 		}
-		if m.from < 0 || m.from >= n.size || m.from == n.rank || seen[m.from] {
-			fail(prev, fmt.Sprintf("protocol violation: duplicate or invalid expose origin %d", m.from))
+		if m.from < 0 || m.from >= n.p || m.from == n.id || seen[m.from] {
+			n.deliveryPanic(prev, tagExpose, fmt.Sprintf("protocol violation: duplicate or invalid expose origin %d", m.from))
 		}
 		seen[m.from] = true
 		out[m.from] = m.val
-		if i < n.size-2 {
+		if i < n.p-2 {
 			ff := netFrame{kind: frameOOBFrom, rank: m.from, body: m.val}
 			if err := n.writePeer(next, &ff); err != nil {
-				fail(next, "expose forward failed: "+err.Error())
+				n.deliveryPanic(next, tagExpose, "expose forward failed: "+err.Error())
 			}
 		}
 	}
@@ -822,13 +642,10 @@ func (n *netTransport) shutdown(clean bool) {
 }
 
 // dialWorld performs rendezvous and mesh establishment and returns a live
-// endpoint with its reader and heartbeat goroutines running.
-func dialWorld(cfg NetConfig) (*netTransport, error) { return dialWorldRelay(cfg, nil) }
-
-// dialWorldRelay is dialWorld with the gateway relay hook installed before
-// any reader goroutine starts, so a forwarded frame can never race the
-// hook's installation.
-func dialWorldRelay(cfg NetConfig, relay func(*netFrame)) (*netTransport, error) {
+// endpoint with its reader and heartbeat goroutines running. relay (nil on
+// a plain rank) is the gateway hook, installed before any reader goroutine
+// starts so a forwarded frame can never race its installation.
+func dialWorld(cfg NetConfig, relay func(*netFrame)) (*netTransport, error) {
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("mesh listen on %q: %w", cfg.ListenAddr, err)
@@ -854,15 +671,13 @@ func dialWorldRelay(cfg NetConfig, relay func(*netFrame)) (*netTransport, error)
 	}
 	n := &netTransport{
 		cfg:     cfg,
-		rank:    cfg.Rank,
-		size:    cfg.Size,
-		clock:   clock,
 		peers:   make([]*netPeer, cfg.Size),
 		relay:   relay,
 		closing: make(chan struct{}),
 		stopHB:  make(chan struct{}),
 		hbDone:  make(chan struct{}),
 	}
+	n.core = newCore(n, cfg.Rank, cfg.Size, cfg.Params, cfg.Topology, &n.closed, clock)
 	for id, c := range conns {
 		if c == nil {
 			continue

@@ -1,7 +1,7 @@
 // Topology descriptors: which rank pairs of a world own a direct
-// communication link. The descriptor is consulted in two places — the
-// goroutine World and the TCP netTransport enforce it on every Send/Recv
-// (an out-of-topology message is a typed *TransportError wrapping a
+// communication link. The descriptor is consulted in two places — the rank
+// core enforces it on every Send/Recv of the goroutine World and the TCP
+// backend (an out-of-topology message is a typed *TransportError wrapping a
 // *TopologyError, never a silent success), and the TCP backend additionally
 // consults it at assembly time so a neighbor-sparse world dials O(P·k)
 // sockets instead of the O(P²) full mesh.

@@ -158,8 +158,15 @@ type Config struct {
 	StopRequested func() bool
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields; a supplied CustomParticles population
+// overrides NumParticles and (when it carries one) MacroCharge.
 func (c Config) withDefaults() Config {
+	if c.CustomParticles != nil {
+		c.NumParticles = c.CustomParticles.Len()
+		if c.CustomParticles.Charge != 0 {
+			c.MacroCharge = c.CustomParticles.Charge
+		}
+	}
 	if c.Dims == 0 {
 		c.Dims = 2
 	}

@@ -20,12 +20,6 @@ import (
 // rank failure — including a peer dying mid-run — comes back as an error
 // (never a hang, bounded by the backend's timeouts).
 func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
-	if cfg.CustomParticles != nil {
-		cfg.NumParticles = cfg.CustomParticles.Len()
-		if cfg.CustomParticles.Charge != 0 {
-			cfg.MacroCharge = cfg.CustomParticles.Charge
-		}
-	}
 	cfg.P = ncfg.Size
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

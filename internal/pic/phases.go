@@ -286,13 +286,7 @@ func (st *rankState) migrate() {
 			r.Compute(len(sendIdx[d]) * 7)
 		}
 	}
-	var recv [][]float64
-	if ex := st.dataEx; ex != nil {
-		recv = ex.Exchange(r, send, ex.Counts(r, counts))
-	} else {
-		recvCounts := comm.ExchangeCounts(r, counts)
-		recv = comm.AllToMany(r, send, recvCounts, comm.Float64Bytes)
-	}
+	recv := st.dataEx.Exchange(r, send, counts)
 	for src := 0; src < r.Size(); src++ {
 		if src != r.Rank() && len(recv[src]) > 0 {
 			if err := kept.AppendWire(recv[src]); err != nil {

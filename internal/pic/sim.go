@@ -37,12 +37,6 @@ const gatherWireFloats = 6
 
 // Run executes the configured simulation and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	if cfg.CustomParticles != nil {
-		cfg.NumParticles = cfg.CustomParticles.Len()
-		if cfg.CustomParticles.Charge != 0 {
-			cfg.MacroCharge = cfg.CustomParticles.Charge
-		}
-	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -97,12 +91,6 @@ func Run(cfg Config) (*Result, error) {
 // participate fully, but only rank 0 returns a non-nil Result; the others
 // return (nil, nil) on success.
 func RunRank(t comm.Transport, cfg Config) (*Result, error) {
-	if cfg.CustomParticles != nil {
-		cfg.NumParticles = cfg.CustomParticles.Len()
-		if cfg.CustomParticles.Charge != 0 {
-			cfg.MacroCharge = cfg.CustomParticles.Charge
-		}
-	}
 	cfg.P = t.Size()
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -209,8 +197,8 @@ type rankState struct {
 	// bootEx and dataEx are the topology-selected exchange protocols for
 	// the initial distribution and the steady-state redistribution
 	// respectively (nil: the classic pairwise exchange). See topology.go.
-	bootEx comm.Exchanger
-	dataEx comm.Exchanger
+	bootEx *comm.Exchanger
+	dataEx *comm.Exchanger
 	// topo is the enforced link set under the sparse topologies (nil:
 	// any-to-any). scatter/gather consult it to route the rare
 	// out-of-stencil ghost traffic — which exists whenever a cost-weighted

@@ -132,12 +132,12 @@ type topoPlan struct {
 	// (dealing, sample sort). Under sparse topologies it is the systolic
 	// protocol: the initial population is arbitrarily scattered, so the
 	// stencil cannot carry it, but the ring skeleton always can.
-	bootEx comm.Exchanger
+	bootEx *comm.Exchanger
 	// dataEx routes the steady-state redistribution and migration
 	// exchanges: the hybrid sparse protocol under neighbor-sparse (direct
 	// stencil sends, systolic relay for the far payloads a decoupled
 	// repartition creates), systolic under the ring.
-	dataEx comm.Exchanger
+	dataEx *comm.Exchanger
 }
 
 // buildTopoPlan resolves cfg.Topology against the run's geometry. The

@@ -123,7 +123,7 @@ func TestLoadBalanceExtremeSkew(t *testing.T) {
 				s.Key[s.Len()-1] = float64(i)
 			}
 		}
-		g.put(r.Rank(), LoadBalance(r, s))
+		g.put(r.Rank(), loadBalanceInto(r, s, nil, nil))
 	})
 	wantIDs := map[float64]bool{}
 	for i := 0; i < total; i++ {
@@ -139,7 +139,7 @@ func BenchmarkLocalSort(b *testing.B) {
 			b.StopTimer()
 			s := makeLocal(rng, 4096, 0, 1<<20)
 			b.StartTimer()
-			LocalSort(r, s)
+			LocalSort(r, s, nil)
 		}
 	})
 }

@@ -48,10 +48,10 @@ type Incremental struct {
 	// rank's shared-memory workers. Results are bit-identical either way.
 	pool *par.Pool
 	// ex, when non-nil, routes the all-to-many exchanges through a
-	// topology-native protocol (systolic ring, neighbor-only) instead of
+	// topology-native protocol (systolic ring, sparse hybrid) instead of
 	// the classic pairwise schedule. The redistributed population is
 	// identical either way.
-	ex comm.Exchanger
+	ex *comm.Exchanger
 }
 
 // DefaultBuckets is a reasonable bucket count per rank: fine enough that a
@@ -77,7 +77,7 @@ func (inc *Incremental) SetPool(p *par.Pool) { inc.pool = p }
 // Redistribute (nil detaches it, reverting to the classic pairwise
 // exchange). Safe to call any time between redistributions; the
 // redistributed population is identical for every protocol.
-func (inc *Incremental) SetExchanger(ex comm.Exchanger) { inc.ex = ex }
+func (inc *Incremental) SetExchanger(ex *comm.Exchanger) { inc.ex = ex }
 
 // Prime records bucket boundaries from a locally sorted store, preparing
 // for the next Redistribute call (Figure 12, lines 4–6 of
@@ -167,7 +167,7 @@ func (inc *Incremental) Redistribute(r comm.Transport, s *particle.Store) (*part
 
 // RedistributeWeighted is Redistribute with the final order-maintaining
 // balance cutting at equal cumulative weight under wf (see
-// WeightedBalance) instead of equal counts. A nil wf is exactly
+// weightedBalanceInto) instead of equal counts. A nil wf is exactly
 // Redistribute. The classification and exchange machinery — and therefore
 // the snapshot/rollback contract — is shared unchanged.
 func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store, wf func(key float64) float64) (*particle.Store, Stats) {
@@ -186,7 +186,7 @@ func (inc *Incremental) redistribute(r comm.Transport, s *particle.Store, wf fun
 	send, counts := inc.pack(r, s)
 
 	// Lines 15–20: exchange the traffic table, then all-to-many.
-	recv := exchange(r, inc.ex, send, counts)
+	recv := inc.ex.Exchange(r, send, counts)
 
 	// Line 21: collect and sort the received particles.
 	wfl := s.WireFloats()
@@ -200,7 +200,7 @@ func (inc *Incremental) redistribute(r comm.Transport, s *particle.Store, wf fun
 			wire.Put(recv[src])
 		}
 	}
-	LocalSortPar(r, recvStore, inc.pool)
+	LocalSort(r, recvStore, inc.pool)
 
 	// Lines 22–23: sort each bucket locally. Buckets are key-disjoint and
 	// ordered, so concatenating them yields a sorted run.
@@ -366,11 +366,6 @@ func searchOwner(globalUpper []float64, key float64) int {
 		d = len(globalUpper) - 1
 	}
 	return d
-}
-
-// mergeSorted merges two locally sorted stores into a new sorted store.
-func mergeSorted(r comm.Transport, a, b *particle.Store) *particle.Store {
-	return mergeSortedInto(r, a, b, a.NewLike(a.Len()+b.Len()))
 }
 
 // mergeSortedInto merges a and b (each locally sorted) into out, which must

@@ -44,19 +44,14 @@ const (
 
 // LocalSort sorts s in place by (key, id) and charges the comparison cost.
 // The real work is a radix sort plus one permutation apply (see radix.go),
-// but the simulated charge stays the comparison-sort formula
-// n·⌈log₂ n⌉·compareWork so all paper results are unchanged.
-func LocalSort(r comm.Transport, s *particle.Store) {
-	LocalSortPar(r, s, nil)
-}
-
-// LocalSortPar is LocalSort with the radix passes spread over pool's
-// shared-memory workers (nil or 1-worker pool: sequential). The sorted
-// order, the simulated charge and the steady-state zero-allocation property
-// are identical for every pool size.
-func LocalSortPar(r comm.Transport, s *particle.Store, pool *par.Pool) {
+// with the radix passes spread over pool's shared-memory workers (nil or
+// 1-worker pool: sequential), but the simulated charge stays the
+// comparison-sort formula n·⌈log₂ n⌉·compareWork so all paper results are
+// unchanged. The sorted order, the simulated charge and the steady-state
+// zero-allocation property are identical for every pool size.
+func LocalSort(r comm.Transport, s *particle.Store, pool *par.Pool) {
 	n := s.Len()
-	radixSortStorePool(s, pool)
+	radixSortStore(s, pool)
 	if n > 1 {
 		r.Compute(n * ilog2(n) * compareWork)
 	}
@@ -90,41 +85,23 @@ func IsLocallySorted(s *particle.Store) bool {
 	return true
 }
 
-// exchange runs the two halves of an all-to-many redistribution through the
-// selected protocol: nil ex is the classic pairwise exchange, anything else
-// is a topology-native comm.Exchanger (systolic ring pulse, neighbor-only).
-func exchange(r comm.Transport, ex comm.Exchanger, send [][]float64, counts []int) [][]float64 {
-	if ex == nil {
-		recvCounts := comm.ExchangeCounts(r, counts)
-		return comm.AllToMany(r, send, recvCounts, comm.Float64Bytes)
-	}
-	recvCounts := ex.Counts(r, counts)
-	return ex.Exchange(r, send, recvCounts)
-}
-
 // SampleSort performs a full regular-sampling sample sort of the global
 // particle population and returns this rank's sorted, balanced share. This
 // is the paper's initial "distribution algorithm"; the incremental sort is
 // the cheaper alternative for subsequent redistributions.
 func SampleSort(r comm.Transport, s *particle.Store) *particle.Store {
-	return SampleSortPar(r, s, nil)
+	return SampleSortParX(r, s, nil, nil)
 }
 
-// SampleSortPar is SampleSort with the local radix sorts spread over pool's
-// shared-memory workers (nil: sequential). The returned distribution and
-// every simulated charge are identical for every pool size.
-func SampleSortPar(r comm.Transport, s *particle.Store, pool *par.Pool) *particle.Store {
-	return SampleSortParX(r, s, pool, nil)
-}
-
-// SampleSortParX is SampleSortPar with the all-to-many halves routed
-// through ex (nil: the classic pairwise protocol). The returned
-// distribution is identical for every exchanger — only the message
-// schedule (and on non-classic protocols the modelled network charges)
-// differs.
-func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex comm.Exchanger) *particle.Store {
+// SampleSortParX is SampleSort with the local radix sorts spread over
+// pool's shared-memory workers (nil: sequential) and the all-to-many halves
+// routed through ex (nil: the classic pairwise protocol). The returned
+// distribution is identical for every pool size and every exchanger — only
+// the message schedule (and on non-classic protocols the modelled network
+// charges) differs.
+func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex *comm.Exchanger) *particle.Store {
 	p := r.Size()
-	LocalSortPar(r, s, pool)
+	LocalSort(r, s, pool)
 	if p == 1 {
 		return s
 	}
@@ -167,7 +144,7 @@ func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex comm
 			r.Compute((hi - lo) * packWorkPerParticle)
 		}
 	}
-	recv := exchange(r, ex, send, counts)
+	recv := ex.Exchange(r, send, counts)
 
 	out := s.NewLike(n)
 	for src := 0; src < p; src++ {
@@ -179,17 +156,8 @@ func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex comm
 			wire.Put(recv[src])
 		}
 	}
-	LocalSortPar(r, out, pool)
+	LocalSort(r, out, pool)
 	return loadBalanceInto(r, out, nil, ex)
-}
-
-// LoadBalance equalises particle counts across ranks while preserving the
-// global concatenated order: local particle i (at global position
-// offset+i) moves to the BLOCK owner of that position. Requires that the
-// per-rank stores concatenate to a globally key-sorted sequence, and
-// preserves that property.
-func LoadBalance(r comm.Transport, s *particle.Store) *particle.Store {
-	return loadBalanceInto(r, s, nil, nil)
 }
 
 // lbScratch recycles the per-call bookkeeping slices of loadBalanceInto.
@@ -213,12 +181,15 @@ func (sc *lbScratch) grow(p int) {
 	}
 }
 
-// loadBalanceInto is LoadBalance with an optional destination store (when
-// reuse is non-nil its arrays are recycled for the output; it must not
-// alias s) and an optional exchange protocol (nil ex: classic pairwise).
-// When reuse is nil the behaviour is the original LoadBalance, including
-// returning s itself on the p = 1 / empty fast path.
-func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex comm.Exchanger) *particle.Store {
+// loadBalanceInto equalises particle counts across ranks while preserving
+// the global concatenated order: local particle i (at global position
+// offset+i) moves to the BLOCK owner of that position. Requires that the
+// per-rank stores concatenate to a globally key-sorted sequence, and
+// preserves that property. When reuse is non-nil its arrays are recycled
+// for the output (it must not alias s); when nil a fresh store is returned,
+// or s itself on the p = 1 / empty fast path. ex selects the exchange
+// protocol (nil: classic pairwise).
+func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchanger) *particle.Store {
 	p := r.Size()
 	n := s.Len()
 	total := comm.AllreduceSumInt(r, n)
@@ -257,7 +228,7 @@ func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex comm.Exchang
 		}
 		i = runEnd
 	}
-	recv := exchange(r, ex, send, counts)
+	recv := ex.Exchange(r, send, counts)
 	lbPool.Put(sc)
 
 	// Reassemble in source-rank order, splicing the retained local run in

@@ -86,7 +86,7 @@ func (g *gather) checkGlobal(t *testing.T, p, total int, wantIDs map[float64]boo
 func TestLocalSort(t *testing.T) {
 	ws := commtest.Launch(1, machine.CM5(), func(r comm.Transport) {
 		s := makeLocal(rand.New(rand.NewSource(1)), 100, 0, 50)
-		LocalSort(r, s)
+		LocalSort(r, s, nil)
 		if !IsLocallySorted(s) {
 			t.Error("not sorted")
 		}
@@ -166,7 +166,7 @@ func TestLoadBalancePreservesOrder(t *testing.T) {
 			s.Append(0, 0, 0, 0, 0, float64(base+i))
 			s.Key[s.Len()-1] = float64(base + i) // keys already globally sorted
 		}
-		g.put(r.Rank(), LoadBalance(r, s))
+		g.put(r.Rank(), loadBalanceInto(r, s, nil, nil))
 	})
 	wantIDs := map[float64]bool{}
 	for i := 0; i < total; i++ {
@@ -188,7 +188,7 @@ func TestLoadBalancePreservesOrder(t *testing.T) {
 func TestLoadBalanceSingleRankNoOp(t *testing.T) {
 	commtest.Launch(1, machine.CM5(), func(r comm.Transport) {
 		s := makeLocal(rand.New(rand.NewSource(1)), 10, 0, 10)
-		out := LoadBalance(r, s)
+		out := loadBalanceInto(r, s, nil, nil)
 		if out != s {
 			t.Error("p=1 must return the same store")
 		}
@@ -357,7 +357,7 @@ func TestMergeSorted(t *testing.T) {
 			b.Append(0, 0, 0, 0, 0, float64(10+i))
 			b.Key[b.Len()-1] = k
 		}
-		m := mergeSorted(r, a, b)
+		m := mergeSortedInto(r, a, b, a.NewLike(a.Len()+b.Len()))
 		want := []float64{1, 2, 3, 3, 5, 6}
 		if m.Len() != 6 {
 			t.Fatalf("merged len %d", m.Len())

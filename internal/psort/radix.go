@@ -44,15 +44,10 @@ func (so *sorter) grow(n int) {
 // cost wins over building the bit arrays.
 const smallStoreCutoff = 32
 
-// radixSortStore sorts s by (Key, ID) — the exact order of sort.Sort(s).
-func radixSortStore(s *particle.Store) {
-	radixSortStorePool(s, nil)
-}
-
-// radixSortStorePool is radixSortStore with the radix passes optionally
-// spread over pool's workers. The resulting permutation is identical for
-// every pool size (including nil).
-func radixSortStorePool(s *particle.Store, pool *par.Pool) {
+// radixSortStore sorts s by (Key, ID) — the exact order of sort.Sort(s) —
+// with the radix passes optionally spread over pool's workers. The
+// resulting permutation is identical for every pool size (including nil).
+func radixSortStore(s *particle.Store, pool *par.Pool) {
 	n := s.Len()
 	if n < smallStoreCutoff {
 		sort.Sort(s)

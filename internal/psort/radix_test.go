@@ -52,7 +52,7 @@ func TestRadixSortStoreMatchesSortSort(t *testing.T) {
 		}
 		ref := s.Clone()
 		sort.Sort(ref)
-		radixSortStore(s)
+		radixSortStore(s, nil)
 		for i := 0; i < n; i++ {
 			if !sameBits(s.Key[i], ref.Key[i]) || s.ID[i] != ref.ID[i] ||
 				s.X[i] != ref.X[i] || s.Y[i] != ref.Y[i] ||
@@ -100,7 +100,7 @@ func TestEqualKeyIDTiebreakWitness(t *testing.T) {
 		s.Append(0, 0, 0, 0, 0, float64(n-1-i)) // ids descending
 		s.Key[i] = float64(i % 2)               // two key classes, interleaved
 	}
-	radixSortStore(s)
+	radixSortStore(s, nil)
 	for i := 1; i < n; i++ {
 		if s.Key[i] < s.Key[i-1] {
 			t.Fatalf("pos %d: keys out of order", i)
@@ -127,7 +127,7 @@ func TestRedistributeClassifyPackZeroAlloc(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(17))
 		s := makeLocal(rng, 4096, 0, 1000)
-		LocalSort(r, s)
+		LocalSort(r, s, nil)
 		inc := NewIncremental(0)
 		inc.Prime(s)
 		// Drift a slice of the population off-processor so pack has real

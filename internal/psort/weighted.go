@@ -55,18 +55,13 @@ func (sc *wbScratch) grow(p, n int) {
 	sc.iw = sc.iw[:n]
 }
 
-// WeightedBalance is LoadBalance with per-particle weights wf(key): it
-// preserves the global concatenated key order while equalising cumulative
-// weight instead of count. A nil wf is exactly LoadBalance.
-func WeightedBalance(r comm.Transport, s *particle.Store, wf func(key float64) float64) *particle.Store {
-	return weightedBalanceInto(r, s, nil, wf, nil)
-}
-
-// weightedBalanceInto is WeightedBalance with loadBalanceInto's reuse and
-// exchanger contracts. Degenerate weight states (nil wf, all weights zero
-// or unusable) fall back to the equal-count split — every rank sees the
-// same allgathered totals, so the fallback is collectively consistent.
-func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key float64) float64, ex comm.Exchanger) *particle.Store {
+// weightedBalanceInto is loadBalanceInto with per-particle weights wf(key):
+// it preserves the global concatenated key order while equalising
+// cumulative weight instead of count, under the same reuse and exchanger
+// contracts. Degenerate weight states (nil wf, all weights zero or
+// unusable) fall back to the equal-count split — every rank sees the same
+// allgathered totals, so the fallback is collectively consistent.
+func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key float64) float64, ex *comm.Exchanger) *particle.Store {
 	if wf == nil {
 		return loadBalanceInto(r, s, reuse, ex)
 	}
@@ -148,7 +143,7 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 		}
 		i = runEnd
 	}
-	recv := exchange(r, ex, send, counts)
+	recv := ex.Exchange(r, send, counts)
 	wbPool.Put(sc)
 
 	out := reuse

@@ -325,11 +325,6 @@ func NewNeighborSparse(p int, adjacent func(a, b int) bool) *Topology {
 	return comm.NewNeighborSparse(p, adjacent)
 }
 
-// Exchanger is an all-to-many exchange protocol over a Transport: the
-// classic pairwise schedule, the P−1-pulse systolic ring, or the
-// neighbor-only stencil exchange.
-type Exchanger = comm.Exchanger
-
 // SocketCount reports the number of live TCP peer connections beneath a
 // (possibly decorated) transport, and whether the transport is TCP-backed
 // at all — the measured quantity behind the O(P²) → O(P·k) traffic gate.

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full CI gate: vet, build, plain tests, race-enabled tests, the chaos soak
+# Full CI gate: vet, build, plain tests (root and the benchmark module),
+# race-enabled tests, the chaos soak
 # (seeded fault plans through the Reliable stack, 2-D and 3-D), the
 # layout-strategy comparison (2-D and 3-D), the per-phase traffic
 # regression gate, the 2-D and 3-D golden pins, the
@@ -19,6 +20,11 @@ go build ./...
 
 echo "== go test =="
 go test ./...
+
+echo "== benchmark module (vet + test) =="
+# benchmark/ is its own Go module: the root ./... patterns cannot see it,
+# yet it pins symbols of the packages above.
+(cd benchmark && go vet . && go test -count=1 .)
 
 echo "== go test -race =="
 # internal/experiments alone takes ~9m under the race detector on an idle
