@@ -82,17 +82,6 @@ func ReadShard(path string) (*Shard, error) {
 	return DecodeShard(b)
 }
 
-// ValidateShard checks a shard file's header and CRC without decoding the
-// payload — the cheap integrity probe the completeness scan uses.
-func ValidateShard(path string) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("ckpt: %w", err)
-	}
-	_, err = checkImage(b)
-	return err
-}
-
 // ShardIdentity reads just the identity prefix of a shard file — the
 // epoch, rank and world size it was written as — after validating the
 // header and CRC. It never decodes the bulk payload, so the completeness

@@ -90,29 +90,6 @@ func (tr *Tracer) Rank(id int) RankTrace {
 	return out
 }
 
-// LinksUsed counts the undirected rank pairs that exchanged at least one
-// traced message — the measured link set, to compare against a Topology's
-// NumLinks.
-func (tr *Tracer) LinksUsed() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	type link struct{ a, b int }
-	links := make(map[link]bool)
-	for id, rt := range tr.ranks {
-		for peer, c := range rt.Peers {
-			if c.MsgsSent == 0 && c.MsgsRecv == 0 {
-				continue
-			}
-			a, b := id, peer
-			if a > b {
-				a, b = b, a
-			}
-			links[link{a, b}] = true
-		}
-	}
-	return len(links)
-}
-
 // Total aggregates all ranks' traffic.
 func (tr *Tracer) Total() TraceCounts {
 	tr.mu.Lock()

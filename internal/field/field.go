@@ -32,7 +32,7 @@ type Local struct {
 
 	stride int
 
-	// pool, when set, parallelises the curl sweeps over owned rows. Every
+	// pool parallelises the curl sweeps over owned rows. Every
 	// grid point's update reads only the other family of components (plus
 	// J), so row ranges are write-disjoint and the result is bit-identical
 	// for any worker count. task is stored so Run calls allocate nothing.
@@ -41,7 +41,7 @@ type Local struct {
 }
 
 // SetPool installs the shared-memory worker pool the update sweeps run on;
-// nil (or a 1-worker pool) keeps the sequential loops.
+// nil (a 1-worker pool) runs them inline.
 func (l *Local) SetPool(p *par.Pool) { l.pool = p }
 
 // sweepTask is the par.Task of one curl sweep: rows [jLo, jHi) of one
@@ -110,13 +110,12 @@ const fieldSolveWorkPerPoint = 24
 // UpdateE advances E by dt using ∂E/∂t = ∇×B − J with central differences.
 // The B halo must be current (call ExchangeHalo with the B components
 // first). Compute cost is charged to r's current phase.
-func (l *Local) UpdateE(r comm.Transport, dt float64) {
-	if l.pool != nil && l.pool.Workers() > 1 {
-		l.task = sweepTask{l: l, dt: dt, comp: CompE}
-		l.pool.Run(l.Ny, &l.task)
-	} else {
-		l.updateERows(dt, 0, l.Ny)
-	}
+func (l *Local) UpdateE(r comm.Transport, dt float64) { l.sweep(r, dt, CompE) }
+
+// sweep runs one curl sweep over the owned rows on the pool.
+func (l *Local) sweep(r comm.Transport, dt float64, comp Components) {
+	l.task = sweepTask{l: l, dt: dt, comp: comp}
+	l.pool.Run(l.Ny, &l.task)
 	// The modelled charge is the total point count — invariant under the
 	// worker count, so simulated times never depend on host parallelism.
 	r.Compute(l.Nx * l.Ny * fieldSolveWorkPerPoint)
@@ -140,15 +139,7 @@ func (l *Local) updateERows(dt float64, jLo, jHi int) {
 }
 
 // UpdateB advances B by dt using ∂B/∂t = −∇×E. The E halo must be current.
-func (l *Local) UpdateB(r comm.Transport, dt float64) {
-	if l.pool != nil && l.pool.Workers() > 1 {
-		l.task = sweepTask{l: l, dt: dt, comp: CompB}
-		l.pool.Run(l.Ny, &l.task)
-	} else {
-		l.updateBRows(dt, 0, l.Ny)
-	}
-	r.Compute(l.Nx * l.Ny * fieldSolveWorkPerPoint)
-}
+func (l *Local) UpdateB(r comm.Transport, dt float64) { l.sweep(r, dt, CompB) }
 
 func (l *Local) updateBRows(dt float64, jLo, jHi int) {
 	s := l.stride

@@ -36,7 +36,7 @@ type Local3 struct {
 }
 
 // SetPool installs the shared-memory worker pool the update sweeps run on;
-// nil (or a 1-worker pool) keeps the sequential loops.
+// nil (a 1-worker pool) runs them inline.
 func (l *Local3) SetPool(p *par.Pool) { l.pool = p }
 
 // sweepTask3 is the par.Task of one 3-D curl sweep: slabs [kLo, kHi).
@@ -100,13 +100,12 @@ const fieldSolveWorkPerPoint3 = 36
 
 // UpdateE advances E by dt using ∂E/∂t = ∇×B − J with central differences.
 // The B halo must be current. Compute cost is charged to r's current phase.
-func (l *Local3) UpdateE(r comm.Transport, dt float64) {
-	if l.pool != nil && l.pool.Workers() > 1 {
-		l.task = sweepTask3{l: l, dt: dt, comp: CompE}
-		l.pool.Run(l.Nz, &l.task)
-	} else {
-		l.updateESlabs(dt, 0, l.Nz)
-	}
+func (l *Local3) UpdateE(r comm.Transport, dt float64) { l.sweep(r, dt, CompE) }
+
+// sweep runs one curl sweep over the owned z slabs on the pool.
+func (l *Local3) sweep(r comm.Transport, dt float64, comp Components) {
+	l.task = sweepTask3{l: l, dt: dt, comp: comp}
+	l.pool.Run(l.Nz, &l.task)
 	r.Compute(l.Nx * l.Ny * l.Nz * fieldSolveWorkPerPoint3)
 }
 
@@ -131,15 +130,7 @@ func (l *Local3) updateESlabs(dt float64, kLo, kHi int) {
 }
 
 // UpdateB advances B by dt using ∂B/∂t = −∇×E. The E halo must be current.
-func (l *Local3) UpdateB(r comm.Transport, dt float64) {
-	if l.pool != nil && l.pool.Workers() > 1 {
-		l.task = sweepTask3{l: l, dt: dt, comp: CompB}
-		l.pool.Run(l.Nz, &l.task)
-	} else {
-		l.updateBSlabs(dt, 0, l.Nz)
-	}
-	r.Compute(l.Nx * l.Ny * l.Nz * fieldSolveWorkPerPoint3)
-}
+func (l *Local3) UpdateB(r comm.Transport, dt float64) { l.sweep(r, dt, CompB) }
 
 func (l *Local3) updateBSlabs(dt float64, kLo, kHi int) {
 	sx, sy := l.strideX, l.strideY

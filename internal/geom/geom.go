@@ -124,23 +124,8 @@ type Geometry interface {
 	Generate(cfg GenConfig) (*particle.Store, error)
 	// NewStore returns an empty store of this geometry's dimensionality.
 	NewStore(n int, charge, mass float64) *particle.Store
-	// NewFields allocates rank r's field substrate. pool, when non-nil,
-	// parallelises the Maxwell update sweeps over the rank's shared-memory
-	// workers (bit-identical results for any pool size); nil keeps the
-	// sequential sweeps.
+	// NewFields allocates rank r's field substrate. pool spreads the
+	// Maxwell update sweeps over the rank's shared-memory workers
+	// (bit-identical results for any pool size; nil is the 1-worker pool).
 	NewFields(r int, pool *par.Pool) Fields
-}
-
-// NeighborRanks lists the ranks adjacent to rank r (self excluded, sorted
-// ascending) under ge's periodic processor grid — the peer set of the
-// neighbor-sparse communication topology, exposed so the comm layer can
-// assemble only the sockets the halo/CIC stencil can ever use.
-func NeighborRanks(ge Geometry, r int) []int {
-	var peers []int
-	for q := 0; q < ge.Ranks(); q++ {
-		if q != r && ge.AdjacentRanks(r, q) {
-			peers = append(peers, q)
-		}
-	}
-	return peers
 }

@@ -37,8 +37,10 @@ type Task interface {
 	Work(worker, lo, hi int)
 }
 
-// Pool is a fixed-size worker pool. A Pool with one worker runs every Task
-// inline on the caller — the sequential fast path costs one branch.
+// Pool is a fixed-size worker pool. A Pool with one worker — and the nil
+// *Pool, which is one — runs every Task inline on the caller: that IS the
+// sequential path of every kernel, so callers never test a pool for nil or
+// compare its size to pick a loop.
 type Pool struct {
 	workers int
 	start   []chan struct{} // one wake channel per helper (workers 1..W-1)
@@ -73,8 +75,13 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns the pool size; 1 for the nil pool.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.workers
+}
 
 // helper is the loop of worker w (w ≥ 1): park until signalled, run the
 // posted task's share, check in, repeat until the pool closes.
@@ -108,10 +115,10 @@ func (p *Pool) capture(w int) {
 // on the caller. If any worker panicked, the lowest-indexed panic value is
 // re-raised after the barrier (so no helper is ever left mid-task).
 func (p *Pool) Run(n int, t Task) {
-	if p.closed {
+	if p != nil && p.closed {
 		panic("par: Run on a closed Pool")
 	}
-	if p.workers == 1 {
+	if p.Workers() == 1 {
 		t.Work(0, 0, n)
 		return
 	}
@@ -135,9 +142,10 @@ func (p *Pool) Run(n int, t Task) {
 }
 
 // Close terminates the helper goroutines. The pool must be idle (no Run in
-// flight); Run after Close panics. Close is idempotent.
+// flight); Run after Close panics. Close is idempotent, and a no-op on the
+// nil pool.
 func (p *Pool) Close() {
-	if p.closed {
+	if p == nil || p.closed {
 		return
 	}
 	p.closed = true

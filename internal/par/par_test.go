@@ -162,6 +162,39 @@ func TestNewClampsAndCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
+// TestNilPoolIsOneWorker: the nil *Pool is the sequential path — Workers
+// reports 1, Run hands the whole range to worker 0 inline, Close is a no-op,
+// and none of them allocate.
+func TestNilPoolIsOneWorker(t *testing.T) {
+	var p *Pool
+	if p.Workers() != 1 {
+		t.Fatalf("nil pool Workers() = %d, want 1", p.Workers())
+	}
+	task := &markTask{owner: make([]int32, 37)}
+	p.Run(len(task.owner), task)
+	if task.calls.Load() != 1 {
+		t.Errorf("nil pool Run made %d Work calls, want 1 inline call", task.calls.Load())
+	}
+	for i, w := range task.owner {
+		if w != 1 {
+			t.Fatalf("index %d processed by worker %d, want 0", i, w-1)
+		}
+	}
+	p.Close()
+	p.Run(len(task.owner), task) // Close on nil closes nothing
+	if raceflag.Enabled {
+		return // race detector distorts allocation counts
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		_ = p.Workers()
+		p.Run(len(task.owner), task)
+		p.Close()
+	})
+	if allocs != 0 {
+		t.Errorf("nil pool Workers/Run/Close: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestEnvProcs: well-formed values are honoured; unset, malformed, zero and
 // negative values fall back loudly (the EnvWatchdog precedent).
 func TestEnvProcs(t *testing.T) {

@@ -65,8 +65,6 @@ type Config struct {
 	// grouped onto H hosts, one gateway per host; goroutine backend only).
 	// Physics is identical under every topology.
 	Topology string
-	// Buckets is the incremental-sort bucket count per rank; 0 = default.
-	Buckets int
 	// Workers is the number of shared-memory workers each rank spreads its
 	// physics kernels over (scatter deposition, gather/push, Maxwell sweeps,
 	// radix sorts). 0 means $PICPAR_PROCS, defaulting to 1 (sequential).

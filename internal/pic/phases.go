@@ -197,37 +197,24 @@ func (st *rankState) assignKeys() {
 	st.r.Compute(st.store.Len() * geom.KeyAssignWorkPerParticle)
 }
 
-// rebalance rebuilds the particle layout the decided strategy names:
-// Lagrangian redistribution over the equal-count or cost-weighted split,
-// or a one-shot Eulerian migration onto the mesh owners. The zero-value
-// strategy is the classic equal-count redistribution, byte for byte.
+// rebalance rebuilds the particle layout the decided strategy names: a
+// one-shot Eulerian migration onto the mesh owners, or the Lagrangian
+// redistribution of Figure 12 — Hilbert_Base_Indexing +
+// Bucket_Incremental_Sorting + Order_Maintain_Load_Balance. The balance
+// cuts the sorted sequence at equal count under the nil weight and at equal
+// cumulative estimated cost under the ledger-derived per-key weight; the
+// zero-value strategy is the classic equal-count one.
 func (st *rankState) rebalance(strat policy.Strategy) {
-	switch {
-	case strat.Movement == policy.MovementEulerian:
+	if strat.Movement == policy.MovementEulerian {
 		st.migrateOneShot()
-	case strat.Split == policy.SplitCostWeighted:
-		st.redistributeWeighted()
-	default:
-		st.redistribute()
+		return
 	}
-}
-
-// redistribute runs Hilbert_Base_Indexing + Bucket_Incremental_Sorting +
-// Order_Maintain_Load_Balance (Figure 12).
-func (st *rankState) redistribute() {
 	st.assignKeys()
-	out, _ := st.inc.Redistribute(st.r, st.store)
-	st.store = out
-}
-
-// redistributeWeighted is redistribute with the ledger-derived per-key
-// weight function: the final order-maintaining balance cuts the sorted
-// sequence at equal cumulative estimated cost instead of equal count.
-func (st *rankState) redistributeWeighted() {
-	st.assignKeys()
-	wf := st.particleWeightFn()
-	out, _ := st.inc.RedistributeWeighted(st.r, st.store, wf)
-	st.store = out
+	var wf func(key float64) float64
+	if strat.Split == policy.SplitCostWeighted {
+		wf = st.particleWeightFn()
+	}
+	st.store, _ = st.inc.RedistributeWeighted(st.r, st.store, wf)
 }
 
 // migrateOneShot runs one Eulerian migration as a strategy-selected
@@ -330,37 +317,14 @@ func (st *rankState) scatterPhase() {
 
 	nv := st.ge.NumVertices()
 	tableCost := st.table.CostPerOp()
-	offprocOps := 0
+	// The scatter alone keeps two algorithms, sharing no logic and chosen
+	// from the worker count: at one worker the tiled deposit would only add
+	// its bucket traffic to the direct one (partasks.go).
+	var offprocOps int
 	if st.workers > 1 {
-		offprocOps = st.scatterDeposit()
+		offprocOps = st.depositTiled()
 	} else {
-		fp := &st.fp
-		for i := 0; i < s.Len(); i++ {
-			st.ge.Footprint(s, i, fp)
-			gamma := s.Gamma(i)
-			vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
-			q := s.Charge
-			for k := 0; k < fp.N; k++ {
-				wq := fp.W[k] * q
-				gid := int(fp.Gid[k])
-				if c := st.fields.Slot(gid); c >= 0 {
-					fa.Jx[c] += wq * vx
-					fa.Jy[c] += wq * vy
-					fa.Jz[c] += wq * vz
-					fa.Rho[c] += wq
-					continue
-				}
-				slot := st.table.Slot(gid)
-				if 4*slot == len(st.ghostVals) {
-					st.ghostVals = append(st.ghostVals, 0, 0, 0, 0)
-				}
-				st.ghostVals[4*slot] += wq * vx
-				st.ghostVals[4*slot+1] += wq * vy
-				st.ghostVals[4*slot+2] += wq * vz
-				st.ghostVals[4*slot+3] += wq
-				offprocOps++
-			}
-		}
+		offprocOps = st.depositDirect()
 	}
 	// The δ charge never depends on Workers: the simulated machine has one
 	// compute stream per rank, so wall-clock parallelism must not move the
@@ -506,57 +470,17 @@ func (st *rankState) gatherAndPushPhase() {
 	}
 
 	// Interpolate fields at particles and push. Per-particle independent,
-	// so the parallel range split is bit-identical; the δ charge is
-	// worker-count-invariant like the scatter's.
+	// so the range split is bit-identical at any worker count; the δ charge
+	// is worker-count-invariant like the scatter's.
 	nv := st.ge.NumVertices()
-	dt := st.cfg.Dt
-	if st.workers > 1 {
-		st.gpTask = gatherPushTask{st: st, dt: dt}
-		st.pool.Run(s.Len(), &st.gpTask)
-	} else {
-		fp := &st.fp
-		for i := 0; i < s.Len(); i++ {
-			st.ge.Footprint(s, i, fp)
-			var ex, ey, ez, bx, by, bz float64
-			for k := 0; k < fp.N; k++ {
-				gid := int(fp.Gid[k])
-				wk := fp.W[k]
-				if c := st.fields.Slot(gid); c >= 0 {
-					ex += wk * fa.Ex[c]
-					ey += wk * fa.Ey[c]
-					ez += wk * fa.Ez[c]
-					bx += wk * fa.Bx[c]
-					by += wk * fa.By[c]
-					bz += wk * fa.Bz[c]
-					continue
-				}
-				slot := st.table.Lookup(gid)
-				if slot < 0 {
-					panic(fmt.Sprintf("pic: rank %d gather miss at point %d", r.Rank(), gid))
-				}
-				o := gatherWireFloats * slot
-				ex += wk * st.ghostEB[o]
-				ey += wk * st.ghostEB[o+1]
-				ez += wk * st.ghostEB[o+2]
-				bx += wk * st.ghostEB[o+3]
-				by += wk * st.ghostEB[o+4]
-				bz += wk * st.ghostEB[o+5]
-			}
-			pusher.BorisPush(s, i, ex, ey, ez, bx, by, bz, dt)
-		}
-	}
+	st.gpTask.st = st
+	st.pool.Run(s.Len(), &st.gpTask)
 	r.Compute(s.Len() * nv * pusher.GatherWorkPerVertex)
 
 	// Push phase: move particles (no interprocessor communication — the
 	// direct Lagrangian property).
 	r.SetPhase(machine.PhasePush)
-	if st.workers > 1 {
-		st.mvTask = moveTask{st: st, dt: dt}
-		st.pool.Run(s.Len(), &st.mvTask)
-	} else {
-		for i := 0; i < s.Len(); i++ {
-			st.ge.Move(s, i, dt)
-		}
-	}
+	st.mvTask.st = st
+	st.pool.Run(s.Len(), &st.mvTask)
 	r.Compute(s.Len() * pusher.PushWorkPerParticle)
 }

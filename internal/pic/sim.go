@@ -237,10 +237,7 @@ type rankState struct {
 	crashArmed           bool
 
 	// Ghost bookkeeping, rebuilt (in place, allocation-free once warm)
-	// every iteration. fp is the footprint scratch the per-particle loops
-	// fill through the geometry interface (a local would escape to the
-	// heap at every phase call).
-	fp        geom.Footprint
+	// every iteration.
 	table     commopt.DupTable
 	ghostVals []float64 // 4 source values per ghost slot (Jx, Jy, Jz, Rho)
 	ghostEB   []float64 // 6 field values per ghost slot, filled in gather
@@ -264,13 +261,14 @@ type rankState struct {
 
 	// Shared-memory parallelism (partasks.go): the rank's worker pool, the
 	// per-worker footprint scratch, and the tiled deposition buckets of the
-	// two-pass parallel scatter. The bucket lists are truncated, never
-	// freed, between iterations, so the steady state allocates nothing.
+	// two-pass scatter, sized on its first use. The bucket lists are
+	// truncated, never freed, between iterations, so the steady state
+	// allocates nothing.
 	// tiles = parTiles·workers; bucket (w, t) lives at index w·tiles + t.
 	pool     *par.Pool
 	workers  int
 	tiles    int
-	fps      []geom.Footprint
+	fps      []workerScratch
 	depSlots [][]int32
 	depVals  [][]float64 // 4 floats per entry: Jx, Jy, Jz, Rho
 	ghostGid [][]int32
@@ -289,10 +287,11 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 		cfg:     cfg,
 		ge:      ge,
 		fields:  ge.NewFields(r.Rank(), pool),
-		inc:     psort.NewIncremental(cfg.Buckets),
+		inc:     psort.NewIncremental(psort.DefaultBuckets),
 		pol:     cfg.Policy(),
 		pool:    pool,
 		workers: pool.Workers(),
+		fps:     make([]workerScratch, pool.Workers()),
 	}
 	st.inc.SetPool(pool)
 	st.armCrashHook()
@@ -312,14 +311,6 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 	}
 	if ad, ok := st.pol.(*policy.Adaptive); ok {
 		ad.SetChooser(st.chooseStrategy)
-	}
-	if st.workers > 1 {
-		st.tiles = parTiles * st.workers
-		st.fps = make([]geom.Footprint, st.workers)
-		st.depSlots = make([][]int32, st.workers*st.tiles)
-		st.depVals = make([][]float64, st.workers*st.tiles)
-		st.ghostGid = make([][]int32, st.workers)
-		st.ghostVal = make([][]float64, st.workers)
 	}
 	tab, err := commopt.NewTable(cfg.Table, ge.NumPoints(), ge.NumVertices()*cfg.NumParticles/cfg.P+16)
 	if err != nil {

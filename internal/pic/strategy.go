@@ -38,7 +38,7 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 	nv := st.ge.NumVertices()
 	base := nv*(pusher.ScatterWorkPerVertex+pusher.GatherWorkPerVertex) + pusher.PushWorkPerParticle
 	offCost := st.table.CostPerOp() + ghostVertexWork
-	fp := &st.fp
+	fp := &st.fps[0].fp
 	for i := 0; i < s.Len(); i++ {
 		st.ge.Footprint(s, i, fp)
 		off := 0

@@ -44,8 +44,8 @@ type Incremental struct {
 	// Output slots: Redistribute alternates between them so the store it
 	// returned last time (usually this call's input) is never clobbered.
 	outA, outB *particle.Store
-	// pool, when non-nil, parallelises the received-run radix sort over the
-	// rank's shared-memory workers. Results are bit-identical either way.
+	// pool spreads the received-run radix sort over the rank's
+	// shared-memory workers (nil: one). Results are bit-identical either way.
 	pool *par.Pool
 	// ex, when non-nil, routes the all-to-many exchanges through a
 	// topology-native protocol (systolic ring, sparse hybrid) instead of
@@ -152,29 +152,24 @@ type Stats struct {
 	OffProc     int // particles that left the rank
 }
 
-// Redistribute performs one bucket-based incremental redistribution and
-// returns the rank's new sorted, balanced store plus classification stats.
-// Requires keys to be already up to date (Hilbert_Base_Indexing done) and
-// Prime to have been called on the previous order.
+// Redistribute is RedistributeWeighted with the nil weight: the final
+// order-maintaining balance equalises particle counts.
+func (inc *Incremental) Redistribute(r comm.Transport, s *particle.Store) (*particle.Store, Stats) {
+	return inc.RedistributeWeighted(r, s, nil)
+}
+
+// RedistributeWeighted performs one bucket-based incremental redistribution
+// and returns the rank's new sorted, balanced store plus classification
+// stats. The final order-maintaining balance cuts at equal cumulative
+// weight under wf (see weightedBalanceInto); a nil wf is the equal-count
+// cut. Requires keys to be already up to date (Hilbert_Base_Indexing done)
+// and Prime to have been called on the previous order.
 //
 // The returned store draws on buffers owned by this Incremental: it stays
-// valid until the second following Redistribute call (callers that only
-// keep the latest store — the usual pattern — are unaffected). The input
-// store is never modified.
-func (inc *Incremental) Redistribute(r comm.Transport, s *particle.Store) (*particle.Store, Stats) {
-	return inc.redistribute(r, s, nil)
-}
-
-// RedistributeWeighted is Redistribute with the final order-maintaining
-// balance cutting at equal cumulative weight under wf (see
-// weightedBalanceInto) instead of equal counts. A nil wf is exactly
-// Redistribute. The classification and exchange machinery — and therefore
-// the snapshot/rollback contract — is shared unchanged.
+// valid until the second following call (callers that only keep the latest
+// store — the usual pattern — are unaffected). The input store is never
+// modified.
 func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store, wf func(key float64) float64) (*particle.Store, Stats) {
-	return inc.redistribute(r, s, wf)
-}
-
-func (inc *Incremental) redistribute(r comm.Transport, s *particle.Store, wf func(key float64) float64) (*particle.Store, Stats) {
 	p := r.Size()
 	n := s.Len()
 
@@ -189,15 +184,10 @@ func (inc *Incremental) redistribute(r comm.Transport, s *particle.Store, wf fun
 	recv := inc.ex.Exchange(r, send, counts)
 
 	// Line 21: collect and sort the received particles.
-	wfl := s.WireFloats()
 	recvStore := resetStore(&inc.recvS, 0, s)
 	for src := 0; src < p; src++ {
-		if src != r.Rank() && len(recv[src]) > 0 {
-			if err := recvStore.AppendWire(recv[src]); err != nil {
-				panic(err)
-			}
-			r.Compute(len(recv[src]) / wfl * packWorkPerParticle)
-			wire.Put(recv[src])
+		if src != r.Rank() {
+			absorb(r, recvStore, recv[src])
 		}
 	}
 	LocalSort(r, recvStore, inc.pool)

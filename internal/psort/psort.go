@@ -148,27 +148,29 @@ func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex *com
 
 	out := s.NewLike(n)
 	for src := 0; src < p; src++ {
-		if len(recv[src]) > 0 {
-			if err := out.AppendWire(recv[src]); err != nil {
-				panic(err)
-			}
-			r.Compute(len(recv[src]) / wf * packWorkPerParticle)
-			wire.Put(recv[src])
-		}
+		absorb(r, out, recv[src])
 	}
 	LocalSort(r, out, pool)
 	return loadBalanceInto(r, out, nil, ex)
 }
 
-// lbScratch recycles the per-call bookkeeping slices of loadBalanceInto.
-type lbScratch struct {
-	send   [][]float64
-	counts []int
+// balScratch recycles the per-call bookkeeping of the order-maintaining
+// balances: the per-destination wire buffers and counts, the retained local
+// run, and (weighted cut only) the raw and quantized per-particle weights.
+type balScratch struct {
+	send           [][]float64
+	counts         []int
+	keepLo, keepHi int
+	w              []float64 // raw sanitized weights, sorted-local order
+	iw             []int64   // quantized weights
 }
 
-var lbPool = sync.Pool{New: func() any { return new(lbScratch) }}
+var balPool = sync.Pool{New: func() any { return new(balScratch) }}
 
-func (sc *lbScratch) grow(p int) {
+// getBalScratch returns a cleared scratch for p destinations and nw
+// particle weights.
+func getBalScratch(p, nw int) *balScratch {
+	sc := balPool.Get().(*balScratch)
 	if cap(sc.send) < p {
 		sc.send = make([][]float64, p)
 		sc.counts = make([]int, p)
@@ -179,6 +181,68 @@ func (sc *lbScratch) grow(p int) {
 		sc.send[d] = nil
 		sc.counts[d] = 0
 	}
+	sc.keepLo, sc.keepHi = 0, 0
+	if cap(sc.w) < nw {
+		sc.w = make([]float64, nw)
+		sc.iw = make([]int64, nw)
+	}
+	sc.w = sc.w[:nw]
+	sc.iw = sc.iw[:nw]
+	return sc
+}
+
+// route assigns the contiguous local run [lo, hi) of s to rank d: the run
+// this rank owns is retained in place, any other is marshalled (and
+// charged) into a pooled wire buffer. Owners are monotone in position, so a
+// cut preamble calls route once per destination, in ascending d.
+func (sc *balScratch) route(r comm.Transport, s *particle.Store, d, lo, hi int) {
+	if d == r.Rank() {
+		sc.keepLo, sc.keepHi = lo, hi
+		return
+	}
+	sc.send[d] = s.MarshalRange(wire.Get((hi-lo)*s.WireFloats()), lo, hi)
+	sc.counts[d] = len(sc.send[d])
+	r.Compute((hi - lo) * packWorkPerParticle)
+}
+
+// deliver is the tail both balances share: exchange the routed runs through
+// ex (nil: classic pairwise), then reassemble in source-rank order with the
+// retained local run spliced in at this rank's position — which is what
+// preserves the global concatenated order. It releases sc. When reuse is
+// non-nil its arrays are recycled for the output (it must not alias s).
+func (sc *balScratch) deliver(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchanger) *particle.Store {
+	recv := ex.Exchange(r, sc.send, sc.counts)
+	keepLo, keepHi := sc.keepLo, sc.keepHi
+	balPool.Put(sc)
+
+	size := keepHi - keepLo
+	for _, w := range recv {
+		size += len(w) / s.WireFloats()
+	}
+	out := resetStore(&reuse, size, s)
+	for src := 0; src < r.Size(); src++ {
+		if src == r.Rank() {
+			for k := keepLo; k < keepHi; k++ {
+				out.AppendFrom(s, k)
+			}
+			continue
+		}
+		absorb(r, out, recv[src])
+	}
+	return out
+}
+
+// absorb unmarshals one received wire buffer onto out, charges the
+// unpacking and returns the buffer to the wire pool.
+func absorb(r comm.Transport, out *particle.Store, w []float64) {
+	if len(w) == 0 {
+		return
+	}
+	if err := out.AppendWire(w); err != nil {
+		panic(err)
+	}
+	r.Compute(len(w) / out.WireFloats() * packWorkPerParticle)
+	wire.Put(w)
 }
 
 // loadBalanceInto equalises particle counts across ranks while preserving
@@ -199,18 +263,13 @@ func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchan
 		}
 		// The caller wants its scratch arrays back in play: hand s's
 		// contents to reuse in O(1). s is internal scratch on this path
-		// (see Incremental.Redistribute), so emptying it is fine.
-		reuse.Truncate(0)
-		reuse.Charge, reuse.Mass = s.Charge, s.Mass
-		particle.SwapContents(reuse, s)
+		// (see Incremental.RedistributeWeighted), so emptying it is fine.
+		particle.SwapContents(resetStore(&reuse, 0, s), s)
 		return reuse
 	}
 	offset := comm.ScanSumInt(r, n)
 
-	wf := s.WireFloats()
-	sc := lbPool.Get().(*lbScratch)
-	sc.grow(p)
-	send, counts := sc.send, sc.counts
+	sc := getBalScratch(p, 0)
 	// Consecutive positions map to non-decreasing owners, so the local
 	// range splits into contiguous runs per destination.
 	i := 0
@@ -221,51 +280,8 @@ func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchan
 		if runEnd > n {
 			runEnd = n
 		}
-		if d != r.Rank() {
-			send[d] = s.MarshalRange(wire.Get((runEnd-i)*wf), i, runEnd)
-			counts[d] = len(send[d])
-			r.Compute((runEnd - i) * packWorkPerParticle)
-		}
+		sc.route(r, s, d, i, runEnd)
 		i = runEnd
 	}
-	recv := ex.Exchange(r, send, counts)
-	lbPool.Put(sc)
-
-	// Reassemble in source-rank order, splicing the retained local run in
-	// rank position. Retained run: positions owned by self.
-	myLo, myHi := mesh.BlockRange(total, p, r.Rank())
-	out := reuse
-	if out == nil {
-		out = s.NewLike(myHi - myLo)
-	} else {
-		out.Truncate(0)
-		out.Charge, out.Mass = s.Charge, s.Mass
-	}
-	appendWire := func(w []float64) {
-		if len(w) == 0 {
-			return
-		}
-		if err := out.AppendWire(w); err != nil {
-			panic(err)
-		}
-		r.Compute(len(w) / wf * packWorkPerParticle)
-		wire.Put(w)
-	}
-	for src := 0; src < p; src++ {
-		if src == r.Rank() {
-			keepLo, keepHi := myLo-offset, myHi-offset
-			if keepLo < 0 {
-				keepLo = 0
-			}
-			if keepHi > n {
-				keepHi = n
-			}
-			for k := keepLo; k < keepHi; k++ {
-				out.AppendFrom(s, k)
-			}
-			continue
-		}
-		appendWire(recv[src])
-	}
-	return out
+	return sc.deliver(r, s, reuse, ex)
 }

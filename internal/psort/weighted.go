@@ -14,46 +14,14 @@
 package psort
 
 import (
-	"sync"
-
 	"picpar/internal/comm"
 	"picpar/internal/mesh"
 	"picpar/internal/particle"
-	"picpar/internal/wire"
 )
 
 // weighWorkPerParticle is the modelled δ units to evaluate and quantize
 // one particle's weight during a weighted balance.
 const weighWorkPerParticle = 2
-
-// wbScratch recycles the per-call bookkeeping of weightedBalanceInto.
-type wbScratch struct {
-	send   [][]float64
-	counts []int
-	w      []float64 // raw sanitized weights, sorted-local order
-	iw     []int64   // quantized weights
-}
-
-var wbPool = sync.Pool{New: func() any { return new(wbScratch) }}
-
-func (sc *wbScratch) grow(p, n int) {
-	if cap(sc.send) < p {
-		sc.send = make([][]float64, p)
-		sc.counts = make([]int, p)
-	}
-	sc.send = sc.send[:p]
-	sc.counts = sc.counts[:p]
-	for d := 0; d < p; d++ {
-		sc.send[d] = nil
-		sc.counts[d] = 0
-	}
-	if cap(sc.w) < n {
-		sc.w = make([]float64, n)
-		sc.iw = make([]int64, n)
-	}
-	sc.w = sc.w[:n]
-	sc.iw = sc.iw[:n]
-}
 
 // weightedBalanceInto is loadBalanceInto with per-particle weights wf(key):
 // it preserves the global concatenated key order while equalising
@@ -68,8 +36,7 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 	p := r.Size()
 	n := s.Len()
 
-	sc := wbPool.Get().(*wbScratch)
-	sc.grow(p, n)
+	sc := getBalScratch(p, n)
 
 	// Local weights and their max; the max allgather fixes the shared
 	// quantization scale.
@@ -113,7 +80,7 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 	}
 
 	if p == 1 || total == 0 || totW <= 0 {
-		wbPool.Put(sc)
+		balPool.Put(sc)
 		return loadBalanceInto(r, s, reuse, ex)
 	}
 
@@ -121,9 +88,6 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 	// cuts: owners are monotone, so the local range splits into contiguous
 	// runs per destination and the self-run (if any) is a single range.
 	cuts := mesh.WeightedCuts(totW, total, p)
-	wfn := s.WireFloats()
-	send, counts := sc.send, sc.counts
-	keepLo, keepHi := 0, 0
 	i, prefix := 0, before
 	k := mesh.AdvanceCut(cuts, 0, prefix)
 	for i < n {
@@ -134,40 +98,8 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 			runEnd++
 			k = mesh.AdvanceCut(cuts, k, prefix)
 		}
-		if d == r.Rank() {
-			keepLo, keepHi = i, runEnd
-		} else {
-			send[d] = s.MarshalRange(wire.Get((runEnd-i)*wfn), i, runEnd)
-			counts[d] = len(send[d])
-			r.Compute((runEnd - i) * packWorkPerParticle)
-		}
+		sc.route(r, s, d, i, runEnd)
 		i = runEnd
 	}
-	recv := ex.Exchange(r, send, counts)
-	wbPool.Put(sc)
-
-	out := reuse
-	if out == nil {
-		out = s.NewLike(keepHi - keepLo)
-	} else {
-		out.Truncate(0)
-		out.Charge, out.Mass = s.Charge, s.Mass
-	}
-	for src := 0; src < p; src++ {
-		if src == r.Rank() {
-			for j := keepLo; j < keepHi; j++ {
-				out.AppendFrom(s, j)
-			}
-			continue
-		}
-		if len(recv[src]) == 0 {
-			continue
-		}
-		if err := out.AppendWire(recv[src]); err != nil {
-			panic(err)
-		}
-		r.Compute(len(recv[src]) / wfn * packWorkPerParticle)
-		wire.Put(recv[src])
-	}
-	return out
+	return sc.deliver(r, s, reuse, ex)
 }

@@ -2,6 +2,7 @@ package radix
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"picpar/internal/par"
@@ -26,81 +27,71 @@ func randomPairs(rng *rand.Rand, n int) ([]uint64, []uint64, []int32) {
 func clone64(s []uint64) []uint64 { return append([]uint64(nil), s...) }
 func clone32(s []int32) []int32   { return append([]int32(nil), s...) }
 
-// TestSortPairsParMatchesSequential: for worker counts 2, 3 and 8 and sizes
-// straddling the parallel cutoff, the parallel sort's output — contents AND
-// permutation — is bit-identical to the sequential sort's.
+// TestSortPairsParMatchesSequential: for the nil pool and worker counts 1,
+// 2, 3 and 8, on sizes straddling the insertion and parallel cutoffs, the
+// driver's output — contents AND permutation — equals the sort.Stable
+// reference (pairRef, radix_test.go). The constHi inputs hold one hi word
+// throughout, so all eight of its passes must be skipped.
 func TestSortPairsParMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, workers := range []int{2, 3, 8} {
-		p := par.New(workers)
-		var sc, scPar Scratch
-		for _, n := range []int{0, 1, 47, parCutoff - 1, parCutoff, parCutoff + 1, 3*parCutoff + 17} {
+	pools := []*par.Pool{nil, par.New(1), par.New(2), par.New(3), par.New(8)}
+	for _, p := range pools {
+		defer p.Close()
+	}
+	sizes := []int{0, 1, 47, insertionCutoff, parCutoff - 1, parCutoff, parCutoff + 1, 3*parCutoff + 17}
+	for _, n := range sizes {
+		for _, constHi := range []bool{false, true} {
 			hi, lo, idx := randomPairs(rng, n)
-			wantHi, wantLo, wantIdx := SortPairs(clone64(hi), clone64(lo), clone32(idx), &sc)
-			gotHi, gotLo, gotIdx := SortPairsPar(hi, lo, idx, &scPar, p)
-			if len(gotHi) != n {
-				t.Fatalf("W=%d n=%d: parallel sort returned %d elements", workers, n, len(gotHi))
+			if constHi {
+				for i := range hi {
+					hi[i] = 42
+				}
 			}
-			for i := 0; i < n; i++ {
-				if gotHi[i] != wantHi[i] || gotLo[i] != wantLo[i] || gotIdx[i] != wantIdx[i] {
-					t.Fatalf("W=%d n=%d: element %d = (%d,%d,%d), want (%d,%d,%d)",
-						workers, n, i, gotHi[i], gotLo[i], gotIdx[i], wantHi[i], wantLo[i], wantIdx[i])
+			ref := &pairRef{hi: clone64(hi), lo: clone64(lo), idx: clone32(idx)}
+			sort.Stable(ref)
+			for _, p := range pools {
+				var sc Scratch
+				gotHi, gotLo, gotIdx := SortPairsPar(clone64(hi), clone64(lo), clone32(idx), &sc, p)
+				if len(gotHi) != n {
+					t.Fatalf("W=%d n=%d: sort returned %d elements", p.Workers(), n, len(gotHi))
+				}
+				for i := 0; i < n; i++ {
+					if gotHi[i] != ref.hi[i] || gotLo[i] != ref.lo[i] || gotIdx[i] != ref.idx[i] {
+						t.Fatalf("nil=%v W=%d n=%d constHi=%v: element %d = (%d,%d,%d), want (%d,%d,%d)",
+							p == nil, p.Workers(), n, constHi, i, gotHi[i], gotLo[i], gotIdx[i],
+							ref.hi[i], ref.lo[i], ref.idx[i])
+					}
 				}
 			}
 		}
-		p.Close()
 	}
 }
 
-// TestSortKeysIndexParMatchesSequential is the keys-only counterpart.
-func TestSortKeysIndexParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, workers := range []int{2, 3, 8} {
-		p := par.New(workers)
-		var sc, scPar Scratch
-		for _, n := range []int{0, 1, 47, parCutoff, 2*parCutoff + 5} {
-			keys := make([]uint64, n)
-			idx := make([]int32, n)
-			for i := range keys {
-				keys[i] = uint64(rng.Intn(1 << 16)) // duplicates guaranteed
-				idx[i] = int32(i)
-			}
-			wantKeys, wantIdx := SortKeysIndex(clone64(keys), clone32(idx), &sc)
-			gotKeys, gotIdx := SortKeysIndexPar(keys, idx, &scPar, p)
-			for i := 0; i < n; i++ {
-				if gotKeys[i] != wantKeys[i] || gotIdx[i] != wantIdx[i] {
-					t.Fatalf("W=%d n=%d: element %d = (%d,%d), want (%d,%d)",
-						workers, n, i, gotKeys[i], gotIdx[i], wantKeys[i], wantIdx[i])
-				}
-			}
-		}
-		p.Close()
-	}
-}
-
-// TestSortPairsParSteadyStateAllocs: once the scratch is warm, the parallel
-// sort allocates nothing — same discipline as the sequential path.
+// TestSortPairsParSteadyStateAllocs: once the scratch is warm, the driver
+// allocates nothing, inline (nil pool) or on a 4-worker pool.
 func TestSortPairsParSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector distorts allocation counts")
 	}
 	rng := rand.New(rand.NewSource(44))
-	p := par.New(4)
-	defer p.Close()
-	var sc Scratch
-	n := 2 * parCutoff
-	hi, lo, idx := randomPairs(rng, n)
-	refHi, refLo, refIdx := clone64(hi), clone64(lo), clone32(idx)
-	// The sort ping-pongs with sc's buffers, so each call adopts the
-	// returned slices (the documented contract) before reshuffling.
-	hi, lo, idx = SortPairsPar(hi, lo, idx, &sc, p) // warm the scratch
-	allocs := testing.AllocsPerRun(10, func() {
-		copy(hi, refHi)
-		copy(lo, refLo)
-		copy(idx, refIdx)
-		hi, lo, idx = SortPairsPar(hi, lo, idx, &sc, p)
-	})
-	if allocs != 0 {
-		t.Errorf("parallel SortPairs steady state: %v allocs/op, want 0", allocs)
+	p4 := par.New(4)
+	defer p4.Close()
+	for _, p := range []*par.Pool{nil, p4} {
+		var sc Scratch
+		n := 2 * parCutoff
+		hi, lo, idx := randomPairs(rng, n)
+		refHi, refLo, refIdx := clone64(hi), clone64(lo), clone32(idx)
+		// The sort ping-pongs with sc's buffers, so each call adopts the
+		// returned slices (the documented contract) before reshuffling.
+		hi, lo, idx = SortPairsPar(hi, lo, idx, &sc, p) // warm the scratch
+		allocs := testing.AllocsPerRun(10, func() {
+			copy(hi, refHi)
+			copy(lo, refLo)
+			copy(idx, refIdx)
+			hi, lo, idx = SortPairsPar(hi, lo, idx, &sc, p)
+		})
+		if allocs != 0 {
+			t.Errorf("SortPairsPar steady state at %d workers: %v allocs/op, want 0", p.Workers(), allocs)
+		}
 	}
 }

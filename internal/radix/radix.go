@@ -16,19 +16,19 @@ import (
 )
 
 // Scratch holds the ping-pong destination arrays of a radix sort, plus the
-// per-worker histograms of the parallel variants. The zero value is ready
+// per-worker histograms of the pairs driver. The zero value is ready
 // to use; buffers grow on demand and are retained across calls.
 type Scratch struct {
 	hi2  []uint64
 	lo2  []uint64
 	idx2 []int32
 
-	counts [][256]int32 // per-worker digit histograms (parallel passes)
+	counts [][256]int32 // per-worker digit histograms
 	dif    []uint64     // per-worker varying-byte accumulators (2 per worker)
 	pass   parPass      // reusable task so steady-state calls allocate nothing
 }
 
-func (sc *Scratch) grow(n int) {
+func (sc *Scratch) grow(n, workers int) {
 	if cap(sc.hi2) < n {
 		sc.hi2 = make([]uint64, n)
 		sc.lo2 = make([]uint64, n)
@@ -37,9 +37,6 @@ func (sc *Scratch) grow(n int) {
 	sc.hi2 = sc.hi2[:n]
 	sc.lo2 = sc.lo2[:n]
 	sc.idx2 = sc.idx2[:n]
-}
-
-func (sc *Scratch) growPar(workers int) {
 	if len(sc.counts) < workers {
 		sc.counts = make([][256]int32, workers)
 		sc.dif = make([]uint64, 2*workers)
@@ -71,69 +68,9 @@ func Bits64(f float64) uint64 {
 // returns the slices holding the sorted data. The returned slices may be
 // sc's internal buffers rather than the inputs (LSD ping-pong), so callers
 // must use the return values. The sort is stable with respect to equal
-// (hi, lo) pairs.
+// (hi, lo) pairs. It is SortPairsPar on the nil (1-worker) pool.
 func SortPairs(hi, lo []uint64, idx []int32, sc *Scratch) ([]uint64, []uint64, []int32) {
-	n := len(hi)
-	if n < 2 {
-		return hi, lo, idx
-	}
-	if n < insertionCutoff {
-		insertionPairs(hi, lo, idx)
-		return hi, lo, idx
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	sc.grow(n)
-	// One scan finds the varying bytes of each word; constant bytes cannot
-	// change the order and their passes are skipped.
-	var difLo, difHi uint64
-	l0, h0 := lo[0], hi[0]
-	for i := 1; i < n; i++ {
-		difLo |= lo[i] ^ l0
-		difHi |= hi[i] ^ h0
-	}
-	hi2, lo2, idx2 := sc.hi2, sc.lo2, sc.idx2
-	// LSD order: all lo bytes first, then all hi bytes; stability of each
-	// counting pass makes the composite (hi, lo) order correct.
-	for pass := 0; pass < 16; pass++ {
-		shift := uint(8 * (pass & 7))
-		var src []uint64
-		if pass < 8 {
-			if (difLo>>shift)&0xff == 0 {
-				continue
-			}
-			src = lo
-		} else {
-			if (difHi>>shift)&0xff == 0 {
-				continue
-			}
-			src = hi
-		}
-		var count [256]int32
-		for _, v := range src {
-			count[uint8(v>>shift)]++
-		}
-		sum := int32(0)
-		for d := 0; d < 256; d++ {
-			c := count[d]
-			count[d] = sum
-			sum += c
-		}
-		for i := 0; i < n; i++ {
-			d := uint8(src[i] >> shift)
-			pos := count[d]
-			count[d] = pos + 1
-			hi2[pos] = hi[i]
-			lo2[pos] = lo[i]
-			idx2[pos] = idx[i]
-		}
-		hi, hi2 = hi2, hi
-		lo, lo2 = lo2, lo
-		idx, idx2 = idx2, idx
-	}
-	sc.hi2, sc.lo2, sc.idx2 = hi2, lo2, idx2
-	return hi, lo, idx
+	return SortPairsPar(hi, lo, idx, sc, nil)
 }
 
 // SortKeysIndex stable-sorts keys ascending, carrying idx along, and
@@ -153,7 +90,7 @@ func SortKeysIndex(keys []uint64, idx []int32, sc *Scratch) ([]uint64, []int32) 
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	sc.grow(n)
+	sc.grow(n, 0)
 	var dif uint64
 	k0 := keys[0]
 	for i := 1; i < n; i++ {
@@ -205,8 +142,8 @@ func insertionPairs(hi, lo []uint64, idx []int32) {
 }
 
 // parCutoff is the length below which the parallel passes' coordination
-// overhead exceeds the histogram work; shorter inputs use the sequential
-// sort (which is bit-identical anyway).
+// overhead exceeds the histogram work; shorter inputs run every phase
+// inline (the output is bit-identical either way).
 const parCutoff = 4096
 
 // parPass phases.
@@ -219,8 +156,7 @@ const (
 // parPass is the reusable par.Task implementing one phase of one counting
 // pass: the varying-byte scan, the per-worker histogram, or the stable
 // scatter. src is the word array supplying the current digit; the scatter
-// phase additionally moves (hiS, loS, idxS) → (hiD, loD, idxD). hiS/hiD are
-// nil in keys-only mode.
+// phase moves (hiS, loS, idxS) → (hiD, loD, idxD).
 type parPass struct {
 	sc    *Scratch
 	phase int
@@ -239,40 +175,37 @@ func (t *parPass) Work(w, lo, hi int) {
 	case passDif:
 		// OR-accumulate the varying bytes over this worker's range; bitwise
 		// OR is associative, so the cross-worker merge order cannot matter.
+		// Constant bytes cannot change the order and their passes are skipped.
 		var dl, dh uint64
-		l0 := t.loS[0]
-		var h0 uint64
-		if t.hiS != nil {
-			h0 = t.hiS[0]
-		}
-		for i := lo; i < hi; i++ {
-			dl |= t.loS[i] ^ l0
-			if t.hiS != nil {
-				dh |= t.hiS[i] ^ h0
-			}
+		loS, hiS := t.loS[lo:hi], t.hiS[lo:hi]
+		l0, h0 := t.loS[0], t.hiS[0]
+		for i, l := range loS {
+			dl |= l ^ l0
+			dh |= hiS[i] ^ h0
 		}
 		t.sc.dif[2*w], t.sc.dif[2*w+1] = dl, dh
 	case passHistogram:
-		c := &t.sc.counts[w]
-		*c = [256]int32{}
-		for i := lo; i < hi; i++ {
-			c[uint8(t.src[i]>>t.shift)]++
+		shift := t.shift
+		var c [256]int32
+		for _, v := range t.src[lo:hi] {
+			c[uint8(v>>shift)]++
 		}
+		t.sc.counts[w] = c
 	case passScatter:
 		// c[d] was prefix-summed in (digit, worker) order, so this worker's
 		// writes land after every lower worker's same-digit entries —
-		// preserving input order within each digit, exactly like the
-		// sequential stable pass.
-		c := &t.sc.counts[w]
+		// preserving input order within each digit: the stable pass.
+		c := t.sc.counts[w]
+		shift, src := t.shift, t.src
+		hiS, loS, idxS := t.hiS, t.loS, t.idxS
+		hiD, loD, idxD := t.hiD, t.loD, t.idxD
 		for i := lo; i < hi; i++ {
-			d := uint8(t.src[i] >> t.shift)
+			d := uint8(src[i] >> shift)
 			pos := c[d]
 			c[d] = pos + 1
-			t.loD[pos] = t.loS[i]
-			t.idxD[pos] = t.idxS[i]
-			if t.hiS != nil {
-				t.hiD[pos] = t.hiS[i]
-			}
+			hiD[pos] = hiS[i]
+			loD[pos] = loS[i]
+			idxD[pos] = idxS[i]
 		}
 	}
 }
@@ -280,8 +213,8 @@ func (t *parPass) Work(w, lo, hi int) {
 // prefixCounts turns the per-worker histograms into global starting
 // offsets: for each digit in ascending order, each worker's slot begins
 // where the previous worker's same-digit entries end. This (digit, worker)
-// enumeration is what makes the parallel pass reproduce the sequential
-// stable permutation exactly.
+// enumeration is what makes a pass the same stable permutation at every
+// worker count.
 func (sc *Scratch) prefixCounts(workers int) {
 	sum := int32(0)
 	for d := 0; d < 256; d++ {
@@ -293,23 +226,30 @@ func (sc *Scratch) prefixCounts(workers int) {
 	}
 }
 
-// SortPairsPar is SortPairs parallelised over p's workers: per-worker
+// SortPairsPar is the LSD pass driver behind SortPairs: per-worker
 // histograms, (digit, worker)-order prefix sums, and a stable per-worker
-// scatter. The output — sorted contents and permutation — is bit-identical
-// to SortPairs for every pool size (each counting pass produces the exact
-// same stable permutation), so callers may mix worker counts freely. Small
-// inputs and 1-worker pools fall through to the sequential sort.
+// scatter, each phase one p.Run. The output — sorted contents and
+// permutation — is bit-identical for every pool size (each counting pass
+// produces the exact same stable permutation), so callers may mix worker
+// counts freely. The nil or 1-worker pool, and any pool on inputs shorter
+// than parCutoff, runs every phase inline on the caller.
 func SortPairsPar(hi, lo []uint64, idx []int32, sc *Scratch, p *par.Pool) ([]uint64, []uint64, []int32) {
 	n := len(hi)
-	if p == nil || p.Workers() < 2 || n < parCutoff {
-		return SortPairs(hi, lo, idx, sc)
+	if n < 2 {
+		return hi, lo, idx
+	}
+	if n < insertionCutoff {
+		insertionPairs(hi, lo, idx)
+		return hi, lo, idx
+	}
+	if n < parCutoff {
+		p = nil
 	}
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	sc.grow(n)
 	workers := p.Workers()
-	sc.growPar(workers)
+	sc.grow(n, workers)
 
 	t := &sc.pass
 	*t = parPass{sc: sc, phase: passDif, hiS: hi, loS: lo}
@@ -321,19 +261,16 @@ func SortPairsPar(hi, lo []uint64, idx []int32, sc *Scratch, p *par.Pool) ([]uin
 	}
 
 	hi2, lo2, idx2 := sc.hi2, sc.lo2, sc.idx2
+	// LSD order: all lo bytes first, then all hi bytes; stability of each
+	// counting pass makes the composite (hi, lo) order correct.
 	for pass := 0; pass < 16; pass++ {
 		shift := uint(8 * (pass & 7))
-		var src []uint64
-		if pass < 8 {
-			if (difLo>>shift)&0xff == 0 {
-				continue
-			}
-			src = lo
-		} else {
-			if (difHi>>shift)&0xff == 0 {
-				continue
-			}
-			src = hi
+		src, dif := lo, difLo
+		if pass >= 8 {
+			src, dif = hi, difHi
+		}
+		if (dif>>shift)&0xff == 0 {
+			continue
 		}
 		*t = parPass{sc: sc, phase: passHistogram, shift: shift, src: src}
 		p.Run(n, t)
@@ -348,48 +285,6 @@ func SortPairsPar(hi, lo []uint64, idx []int32, sc *Scratch, p *par.Pool) ([]uin
 	*t = parPass{}
 	sc.hi2, sc.lo2, sc.idx2 = hi2, lo2, idx2
 	return hi, lo, idx
-}
-
-// SortKeysIndexPar is SortKeysIndex parallelised over p's workers, with the
-// same bit-identical-output guarantee as SortPairsPar.
-func SortKeysIndexPar(keys []uint64, idx []int32, sc *Scratch, p *par.Pool) ([]uint64, []int32) {
-	n := len(keys)
-	if p == nil || p.Workers() < 2 || n < parCutoff {
-		return SortKeysIndex(keys, idx, sc)
-	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	sc.grow(n)
-	workers := p.Workers()
-	sc.growPar(workers)
-
-	t := &sc.pass
-	*t = parPass{sc: sc, phase: passDif, loS: keys}
-	p.Run(n, t)
-	var dif uint64
-	for w := 0; w < workers; w++ {
-		dif |= sc.dif[2*w]
-	}
-
-	keys2, idx2 := sc.hi2, sc.idx2
-	for pass := 0; pass < 8; pass++ {
-		shift := uint(8 * pass)
-		if (dif>>shift)&0xff == 0 {
-			continue
-		}
-		*t = parPass{sc: sc, phase: passHistogram, shift: shift, src: keys}
-		p.Run(n, t)
-		sc.prefixCounts(workers)
-		*t = parPass{sc: sc, phase: passScatter, shift: shift, src: keys,
-			loS: keys, idxS: idx, loD: keys2, idxD: idx2}
-		p.Run(n, t)
-		keys, keys2 = keys2, keys
-		idx, idx2 = idx2, idx
-	}
-	*t = parPass{}
-	sc.hi2, sc.idx2 = keys2, idx2
-	return keys, idx
 }
 
 // insertionKeys stable-sorts short (key, idx) pairs in place by key.

@@ -666,3 +666,60 @@ func TestManifestAtomicRoundTrip(t *testing.T) {
 		t.Error("stale result survived RemoveResult")
 	}
 }
+
+// TestManifestWritesSerialisedAndPersistFirst pins the two halves of the
+// per-job write discipline with a stalled persist hook.
+//
+// Persist-before-publish: while the done manifest is being written, memory
+// must not yet report done (a client that sees done may read the file).
+//
+// Serialisation: a pgid write stalled in the filesystem must not be
+// overtaken by the terminal transition — otherwise its stale running+pgid
+// image lands on top of done, and a restarted daemon would re-run the job.
+// The stalled write waits (bounded) for the racing transition to finish, so
+// an unserialised server deterministically ends with running on disk; a
+// serialised one simply blocks the transition until the stall times out.
+func TestManifestWritesSerialisedAndPersistFirst(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir, LocalRunner{}, Limits{})
+	jd := JobDir(dir, "j-race")
+	if err := os.MkdirAll(jd, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j := &job{m: Manifest{ID: "j-race", State: StateRunning}, dir: jd, hub: newHub()}
+
+	doneFinished := make(chan struct{})
+	var early State
+	s.persist = func(jobDir string, m *Manifest) error {
+		switch {
+		case m.State == StateDone:
+			early = j.snapshot().State
+		case m.PGID != 0:
+			// The stalled first write: start the terminal transition and
+			// give it every chance to overtake.
+			go func() {
+				defer close(doneFinished)
+				s.setState(j, StateDone, func(m *Manifest) { m.PGID = 0 })
+			}()
+			select {
+			case <-doneFinished:
+			case <-time.After(200 * time.Millisecond):
+			}
+		}
+		return WriteManifest(jobDir, m)
+	}
+	s.setStatePGID(j, 4242)
+	<-doneFinished
+
+	if early == StateDone {
+		t.Error("memory reported done before the done manifest was persisted")
+	}
+	onDisk, err := ReadManifest(jd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mem := j.snapshot(); mem.State != StateDone || onDisk.State != StateDone || onDisk.PGID != 0 {
+		t.Errorf("after a pgid write raced done: memory %s, disk %s pgid %d; want done/done/0",
+			mem.State, onDisk.State, onDisk.PGID)
+	}
+}

@@ -79,6 +79,13 @@ var errDrain = errors.New("serve: daemon draining")
 
 // job is the in-memory side of one managed job.
 type job struct {
+	// wmu serialises manifest transitions. A writer holds it from reading the
+	// current manifest, through the disk write, to publishing the result in
+	// m — so manifests reach disk in the order they were decided (a stale
+	// running+pgid image can never land on top of done, which a restarted
+	// daemon would re-run) and memory never reports a state disk lacks.
+	wmu sync.Mutex
+	// mu guards m and cancel. Readers take only mu and never wait on a write.
 	mu     sync.Mutex
 	m      Manifest
 	dir    string
@@ -93,6 +100,8 @@ type Server struct {
 	runner Runner
 	limits Limits
 	logf   func(format string, args ...any)
+	// persist is WriteManifest; tests stall it to race transitions.
+	persist func(jobDir string, m *Manifest) error
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -124,6 +133,7 @@ func New(dir string, runner Runner, limits Limits, logf func(string, ...any)) (*
 		runner:   runner,
 		limits:   limits.withDefaults(),
 		logf:     logf,
+		persist:  WriteManifest,
 		jobs:     map[string]*job{},
 		root:     root,
 		shutdown: shutdown,
@@ -280,31 +290,48 @@ func (s *Server) dispatchLocked() {
 	}
 }
 
-// setState moves a job to a new state, persists the manifest, and
-// publishes the transition on the job's event stream. mutate (optional)
-// edits the manifest under the job lock before the write. A job already
+// setState moves a job to a new state, persists the manifest, and only
+// then publishes the transition — in memory and on the job's event stream.
+// mutate (optional) edits the new manifest before the write. A job already
 // in a terminal state never leaves it (a cancel racing the scheduler must
 // not be resurrected); the refused transition returns false.
 func (s *Server) setState(j *job, st State, mutate func(*Manifest)) bool {
-	j.mu.Lock()
-	if j.m.State.Terminal() {
-		j.mu.Unlock()
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	m := j.snapshot()
+	if m.State.Terminal() {
 		return false
 	}
-	j.m.State = st
+	m.State = st
 	if mutate != nil {
-		mutate(&j.m)
+		mutate(&m)
 	}
-	m := j.m
-	j.mu.Unlock()
-	if err := WriteManifest(j.dir, &m); err != nil {
-		s.logf("job %s: persist %s: %v", m.ID, st, err)
-	}
+	s.commit(j, m, string(st))
 	j.hub.publish("state", map[string]string{"state": string(st), "reason": m.Reason})
 	if st.Terminal() {
 		j.hub.close()
 	}
 	return true
+}
+
+// setStatePGID records the attempt's worker process group.
+func (s *Server) setStatePGID(j *job, pgid int) {
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	m := j.snapshot()
+	m.PGID = pgid
+	s.commit(j, m, "pgid")
+}
+
+// commit persists m and then installs it as the job's in-memory manifest.
+// The caller holds j.wmu. A sick disk is logged and the job carries on.
+func (s *Server) commit(j *job, m Manifest, what string) {
+	if err := s.persist(j.dir, &m); err != nil {
+		s.logf("job %s: persist %s: %v", m.ID, what, err)
+	}
+	j.mu.Lock()
+	j.m = m
+	j.mu.Unlock()
 }
 
 // runJob drives one job through attempts until a terminal state or a
@@ -327,13 +354,15 @@ func (s *Server) runJob(j *job) {
 	defer deadline.Stop()
 	j.mu.Lock()
 	j.cancel = cancel
-	if j.m.Started.IsZero() {
-		j.m.Started = time.Now().UTC()
-	}
 	j.mu.Unlock()
 
 	for {
-		if !s.setState(j, StateAssembling, func(m *Manifest) { m.Attempts++ }) {
+		if !s.setState(j, StateAssembling, func(m *Manifest) {
+			m.Attempts++
+			if m.Started.IsZero() {
+				m.Started = time.Now().UTC()
+			}
+		}) {
 			return // cancelled before the attempt started
 		}
 		rc := RunContext{
@@ -430,16 +459,6 @@ func (j *job) snapshot() Manifest {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.m
-}
-
-func (s *Server) setStatePGID(j *job, pgid int) {
-	j.mu.Lock()
-	j.m.PGID = pgid
-	m := j.m
-	j.mu.Unlock()
-	if err := WriteManifest(j.dir, &m); err != nil {
-		s.logf("job %s: persist pgid: %v", m.ID, err)
-	}
 }
 
 // Cancel cancels a queued or running job. Typed *RejectError on conflict.

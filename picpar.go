@@ -89,7 +89,6 @@ const (
 	DistTwoStream = particle.DistTwoStream
 	DistBeam      = particle.DistBeam
 	DistSpike     = particle.DistSpike
-	DistCollapse  = particle.DistCollapse
 )
 
 // Indexing scheme names for Config.Indexing.
@@ -117,12 +116,9 @@ func PeriodicPolicy(k int) PolicyFactory { return policy.NewPeriodic(k) }
 // (t1−t0)·(i1−i0) ≥ T_redistribution is met.
 func DynamicPolicy() PolicyFactory { return policy.NewDynamic() }
 
-// AdaptivePolicy redistributes on the Stop-At-Rise condition and, at each
-// firing, rebuilds into whichever layout strategy scores the lowest
-// estimated max per-rank cost on the live per-cell cost ledger.
-func AdaptivePolicy() PolicyFactory { return policy.NewAdaptive() }
-
-// AdaptivePolicyEvery is AdaptivePolicy on a fixed every-k cadence.
+// AdaptivePolicyEvery redistributes every k iterations and, at each firing,
+// rebuilds into whichever layout strategy scores the lowest estimated max
+// per-rank cost on the live per-cell cost ledger.
 func AdaptivePolicyEvery(k int) PolicyFactory { return policy.NewAdaptiveEvery(k) }
 
 // Strategy names a particle layout: how the globally sorted sequence is
@@ -135,12 +131,7 @@ type Strategy = policy.Strategy
 var (
 	StrategyEqualCount   = policy.EqualCount
 	StrategyCostWeighted = policy.CostWeighted
-	StrategyEulerian     = policy.Eulerian
 )
-
-// ParseStrategy resolves a strategy name ("equal-count", "cost-weighted",
-// "eulerian"); the empty name is equal-count.
-func ParseStrategy(name string) (Strategy, error) { return policy.ParseStrategy(name) }
 
 // WithStrategy pins the layout strategy a policy's firings decide, for
 // policies that support one (Periodic, Dynamic); Static passes through.
@@ -169,7 +160,7 @@ func NewFaulty(plan FaultPlan) *Faulty { return comm.NewFaulty(plan) }
 
 // Reliable is the reliable-delivery transport decorator: it recovers
 // drops, duplicates and reorderings injected by Faulty underneath it, or
-// fails with a diagnostic *DeliveryError when the retry budget is
+// fails with a diagnostic delivery error when the retry budget is
 // exhausted — never by hanging.
 type Reliable = comm.Reliable
 
@@ -179,36 +170,6 @@ type ReliableConfig = comm.ReliableConfig
 
 // NewReliable builds a reliable-delivery transport decorator.
 func NewReliable(cfg ReliableConfig) *Reliable { return comm.NewReliable(cfg) }
-
-// DeliveryError is the terminal, diagnostic delivery failure: it names the
-// rank, peer, tag, accounting phase and attempt count of the message that
-// could not be delivered.
-type DeliveryError = comm.DeliveryError
-
-// AsDeliveryError extracts a *DeliveryError from a recovered panic value,
-// or returns nil.
-func AsDeliveryError(v any) *DeliveryError { return comm.AsDeliveryError(v) }
-
-// TraceCounts is one bucket of traced traffic (messages and modelled bytes
-// in each direction).
-type TraceCounts = comm.TraceCounts
-
-// Tracer records per-rank, per-phase, per-tag traffic flowing through the
-// transports it wraps.
-type Tracer = comm.Tracer
-
-// NewTracer builds a traffic-tracing transport decorator.
-func NewTracer() *Tracer { return comm.NewTracer() }
-
-// TransportError is the structural-misuse failure of the comm layer:
-// invalid ranks, operations on a torn-down endpoint, unencodable message
-// bodies. It marks a programming error and is never retried.
-type TransportError = comm.TransportError
-
-// RankPanic wraps a panic that escaped one rank's function — including the
-// typed DeliveryError/TransportError panics of the transport — so the
-// launcher can report which rank failed and why.
-type RankPanic = comm.RankPanic
 
 // NetConfig describes one rank's endpoint of a TCP-backed world: the
 // coordinator address, rank identity, cost-model constants, and the
@@ -221,12 +182,6 @@ type Coordinator = comm.Coordinator
 // RankProc is one spawned rank process under launcher supervision.
 type RankProc = comm.RankProc
 
-// RankFailure records how one supervised rank process exited.
-type RankFailure = comm.RankFailure
-
-// LaunchError aggregates the abnormal rank exits of one supervised launch.
-type LaunchError = comm.LaunchError
-
 // RespawnFunc builds a replacement process for a dead rank during an
 // elastic run (see SuperviseRanksElastic).
 type RespawnFunc = comm.RespawnFunc
@@ -237,22 +192,16 @@ func StartCoordinator(addr string, p int) (*Coordinator, error) {
 	return comm.StartCoordinator(addr, p, 0)
 }
 
-// SuperviseRanks starts (if needed) and babysits one OS process per rank:
-// on the first abnormal exit it grants the grace period for peers to print
-// their own diagnostics, kills stragglers, and returns a *LaunchError
-// naming every failed rank.
-// An optional trailing world description (e.g. "topology neighbor-sparse,
-// P=4") is carried on the LaunchError, attributing refused dials in sparse
-// worlds to the world's configuration.
-func SuperviseRanks(procs []*RankProc, grace time.Duration, world ...string) error {
-	return comm.SuperviseRanks(procs, grace, world...)
-}
-
-// SuperviseRanksElastic is SuperviseRanks with elastic recovery: a rank
-// that exits abnormally while respawn budget remains is relaunched via
-// respawn instead of failing the run, and the surviving rank processes
-// (running under NetRankElastic) re-assemble through the rendezvous rolled
-// back to the latest complete checkpoint epoch.
+// SuperviseRanksElastic starts (if needed) and babysits one OS process per
+// rank. A rank that exits abnormally while respawn budget remains is
+// relaunched via respawn, and the surviving rank processes re-assemble
+// through the rendezvous rolled back to the latest complete checkpoint
+// epoch; once the budget is spent, the first abnormal exit grants the grace
+// period for peers to print their own diagnostics, kills stragglers, and
+// returns an error naming every failed rank. An optional trailing world
+// description (e.g. "topology neighbor-sparse, P=4") is carried on that
+// error, attributing refused dials in sparse worlds to the world's
+// configuration.
 func SuperviseRanksElastic(procs []*RankProc, grace time.Duration, respawn RespawnFunc, maxRespawns int, world ...string) error {
 	return comm.SuperviseRanksElastic(procs, grace, respawn, maxRespawns, world...)
 }
@@ -261,71 +210,3 @@ func SuperviseRanksElastic(procs []*RankProc, grace time.Duration, respawn Respa
 // TCP backend (see NetConfig). Rank 0 returns the Result; other ranks
 // return (nil, nil) on success.
 func RunNet(ncfg NetConfig, cfg Config) (*Result, error) { return pic.RunNet(ncfg, cfg) }
-
-// NetRank joins a TCP world and runs fn as this process's rank, with
-// crash-safe teardown; see comm.NetRank.
-func NetRank(ncfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) (machine.Stats, error) {
-	return comm.NetRank(ncfg, wrap, fn)
-}
-
-// NetRankElastic is NetRank with rejoin-on-world-death: when the world
-// dies under this rank (a peer was killed), it parks with capped backoff
-// and re-registers through the rendezvous under the same rank identity
-// until the world re-assembles or the rejoin budget is exhausted.
-func NetRankElastic(ncfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) (machine.Stats, error) {
-	return comm.NetRankElastic(ncfg, wrap, fn)
-}
-
-// MachineStats is one rank's per-phase time and traffic ledger.
-type MachineStats = machine.Stats
-
-// Topology names accepted by Config.Topology: the classic any-to-any
-// full mesh, the two sparse link sets (neighbor-sparse direct exchange,
-// systolic-ring pulsed exchange), and the hierarchical host/gateway
-// transport ("hierarchical" or "hierarchical:H"). Physics is identical
-// under every topology.
-const (
-	TopologyFullMesh       = pic.TopologyFullMesh
-	TopologyNeighborSparse = pic.TopologyNeighborSparse
-	TopologySystolicRing   = pic.TopologySystolicRing
-	TopologyHierarchical   = pic.TopologyHierarchical
-)
-
-// Topology is the comm layer's link-set descriptor: which rank pairs may
-// exchange point-to-point messages. The TCP backend assembles exactly its
-// links (O(P·k) sockets for sparse descriptors); the goroutine backend
-// enforces it with typed errors on out-of-topology sends.
-type Topology = comm.Topology
-
-// TopologyError reports a send or receive outside the world's topology; it
-// unwraps to ErrOutOfTopology and names the rank, peer and peer set.
-type TopologyError = comm.TopologyError
-
-// ErrOutOfTopology is the sentinel every TopologyError wraps.
-var ErrOutOfTopology = comm.ErrOutOfTopology
-
-// TopologyFor builds the comm.Topology descriptor cfg's Topology field
-// names (sized for cfg.P) — what NetConfig.Topology expects when
-// assembling a sparse TCP world by hand. Hierarchical is rejected: it
-// replaces the transport rather than the link set (use Run).
-func TopologyFor(cfg Config) (*Topology, error) { return pic.TopologyFor(cfg) }
-
-// NewFullMesh, NewRing and NewNeighborSparse build topology descriptors
-// directly at the comm layer. Every descriptor includes the collective
-// skeleton (±2^k ring offsets), so collectives run unchanged on all of
-// them.
-func NewFullMesh(p int) *Topology { return comm.NewFullMesh(p) }
-
-// NewRing builds the pure ring descriptor (the collective skeleton alone).
-func NewRing(p int) *Topology { return comm.NewRing(p) }
-
-// NewNeighborSparse builds the descriptor whose links are the pairs the
-// adjacent predicate admits, plus the collective skeleton.
-func NewNeighborSparse(p int, adjacent func(a, b int) bool) *Topology {
-	return comm.NewNeighborSparse(p, adjacent)
-}
-
-// SocketCount reports the number of live TCP peer connections beneath a
-// (possibly decorated) transport, and whether the transport is TCP-backed
-// at all — the measured quantity behind the O(P²) → O(P·k) traffic gate.
-func SocketCount(t Transport) (int, bool) { return comm.SocketCount(t) }

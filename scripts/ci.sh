@@ -1,6 +1,6 @@
 #!/bin/sh
-# Full CI gate: vet, build, plain tests (root and the benchmark module),
-# race-enabled tests, the chaos soak
+# Full CI gate: vet, build, the one-body grep audit, plain tests (root and
+# the benchmark module), race-enabled tests, the chaos soak
 # (seeded fault plans through the Reliable stack, 2-D and 3-D), the
 # layout-strategy comparison (2-D and 3-D), the per-phase traffic
 # regression gate, the 2-D and 3-D golden pins, the
@@ -17,6 +17,24 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== one-body audit (grep) =="
+# DESIGN.md "Intra-rank shared-memory parallelism": outside internal/par,
+# non-test Go may compare a worker count or test a pool for nil in exactly
+# one place (the scatter's direct-vs-tiled choice), and internal/radix has
+# two LSD pass loops (the pairs driver and the keys-only SortKeysIndex).
+forks=$(grep -rnE '\.workers *[<>=!]|Workers\(\) *[<>=!]|[pP]ool *[!=]= *nil' \
+    --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build --exclude-dir=par . || true)
+if [ "$(printf '%s\n' "$forks" | grep -c .)" -ne 1 ]; then
+    echo "want exactly one worker-count/nil-pool fork outside internal/par, got:"
+    printf '%s\n' "$forks"
+    exit 1
+fi
+passes=$(grep -n 'for pass := 0; pass <' internal/radix/*.go | grep -vc _test.go || true)
+if [ "$passes" -gt 2 ]; then
+    echo "internal/radix has $passes LSD pass loops, want at most 2"
+    exit 1
+fi
 
 echo "== go test =="
 go test ./...
