@@ -14,7 +14,10 @@
 package geom
 
 import (
+	"fmt"
+
 	"picpar/internal/comm"
+	"picpar/internal/commopt"
 	"picpar/internal/par"
 	"picpar/internal/particle"
 )
@@ -39,8 +42,9 @@ type Footprint struct {
 }
 
 // Arrays exposes the field component storage of a Fields implementation in
-// halo layout. The scatter and gather hot loops index these slices directly
-// (via Fields.Slot) instead of going through per-point interface calls.
+// halo layout. The range kernels index these slices directly: by offset
+// from the cell's lower-corner slot on the interior path, via Fields.Slot
+// on the general path.
 type Arrays struct {
 	Ex, Ey, Ez []float64
 	Bx, By, Bz []float64
@@ -116,8 +120,31 @@ type Geometry interface {
 	// (including diagonals) on the periodic processor grid — the paper's
 	// "local" communication classification.
 	AdjacentRanks(a, b int) bool
-	// Move advances particle i's position by dt with periodic wrapping.
+	// Move advances particle i's position by dt with periodic wrapping: the
+	// one-particle form of MoveRange.
 	Move(s *particle.Store, i int, dt float64)
+
+	// The range kernels: the per-particle loops of the time step, run over
+	// particles [lo, hi) of s inside the concrete geometry so the pipeline
+	// crosses this interface once per range. f must come from this
+	// geometry's NewFields. A particle whose cell has every vertex inside
+	// f's owned block (and no periodic wrap) addresses the halo arrays by
+	// offset; every other particle goes vertex by vertex through
+	// Footprint, f.Slot and the ghost table. Both paths perform the same
+	// floating-point operations on the same operands in the same (particle,
+	// vertex) order as that per-vertex form alone would.
+
+	// Deposit scatters charge and current onto f's sources. Contributions
+	// to points f does not own accumulate in *ghostVals, four values (Jx,
+	// Jy, Jz, Rho) per table slot, the table assigning slots in first-seen
+	// order. Returns the number of off-processor contributions.
+	Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostVals *[]float64) (offprocOps int)
+	// GatherPush interpolates E and B at each particle — from f, or for
+	// points f does not own from ghostEB, six values per table slot — and
+	// Boris-pushes its momentum by dt.
+	GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostEB []float64, dt float64)
+	// MoveRange advances the positions by dt with periodic wrapping.
+	MoveRange(s *particle.Store, lo, hi int, dt float64)
 
 	// Generate creates the global initial population for this geometry's
 	// domain (a store of the matching dimensionality).
@@ -128,4 +155,95 @@ type Geometry interface {
 	// Maxwell update sweeps over the rank's shared-memory workers
 	// (bit-identical results for any pool size; nil is the 1-worker pool).
 	NewFields(r int, pool *par.Pool) Fields
+}
+
+// depositOwned adds one particle's charge q and current q·v to the owned
+// slots c0+off[k] with CIC weights w[k]: the interior path of Deposit.
+func depositOwned(a *Arrays, c0 int, off []int, w []float64, q, vx, vy, vz float64) {
+	jx, jy, jz, rho := a.Jx, a.Jy, a.Jz, a.Rho
+	for k, o := range off {
+		wq := w[k] * q
+		c := c0 + o
+		jx[c] += wq * vx
+		jy[c] += wq * vy
+		jz[c] += wq * vz
+		rho[c] += wq
+	}
+}
+
+// depositFootprint is the general path of Deposit for one particle: each
+// footprint vertex goes to its owned slot or, through the ghost table, to
+// its four ghost values. Returns the number of ghost contributions.
+func depositFootprint(fp *Footprint, f Fields, a *Arrays, table commopt.DupTable, ghostVals *[]float64, q, vx, vy, vz float64) int {
+	ops := 0
+	for k := 0; k < fp.N; k++ {
+		wq := fp.W[k] * q
+		gid := int(fp.Gid[k])
+		if c := f.Slot(gid); c >= 0 {
+			a.Jx[c] += wq * vx
+			a.Jy[c] += wq * vy
+			a.Jz[c] += wq * vz
+			a.Rho[c] += wq
+			continue
+		}
+		slot := table.Slot(gid)
+		if 4*slot == len(*ghostVals) {
+			*ghostVals = append(*ghostVals, 0, 0, 0, 0)
+		}
+		gv := (*ghostVals)[4*slot : 4*slot+4]
+		gv[0] += wq * vx
+		gv[1] += wq * vy
+		gv[2] += wq * vz
+		gv[3] += wq
+		ops++
+	}
+	return ops
+}
+
+// gatherOwned interpolates E and B from the owned slots c0+off[k] with CIC
+// weights w[k]: the interior path of GatherPush.
+func gatherOwned(a *Arrays, c0 int, off []int, w []float64) (ex, ey, ez, bx, by, bz float64) {
+	aex, aey, aez, abx, aby, abz := a.Ex, a.Ey, a.Ez, a.Bx, a.By, a.Bz
+	for k, o := range off {
+		wk := w[k]
+		c := c0 + o
+		ex += wk * aex[c]
+		ey += wk * aey[c]
+		ez += wk * aez[c]
+		bx += wk * abx[c]
+		by += wk * aby[c]
+		bz += wk * abz[c]
+	}
+	return
+}
+
+// gatherFootprint is the general path of GatherPush for one particle: each
+// footprint vertex reads its owned slot or the ghost values the scatter's
+// table slot received.
+func gatherFootprint(fp *Footprint, f Fields, a *Arrays, table commopt.DupTable, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
+	for k := 0; k < fp.N; k++ {
+		wk := fp.W[k]
+		gid := int(fp.Gid[k])
+		if c := f.Slot(gid); c >= 0 {
+			ex += wk * a.Ex[c]
+			ey += wk * a.Ey[c]
+			ez += wk * a.Ez[c]
+			bx += wk * a.Bx[c]
+			by += wk * a.By[c]
+			bz += wk * a.Bz[c]
+			continue
+		}
+		slot := table.Lookup(gid)
+		if slot < 0 {
+			panic(fmt.Sprintf("geom: gather miss at point %d", gid))
+		}
+		eb := ghostEB[6*slot : 6*slot+6]
+		ex += wk * eb[0]
+		ey += wk * eb[1]
+		ez += wk * eb[2]
+		bx += wk * eb[3]
+		by += wk * eb[4]
+		bz += wk * eb[5]
+	}
+	return
 }

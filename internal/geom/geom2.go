@@ -7,6 +7,7 @@ package geom
 
 import (
 	"picpar/internal/comm"
+	"picpar/internal/commopt"
 	"picpar/internal/field"
 	"picpar/internal/mesh"
 	"picpar/internal/par"
@@ -109,8 +110,98 @@ func (ge *G2) AdjacentRanks(a, b int) bool {
 }
 
 // Move implements Geometry.
-func (ge *G2) Move(s *particle.Store, i int, dt float64) {
-	pusher.Move(s, i, ge.G, dt)
+func (ge *G2) Move(s *particle.Store, i int, dt float64) { ge.MoveRange(s, i, i+1, dt) }
+
+// MoveRange implements Geometry.
+func (ge *G2) MoveRange(s *particle.Store, lo, hi int, dt float64) {
+	pusher.MoveRange(s, lo, hi, ge.G, dt)
+}
+
+// axis is one dimension of a rank's owned block as a range kernel sees it:
+// what the kernel hoists out of its particle loop.
+type axis struct {
+	l, d  float64 // domain length and cell size
+	i0, m int     // the block's first point; owned extent − 1
+}
+
+// cell locates coordinate x: its cell relative to the block's first point
+// and its unclamped in-cell fraction, ok when both of the cell's points
+// along this axis are owned with no periodic wrap. One quotient serves the
+// cell and the fraction because inside [0, L) the periodic wrap is the
+// identity, and CellOf's high-edge clamp cannot bind below the block's
+// last point — so an ok cell and fraction are exactly Footprint's.
+func (a axis) cell(x float64) (li int, f float64, ok bool) {
+	q := x / a.d
+	c := int(q)
+	li = c - a.i0
+	return li, q - float64(c), x >= 0 && x < a.l && uint(li) < uint(a.m)
+}
+
+// block2 is one rank's owned block in halo layout: its two axes and the
+// slot offsets of a cell's four vertices from its lower-left one, in
+// VertexOffsets order.
+type block2 struct {
+	x, y axis
+	l    *field.Local
+	off  [4]int
+}
+
+func (ge *G2) block(f Fields) block2 {
+	l := f.(*fields2).l
+	g := ge.G
+	b := block2{
+		x: axis{l: g.Lx, d: g.Dx(), i0: l.I0, m: l.Nx - 1},
+		y: axis{l: g.Ly, d: g.Dy(), i0: l.J0, m: l.Ny - 1},
+		l: l,
+	}
+	for k, v := range pusher.VertexOffsets {
+		b.off[k] = l.Idx(v[0], v[1]) - l.Idx(0, 0)
+	}
+	return b
+}
+
+// Deposit implements Geometry.
+func (ge *G2) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostVals *[]float64) int {
+	b := ge.block(f)
+	a := f.Arrays()
+	q := s.Charge
+	ops := 0
+	var fp Footprint
+	for i := lo; i < hi; i++ {
+		gamma := s.Gamma(i)
+		vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
+		li, fx, okx := b.x.cell(s.X[i])
+		lj, fy, oky := b.y.cell(s.Y[i])
+		if okx && oky {
+			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
+			depositOwned(a, b.l.Idx(li, lj), b.off[:], w[:], q, vx, vy, vz)
+			continue
+		}
+		ge.Footprint(s, i, &fp)
+		ops += depositFootprint(&fp, f, a, table, ghostVals, q, vx, vy, vz)
+	}
+	return ops
+}
+
+// GatherPush implements Geometry.
+func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostEB []float64, dt float64) {
+	b := ge.block(f)
+	a := f.Arrays()
+	qmdt2 := pusher.HalfKick(s, dt)
+	var fp Footprint
+	for i := lo; i < hi; i++ {
+		var ex, ey, ez, bx, by, bz float64
+		li, fx, okx := b.x.cell(s.X[i])
+		lj, fy, oky := b.y.cell(s.Y[i])
+		if okx && oky {
+			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
+			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj), b.off[:], w[:])
+		} else {
+			ge.Footprint(s, i, &fp)
+			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, f, a, table, ghostEB)
+		}
+		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
+	}
 }
 
 // Generate implements Geometry.

@@ -7,6 +7,7 @@ package geom
 
 import (
 	"picpar/internal/comm"
+	"picpar/internal/commopt"
 	"picpar/internal/field"
 	"picpar/internal/mesh3"
 	"picpar/internal/par"
@@ -115,8 +116,93 @@ func (ge *G3) AdjacentRanks(a, b int) bool {
 }
 
 // Move implements Geometry.
-func (ge *G3) Move(s *particle.Store, i int, dt float64) {
-	pusher.Move3(s, i, ge.G, dt)
+func (ge *G3) Move(s *particle.Store, i int, dt float64) { ge.MoveRange(s, i, i+1, dt) }
+
+// MoveRange implements Geometry.
+func (ge *G3) MoveRange(s *particle.Store, lo, hi int, dt float64) {
+	pusher.MoveRange3(s, lo, hi, ge.G, dt)
+}
+
+// axis3 is axis for the 3-D grid, whose CellOf takes the cell from x/L·N
+// while Weights3 takes the fraction from x/dx: both quotients are kept.
+type axis3 struct {
+	l, n, d float64 // domain length, global extent, cell size
+	i0, m   int
+}
+
+// cell is axis.cell in three dimensions.
+func (a axis3) cell(x float64) (li int, f float64, ok bool) {
+	c := int(x / a.l * a.n)
+	li = c - a.i0
+	return li, x/a.d - float64(c), x >= 0 && x < a.l && uint(li) < uint(a.m)
+}
+
+// block3 is block2 in three dimensions.
+type block3 struct {
+	x, y, z axis3
+	l       *field.Local3
+	off     [8]int
+}
+
+func (ge *G3) block(f Fields) block3 {
+	l := f.(*fields3).l
+	g := ge.G
+	b := block3{
+		x: axis3{l: g.Lx, n: float64(g.Nx), d: g.Dx(), i0: l.I0, m: l.Nx - 1},
+		y: axis3{l: g.Ly, n: float64(g.Ny), d: g.Dy(), i0: l.J0, m: l.Ny - 1},
+		z: axis3{l: g.Lz, n: float64(g.Nz), d: g.Dz(), i0: l.K0, m: l.Nz - 1},
+		l: l,
+	}
+	for k, v := range pusher.VertexOffsets3 {
+		b.off[k] = l.Idx(v[0], v[1], v[2]) - l.Idx(0, 0, 0)
+	}
+	return b
+}
+
+// Deposit implements Geometry.
+func (ge *G3) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostVals *[]float64) int {
+	b := ge.block(f)
+	a := f.Arrays()
+	q := s.Charge
+	ops := 0
+	var fp Footprint
+	for i := lo; i < hi; i++ {
+		gamma := s.Gamma(i)
+		vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
+		li, fx, okx := b.x.cell(s.X[i])
+		lj, fy, oky := b.y.cell(s.Y[i])
+		lk, fz, okz := b.z.cell(s.Z[i])
+		if okx && oky && okz {
+			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
+			depositOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:], q, vx, vy, vz)
+			continue
+		}
+		ge.Footprint(s, i, &fp)
+		ops += depositFootprint(&fp, f, a, table, ghostVals, q, vx, vy, vz)
+	}
+	return ops
+}
+
+// GatherPush implements Geometry.
+func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostEB []float64, dt float64) {
+	b := ge.block(f)
+	a := f.Arrays()
+	qmdt2 := pusher.HalfKick(s, dt)
+	var fp Footprint
+	for i := lo; i < hi; i++ {
+		var ex, ey, ez, bx, by, bz float64
+		li, fx, okx := b.x.cell(s.X[i])
+		lj, fy, oky := b.y.cell(s.Y[i])
+		lk, fz, okz := b.z.cell(s.Z[i])
+		if okx && oky && okz {
+			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
+			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
+		} else {
+			ge.Footprint(s, i, &fp)
+			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, f, a, table, ghostEB)
+		}
+		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
+	}
 }
 
 // Generate implements Geometry.

@@ -81,6 +81,9 @@ func (g Grid) CellOf(x, y float64) (cx, cy int) {
 }
 
 func wrap(i, n int) int {
+	if uint(i) < uint(n) {
+		return i
+	}
 	i %= n
 	if i < 0 {
 		i += n
@@ -117,6 +120,18 @@ func BlockOwner(n, p, i int) int {
 	return k
 }
 
+// BlockOwners tabulates BlockOwner(n, p, i) for every item i.
+func BlockOwners(n, p int) []int32 {
+	owner := make([]int32, n)
+	for k := 0; k < p; k++ {
+		lo, hi := BlockRange(n, p, k)
+		for i := lo; i < hi; i++ {
+			owner[i] = int32(k)
+		}
+	}
+	return owner
+}
+
 // Dist is a BLOCK distribution of the grid over p ranks arranged as a
 // Px×Py processor grid. The assignment of ranks to processor-grid tiles is
 // given by a numbering: row-major by default, or along a space-filling
@@ -133,6 +148,17 @@ type Dist struct {
 	// inverse. Nil means the identity (row-major) numbering.
 	tileRank []int
 	rankTile []int
+
+	// ownerX[i] / ownerY[j] is the processor-grid column / row whose BLOCK
+	// piece holds grid column i / row j: BlockOwner tabulated once, because
+	// the ghost registry asks the owner of every ghost point every iteration.
+	ownerX, ownerY []int32
+}
+
+// newDist builds the distribution over a px×py processor grid.
+func newDist(g Grid, px, py int) *Dist {
+	return &Dist{G: g, P: px * py, Px: px, Py: py,
+		ownerX: BlockOwners(g.Nx, px), ownerY: BlockOwners(g.Ny, py)}
 }
 
 // NewDist chooses the processor-grid factorisation Px×Py = p whose blocks
@@ -165,7 +191,7 @@ func NewDist(g Grid, p int) (*Dist, error) {
 	if bestScore == worstScore {
 		return nil, fmt.Errorf("mesh: cannot block-distribute %dx%d over %d ranks", g.Nx, g.Ny, p)
 	}
-	return &Dist{G: g, P: p, Px: bestPx, Py: p / bestPx}, nil
+	return newDist(g, bestPx, p/bestPx), nil
 }
 
 const worstScore = 1e300
@@ -179,7 +205,7 @@ func NewDist1D(g Grid, p int) (*Dist, error) {
 	if p <= 0 || p > g.Ny {
 		return nil, fmt.Errorf("mesh: cannot 1-D distribute %d rows over %d ranks", g.Ny, p)
 	}
-	return &Dist{G: g, P: p, Px: 1, Py: p}, nil
+	return newDist(g, 1, p), nil
 }
 
 // Renumber installs the tile numbering of the given ordering over the
@@ -239,7 +265,7 @@ func (d *Dist) Bounds(r int) (i0, i1, j0, j1 int) {
 func (d *Dist) OwnerOfPoint(i, j int) int {
 	i = wrap(i, d.G.Nx)
 	j = wrap(j, d.G.Ny)
-	return d.RankAt(BlockOwner(d.G.Nx, d.Px, i), BlockOwner(d.G.Ny, d.Py, j))
+	return d.RankAt(int(d.ownerX[i]), int(d.ownerY[j]))
 }
 
 // LocalSize returns the owned extents of rank r.

@@ -247,3 +247,34 @@ func TestWrapPosition(t *testing.T) {
 		t.Errorf("WrapPosition = (%g,%g), want (3.5,0.5)", x, y)
 	}
 }
+
+// OwnerOfPoint reads per-axis tables built once per Dist; they must agree
+// with BlockOwner at every index, also where the extents do not divide.
+func TestOwnerTablesMatchBlockOwner(t *testing.T) {
+	g := NewGrid(50, 22)
+	plain, err := NewDist(g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Px != 3 || plain.Py != 2 {
+		t.Fatalf("got %dx%d processor grid, want 3x2", plain.Px, plain.Py)
+	}
+	ordered, err := NewDistOrdered(g, 6, "hilbert")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneD, err := NewDist1D(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dist{plain, ordered, oneD} {
+		for j := -g.Ny; j < 2*g.Ny; j++ {
+			for i := -g.Nx; i < 2*g.Nx; i++ {
+				want := d.RankAt(BlockOwner(g.Nx, d.Px, wrap(i, g.Nx)), BlockOwner(g.Ny, d.Py, wrap(j, g.Ny)))
+				if got := d.OwnerOfPoint(i, j); got != want {
+					t.Fatalf("%v: OwnerOfPoint(%d,%d) = %d, want %d", d, i, j, got, want)
+				}
+			}
+		}
+	}
+}

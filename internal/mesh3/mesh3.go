@@ -100,6 +100,9 @@ func clampWrap(x, l float64, n int) int {
 }
 
 func wrap(i, n int) int {
+	if uint(i) < uint(n) {
+		return i
+	}
 	i %= n
 	if i < 0 {
 		i += n
@@ -115,6 +118,9 @@ type Dist struct {
 	Px, Py, Pz int
 	tileRank   []int
 	rankTile   []int
+
+	// Per-axis BLOCK owner tables; see mesh.Dist.
+	ownerX, ownerY, ownerZ []int32
 }
 
 // NewDist picks the factorisation with the most cube-like blocks.
@@ -154,7 +160,10 @@ func NewDist(g Grid, p int) (*Dist, error) {
 	if bestScore == 1e300 {
 		return nil, fmt.Errorf("mesh3: cannot block-distribute %dx%dx%d over %d ranks", g.Nx, g.Ny, g.Nz, p)
 	}
-	return &Dist{G: g, P: p, Px: best[0], Py: best[1], Pz: best[2]}, nil
+	return &Dist{G: g, P: p, Px: best[0], Py: best[1], Pz: best[2],
+		ownerX: mesh.BlockOwners(g.Nx, best[0]),
+		ownerY: mesh.BlockOwners(g.Ny, best[1]),
+		ownerZ: mesh.BlockOwners(g.Nz, best[2])}, nil
 }
 
 // NewDistOrdered builds a distribution with ranks numbered along the named
@@ -254,12 +263,5 @@ func (d *Dist) OwnerOfPoint(i, j, k int) int {
 	i = wrap(i, d.G.Nx)
 	j = wrap(j, d.G.Ny)
 	k = wrap(k, d.G.Nz)
-	tx := mesh.BlockOwner(d.G.Nx, d.Px, i)
-	ty := mesh.BlockOwner(d.G.Ny, d.Py, j)
-	tz := mesh.BlockOwner(d.G.Nz, d.Pz, k)
-	tile := (tz*d.Py+ty)*d.Px + tx
-	if d.tileRank != nil {
-		return d.tileRank[tile]
-	}
-	return tile
+	return d.RankAt(int(d.ownerX[i]), int(d.ownerY[j]), int(d.ownerZ[k]))
 }

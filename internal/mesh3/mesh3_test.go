@@ -3,6 +3,7 @@ package mesh3
 import (
 	"testing"
 
+	"picpar/internal/mesh"
 	"picpar/internal/sfc"
 )
 
@@ -110,6 +111,38 @@ func TestBoundsCoverGrid(t *testing.T) {
 	for id, c := range owned {
 		if c != 1 {
 			t.Fatalf("point %d owned %d times", id, c)
+		}
+	}
+}
+
+// OwnerOfPoint reads per-axis tables built once per Dist; they must agree
+// with mesh.BlockOwner at every index, also where the extents do not divide.
+func TestOwnerTablesMatchBlockOwner(t *testing.T) {
+	g := NewGrid(13, 10, 7)
+	plain, err := NewDist(g, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered, err := NewDistOrdered(g, 12, sfc.SchemeHilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Dist{plain, ordered} {
+		if g.Nx%d.Px == 0 || g.Nz%d.Pz == 0 || d.Py == 1 {
+			t.Fatalf("%dx%dx%d processor grid divides the extents; pick another grid", d.Px, d.Py, d.Pz)
+		}
+		for k := -g.Nz; k < 2*g.Nz; k++ {
+			for j := -g.Ny; j < 2*g.Ny; j++ {
+				for i := -g.Nx; i < 2*g.Nx; i++ {
+					want := d.RankAt(
+						mesh.BlockOwner(g.Nx, d.Px, wrap(i, g.Nx)),
+						mesh.BlockOwner(g.Ny, d.Py, wrap(j, g.Ny)),
+						mesh.BlockOwner(g.Nz, d.Pz, wrap(k, g.Nz)))
+					if got := d.OwnerOfPoint(i, j, k); got != want {
+						t.Fatalf("OwnerOfPoint(%d,%d,%d) = %d, want %d", i, j, k, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ package pic
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"picpar/internal/ckpt"
@@ -103,6 +104,8 @@ type Config struct {
 	// population instead of the built-in generator (Distribution, Seed,
 	// Thermal and Drift are then ignored; NumParticles is derived from
 	// it). The store is not mutated — the simulation works on a copy.
+	// Every position must lie inside the periodic domain [0, L) and every
+	// momentum be finite, or the run is refused with a *ParticleError.
 	CustomParticles *particle.Store
 	// Transport, when non-nil, decorates every rank's transport endpoint
 	// (comm.World.RunWrapped semantics). This is how chaos stacks are
@@ -242,9 +245,17 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("pic: unsupported dimensionality %d (want 2 or 3)", c.Dims)
 	}
-	if c.CustomParticles != nil && c.CustomParticles.Dims() != c.Dims {
-		return fmt.Errorf("pic: CustomParticles are %d-D but Dims is %d",
-			c.CustomParticles.Dims(), c.Dims)
+	if s := c.CustomParticles; s != nil {
+		if s.Dims() != c.Dims {
+			return fmt.Errorf("pic: CustomParticles are %d-D but Dims is %d", s.Dims(), c.Dims)
+		}
+		extent := [3]float64{c.Grid.Lx, c.Grid.Ly}
+		if c.Dims == 3 {
+			extent = [3]float64{c.Grid3.Lx, c.Grid3.Ly, c.Grid3.Lz}
+		}
+		if err := checkParticles(s, extent); err != nil {
+			return err
+		}
 	}
 	if c.P <= 0 {
 		return fmt.Errorf("pic: non-positive rank count %d", c.P)
@@ -275,6 +286,42 @@ func (c Config) validate() error {
 	}
 	if c.Recover && c.CheckpointDir == "" {
 		return fmt.Errorf("pic: Recover needs a CheckpointDir (or $PICPAR_CKPT_DIR)")
+	}
+	return nil
+}
+
+// ParticleError reports the first CustomParticles entry a run cannot hold:
+// a position outside the periodic domain [0, L) — the periodic wrap would
+// loop forever on an infinite or huge one, and a finite one just outside
+// would deposit with its cell and its weights taken from different
+// coordinates — or a non-finite momentum.
+type ParticleError struct {
+	Index int     // position of the particle in the store
+	Field string  // "x", "y", "z", "px", "py" or "pz"
+	Value float64 // the offending value
+}
+
+func (e *ParticleError) Error() string {
+	return fmt.Sprintf("pic: CustomParticles[%d].%s = %g: want a position in [0, L) and a finite momentum",
+		e.Index, e.Field, e.Value)
+}
+
+// checkParticles returns a *ParticleError for the first particle of s
+// outside the domain of the given extents or with a non-finite momentum.
+func checkParticles(s *particle.Store, extent [3]float64) error {
+	pos := [3][]float64{s.X, s.Y, s.Z} // Z is nil in 2-D
+	mom := [3][]float64{s.Px, s.Py, s.Pz}
+	for i := 0; i < s.Len(); i++ {
+		for d, name := range [3]string{"x", "y", "z"} {
+			if pos[d] != nil && !(pos[d][i] >= 0 && pos[d][i] < extent[d]) {
+				return &ParticleError{Index: i, Field: name, Value: pos[d][i]}
+			}
+		}
+		for d, name := range [3]string{"px", "py", "pz"} {
+			if v := mom[d][i]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return &ParticleError{Index: i, Field: name, Value: v}
+			}
+		}
 	}
 	return nil
 }

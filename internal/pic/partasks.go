@@ -1,7 +1,8 @@
 // Shared-memory kernels of the per-iteration hot path, run over the rank's
-// par.Pool: the per-particle gather/push and move range tasks (the only
-// body those loops have — a 1-worker pool runs it inline) and the tiled
-// two-pass scatter deposition used above one worker.
+// par.Pool: the gather/push and move range tasks (one call each into the
+// geometry's range kernels, the only body those loops have — a 1-worker
+// pool runs it inline) and the tiled two-pass scatter deposition used above
+// one worker, whose generate pass walks each footprint vertex by vertex.
 //
 // Bit-determinism contract: every kernel here reproduces the one-worker
 // floating-point accumulation order exactly, so results are byte-identical
@@ -28,16 +29,14 @@
 package pic
 
 import (
-	"fmt"
 	"unsafe"
 
 	"picpar/internal/geom"
-	"picpar/internal/pusher"
 )
 
-// workerScratch is the footprint scratch one worker's per-particle loops
-// fill through the geometry interface (a local would escape to the heap at
-// every phase call). It is rewritten for every particle, so it is padded to
+// workerScratch is the footprint scratch one worker's vertex-by-vertex
+// loops (the tiled generate pass, observeCosts) fill through the geometry
+// interface (a local would escape to the heap at every phase call). It is rewritten for every particle, so it is padded to
 // 256 bytes: allocated at that size, no two workers' — and, at one worker,
 // no two ranks' — scratch can share a cache line or the adjacent line the
 // hardware prefetches with it. Unpadded neighbours measured +15 % to +80 %
@@ -52,42 +51,13 @@ type workerScratch struct {
 // constant keeps the bucket headers cache-resident.
 const parTiles = 4
 
-// depositDirect is the one-worker deposition: every particle's vertex
-// contributions accumulate straight into the field arrays (owned slots) or
-// the duplicate-removal table's ghost values, in particle order. Returns
-// the number of off-processor contributions for the phase's δ charge.
+// depositDirect is the one-worker deposition: the geometry's range kernel
+// accumulates every particle's vertex contributions straight into the field
+// arrays (owned slots) or the duplicate-removal table's ghost values, in
+// particle order. Returns the number of off-processor contributions for the
+// phase's δ charge.
 func (st *rankState) depositDirect() int {
-	fa := st.farr
-	s := st.store
-	fp := &st.fps[0].fp
-	q := s.Charge
-	ops := 0
-	for i := 0; i < s.Len(); i++ {
-		st.ge.Footprint(s, i, fp)
-		gamma := s.Gamma(i)
-		vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
-		for k := 0; k < fp.N; k++ {
-			wq := fp.W[k] * q
-			gid := int(fp.Gid[k])
-			if c := st.fields.Slot(gid); c >= 0 {
-				fa.Jx[c] += wq * vx
-				fa.Jy[c] += wq * vy
-				fa.Jz[c] += wq * vz
-				fa.Rho[c] += wq
-				continue
-			}
-			slot := st.table.Slot(gid)
-			if 4*slot == len(st.ghostVals) {
-				st.ghostVals = append(st.ghostVals, 0, 0, 0, 0)
-			}
-			st.ghostVals[4*slot] += wq * vx
-			st.ghostVals[4*slot+1] += wq * vy
-			st.ghostVals[4*slot+2] += wq * vz
-			st.ghostVals[4*slot+3] += wq
-			ops++
-		}
-	}
-	return ops
+	return st.ge.Deposit(st.store, 0, st.store.Len(), st.fields, st.table, &st.ghostVals)
 }
 
 // depositTiled is the deposition above one worker: generate pass over
@@ -198,50 +168,14 @@ func (t *scatterReduceTask) Work(_, tLo, tHi int) {
 // same bits.
 type gatherPushTask struct{ st *rankState }
 
-func (t *gatherPushTask) Work(w, lo, hi int) {
+func (t *gatherPushTask) Work(_, lo, hi int) {
 	st := t.st
-	s := st.store
-	fa := st.farr
-	fp := &st.fps[w].fp
-	dt := st.cfg.Dt
-	for i := lo; i < hi; i++ {
-		st.ge.Footprint(s, i, fp)
-		var ex, ey, ez, bx, by, bz float64
-		for k := 0; k < fp.N; k++ {
-			gid := int(fp.Gid[k])
-			wk := fp.W[k]
-			if c := st.fields.Slot(gid); c >= 0 {
-				ex += wk * fa.Ex[c]
-				ey += wk * fa.Ey[c]
-				ez += wk * fa.Ez[c]
-				bx += wk * fa.Bx[c]
-				by += wk * fa.By[c]
-				bz += wk * fa.Bz[c]
-				continue
-			}
-			slot := st.table.Lookup(gid)
-			if slot < 0 {
-				panic(fmt.Sprintf("pic: rank %d gather miss at point %d", st.r.Rank(), gid))
-			}
-			o := gatherWireFloats * slot
-			ex += wk * st.ghostEB[o]
-			ey += wk * st.ghostEB[o+1]
-			ez += wk * st.ghostEB[o+2]
-			bx += wk * st.ghostEB[o+3]
-			by += wk * st.ghostEB[o+4]
-			bz += wk * st.ghostEB[o+5]
-		}
-		pusher.BorisPush(s, i, ex, ey, ez, bx, by, bz, dt)
-	}
+	st.ge.GatherPush(st.store, lo, hi, st.fields, st.table, st.ghostEB, st.cfg.Dt)
 }
 
 // moveTask advances each particle of the range — per-particle independent.
 type moveTask struct{ st *rankState }
 
 func (t *moveTask) Work(_, lo, hi int) {
-	st := t.st
-	s, dt := st.store, st.cfg.Dt
-	for i := lo; i < hi; i++ {
-		st.ge.Move(s, i, dt)
-	}
+	t.st.ge.MoveRange(t.st.store, lo, hi, t.st.cfg.Dt)
 }

@@ -8,6 +8,7 @@ package pic
 
 import (
 	"fmt"
+	"slices"
 
 	"picpar/internal/comm"
 	"picpar/internal/engine"
@@ -451,11 +452,11 @@ func (st *rankState) gatherAndPushPhase() {
 		farRecv = comm.AllToManySystolicFloat64s(r, farSend, farCounts)
 	}
 
-	// Collect replies for our own ghost points.
-	if cap(st.ghostEB) < gatherWireFloats*st.table.Len() {
-		st.ghostEB = make([]float64, gatherWireFloats*st.table.Len())
-	}
-	st.ghostEB = st.ghostEB[:gatherWireFloats*st.table.Len()]
+	// Collect replies for our own ghost points: every slot is overwritten
+	// below. The ghost set creeps up by a few points per iteration while
+	// particles diffuse, so the buffer grows geometrically, not by exact fit.
+	need := gatherWireFloats * st.table.Len()
+	st.ghostEB = slices.Grow(st.ghostEB[:0], need)[:need]
 	for k, dst := range st.registry.Dest {
 		var buf []float64
 		if far && !st.topo.Connected(r.Rank(), dst) {

@@ -42,26 +42,27 @@ type Interp struct {
 // The weights are non-negative and sum to 1.
 func Weights(g mesh.Grid, x, y float64) Interp {
 	cx, cy := g.CellOf(x, y)
-	// Fractional offsets inside the cell, in [0, 1).
-	fx := x/g.Dx() - float64(cx)
-	fy := y/g.Dy() - float64(cy)
-	// Positions exactly on the upper wrap boundary produce fx slightly
-	// outside [0,1) after CellOf clamping; clamp to keep weights valid.
-	fx = clamp01(fx)
-	fy = clamp01(fy)
-	return Interp{
-		CX: cx,
-		CY: cy,
-		W: [4]float64{
-			(1 - fx) * (1 - fy),
-			fx * (1 - fy),
-			(1 - fx) * fy,
-			fx * fy,
-		},
+	// Fractional offsets inside the cell, in [0, 1). Positions exactly on
+	// the upper wrap boundary produce fractions slightly outside [0,1)
+	// after CellOf clamping; clamp to keep weights valid.
+	fx := Clamp01(x/g.Dx() - float64(cx))
+	fy := Clamp01(y/g.Dy() - float64(cy))
+	return Interp{CX: cx, CY: cy, W: CIC(fx, fy)}
+}
+
+// CIC returns the bilinear weights of a cell's four vertices, in
+// VertexOffsets order, for in-cell fractions (fx, fy).
+func CIC(fx, fy float64) [4]float64 {
+	return [4]float64{
+		(1 - fx) * (1 - fy),
+		fx * (1 - fy),
+		(1 - fx) * fy,
+		fx * fy,
 	}
 }
 
-func clamp01(f float64) float64 {
+// Clamp01 clamps a cell fraction into [0, 1).
+func Clamp01(f float64) float64 {
 	if f < 0 {
 		return 0
 	}
@@ -72,15 +73,23 @@ func clamp01(f float64) float64 {
 }
 
 // BorisPush advances the momentum of particle i of s by dt under fields
-// (ex, ey, ez, bx, by, bz) using the relativistic Boris scheme: half
-// electric kick, magnetic rotation, half electric kick.
+// (ex, ey, ez, bx, by, bz): the one-particle form of Boris.
 func BorisPush(s *particle.Store, i int, ex, ey, ez, bx, by, bz, dt float64) {
-	qmdt2 := s.Charge / s.Mass * dt / 2
+	s.Px[i], s.Py[i], s.Pz[i] = Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, HalfKick(s, dt))
+}
 
+// HalfKick returns q/m·dt/2, the factor Boris scales both field vectors by
+// — constant over a store, so range kernels hoist it.
+func HalfKick(s *particle.Store, dt float64) float64 { return s.Charge / s.Mass * dt / 2 }
+
+// Boris advances momentum (px, py, pz) under fields (ex, ey, ez, bx, by, bz)
+// using the relativistic Boris scheme — half electric kick, magnetic
+// rotation, half electric kick — with qmdt2 = HalfKick(s, dt).
+func Boris(px, py, pz, ex, ey, ez, bx, by, bz, qmdt2 float64) (float64, float64, float64) {
 	// Half electric acceleration.
-	ux := s.Px[i] + qmdt2*ex
-	uy := s.Py[i] + qmdt2*ey
-	uz := s.Pz[i] + qmdt2*ez
+	ux := px + qmdt2*ex
+	uy := py + qmdt2*ey
+	uz := pz + qmdt2*ez
 
 	// Magnetic rotation at the mid-step Lorentz factor.
 	gamma := math.Sqrt(1 + ux*ux + uy*uy + uz*uz)
@@ -98,19 +107,22 @@ func BorisPush(s *particle.Store, i int, ex, ey, ez, bx, by, bz, dt float64) {
 	uz += upx*sy - upy*sx
 
 	// Half electric acceleration.
-	s.Px[i] = ux + qmdt2*ex
-	s.Py[i] = uy + qmdt2*ey
-	s.Pz[i] = uz + qmdt2*ez
+	return ux + qmdt2*ex, uy + qmdt2*ey, uz + qmdt2*ez
 }
 
-// Move advances the position of particle i of s by dt using its current
-// momentum, wrapping periodically on grid g.
-func Move(s *particle.Store, i int, g mesh.Grid, dt float64) {
-	gamma := s.Gamma(i)
-	x := s.X[i] + s.Px[i]/gamma*dt
-	y := s.Y[i] + s.Py[i]/gamma*dt
-	s.X[i], s.Y[i] = g.WrapPosition(x, y)
+// MoveRange advances the positions of particles [lo, hi) of s by dt using
+// their current momenta, wrapping periodically on grid g.
+func MoveRange(s *particle.Store, lo, hi int, g mesh.Grid, dt float64) {
+	for i := lo; i < hi; i++ {
+		gamma := s.Gamma(i)
+		x := s.X[i] + s.Px[i]/gamma*dt
+		y := s.Y[i] + s.Py[i]/gamma*dt
+		s.X[i], s.Y[i] = g.WrapPosition(x, y)
+	}
 }
+
+// Move is the one-particle form of MoveRange.
+func Move(s *particle.Store, i int, g mesh.Grid, dt float64) { MoveRange(s, i, i+1, g, dt) }
 
 // Speed returns |v| of particle i (always < 1 = c).
 func Speed(s *particle.Store, i int) float64 {

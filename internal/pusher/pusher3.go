@@ -29,36 +29,36 @@ type Interp3 struct {
 // The weights are non-negative and sum to 1.
 func Weights3(g mesh3.Grid, x, y, z float64) Interp3 {
 	cx, cy, cz := g.CellOf(x, y, z)
-	fx := x/g.Dx() - float64(cx)
-	fy := y/g.Dy() - float64(cy)
-	fz := z/g.Dz() - float64(cz)
-	fx = clamp01(fx)
-	fy = clamp01(fy)
-	fz = clamp01(fz)
+	fx := Clamp01(x/g.Dx() - float64(cx))
+	fy := Clamp01(y/g.Dy() - float64(cy))
+	fz := Clamp01(z/g.Dz() - float64(cz))
+	return Interp3{CX: cx, CY: cy, CZ: cz, W: CIC3(fx, fy, fz)}
+}
+
+// CIC3 returns the trilinear weights of a cell's eight vertices, in
+// VertexOffsets3 order, for in-cell fractions (fx, fy, fz).
+func CIC3(fx, fy, fz float64) [8]float64 {
 	wx0, wy0, wz0 := 1-fx, 1-fy, 1-fz
-	return Interp3{
-		CX: cx,
-		CY: cy,
-		CZ: cz,
-		W: [8]float64{
-			wx0 * wy0 * wz0,
-			fx * wy0 * wz0,
-			wx0 * fy * wz0,
-			fx * fy * wz0,
-			wx0 * wy0 * fz,
-			fx * wy0 * fz,
-			wx0 * fy * fz,
-			fx * fy * fz,
-		},
+	return [8]float64{
+		wx0 * wy0 * wz0,
+		fx * wy0 * wz0,
+		wx0 * fy * wz0,
+		fx * fy * wz0,
+		wx0 * wy0 * fz,
+		fx * wy0 * fz,
+		wx0 * fy * fz,
+		fx * fy * fz,
 	}
 }
 
-// Move3 advances the position of particle i of s by dt using its current
-// momentum, wrapping periodically on grid g.
-func Move3(s *particle.Store, i int, g mesh3.Grid, dt float64) {
-	gamma := s.Gamma(i)
-	x := s.X[i] + s.Px[i]/gamma*dt
-	y := s.Y[i] + s.Py[i]/gamma*dt
-	z := s.Z[i] + s.Pz[i]/gamma*dt
-	s.X[i], s.Y[i], s.Z[i] = g.WrapPosition(x, y, z)
+// MoveRange3 advances the positions of particles [lo, hi) of s by dt using
+// their current momenta, wrapping periodically on grid g.
+func MoveRange3(s *particle.Store, lo, hi int, g mesh3.Grid, dt float64) {
+	for i := lo; i < hi; i++ {
+		gamma := s.Gamma(i)
+		x := s.X[i] + s.Px[i]/gamma*dt
+		y := s.Y[i] + s.Py[i]/gamma*dt
+		z := s.Z[i] + s.Pz[i]/gamma*dt
+		s.X[i], s.Y[i], s.Z[i] = g.WrapPosition(x, y, z)
+	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Full CI gate: vet, build, the one-body grep audit, plain tests (root and
-# the benchmark module), race-enabled tests, the chaos soak
+# Full CI gate: vet, build, the one-body and kernel grep audits, plain tests
+# (root and the benchmark module), race-enabled tests, the chaos soak
 # (seeded fault plans through the Reliable stack, 2-D and 3-D), the
 # layout-strategy comparison (2-D and 3-D), the per-phase traffic
 # regression gate, the 2-D and 3-D golden pins, the
@@ -36,6 +36,24 @@ if [ "$passes" -gt 2 ]; then
     exit 1
 fi
 
+echo "== kernel audit (grep) =="
+# DESIGN.md "The geometry layer": the per-particle loops of the time step
+# live in internal/geom's range kernels. Non-test internal/pic walks a
+# Footprint vertex by vertex (Footprint + fields.Slot) in two places only —
+# the tiled scatter's generate pass and the cost ledger's observeCosts —
+# maps wire gids to slots in the two ghost receive/reply loops of
+# phases.go, and never moves one particle at a time.
+pic=$(ls internal/pic/*.go | grep -v _test.go)
+walks=$(cat $pic | grep -c '\.Footprint(' || true)
+slots=$(cat $pic | grep -c 'fields\.Slot(' || true)
+wire=$(grep -c 'fields\.Slot(' internal/pic/phases.go || true)
+if [ "$walks" -gt 2 ] || [ "$wire" -ne 2 ] || [ "$slots" -gt $((walks + wire)) ] || grep -n 'ge\.Move(' $pic; then
+    echo "per-particle geometry calls in internal/pic: $walks Footprint walks (want <= 2)," \
+        "$slots fields.Slot calls (want 2 in phases.go plus one per walk)"
+    grep -n '\.Footprint(\|fields\.Slot(' $pic
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
@@ -55,7 +73,7 @@ echo "== go test -race, shared-memory workers =="
 # interleave, PICPAR_PROCS=3 routes every zero-Workers config through the
 # pool, and the radix/pool property tests re-run in race mode.
 GOMAXPROCS=4 PICPAR_PROCS=3 go test -race -timeout 30m -count=1 \
-    ./internal/par/ ./internal/radix/ ./internal/field/ ./internal/psort/ ./internal/pic/
+    ./internal/par/ ./internal/radix/ ./internal/field/ ./internal/geom/ ./internal/psort/ ./internal/pic/
 
 echo "== chaos soak (2-D and 3-D) =="
 go test -count=1 -run 'TestChaos' ./internal/comm/ ./internal/pic/
