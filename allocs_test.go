@@ -1,0 +1,140 @@
+// Steady-state allocation pins: LocalSort (2-D and 3-D stores) allocates
+// nothing once its pooled scratch is warm, and a whole simulation's
+// per-iteration allocation count does not grow with the worker count.
+package picpar_test
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"picpar"
+	"picpar/internal/comm"
+	"picpar/internal/commtest"
+	"picpar/internal/machine"
+	"picpar/internal/particle"
+	"picpar/internal/psort"
+	"picpar/internal/raceflag"
+)
+
+// unsortedStore builds n particles with random integral SFC-like keys and
+// shuffled unique ids — the population shape LocalSort sees in production.
+func unsortedStore(rng *rand.Rand, n int) *particle.Store {
+	s := particle.NewStore(n, -1, 1)
+	perm := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		s.Append(0, 0, 0, 0, 0, float64(perm[i]))
+		s.Key[i] = float64(rng.Intn(1 << 20))
+	}
+	return s
+}
+
+// TestLocalSortSteadyStateAllocs pins LocalSort's steady-state allocation
+// count at zero: after one warm-up call primes the pooled sorter scratch,
+// re-sorting a shuffled population must not allocate.
+func TestLocalSortSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	commtest.Launch(1, machine.Zero(), func(r comm.Transport) {
+		rng := rand.New(rand.NewSource(7))
+		ref := unsortedStore(rng, 4096)
+		s := ref.Clone()
+		psort.LocalSort(r, s, nil) // warm the sorter pool
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(s.Key, ref.Key)
+			copy(s.ID, ref.ID)
+			psort.LocalSort(r, s, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("LocalSort steady state: %v allocs/op, want 0", allocs)
+		}
+	})
+}
+
+// unsortedStore3 is unsortedStore with a z axis: the 3-D population shape,
+// exercising the wider store in the same sort paths.
+func unsortedStore3(rng *rand.Rand, n int) *particle.Store {
+	s := particle.NewStore3(n, -1, 1)
+	perm := rng.Perm(n)
+	for i := 0; i < n; i++ {
+		s.Append3(0, 0, 0, 0, 0, 0, float64(perm[i]))
+		s.Key[i] = float64(rng.Intn(1 << 20))
+	}
+	return s
+}
+
+// TestLocalSort3DSteadyStateAllocs pins the 3-D steady state at zero
+// allocations too: the optional z column must ride the same pooled scratch
+// as the 2-D hot path.
+func TestLocalSort3DSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	commtest.Launch(1, machine.Zero(), func(r comm.Transport) {
+		rng := rand.New(rand.NewSource(7))
+		ref := unsortedStore3(rng, 4096)
+		s := ref.Clone()
+		psort.LocalSort(r, s, nil) // warm the sorter pool
+		allocs := testing.AllocsPerRun(20, func() {
+			copy(s.Key, ref.Key)
+			copy(s.ID, ref.ID)
+			psort.LocalSort(r, s, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("3-D LocalSort steady state: %v allocs/op, want 0", allocs)
+		}
+	})
+}
+
+// simAllocsPerIter measures the marginal heap allocations of one PIC
+// iteration at the given worker count: two runs differing only in iteration
+// count, so setup (stores, pools, first-touch bucket growth) cancels out.
+func simAllocsPerIter(t *testing.T, workers int) float64 {
+	t.Helper()
+	run := func(iters int) uint64 {
+		cfg := picpar.Config{
+			Grid:         picpar.NewGrid(32, 16),
+			P:            2,
+			NumParticles: 1024,
+			Distribution: picpar.DistIrregular,
+			Seed:         3,
+			Iterations:   iters,
+			Policy:       picpar.StaticPolicy(),
+			Workers:      workers,
+		}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := picpar.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	run(4) // warm the shared pools (wire buffers, sorters)
+	short, long := run(4), run(28)
+	if long < short {
+		return 0
+	}
+	return float64(long-short) / 24
+}
+
+// TestSimulationSteadyStateAllocsWorkers pins the shared-memory layer's
+// steady-state allocation discipline at the whole-simulation level: a
+// 4-worker run must not allocate meaningfully more per iteration than the
+// sequential run. The pool's goroutines are parked once at rank startup and
+// its range tasks live in the rank state, so the marginal cost of an
+// iteration is worker-count-independent.
+func TestSimulationSteadyStateAllocsWorkers(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	seq := simAllocsPerIter(t, 1)
+	par4 := simAllocsPerIter(t, 4)
+	// Generous absolute slack: world-level bookkeeping (timer wheels, GC
+	// noise) wobbles by a few allocations per iteration in both modes.
+	if par4 > seq+32 {
+		t.Errorf("workers=4 allocates %.1f/iter, sequential %.1f/iter — parallel layer leaks per-iteration allocations", par4, seq)
+	}
+}

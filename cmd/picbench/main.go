@@ -12,18 +12,16 @@
 // table2 (also covers figs 21–22 and table3), ablation, baseline, nd,
 // strategy (layout-strategy comparison on the skewed spike workload), all.
 //
-// With -bench, picbench instead runs the wall-clock perf-regression
-// harness: the hot-path benchmarks (with allocation counts) are executed
-// via `go test -bench`, the results written to
-// <bench-dir>/BENCH_<date>.json, and compared against the most recent
-// previous snapshot; ns/op slowdowns beyond -bench-tol or any allocs/op
-// growth exit non-zero. See README.md for the JSON schema.
+// Wall-clock performance is not measured here: benchmark/ is the repo's
+// one wall-clock harness (see benchmark/README.md).
 //
 // With -traffic, picbench runs the per-phase traffic-regression gate: a
-// fixed reference simulation is traced through comm.Tracer, its per-phase
-// message/byte totals written to <bench-dir>/TRAFFIC_<date>.json, and any
-// increase over the previous snapshot exits non-zero — the simulated
-// transport is deterministic, so the comparison tolerates zero inflation.
+// fixed reference simulation is traced through comm.Tracer and its
+// per-phase message/byte totals compared against the most recent
+// <bench-dir>/TRAFFIC_<date>.json; any increase exits non-zero — the
+// simulated transport is deterministic, so the comparison tolerates zero
+// inflation. A new snapshot is written only when there is no baseline yet,
+// or when the gate passes and the totals changed.
 // The gate also measures the per-topology socket matrix over real loopback
 // TCP assemblies (full-mesh, neighbor-sparse, systolic-ring, ring at P=8
 // and P=16) and fails unless a sparse topology opens strictly fewer
@@ -51,34 +49,13 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id: table1|fig16|fig17|fig20|table2|ablation|baseline|nd|strategy|all")
 	full := flag.Bool("full", false, "use the paper's full problem sizes (slow)")
 	csvDir := flag.String("csv", "", "directory to write <exp>.csv files into (created if absent)")
-	bench := flag.Bool("bench", false, "run the perf-regression harness instead of the experiments")
 	traffic := flag.Bool("traffic", false, "run the per-phase traffic-regression gate instead of the experiments")
-	cpu := flag.String("cpu", "", "comma-separated worker counts (e.g. 1,2,4): run the intra-rank scaling sweep and record particles/sec into the bench trajectory")
-	benchDir := flag.String("bench-dir", "bench", "directory for BENCH_<date>.json snapshots")
-	benchPattern := flag.String("bench-pattern",
-		"BenchmarkLocalSort|BenchmarkSampleSort|BenchmarkIncrementalRedistribute|BenchmarkSimulationIteration",
-		"go test -bench regexp for the hot-path benchmarks")
-	benchTime := flag.String("benchtime", "1s", "go test -benchtime value (e.g. 1s, 100x)")
-	benchTol := flag.Float64("bench-tol", 0.3, "relative ns/op slowdown tolerated before flagging a regression")
+	benchDir := flag.String("bench-dir", "bench", "directory for TRAFFIC_<date>.json snapshots")
 	requireBaseline := flag.Bool("require-baseline", false, "with -traffic: fail if no previous TRAFFIC_*.json baseline exists (CI form)")
 	flag.Parse()
 
-	if *bench {
-		if err := runBench(*benchDir, *benchPattern, *benchTime, *benchTol); err != nil {
-			fmt.Fprintf(os.Stderr, "picbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *traffic {
 		if err := runTraffic(*benchDir, *requireBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "picbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cpu != "" {
-		if err := runCPUSweep(*benchDir, *cpu, *full); err != nil {
 			fmt.Fprintf(os.Stderr, "picbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,8 +23,8 @@ import (
 
 // trafficSnapshot is the on-disk schema of a TRAFFIC_<date>.json file: the
 // per-phase message/byte totals of one deterministic traced reference
-// simulation. Unlike the wall-clock bench snapshots, these numbers carry no
-// noise at all — the simulated transport is fully deterministic — so the
+// simulation. Unlike wall-clock measurements these numbers carry no noise
+// at all — the simulated transport is fully deterministic — so the
 // comparison tolerates zero inflation.
 type trafficSnapshot struct {
 	Schema    string              `json:"schema"` // always "picpar-traffic/v1"
@@ -99,14 +100,17 @@ func trafficReferenceConfig() (pic.Config, trafficConfig) {
 	return cfg, meta
 }
 
-// runTraffic runs the traced reference simulation, writes
-// TRAFFIC_<date>.json into dir, and fails on any per-phase message or byte
-// increase over the most recent previous snapshot. It additionally measures
-// the per-topology socket matrix over real loopback TCP assemblies and
-// fails unless at least one sparse topology opened strictly fewer sockets
-// than the full mesh at P ≥ 8 — the O(P²) → O(P·k) claim, gated. With
-// requireBaseline, the absence of a previous snapshot is itself an error
-// (CI runs this form, so a deleted baseline cannot silently pass).
+// runTraffic runs the traced reference simulation and fails on any
+// per-phase message or byte increase over the most recent previous
+// snapshot in dir. It writes TRAFFIC_<date>.json only when there is no
+// baseline yet, or when the gate passes and the totals differ from the
+// baseline (they fell, or the reference config changed). It additionally
+// measures the per-topology socket matrix over real loopback TCP
+// assemblies and fails unless at least one sparse topology opened strictly
+// fewer sockets than the full mesh at P ≥ 8 — the O(P²) → O(P·k) claim,
+// gated. With requireBaseline, the absence of a previous snapshot is
+// itself an error (CI runs this form, so a deleted baseline cannot
+// silently pass).
 func runTraffic(dir string, requireBaseline bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -116,7 +120,7 @@ func runTraffic(dir string, requireBaseline bool) error {
 		return err
 	}
 	if prev == nil && requireBaseline {
-		return fmt.Errorf("no TRAFFIC_*.json baseline in %s; run scripts/bench.sh (or picbench -traffic) and commit the snapshot", dir)
+		return fmt.Errorf("no TRAFFIC_*.json baseline in %s; run picbench -traffic without -require-baseline and commit the snapshot", dir)
 	}
 
 	cfg, meta := trafficReferenceConfig()
@@ -151,6 +155,23 @@ func runTraffic(dir string, requireBaseline bool) error {
 			e.Topology, e.P, e.Links, e.Sockets, e.MsgsSent)
 	}
 
+	if gateErr != nil {
+		return gateErr
+	}
+	if prev == nil {
+		fmt.Println("picbench: no previous traffic snapshot; this run becomes the baseline")
+	} else {
+		// A failing run must not leave its numbers behind: the newest
+		// snapshot is the next run's baseline, so writing first would let
+		// the same inflation pass on a second try.
+		if err := compareTraffic(prev, snap, prevPath); err != nil {
+			return err
+		}
+		if sameTraffic(prev, snap) {
+			fmt.Println("picbench: traffic identical to the baseline; no new snapshot")
+			return nil
+		}
+	}
 	path := filepath.Join(dir, "TRAFFIC_"+snap.Date+".json")
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
@@ -160,18 +181,13 @@ func runTraffic(dir string, requireBaseline bool) error {
 		return err
 	}
 	fmt.Printf("picbench: traffic snapshot written to %s\n", path)
+	return nil
+}
 
-	if gateErr != nil {
-		return gateErr
-	}
-	if prev == nil {
-		fmt.Println("picbench: no previous traffic snapshot to compare against")
-		return nil
-	}
-	if prevPath == path {
-		fmt.Println("picbench: comparing against the overwritten same-day snapshot")
-	}
-	return compareTraffic(prev, snap, prevPath)
+// sameTraffic reports whether two snapshots record the same reference run
+// and the same totals; the date and toolchain stamps are not compared.
+func sameTraffic(a, b *trafficSnapshot) bool {
+	return a.Config == b.Config && slices.Equal(a.Phases, b.Phases) && slices.Equal(a.Topologies, b.Topologies)
 }
 
 // measureTopologies builds the per-topology socket/message matrix at P=8

@@ -1,7 +1,7 @@
 // Package par is the intra-rank shared-memory parallelism layer: a sized
 // pool of pre-spawned worker goroutines executing static contiguous range
 // splits of a loop. It is the substrate behind the parallel physics kernels
-// (scatter, gather/push, Maxwell sweep, radix sort) and is designed around
+// (gather/push, move, Maxwell sweep, radix sort) and is designed around
 // two hard constraints those kernels inherit from the golden pins:
 //
 //   - Determinism: Split is a pure function of (n, workers, w), so the

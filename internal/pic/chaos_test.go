@@ -112,6 +112,26 @@ func TestChaosSimByteIdenticalUnderReliable(t *testing.T) {
 	}
 }
 
+// TestChaosFaultFreeReliableRecoversNothing: on a fault-free transport a
+// whole simulation under the Reliable layer reproduces the bare run's
+// physics and never fires recovery. The comm-level
+// TestReliableFaultFreeTransparent covers the collectives one by one; this
+// covers the pipeline's real message mix (tagged gather replies,
+// redistribution all-to-many) end to end.
+func TestChaosFaultFreeReliableRecoversNothing(t *testing.T) {
+	clean := runFingerprinted(t, chaosBase())
+	rel := comm.NewReliable(comm.ReliableConfig{})
+	cfg := chaosBase()
+	cfg.Transport = rel.Wrap
+	res := runFingerprinted(t, cfg)
+	if !equalFingerprints(fingerprint(res), fingerprint(clean)) {
+		t.Error("fault-free Reliable run diverged from the bare run")
+	}
+	if s := rel.Stats(); s != (comm.RecoveryStats{}) {
+		t.Errorf("fault-free run exercised recovery: %+v", s)
+	}
+}
+
 // TestChaosSimFailsLoudlyWithoutReliable: the same perturbed simulation
 // without a reliability layer must abort with a diagnostic DeliveryError,
 // never hang (the armed watchdog converts a hang into a different panic and

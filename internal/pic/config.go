@@ -67,8 +67,9 @@ type Config struct {
 	// Physics is identical under every topology.
 	Topology string
 	// Workers is the number of shared-memory workers each rank spreads its
-	// physics kernels over (scatter deposition, gather/push, Maxwell sweeps,
-	// radix sorts). 0 means $PICPAR_PROCS, defaulting to 1 (sequential).
+	// physics kernels over (gather/push, move, Maxwell sweeps, radix sorts;
+	// the scatter deposit stays one sequential range kernel). 0 means
+	// $PICPAR_PROCS, defaulting to 1 (sequential).
 	// Results are bit-identical for every worker count: the parallel kernels
 	// reproduce the sequential accumulation order exactly, and the simulated
 	// machine.Clock charges never depend on Workers.

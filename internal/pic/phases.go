@@ -316,21 +316,12 @@ func (st *rankState) scatterPhase() {
 	st.table.Reset()
 	st.ghostVals = st.ghostVals[:0]
 
-	nv := st.ge.NumVertices()
-	tableCost := st.table.CostPerOp()
-	// The scatter alone keeps two algorithms, sharing no logic and chosen
-	// from the worker count: at one worker the tiled deposit would only add
-	// its bucket traffic to the direct one (partasks.go).
-	var offprocOps int
-	if st.workers > 1 {
-		offprocOps = st.depositTiled()
-	} else {
-		offprocOps = st.depositDirect()
-	}
-	// The δ charge never depends on Workers: the simulated machine has one
-	// compute stream per rank, so wall-clock parallelism must not move the
-	// modelled clock.
-	r.Compute(s.Len()*nv*pusher.ScatterWorkPerVertex + offprocOps*tableCost)
+	// One sequential range kernel at every worker count: a tiled parallel
+	// deposit measured slower than it at 2 and 4 workers (DESIGN.md,
+	// "Intra-rank shared-memory parallelism"). It returns the number of
+	// off-processor contributions for the δ charge.
+	offprocOps := st.ge.Deposit(s, 0, s.Len(), st.fields, st.table, &st.ghostVals)
+	r.Compute(s.Len()*st.ge.NumVertices()*pusher.ScatterWorkPerVertex + offprocOps*st.table.CostPerOp())
 
 	// Communication coalescing: one message per destination owner.
 	st.registry.Build(st.table, r.Rank(), r.Size(), st.ge.OwnerOfPoint)

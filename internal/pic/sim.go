@@ -259,39 +259,25 @@ type rankState struct {
 	// per-cell weights. Truncated, never freed, between synchronisations.
 	ledgerBuf, gW, gN, pw []float64
 
-	// Shared-memory parallelism (partasks.go): the rank's worker pool, the
-	// per-worker footprint scratch, and the tiled deposition buckets of the
-	// two-pass scatter, sized on its first use. The bucket lists are
-	// truncated, never freed, between iterations, so the steady state
-	// allocates nothing.
-	// tiles = parTiles·workers; bucket (w, t) lives at index w·tiles + t.
-	pool     *par.Pool
-	workers  int
-	tiles    int
-	fps      []workerScratch
-	depSlots [][]int32
-	depVals  [][]float64 // 4 floats per entry: Jx, Jy, Jz, Rho
-	ghostGid [][]int32
-	ghostVal [][]float64 // 4 floats per entry, parallel to ghostGid
-	genTask  scatterGenTask
-	redTask  scatterReduceTask
-	gpTask   gatherPushTask
-	mvTask   moveTask
+	// Shared-memory parallelism (partasks.go): the rank's worker pool and
+	// its two range tasks, plus observeCosts' padded footprint scratch.
+	pool   *par.Pool
+	gpTask gatherPushTask
+	mvTask moveTask
+	costFP workerScratch
 }
 
 func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 	pool := par.New(cfg.Workers)
 	defer pool.Close()
 	st := &rankState{
-		r:       r,
-		cfg:     cfg,
-		ge:      ge,
-		fields:  ge.NewFields(r.Rank(), pool),
-		inc:     psort.NewIncremental(psort.DefaultBuckets),
-		pol:     cfg.Policy(),
-		pool:    pool,
-		workers: pool.Workers(),
-		fps:     make([]workerScratch, pool.Workers()),
+		r:      r,
+		cfg:    cfg,
+		ge:     ge,
+		fields: ge.NewFields(r.Rank(), pool),
+		inc:    psort.NewIncremental(psort.DefaultBuckets),
+		pol:    cfg.Policy(),
+		pool:   pool,
 	}
 	st.inc.SetPool(pool)
 	st.armCrashHook()

@@ -38,7 +38,7 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 	nv := st.ge.NumVertices()
 	base := nv*(pusher.ScatterWorkPerVertex+pusher.GatherWorkPerVertex) + pusher.PushWorkPerParticle
 	offCost := st.table.CostPerOp() + ghostVertexWork
-	fp := &st.fps[0].fp
+	fp := &st.costFP.fp
 	for i := 0; i < s.Len(); i++ {
 		st.ge.Footprint(s, i, fp)
 		off := 0

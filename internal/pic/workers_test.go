@@ -8,8 +8,7 @@ import (
 
 // workerCounts is the determinism matrix: every count must reproduce the
 // sequential run byte for byte (non-divisor counts exercise uneven range
-// splits; 8 exceeds the reference rank's per-tile particle counts enough to
-// leave some buckets empty).
+// splits; 8 leaves some workers a short or empty share).
 var workerCounts = []int{2, 3, 8}
 
 // runFingerprinted runs cfg with per-iteration diagnostics so the
@@ -25,80 +24,74 @@ func runFingerprinted(t *testing.T, cfg Config) *Result {
 	return res
 }
 
-// TestWorkersGoldenByteIdentical2D: the pinned 2-D reference run is
-// byte-identical — simulated TotalTime and every energy record — for every
-// worker count. The parallel scatter's tiled reduction, the parallel radix
-// sort and the parallel Maxwell sweeps all replay the sequential
-// floating-point accumulation order exactly, and the modelled δ charges
-// never depend on Workers.
-func TestWorkersGoldenByteIdentical2D(t *testing.T) {
+// checkWorkersByteIdentical runs ref sequentially and at every worker
+// count in workerCounts and fails unless each run is byte-identical to the
+// sequential one — simulated TotalTime (plain and with diagnostics) and
+// every energy record. Returns the plain sequential TotalTime for the
+// caller's golden pin.
+func checkWorkersByteIdentical(t *testing.T, name string, ref Config) float64 {
+	t.Helper()
 	// The pin runs without diagnostics (energy exposure shifts the
 	// simulated clock); every worker count must hit it exactly.
-	plain, err := Run(base())
+	plain, err := Run(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const recorded = 1.1831223
-	if diff := plain.TotalTime - recorded; diff > 1e-7 || diff < -1e-7 {
-		t.Fatalf("sequential reference total %.12g, recorded %.7f", plain.TotalTime, recorded)
-	}
-	seq := runFingerprinted(t, base())
+	seq := runFingerprinted(t, ref)
 	want := fingerprint(seq)
 	for _, w := range workerCounts {
-		cfg := base()
+		cfg := ref
 		cfg.Workers = w
 		if res, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		} else if res.TotalTime != plain.TotalTime {
-			t.Errorf("workers=%d: TotalTime %.17g, sequential %.17g", w, res.TotalTime, plain.TotalTime)
+			t.Errorf("%s workers=%d: TotalTime %.17g, sequential %.17g", name, w, res.TotalTime, plain.TotalTime)
 		}
 		res := runFingerprinted(t, cfg)
 		if res.TotalTime != seq.TotalTime {
-			t.Errorf("workers=%d: diagnostic TotalTime %.17g, sequential %.17g", w, res.TotalTime, seq.TotalTime)
+			t.Errorf("%s workers=%d: diagnostic TotalTime %.17g, sequential %.17g", name, w, res.TotalTime, seq.TotalTime)
 		}
 		if !equalFingerprints(fingerprint(res), want) {
-			t.Errorf("workers=%d: physics diverged from the sequential run", w)
+			t.Errorf("%s workers=%d: physics diverged from the sequential run", name, w)
 		}
 	}
+	return plain.TotalTime
+}
+
+// TestWorkersGoldenByteIdentical2D: the pinned 2-D reference run, and the
+// same run on a single rank (no transport, so the pool's kernels are the
+// whole iteration), are byte-identical for every worker count. The pooled
+// gather/push and move split per-particle work, the parallel radix sort and
+// Maxwell sweeps replay the sequential floating-point accumulation order
+// exactly, and the modelled δ charges never depend on Workers.
+func TestWorkersGoldenByteIdentical2D(t *testing.T) {
+	const recorded = 1.1831223
+	if got := checkWorkersByteIdentical(t, "P=4", base()); got-recorded > 1e-7 || got-recorded < -1e-7 {
+		t.Errorf("sequential reference total %.12g, recorded %.7f", got, recorded)
+	}
+	single := base()
+	single.P = 1
+	checkWorkersByteIdentical(t, "P=1", single)
 }
 
 // TestWorkersGoldenByteIdentical3D is the 3-D pin of the same contract:
 // the trilinear footprint (8 vertices), the slab-parallel Maxwell sweeps
 // and the 3-D wire layout reproduce the sequential run exactly.
 func TestWorkersGoldenByteIdentical3D(t *testing.T) {
-	plain, err := Run(base3())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const recorded = 1.5221545
-	if diff := plain.TotalTime - recorded; diff > 1e-7 || diff < -1e-7 {
-		t.Fatalf("sequential 3-D reference total %.12g, recorded %.7f", plain.TotalTime, recorded)
+	if got := checkWorkersByteIdentical(t, "P=8", base3()); got-recorded > 1e-7 || got-recorded < -1e-7 {
+		t.Errorf("sequential 3-D reference total %.12g, recorded %.7f", got, recorded)
 	}
-	seq := runFingerprinted(t, base3())
-	want := fingerprint(seq)
-	for _, w := range workerCounts {
-		cfg := base3()
-		cfg.Workers = w
-		if res, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		} else if res.TotalTime != plain.TotalTime {
-			t.Errorf("workers=%d: TotalTime %.17g, sequential %.17g", w, res.TotalTime, plain.TotalTime)
-		}
-		res := runFingerprinted(t, cfg)
-		if res.TotalTime != seq.TotalTime {
-			t.Errorf("workers=%d: diagnostic TotalTime %.17g, sequential %.17g", w, res.TotalTime, seq.TotalTime)
-		}
-		if !equalFingerprints(fingerprint(res), want) {
-			t.Errorf("workers=%d: 3-D physics diverged from the sequential run", w)
-		}
-	}
+	single := base3()
+	single.P = 1
+	checkWorkersByteIdentical(t, "P=1", single)
 }
 
 // TestWorkersChaosByteIdentical: shared-memory parallelism composes with
 // the chaos stack — a Tracer∘Reliable∘Faulty run at workers=3 reproduces
 // the fault-free sequential physics exactly. The two determinism layers are
-// independent: recovery hides the network faults, the tiled reduction hides
-// the intra-rank concurrency.
+// independent: recovery hides the network faults, order-preserving range
+// splits hide the intra-rank concurrency.
 func TestWorkersChaosByteIdentical(t *testing.T) {
 	clean := runFingerprinted(t, chaosBase())
 	want := fingerprint(clean)
