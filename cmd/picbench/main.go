@@ -23,9 +23,9 @@
 // inflation. A new snapshot is written only when there is no baseline yet,
 // or when the gate passes and the totals changed.
 // The gate also measures the per-topology socket matrix over real loopback
-// TCP assemblies (full-mesh, neighbor-sparse, systolic-ring, ring at P=8
-// and P=16) and fails unless a sparse topology opens strictly fewer
-// sockets than the full mesh — the O(P²) → O(P·k) assembly claim. With
+// TCP assemblies (full-mesh and neighbor-sparse at P=8 and P=16) and fails
+// unless neighbor-sparse opens strictly fewer sockets than the full mesh —
+// the O(P²) → O(P·k) assembly claim. With
 // -require-baseline (the CI form) a missing baseline is itself an error.
 package main
 

@@ -62,10 +62,8 @@ type trafficPhaseEntry struct {
 // trafficTopologyEntry records one (topology, P) cell of the socket matrix:
 // the descriptor's link count, the live TCP connection count a real loopback
 // assembly of that topology opened (measured via comm.SocketCount, each
-// linked pair sharing one socket), and — for topologies the simulation runs
-// on — the traced total message count of the reference run. Sockets and
-// Links are 0 for the hierarchical transport, which is in-process and opens
-// no flat socket mesh.
+// linked pair sharing one socket), and the traced total message count of
+// the reference run under that topology.
 type trafficTopologyEntry struct {
 	Topology string `json:"topology"`
 	P        int    `json:"p"`
@@ -195,10 +193,10 @@ func sameTraffic(a, b *trafficSnapshot) bool {
 // asserted: a real loopback TCP world is assembled under each descriptor
 // and the live connections counted via comm.SocketCount, then checked
 // against the descriptor's link count. The returned error is the sparsity
-// gate: some sparse topology must open strictly fewer sockets than the
-// full mesh at P ≥ 8. (At P=8 the 4×2 stencil ∪ collective skeleton is
-// itself the full mesh — sparsity there comes from the ring descriptor;
-// at P=16 the neighbor-sparse stencil is genuinely sparser.)
+// gate: neighbor-sparse must never open more sockets than the full mesh,
+// and strictly fewer at some P ≥ 8. (It does at both: the 2×4 stencil ∪
+// collective skeleton leaves 24 of 28 pairs linked at P=8, 80 of 120 at
+// P=16.)
 func measureTopologies() ([]trafficTopologyEntry, error) {
 	var entries []trafficTopologyEntry
 	sawSparser := false
@@ -206,7 +204,7 @@ func measureTopologies() ([]trafficTopologyEntry, error) {
 		base, _ := trafficReferenceConfig()
 		base.P = p
 		fullSockets := 0
-		for _, topo := range []string{pic.TopologyFullMesh, pic.TopologyNeighborSparse, pic.TopologySystolicRing} {
+		for _, topo := range []string{pic.TopologyFullMesh, pic.TopologyNeighborSparse} {
 			cfg := base
 			cfg.Topology = topo
 			tp, err := pic.TopologyFor(cfg)
@@ -240,35 +238,6 @@ func measureTopologies() ([]trafficTopologyEntry, error) {
 				sawSparser = true
 			}
 		}
-		// The pure ring descriptor carries no simulation (the CIC stencil
-		// cannot ride it) but is the sparsest assembly the comm layer offers;
-		// it shows the socket reduction already at P=8.
-		ring := comm.NewRing(p)
-		ringSockets, err := measureSockets(ring, p)
-		if err != nil {
-			return entries, err
-		}
-		entries = append(entries, trafficTopologyEntry{
-			Topology: ring.Name(), P: p, Links: ring.NumLinks(), Sockets: ringSockets,
-		})
-		if ringSockets > fullSockets {
-			return entries, fmt.Errorf("ring at P=%d opened %d sockets, more than the full mesh's %d",
-				p, ringSockets, fullSockets)
-		}
-		if ringSockets < fullSockets {
-			sawSparser = true
-		}
-		// The hierarchical transport is in-process — no flat socket mesh to
-		// count — but its message totals belong in the matrix.
-		hcfg := base
-		hcfg.Topology = pic.TopologyHierarchical
-		hmsgs, err := traceMsgs(hcfg)
-		if err != nil {
-			return entries, err
-		}
-		entries = append(entries, trafficTopologyEntry{
-			Topology: pic.TopologyHierarchical, P: p, MsgsSent: hmsgs,
-		})
 	}
 	if !sawSparser {
 		return entries, fmt.Errorf("no sparse topology opened strictly fewer sockets than the full mesh at P >= 8")
@@ -375,10 +344,12 @@ func compareTraffic(prev, cur *trafficSnapshot, prevPath string) error {
 		prevTopo[fmt.Sprintf("%s/%d", e.Topology, e.P)] = e
 	}
 	for _, e := range cur.Topologies {
-		p, ok := prevTopo[fmt.Sprintf("%s/%d", e.Topology, e.P)]
+		key := fmt.Sprintf("%s/%d", e.Topology, e.P)
+		p, ok := prevTopo[key]
 		if !ok {
 			continue // new cell (or pre-topology baseline): nothing to compare
 		}
+		delete(prevTopo, key)
 		if e.Sockets > p.Sockets {
 			inflations = append(inflations,
 				fmt.Sprintf("%s P=%d sockets grew %d -> %d", e.Topology, e.P, p.Sockets, e.Sockets))
@@ -386,6 +357,14 @@ func compareTraffic(prev, cur *trafficSnapshot, prevPath string) error {
 		if e.MsgsSent > p.MsgsSent {
 			inflations = append(inflations,
 				fmt.Sprintf("%s P=%d msgs_sent grew %d -> %d", e.Topology, e.P, p.MsgsSent, e.MsgsSent))
+		}
+	}
+	// A baseline cell the run no longer measures is reported, not compared:
+	// dropping a topology is a deliberate change, but it must show.
+	for _, e := range prev.Topologies {
+		if _, dropped := prevTopo[fmt.Sprintf("%s/%d", e.Topology, e.P)]; dropped {
+			fmt.Printf("  topology %s P=%d dropped (baseline: %d sockets, %d msgs)\n",
+				e.Topology, e.P, e.Sockets, e.MsgsSent)
 		}
 	}
 	if len(inflations) > 0 {

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,5 +57,44 @@ func TestTrafficGateFailureLeavesNoBaseline(t *testing.T) {
 		if len(files) != 1 {
 			t.Fatalf("run %d left %d snapshots, want only the seeded baseline: %v", run, len(files), files)
 		}
+	}
+}
+
+// TestTrafficGateReportsDroppedCells: a baseline topology cell the current
+// run no longer measures passes the gate but is printed, so deleting a
+// topology shows in the gate's output instead of vanishing silently.
+func TestTrafficGateReportsDroppedCells(t *testing.T) {
+	cur, path, err := latestTrafficSnapshot(filepath.Join("..", "..", "bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur == nil {
+		t.Fatal("no committed TRAFFIC_*.json baseline in bench/")
+	}
+	prev := *cur
+	prev.Topologies = append(slices.Clone(cur.Topologies),
+		trafficTopologyEntry{Topology: "retired", P: 8, Links: 24, Sockets: 24, MsgsSent: 4364})
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = compareTraffic(&prev, cur, path)
+	os.Stdout = stdout
+	w.Close()
+	out, rerr := io.ReadAll(r)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil {
+		t.Fatalf("dropping a cell failed the gate: %v", err)
+	}
+	if want := "topology retired P=8 dropped (baseline: 24 sockets, 4364 msgs)"; !strings.Contains(string(out), want) {
+		t.Fatalf("gate output does not report the dropped cell %q:\n%s", want, out)
+	}
+	if n := strings.Count(string(out), "dropped"); n != 1 {
+		t.Fatalf("gate reported %d dropped cells, want 1:\n%s", n, out)
 	}
 }

@@ -73,7 +73,7 @@ func main() {
 	policyFlag := flag.String("policy", "dynamic", "redistribution policy: static|dynamic|periodic:<k>|adaptive|adaptive:<k>")
 	strategyFlag := flag.String("strategy", "", "layout strategy the policy's firings rebuild into: equal-count|cost-weighted|eulerian (default equal-count; ignored by -policy adaptive, which chooses per firing)")
 	table := flag.String("table", "direct", "duplicate-removal table: direct|hash")
-	topology := flag.String("topology", "", "communication topology: full-mesh (default)|neighbor-sparse|systolic-ring|hierarchical[:hosts] (hierarchical is in-process only)")
+	topology := flag.String("topology", "", "communication link set: full-mesh (default)|neighbor-sparse")
 	seed := flag.Int64("seed", 1, "random seed")
 	thermal := flag.Float64("thermal", 0.3, "thermal momentum spread (p/mc)")
 	modern := flag.Bool("modern", false, "use modern-cluster cost model instead of CM-5")
@@ -128,10 +128,6 @@ func main() {
 	cfg, err := spec.Config()
 	if err != nil {
 		fatal(err)
-	}
-
-	if *netAddr != "" && strings.HasPrefix(*topology, "hierarchical") {
-		fatal(fmt.Errorf("picsim: -topology hierarchical runs on the in-process backend; drop -net or pick a flat topology"))
 	}
 
 	var res *picpar.Result

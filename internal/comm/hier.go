@@ -25,6 +25,11 @@
 // panicking closes the host's dead channel; every blocked operation on
 // that host then fails with a *DeliveryError, mirroring the flat backends'
 // fail-fast story.
+//
+// No product path launches this backend: it runs only inside one process,
+// where the goroutine World is 5–100× faster on every message-path probe.
+// It stays only because benchmark/probes.go pins LaunchHierarchical until
+// the benchmark's next revision (ROADMAP 3(c)).
 
 package comm
 

@@ -29,7 +29,6 @@ import (
 // Topology names, as reported by Topology.Name and used in diagnostics.
 const (
 	TopologyFullMesh       = "full-mesh"
-	TopologyRing           = "ring"
 	TopologyNeighborSparse = "neighbor-sparse"
 )
 
@@ -119,14 +118,6 @@ func NewFullMesh(p int) *Topology {
 	return newTopology(TopologyFullMesh, p, conn)
 }
 
-// NewRing describes the ring topology: links at ±1, unioned with the
-// collective skeleton. This is the data plane of the systolic exchange —
-// bulk payloads pulse around the ±1 links while the collectives keep their
-// skeleton schedules.
-func NewRing(p int) *Topology {
-	return newTopology(TopologyRing, p, make([]bool, p*p))
-}
-
 // NewNeighborSparse describes the stencil topology: ranks a and b are
 // linked iff adjacent(a, b) (the geometry's AdjacentRanks predicate — the
 // CIC footprint and halo stencil only ever touch adjacent partitions),
@@ -145,7 +136,7 @@ func NewNeighborSparse(p int, adjacent func(a, b int) bool) *Topology {
 	return newTopology(TopologyNeighborSparse, p, conn)
 }
 
-// Name returns the descriptor's name ("full-mesh", "ring", …).
+// Name returns the descriptor's name ("full-mesh" or "neighbor-sparse").
 func (tp *Topology) Name() string { return tp.name }
 
 // Size returns the world size the descriptor was built for.

@@ -58,13 +58,13 @@ type Config struct {
 	// Table selects the duplicate-removal structure (commopt.TableDirect
 	// or TableHash); default direct.
 	Table string
-	// Topology selects the communication topology (see topology.go): ""
-	// or "full-mesh" (the classic any-to-any world), "neighbor-sparse"
+	// Topology names the communication link set (see topology.go): "" or
+	// "full-mesh" (the classic any-to-any world) or "neighbor-sparse"
 	// (links only between spatially adjacent ranks plus the collective
-	// skeleton), "systolic-ring" (ring links; exchanges pulse around the
-	// ring in P−1 deterministic steps), or "hierarchical[:H]" (ranks
-	// grouped onto H hosts, one gateway per host; goroutine backend only).
-	// Physics is identical under every topology.
+	// skeleton; far payloads ride a systolic relay). Charge and particle
+	// count are conserved under both; simulated times differ whenever the
+	// relay fires, and so does the final state when the layout reads the
+	// simulated clock (cost-weighted).
 	Topology string
 	// Workers is the number of shared-memory workers each rank spreads its
 	// physics kernels over (gather/push, move, Maxwell sweeps, radix sorts;
@@ -276,7 +276,7 @@ func (c Config) validate() error {
 	if _, err := commopt.NewTable(c.Table, 1, 1); err != nil {
 		return err
 	}
-	if _, _, err := parseTopology(c.Topology, c.P); err != nil {
+	if _, err := parseTopology(c.Topology); err != nil {
 		return err
 	}
 	if c.CheckpointEvery < 0 {

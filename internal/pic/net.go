@@ -6,8 +6,6 @@
 package pic
 
 import (
-	"fmt"
-
 	"picpar/internal/comm"
 	"picpar/internal/machine"
 )
@@ -25,19 +23,11 @@ func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Topology: hierarchical replaces the transport itself and only exists
-	// in-process (pic.Run); the flat topologies become the descriptor the
-	// TCP backend assembles its socket mesh from — sparse topologies dial
-	// O(P·k) sockets instead of O(P²), and the rendezvous pins the
-	// descriptor digest so mismatched ranks are rejected at assembly.
-	kind, _, perr := parseTopology(cfg.Topology, cfg.P)
-	if perr != nil {
-		return nil, perr
-	}
-	if kind == TopologyHierarchical {
-		return nil, fmt.Errorf("pic: the %s topology runs on the in-process hierarchical backend (pic.Run); the TCP backend takes flat topologies only", TopologyHierarchical)
-	}
-	if ncfg.Topology == nil && kind != TopologyFullMesh {
+	// Topology: neighbor-sparse becomes the descriptor the TCP backend
+	// assembles its socket mesh from — O(P·k) sockets instead of O(P²) —
+	// and the rendezvous pins the descriptor digest so mismatched ranks are
+	// rejected at assembly. The full mesh installs no descriptor.
+	if ncfg.Topology == nil && cfg.Topology == TopologyNeighborSparse {
 		tp, terr := TopologyFor(cfg)
 		if terr != nil {
 			return nil, terr

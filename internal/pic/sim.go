@@ -52,19 +52,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{Config: cfg, Records: make([]IterationRecord, cfg.Iterations)}
-	if pl.kind == TopologyHierarchical {
-		// The hierarchical transport replaces the goroutine world: ranks on
-		// the same host exchange over in-process channels, hosts over one
-		// TCP gateway each. Charges are identical, so all goldens hold.
-		ws, herr := comm.LaunchHierarchical(cfg.P, pl.hosts, cfg.Machine, cfg.Watchdog, cfg.Transport, func(r comm.Transport) {
-			runRank(r, cfg, ge, res)
-		})
-		if herr != nil {
-			return nil, herr
-		}
-		res.finalize(cfg.P, ws)
-		return res, nil
-	}
 	w := comm.NewWorld(cfg.P, cfg.Machine)
 	if pl.topo != nil {
 		// Enforce the sparse link set in-process: any send outside it

@@ -8,17 +8,14 @@ import (
 	"picpar/internal/policy"
 )
 
-// allTopologies are the Config.Topology values the golden matrix covers on
-// the goroutine backend (hierarchical included — it has no flat TCP form).
-var allTopologies = []string{
-	"", TopologyFullMesh, TopologyNeighborSparse, TopologySystolicRing,
-	TopologyHierarchical, TopologyHierarchical + ":2",
-}
+// allTopologies are every Config.Topology spelling Run accepts.
+var allTopologies = []string{"", TopologyFullMesh, TopologyNeighborSparse}
 
-// TestGoldenAcrossTopologies2D pins that the communication topology is
-// invisible to the physics and the simulated clock: every topology
-// reproduces the recorded 2-D golden TotalTime and the byte-exact final
-// state fingerprint of the default full-mesh run.
+// TestGoldenAcrossTopologies2D: the golden run is static, so its timed loop
+// never needs the systolic relay, and every topology reproduces the
+// recorded 2-D golden TotalTime and the byte-exact final state fingerprint
+// of the default full-mesh run. (Runs that do need the relay charge more
+// simulated time; see TestRedistributionSparseStencilP8.)
 func TestGoldenAcrossTopologies2D(t *testing.T) {
 	const recorded = 1.1831223
 	var wantFP uint64
@@ -43,8 +40,8 @@ func TestGoldenAcrossTopologies2D(t *testing.T) {
 }
 
 // TestGoldenAcrossTopologies3D is the 3-D golden matrix (P=8, where the
-// neighbor-sparse and ring descriptors are genuinely sparser than the
-// mesh's skeleton at P=4 would be).
+// neighbor-sparse descriptor is genuinely sparser than the mesh's skeleton
+// at P=4 would be).
 func TestGoldenAcrossTopologies3D(t *testing.T) {
 	const recorded = 1.5221545
 	var wantFP uint64
@@ -68,12 +65,11 @@ func TestGoldenAcrossTopologies3D(t *testing.T) {
 	}
 }
 
-// TestRedistributionAcrossTopologies exercises the steady-state dataEx
-// protocols (neighbor-only, systolic) in the timed loop: a periodic policy
-// redistributes every 3 iterations, and the final physics fingerprint must
-// match the full-mesh run under every topology. Simulated times may differ
-// here — the protocols have different message schedules — but the particle
-// population may not.
+// TestRedistributionAcrossTopologies exercises the steady-state sparse
+// dataEx protocol in the timed loop: a periodic policy redistributes every
+// 3 iterations, and the final physics fingerprint must match the full-mesh
+// run under every topology. At P=4 the skeleton links every pair, so the
+// relay never fires; P=8 is TestRedistributionSparseStencilP8's job.
 func TestRedistributionAcrossTopologies(t *testing.T) {
 	run := func(topo string) *Result {
 		cfg := base()
@@ -103,22 +99,29 @@ func TestRedistributionAcrossTopologies(t *testing.T) {
 // TestRedistributionSparseStencilP8 is the regression test for the far-
 // traffic relay: at P=8 on the 2-D grid the 2×4 processor arrangement is
 // genuinely sparse (ranks two rows apart own no link), and the periodic
-// cost-weighted repartition decouples the particle partition from the mesh
-// blocks, so scatter/gather and redistribution all carry payloads between
-// unlinked ranks. Those payloads must ride the systolic relay — and the
-// physics must still match the full mesh bit for bit.
+// repartition decouples the particle partition from the mesh blocks, so
+// scatter/gather and redistribution all carry payloads between unlinked
+// ranks. Those payloads must ride the systolic relay. Under the equal-count
+// strategy the physics must still match the full mesh bit for bit. Under
+// the cost-weighted strategy the layout reads the simulated clock, which
+// the relay's extra messages move, so only the invariants are asserted:
+// Verify's per-iteration charge and particle-count checks, at least one
+// redistribution, and the final count.
 func TestRedistributionSparseStencilP8(t *testing.T) {
-	run := func(topo string) *Result {
+	run := func(topo string, pol policy.Factory) *Result {
 		cfg := base()
 		cfg.P = 8
 		cfg.Topology = topo
-		cfg.Policy = policy.NewPeriodic(3)
-		res, err := Run(cfg)
+		cfg.Policy = pol
+		res, err := Run(cfg) // base() sets Verify: a charge or count drift fails here
 		if err != nil {
 			t.Fatalf("topology %q: %v", topo, err)
 		}
 		if res.NumRedistributions == 0 {
 			t.Fatalf("topology %q: periodic policy never redistributed", topo)
+		}
+		if res.FinalParticleCount != cfg.NumParticles {
+			t.Fatalf("topology %q: %d particles, want %d", topo, res.FinalParticleCount, cfg.NumParticles)
 		}
 		return res
 	}
@@ -134,20 +137,17 @@ func TestRedistributionSparseStencilP8(t *testing.T) {
 	if tp.IsFullMesh() {
 		t.Fatal("P=8 2-D neighbor-sparse descriptor is a full mesh; the far-traffic path is not exercised")
 	}
-	want := run("")
-	for _, topo := range []string{TopologyNeighborSparse, TopologySystolicRing, TopologyHierarchical} {
-		res := run(topo)
-		if res.Fingerprint != want.Fingerprint {
-			t.Errorf("topology %q: fingerprint %016x, full mesh %016x", topo, res.Fingerprint, want.Fingerprint)
-		}
-		if res.FinalParticleCount != want.FinalParticleCount {
-			t.Errorf("topology %q: %d particles, want %d", topo, res.FinalParticleCount, want.FinalParticleCount)
-		}
+	equal := policy.NewPeriodic(3)
+	want := run("", equal)
+	if res := run(TopologyNeighborSparse, equal); res.Fingerprint != want.Fingerprint {
+		t.Errorf("equal-count: fingerprint %016x, full mesh %016x", res.Fingerprint, want.Fingerprint)
 	}
+	weighted := policy.WithStrategy(policy.NewPeriodic(3), policy.CostWeighted)
+	run(TopologyNeighborSparse, weighted)
 }
 
 // TestEulerianAcrossTopologies runs the per-iteration migration mode under
-// each flat topology: migrations move particles one cell at most, so the
+// each topology: migrations move particles one cell at most, so the
 // neighbor-only protocol must carry them and the physics must agree.
 func TestEulerianAcrossTopologies(t *testing.T) {
 	run := func(topo string) *Result {
@@ -170,10 +170,10 @@ func TestEulerianAcrossTopologies(t *testing.T) {
 }
 
 // TestChaosAcrossTopologies is the chaos soak over every topology: the
-// Tracer∘Reliable∘Faulty stack wraps each rank's transport unchanged —
-// hierarchical gateways included — and the physics fingerprint must match
-// the unperturbed run of the same topology, since every injected fault is
-// recovered below the protocol layer.
+// Tracer∘Reliable∘Faulty stack wraps each rank's transport unchanged, and
+// the physics fingerprint must match the unperturbed run of the same
+// topology, since every injected fault is recovered below the protocol
+// layer.
 func TestChaosAcrossTopologies(t *testing.T) {
 	plan := comm.FaultPlan{Seed: 0xD15EA5E, DropProb: 0.05, MaxDropAttempts: 3,
 		DupProb: 0.05, ReorderProb: 0.05}
@@ -210,75 +210,46 @@ func TestChaosAcrossTopologies(t *testing.T) {
 
 func TestParseTopology(t *testing.T) {
 	cases := []struct {
-		spec  string
-		kind  string
-		hosts int
-		ok    bool
+		spec string
+		kind string // "" when the spec must be rejected
 	}{
-		{"", TopologyFullMesh, 0, true},
-		{"full-mesh", TopologyFullMesh, 0, true},
-		{"neighbor-sparse", TopologyNeighborSparse, 0, true},
-		{"systolic-ring", TopologySystolicRing, 0, true},
-		{"hierarchical", TopologyHierarchical, 2, true}, // auto: largest divisor of 8 ≤ √8
-		{"hierarchical:4", TopologyHierarchical, 4, true},
-		{"hierarchical:3", "", 0, false}, // 3 does not divide 8
-		{"hierarchical:0", "", 0, false},
-		{"hierarchical:x", "", 0, false},
-		{"torus", "", 0, false},
+		{"", TopologyFullMesh},
+		{"full-mesh", TopologyFullMesh},
+		{"neighbor-sparse", TopologyNeighborSparse},
+		{"systolic-ring", ""},  // deleted: neighbor-sparse's links, more messages
+		{"hierarchical", ""},   // deleted: the full mesh's messages, in-process only
+		{"hierarchical:2", ""}, // deleted with it
+		{"torus", ""},
 	}
 	for _, c := range cases {
-		kind, hosts, err := parseTopology(c.spec, 8)
-		if c.ok != (err == nil) {
-			t.Errorf("parseTopology(%q): err %v, want ok=%v", c.spec, err, c.ok)
+		kind, err := parseTopology(c.spec)
+		if (c.kind != "") != (err == nil) {
+			t.Errorf("parseTopology(%q): err %v, want ok=%v", c.spec, err, c.kind != "")
 			continue
 		}
-		if c.ok && (kind != c.kind || hosts != c.hosts) {
-			t.Errorf("parseTopology(%q) = (%s, %d), want (%s, %d)", c.spec, kind, hosts, c.kind, c.hosts)
+		if kind != c.kind {
+			t.Errorf("parseTopology(%q) = %q, want %q", c.spec, kind, c.kind)
 		}
 	}
 }
 
-func TestAutoHosts(t *testing.T) {
-	for _, c := range []struct{ p, want int }{
-		{1, 1}, {2, 1}, {4, 2}, {6, 2}, {8, 2}, {9, 3}, {12, 3}, {16, 4}, {7, 1},
-	} {
-		if got := autoHosts(c.p); got != c.want {
-			t.Errorf("autoHosts(%d) = %d, want %d", c.p, got, c.want)
-		}
-	}
-}
-
-// TestTopologyFor checks the exported descriptor builder: flat topologies
-// yield descriptors of the right size and sparsity, hierarchical is
-// rejected.
+// TestTopologyFor checks the exported descriptor builder: both spellings
+// yield descriptors of the right size and name, anything else is rejected.
 func TestTopologyFor(t *testing.T) {
 	cfg := base()
-	cfg.Topology = TopologyNeighborSparse
-	tp, err := TopologyFor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.Size() != cfg.P || tp.Name() != comm.TopologyNeighborSparse {
-		t.Fatalf("descriptor (%s, %d), want (%s, %d)", tp.Name(), tp.Size(), comm.TopologyNeighborSparse, cfg.P)
-	}
-	cfg.Topology = TopologyHierarchical
-	if _, err := TopologyFor(cfg); err == nil {
-		t.Fatal("TopologyFor accepted the hierarchical topology")
+	for _, topo := range []string{TopologyFullMesh, TopologyNeighborSparse} {
+		cfg.Topology = topo
+		tp, err := TopologyFor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Size() != cfg.P || tp.Name() != topo {
+			t.Fatalf("descriptor (%s, %d), want (%s, %d)", tp.Name(), tp.Size(), topo, cfg.P)
+		}
 	}
 	cfg.Topology = "nonsense"
 	if _, err := TopologyFor(cfg); err == nil {
 		t.Fatal("TopologyFor accepted an unknown topology")
-	}
-}
-
-// TestRunNetRejectsHierarchical pins the typed rejection without standing
-// up a TCP world.
-func TestRunNetRejectsHierarchical(t *testing.T) {
-	cfg := base()
-	cfg.Topology = TopologyHierarchical
-	_, err := RunNet(comm.NetConfig{Size: 4, Rank: 0}, cfg)
-	if err == nil {
-		t.Fatal("RunNet accepted the hierarchical topology")
 	}
 }
 
@@ -291,8 +262,6 @@ func TestValidateRejectsBadTopology(t *testing.T) {
 	if err == nil {
 		t.Fatal("Run accepted an unknown topology")
 	}
-	var target *comm.TopologyError
-	_ = target // the config error is not a TopologyError; just pin non-nil
 	if errors.Is(err, comm.ErrOutOfTopology) {
 		t.Fatal("config rejection should not be an out-of-topology send error")
 	}

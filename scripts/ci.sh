@@ -55,11 +55,13 @@ if [ "$walks" -gt 1 ] || [ "$wire" -ne 2 ] || [ "$slots" -gt $((walks + wire)) ]
 fi
 
 echo "== deleted-path audit (grep) =="
-# The tiled scatter and the second wall-clock harness (picbench -bench/-cpu,
-# bench/BENCH_*.json) are gone; benchmark/ is the one wall-clock harness.
-# Neither may come back in non-test Go or a script (this file excluded: it
-# holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_' \
+# The tiled scatter, the second wall-clock harness (picbench -bench/-cpu,
+# bench/BENCH_*.json) and the dominated topology spellings (systolic-ring,
+# pic-level hierarchical[:H], the bare ring descriptor) are gone; benchmark/
+# is the one wall-clock harness and Config.Topology names a link set. None
+# may come back in non-test Go or a script (this file excluded: it holds
+# the pattern).
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
