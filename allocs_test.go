@@ -1,9 +1,12 @@
 // Steady-state allocation pins: LocalSort (2-D and 3-D stores) allocates
-// nothing once its pooled scratch is warm, and a whole simulation's
-// per-iteration allocation count does not grow with the worker count.
+// nothing once its pooled scratch is warm, an incremental redistribution
+// sizes its stores once and then allocates O(P) objects per call, and a
+// whole simulation's per-iteration allocation count does not grow with the
+// worker count.
 package picpar_test
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -136,5 +139,75 @@ func TestSimulationSteadyStateAllocsWorkers(t *testing.T) {
 	// noise) wobbles by a few allocations per iteration in both modes.
 	if par4 > seq+32 {
 		t.Errorf("workers=4 allocates %.1f/iter, sequential %.1f/iter — parallel layer leaks per-iteration allocations", par4, seq)
+	}
+}
+
+// redistributeAllocs runs a P-rank world of n particles per rank through
+// warm incremental redistributions and returns, per rank, the bytes
+// allocated by the first warm calls together and the allocations per call
+// of the steady calls after them. Before each call every particle's key
+// drifts a little and one in a hundred jumps anywhere, so each call keeps
+// most particles in their bucket, reorders a few and ships some off-rank.
+func redistributeAllocs(p, n, warm, steady int) (warmBytes, steadyAllocs float64) {
+	const keySpace = 1 << 20
+	var m0, m1, m2 runtime.MemStats
+	commtest.Launch(p, machine.Zero(), func(r comm.Transport) {
+		rng := rand.New(rand.NewSource(int64(31 + r.Rank())))
+		s := particle.NewStore(n, -1, 1)
+		for i := 0; i < n; i++ {
+			s.Append(0, 0, 0, 0, 0, float64(r.Rank()*n+i))
+			s.Key[i] = float64(rng.Intn(keySpace))
+		}
+		s = psort.SampleSort(r, s)
+		inc := psort.NewIncremental(0)
+		inc.Prime(s)
+		drift := func(s *particle.Store) {
+			for i := range s.Key {
+				k := s.Key[i] + math.Round(rng.NormFloat64()*64)
+				if rng.Intn(100) == 0 {
+					k = float64(rng.Intn(keySpace))
+				}
+				s.Key[i] = math.Min(math.Max(k, 0), keySpace-1)
+			}
+		}
+		phase := func(m *runtime.MemStats, calls int) {
+			comm.Barrier(r)
+			if r.Rank() == 0 {
+				runtime.ReadMemStats(m)
+			}
+			comm.Barrier(r)
+			for c := 0; c < calls; c++ {
+				drift(s)
+				s, _ = inc.Redistribute(r, s)
+			}
+		}
+		phase(&m0, warm)
+		phase(&m1, steady)
+		phase(&m2, 0)
+	})
+	warmBytes = float64(m1.TotalAlloc-m0.TotalAlloc) / float64(p)
+	steadyAllocs = float64(m2.Mallocs-m1.Mallocs) / float64(p*steady)
+	return warmBytes, steadyAllocs
+}
+
+// TestRedistributeSizedOnceAllocs pins the incremental redistribution's
+// store discipline on a P=4 world. Warm-up: the first two calls on n
+// particles per rank allocate at most six stores' worth per rank — the
+// kept, merged and receive stores plus the two alternating output slots,
+// each sized once from the count it receives, with room for the bucket
+// lists and one regrowth — where stores grown by append pay several times
+// their final size. Steady state: a call allocates O(P) objects per rank
+// (message and collective bookkeeping), nothing per particle.
+func TestRedistributeSizedOnceAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	const p, n = 4, 1 << 14
+	warmBytes, steadyAllocs := redistributeAllocs(p, n, 2, 8)
+	if stores := warmBytes / (n * particle.WireBytes); stores > 6 {
+		t.Errorf("first two redistributions allocate %.1f stores' worth per rank (%.0f B), want <= 6", stores, warmBytes)
+	}
+	if steadyAllocs > 12*p+24 {
+		t.Errorf("steady redistribution allocates %.1f objects per call per rank, want O(P) <= %d", steadyAllocs, 12*p+24)
 	}
 }

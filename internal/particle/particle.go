@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // WireFloats is the number of float64 words one two-dimensional particle
@@ -116,7 +117,8 @@ func (s *Store) Append3(x, y, z, px, py, pz, id float64) {
 }
 
 // AppendFrom copies particle i of src (all fields, including the sort key)
-// onto the end of s.
+// onto the end of s. Hot paths copy in bulk with AppendRange or
+// AppendIndices instead.
 func (s *Store) AppendFrom(src *Store, i int) {
 	s.X = append(s.X, src.X[i])
 	s.Y = append(s.Y, src.Y[i])
@@ -128,6 +130,47 @@ func (s *Store) AppendFrom(src *Store, i int) {
 	s.Pz = append(s.Pz, src.Pz[i])
 	s.ID = append(s.ID, src.ID[i])
 	s.Key = append(s.Key, src.Key[i])
+}
+
+// eachColumn calls f on every column of s paired with the same column of
+// src, Z included for 3-D stores.
+func (s *Store) eachColumn(src *Store, f func(dst *[]float64, src []float64)) {
+	f(&s.X, src.X)
+	f(&s.Y, src.Y)
+	if s.Z != nil {
+		f(&s.Z, src.Z)
+	}
+	f(&s.Px, src.Px)
+	f(&s.Py, src.Py)
+	f(&s.Pz, src.Pz)
+	f(&s.ID, src.ID)
+	f(&s.Key, src.Key)
+}
+
+// Grow ensures room for n more particles, so the next n appended
+// particles reallocate no column (slices.Grow: an empty store grows to an
+// exact fit).
+func (s *Store) Grow(n int) {
+	s.eachColumn(s, func(d *[]float64, _ []float64) { *d = slices.Grow(*d, n) })
+}
+
+// AppendRange copies particles [lo, hi) of src onto the end of s, one bulk
+// copy per column.
+func (s *Store) AppendRange(src *Store, lo, hi int) {
+	s.eachColumn(src, func(d *[]float64, c []float64) { *d = append(*d, c[lo:hi]...) })
+}
+
+// AppendIndices copies the particles of src at the given indices, in that
+// order, onto the end of s: one gather per column, each grown once.
+func (s *Store) AppendIndices(src *Store, idx []int) {
+	s.eachColumn(src, func(d *[]float64, c []float64) {
+		n := len(*d)
+		out := slices.Grow(*d, len(idx))[:n+len(idx)]
+		for k, i := range idx {
+			out[n+k] = c[i]
+		}
+		*d = out
+	})
 }
 
 // Swap exchanges particles i and j (sort support).
@@ -241,31 +284,13 @@ func SwapContents(a, b *Store) {
 
 // Truncate shrinks the store to n particles.
 func (s *Store) Truncate(n int) {
-	s.X = s.X[:n]
-	s.Y = s.Y[:n]
-	if s.Z != nil {
-		s.Z = s.Z[:n]
-	}
-	s.Px = s.Px[:n]
-	s.Py = s.Py[:n]
-	s.Pz = s.Pz[:n]
-	s.ID = s.ID[:n]
-	s.Key = s.Key[:n]
+	s.eachColumn(s, func(d *[]float64, _ []float64) { *d = (*d)[:n] })
 }
 
 // Clone returns a deep copy.
 func (s *Store) Clone() *Store {
-	c := &Store{Charge: s.Charge, Mass: s.Mass}
-	c.X = append([]float64(nil), s.X...)
-	c.Y = append([]float64(nil), s.Y...)
-	if s.Z != nil {
-		c.Z = append(make([]float64, 0, len(s.Z)), s.Z...)
-	}
-	c.Px = append([]float64(nil), s.Px...)
-	c.Py = append([]float64(nil), s.Py...)
-	c.Pz = append([]float64(nil), s.Pz...)
-	c.ID = append([]float64(nil), s.ID...)
-	c.Key = append([]float64(nil), s.Key...)
+	c := s.NewLike(s.Len())
+	c.AppendRange(s, 0, s.Len())
 	return c
 }
 
@@ -307,6 +332,7 @@ func (s *Store) AppendWire(wire []float64) error {
 	if len(wire)%wf != 0 {
 		return fmt.Errorf("particle: wire length %d not a multiple of %d", len(wire), wf)
 	}
+	s.Grow(len(wire) / wf)
 	if s.Z != nil {
 		for i := 0; i < len(wire); i += wf {
 			s.X = append(s.X, wire[i])

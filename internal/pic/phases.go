@@ -242,9 +242,11 @@ func (st *rankState) migrate() {
 	if st.migrateIdx == nil {
 		st.migrateIdx = make([][]int, r.Size())
 	}
-	sendIdx := st.migrateIdx
-	for d := range sendIdx {
-		sendIdx[d] = sendIdx[d][:0]
+	// ownIdx[d] lists the particles rank d owns; this rank's own list is
+	// the kept set.
+	ownIdx := st.migrateIdx
+	for d := range ownIdx {
+		ownIdx[d] = ownIdx[d][:0]
 	}
 	// Ping-pong the kept store with the spare slot so each migration
 	// recycles the arrays freed by the previous one.
@@ -257,21 +259,18 @@ func (st *rankState) migrate() {
 	}
 	for i := 0; i < s.Len(); i++ {
 		owner := st.ge.OwnerOfParticle(s, i)
-		if owner == r.Rank() {
-			kept.AppendFrom(s, i)
-		} else {
-			sendIdx[owner] = append(sendIdx[owner], i)
-		}
+		ownIdx[owner] = append(ownIdx[owner], i)
 	}
+	kept.AppendIndices(s, ownIdx[r.Rank()])
 	r.Compute(s.Len() * 2)
 
 	wf := s.WireFloats()
 	send, counts := st.exchangeScratch()
 	for d := 0; d < r.Size(); d++ {
-		if len(sendIdx[d]) > 0 {
-			send[d] = s.MarshalIndices(wire.Get(len(sendIdx[d])*wf), sendIdx[d])
+		if d != r.Rank() && len(ownIdx[d]) > 0 {
+			send[d] = s.MarshalIndices(wire.Get(len(ownIdx[d])*wf), ownIdx[d])
 			counts[d] = len(send[d])
-			r.Compute(len(sendIdx[d]) * 7)
+			r.Compute(len(ownIdx[d]) * 7)
 		}
 	}
 	recv := st.dataEx.Exchange(r, send, counts)

@@ -525,9 +525,7 @@ func (st *rankState) dealChunks(global *particle.Store) {
 // rank's own store.
 func (st *rankState) keepChunk(global *particle.Store, lo, hi int) {
 	local := global.NewLike(hi - lo)
-	for i := lo; i < hi; i++ {
-		local.AppendFrom(global, i)
-	}
+	local.AppendRange(global, lo, hi)
 	st.store = local
 }
 

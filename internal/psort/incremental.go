@@ -21,8 +21,11 @@ import (
 // The struct additionally owns all scratch of the redistribution hot path
 // (classification lists, marshal buffers, the intermediate stores and the
 // two output slots), so steady-state redistributions allocate nothing in
-// the classify/marshal inner loop and recycle stores instead of creating
-// fresh ones.
+// the classify/marshal inner loop. Every store is sized from the count it
+// is about to receive before the first append and filled by bulk column
+// copies, one per particle and stage; a store reallocates only when a call
+// needs more room than any before it (as the first call into each output
+// slot does).
 type Incremental struct {
 	// L is the number of buckets the local array is divided into.
 	L int
@@ -36,6 +39,9 @@ type Incremental struct {
 	// reused (truncated, never freed) across redistributions.
 	bucketOf [][]int
 	sendIdx  [][]int
+	// side holds the out-of-order particles of one bucket (see
+	// sortNearlySorted).
+	side []int
 	// Marshal scratch: per-destination buffer headers and element counts.
 	send   [][]float64
 	counts []int
@@ -184,7 +190,7 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 	recv := inc.ex.Exchange(r, send, counts)
 
 	// Line 21: collect and sort the received particles.
-	recvStore := resetStore(&inc.recvS, 0, s)
+	recvStore := resetStore(&inc.recvS, received(recv, s.WireFloats()), s)
 	for src := 0; src < p; src++ {
 		if src != r.Rank() {
 			absorb(r, recvStore, recv[src])
@@ -193,17 +199,16 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 	LocalSort(r, recvStore, inc.pool)
 
 	// Lines 22–23: sort each bucket locally. Buckets are key-disjoint and
-	// ordered, so concatenating them yields a sorted run.
+	// ordered, so concatenating them yields a sorted run. The charge is the
+	// comparison sort's, whatever the particles' order.
 	kept := resetStore(&inc.kept, n, s)
 	for b := 0; b < inc.L; b++ {
 		idx := inc.bucketOf[b]
-		sortIndicesByKeyID(s, idx)
+		inc.side = sortNearlySorted(s, idx, inc.side)
 		if len(idx) > 1 {
 			r.Compute(len(idx) * ilog2(len(idx)) * compareWork)
 		}
-		for _, i := range idx {
-			kept.AppendFrom(s, i)
-		}
+		kept.AppendIndices(s, idx)
 	}
 
 	// Line 24: merge the kept run with the received run.
@@ -295,8 +300,8 @@ func (inc *Incremental) pack(r comm.Transport, s *particle.Store) ([][]float64, 
 	return inc.send, inc.counts
 }
 
-// resetStore empties (or creates) an internal scratch store with the given
-// capacity hint and the species constants of ref.
+// resetStore empties (or creates) an internal scratch store with room for
+// capHint particles and the species constants of ref.
 func resetStore(slot **particle.Store, capHint int, ref *particle.Store) *particle.Store {
 	if *slot == nil {
 		*slot = ref.NewLike(capHint)
@@ -304,8 +309,18 @@ func resetStore(slot **particle.Store, capHint int, ref *particle.Store) *partic
 	}
 	s := *slot
 	s.Truncate(0)
+	s.Grow(capHint)
 	s.Charge, s.Mass = ref.Charge, ref.Mass
 	return s
+}
+
+// received returns the number of particles in a set of wire buffers.
+func received(recv [][]float64, wf int) int {
+	words := 0
+	for _, w := range recv {
+		words += len(w)
+	}
+	return words / wf
 }
 
 // outSlot returns whichever of the two output stores does not alias s, so
@@ -359,24 +374,28 @@ func searchOwner(globalUpper []float64, key float64) int {
 }
 
 // mergeSortedInto merges a and b (each locally sorted) into out, which must
-// be empty and alias neither input.
+// be empty and alias neither input. It compares keys only: on equal keys
+// the particle of a (the kept run) goes first, whatever the ids. Runs are
+// copied in bulk.
 func mergeSortedInto(r comm.Transport, a, b, out *particle.Store) *particle.Store {
 	i, j := 0, 0
 	for i < a.Len() && j < b.Len() {
-		if b.Key[j] < a.Key[i] {
-			out.AppendFrom(b, j)
-			j++
-		} else {
-			out.AppendFrom(a, i)
+		i0 := i
+		for i < a.Len() && !(b.Key[j] < a.Key[i]) {
 			i++
 		}
+		out.AppendRange(a, i0, i)
+		if i == a.Len() {
+			break
+		}
+		j0 := j
+		for j < b.Len() && b.Key[j] < a.Key[i] {
+			j++
+		}
+		out.AppendRange(b, j0, j)
 	}
-	for ; i < a.Len(); i++ {
-		out.AppendFrom(a, i)
-	}
-	for ; j < b.Len(); j++ {
-		out.AppendFrom(b, j)
-	}
+	out.AppendRange(a, i, a.Len())
+	out.AppendRange(b, j, b.Len())
 	r.Compute((a.Len() + b.Len()) * compareWork)
 	return out
 }

@@ -146,7 +146,7 @@ func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex *com
 	}
 	recv := ex.Exchange(r, send, counts)
 
-	out := s.NewLike(n)
+	out := s.NewLike(received(recv, wf))
 	for src := 0; src < p; src++ {
 		absorb(r, out, recv[src])
 	}
@@ -215,16 +215,10 @@ func (sc *balScratch) deliver(r comm.Transport, s, reuse *particle.Store, ex *co
 	keepLo, keepHi := sc.keepLo, sc.keepHi
 	balPool.Put(sc)
 
-	size := keepHi - keepLo
-	for _, w := range recv {
-		size += len(w) / s.WireFloats()
-	}
-	out := resetStore(&reuse, size, s)
+	out := resetStore(&reuse, keepHi-keepLo+received(recv, s.WireFloats()), s)
 	for src := 0; src < r.Size(); src++ {
 		if src == r.Rank() {
-			for k := keepLo; k < keepHi; k++ {
-				out.AppendFrom(s, k)
-			}
+			out.AppendRange(s, keepLo, keepHi)
 			continue
 		}
 		absorb(r, out, recv[src])

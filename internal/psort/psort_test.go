@@ -345,26 +345,32 @@ func TestIncrementalCheaperThanFullSort(t *testing.T) {
 	}
 }
 
+// TestMergeSorted pins the kept-run merge: keys alone decide, and on equal
+// keys the kept particle (a) goes before the received one (b) even when
+// the received id is smaller, so the merge is not the (Key, ID) order. All
+// columns travel with their particle, Z included.
 func TestMergeSorted(t *testing.T) {
 	commtest.Launch(1, machine.Zero(), func(r comm.Transport) {
-		a := particle.NewStore(0, -1, 1)
-		b := particle.NewStore(0, -1, 1)
-		for i, k := range []float64{1, 3, 5} {
-			a.Append(0, 0, 0, 0, 0, float64(i))
+		a := particle.NewStore3(0, -1, 1)
+		b := particle.NewStore3(0, -1, 1)
+		for i, k := range []float64{1, 3, 3, 5} {
+			a.Append3(float64(10+i), 0, float64(-10-i), 0, 0, 0, float64(10+i))
 			a.Key[a.Len()-1] = k
 		}
-		for i, k := range []float64{2, 3, 6} {
-			b.Append(0, 0, 0, 0, 0, float64(10+i))
+		for i, k := range []float64{2, 3, 3, 6, 7} {
+			b.Append3(float64(i), 0, float64(-i), 0, 0, 0, float64(i))
 			b.Key[b.Len()-1] = k
 		}
 		m := mergeSortedInto(r, a, b, a.NewLike(a.Len()+b.Len()))
-		want := []float64{1, 2, 3, 3, 5, 6}
-		if m.Len() != 6 {
+		wantKey := []float64{1, 2, 3, 3, 3, 3, 5, 6, 7}
+		wantID := []float64{10, 0, 11, 12, 1, 2, 13, 3, 4}
+		if m.Len() != len(wantID) {
 			t.Fatalf("merged len %d", m.Len())
 		}
-		for i, k := range want {
-			if m.Key[i] != k {
-				t.Errorf("merged key[%d] = %g, want %g", i, m.Key[i], k)
+		for i := range wantID {
+			if m.Key[i] != wantKey[i] || m.ID[i] != wantID[i] || m.X[i] != m.ID[i] || m.Z[i] != -m.ID[i] {
+				t.Errorf("merged[%d] = key %g id %g (x %g z %g), want key %g id %g",
+					i, m.Key[i], m.ID[i], m.X[i], m.Z[i], wantKey[i], wantID[i])
 			}
 		}
 	})

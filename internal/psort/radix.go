@@ -106,5 +106,40 @@ func sortIndicesByKeyID(s *particle.Store, idx []int) {
 	sorterPool.Put(so)
 }
 
+// sortNearlySorted sorts idx into the (Key, ID) order of sortIndicesByKeyID
+// but sorts only the particles whose order changed: every descent peels
+// both of its elements onto side, leaving an ascending run in idx; side is
+// sorted and merged back in from the tail. (Key, ID) is a total order, so
+// the result is the one sortIndicesByKeyID gives. side is scratch, returned
+// for reuse.
+func sortNearlySorted(s *particle.Store, idx, side []int) []int {
+	side = side[:0]
+	m := 0
+	for _, v := range idx {
+		if m > 0 && !s.Less(idx[m-1], v) {
+			m--
+			side = append(side, idx[m], v)
+			continue
+		}
+		idx[m] = v
+		m++
+	}
+	if len(side) == 0 {
+		return side
+	}
+	sortIndicesByKeyID(s, side)
+	i, j := m-1, len(side)-1
+	for k := len(idx) - 1; j >= 0; k-- {
+		if i >= 0 && s.Less(side[j], idx[i]) {
+			idx[k] = idx[i]
+			i--
+		} else {
+			idx[k] = side[j]
+			j--
+		}
+	}
+	return side
+}
+
 // radixIdxCutoff mirrors smallStoreCutoff for index-list sorts.
 const radixIdxCutoff = 48

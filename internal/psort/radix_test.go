@@ -91,6 +91,77 @@ func TestSortIndicesByKeyIDMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSortNearlySortedMatchesStable checks the bucket sort of the
+// incremental redistribution against a sort.SliceStable (Key, ID)
+// reference on the orders it meets: already sorted, reversed, one far
+// outlier at either end, k random displacements, equal keys decided by id
+// alone, and the empty and single-particle lists. Side lists cross the
+// radix cutoff. The side scratch is reused across cases.
+func TestSortNearlySortedMatchesStable(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(17))
+	tripled := particle.NewStore(n, -1, 1) // equal-key triples, ids ascending
+	flat := particle.NewStore(n, -1, 1)    // one key, shuffled distinct ids
+	for i, id := range rng.Perm(n) {
+		tripled.Append(0, 0, 0, 0, 0, float64(i))
+		tripled.Key[i] = float64(i / 3)
+		flat.Append(0, 0, 0, 0, 0, float64(id))
+		flat.Key[i] = 7
+	}
+	span := func(lo, hi int) []int {
+		idx := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			idx = append(idx, i)
+		}
+		return idx
+	}
+	displaced := func(k int) []int {
+		idx := span(0, n)
+		for ; k > 0; k-- {
+			from, to := rng.Intn(n), rng.Intn(n)
+			v := idx[from]
+			idx = append(idx[:from], idx[from+1:]...)
+			idx = append(idx[:to], append([]int{v}, idx[to:]...)...)
+		}
+		return idx
+	}
+	reversed := span(0, n)
+	for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+		reversed[i], reversed[j] = reversed[j], reversed[i]
+	}
+	byID := span(0, n)
+	sort.Slice(byID, func(a, b int) bool { return flat.ID[byID[a]] < flat.ID[byID[b]] })
+	cases := []struct {
+		name string
+		s    *particle.Store
+		idx  []int
+	}{
+		{"empty", tripled, nil},
+		{"single", tripled, []int{5}},
+		{"sorted", tripled, span(0, n)},
+		{"reversed", tripled, reversed},
+		{"outlier-front", tripled, append([]int{n - 1}, span(0, n-1)...)},
+		{"outlier-back", tripled, append(span(1, n), 0)},
+		{"1-descent", tripled, displaced(1)},
+		{"5-descents", tripled, displaced(5)},
+		{"60-descents", tripled, displaced(60)},
+		{"equal-keys-shuffled-ids", flat, span(0, n)},
+		{"equal-keys-swapped-pair", flat, append(append([]int{}, byID[1], byID[0]), byID[2:]...)},
+	}
+	var side []int
+	for _, c := range cases {
+		want := append([]int(nil), c.idx...)
+		sort.SliceStable(want, func(a, b int) bool { return c.s.Less(want[a], want[b]) })
+		got := append([]int(nil), c.idx...)
+		side = sortNearlySorted(c.s, got, side)
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("%s: pos %d holds particle %d, want %d", c.name, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 // TestEqualKeyIDTiebreakWitness pins the tiebreak explicitly: equal keys
 // must come out in ascending ID order, whatever the input order was.
 func TestEqualKeyIDTiebreakWitness(t *testing.T) {

@@ -149,9 +149,7 @@ func runRank(r comm.Transport, cfg pic.Config, res *Result) {
 			lo, hi := mesh.BlockRange(global.Len(), r.Size(), dst)
 			if dst == 0 {
 				store = particle.NewStore(hi-lo, global.Charge, global.Mass)
-				for i := lo; i < hi; i++ {
-					store.AppendFrom(global, i)
-				}
+				store.AppendRange(global, lo, hi)
 				continue
 			}
 			comm.SendFloat64s(r, dst, tagInit, global.MarshalRange(nil, lo, hi))

@@ -69,6 +69,16 @@ if [ -n "$old" ]; then
     printf '%s\n' "$old"
     exit 1
 fi
+# Stores are filled in bulk (AppendRange, AppendIndices, AppendWire), never
+# one particle at a time: the per-particle AppendFrom survives only for
+# benchmark/probes.go, which PRs may not edit.
+old=$(grep -rn 'AppendFrom' --include='*.go' --exclude='*_test.go' \
+    --exclude-dir=benchmark --exclude-dir=.bench_build --exclude-dir=particle . || true)
+if [ -n "$old" ]; then
+    echo "per-particle AppendFrom reappeared outside internal/particle:"
+    printf '%s\n' "$old"
+    exit 1
+fi
 
 echo "== go test =="
 go test ./...
