@@ -3,7 +3,7 @@
 // all interaction happens through explicit messages. It plays the role CMMD
 // played on the CM-5 in the original paper.
 //
-// The layer is split along the Transport interface. Engine-layer code
+// The layer is split along the Transport interface. Algorithm code
 // (psort, field, pic, replicated, experiments, …) is written against
 // Transport only; the goroutine-channel World here is one backend behind
 // it, and decorators such as the Tracer wrap any backend without the
@@ -55,7 +55,7 @@ const (
 // TagUser is the first tag value free for application use.
 const TagUser Tag = 0
 
-// Transport is the per-rank communication endpoint the engine layer is
+// Transport is the per-rank communication endpoint the algorithms are
 // written against. It exposes exactly the primitives: identity, point-to-
 // point messaging, the out-of-band Expose channel, and the cost-model
 // charging surface. Collectives are free functions over Transport (Barrier,
@@ -228,7 +228,7 @@ func EnvWatchdog(fallback time.Duration) time.Duration {
 
 // Launch runs fn as an SPMD program on p ranks of a fresh channel-backed
 // world with the given machine parameters and returns the per-rank stats.
-// It is the standard entry point for engine-layer code, which needs no
+// It is the standard entry point for algorithm code, which needs no
 // handle on the backend itself. The world is closed when the program
 // returns, so a goroutine leaked past the run fails loudly with
 // ErrClosedWorld instead of corrupting a later experiment.

@@ -128,8 +128,8 @@ type Degradable interface {
 }
 
 // AsDegradable walks the decorator chain of t looking for a Degradable
-// layer (the Reliable decorator). Engine code uses it to discover whether a
-// failed exchange is survivable on the transport it was handed.
+// layer (the Reliable decorator). pic's redistribution uses it to discover
+// whether a failed exchange is survivable on the transport it was handed.
 func AsDegradable(t Transport) (Degradable, bool) {
 	for t != nil {
 		if d, ok := t.(Degradable); ok {

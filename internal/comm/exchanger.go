@@ -1,7 +1,7 @@
 // Topology-native all-to-many exchange. The classic AllToMany (collectives.go)
 // posts directly to every destination — an any-to-any assumption the sparse
 // topologies cannot honour. This file provides the alternatives, and the
-// Exchanger through which the engine layer selects one:
+// Exchanger through which psort and pic select one:
 //
 //   - AllToManySystolicFloat64s: Towards-Exascale-MD-style systolic pulse.
 //     All payloads travel the ±1 ring links in exactly p−1 deterministic
@@ -28,10 +28,10 @@ import (
 )
 
 // Exchanger selects the protocol of an all-to-many redistribution — the
-// traffic-table exchange plus the payload exchange — so the engine layer
-// (psort, pic) runs a topology-native protocol without knowing its
-// schedule. A nil *Exchanger is the classic pairwise protocol: Exchange is
-// nil-safe, which keeps that dispatch in one place.
+// traffic-table exchange plus the payload exchange — so psort and pic run
+// a topology-native protocol without knowing its schedule. A nil *Exchanger
+// is the classic pairwise protocol: Exchange is nil-safe, which keeps that
+// dispatch in one place.
 type Exchanger struct {
 	// tp is the sparse topology the hybrid protocol runs over; nil selects
 	// the systolic ring pulse.

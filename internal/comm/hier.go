@@ -4,7 +4,7 @@
 // goroutine World's substrate) while cross-host messages travel through ONE
 // TCP gateway connection pair per host pair — O(H²) sockets for the whole
 // world instead of O(P²), behind the same Transport interface and with the
-// same modelled charges, so engine code and the goldens cannot tell the
+// same modelled charges, so the algorithms and the goldens cannot tell the
 // difference.
 //
 // Mechanics: a cross-host Send charges τ + n·μ on the sender's clock as

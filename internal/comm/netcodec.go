@@ -1,5 +1,5 @@
 // The versioned binary codec of the TCP transport backend (net.go): it
-// turns the `any` message bodies the engine layer exchanges — and the
+// turns the `any` message bodies the algorithms exchange — and the
 // decorator envelopes the chaos stack wraps them in — into length-prefixed
 // frames on a socket, and back.
 //

@@ -5,7 +5,7 @@
 // substrate — behind one Geometry interface that internal/mesh (2-D) and
 // internal/mesh3 (3-D) both satisfy.
 //
-// The engine pipeline, the transport decorator stack, the policy triggers
+// The time-step loop, the transport decorator stack, the policies
 // and the incremental redistribution machinery never mention a dimension;
 // they compose over a Geometry, so a 3-D run goes through the exact same
 // phases, tags and tables as a 2-D run. Adding another geometry (a new

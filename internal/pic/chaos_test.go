@@ -114,21 +114,32 @@ func TestChaosSimByteIdenticalUnderReliable(t *testing.T) {
 
 // TestChaosFaultFreeReliableRecoversNothing: on a fault-free transport a
 // whole simulation under the Reliable layer reproduces the bare run's
-// physics and never fires recovery. The comm-level
-// TestReliableFaultFreeTransparent covers the collectives one by one; this
-// covers the pipeline's real message mix (tagged gather replies,
-// redistribution all-to-many) end to end.
+// physics, never fires recovery, and costs nothing in simulated time — the
+// redistribution's discard vote rides the timing Expose every run pays.
+// The comm-level TestReliableFaultFreeTransparent covers the collectives
+// one by one; this covers the time step's real message mix (tagged gather
+// replies, redistribution all-to-many) end to end, in 2-D and 3-D.
 func TestChaosFaultFreeReliableRecoversNothing(t *testing.T) {
-	clean := runFingerprinted(t, chaosBase())
-	rel := comm.NewReliable(comm.ReliableConfig{})
-	cfg := chaosBase()
-	cfg.Transport = rel.Wrap
-	res := runFingerprinted(t, cfg)
-	if !equalFingerprints(fingerprint(res), fingerprint(clean)) {
-		t.Error("fault-free Reliable run diverged from the bare run")
-	}
-	if s := rel.Stats(); s != (comm.RecoveryStats{}) {
-		t.Errorf("fault-free run exercised recovery: %+v", s)
+	for _, base := range []func() Config{chaosBase, chaosBase3} {
+		clean := runFingerprinted(t, base())
+		rel := comm.NewReliable(comm.ReliableConfig{})
+		cfg := base()
+		cfg.Transport = rel.Wrap
+		res := runFingerprinted(t, cfg)
+		dims := res.Config.Dims
+		if !equalFingerprints(fingerprint(res), fingerprint(clean)) {
+			t.Errorf("%d-D: fault-free Reliable run diverged from the bare run", dims)
+		}
+		if s := rel.Stats(); s != (comm.RecoveryStats{}) {
+			t.Errorf("%d-D: fault-free run exercised recovery: %+v", dims, s)
+		}
+		if res.NumRedistributions == 0 {
+			t.Errorf("%d-D: no redistribution ran — the discard vote went unexercised", dims)
+		}
+		if res.TotalTime != clean.TotalTime || res.RedistTime != clean.RedistTime {
+			t.Errorf("%d-D: fault-free Reliable run charged simulated time: TotalTime %.9g vs bare %.9g, RedistTime %.9g vs bare %.9g",
+				dims, res.TotalTime, clean.TotalTime, res.RedistTime, clean.RedistTime)
+		}
 	}
 }
 

@@ -97,9 +97,11 @@ type Config struct {
 	Diagnostics bool
 	DiagEvery   int
 	// Verify enables per-iteration invariant checks (global charge
-	// conservation on the mesh, particle-count conservation); violations
-	// panic. Intended for tests; the checks use the out-of-band
-	// measurement channel, so modelled times are unaffected.
+	// conservation on the mesh, particle-count conservation) right after
+	// the scatter; violations panic. Intended for tests. The checks move no
+	// payload, but their two out-of-band sums charge Expose's barriers —
+	// four per iteration, to the comm-setup phase — so modelled times
+	// include them (the goldens are Verify runs).
 	Verify bool
 	// CustomParticles, when non-nil, is used as the global initial
 	// population instead of the built-in generator (Distribution, Seed,

@@ -1,8 +1,7 @@
-// The engine-layer decomposition of the PIC time step: each of scatter,
-// field solve, gather/push, migrate and redistribute is an engine.Phase
-// over the shared rankState, and a simulation mode is a pipeline
-// composition plus a Trigger guarding the post-iteration movement phase —
-// the policy for the Lagrangian mode, Always for the Eulerian mode.
+// The phases of the PIC time step over the shared rankState — scatter,
+// field solve, gather/push — and the two particle-movement steps that may
+// follow one: Eulerian migration and policy-decided redistribution.
+// runRank (sim.go) calls them in order.
 
 package pic
 
@@ -11,155 +10,65 @@ import (
 	"slices"
 
 	"picpar/internal/comm"
-	"picpar/internal/engine"
 	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/policy"
+	"picpar/internal/psort"
 	"picpar/internal/pusher"
 	"picpar/internal/wire"
 )
 
-// Phase names, stable identifiers for hooks and diagnostics.
-const (
-	phaseNameScatter      = "scatter"
-	phaseNameFieldSolve   = "fieldsolve"
-	phaseNameGatherPush   = "gatherpush"
-	phaseNameMigrate      = "migrate"
-	phaseNameRedistribute = "redistribute"
-)
-
-// composePipeline builds the per-iteration pipeline, the trigger deciding
-// whether the post-iteration movement phase runs, and that phase itself.
-// The Lagrangian and Eulerian modes differ only in this composition.
-func (st *rankState) composePipeline() {
-	st.pipe = engine.New(phScatter{st}, phFieldSolve{st}, phGatherPush{st})
-	if st.cfg.Verify {
-		st.pipe.AddHook(verifyHook{st})
-	}
-	if st.cfg.Eulerian {
-		// Eulerian migration runs unconditionally every iteration.
-		st.trigger, st.post = engine.Always{}, phMigrate{st}
-	} else {
-		// Lagrangian redistribution runs when the policy says so.
-		st.trigger, st.post = policyTrigger{st}, phRedistribute{st}
-	}
-}
-
-// policyTrigger adapts the strategy-deciding policy to the engine's boolean
-// Trigger: the full decision — including which layout strategy to rebuild
-// into — is stashed on the rank state for phRedistribute to act on.
-type policyTrigger struct{ st *rankState }
-
-func (t policyTrigger) Decide(iter int, iterTime float64) bool {
-	t.st.decision = t.st.pol.Decide(iter, iterTime)
-	return t.st.decision.Redistribute
-}
-
-// phScatter is the scatter phase as an engine.Phase.
-type phScatter struct{ st *rankState }
-
-func (p phScatter) Name() string { return phaseNameScatter }
-func (p phScatter) Run(int)      { p.st.scatterPhase() }
-
-// phFieldSolve is the field-solve phase as an engine.Phase.
-type phFieldSolve struct{ st *rankState }
-
-func (p phFieldSolve) Name() string { return phaseNameFieldSolve }
-func (p phFieldSolve) Run(int)      { p.st.fieldSolvePhase() }
-
-// phGatherPush is the gather + push phase as an engine.Phase.
-type phGatherPush struct{ st *rankState }
-
-func (p phGatherPush) Name() string { return phaseNameGatherPush }
-func (p phGatherPush) Run(int)      { p.st.gatherAndPushPhase() }
-
-// phMigrate is the Eulerian per-iteration migration as an engine.Phase.
-// Its cost is charged to the push phase, after the iteration measurement —
-// part of TotalTime but not of the per-iteration record, as in the
-// Eulerian baseline's accounting.
-type phMigrate struct{ st *rankState }
-
-func (p phMigrate) Name() string { return phaseNameMigrate }
-func (p phMigrate) Run(int) {
-	p.st.r.SetPhase(machine.PhasePush)
-	p.st.migrate()
-}
-
-// phRedistribute is the policy-triggered redistribution as an engine.Phase.
-// It owns its measurement (the globally agreed redistribution time feeds
-// back into the policy) and marks the current iteration record.
+// redistribute rebuilds the layout strat names after iteration iter and
+// marks rec with the outcome. It owns its measurement: the globally agreed
+// redistribution time feeds back into the policy.
 //
-// Failure contract: when the transport stack is Degradable (a
-// comm.Reliable layer is installed), a redistribution whose exchange
-// suffers unrecoverable delivery failures is discarded — every rank keeps
-// its previous alignment, the wasted attempt time stays on the simulated
-// clock (it is real time the machine burned), the policy is NOT notified
-// (no new measurement baseline), and the trigger fires again at the next
-// opportunity. Without a Degradable layer the failure propagates as a
-// panic, aborting the run loudly.
-type phRedistribute struct{ st *rankState }
-
-func (p phRedistribute) Name() string { return phaseNameRedistribute }
-func (p phRedistribute) Run(iter int) {
-	st := p.st
+// Failure contract: when the transport stack is Degradable (a comm.Reliable
+// layer is installed), a redistribution whose exchange suffers
+// unrecoverable delivery failures is discarded. Every rank keeps its
+// previous alignment, the wasted attempt time stays on the simulated clock
+// (it is real time the machine burned), and the policy is NOT notified — it
+// still sees the degraded balance and fires again at its next opportunity,
+// so failed attempts are retried, never silently consumed, and a pending
+// adaptive strategy choice rolls back with the layout. Without a Degradable
+// layer the failure propagates as a panic, aborting the run loudly.
+func (st *rankState) redistribute(iter int, strat policy.Strategy, rec *IterationRecord) {
 	r := st.r
 	r.SetPhase(machine.PhaseRedistribute)
-	strat := st.decision.Strategy
 	t0 := r.Clock().Now()
-	failed := st.attemptRebalance(strat)
+	prevStore := st.store
+	var bounds psort.Bounds
+	failed := 0.0
+	if deg, ok := comm.AsDegradable(r); ok {
+		bounds = st.inc.SnapshotBounds()
+		if len(deg.CollectFailures(func() { st.rebalance(strat) })) > 0 {
+			failed = 1
+		}
+	} else {
+		st.rebalance(strat)
+	}
 	comm.Barrier(r)
-	rt := comm.ExposeMaxFloat64(r, r.Clock().Now()-t0)
-	st.rec.RedistStrategy = strat.String()
-	if failed {
-		st.rec.RedistFailed = true
-		st.rec.RedistTime = rt
+	// The discard vote rides the timing Expose, so a fault-free run under a
+	// Degradable layer charges exactly what a bare run does. It must be
+	// unanimous — one rank's failed exchange invalidates the redistribution
+	// everywhere, or the bucket-boundary tables would diverge across ranks.
+	rt, anyFailed := 0.0, false
+	for _, x := range r.Expose([]float64{r.Clock().Now() - t0, failed}) {
+		v := x.([]float64)
+		rt = max(rt, v[0])
+		anyFailed = anyFailed || v[1] > 0
+	}
+	rec.RedistStrategy = strat.String()
+	rec.RedistTime = rt
+	if anyFailed {
+		// Roll back: Redistribute never modifies its input store, so the
+		// previous alignment is exactly (previous store, previous bounds).
+		st.store = prevStore
+		st.inc.RestoreBounds(bounds)
+		rec.RedistFailed = true
 		return
 	}
 	st.pol.NotifyRedistribution(iter, rt)
-	st.rec.Redistributed = true
-	st.rec.RedistTime = rt
-}
-
-// attemptRebalance runs the decided rebalance exchange, degrading
-// gracefully when the transport can scope failures. Returns true when the
-// attempt was discarded. On discard the policy is not notified, so a
-// pending adaptive strategy choice rolls back with the layout.
-func (st *rankState) attemptRebalance(strat policy.Strategy) bool {
-	deg, ok := comm.AsDegradable(st.r)
-	if !ok {
-		st.rebalance(strat)
-		return false
-	}
-	prevStore := st.store
-	bounds := st.inc.SnapshotBounds()
-	failures := deg.CollectFailures(func() { st.rebalance(strat) })
-	// The discard decision must be unanimous — one rank's failed exchange
-	// invalidates the redistribution everywhere, or the bucket-boundary
-	// tables would diverge across ranks. Expose is out-of-band, so the
-	// agreement itself cannot be perturbed.
-	localFailed := 0.0
-	if len(failures) > 0 {
-		localFailed = 1
-	}
-	if comm.ExposeMaxFloat64(st.r, localFailed) == 0 {
-		return false
-	}
-	// Roll back: the input store is never modified by Redistribute, so the
-	// previous alignment is exactly (previous store, previous bounds).
-	st.store = prevStore
-	st.inc.RestoreBounds(bounds)
-	return true
-}
-
-// verifyHook runs the conservation checks right after the scatter phase,
-// while the deposited sources are still fresh.
-type verifyHook struct{ st *rankState }
-
-func (h verifyHook) Before(engine.Phase, int) {}
-func (h verifyHook) After(p engine.Phase, iter int) {
-	if p.Name() == phaseNameScatter {
-		h.st.verifyInvariants(iter)
-	}
+	rec.Redistributed = true
 }
 
 // verifyInvariants checks, out of band, that the mesh-deposited charge sums
@@ -337,28 +246,18 @@ func (st *rankState) scatterPhase() {
 		counts[dst] = len(buf)
 	}
 
-	// The traffic table is protocol setup, not ghost data. Under a sparse
-	// topology the same allgather additionally yields the global far-traffic
-	// verdict: ghost contributions are stencil-local while the particle
-	// partition stays aligned with the mesh blocks, but a cost-weighted
-	// repartition can hand a rank particles whose cells any rank owns, and
-	// those payloads must ride the systolic relay instead of a refused
-	// direct send.
+	// The traffic table is protocol setup, not ghost data. The same
+	// allgather yields the global far-traffic verdict: ghost contributions
+	// are stencil-local while the particle partition stays aligned with the
+	// mesh blocks, but under neighbor-sparse a cost-weighted repartition can
+	// hand a rank particles whose cells any rank owns, and those payloads
+	// must ride the systolic relay instead of a refused direct send. On the
+	// full mesh the verdict is always false.
 	r.SetPhase(machine.PhaseCommSetup)
-	var recvCounts []int
-	st.scatterFar = false
-	if tp := st.topo; tp != nil {
-		recvCounts, st.scatterFar = comm.ExchangeCountsSparse(r, tp, counts)
-	} else {
-		recvCounts = comm.ExchangeCounts(r, counts)
-	}
+	recvCounts, far := comm.ExchangeCountsSparse(r, st.topo, counts)
+	st.scatterFar = far
 	r.SetPhase(machine.PhaseScatter)
-	var recv [][]float64
-	if tp := st.topo; tp != nil {
-		recv = comm.AllToManySparseFloat64s(r, tp, send, recvCounts, st.scatterFar)
-	} else {
-		recv = comm.AllToManyFloat64s(r, send, recvCounts)
-	}
+	recv := comm.AllToManySparseFloat64s(r, st.topo, send, recvCounts, far)
 
 	// Accumulate received contributions; remember who asked for what so
 	// the gather phase can reply in kind.
@@ -406,7 +305,7 @@ func (st *rankState) gatherAndPushPhase() {
 	// scatter saw far traffic — one systolic relay pass for the rest. The
 	// scatterFar verdict is global, so every rank agrees on whether the
 	// relay collective runs.
-	far := st.topo != nil && st.scatterFar
+	far := st.scatterFar
 	var farSend [][]float64
 	var farCounts []int
 	if far {

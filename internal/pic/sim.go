@@ -1,7 +1,8 @@
 // The driver of the full simulation: Run launches one Transport endpoint
-// per rank, runRank sets up the rank's state and walks the engine-layer
-// pipeline composed in phases.go, and the measurement between pipeline
-// steps feeds the per-iteration records and the redistribution trigger.
+// per rank, and runRank sets up the rank's state and runs the time step —
+// the phases of phases.go called in order, then the measurement that feeds
+// the per-iteration records and the redistribution policy, then at most one
+// particle-movement step.
 
 package pic
 
@@ -10,7 +11,6 @@ import (
 
 	"picpar/internal/comm"
 	"picpar/internal/commopt"
-	"picpar/internal/engine"
 	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
@@ -53,18 +53,15 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Config: cfg, Records: make([]IterationRecord, cfg.Iterations)}
 	w := comm.NewWorld(cfg.P, cfg.Machine)
-	if pl.topo != nil {
-		// Enforce the sparse link set in-process: any send outside it
-		// panics with a typed error instead of silently widening the
-		// stencil.
-		w.SetTopology(pl.topo)
-	}
+	// Enforce the link set in-process: any send outside it panics with a
+	// typed error instead of silently widening the stencil.
+	w.SetTopology(pl.topo)
 	if cfg.Watchdog > 0 {
 		w.SetWatchdog(cfg.Watchdog)
 	}
 	defer w.Close()
 	ws := w.RunWrapped(cfg.Transport, func(r comm.Transport) {
-		runRank(r, cfg, ge, res)
+		runRank(r, cfg, ge, pl, res)
 	})
 	res.finalize(cfg.P, ws)
 	return res, nil
@@ -87,8 +84,12 @@ func RunRank(t comm.Transport, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl, err := buildTopoPlan(cfg, ge)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Config: cfg, Records: make([]IterationRecord, cfg.Iterations)}
-	runRank(t, cfg, ge, res)
+	runRank(t, cfg, ge, pl, res)
 	// Gather every rank's ledger so rank 0 can report world aggregates.
 	// This runs after runRank measured TotalTime, so the extra exchange
 	// cannot perturb the goldens.
@@ -169,8 +170,8 @@ func newGeometry(cfg Config) (geom.Geometry, error) {
 	return geom.New2(cfg.Grid, dist, indexer), nil
 }
 
-// rankState bundles one rank's simulation state, shared by the Phase
-// implementations in phases.go.
+// rankState bundles one rank's simulation state, shared by the phases in
+// phases.go.
 type rankState struct {
 	r   comm.Transport
 	cfg Config
@@ -186,33 +187,23 @@ type rankState struct {
 	// respectively (nil: the classic pairwise exchange). See topology.go.
 	bootEx *comm.Exchanger
 	dataEx *comm.Exchanger
-	// topo is the enforced link set under the sparse topologies (nil:
-	// any-to-any). scatter/gather consult it to route the rare
-	// out-of-stencil ghost traffic — which exists whenever a cost-weighted
-	// repartition decouples the particle and mesh alignments — over the
-	// systolic relay; scatterFar carries the per-iteration verdict from the
-	// scatter counts table to the gather replies.
+	// topo is the enforced link set. scatter/gather consult it to route the
+	// rare out-of-stencil ghost traffic — which exists whenever a
+	// cost-weighted repartition decouples the particle and mesh alignments
+	// under neighbor-sparse, and never on the full mesh — over the systolic
+	// relay; scatterFar carries the per-iteration verdict from the scatter
+	// counts table to the gather replies.
 	topo       *comm.Topology
 	scatterFar bool
 	// led accumulates measured per-cell phase costs between redistributions
-	// (strategy.go); decision is the policy's latest verdict, stashed by
-	// policyTrigger so phRedistribute knows which layout to rebuild into.
-	led      *machine.CostLedger
-	decision policy.Decision
+	// (strategy.go).
+	led *machine.CostLedger
 	// observeLedger gates the per-iteration cost observation: real
 	// wall-clock work per particle (never simulated time), skipped when the
 	// policy declares it can never ask for cost weights
 	// (policy.CostWeightUser).
 	observeLedger bool
 
-	// Pipeline composition: the per-iteration phases, the trigger deciding
-	// whether the post-iteration movement phase runs, and that phase.
-	pipe    *engine.Pipeline
-	trigger engine.Trigger
-	post    engine.Phase
-	// rec points at the record of the iteration in flight, so triggered
-	// phases can mark it (Redistributed, RedistTime).
-	rec *IterationRecord
 	// runStart and initTime are the measurement cursors checkpoint shards
 	// carry so a restored run resumes the same TotalTime accounting.
 	runStart float64
@@ -254,7 +245,7 @@ type rankState struct {
 	costFP workerScratch
 }
 
-func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
+func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *Result) {
 	pool := par.New(cfg.Workers)
 	defer pool.Close()
 	st := &rankState{
@@ -264,16 +255,13 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 		fields: ge.NewFields(r.Rank(), pool),
 		inc:    psort.NewIncremental(psort.DefaultBuckets),
 		pol:    cfg.Policy(),
+		bootEx: pl.bootEx,
+		dataEx: pl.dataEx,
+		topo:   pl.topo,
 		pool:   pool,
 	}
 	st.inc.SetPool(pool)
 	st.armCrashHook()
-	pl, perr := buildTopoPlan(cfg, ge)
-	if perr != nil {
-		panic(perr) // validate() accepted the spec; disagreement is a bug
-	}
-	st.bootEx, st.dataEx = pl.bootEx, pl.dataEx
-	st.topo = pl.topo
 	st.inc.SetExchanger(st.dataEx)
 	st.farr = st.fields.Arrays()
 	st.led = machine.NewCostLedger(ge.NumCells(), machine.DefaultLedgerDecay)
@@ -329,8 +317,6 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 		st.runStart = r.Clock().Now()
 	}
 
-	st.composePipeline()
-
 	// ---- Time-step loop ----
 	completed := startIter
 	stopped := false
@@ -339,7 +325,13 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 		iterStart := r.Clock().Now()
 		snap := r.Stats().Snapshot()
 
-		st.pipe.Step(iter)
+		st.scatterPhase()
+		if cfg.Verify {
+			// While the deposited sources are still fresh.
+			st.verifyInvariants(iter)
+		}
+		st.fieldSolvePhase()
+		st.gatherAndPushPhase()
 
 		r.SetPhase(machine.PhaseCommSetup)
 		comm.Barrier(r)
@@ -411,12 +403,15 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, res *Result) {
 		}
 
 		// ---- Particle movement between ranks ----
-		// The trigger decides (identically on all ranks) whether the
-		// post-iteration phase runs: Eulerian migration every iteration,
-		// Lagrangian redistribution when the policy fires.
-		st.rec = &rec
-		if st.trigger.Decide(iter, iterTime) {
-			st.pipe.RunPhase(st.post, iter)
+		// Eulerian migration runs every iteration, charged to the push phase
+		// after the measurement: part of TotalTime but not of the record, as
+		// in the Eulerian baseline's accounting. Lagrangian redistribution
+		// runs when the policy — deciding identically on all ranks — fires.
+		if cfg.Eulerian {
+			r.SetPhase(machine.PhasePush)
+			st.migrate()
+		} else if d := st.pol.Decide(iter, iterTime); d.Redistribute {
+			st.redistribute(iter, d.Strategy, &rec)
 		}
 
 		if r.Rank() == 0 {

@@ -2,9 +2,11 @@
 // descriptors and exchange protocols. A spelling names a link set and
 // nothing else; there are two.
 //
-//   - "" / "full-mesh": the classic any-to-any world. No descriptor is
-//     installed and every exchange keeps its original pairwise protocol, so
-//     the default configuration is byte-identical to the pre-topology code.
+//   - "" / "full-mesh": the classic any-to-any world. Its descriptor links
+//     every pair, so enforcement never fires, the steady-state hybrid
+//     protocol below never relays, and every exchange sends the classic
+//     pairwise messages; the initial distribution keeps the pairwise
+//     protocol too.
 //   - "neighbor-sparse": links exist only between spatially adjacent ranks
 //     (the halo/CIC stencil, geom.AdjacentRanks) plus the collective
 //     skeleton. Steady-state traffic runs the hybrid sparse protocol:
@@ -67,27 +69,21 @@ func TopologyFor(cfg Config) (*comm.Topology, error) {
 		return nil, err
 	}
 	pl, err := buildTopoPlan(cfg, ge)
-	if err != nil {
-		return nil, err
-	}
-	if pl.topo == nil {
-		return comm.NewFullMesh(cfg.P), nil
-	}
-	return pl.topo, nil
+	return pl.topo, err
 }
 
 // topoPlan is the resolved topology selection of one run: the descriptor
-// to enforce (nil: none) and the exchange protocols for the two
-// redistribution regimes. The zero plan is the full mesh.
+// to enforce and the exchange protocols for the two redistribution regimes.
 type topoPlan struct {
-	// topo, when non-nil, is installed on the goroutine world
-	// (comm.World.SetTopology) so every out-of-topology send panics with a
-	// typed error — proof the whole simulation respects the link set.
+	// topo is installed on the goroutine world (comm.World.SetTopology) so
+	// every out-of-topology send panics with a typed error — proof the whole
+	// simulation respects the link set.
 	topo *comm.Topology
 	// bootEx routes the initial distribution's any-to-any exchanges
-	// (dealing, sample sort). Under neighbor-sparse it is the systolic
-	// protocol: the initial population is arbitrarily scattered, so the
-	// stencil cannot carry it, but the ring skeleton always can.
+	// (dealing, sample sort): nil (the classic pairwise protocol) on the
+	// full mesh, the systolic protocol under neighbor-sparse — the initial
+	// population is arbitrarily scattered, so the stencil cannot carry it,
+	// but the ring skeleton always can.
 	bootEx *comm.Exchanger
 	// dataEx routes the steady-state redistribution and migration
 	// exchanges: the hybrid sparse protocol (direct stencil sends, systolic
@@ -98,8 +94,12 @@ type topoPlan struct {
 // buildTopoPlan resolves cfg.Topology against the run's geometry.
 func buildTopoPlan(cfg Config, ge geom.Geometry) (topoPlan, error) {
 	kind, err := parseTopology(cfg.Topology)
-	if err != nil || kind == TopologyFullMesh {
+	if err != nil {
 		return topoPlan{}, err
+	}
+	if kind == TopologyFullMesh {
+		topo := comm.NewFullMesh(cfg.P)
+		return topoPlan{topo: topo, dataEx: comm.NewSparseExchanger(topo)}, nil
 	}
 	topo := comm.NewNeighborSparse(cfg.P, ge.AdjacentRanks)
 	return topoPlan{topo: topo, bootEx: comm.NewSystolicExchanger(), dataEx: comm.NewSparseExchanger(topo)}, nil

@@ -107,7 +107,7 @@ func (inc *Incremental) Prime(s *particle.Store) {
 
 // Bounds is a snapshot of the remembered bucket state: the boundary table
 // plus the upper key. A caller that may discard a redistribution (e.g. the
-// engine degrading gracefully after a failed exchange) snapshots before the
+// pic's redistribution degrading after a failed exchange) snapshots before the
 // attempt and restores afterwards, since Redistribute reprimes the bounds
 // from its output before the caller can decide to keep it.
 type Bounds struct {

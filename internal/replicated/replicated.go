@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"picpar/internal/comm"
-	"picpar/internal/engine"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
 	"picpar/internal/particle"
@@ -167,13 +166,11 @@ func runRank(r comm.Transport, cfg pic.Config, res *Result) {
 	// The field solve is row-partitioned; rows [j0, j1) belong to this rank.
 	j0, j1 := mesh.BlockRange(g.Ny, r.Size(), r.Rank())
 
-	// The baseline is an alternate composition of the same engine-layer
-	// pipeline the distributed simulation uses: three phases, no trigger
-	// (no redistribution exists here — that is the point).
-	st := &replState{r: r, g: g, fm: fm, store: store, j0: j0, j1: j1, dt: cfg.Dt}
-	pipe := engine.New(replScatter{st}, replFieldSolve{st}, replGatherPush{st})
+	// Three phases and no redistribution — that is the point.
 	for iter := 0; iter < cfg.Iterations; iter++ {
-		pipe.Step(iter)
+		scatterReplicated(r, g, fm, store)
+		fieldSolveReplicated(r, g, fm, j0, j1, cfg.Dt)
+		gatherPushReplicated(r, g, fm, store, cfg.Dt)
 		r.SetPhase(machine.PhaseCommSetup)
 		comm.Barrier(r)
 	}
@@ -190,40 +187,6 @@ func runRank(r comm.Transport, cfg pic.Config, res *Result) {
 		}
 		res.FinalFieldEnergy = fieldE / 2
 	}
-}
-
-// replState bundles one rank's baseline state for the phase values.
-type replState struct {
-	r      comm.Transport
-	g      mesh.Grid
-	fm     *fullMesh
-	store  *particle.Store
-	j0, j1 int
-	dt     float64
-}
-
-// replScatter is the replicated-mesh scatter as an engine.Phase.
-type replScatter struct{ st *replState }
-
-func (p replScatter) Name() string { return "scatter" }
-func (p replScatter) Run(int) {
-	scatterReplicated(p.st.r, p.st.g, p.st.fm, p.st.store)
-}
-
-// replFieldSolve is the row-partitioned field solve as an engine.Phase.
-type replFieldSolve struct{ st *replState }
-
-func (p replFieldSolve) Name() string { return "fieldsolve" }
-func (p replFieldSolve) Run(int) {
-	fieldSolveReplicated(p.st.r, p.st.g, p.st.fm, p.st.j0, p.st.j1, p.st.dt)
-}
-
-// replGatherPush is the local gather + push as an engine.Phase.
-type replGatherPush struct{ st *replState }
-
-func (p replGatherPush) Name() string { return "gatherpush" }
-func (p replGatherPush) Run(int) {
-	gatherPushReplicated(p.st.r, p.st.g, p.st.fm, p.st.store, p.st.dt)
 }
 
 // scatterReplicated deposits into the local full-mesh copy and element-wise

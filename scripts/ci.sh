@@ -56,16 +56,25 @@ fi
 
 echo "== deleted-path audit (grep) =="
 # The tiled scatter, the second wall-clock harness (picbench -bench/-cpu,
-# bench/BENCH_*.json) and the dominated topology spellings (systolic-ring,
-# pic-level hierarchical[:H], the bare ring descriptor) are gone; benchmark/
-# is the one wall-clock harness and Config.Topology names a link set. None
-# may come back in non-test Go or a script (this file excluded: it holds
-# the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring' \
+# bench/BENCH_*.json), the dominated topology spellings (systolic-ring,
+# pic-level hierarchical[:H], the bare ring descriptor) and the phase-
+# pipeline layer (internal/engine and pic's adapters onto it) are gone;
+# benchmark/ is the one wall-clock harness, Config.Topology names a link set
+# and the time step is a loop in pic.runRank. None may come back in non-test
+# Go or a script (this file excluded: it holds the pattern).
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
     echo "deleted second paths reappeared:"
+    printf '%s\n' "$old"
+    exit 1
+fi
+# Every pic world has a link set: the full mesh is a descriptor too, so no
+# non-test internal/pic code tests the topology for nil.
+old=$(grep -n 'topo [!=]= nil' $pic || true)
+if [ -n "$old" ]; then
+    echo "internal/pic tests a topology for nil (the full mesh is a descriptor):"
     printf '%s\n' "$old"
     exit 1
 fi
