@@ -288,7 +288,7 @@ func launchWorld(addr string, p int, elastic bool, topology string) error {
 	if topology == "" {
 		worldDesc = fmt.Sprintf("topology full-mesh, P=%d", p)
 	}
-	if err := picpar.SuperviseRanksElastic(procs, 15*time.Second, respawn, maxRespawns, worldDesc); err != nil {
+	if err := picpar.SuperviseRanks(procs, 15*time.Second, respawn, maxRespawns, worldDesc); err != nil {
 		return err
 	}
 	if elastic {

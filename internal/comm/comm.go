@@ -138,8 +138,8 @@ type World struct {
 	// teardown bug).
 	closed atomic.Bool
 
-	// topo, when non-nil and not a full mesh, restricts which rank pairs may
-	// exchange messages: a Send or Recv on an unlinked pair panics with a
+	// topo is the world's link set (NewFullMesh unless SetTopology replaced
+	// it): a Send or Recv on an unlinked pair panics with a
 	// *TransportError wrapping a *TopologyError. The goroutine backend has no
 	// sockets to save, so enforcement here exists to make the channel world a
 	// faithful rehearsal of a sparse TCP world — a protocol that crosses the
@@ -157,7 +157,7 @@ func NewWorld(p int, params machine.Params) *World {
 	if p <= 0 {
 		panic(fmt.Sprintf("comm: NewWorld with p=%d", p))
 	}
-	w := &World{P: p, Params: params}
+	w := &World{P: p, Params: params, topo: NewFullMesh(p)}
 	w.scratch = make([]any, p)
 	w.gate = newGate(p)
 	w.boxes = make([]chan message, p*p)
@@ -175,11 +175,10 @@ func NewWorld(p int, params machine.Params) *World {
 // first panic is re-raised on the caller. Call before Run; d <= 0 disables.
 func (w *World) SetWatchdog(d time.Duration) { w.watchdog = d }
 
-// SetTopology restricts the world to tp's link set (see Topology). Call
-// before Run; nil (the default) leaves the historical any-to-any behaviour.
-// The descriptor's size must match the world's.
+// SetTopology replaces the world's full-mesh link set with tp's (see
+// Topology). Call before Run. The descriptor's size must match the world's.
 func (w *World) SetTopology(tp *Topology) {
-	if tp != nil && tp.Size() != w.P {
+	if tp.Size() != w.P {
 		panic(fmt.Sprintf("comm: topology %s is for p=%d, world has P=%d", tp.Name(), tp.Size(), w.P))
 	}
 	w.topo = tp

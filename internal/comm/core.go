@@ -37,7 +37,7 @@ type link interface {
 type core struct {
 	id, p  int
 	params machine.Params
-	// topo, when non-nil, restricts which rank pairs may exchange messages.
+	// topo is the world's link set: which rank pairs may exchange messages.
 	topo *Topology
 	// isClosed is the owning world's (or endpoint's) teardown flag.
 	isClosed *atomic.Bool
@@ -106,7 +106,7 @@ func (c *core) validate(op string, peer int, tag Tag) {
 		err = ErrClosedWorld
 	case peer < 0 || peer >= c.p:
 		err = fmt.Errorf("invalid rank %d (P=%d)", peer, c.p)
-	case c.topo != nil && peer != c.id && !c.topo.Connected(c.id, peer):
+	case !c.topo.Connected(c.id, peer):
 		err = c.topo.errOutOf(c.id, peer)
 	default:
 		return

@@ -279,6 +279,7 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 	// loudly with ErrClosedWorld like the flat backends' do.
 	var closed atomic.Bool
 	defer closed.Store(true)
+	topo := NewFullMesh(p)
 	transports := make([]*hierTransport, p)
 	hostErrs := make([]error, hosts)
 	panics := make(chan *RankPanic, p)
@@ -311,6 +312,7 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 					Rank:        h,
 					Size:        hosts,
 					Params:      params,
+					Topology:    NewFullMesh(hosts),
 				}.withNetDefaults()
 				gw, err := dialWorld(gwCfg, host.relay)
 				if err != nil {
@@ -345,7 +347,7 @@ func LaunchHierarchical(p, hosts int, params machine.Params, watchdog time.Durat
 				go func(l int) {
 					defer lwg.Done()
 					r := &hierTransport{host: host, local: l, watchdog: watchdog}
-					r.core = newCore(r, host.base+l, p, params, nil, &closed, machine.NewSimClock())
+					r.core = newCore(r, host.base+l, p, params, topo, &closed, machine.NewSimClock())
 					transports[r.id] = r
 					if rp := runRank(r.id, r, wrap, fn); rp != nil {
 						crashed.Store(true)

@@ -11,10 +11,11 @@
 //     register rank identity and mesh listen address, receive the world
 //     membership table. Mismatched world size, duplicate ranks and codec
 //     version skew are rejected here, before any data can flow.
-//  2. Mesh — every pair of ranks shares one TCP connection: rank j dials
-//     every i < j and accepts from every k > j. Each connection is verified
-//     by a peer handshake carrying the coordinator-issued world id and both
-//     rank identities, so a stray or crossed connection can never join.
+//  2. Mesh — every linked pair of ranks (every pair, on the full mesh)
+//     shares one TCP connection: rank j dials its linked i < j and accepts
+//     from its linked k > j. Each connection is verified by a peer
+//     handshake carrying the coordinator-issued world id and both rank
+//     identities, so a stray or crossed connection can never join.
 //  3. Steady state — frames (netcodec.go) carry the modelled byte size and
 //     the sender's simulated clock, so the cost model charges exactly what
 //     the goroutine backend charges and experiment outputs stay
@@ -75,21 +76,20 @@ type NetConfig struct {
 	// traffic from the awaited peer before the rank panics with a
 	// diagnostic (the net analogue of World.SetWatchdog).
 	Watchdog time.Duration
-	// Topology, when non-nil, restricts the world to the descriptor's link
-	// set: the mesh assembly dials only topology peers (O(P·k) sockets
-	// instead of the O(P²) full mesh) and a Send/Recv on an unlinked pair is
-	// a typed *TransportError wrapping *TopologyError. Every rank of a world
-	// must present the same descriptor — the rendezvous pins its digest and
-	// rejects mismatches. nil keeps the historical full mesh.
+	// Topology is the world's link set: the mesh assembly dials only
+	// topology peers (O(P·k) sockets for a sparse descriptor, O(P²) for the
+	// full mesh) and a Send/Recv on an unlinked pair is a typed
+	// *TransportError wrapping *TopologyError. Every rank of a world must
+	// present the same descriptor — the rendezvous pins its digest and
+	// rejects mismatches. Unset, NetRank installs NewFullMesh(Size).
 	Topology *Topology
 
 	// DialTimeout bounds one dial attempt (default 2s); DialAttempts is the
 	// retry budget (default 8) with exponential backoff from DialBackoff
-	// (default 100ms) capped at DialMaxBackoff (default 2s), ±20% jitter.
-	DialTimeout    time.Duration
-	DialAttempts   int
-	DialBackoff    time.Duration
-	DialMaxBackoff time.Duration
+	// (default 100ms) capped at dialMaxBackoff, ±20% jitter.
+	DialTimeout  time.Duration
+	DialAttempts int
+	DialBackoff  time.Duration
 	// RendezvousTimeout bounds the whole rendezvous and mesh handshake
 	// (default 30s).
 	RendezvousTimeout time.Duration
@@ -100,20 +100,27 @@ type NetConfig struct {
 	// peers.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-	// WriteTimeout bounds one frame write (default 10s).
-	WriteTimeout time.Duration
 	// DrainTimeout bounds the clean-teardown drain (default 5s).
 	DrainTimeout time.Duration
 
-	// RejoinAttempts is how many times NetRankElastic re-enters the
-	// rendezvous after the world dies under it (default 8), with the same
-	// capped-backoff + jitter policy as the peer dial: exponential from
-	// RejoinBackoff (default 250ms) capped at RejoinMaxBackoff (default
-	// 4s), ±20% jitter. Plain NetRank ignores these.
+	// RejoinAttempts, when positive, makes the rank elastic: a run that dies
+	// with a *DeliveryError (the world collapsed under it) rejoins through
+	// the rendezvous and runs fn again, at most RejoinAttempts runs in all.
+	// The coordinator must then be serving ServeElastic rounds. Rejoins back
+	// off like the peer dial: exponential from RejoinBackoff (default 250ms)
+	// capped at RejoinMaxBackoff (default 4s), ±20% jitter. Zero (the
+	// default) fails on the first dead world.
 	RejoinAttempts   int
 	RejoinBackoff    time.Duration
 	RejoinMaxBackoff time.Duration
 }
+
+// Fixed endpoint timeouts: the cap on the peer-dial backoff and the bound
+// on one frame write.
+const (
+	dialMaxBackoff = 2 * time.Second
+	writeTimeout   = 10 * time.Second
+)
 
 // withNetDefaults fills zero fields with the documented defaults.
 func (c NetConfig) withNetDefaults() NetConfig {
@@ -129,9 +136,6 @@ func (c NetConfig) withNetDefaults() NetConfig {
 	if c.DialBackoff <= 0 {
 		c.DialBackoff = 100 * time.Millisecond
 	}
-	if c.DialMaxBackoff <= 0 {
-		c.DialMaxBackoff = 2 * time.Second
-	}
 	if c.RendezvousTimeout <= 0 {
 		c.RendezvousTimeout = 30 * time.Second
 	}
@@ -141,14 +145,8 @@ func (c NetConfig) withNetDefaults() NetConfig {
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 10 * time.Second
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.RejoinAttempts <= 0 {
-		c.RejoinAttempts = 8
 	}
 	if c.RejoinBackoff <= 0 {
 		c.RejoinBackoff = 250 * time.Millisecond
@@ -165,30 +163,55 @@ func (c NetConfig) withNetDefaults() NetConfig {
 // panic so peers fail fast. A panic inside fn (including the typed
 // *DeliveryError and *TransportError panics of the transport) is returned
 // as a *RankPanic error, mirroring World.Run's re-raise.
-func NetRank(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) (st machine.Stats, err error) {
+//
+// With cfg.RejoinAttempts > 0 the rank is elastic: when the world dies
+// under fn — the run panics with a *DeliveryError because a peer vanished —
+// the rank parks instead of failing, then rejoins through the rendezvous
+// with the same rank identity and runs fn again from the top. fn must
+// therefore be a restartable program (the pic layer restores its state from
+// the latest complete checkpoint epoch on re-entry). The park-and-rejoin is
+// the recovery barrier: every surviving rank observes the same failure
+// cascade, abandons the dead world, and re-assembles at the coordinator,
+// which must be running ServeElastic. Non-delivery failures (protocol
+// misuse, rank panics of fn's own) and an exhausted budget propagate as the
+// usual *RankPanic.
+func NetRank(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) (machine.Stats, error) {
 	cfg = cfg.withNetDefaults()
 	if cfg.Size <= 0 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
-		return st, fmt.Errorf("comm: NetRank with rank %d of %d", cfg.Rank, cfg.Size)
+		return machine.Stats{}, fmt.Errorf("comm: NetRank with rank %d of %d", cfg.Rank, cfg.Size)
 	}
 	if cfg.Coordinator == "" {
-		return st, errors.New("comm: NetRank needs a coordinator address")
+		return machine.Stats{}, errors.New("comm: NetRank needs a coordinator address")
 	}
-	if cfg.Topology != nil && cfg.Topology.Size() != cfg.Size {
-		return st, fmt.Errorf("comm: NetRank topology %s is for p=%d, world has P=%d",
+	if cfg.Topology == nil {
+		cfg.Topology = NewFullMesh(cfg.Size)
+	}
+	if cfg.Topology.Size() != cfg.Size {
+		return machine.Stats{}, fmt.Errorf("comm: NetRank topology %s is for p=%d, world has P=%d",
 			cfg.Topology.Name(), cfg.Topology.Size(), cfg.Size)
 	}
-	n, err := dialWorld(cfg, nil)
-	if err != nil {
-		return st, fmt.Errorf("comm: rank %d join: %w", cfg.Rank, err)
+	backoff := cfg.RejoinBackoff
+	for attempt := 1; ; attempt++ {
+		n, err := dialWorld(cfg, nil)
+		if err != nil {
+			return machine.Stats{}, fmt.Errorf("comm: rank %d join: %w", cfg.Rank, err)
+		}
+		// A crashed run tears down abruptly — no goodbye, close everything
+		// now — so peers observe EOF and diagnose this rank within their
+		// next Recv.
+		rp := runRank(cfg.Rank, n, wrap, fn)
+		n.shutdown(rp == nil)
+		if rp == nil {
+			return n.stats, nil
+		}
+		if attempt >= cfg.RejoinAttempts || AsDeliveryError(rp.Value) == nil {
+			return machine.Stats{}, rp // out of budget, or not a dead world
+		}
+		time.Sleep(jitter(backoff))
+		if backoff *= 2; backoff > cfg.RejoinMaxBackoff {
+			backoff = cfg.RejoinMaxBackoff
+		}
 	}
-	if rp := runRank(cfg.Rank, n, wrap, fn); rp != nil {
-		// Crash-safe teardown: no goodbye, close everything now. Peers
-		// observe EOF and diagnose this rank within their next Recv.
-		n.shutdown(false)
-		return st, rp
-	}
-	n.shutdown(true)
-	return n.stats, nil
 }
 
 // LaunchLoopback runs fn as a p-rank SPMD program over real loopback TCP
@@ -196,22 +219,12 @@ func NetRank(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) 
 // on its own goroutine. It is the net backend's analogue of Launch, used by
 // tests and for trying out the backend without spawning processes. tmpl
 // supplies Params and any timeout overrides; Coordinator, Rank and Size are
-// filled in. Returns every rank's stats ledger and a per-rank error slice
-// (nil entries for clean ranks).
+// filled in. With tmpl.RejoinAttempts > 0 the coordinator serves
+// ServeElastic rounds until every rank is done, so a rank whose world
+// collapses mid-run (e.g. a fault decorator panicking a *DeliveryError)
+// rejoins and retries instead of failing the launch. Returns every rank's
+// stats ledger and a per-rank error slice (nil entries for clean ranks).
 func LaunchLoopback(tmpl NetConfig, p int, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
-	return launchLoopback(tmpl, p, false, wrap, fn)
-}
-
-// LaunchLoopbackElastic is LaunchLoopback with elastic recovery: the
-// coordinator serves assembly rounds until every rank is done, and each
-// rank runs under NetRankElastic, so a rank whose world collapses mid-run
-// (e.g. a fault decorator panicking a *DeliveryError) rejoins and retries
-// instead of failing the launch. Used by the recovery chaos tests.
-func LaunchLoopbackElastic(tmpl NetConfig, p int, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
-	return launchLoopback(tmpl, p, true, wrap, fn)
-}
-
-func launchLoopback(tmpl NetConfig, p int, elastic bool, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
 	ws := machine.WorldStats{Ranks: make([]machine.Stats, p)}
 	errs := make([]error, p)
 	co, err := StartCoordinator("127.0.0.1:0", p, tmpl.withNetDefaults().RendezvousTimeout)
@@ -222,9 +235,9 @@ func launchLoopback(tmpl NetConfig, p int, elastic bool, wrap func(Transport) Tr
 		return ws, errs
 	}
 	defer co.Close()
-	serve, run := co.Serve, NetRank
-	if elastic {
-		serve, run = co.ServeElastic, NetRankElastic
+	serve := co.Serve
+	if tmpl.RejoinAttempts > 0 {
+		serve = co.ServeElastic
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- serve() }()
@@ -237,11 +250,11 @@ func launchLoopback(tmpl NetConfig, p int, elastic bool, wrap func(Transport) Tr
 			cfg := tmpl
 			cfg.Coordinator = co.Addr()
 			cfg.Rank, cfg.Size = rank, p
-			ws.Ranks[rank], errs[rank] = run(cfg, wrap, fn)
+			ws.Ranks[rank], errs[rank] = NetRank(cfg, wrap, fn)
 		}(i)
 	}
 	wg.Wait()
-	if elastic {
+	if tmpl.RejoinAttempts > 0 {
 		co.Close() // ServeElastic only returns once the listener closes
 	}
 	if e := <-serveErr; e != nil {
@@ -252,43 +265,6 @@ func launchLoopback(tmpl NetConfig, p int, elastic bool, wrap func(Transport) Tr
 		}
 	}
 	return ws, errs
-}
-
-// NetRankElastic is NetRank with elastic recovery: when the world dies
-// under fn — the run panics with a *DeliveryError because a peer vanished —
-// the rank parks instead of failing, then rejoins through the rendezvous
-// with the same rank identity and runs fn again from the top. fn must
-// therefore be a restartable program (the pic layer restores its state from
-// the latest complete checkpoint epoch on re-entry). The park-and-rejoin is
-// the recovery barrier: every surviving rank observes the same failure
-// cascade, abandons the dead world, and re-assembles at the coordinator,
-// which must be running a multi-round ServeElastic loop.
-//
-// Rejoin attempts use the peer-dial retry policy (capped exponential
-// backoff + jitter, cfg.Rejoin*) so recovery survives a slow-restarting
-// coordinator or replacement rank. Non-delivery failures (protocol misuse,
-// rank panics of fn's own) and an exhausted rejoin budget propagate as the
-// usual *RankPanic.
-func NetRankElastic(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) (machine.Stats, error) {
-	cfg = cfg.withNetDefaults()
-	backoff := cfg.RejoinBackoff
-	for attempt := 0; ; attempt++ {
-		st, err := NetRank(cfg, wrap, fn)
-		if err == nil {
-			return st, nil
-		}
-		var rp *RankPanic
-		if !errors.As(err, &rp) || AsDeliveryError(rp.Value) == nil {
-			return st, err // not a dead-world failure: do not mask it
-		}
-		if attempt+1 >= cfg.RejoinAttempts {
-			return st, err
-		}
-		time.Sleep(jitter(backoff))
-		if backoff *= 2; backoff > cfg.RejoinMaxBackoff {
-			backoff = cfg.RejoinMaxBackoff
-		}
-	}
 }
 
 // oobMsg is one Expose publication in flight, attributed to its origin rank
@@ -379,7 +355,7 @@ func (n *netTransport) writePeer(dst int, f *netFrame) error {
 	if r := p.dead.Load(); r != nil {
 		return errors.New(*r)
 	}
-	err := writeFrame(p.conn, &p.wmu, n.cfg.WriteTimeout, f)
+	err := writeFrame(p.conn, &p.wmu, writeTimeout, f)
 	if err != nil {
 		var ce *CodecError
 		if !errors.As(err, &ce) {
@@ -438,7 +414,7 @@ func (n *netTransport) pull(src int, tag Tag) message {
 func (n *netTransport) publish(v any) []any {
 	out := make([]any, n.p)
 	out[n.id] = v
-	if n.topo != nil && !n.topo.IsFullMesh() {
+	if !n.topo.IsFullMesh() {
 		n.exposeRing(v, out)
 		return out
 	}
@@ -582,7 +558,7 @@ func (n *netTransport) heartbeatLoop() {
 				if p == nil || p.dead.Load() != nil {
 					continue
 				}
-				if err := writeFrame(p.conn, &p.wmu, n.cfg.WriteTimeout, &hb); err != nil {
+				if err := writeFrame(p.conn, &p.wmu, writeTimeout, &hb); err != nil {
 					p.fail("heartbeat write failed: " + err.Error())
 				}
 			}
@@ -607,7 +583,7 @@ func (n *netTransport) shutdown(clean bool) {
 			}
 			// Best effort: a peer that died mid-teardown is already
 			// diagnosed elsewhere.
-			_ = writeFrame(p.conn, &p.wmu, n.cfg.WriteTimeout, &bye)
+			_ = writeFrame(p.conn, &p.wmu, writeTimeout, &bye)
 		}
 		// Drain: keep connections open until every peer has said goodbye
 		// (its reader exits) or the drain budget runs out, so closing can
@@ -739,7 +715,7 @@ func rendezvous(cfg NetConfig, listenAddr string) (uint64, []string, error) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(cfg.RendezvousTimeout))
 	hello := netFrame{kind: frameHello, rank: cfg.Rank, size: cfg.Size, addr: listenAddr,
-		topo: topologyDigest(cfg.Topology)}
+		topo: cfg.Topology.Digest()}
 	var mu sync.Mutex
 	if err := writeFrame(conn, &mu, cfg.RendezvousTimeout, &hello); err != nil {
 		return 0, nil, fmt.Errorf("rendezvous hello: %w", err)
@@ -762,26 +738,20 @@ func rendezvous(cfg NetConfig, listenAddr string) (uint64, []string, error) {
 
 // buildMesh establishes the pairwise connections: dial every lower-ranked
 // topology peer, accept from every higher-ranked one, each verified by the
-// peer handshake. On a full mesh (nil topology) that is every other rank —
-// O(P²) sockets world-wide; a sparse topology assembles only its link set,
+// peer handshake. On the full mesh that is every other rank — O(P²)
+// sockets world-wide; a sparse topology assembles only its link set,
 // O(P·k). Returns per-rank connections (own slot and non-peers nil).
 func buildMesh(cfg NetConfig, ln net.Listener, worldID uint64, addrs []string) ([]net.Conn, error) {
 	conns := make([]net.Conn, cfg.Size)
+	tp := cfg.Topology
 	expect := 0 // inbound connections from higher-ranked peers
 	var dials []int
-	if tp := cfg.Topology; tp != nil {
-		for _, q := range tp.Peers(cfg.Rank) {
-			if q < cfg.Rank {
-				dials = append(dials, q)
-			} else {
-				expect++
-			}
+	for _, q := range tp.Peers(cfg.Rank) {
+		if q < cfg.Rank {
+			dials = append(dials, q)
+		} else {
+			expect++
 		}
-	} else {
-		for i := 0; i < cfg.Rank; i++ {
-			dials = append(dials, i)
-		}
-		expect = cfg.Size - 1 - cfg.Rank
 	}
 
 	type accepted struct {
@@ -817,13 +787,10 @@ func buildMesh(cfg NetConfig, ln net.Listener, worldID uint64, addrs []string) (
 	for _, i := range dials {
 		c, err := dialPeer(cfg, worldID, i, addrs[i])
 		if err != nil {
-			if tp := cfg.Topology; tp != nil {
-				// Name the topology and this rank's full peer set, so a
-				// misconfigured sparse world diagnoses itself at the launcher.
-				err = fmt.Errorf("%w (topology %s, peers of rank %d: %v)",
-					err, tp.Name(), cfg.Rank, tp.Peers(cfg.Rank))
-			}
-			return conns, err
+			// Name the topology and this rank's full peer set, so a
+			// misconfigured sparse world diagnoses itself at the launcher.
+			return conns, fmt.Errorf("%w (topology %s, peers of rank %d: %v)",
+				err, tp.Name(), cfg.Rank, tp.Peers(cfg.Rank))
 		}
 		conns[i] = c
 	}
@@ -897,8 +864,8 @@ func acceptPeer(cfg NetConfig, c net.Conn, worldID uint64, conns []net.Conn) (in
 	if f.rank <= cfg.Rank || f.rank >= cfg.Size {
 		return reject(fmt.Sprintf("unexpected dialing rank %d (accepting ranks %d..%d)", f.rank, cfg.Rank+1, cfg.Size-1))
 	}
-	if tp := cfg.Topology; tp != nil && !tp.Connected(cfg.Rank, f.rank) {
-		return reject(tp.errOutOf(f.rank, cfg.Rank).Error())
+	if !cfg.Topology.Connected(cfg.Rank, f.rank) {
+		return reject(cfg.Topology.errOutOf(f.rank, cfg.Rank).Error())
 	}
 	if conns[f.rank] != nil {
 		return reject(fmt.Sprintf("rank %d is already connected (duplicate identity)", f.rank))
@@ -919,8 +886,8 @@ func dialRetry(cfg NetConfig, addr string) (net.Conn, error) {
 	for attempt := 0; attempt < cfg.DialAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(jitter(backoff))
-			if backoff *= 2; backoff > cfg.DialMaxBackoff {
-				backoff = cfg.DialMaxBackoff
+			if backoff *= 2; backoff > dialMaxBackoff {
+				backoff = dialMaxBackoff
 			}
 		}
 		c, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -293,6 +294,68 @@ func TestNetRendezvousRejectsSizeMismatch(t *testing.T) {
 	if !strings.Contains(rankErr.Error(), "world size mismatch") {
 		t.Errorf("rejection reason not surfaced to the rank: %v", rankErr)
 	}
+}
+
+// TestNetRendezvousTopologyPin: the coordinator pins the first
+// registration's topology digest. A rank presenting a different link set is
+// refused with both digests named (the other rank then times out waiting
+// for a world that cannot assemble); a rank presenting no topology carries
+// the full mesh's digest and assembles with an explicit full-mesh rank.
+func TestNetRendezvousTopologyPin(t *testing.T) {
+	assemble := func(t *testing.T, topos ...*Topology) []error {
+		co, err := StartCoordinator("127.0.0.1:0", 2, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer co.Close()
+		go func() { _ = co.Serve() }()
+		errc := make(chan error, len(topos))
+		for rank, tp := range topos {
+			cfg := netTestTemplate()
+			cfg.Coordinator = co.Addr()
+			cfg.Rank, cfg.Size = rank, 2
+			cfg.Topology = tp
+			cfg.RendezvousTimeout = 2 * time.Second
+			go func() {
+				_, err := NetRank(cfg, nil, func(tr Transport) { Barrier(tr) })
+				errc <- err
+			}()
+		}
+		var errs []error
+		for range topos {
+			errs = append(errs, <-errc)
+		}
+		return errs
+	}
+
+	t.Run("mismatch", func(t *testing.T) {
+		sparse := NewNeighborSparse(2, func(a, b int) bool { return false })
+		full := NewFullMesh(2)
+		// Whichever rank registers second is the one refused.
+		var refused []string
+		for _, err := range assemble(t, full, sparse) {
+			if err != nil && strings.Contains(err.Error(), "topology mismatch") {
+				refused = append(refused, err.Error())
+			}
+		}
+		if len(refused) != 1 {
+			t.Fatalf("%d topology mismatch rejections (%q), want exactly one", len(refused), refused)
+		}
+		msg := refused[0]
+		for _, d := range []uint64{sparse.Digest(), full.Digest()} {
+			if !strings.Contains(msg, fmt.Sprintf("%016x", d)) {
+				t.Errorf("rejection %q does not name digest %016x", msg, d)
+			}
+		}
+	})
+
+	t.Run("unset is the full mesh", func(t *testing.T) {
+		for _, err := range assemble(t, NewFullMesh(2), nil) {
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }
 
 // TestNetRendezvousRejectsDuplicateRank: two processes claiming the same

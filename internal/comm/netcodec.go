@@ -115,7 +115,7 @@ type netFrame struct {
 	addr    string // hello: the sender's mesh listen address
 	addrs   []string
 	reason  string // reject: why
-	topo    uint64 // hello: topology digest (0 = full mesh / none)
+	topo    uint64 // hello: the rank's Topology.Digest
 }
 
 // appendFrame encodes f onto buf (which should come from wire.GetBytes) and

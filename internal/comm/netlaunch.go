@@ -58,35 +58,26 @@ func (e *LaunchError) Error() string {
 	return head + strings.Join(parts, "; ")
 }
 
-// SuperviseRanks starts every rank process and waits for the world to
-// finish. All ranks exiting cleanly returns nil. On the first abnormal
-// exit the supervisor waits up to grace for the remaining ranks to fail on
-// their own (printing their DeliveryError diagnostics), then kills any
-// stragglers, and returns a *LaunchError naming every failed rank — the
-// Start-failure path included: siblings killed because a later rank never
-// started are drained and recorded too, so multi-rank death is always
-// fully attributed.
-func SuperviseRanks(procs []*RankProc, grace time.Duration, world ...string) error {
-	return SuperviseRanksElastic(procs, grace, nil, 0, world...)
-}
-
 // RespawnFunc builds a replacement process for a dead rank during an
 // elastic run. It must return a RankProc for the same rank identity whose
 // Cmd is ready to Start (or already started, e.g. to log the new pid).
 type RespawnFunc func(rank int) (*RankProc, error)
 
-// SuperviseRanksElastic is SuperviseRanks with elastic recovery: when a
-// rank exits abnormally while respawn budget remains, the supervisor
-// relaunches that rank via respawn instead of failing the run — the
-// surviving rank processes meanwhile park at the rendezvous (NetRankElastic)
-// and the world re-assembles, rolled back to the latest complete
-// checkpoint epoch. maxRespawns bounds the total relaunches across the
-// whole run; a nil respawn (or an exhausted budget) reverts to the
-// grace-then-kill aggregation of SuperviseRanks.
-// An optional trailing world description (e.g. "topology neighbor-sparse,
-// P=4") is carried on any resulting *LaunchError so refused dials in sparse
-// worlds are attributed to the world's configuration.
-func SuperviseRanksElastic(procs []*RankProc, grace time.Duration, respawn RespawnFunc, maxRespawns int, world ...string) error {
+// SuperviseRanks starts every rank process and waits for the world to
+// finish; all ranks exiting cleanly returns nil. A rank that exits
+// abnormally while respawn budget remains (maxRespawns relaunches over the
+// whole run) is relaunched via respawn — the survivors meanwhile park at
+// the rendezvous (NetRank with RejoinAttempts set) and the world
+// re-assembles, rolled back to the latest complete checkpoint epoch.
+// Otherwise (nil respawn, spent budget) the supervisor waits up to grace
+// for the remaining ranks to fail on their own (printing their
+// DeliveryError diagnostics), kills any stragglers, and returns a
+// *LaunchError naming every failed rank — the Start-failure path included:
+// siblings killed because a later rank never started are drained and
+// recorded too, so multi-rank death is always fully attributed. An
+// optional trailing world description (e.g. "topology neighbor-sparse,
+// P=4") is carried on that error.
+func SuperviseRanks(procs []*RankProc, grace time.Duration, respawn RespawnFunc, maxRespawns int, world ...string) error {
 	worldDesc := strings.Join(world, ", ")
 	if grace <= 0 {
 		grace = 10 * time.Second

@@ -10,10 +10,12 @@ import (
 	"time"
 )
 
-// elasticTestTemplate is netTestTemplate with the rejoin backoff tightened
-// for fast recovery-path tests.
+// elasticTestTemplate is netTestTemplate with a rejoin budget (which makes
+// LaunchLoopback serve elastic rounds) and the rejoin backoff tightened for
+// fast recovery-path tests.
 func elasticTestTemplate() NetConfig {
 	tmpl := netTestTemplate()
+	tmpl.RejoinAttempts = 8
 	tmpl.RejoinBackoff = 10 * time.Millisecond
 	tmpl.RejoinMaxBackoff = 100 * time.Millisecond
 	return tmpl
@@ -29,7 +31,7 @@ func TestSuperviseRanksStartFailureAggregates(t *testing.T) {
 		{Rank: 1, Cmd: exec.Command("sleep", "30")},
 		{Rank: 2, Cmd: exec.Command("/nonexistent/picpar-no-such-binary")},
 	}
-	err := SuperviseRanks(procs, time.Second)
+	err := SuperviseRanks(procs, time.Second, nil, 0)
 	var le *LaunchError
 	if !errors.As(err, &le) {
 		t.Fatalf("error is %T (%v), want *LaunchError", err, err)
@@ -51,10 +53,10 @@ func TestSuperviseRanksStartFailureAggregates(t *testing.T) {
 	}
 }
 
-// TestSuperviseRanksElasticRespawns: an abnormal exit while the world is
+// TestSuperviseRanksRespawns: an abnormal exit while the world is
 // in flight is respawned (not failed), and the run ends cleanly once every
 // process — replacement included — exits 0.
-func TestSuperviseRanksElasticRespawns(t *testing.T) {
+func TestSuperviseRanksRespawns(t *testing.T) {
 	var respawns atomic.Int64
 	procs := []*RankProc{
 		{Rank: 0, Cmd: exec.Command("sleep", "0.5")},
@@ -64,7 +66,7 @@ func TestSuperviseRanksElasticRespawns(t *testing.T) {
 		respawns.Add(1)
 		return &RankProc{Rank: rank, Cmd: exec.Command("true")}, nil
 	}
-	if err := SuperviseRanksElastic(procs, time.Second, respawn, 4); err != nil {
+	if err := SuperviseRanks(procs, time.Second, respawn, 4); err != nil {
 		t.Fatalf("elastic supervision failed: %v", err)
 	}
 	if got := respawns.Load(); got != 1 {
@@ -72,9 +74,9 @@ func TestSuperviseRanksElasticRespawns(t *testing.T) {
 	}
 }
 
-// TestSuperviseRanksElasticBudgetExhausted: with no respawn budget the
-// elastic supervisor degrades to the grace-then-kill aggregation.
-func TestSuperviseRanksElasticBudgetExhausted(t *testing.T) {
+// TestSuperviseRanksBudgetExhausted: with no respawn budget the
+// supervisor degrades to the grace-then-kill aggregation.
+func TestSuperviseRanksBudgetExhausted(t *testing.T) {
 	procs := []*RankProc{
 		{Rank: 0, Cmd: exec.Command("sleep", "30")},
 		{Rank: 1, Cmd: exec.Command("sh", "-c", "exit 3")},
@@ -82,7 +84,7 @@ func TestSuperviseRanksElasticBudgetExhausted(t *testing.T) {
 	respawn := func(rank int) (*RankProc, error) {
 		return &RankProc{Rank: rank, Cmd: exec.Command("true")}, nil
 	}
-	err := SuperviseRanksElastic(procs, 200*time.Millisecond, respawn, 0)
+	err := SuperviseRanks(procs, 200*time.Millisecond, respawn, 0)
 	var le *LaunchError
 	if !errors.As(err, &le) {
 		t.Fatalf("error is %T (%v), want *LaunchError", err, err)
@@ -101,13 +103,13 @@ func TestSuperviseRanksElasticBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestSuperviseRanksElasticBudgetConsumedThenFails: a rank that keeps
+// TestSuperviseRanksBudgetConsumedThenFails: a rank that keeps
 // dying consumes the whole respawn budget (every respawn really runs),
 // and the exit after the last budgeted respawn escalates to a typed
 // *LaunchError that names the failing rank, the surviving killed sibling,
 // and the world description the caller attached — and the supervisor
 // leaves no goroutines behind.
-func TestSuperviseRanksElasticBudgetConsumedThenFails(t *testing.T) {
+func TestSuperviseRanksBudgetConsumedThenFails(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	const budget = 2
@@ -120,7 +122,7 @@ func TestSuperviseRanksElasticBudgetConsumedThenFails(t *testing.T) {
 		respawns.Add(1)
 		return &RankProc{Rank: rank, Cmd: exec.Command("sh", "-c", "exit 3")}, nil
 	}
-	err := SuperviseRanksElastic(procs, 200*time.Millisecond, respawn, budget,
+	err := SuperviseRanks(procs, 200*time.Millisecond, respawn, budget,
 		"job j-test, P=2")
 	var le *LaunchError
 	if !errors.As(err, &le) {
@@ -162,11 +164,11 @@ func TestSuperviseRanksElasticBudgetConsumedThenFails(t *testing.T) {
 	}
 }
 
-// TestNetRankElasticRejoins: a rank whose world dies under it (a peer
-// panicked a *DeliveryError and tore down abruptly) parks, re-registers
-// through the elastic rendezvous and completes on the rebuilt world — and
-// the failure cascades, so its peer rejoins too.
-func TestNetRankElasticRejoins(t *testing.T) {
+// TestNetRankRejoins: with a rejoin budget, a rank whose world dies under
+// it (a peer panicked a *DeliveryError and tore down abruptly) parks,
+// re-registers through the elastic rendezvous and completes on the rebuilt
+// world — and the failure cascades, so its peer rejoins too.
+func TestNetRankRejoins(t *testing.T) {
 	var attempts atomic.Int64
 	var fired atomic.Bool
 	fn := func(tr Transport) {
@@ -181,7 +183,7 @@ func TestNetRankElasticRejoins(t *testing.T) {
 			panic("exchange corrupted")
 		}
 	}
-	_, errs := LaunchLoopbackElastic(elasticTestTemplate(), 2, nil, fn)
+	_, errs := LaunchLoopback(elasticTestTemplate(), 2, nil, fn)
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d failed: %v", rank, err)
@@ -195,9 +197,9 @@ func TestNetRankElasticRejoins(t *testing.T) {
 	}
 }
 
-// TestNetRankElasticDoesNotMaskRealFailures: a rank panic that is not a
+// TestNetRankRejoinDoesNotMaskRealFailures: a rank panic that is not a
 // delivery failure must propagate immediately, not burn rejoin attempts.
-func TestNetRankElasticDoesNotMaskRealFailures(t *testing.T) {
+func TestNetRankRejoinDoesNotMaskRealFailures(t *testing.T) {
 	var attempts atomic.Int64
 	fn := func(tr Transport) {
 		attempts.Add(1)
@@ -210,9 +212,54 @@ func TestNetRankElasticDoesNotMaskRealFailures(t *testing.T) {
 	// (rank 1 is gone for good); a short rendezvous window bounds the test.
 	tmpl := elasticTestTemplate()
 	tmpl.RendezvousTimeout = time.Second
-	_, errs := LaunchLoopbackElastic(tmpl, 2, nil, fn)
+	_, errs := LaunchLoopback(tmpl, 2, nil, fn)
 	var rp *RankPanic
 	if !errors.As(errs[1], &rp) || rp.Value != "a real bug" {
 		t.Fatalf("rank 1 error %v, want its own RankPanic", errs[1])
+	}
+}
+
+// TestNetRankZeroRejoinAttemptsFailsOnce: RejoinAttempts 0 is the plain,
+// non-elastic rank even when the coordinator would re-assemble the world —
+// a rank whose peer panics fails with a *DeliveryError naming that peer
+// after running fn exactly once.
+func TestNetRankZeroRejoinAttemptsFailsOnce(t *testing.T) {
+	co, err := StartCoordinator("127.0.0.1:0", 2, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	go func() { _ = co.ServeElastic() }()
+
+	var attempts atomic.Int64
+	fn := func(tr Transport) {
+		attempts.Add(1)
+		if tr.Rank() == 1 {
+			panic(&DeliveryError{Rank: 1, Peer: 0, Tag: TagUser, Reason: "chaos: injected rank death"})
+		}
+		tr.Recv(1, TagUser)
+	}
+	errs := make([]error, 2)
+	done := make(chan struct{}, 2)
+	for rank := range errs {
+		go func(rank int) {
+			cfg := netTestTemplate()
+			cfg.Coordinator = co.Addr()
+			cfg.Rank, cfg.Size = rank, 2
+			_, errs[rank] = NetRank(cfg, nil, fn)
+			done <- struct{}{}
+		}(rank)
+	}
+	<-done
+	<-done
+	var rp *RankPanic
+	if !errors.As(errs[0], &rp) {
+		t.Fatalf("rank 0 error %v, want *RankPanic", errs[0])
+	}
+	if de := AsDeliveryError(rp.Value); de == nil || de.Rank != 0 || de.Peer != 1 {
+		t.Fatalf("rank 0 panic %v, want a *DeliveryError naming peer 1", rp.Value)
+	}
+	if got := attempts.Load(); got != 2 {
+		t.Errorf("%d rank attempts, want 2 (each rank runs fn once)", got)
 	}
 }

@@ -1,10 +1,12 @@
 // Topology descriptors: which rank pairs of a world own a direct
-// communication link. The descriptor is consulted in two places — the rank
-// core enforces it on every Send/Recv of the goroutine World and the TCP
-// backend (an out-of-topology message is a typed *TransportError wrapping a
-// *TopologyError, never a silent success), and the TCP backend additionally
-// consults it at assembly time so a neighbor-sparse world dials O(P·k)
-// sockets instead of the O(P²) full mesh.
+// communication link. Every world carries one — NewWorld, NetRank and the
+// hierarchical launcher install the full mesh unless told otherwise. The
+// descriptor is consulted in two places — the rank core enforces it on
+// every Send/Recv of every backend (an out-of-topology message is a typed
+// *TransportError wrapping a *TopologyError, never a silent success), and
+// the TCP backend additionally consults it at assembly time so a
+// neighbor-sparse world dials O(P·k) sockets instead of the O(P²) full
+// mesh.
 //
 // Every descriptor's link set includes the COLLECTIVE SKELETON: the rank
 // pairs at distance ±2^k mod p for 2^k < p. All collectives in this package
@@ -58,8 +60,7 @@ func (e *TopologyError) Unwrap() error { return ErrOutOfTopology }
 
 // Topology is an immutable link-set descriptor over a world of p ranks.
 // Links are undirected and every rank is linked to itself. The zero value
-// is not valid; use the constructors. A nil *Topology everywhere means
-// "full mesh, unenforced" — the historical any-to-any behaviour.
+// is not valid; use the constructors.
 type Topology struct {
 	name  string
 	p     int
@@ -108,8 +109,7 @@ func newTopology(name string, p int, conn []bool) *Topology {
 }
 
 // NewFullMesh describes the any-to-any topology over p ranks: every pair
-// linked. Enforcement never fires; the descriptor exists so the traffic
-// accounting has a uniform baseline to compare sparse worlds against.
+// linked, so enforcement never fires. It is every world's default link set.
 func NewFullMesh(p int) *Topology {
 	conn := make([]bool, p*p)
 	for i := range conn {
@@ -174,8 +174,7 @@ func (tp *Topology) NumLinks() int {
 // Digest is a stable fingerprint of the descriptor (name, size, link set).
 // The TCP rendezvous requires every rank of a world to present the same
 // digest, so a rank assembled with a mismatched topology is rejected at
-// registration instead of deadlocking against peers it cannot reach. A nil
-// topology's digest is 0 by convention (see NetConfig.Topology).
+// registration instead of deadlocking against peers it cannot reach.
 func (tp *Topology) Digest() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s/%d:", tp.name, tp.p)
@@ -199,12 +198,4 @@ func (tp *Topology) Digest() uint64 {
 // errOutOf builds the typed refusal for a message from rank a to rank b.
 func (tp *Topology) errOutOf(a, b int) *TopologyError {
 	return &TopologyError{Topology: tp.name, Rank: a, Peer: b, Peers: tp.peers[a]}
-}
-
-// topologyDigest is Digest with the nil convention applied.
-func topologyDigest(tp *Topology) uint64 {
-	if tp == nil {
-		return 0
-	}
-	return tp.Digest()
 }

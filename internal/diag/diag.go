@@ -1,7 +1,6 @@
 // Package diag renders text-mode diagnostics of simulation state: particle
-// density maps, per-rank occupancy histograms, and time-series sparklines.
-// The examples use it to make the alignment machinery visible; it has no
-// effect on simulated time.
+// density maps and time-series sparklines. The examples use it to make the
+// alignment machinery visible; it has no effect on simulated time.
 package diag
 
 import (
@@ -57,45 +56,6 @@ func shade(v, max int) rune {
 		idx = len(shades) - 1
 	}
 	return shades[idx]
-}
-
-// RankHistogram prints a bar per rank of the given counts (e.g. particles
-// per rank), annotated with the imbalance factor.
-func RankHistogram(w io.Writer, label string, counts []int) {
-	if len(counts) == 0 {
-		return
-	}
-	max, total := 0, 0
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	mean := float64(total) / float64(len(counts))
-	fmt.Fprintf(w, "%s (imbalance %.2f):\n", label, imbalance(counts))
-	for r, c := range counts {
-		barLen := 0
-		if max > 0 {
-			barLen = c * 40 / max
-		}
-		fmt.Fprintf(w, "  rank %3d %6d %s\n", r, c, strings.Repeat("|", barLen))
-	}
-	_ = mean
-}
-
-func imbalance(counts []int) float64 {
-	max, total := 0, 0
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(max) / (float64(total) / float64(len(counts)))
 }
 
 // sparkGlyphs are eight vertical bar heights.

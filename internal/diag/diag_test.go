@@ -46,31 +46,6 @@ func TestDensityMapEmpty(t *testing.T) {
 	DensityMap(&sb, mesh.NewGrid(4, 4), particle.NewStore(0, -1, 1), 0, 0) // no panic
 }
 
-func TestRankHistogram(t *testing.T) {
-	var sb strings.Builder
-	RankHistogram(&sb, "particles", []int{10, 20, 10})
-	out := sb.String()
-	if !strings.Contains(out, "imbalance 1.50") {
-		t.Errorf("missing imbalance: %s", out)
-	}
-	if !strings.Contains(out, "rank   1     20") {
-		t.Errorf("missing rank row: %s", out)
-	}
-	RankHistogram(&sb, "empty", nil) // no panic
-}
-
-func TestImbalance(t *testing.T) {
-	if got := imbalance([]int{5, 5, 5}); got != 1 {
-		t.Errorf("balanced imbalance %g", got)
-	}
-	if got := imbalance([]int{0, 0}); got != 1 {
-		t.Errorf("zero imbalance %g", got)
-	}
-	if got := imbalance([]int{0, 10}); got != 2 {
-		t.Errorf("skewed imbalance %g", got)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	s := Sparkline([]float64{0, 1, 2, 3})
 	if len([]rune(s)) != 4 {

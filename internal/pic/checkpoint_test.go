@@ -160,9 +160,9 @@ func (k killOnce) Send(dst int, tag comm.Tag, body any, nbytes int) {
 }
 
 // TestElasticRecoveryByteIdentical is the in-Go chaos gate for the whole
-// recovery stack: a 4-rank world over real loopback TCP runs under
-// NetRankElastic with checkpointing on; rank 2 dies mid-run (injected
-// delivery failure, abrupt teardown). Every rank parks, re-registers
+// recovery stack: a 4-rank world over real loopback TCP runs elastic
+// NetRanks (RejoinAttempts set) with checkpointing on; rank 2 dies mid-run
+// (injected delivery failure, abrupt teardown). Every rank parks, re-registers
 // through the rendezvous, rolls back to the agreed epoch and continues —
 // and the final fingerprint and TotalTime match an undisturbed run
 // exactly. (The multi-process version with a real kill -9 is
@@ -188,7 +188,8 @@ func TestElasticRecoveryByteIdentical(t *testing.T) {
 		return killOnce{Transport: tr, sends: &atomic.Int64{}, fired: fired, after: 40}
 	}
 	tmpl := commtest.NetTemplate(machine.CM5())
-	_, errs := comm.LaunchLoopbackElastic(tmpl, 4, wrap, func(tr comm.Transport) {
+	tmpl.RejoinAttempts = 8
+	_, errs := comm.LaunchLoopback(tmpl, 4, wrap, func(tr comm.Transport) {
 		attempts.Add(1)
 		r, rerr := RunRank(tr, cfg)
 		if rerr != nil {

@@ -138,7 +138,7 @@ type Config struct {
 	// Recover makes the run restore from the latest complete checkpoint
 	// epoch in CheckpointDir (agreed across ranks) before iterating, and —
 	// under the TCP backend — rejoin elastically when the world dies
-	// (comm.NetRankElastic). With no usable epoch the run starts from
+	// (comm.NetConfig.RejoinAttempts). With no usable epoch the run starts from
 	// scratch, byte-identically to a non-recovering run.
 	Recover bool
 

@@ -23,17 +23,15 @@ func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	// Topology: neighbor-sparse becomes the descriptor the TCP backend
-	// assembles its socket mesh from — O(P·k) sockets instead of O(P²) —
-	// and the rendezvous pins the descriptor digest so mismatched ranks are
-	// rejected at assembly. The full mesh installs no descriptor.
-	if ncfg.Topology == nil && cfg.Topology == TopologyNeighborSparse {
-		tp, terr := TopologyFor(cfg)
-		if terr != nil {
-			return nil, terr
-		}
-		ncfg.Topology = tp
+	// Topology: the configured link set is the descriptor the TCP backend
+	// assembles its socket mesh from — O(P·k) sockets under neighbor-sparse
+	// instead of the full mesh's O(P²) — and the rendezvous pins its digest
+	// so mismatched ranks are rejected at assembly.
+	tp, err := TopologyFor(cfg)
+	if err != nil {
+		return nil, err
 	}
+	ncfg.Topology = tp
 	if ncfg.Params == (machine.Params{}) {
 		ncfg.Params = cfg.Machine
 	}
@@ -52,12 +50,10 @@ func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
 	// (a peer was killed), it parks, rejoins through the rendezvous and
 	// reruns the simulation — which restores the agreed checkpoint epoch
 	// and continues. RunRank is re-entered from the top, so each attempt
-	// starts from a clean state.
-	var err error
+	// starts from a clean state; it runs at most 8 times.
 	if cfg.Recover {
-		_, err = comm.NetRankElastic(ncfg, cfg.Transport, rank)
-	} else {
-		_, err = comm.NetRank(ncfg, cfg.Transport, rank)
+		ncfg.RejoinAttempts = 8
 	}
+	_, err = comm.NetRank(ncfg, cfg.Transport, rank)
 	return res, err
 }

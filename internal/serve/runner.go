@@ -276,7 +276,7 @@ func (p ProcessRunner) Run(ctx context.Context, rc RunContext) (*JobResult, erro
 	}
 
 	worldDesc := fmt.Sprintf("job %s, P=%d", rc.Manifest.ID, ranks)
-	supErr := comm.SuperviseRanksElastic(procs, grace, respawn, budget, worldDesc)
+	supErr := comm.SuperviseRanks(procs, grace, respawn, budget, worldDesc)
 	if rc.SetPGID != nil {
 		rc.SetPGID(0) // every worker has been reaped
 	}

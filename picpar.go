@@ -183,27 +183,28 @@ type Coordinator = comm.Coordinator
 type RankProc = comm.RankProc
 
 // RespawnFunc builds a replacement process for a dead rank during an
-// elastic run (see SuperviseRanksElastic).
+// elastic run (see SuperviseRanks).
 type RespawnFunc = comm.RespawnFunc
 
 // StartCoordinator binds the rendezvous listener for a world of p ranks
-// with the default assembly timeout; call Serve to assemble the world.
+// with the default assembly timeout; call Serve (one-shot) or ServeElastic
+// (re-assembly rounds for recovering ranks) to assemble the world.
 func StartCoordinator(addr string, p int) (*Coordinator, error) {
 	return comm.StartCoordinator(addr, p, 0)
 }
 
-// SuperviseRanksElastic starts (if needed) and babysits one OS process per
-// rank. A rank that exits abnormally while respawn budget remains is
-// relaunched via respawn, and the surviving rank processes re-assemble
-// through the rendezvous rolled back to the latest complete checkpoint
-// epoch; once the budget is spent, the first abnormal exit grants the grace
+// SuperviseRanks starts (if needed) and babysits one OS process per rank.
+// A rank that exits abnormally while respawn budget remains is relaunched
+// via respawn, and the surviving rank processes re-assemble through the
+// rendezvous rolled back to the latest complete checkpoint epoch. With a
+// nil respawn or a spent budget, the first abnormal exit grants the grace
 // period for peers to print their own diagnostics, kills stragglers, and
 // returns an error naming every failed rank. An optional trailing world
 // description (e.g. "topology neighbor-sparse, P=4") is carried on that
 // error, attributing refused dials in sparse worlds to the world's
 // configuration.
-func SuperviseRanksElastic(procs []*RankProc, grace time.Duration, respawn RespawnFunc, maxRespawns int, world ...string) error {
-	return comm.SuperviseRanksElastic(procs, grace, respawn, maxRespawns, world...)
+func SuperviseRanks(procs []*RankProc, grace time.Duration, respawn RespawnFunc, maxRespawns int, world ...string) error {
+	return comm.SuperviseRanks(procs, grace, respawn, maxRespawns, world...)
 }
 
 // RunNet runs this process's rank of the configured simulation over the

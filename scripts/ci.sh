@@ -57,12 +57,15 @@ fi
 echo "== deleted-path audit (grep) =="
 # The tiled scatter, the second wall-clock harness (picbench -bench/-cpu,
 # bench/BENCH_*.json), the dominated topology spellings (systolic-ring,
-# pic-level hierarchical[:H], the bare ring descriptor) and the phase-
-# pipeline layer (internal/engine and pic's adapters onto it) are gone;
-# benchmark/ is the one wall-clock harness, Config.Topology names a link set
-# and the time step is a loop in pic.runRank. None may come back in non-test
-# Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance' \
+# pic-level hierarchical[:H], the bare ring descriptor), the phase-pipeline
+# layer (internal/engine and pic's adapters onto it), the Elastic twins of
+# the TCP entry points, the nil-topology digest and diag's dead histogram
+# are gone; benchmark/ is the one wall-clock harness, Config.Topology names
+# a link set, the time step is a loop in pic.runRank, and NetRank,
+# LaunchLoopback and SuperviseRanks are the one rank entry point, in-process
+# launcher and supervisor. None may come back in non-test Go or a script
+# (this file excluded: it holds the pattern).
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
@@ -70,11 +73,17 @@ if [ -n "$old" ]; then
     printf '%s\n' "$old"
     exit 1
 fi
-# Every pic world has a link set: the full mesh is a descriptor too, so no
-# non-test internal/pic code tests the topology for nil.
-old=$(grep -n 'topo [!=]= nil' $pic || true)
+# Every world has a link set: the full mesh is a descriptor too, so neither
+# non-test internal/pic nor the comm backends test a topology for nil. The
+# one nil read left is NetRank's entry default, where an unset
+# NetConfig.Topology becomes NewFullMesh. exchanger.go is not audited: a nil
+# Exchanger.tp names the systolic protocol, not a missing link set.
+comm=$(printf 'internal/comm/%s.go ' core comm net hier topology rendezvous)
+old=$( { grep -n 'topo [!=]= nil' $pic
+    grep -nE '(topo|tp|Topology) [!=]= nil' $comm |
+        grep -vE '^internal/comm/net\.go:[0-9]+:[[:space:]]+if cfg\.Topology == nil \{$'; } || true)
 if [ -n "$old" ]; then
-    echo "internal/pic tests a topology for nil (the full mesh is a descriptor):"
+    echo "a topology is tested for nil (the full mesh is a descriptor):"
     printf '%s\n' "$old"
     exit 1
 fi
