@@ -1,8 +1,9 @@
 // Steady-state allocation pins: LocalSort (2-D and 3-D stores) allocates
 // nothing once its pooled scratch is warm, an incremental redistribution
-// sizes its stores once and then allocates O(P) objects per call, and a
-// whole simulation's per-iteration allocation count does not grow with the
-// worker count.
+// sizes its stores once and then allocates O(P) objects per call, a whole
+// simulation's per-iteration allocation count does not grow with the
+// worker count, and a 3-D iteration over loopback TCP recycles its message
+// buffers.
 package picpar_test
 
 import (
@@ -16,6 +17,7 @@ import (
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
 	"picpar/internal/particle"
+	"picpar/internal/pic"
 	"picpar/internal/psort"
 	"picpar/internal/raceflag"
 )
@@ -209,5 +211,65 @@ func TestRedistributeSizedOnceAllocs(t *testing.T) {
 	}
 	if steadyAllocs > 12*p+24 {
 		t.Errorf("steady redistribution allocates %.1f objects per call per rank, want O(P) <= %d", steadyAllocs, 12*p+24)
+	}
+}
+
+// netBytesPerIter measures the marginal heap bytes of one 3-D PIC iteration
+// run rank by rank (pic.RunRank) over loopback TCP: two runs of n and 2n
+// iterations, so rendezvous, socket set-up, the initial deal and
+// first-touch growth cancel out.
+func netBytesPerIter(t *testing.T, n int) float64 {
+	t.Helper()
+	run := func(iters int) uint64 {
+		cfg := picpar.Config{
+			Dims:         3,
+			Grid3:        picpar.NewGrid3(16, 16, 16),
+			NumParticles: 4096,
+			Distribution: picpar.DistUniform,
+			Seed:         3,
+			Iterations:   iters,
+			Policy:       picpar.StaticPolicy(),
+			Workers:      1,
+		}
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, errs := comm.LaunchLoopback(commtest.NetTemplate(machine.CM5()), 4, nil, func(r comm.Transport) {
+			if _, err := pic.RunRank(r, cfg); err != nil {
+				panic(err)
+			}
+		})
+		runtime.ReadMemStats(&m1)
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("rank %d: %v", rank, err)
+			}
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	run(n) // warm the shared pools (wire buffers, sorters)
+	short, long := run(n), run(2*n)
+	if long < short {
+		return 0
+	}
+	return float64(long-short) / float64(n)
+}
+
+// TestNetIterationRecyclesBuffers pins the TCP message path at the
+// whole-simulation level: a warm 3-D iteration on 16³ cells, 4 096
+// particles and P = 4 allocates tens of KiB once its scatter, gather and
+// six-face halo buffers cycle through the wire pool (garbage collections
+// emptying the pool mid-run make the spread). A transport that drops its
+// encoded send buffers, with halo faces made per send and decode buffers
+// nobody returns, allocates about 1.2 MB per iteration here.
+func TestNetIterationRecyclesBuffers(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	const bound = 256 << 10
+	perIter := netBytesPerIter(t, 10)
+	t.Logf("warm 3-D TCP iteration allocates %.0f B", perIter)
+	if perIter > bound {
+		t.Errorf("warm 3-D TCP iteration allocates %.0f B, want <= %d", perIter, bound)
 	}
 }

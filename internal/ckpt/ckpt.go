@@ -128,6 +128,23 @@ func EncodeShard(dst []byte, sh *Shard) []byte {
 	return dst
 }
 
+// encodedBound bounds len(EncodeShard(nil, sh)) from above, so WriteShard
+// draws its scratch from the right wire size class up front: a buffer
+// grown by append would be filed under a class the next shard's request
+// never draws from.
+func encodedBound(sh *Shard) int {
+	floats := 8*sh.Particles.Len() + len(sh.Bounds) + len(sh.PolicyState) +
+		len(sh.LedgerCost) + len(sh.LedgerCount) + 4 + NumFieldArrays
+	for _, f := range sh.Fields {
+		floats += len(f)
+	}
+	n := 256 + len(sh.PolicyName) + 48*machine.NumPhases + 8*floats
+	for i := range sh.Records {
+		n += 128 + len(sh.Records[i].RedistStrategy)
+	}
+	return n
+}
+
 // DecodeShard parses a complete file image produced by EncodeShard. All
 // errors are *CodecError; decoding never panics.
 func DecodeShard(b []byte) (*Shard, error) {

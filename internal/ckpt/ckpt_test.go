@@ -84,6 +84,9 @@ func TestShardRoundTrip(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		sh := sampleShard(dims, 0)
 		img := EncodeShard(nil, sh)
+		if bound := encodedBound(sh); len(img) > bound {
+			t.Errorf("dims %d: image of %d bytes exceeds encodedBound %d", dims, len(img), bound)
+		}
 		got, err := DecodeShard(img)
 		if err != nil {
 			t.Fatalf("dims %d: decode: %v", dims, err)

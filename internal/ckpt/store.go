@@ -37,7 +37,7 @@ func WriteShard(dir string, sh *Shard) (err error) {
 	if err := os.MkdirAll(ed, 0o755); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	buf := wire.GetBytes(1 << 16)
+	buf := wire.GetBytes(encodedBound(sh))
 	defer func() { wire.PutBytes(buf) }()
 	buf = EncodeShard(buf, sh)
 

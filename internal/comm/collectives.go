@@ -38,6 +38,8 @@ func barrier(t Transport, tag Tag) {
 
 // Bcast broadcasts body (of nbytes) from root along a binomial tree and
 // returns the received value on every rank (the root returns body itself).
+// A sent slice belongs to its receiver, yet every rank keeps and returns the
+// value it forwards, so a []float64 goes to each child as a pooled copy.
 func Bcast(t Transport, root int, body any, nbytes int) any {
 	p := t.Size()
 	if p == 1 {
@@ -56,8 +58,18 @@ func Bcast(t Transport, root int, body any, nbytes int) any {
 	// Children of vr are vr+2^k for every 2^k above vr's highest set bit.
 	for mask := nextPow2(p) >> 1; mask > hb; mask >>= 1 {
 		if child := vr + mask; child < p {
-			t.Send((child+root)%p, tagBcast, val, nbytes)
+			t.Send((child+root)%p, tagBcast, sendCopy(val), nbytes)
 		}
+	}
+	return val
+}
+
+// sendCopy is what Bcast sends a child in place of val: a []float64 as a
+// copy drawn from the wire pool (on TCP the transport returns a sent slice
+// to the pool once encoded), anything else as it is.
+func sendCopy(val any) any {
+	if v, ok := val.([]float64); ok {
+		return append(wire.Get(len(v)), v...)
 	}
 	return val
 }

@@ -69,8 +69,11 @@ type Transport interface {
 	// Size returns the number of ranks in the world.
 	Size() int
 	// Send posts a message of nbytes modelled bytes to dst. The body may
-	// be any value; ownership transfers to the receiver (the sender must
-	// not mutate it afterwards — the substrate does not copy).
+	// be any value; ownership transfers with it, and the substrate does not
+	// copy, so the sender must neither read nor mutate a sent body again.
+	// A []float64 body is recycled through internal/wire by its last
+	// holder: the receiver on an in-process backend, the TCP transport
+	// itself once the body is encoded.
 	Send(dst int, tag Tag, body any, nbytes int)
 	// Recv blocks until a message with the given tag arrives from src and
 	// returns its body and modelled size in bytes. Messages from src with

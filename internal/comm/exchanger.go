@@ -229,12 +229,11 @@ func AllToManySystolicFloat64s(t Transport, send [][]float64, recvCounts []int) 
 			it := &hold[i]
 			frame = append(frame, float64(it.origin), float64(it.dest), float64(len(it.data)))
 			frame = append(frame, it.data...)
-			if it.origin != id {
-				// A forwarded payload came out of the wire pool when the
-				// previous pulse was unpacked; it is re-encoded now and
-				// never referenced again.
-				wire.Put(it.data)
-			}
+			// The payload is copied into the frame and never referenced
+			// again: a forwarded one came out of the wire pool when the
+			// previous pulse was unpacked, and this rank's own is a sent
+			// body, which its caller gave up with the exchange.
+			wire.Put(it.data)
 		}
 		t.Send(next, tagSystolic, frame, len(frame)*Float64Bytes)
 		hold = hold[:0]

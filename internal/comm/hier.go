@@ -96,7 +96,7 @@ func (h *hierHost) failure() string {
 // per-peer reader goroutines; the dead-select mirrors netTransport's
 // closing-select so a stalled local can never wedge the gateway reader
 // forever.
-func (h *hierHost) relay(f *netFrame) {
+func (h *hierHost) relay(f netFrame) {
 	switch f.kind {
 	case frameRelay:
 		dl := f.peer - h.base

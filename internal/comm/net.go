@@ -320,7 +320,7 @@ type netTransport struct {
 	// the hook through which a hierarchical gateway (hier.go) forwards
 	// cross-host traffic to its in-process ranks. Set before the readers
 	// start (dialWorld), never after.
-	relay func(*netFrame)
+	relay func(netFrame)
 
 	closed  atomic.Bool
 	closing chan struct{} // closed at shutdown; unblocks reader channel pushes
@@ -332,6 +332,13 @@ type netTransport struct {
 // post-send clock so the receiver's charge matches the goroutine backend's.
 // A dead peer or failed write raises a *DeliveryError; an unencodable body
 // raises a *TransportError.
+//
+// Once encoded, a bare []float64 body has no holder left: the sender gave
+// it up with the Send and the receiver decodes into a buffer of its own. So
+// post returns it to the wire pool here, as the goroutine world's receiver
+// does after unpacking. Envelope bodies are not returned (a Faulty dup or
+// delay resends the same envelope), and neither are Expose values (publish
+// aliases the caller's value) or relayed frames.
 func (n *netTransport) post(dst int, m message) {
 	f := netFrame{kind: frameData, tag: m.tag, nbytes: m.bytes, sentAt: m.sentAt, body: m.body}
 	if err := n.writePeer(dst, &f); err != nil {
@@ -342,6 +349,9 @@ func (n *netTransport) post(dst int, m message) {
 			panic(&TransportError{Op: "send", Rank: n.id, Peer: dst, Tag: m.tag, Err: ce})
 		}
 		n.deliveryPanic(dst, m.tag, "send failed: "+err.Error())
+	}
+	if b, ok := m.body.([]float64); ok {
+		wire.Put(b)
 	}
 }
 
@@ -621,7 +631,7 @@ func (n *netTransport) shutdown(clean bool) {
 // endpoint with its reader and heartbeat goroutines running. relay (nil on
 // a plain rank) is the gateway hook, installed before any reader goroutine
 // starts so a forwarded frame can never race its installation.
-func dialWorld(cfg NetConfig, relay func(*netFrame)) (*netTransport, error) {
+func dialWorld(cfg NetConfig, relay func(netFrame)) (*netTransport, error) {
 	ln, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("mesh listen on %q: %w", cfg.ListenAddr, err)
@@ -911,7 +921,7 @@ func jitter(d time.Duration) time.Duration {
 // writeFrame encodes f and writes it (length-prefixed, one Write call)
 // under the connection's write lock with a bounded deadline.
 func writeFrame(c net.Conn, mu *sync.Mutex, timeout time.Duration, f *netFrame) error {
-	buf := wire.GetBytes(256)
+	buf := wire.GetBytes(256 + bodyBytes(f.body))
 	buf = append(buf, 0, 0, 0, 0) // length prefix placeholder
 	buf, err := appendFrame(buf, f)
 	if err != nil {
@@ -938,23 +948,27 @@ func writeFrame(c net.Conn, mu *sync.Mutex, timeout time.Duration, f *netFrame) 
 }
 
 // readFrame reads one length-prefixed frame with a bounded deadline and
-// decodes it. The scratch buffer is pooled; decoded values never alias it.
-func readFrame(c net.Conn, timeout time.Duration) (*netFrame, error) {
+// decodes it. The scratch buffers, the length header's included (a stack
+// array handed to the conn's Read would escape to the heap), are pooled;
+// decoded values never alias them.
+func readFrame(c net.Conn, timeout time.Duration) (netFrame, error) {
 	if timeout > 0 {
 		_ = c.SetReadDeadline(time.Now().Add(timeout))
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
-		return nil, err
-	}
+	hdr := wire.GetBytes(4)[:4]
+	_, err := io.ReadFull(c, hdr)
 	length := int(hdr[0]) | int(hdr[1])<<8 | int(hdr[2])<<16 | int(hdr[3])<<24
+	wire.PutBytes(hdr)
+	if err != nil {
+		return netFrame{}, err
+	}
 	if length < 0 || length > maxFrameBytes {
-		return nil, decErr("frame length %d out of range", length)
+		return netFrame{}, decErr("frame length %d out of range", length)
 	}
 	buf := wire.GetBytes(length)[:length]
 	if _, err := io.ReadFull(c, buf); err != nil {
 		wire.PutBytes(buf)
-		return nil, err
+		return netFrame{}, err
 	}
 	f, err := decodeFrame(buf)
 	wire.PutBytes(buf)

@@ -15,9 +15,11 @@
 //     exactly what the goroutine backend charges and the goldens stay
 //     byte-identical across processes.
 //  3. Allocation: encode scratch comes from the internal/wire byte pool and
-//     decoded []float64 payloads from its float pool, so the zero-alloc
-//     guarantees of the particle exchange hot paths survive the move onto a
-//     real network (receivers already wire.Put their payloads back).
+//     decoded []float64 payloads from its float pool; the transport returns
+//     an encoded []float64 body to the pool and receivers wire.Put what
+//     they unpack, so the exchange hot paths recycle their buffers over a
+//     real network too. A warm data-frame decode allocates only the boxed
+//     slice header of its payload.
 //
 // The format is fixed-width little-endian. Every frame starts with a
 // version byte so an old binary talking to a new one fails loudly with a
@@ -168,14 +170,14 @@ func appendFrame(buf []byte, f *netFrame) ([]byte, error) {
 // decodeFrame parses one frame payload (without the length prefix). Any
 // malformed input yields a *CodecError; trailing garbage after a valid
 // frame is malformed too (a frame is exactly one message).
-func decodeFrame(b []byte) (*netFrame, error) {
+func decodeFrame(b []byte) (netFrame, error) {
 	if len(b) < 2 {
-		return nil, decErr("frame truncated: %d bytes", len(b))
+		return netFrame{}, decErr("frame truncated: %d bytes", len(b))
 	}
 	if b[0] != NetCodecVersion {
-		return nil, decErr("codec version %d, want %d", b[0], NetCodecVersion)
+		return netFrame{}, decErr("codec version %d, want %d", b[0], NetCodecVersion)
 	}
-	f := &netFrame{kind: b[1]}
+	f := netFrame{kind: b[1]}
 	rest := b[2:]
 	var err error
 	switch f.kind {
@@ -183,110 +185,128 @@ func decodeFrame(b []byte) (*netFrame, error) {
 	case frameData, frameOOB:
 		var tag, nbytes, bits uint64
 		if tag, rest, err = takeU64(rest, "tag"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if nbytes, rest, err = takeU64(rest, "nbytes"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if bits, rest, err = takeU64(rest, "sentAt"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		f.tag = Tag(int64(tag))
 		f.nbytes = int(int64(nbytes))
 		if f.nbytes < 0 {
-			return nil, decErr("negative modelled size %d", f.nbytes)
+			return netFrame{}, decErr("negative modelled size %d", f.nbytes)
 		}
 		f.sentAt = math.Float64frombits(bits)
 		if f.body, rest, err = decodeBody(rest, 0); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 	case frameRelay:
 		var tag, nbytes, bits uint64
 		if f.rank, rest, err = takeInt(rest, "relay src"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.peer, rest, err = takeInt(rest, "relay dst"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if tag, rest, err = takeU64(rest, "tag"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if nbytes, rest, err = takeU64(rest, "nbytes"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if bits, rest, err = takeU64(rest, "sentAt"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		f.tag = Tag(int64(tag))
 		f.nbytes = int(int64(nbytes))
 		if f.nbytes < 0 {
-			return nil, decErr("negative modelled size %d", f.nbytes)
+			return netFrame{}, decErr("negative modelled size %d", f.nbytes)
 		}
 		f.sentAt = math.Float64frombits(bits)
 		if f.body, rest, err = decodeBody(rest, 0); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 	case frameOOBFrom:
 		if f.rank, rest, err = takeInt(rest, "oob origin"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.body, rest, err = decodeBody(rest, 0); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 	case frameHello:
 		if f.worldID, rest, err = takeU64(rest, "world id"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.rank, rest, err = takeInt(rest, "rank"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.size, rest, err = takeInt(rest, "size"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.addr, rest, err = takeString(rest, "listen addr"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.topo, rest, err = takeU64(rest, "topology digest"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 	case frameWelcome:
 		if f.worldID, rest, err = takeU64(rest, "world id"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		var n uint64
 		if n, rest, err = takeU64(rest, "addr count"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if n > uint64(len(rest)) {
-			return nil, decErr("addr count %d exceeds remaining %d bytes", n, len(rest))
+			return netFrame{}, decErr("addr count %d exceeds remaining %d bytes", n, len(rest))
 		}
 		f.addrs = make([]string, n)
 		for i := range f.addrs {
 			if f.addrs[i], rest, err = takeString(rest, "addr"); err != nil {
-				return nil, err
+				return netFrame{}, err
 			}
 		}
 	case framePeerHello:
 		if f.worldID, rest, err = takeU64(rest, "world id"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.rank, rest, err = takeInt(rest, "from rank"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 		if f.peer, rest, err = takeInt(rest, "to rank"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 	case frameReject:
 		if f.reason, rest, err = takeString(rest, "reason"); err != nil {
-			return nil, err
+			return netFrame{}, err
 		}
 	default:
-		return nil, decErr("unknown frame kind 0x%02x", f.kind)
+		return netFrame{}, decErr("unknown frame kind 0x%02x", f.kind)
 	}
 	if len(rest) != 0 {
-		return nil, decErr("%d trailing bytes after frame", len(rest))
+		return netFrame{}, decErr("%d trailing bytes after frame", len(rest))
 	}
 	return f, nil
+}
+
+// bodyBytes is the encoded size of body's slice payload, so the encoder
+// draws scratch of the right size class from the byte pool up front instead
+// of growing it (and filing the grown buffer under a class the next small
+// request never asks for).
+func bodyBytes(body any) int {
+	switch v := body.(type) {
+	case []float64:
+		return 8 * len(v)
+	case []int:
+		return 8 * len(v)
+	case relEnvelope:
+		return bodyBytes(v.body)
+	case faultEnvelope:
+		return bodyBytes(v.body)
+	}
+	return 0
 }
 
 // appendBody encodes one message body. Unsupported types are an encode
@@ -522,12 +542,14 @@ func takeInt(b []byte, what string) (int, []byte, error) {
 }
 
 // takeLen reads a u64 element count and validates that count*elemBytes fits
-// in the remaining input.
+// in the remaining input. Like takeString, it names the length field in
+// its error only on the error path, so a valid frame decodes without
+// building strings.
 func takeLen(b []byte, elemBytes int, what string) (int, []byte, error) {
-	n, rest, err := takeU64(b, what+" length")
-	if err != nil {
-		return 0, nil, err
+	if len(b) < 8 {
+		return 0, nil, decErr("%s length truncated: %d bytes", what, len(b))
 	}
+	n, rest := binary.LittleEndian.Uint64(b), b[8:]
 	if n > uint64(len(rest))/uint64(elemBytes) {
 		return 0, nil, decErr("%s length %d exceeds remaining %d bytes", what, n, len(rest))
 	}
@@ -535,10 +557,10 @@ func takeLen(b []byte, elemBytes int, what string) (int, []byte, error) {
 }
 
 func takeString(b []byte, what string) (string, []byte, error) {
-	n, rest, err := takeU64(b, what+" length")
-	if err != nil {
-		return "", nil, err
+	if len(b) < 8 {
+		return "", nil, decErr("%s length truncated: %d bytes", what, len(b))
 	}
+	n, rest := binary.LittleEndian.Uint64(b), b[8:]
 	if n > uint64(len(rest)) {
 		return "", nil, decErr("%s length %d exceeds remaining %d bytes", what, n, len(rest))
 	}

@@ -62,7 +62,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// A decoded frame must re-encode, and its encoding must be a fixed
 		// point: decode → encode → decode → encode yields identical bytes.
-		enc1, err := appendFrame(nil, fr)
+		enc1, err := appendFrame(nil, &fr)
 		if err != nil {
 			t.Fatalf("decoded frame %+v does not re-encode: %v", fr, err)
 		}
@@ -70,7 +70,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical encoding of %+v does not decode: %v", fr, err)
 		}
-		enc2, err := appendFrame(nil, fr2)
+		enc2, err := appendFrame(nil, &fr2)
 		if err != nil {
 			t.Fatalf("second re-encode failed: %v", err)
 		}

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"picpar/internal/machine"
+	"picpar/internal/raceflag"
+	"picpar/internal/wire"
 )
 
 // encodeFrame is the test-side convenience over appendFrame.
@@ -21,7 +23,7 @@ func encodeFrame(t *testing.T, f *netFrame) []byte {
 }
 
 // roundTrip encodes f, decodes the bytes, and returns the decoded frame.
-func roundTrip(t *testing.T, f *netFrame) *netFrame {
+func roundTrip(t *testing.T, f *netFrame) netFrame {
 	t.Helper()
 	got, err := decodeFrame(encodeFrame(t, f))
 	if err != nil {
@@ -90,7 +92,7 @@ func TestCodecRoundTripControlFrames(t *testing.T) {
 		if f.kind == frameWelcome {
 			f = &netFrame{kind: f.kind, worldID: f.worldID, addrs: f.addrs}
 		}
-		if !reflect.DeepEqual(got, f) {
+		if !reflect.DeepEqual(got, *f) {
 			t.Errorf("frame kind 0x%02x round-tripped as %+v, want %+v", f.kind, got, f)
 		}
 	}
@@ -170,5 +172,30 @@ func TestCodecUnsupportedBodyType(t *testing.T) {
 	}
 	if !strings.Contains(ce.Msg, "custom") {
 		t.Errorf("encode error does not name the offending type: %v", ce)
+	}
+}
+
+// TestDecodeFrameAllocs pins the decode path of a data frame at one
+// allocation once the wire pool is warm: the []float64 payload is drawn
+// from the pool and the frame is returned by value, so boxing the payload's
+// slice header into the body is all that reaches the heap.
+func TestDecodeFrameAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	payload := make([]float64, 3072)
+	for i := range payload {
+		payload[i] = float64(i)
+	}
+	raw := encodeFrame(t, &netFrame{kind: frameData, tag: TagUser, nbytes: 8 * len(payload), body: payload})
+	allocs := testing.AllocsPerRun(50, func() {
+		f, err := decodeFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.Put(f.body.([]float64))
+	})
+	if allocs > 1 {
+		t.Errorf("warm data-frame decode: %v allocs/op, want <= 1 (the boxed slice header)", allocs)
 	}
 }

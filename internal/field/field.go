@@ -16,6 +16,7 @@ import (
 	"picpar/internal/comm"
 	"picpar/internal/mesh"
 	"picpar/internal/par"
+	"picpar/internal/wire"
 )
 
 // Local is the field storage of one rank: the owned submesh plus a one-point
@@ -189,6 +190,9 @@ const (
 //
 // Works for any processor grid, including degenerate 1×p and p×1 grids
 // (neighbour == self is handled without network traffic).
+//
+// Faces are wire buffers: a sent face belongs to its receiver, and each
+// fill returns the face it unpacked to the pool.
 func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
 	f := l.comps(which)
 	left, right, down, up := d.Neighbours(r.Rank())
@@ -196,7 +200,7 @@ func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
 	// X direction: send owned column 0 to the left neighbour (it becomes
 	// their i=Nx halo column), and column Nx−1 to the right neighbour.
 	sendCol := func(i int) []float64 {
-		buf := make([]float64, 0, 3*l.Ny)
+		buf := wire.Get(3 * l.Ny)
 		for k := 0; k < 3; k++ {
 			for j := 0; j < l.Ny; j++ {
 				buf = append(buf, f[k][l.Idx(i, j)])
@@ -210,6 +214,7 @@ func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
 				f[k][l.Idx(i, j)] = buf[k*l.Ny+j]
 			}
 		}
+		wire.Put(buf)
 	}
 	comm.SendFloat64s(r, left, tagHaloXLow, sendCol(0))
 	comm.SendFloat64s(r, right, tagHaloXHigh, sendCol(l.Nx-1))
@@ -219,7 +224,7 @@ func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
 	// Y direction: rows, including the x halo just filled is unnecessary
 	// for the 4-point stencil, so plain owned rows suffice.
 	sendRow := func(j int) []float64 {
-		buf := make([]float64, 0, 3*l.Nx)
+		buf := wire.Get(3 * l.Nx)
 		for k := 0; k < 3; k++ {
 			for i := 0; i < l.Nx; i++ {
 				buf = append(buf, f[k][l.Idx(i, j)])
@@ -233,6 +238,7 @@ func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
 				f[k][l.Idx(i, j)] = buf[k*l.Nx+i]
 			}
 		}
+		wire.Put(buf)
 	}
 	comm.SendFloat64s(r, down, tagHaloYLow, sendRow(0))
 	comm.SendFloat64s(r, up, tagHaloYHigh, sendRow(l.Ny-1))

@@ -12,6 +12,7 @@ import (
 	"picpar/internal/comm"
 	"picpar/internal/mesh3"
 	"picpar/internal/par"
+	"picpar/internal/wire"
 )
 
 // Local3 is the field storage of one rank in three dimensions: the owned
@@ -170,14 +171,15 @@ func (l *Local3) comps(c Components) [3][]float64 {
 // 2-D, the three components travelling in the same direction are coalesced
 // into a single message — six messages of 3·(face extent) values per rank.
 // The 6-point stencil needs no edge or corner halos, so owned faces
-// suffice in every direction.
+// suffice in every direction. Faces are wire buffers, returned to the pool
+// by the fill that unpacks them.
 func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components) {
 	f := l.comps(which)
 	left, right, down, up, back, front := d.Neighbours(r.Rank())
 
 	// X direction: owned faces i=0 and i=Nx−1 (extent Ny×Nz per component).
 	sendFaceX := func(i int) []float64 {
-		buf := make([]float64, 0, 3*l.Ny*l.Nz)
+		buf := wire.Get(3 * l.Ny * l.Nz)
 		for c := 0; c < 3; c++ {
 			for k := 0; k < l.Nz; k++ {
 				for j := 0; j < l.Ny; j++ {
@@ -197,6 +199,7 @@ func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components)
 				}
 			}
 		}
+		wire.Put(buf)
 	}
 	comm.SendFloat64s(r, left, tagHaloXLow, sendFaceX(0))
 	comm.SendFloat64s(r, right, tagHaloXHigh, sendFaceX(l.Nx-1))
@@ -205,7 +208,7 @@ func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components)
 
 	// Y direction: owned faces j=0 and j=Ny−1 (extent Nx×Nz).
 	sendFaceY := func(j int) []float64 {
-		buf := make([]float64, 0, 3*l.Nx*l.Nz)
+		buf := wire.Get(3 * l.Nx * l.Nz)
 		for c := 0; c < 3; c++ {
 			for k := 0; k < l.Nz; k++ {
 				for i := 0; i < l.Nx; i++ {
@@ -225,6 +228,7 @@ func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components)
 				}
 			}
 		}
+		wire.Put(buf)
 	}
 	comm.SendFloat64s(r, down, tagHaloYLow, sendFaceY(0))
 	comm.SendFloat64s(r, up, tagHaloYHigh, sendFaceY(l.Ny-1))
@@ -233,7 +237,7 @@ func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components)
 
 	// Z direction: owned faces k=0 and k=Nz−1 (extent Nx×Ny).
 	sendFaceZ := func(k int) []float64 {
-		buf := make([]float64, 0, 3*l.Nx*l.Ny)
+		buf := wire.Get(3 * l.Nx * l.Ny)
 		for c := 0; c < 3; c++ {
 			for j := 0; j < l.Ny; j++ {
 				for i := 0; i < l.Nx; i++ {
@@ -253,6 +257,7 @@ func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components)
 				}
 			}
 		}
+		wire.Put(buf)
 	}
 	comm.SendFloat64s(r, back, tagHaloZLow, sendFaceZ(0))
 	comm.SendFloat64s(r, front, tagHaloZHigh, sendFaceZ(l.Nz-1))

@@ -1,89 +1,90 @@
-// Package wire provides a process-wide, sync.Pool-backed free list of
-// []float64 message buffers for the particle exchange hot paths.
+// Package wire provides process-wide, sync.Pool-backed free lists of
+// []float64 message buffers for the exchange hot paths and []byte scratch
+// for the network codec.
 //
-// The comm substrate transfers buffer ownership with the message (the
-// sender must not touch a sent slice again), so buffers cannot simply be
-// kept as sender-side scratch. Instead, senders Get a buffer, marshal into
-// it and send it; the receiving rank unpacks it and Puts it back. Every
-// buffer cycles sender → network → receiver → pool, and after a few
-// exchanges the pool holds enough capacity that steady-state traffic
-// allocates nothing.
+// A pooled buffer returns to the pool exactly once, by whoever holds it
+// last. The comm substrate transfers ownership with the message (the sender
+// neither reads nor mutates a sent slice), so senders Get a buffer, marshal
+// into it and send it:
 //
-// Two pools are used so that neither direction allocates: bufPool holds
-// *[]float64 headers pointing at live buffers, and hdrPool recycles the
-// spare headers left behind by Get. Pooling raw []float64 values directly
-// would heap-allocate a header on every Put (interface conversion of a
-// slice), defeating the point.
+//   - on the goroutine world the receiver gets the sender's slice itself,
+//     unpacks it and Puts it back;
+//   - on TCP the transport Puts a bare []float64 body as soon as it is
+//     encoded onto the socket, and the receiving endpoint decodes into a
+//     buffer of its own from Get, which the receiver unpacks and Puts back.
+//
+// Either way every buffer cycles Get → send → last holder → Put, and once
+// the pools hold the workload's working set steady-state traffic allocates
+// nothing.
+//
+// The pools are size-classed by powers of two. Class c holds buffers whose
+// capacity lies in [2^c, 2^(c+1)); Get(n) takes from class ⌈log₂ n⌉, so any
+// buffer it finds is large enough, and a miss allocates exactly 2^⌈log₂ n⌉
+// elements. Put files a buffer under ⌊log₂ cap⌋, so no buffer is dropped
+// for being smaller than one request: it serves the next request of its
+// class instead.
+//
+// Each class is two pools so that neither direction allocates: the class
+// pool holds *[]E headers pointing at live buffers, and a header pool
+// recycles the spare headers Get leaves behind. Pooling raw slice values
+// directly would heap-allocate a header on every Put (interface conversion
+// of a slice), defeating the point.
 package wire
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-var bufPool sync.Pool // *[]float64 with usable backing arrays
-var hdrPool sync.Pool // spare *[]float64 headers (nil contents)
+// pool is the size-classed free list of []E buffers; see the package doc.
+type pool[E any] struct {
+	classes [bits.UintSize]sync.Pool // *[]E, cap in [1<<c, 1<<(c+1))
+	hdrs    sync.Pool                // spare *[]E headers (nil contents)
+}
 
-var bytePool sync.Pool    // *[]byte with usable backing arrays
-var byteHdrPool sync.Pool // spare *[]byte headers (nil contents)
-
-// Get returns a zero-length buffer with capacity at least capHint. The
-// buffer comes from the pool when possible; a pooled buffer that is too
-// small is grown (and the grown version is what eventually returns to the
-// pool, so capacities converge on the workload's maximum).
-func Get(capHint int) []float64 {
-	h, _ := bufPool.Get().(*[]float64)
+func (p *pool[E]) get(n int) []E {
+	c := bits.Len(uint(max(n, 1) - 1)) // ⌈log₂ n⌉
+	h, _ := p.classes[c].Get().(*[]E)
 	if h == nil {
-		return make([]float64, 0, capHint)
+		return make([]E, 0, 1<<c)
 	}
 	b := *h
 	*h = nil
-	hdrPool.Put(h)
-	if cap(b) < capHint {
-		return make([]float64, 0, capHint)
-	}
+	p.hdrs.Put(h)
 	return b[:0]
 }
+
+func (p *pool[E]) put(b []E) {
+	if cap(b) == 0 {
+		return
+	}
+	h, _ := p.hdrs.Get().(*[]E)
+	if h == nil {
+		h = new([]E)
+	}
+	*h = b[:0]
+	p.classes[bits.Len(uint(cap(b)))-1].Put(h) // ⌊log₂ cap⌋
+}
+
+var (
+	floatPool pool[float64]
+	bytePool  pool[byte]
+)
+
+// Get returns a zero-length buffer with capacity at least capHint, from the
+// pool when its size class holds one.
+func Get(capHint int) []float64 { return floatPool.get(capHint) }
 
 // Put returns a buffer to the pool. The caller must not use buf afterwards.
 // Nil and zero-capacity buffers are dropped.
-func Put(buf []float64) {
-	if cap(buf) == 0 {
-		return
-	}
-	h, _ := hdrPool.Get().(*[]float64)
-	if h == nil {
-		h = new([]float64)
-	}
-	*h = buf[:0]
-	bufPool.Put(h)
-}
+func Put(buf []float64) { floatPool.put(buf) }
 
-// GetBytes returns a zero-length byte buffer with capacity at least capHint,
-// recycled through the same double-pool scheme as the float buffers. The
+// GetBytes returns a zero-length byte buffer with capacity at least
+// capHint, recycled through the same size classes as the float buffers. The
 // network codec uses these as encode/decode scratch so steady-state framing
 // allocates nothing.
-func GetBytes(capHint int) []byte {
-	h, _ := bytePool.Get().(*[]byte)
-	if h == nil {
-		return make([]byte, 0, capHint)
-	}
-	b := *h
-	*h = nil
-	byteHdrPool.Put(h)
-	if cap(b) < capHint {
-		return make([]byte, 0, capHint)
-	}
-	return b[:0]
-}
+func GetBytes(capHint int) []byte { return bytePool.get(capHint) }
 
 // PutBytes returns a byte buffer to the pool. The caller must not use buf
 // afterwards. Nil and zero-capacity buffers are dropped.
-func PutBytes(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
-	h, _ := byteHdrPool.Get().(*[]byte)
-	if h == nil {
-		h = new([]byte)
-	}
-	*h = buf[:0]
-	bytePool.Put(h)
-}
+func PutBytes(buf []byte) { bytePool.put(buf) }

@@ -1,14 +1,14 @@
 #!/bin/sh
-# Full CI gate: vet, build, the one-body, kernel and deleted-path grep
-# audits, plain tests (root and the benchmark module), race-enabled tests,
-# the chaos soak (seeded fault plans through the Reliable stack, 2-D and
-# 3-D), the layout-strategy comparison (2-D and 3-D), the per-phase traffic
-# regression gate, the 2-D and 3-D golden pins, the multi-process TCP
-# smoke (loopback golden + kill -9 crash detection + kill-and-recover
-# byte-identity), the picserve daemon smoke (served golden + typed
-# admission rejects + daemon kill -9 recovery + SIGTERM drain), and an
-# examples smoke run. Wall-clock performance is benchmark/'s job
-# (bash benchmark/run.sh), not CI's.
+# Full CI gate: vet, build, the one-body, kernel, deleted-path and
+# message-buffer grep audits, plain tests (root and the benchmark module),
+# race-enabled tests, the chaos soak (seeded fault plans through the
+# Reliable stack, 2-D and 3-D), the layout-strategy comparison (2-D and
+# 3-D), the per-phase traffic regression gate, the 2-D and 3-D golden
+# pins, the multi-process TCP smoke (loopback golden + kill -9 crash
+# detection + kill-and-recover byte-identity), the picserve daemon smoke
+# (served golden + typed admission rejects + daemon kill -9 recovery +
+# SIGTERM drain), and an examples smoke run. Wall-clock performance is
+# benchmark/'s job (bash benchmark/run.sh), not CI's.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -98,6 +98,18 @@ if [ -n "$old" ]; then
     exit 1
 fi
 
+echo "== message-buffer audit (grep) =="
+# DESIGN.md "The TCP backend": message buffers cycle through internal/wire.
+# Halo faces are drawn from the pool, never made per send, and the codec
+# builds no error context on the success path of a decode.
+old=$( { grep -n 'make(\[\]float64, 0' internal/field/*.go | grep -v '_test\.go:'
+    grep -n 'what+"' internal/comm/netcodec.go; } || true)
+if [ -n "$old" ]; then
+    echo "per-message allocation reappeared on the message path:"
+    printf '%s\n' "$old"
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
 
@@ -108,7 +120,11 @@ echo "== benchmark module (vet + test) =="
 
 echo "== go test -race =="
 # internal/experiments alone takes ~9m under the race detector on an idle
-# machine; the default per-package 10m limit leaves no headroom.
+# machine; the default per-package 10m limit leaves no headroom. This stage
+# is also the guard against read-after-recycle: a rank that reads a sent
+# []float64 after the TCP transport returned it to the wire pool races with
+# whichever rank draws it next (TestCollectivesTCPBackend caught Bcast
+# doing exactly that).
 go test -race -timeout 30m ./...
 
 echo "== go test -race, shared-memory workers =="
