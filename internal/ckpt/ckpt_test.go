@@ -181,6 +181,29 @@ func TestWriteReadShardAtomic(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFailureLeavesNoTemp: a write that fails at the rename
+// (the target is a non-empty directory) returns an error and removes its
+// temp file.
+func TestWriteFileAtomicFailureLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "busy")
+	if err := os.MkdirAll(filepath.Join(target, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("x")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "busy" {
+			t.Errorf("failed write left %s behind", e.Name())
+		}
+	}
+}
+
 // writeEpoch writes a complete size-ranked epoch.
 func writeEpoch(t *testing.T, dir string, epoch, size int) {
 	t.Helper()

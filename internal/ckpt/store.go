@@ -5,8 +5,9 @@
 // is *complete* when all `size` shard files exist and pass the header +
 // CRC check; recovery only ever restores from a complete epoch, so a
 // crash between two ranks' writes simply leaves a partial epoch that the
-// scan skips. Each shard is written atomically: temp file in the epoch
-// directory, write, fsync, rename, fsync of the directory.
+// scan skips. Each shard is written atomically by WriteFileAtomic: temp
+// file in the epoch directory, write, fsync, rename, fsync of the
+// directory.
 
 package ckpt
 
@@ -29,44 +30,45 @@ func ShardPath(dir string, epoch, rank int) string {
 	return filepath.Join(EpochDir(dir, epoch), fmt.Sprintf("rank-%d.ckpt", rank))
 }
 
-// WriteShard atomically writes sh into dir's epoch layout: the bytes land
-// in a temp file first and only an fsynced, complete image is renamed to
-// its final name, so readers never observe a torn shard.
-func WriteShard(dir string, sh *Shard) (err error) {
-	ed := EpochDir(dir, sh.Epoch)
-	if err := os.MkdirAll(ed, 0o755); err != nil {
+// WriteShard atomically writes sh into dir's epoch layout (WriteFileAtomic),
+// so readers never observe a torn shard.
+func WriteShard(dir string, sh *Shard) error {
+	if err := os.MkdirAll(EpochDir(dir, sh.Epoch), 0o755); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	buf := wire.GetBytes(encodedBound(sh))
-	defer func() { wire.PutBytes(buf) }()
-	buf = EncodeShard(buf, sh)
+	buf := EncodeShard(wire.GetBytes(encodedBound(sh)), sh)
+	err := WriteFileAtomic(ShardPath(dir, sh.Epoch, sh.Rank), buf)
+	wire.PutBytes(buf)
+	return err
+}
 
-	f, err := os.CreateTemp(ed, fmt.Sprintf(".rank-%d-*.tmp", sh.Rank))
+// WriteFileAtomic lands b under path so that a reader, or a process
+// restarted after a crash at any instant, sees either the old file or the
+// complete new one: the bytes go to a temp file in path's directory, which
+// is fsynced, closed and renamed over path, and the directory is fsynced
+// last. Every failure removes the temp file. Checkpoint shards and the job
+// daemon's manifests are both written this way.
+func WriteFileAtomic(path string, b []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			os.Remove(tmp)
-		}
-	}()
-	if _, werr := f.Write(buf); werr != nil {
-		f.Close()
-		return fmt.Errorf("ckpt: write %s: %w", tmp, werr)
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	if serr := f.Sync(); serr != nil {
-		f.Close()
-		return fmt.Errorf("ckpt: fsync %s: %w", tmp, serr)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("ckpt: close %s: %w", tmp, cerr)
+	if err == nil {
+		err = os.Rename(f.Name(), path)
 	}
-	final := ShardPath(dir, sh.Epoch, sh.Rank)
-	if rerr := os.Rename(tmp, final); rerr != nil {
-		return fmt.Errorf("ckpt: rename %s: %w", final, rerr)
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("ckpt: write %s: %w", path, err)
 	}
-	if d, derr := os.Open(ed); derr == nil {
+	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
@@ -95,16 +97,9 @@ func ShardIdentity(path string) (epoch, rank, size int, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if epoch, payload, err = takeInt(payload, "epoch"); err != nil {
-		return 0, 0, 0, err
-	}
-	if rank, payload, err = takeInt(payload, "rank"); err != nil {
-		return 0, 0, 0, err
-	}
-	if size, _, err = takeInt(payload, "size"); err != nil {
-		return 0, 0, 0, err
-	}
-	return epoch, rank, size, nil
+	r := wire.Reader{B: payload}
+	epoch, rank, size = r.Nat("epoch"), r.Nat("rank"), r.Nat("size")
+	return epoch, rank, size, readErr(&r)
 }
 
 // warnf emits degradation warnings; a package variable so tests can

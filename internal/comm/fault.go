@@ -55,31 +55,20 @@ type FaultPlan struct {
 	DelayProb float64
 	MaxDelay  float64
 
-	// Optional filters: a fault is only injected when the sender rank, the
-	// destination rank, the tag and the sender's current accounting phase
-	// all match (nil means "any").
-	SrcRanks []int
-	DstRanks []int
-	Tags     []Tag
-	Phases   []machine.Phase
+	// Optional filters: a fault is only injected when the tag and the
+	// sender's current accounting phase both match (nil means "any").
+	Tags   []Tag
+	Phases []machine.Phase
 	// MinSeq exempts the first MinSeq messages of every matching link — a
 	// warm-up grace, so setup traffic (initial distribution, first
 	// exchanges) stays clean while steady-state traffic is perturbed.
 	MinSeq uint64
 }
 
-// Exported aliases of the internal collective tags, for targeting
-// collective traffic in a FaultPlan (the collectives themselves keep using
-// the unexported names).
-const (
-	TagCollBarrier   = tagBarrier
-	TagCollBcast     = tagBcast
-	TagCollReduce    = tagReduce
-	TagCollGather    = tagGather
-	TagCollAllgather = tagAllgather
-	TagCollAllToMany = tagAlltoMany
-	TagCollScan      = tagScan
-)
+// TagCollAllToMany exports the all-to-many collective's tag, for targeting
+// its traffic in a FaultPlan (the collective itself keeps using the
+// unexported name).
+const TagCollAllToMany = tagAlltoMany
 
 // faultKind labels what the plan decided for one message.
 type faultKind int
@@ -130,8 +119,7 @@ func (p *FaultPlan) decide(src, dst int, tag Tag, phase machine.Phase, seq uint6
 	if seq < p.MinSeq {
 		return decision{}
 	}
-	if !contains(p.SrcRanks, src) || !contains(p.DstRanks, dst) ||
-		!contains(p.Tags, tag) || !contains(p.Phases, phase) {
+	if !contains(p.Tags, tag) || !contains(p.Phases, phase) {
 		return decision{}
 	}
 	h := splitmix64(p.Seed ^ splitmix64(uint64(src)+1))

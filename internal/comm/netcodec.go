@@ -21,16 +21,15 @@
 //     real network too. A warm data-frame decode allocates only the boxed
 //     slice header of its payload.
 //
-// The format is fixed-width little-endian. Every frame starts with a
-// version byte so an old binary talking to a new one fails loudly with a
-// version diagnostic instead of misparsing.
+// The format is fixed-width little-endian, written by wire.Writer and read
+// by wire.Reader, the length-checked reader the checkpoint format shares.
+// Every frame starts with a version byte so an old binary talking to a new
+// one fails loudly with a version diagnostic instead of misparsing.
 
 package comm
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"picpar/internal/machine"
 	"picpar/internal/wire"
@@ -124,169 +123,85 @@ type netFrame struct {
 // returns the extended buffer. The caller prepends the u32 length prefix
 // when writing to a socket.
 func appendFrame(buf []byte, f *netFrame) ([]byte, error) {
-	buf = append(buf, NetCodecVersion, f.kind)
+	w := wire.Writer{B: append(buf, NetCodecVersion, f.kind)}
+	var err error
 	switch f.kind {
 	case frameHeartbeat, frameGoodbye, framePeerOK:
-		return buf, nil
-	case frameData, frameOOB:
-		buf = appendU64(buf, uint64(int64(f.tag)))
-		buf = appendU64(buf, uint64(int64(f.nbytes)))
-		buf = appendU64(buf, math.Float64bits(f.sentAt))
-		return appendBody(buf, f.body, 0)
 	case frameRelay:
-		buf = appendU64(buf, uint64(int64(f.rank)))
-		buf = appendU64(buf, uint64(int64(f.peer)))
-		buf = appendU64(buf, uint64(int64(f.tag)))
-		buf = appendU64(buf, uint64(int64(f.nbytes)))
-		buf = appendU64(buf, math.Float64bits(f.sentAt))
-		return appendBody(buf, f.body, 0)
+		w.Int(f.rank)
+		w.Int(f.peer)
+		fallthrough
+	case frameData, frameOOB:
+		w.Int(int(f.tag))
+		w.Int(f.nbytes)
+		w.F64(f.sentAt)
+		err = appendBody(&w, f.body, 0)
 	case frameOOBFrom:
-		buf = appendU64(buf, uint64(int64(f.rank)))
-		return appendBody(buf, f.body, 0)
+		w.Int(f.rank)
+		err = appendBody(&w, f.body, 0)
 	case frameHello:
-		buf = appendU64(buf, f.worldID)
-		buf = appendU64(buf, uint64(int64(f.rank)))
-		buf = appendU64(buf, uint64(int64(f.size)))
-		buf = appendString(buf, f.addr)
-		return appendU64(buf, f.topo), nil
+		w.U64(f.worldID)
+		w.Int(f.rank)
+		w.Int(f.size)
+		w.String(f.addr)
+		w.U64(f.topo)
 	case frameWelcome:
-		buf = appendU64(buf, f.worldID)
-		buf = appendU64(buf, uint64(len(f.addrs)))
+		w.U64(f.worldID)
+		w.Int(len(f.addrs))
 		for _, a := range f.addrs {
-			buf = appendString(buf, a)
+			w.String(a)
 		}
-		return buf, nil
 	case framePeerHello:
-		buf = appendU64(buf, f.worldID)
-		buf = appendU64(buf, uint64(int64(f.rank)))
-		buf = appendU64(buf, uint64(int64(f.peer)))
-		return buf, nil
+		w.U64(f.worldID)
+		w.Int(f.rank)
+		w.Int(f.peer)
 	case frameReject:
-		return appendString(buf, f.reason), nil
+		w.String(f.reason)
+	default:
+		err = &CodecError{Op: "encode", Msg: fmt.Sprintf("unknown frame kind 0x%02x", f.kind)}
 	}
-	return nil, &CodecError{Op: "encode", Msg: fmt.Sprintf("unknown frame kind 0x%02x", f.kind)}
+	return w.B, err
 }
 
 // decodeFrame parses one frame payload (without the length prefix). Any
 // malformed input yields a *CodecError; trailing garbage after a valid
 // frame is malformed too (a frame is exactly one message).
 func decodeFrame(b []byte) (netFrame, error) {
-	if len(b) < 2 {
-		return netFrame{}, decErr("frame truncated: %d bytes", len(b))
+	r := wire.Reader{B: b}
+	if v := r.Byte("version"); v != NetCodecVersion {
+		r.Fail("version", "codec version %d, want %d", v, NetCodecVersion)
 	}
-	if b[0] != NetCodecVersion {
-		return netFrame{}, decErr("codec version %d, want %d", b[0], NetCodecVersion)
-	}
-	f := netFrame{kind: b[1]}
-	rest := b[2:]
-	var err error
+	f := netFrame{kind: r.Byte("frame kind")}
 	switch f.kind {
 	case frameHeartbeat, frameGoodbye, framePeerOK:
-	case frameData, frameOOB:
-		var tag, nbytes, bits uint64
-		if tag, rest, err = takeU64(rest, "tag"); err != nil {
-			return netFrame{}, err
-		}
-		if nbytes, rest, err = takeU64(rest, "nbytes"); err != nil {
-			return netFrame{}, err
-		}
-		if bits, rest, err = takeU64(rest, "sentAt"); err != nil {
-			return netFrame{}, err
-		}
-		f.tag = Tag(int64(tag))
-		f.nbytes = int(int64(nbytes))
-		if f.nbytes < 0 {
-			return netFrame{}, decErr("negative modelled size %d", f.nbytes)
-		}
-		f.sentAt = math.Float64frombits(bits)
-		if f.body, rest, err = decodeBody(rest, 0); err != nil {
-			return netFrame{}, err
-		}
 	case frameRelay:
-		var tag, nbytes, bits uint64
-		if f.rank, rest, err = takeInt(rest, "relay src"); err != nil {
-			return netFrame{}, err
-		}
-		if f.peer, rest, err = takeInt(rest, "relay dst"); err != nil {
-			return netFrame{}, err
-		}
-		if tag, rest, err = takeU64(rest, "tag"); err != nil {
-			return netFrame{}, err
-		}
-		if nbytes, rest, err = takeU64(rest, "nbytes"); err != nil {
-			return netFrame{}, err
-		}
-		if bits, rest, err = takeU64(rest, "sentAt"); err != nil {
-			return netFrame{}, err
-		}
-		f.tag = Tag(int64(tag))
-		f.nbytes = int(int64(nbytes))
-		if f.nbytes < 0 {
-			return netFrame{}, decErr("negative modelled size %d", f.nbytes)
-		}
-		f.sentAt = math.Float64frombits(bits)
-		if f.body, rest, err = decodeBody(rest, 0); err != nil {
-			return netFrame{}, err
-		}
+		f.rank, f.peer = r.Int("relay src"), r.Int("relay dst")
+		fallthrough
+	case frameData, frameOOB:
+		f.tag, f.nbytes, f.sentAt = Tag(r.Int("tag")), r.Nat("nbytes"), r.F64("sentAt")
+		f.body = decodeBody(&r, 0)
 	case frameOOBFrom:
-		if f.rank, rest, err = takeInt(rest, "oob origin"); err != nil {
-			return netFrame{}, err
-		}
-		if f.body, rest, err = decodeBody(rest, 0); err != nil {
-			return netFrame{}, err
-		}
+		f.rank = r.Int("oob origin")
+		f.body = decodeBody(&r, 0)
 	case frameHello:
-		if f.worldID, rest, err = takeU64(rest, "world id"); err != nil {
-			return netFrame{}, err
-		}
-		if f.rank, rest, err = takeInt(rest, "rank"); err != nil {
-			return netFrame{}, err
-		}
-		if f.size, rest, err = takeInt(rest, "size"); err != nil {
-			return netFrame{}, err
-		}
-		if f.addr, rest, err = takeString(rest, "listen addr"); err != nil {
-			return netFrame{}, err
-		}
-		if f.topo, rest, err = takeU64(rest, "topology digest"); err != nil {
-			return netFrame{}, err
-		}
+		f.worldID, f.rank, f.size = r.U64("world id"), r.Int("rank"), r.Int("size")
+		f.addr, f.topo = r.String("listen addr"), r.U64("topology digest")
 	case frameWelcome:
-		if f.worldID, rest, err = takeU64(rest, "world id"); err != nil {
-			return netFrame{}, err
-		}
-		var n uint64
-		if n, rest, err = takeU64(rest, "addr count"); err != nil {
-			return netFrame{}, err
-		}
-		if n > uint64(len(rest)) {
-			return netFrame{}, decErr("addr count %d exceeds remaining %d bytes", n, len(rest))
-		}
-		f.addrs = make([]string, n)
+		f.worldID = r.U64("world id")
+		f.addrs = make([]string, r.Len("addr count", 8))
 		for i := range f.addrs {
-			if f.addrs[i], rest, err = takeString(rest, "addr"); err != nil {
-				return netFrame{}, err
-			}
+			f.addrs[i] = r.String("addr")
 		}
 	case framePeerHello:
-		if f.worldID, rest, err = takeU64(rest, "world id"); err != nil {
-			return netFrame{}, err
-		}
-		if f.rank, rest, err = takeInt(rest, "from rank"); err != nil {
-			return netFrame{}, err
-		}
-		if f.peer, rest, err = takeInt(rest, "to rank"); err != nil {
-			return netFrame{}, err
-		}
+		f.worldID, f.rank, f.peer = r.U64("world id"), r.Int("from rank"), r.Int("to rank")
 	case frameReject:
-		if f.reason, rest, err = takeString(rest, "reason"); err != nil {
-			return netFrame{}, err
-		}
+		f.reason = r.String("reason")
 	default:
-		return netFrame{}, decErr("unknown frame kind 0x%02x", f.kind)
+		r.Fail("frame", "unknown frame kind 0x%02x", f.kind)
 	}
-	if len(rest) != 0 {
-		return netFrame{}, decErr("%d trailing bytes after frame", len(rest))
+	r.End("frame")
+	if what, msg := r.Failure(); msg != "" {
+		return netFrame{}, decErr("%s: %s", what, msg)
 	}
 	return f, nil
 }
@@ -312,257 +227,111 @@ func bodyBytes(body any) int {
 // appendBody encodes one message body. Unsupported types are an encode
 // error (the transport turns it into a TransportError — it is a programming
 // mistake, not a network condition).
-func appendBody(buf []byte, body any, depth int) ([]byte, error) {
+func appendBody(w *wire.Writer, body any, depth int) error {
 	if depth > maxEnvelopeDepth {
-		return nil, &CodecError{Op: "encode", Msg: "envelope nesting too deep"}
+		return &CodecError{Op: "encode", Msg: "envelope nesting too deep"}
 	}
 	switch v := body.(type) {
 	case nil:
-		return append(buf, kNil), nil
+		w.Byte(kNil)
 	case float64:
-		return appendU64(append(buf, kFloat64), math.Float64bits(v)), nil
+		w.Byte(kFloat64)
+		w.F64(v)
 	case int:
-		return appendU64(append(buf, kInt), uint64(int64(v))), nil
+		w.Byte(kInt)
+		w.Int(v)
 	case uint64:
-		return appendU64(append(buf, kUint64), v), nil
+		w.Byte(kUint64)
+		w.U64(v)
 	case bool:
-		b := byte(0)
-		if v {
-			b = 1
-		}
-		return append(buf, kBool, b), nil
+		w.Byte(kBool)
+		w.Bool(v)
 	case string:
-		return appendString(append(buf, kString), v), nil
+		w.Byte(kString)
+		w.String(v)
 	case []float64:
-		buf = appendU64(append(buf, kFloat64s), uint64(len(v)))
-		for _, x := range v {
-			buf = appendU64(buf, math.Float64bits(x))
-		}
-		return buf, nil
+		w.Byte(kFloat64s)
+		w.Floats(v)
 	case []int:
-		buf = appendU64(append(buf, kInts), uint64(len(v)))
+		w.Byte(kInts)
+		w.Int(len(v))
 		for _, x := range v {
-			buf = appendU64(buf, uint64(int64(x)))
+			w.Int(x)
 		}
-		return buf, nil
 	case relEnvelope:
-		buf = appendU64(append(buf, kRelEnv), v.seq)
-		return appendBody(buf, v.body, depth+1)
+		w.Byte(kRelEnv)
+		w.U64(v.seq)
+		return appendBody(w, v.body, depth+1)
 	case faultEnvelope:
-		buf = appendU64(append(buf, kFaultEnv), v.seq)
-		buf = appendU64(buf, uint64(int64(v.drops)))
-		b := byte(0)
-		if v.dup {
-			b = 1
-		}
-		buf = append(buf, b)
-		buf = appendU64(buf, math.Float64bits(v.delay))
-		return appendBody(buf, v.body, depth+1)
+		w.Byte(kFaultEnv)
+		w.U64(v.seq)
+		w.Int(v.drops)
+		w.Bool(v.dup)
+		w.F64(v.delay)
+		return appendBody(w, v.body, depth+1)
 	case machine.Stats:
-		buf = append(buf, kStats, byte(machine.NumPhases))
-		buf = appendU64(buf, uint64(int64(v.CurrentPhase())))
-		for i := range v.Phases {
-			ps := &v.Phases[i]
-			buf = appendU64(buf, math.Float64bits(ps.ComputeTime))
-			buf = appendU64(buf, math.Float64bits(ps.CommTime))
-			buf = appendU64(buf, uint64(ps.BytesSent))
-			buf = appendU64(buf, uint64(ps.BytesRecv))
-			buf = appendU64(buf, uint64(ps.MsgsSent))
-			buf = appendU64(buf, uint64(ps.MsgsRecv))
-		}
-		return buf, nil
+		w.Byte(kStats)
+		w.Byte(byte(machine.NumPhases))
+		w.Int(int(v.CurrentPhase()))
+		w.Phases(&v.Phases)
+	default:
+		return &CodecError{Op: "encode", Msg: fmt.Sprintf("unsupported body type %T", body)}
 	}
-	return nil, &CodecError{Op: "encode", Msg: fmt.Sprintf("unsupported body type %T", body)}
+	return nil
 }
 
-// decodeBody parses one body, returning the value and the remaining bytes.
-// Lengths are validated against the remaining input before allocating, so a
-// hostile length prefix cannot force a huge allocation.
-func decodeBody(b []byte, depth int) (any, []byte, error) {
+// decodeBody parses one body from r. A failure is left in r for
+// decodeFrame to report; the reader's length checks keep a hostile length
+// prefix from forcing a huge allocation.
+func decodeBody(r *wire.Reader, depth int) any {
 	if depth > maxEnvelopeDepth {
-		return nil, nil, decErr("envelope nesting deeper than %d", maxEnvelopeDepth)
+		r.Fail("body", "envelope nesting deeper than %d", maxEnvelopeDepth)
+		return nil
 	}
-	if len(b) < 1 {
-		return nil, nil, decErr("body truncated")
-	}
-	kind, rest := b[0], b[1:]
-	switch kind {
+	switch kind := r.Byte("body kind"); kind {
 	case kNil:
-		return nil, rest, nil
+		return nil
 	case kFloat64:
-		bits, rest, err := takeU64(rest, "float64")
-		if err != nil {
-			return nil, nil, err
-		}
-		return math.Float64frombits(bits), rest, nil
+		return r.F64("float64")
 	case kInt:
-		v, rest, err := takeU64(rest, "int")
-		if err != nil {
-			return nil, nil, err
-		}
-		return int(int64(v)), rest, nil
+		return r.Int("int")
 	case kUint64:
-		v, rest, err := takeU64(rest, "uint64")
-		if err != nil {
-			return nil, nil, err
-		}
-		return v, rest, nil
+		return r.U64("uint64")
 	case kBool:
-		if len(rest) < 1 {
-			return nil, nil, decErr("bool truncated")
-		}
-		if rest[0] > 1 {
-			return nil, nil, decErr("bool byte 0x%02x", rest[0])
-		}
-		return rest[0] == 1, rest[1:], nil
+		return r.Bool("bool")
 	case kString:
-		s, rest, err := takeString(rest, "string body")
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, rest, nil
+		return r.String("string body")
 	case kFloat64s:
-		n, rest, err := takeLen(rest, 8, "[]float64")
-		if err != nil {
-			return nil, nil, err
-		}
 		// Pool-backed: the receiving protocol returns this buffer with
 		// wire.Put once unpacked, exactly as it does on the goroutine
 		// backend.
-		out := wire.Get(n)
-		for i := 0; i < n; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:])))
-		}
-		return out, rest[n*8:], nil
+		n := r.Len("[]float64", 8)
+		return r.Col("[]float64", wire.Get(n), n)
 	case kInts:
-		n, rest, err := takeLen(rest, 8, "[]int")
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]int, n)
+		out := make([]int, r.Len("[]int", 8))
 		for i := range out {
-			out[i] = int(int64(binary.LittleEndian.Uint64(rest[i*8:])))
+			out[i] = r.Int("[]int")
 		}
-		return out, rest[n*8:], nil
+		return out
 	case kRelEnv:
-		seq, rest, err := takeU64(rest, "rel seq")
-		if err != nil {
-			return nil, nil, err
-		}
-		body, rest, err := decodeBody(rest, depth+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		return relEnvelope{seq: seq, body: body}, rest, nil
+		return relEnvelope{seq: r.U64("rel seq"), body: decodeBody(r, depth+1)}
 	case kFaultEnv:
-		var env faultEnvelope
-		var err error
-		if env.seq, rest, err = takeU64(rest, "fault seq"); err != nil {
-			return nil, nil, err
-		}
-		if env.drops, rest, err = takeInt(rest, "fault drops"); err != nil {
-			return nil, nil, err
-		}
-		if len(rest) < 1 {
-			return nil, nil, decErr("fault dup truncated")
-		}
-		if rest[0] > 1 {
-			return nil, nil, decErr("fault dup byte 0x%02x", rest[0])
-		}
-		env.dup, rest = rest[0] == 1, rest[1:]
-		var bits uint64
-		if bits, rest, err = takeU64(rest, "fault delay"); err != nil {
-			return nil, nil, err
-		}
-		env.delay = math.Float64frombits(bits)
-		if env.body, rest, err = decodeBody(rest, depth+1); err != nil {
-			return nil, nil, err
-		}
-		return env, rest, nil
+		return faultEnvelope{seq: r.U64("fault seq"), drops: r.Int("fault drops"),
+			dup: r.Bool("fault dup"), delay: r.F64("fault delay"), body: decodeBody(r, depth+1)}
 	case kStats:
-		if len(rest) < 1 {
-			return nil, nil, decErr("stats phase count truncated")
+		if n := r.Byte("stats phase count"); int(n) != machine.NumPhases {
+			r.Fail("stats", "%d phases, want %d", n, machine.NumPhases)
 		}
-		if int(rest[0]) != machine.NumPhases {
-			return nil, nil, decErr("stats with %d phases, want %d", rest[0], machine.NumPhases)
-		}
-		rest = rest[1:]
-		phase, rest, err := takeInt(rest, "stats phase")
-		if err != nil {
-			return nil, nil, err
-		}
+		phase := r.Int("stats phase")
 		if phase < 0 || phase >= machine.NumPhases {
-			return nil, nil, decErr("stats current phase %d out of range", phase)
+			r.Fail("stats", "current phase %d out of range", phase)
 		}
 		var st machine.Stats
 		st.SetPhase(machine.Phase(phase))
-		for i := range st.Phases {
-			vals := make([]uint64, 6)
-			for j := range vals {
-				if vals[j], rest, err = takeU64(rest, "stats field"); err != nil {
-					return nil, nil, err
-				}
-			}
-			st.Phases[i] = machine.PhaseStats{
-				ComputeTime: math.Float64frombits(vals[0]),
-				CommTime:    math.Float64frombits(vals[1]),
-				BytesSent:   int64(vals[2]),
-				BytesRecv:   int64(vals[3]),
-				MsgsSent:    int64(vals[4]),
-				MsgsRecv:    int64(vals[5]),
-			}
-		}
-		return st, rest, nil
+		r.Phases("stats", &st.Phases)
+		return st
+	default:
+		r.Fail("body", "unknown body kind 0x%02x", kind)
+		return nil
 	}
-	return nil, nil, decErr("unknown body kind 0x%02x", kind)
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, v)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = appendU64(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func takeU64(b []byte, what string) (uint64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, decErr("%s truncated: %d bytes", what, len(b))
-	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-func takeInt(b []byte, what string) (int, []byte, error) {
-	v, rest, err := takeU64(b, what)
-	if err != nil {
-		return 0, nil, err
-	}
-	return int(int64(v)), rest, nil
-}
-
-// takeLen reads a u64 element count and validates that count*elemBytes fits
-// in the remaining input. Like takeString, it names the length field in
-// its error only on the error path, so a valid frame decodes without
-// building strings.
-func takeLen(b []byte, elemBytes int, what string) (int, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, decErr("%s length truncated: %d bytes", what, len(b))
-	}
-	n, rest := binary.LittleEndian.Uint64(b), b[8:]
-	if n > uint64(len(rest))/uint64(elemBytes) {
-		return 0, nil, decErr("%s length %d exceeds remaining %d bytes", what, n, len(rest))
-	}
-	return int(n), rest, nil
-}
-
-func takeString(b []byte, what string) (string, []byte, error) {
-	if len(b) < 8 {
-		return "", nil, decErr("%s length truncated: %d bytes", what, len(b))
-	}
-	n, rest := binary.LittleEndian.Uint64(b), b[8:]
-	if n > uint64(len(rest)) {
-		return "", nil, decErr("%s length %d exceeds remaining %d bytes", what, n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
 }

@@ -147,13 +147,13 @@ func TestCodecEnvelopeDepthBounded(t *testing.T) {
 		t.Error("encode accepted envelope nesting beyond the cap")
 	}
 	// Hand-build the hostile equivalent: header + (kRelEnv, seq) repeated.
-	raw := encodeFrame(t, &netFrame{kind: frameData})[:26]
+	w := wire.Writer{B: encodeFrame(t, &netFrame{kind: frameData})[:26]}
 	for i := 0; i < maxEnvelopeDepth+2; i++ {
-		raw = append(raw, kRelEnv)
-		raw = appendU64(raw, 0)
+		w.Byte(kRelEnv)
+		w.U64(0)
 	}
-	raw = append(raw, kNil)
-	if _, err := decodeFrame(raw); err == nil {
+	w.Byte(kNil)
+	if _, err := decodeFrame(w.B); err == nil {
 		t.Error("decode accepted envelope nesting beyond the cap")
 	} else if !strings.Contains(err.Error(), "nesting") {
 		t.Errorf("depth rejection reason missing: %v", err)

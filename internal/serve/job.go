@@ -2,11 +2,11 @@
 //
 // Every job lives in its own directory, <data>/jobs/<id>/, holding
 // job.json (the manifest), ckpt/ (the job's checkpoint epochs) and, once
-// rank 0 finishes, result.json. The manifest is rewritten atomically
-// (temp + fsync + rename, the ckpt.WriteShard discipline) on every state
-// transition, so a daemon killed at any instant leaves a manifest that is
-// either the old state or the new one — never torn — and a restarted
-// daemon re-adopts exactly the jobs that were in flight.
+// rank 0 finishes, result.json. The manifest is rewritten atomically by
+// ckpt.WriteFileAtomic (temp + fsync + rename, as every shard is written)
+// on every state transition, so a daemon killed at any instant leaves a
+// manifest that is either the old state or the new one — never torn — and
+// a restarted daemon re-adopts exactly the jobs that were in flight.
 
 package serve
 
@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"picpar/internal/ckpt"
 	"picpar/internal/jobspec"
 )
 
@@ -113,48 +114,13 @@ func CheckpointDir(jobDir string) string { return filepath.Join(jobDir, "ckpt") 
 // resultPath returns the job's result file (written by rank 0).
 func resultPath(jobDir string) string { return filepath.Join(jobDir, "result.json") }
 
-// writeFileAtomic lands bytes under path via temp + fsync + rename, then
-// fsyncs the directory — the same torn-write discipline as ckpt shards.
-func writeFileAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(e error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: write %s: %w", path, e)
-	}
-	if _, err := f.Write(b); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: rename %s: %w", path, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
-}
-
 // WriteManifest atomically persists m into its job directory.
 func WriteManifest(jobDir string, m *Manifest) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serve: encode manifest: %w", err)
 	}
-	return writeFileAtomic(manifestPath(jobDir), append(b, '\n'))
+	return ckpt.WriteFileAtomic(manifestPath(jobDir), append(b, '\n'))
 }
 
 // ReadManifest loads a job manifest.
@@ -177,7 +143,7 @@ func WriteResult(jobDir string, r *JobResult) error {
 	if err != nil {
 		return fmt.Errorf("serve: encode result: %w", err)
 	}
-	return writeFileAtomic(resultPath(jobDir), append(b, '\n'))
+	return ckpt.WriteFileAtomic(resultPath(jobDir), append(b, '\n'))
 }
 
 // ReadResult loads a job's result file.

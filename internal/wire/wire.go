@@ -1,6 +1,7 @@
 // Package wire provides process-wide, sync.Pool-backed free lists of
 // []float64 message buffers for the exchange hot paths and []byte scratch
-// for the network codec.
+// for the network codec, and the byte codec (Writer, Reader; codec.go)
+// that both binary formats, TCP frames and checkpoint shards, share.
 //
 // A pooled buffer returns to the pool exactly once, by whoever holds it
 // last. The comm substrate transfers ownership with the message (the sender

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Full CI gate: vet, build, the one-body, kernel, deleted-path and
-# message-buffer grep audits, plain tests (root and the benchmark module),
-# race-enabled tests, the chaos soak (seeded fault plans through the
+# Full CI gate: vet, build, the one-body, kernel, deleted-path,
+# message-buffer and one-codec grep audits, plain tests (root and the
+# benchmark module), short fuzz runs of both binary decoders, race-enabled
+# tests, the chaos soak (seeded fault plans through the
 # Reliable stack, 2-D and 3-D), the layout-strategy comparison (2-D and
 # 3-D), the per-phase traffic regression gate, the 2-D and 3-D golden
 # pins, the multi-process TCP smoke (loopback golden + kill -9 crash
@@ -60,12 +61,14 @@ echo "== deleted-path audit (grep) =="
 # pic-level hierarchical[:H], the bare ring descriptor), the phase-pipeline
 # layer (internal/engine and pic's adapters onto it), the Elastic twins of
 # the TCP entry points, the nil-topology digest and diag's dead histogram
-# are gone; benchmark/ is the one wall-clock harness, Config.Topology names
-# a link set, the time step is a loop in pic.runRank, and NetRank,
-# LaunchLoopback and SuperviseRanks are the one rank entry point, in-process
-# launcher and supervisor. None may come back in non-test Go or a script
-# (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram' \
+# are gone, and so are the untested FaultPlan rank filters, the unused
+# collective-tag aliases and serve's copy of the atomic write; benchmark/ is
+# the one wall-clock harness, Config.Topology names a link set, the time
+# step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
+# are the one rank entry point, in-process launcher and supervisor, and
+# ckpt.WriteFileAtomic is the one atomic write. None may come back in
+# non-test Go or a script (this file excluded: it holds the pattern).
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
@@ -100,18 +103,39 @@ fi
 
 echo "== message-buffer audit (grep) =="
 # DESIGN.md "The TCP backend": message buffers cycle through internal/wire.
-# Halo faces are drawn from the pool, never made per send, and the codec
-# builds no error context on the success path of a decode.
+# Halo faces are drawn from the pool, never made per send, and the reader
+# both codecs decode through builds no error context on the success path.
 old=$( { grep -n 'make(\[\]float64, 0' internal/field/*.go | grep -v '_test\.go:'
-    grep -n 'what+"' internal/comm/netcodec.go; } || true)
+    grep -n 'what+"' internal/wire/codec.go; } || true)
 if [ -n "$old" ]; then
     echo "per-message allocation reappeared on the message path:"
     printf '%s\n' "$old"
     exit 1
 fi
 
+echo "== one-codec audit (grep) =="
+# DESIGN.md "The TCP backend" and "Checkpoint/restart": TCP frames and
+# checkpoint shards are written by wire.Writer and read by wire.Reader.
+# Non-test Go outside internal/wire defines no take... decode primitive and
+# no appendU64, and neither codec spells out the machine.Stats per-phase
+# block field by field (Writer.Phases / Reader.Phases do).
+ckpt=$(ls internal/ckpt/*.go | grep -v _test.go)
+old=$( { grep -rnE '^func (take[A-Z]|appendU64)' --include='*.go' --exclude='*_test.go' \
+        --exclude-dir=wire --exclude-dir=.bench_build .
+    grep -nE '\.(ComputeTime|CommTime|MsgsRecv)\b' internal/comm/netcodec.go $ckpt; } || true)
+if [ -n "$old" ]; then
+    echo "a second byte codec reappeared outside internal/wire:"
+    printf '%s\n' "$old"
+    exit 1
+fi
+
 echo "== go test =="
 go test ./...
+
+echo "== fuzz (15 s per binary decoder) =="
+# The committed corpora replay in go test; these are short real searches.
+go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/comm/
+go test -run '^$' -fuzz FuzzDecodeShard -fuzztime 15s ./internal/ckpt/
 
 echo "== benchmark module (vet + test) =="
 # benchmark/ is its own Go module: the root ./... patterns cannot see it,
