@@ -1,9 +1,9 @@
-// Steady-state allocation pins: LocalSort (2-D and 3-D stores) allocates
-// nothing once its pooled scratch is warm, an incremental redistribution
-// sizes its stores once and then allocates O(P) objects per call, a whole
-// simulation's per-iteration allocation count does not grow with the
-// worker count, and a 3-D iteration over loopback TCP recycles its message
-// buffers.
+// Allocation pins: LocalSort (2-D and 3-D stores) allocates nothing once
+// its rank-owned sets and sorter are warm, an incremental redistribution
+// sizes its stores once and then allocates O(P) objects per call, a run's
+// boot stays within a budget of population-sizes, a whole simulation's
+// per-iteration allocation count does not grow with the worker count, and
+// a 3-D iteration over loopback TCP recycles its message buffers.
 package picpar_test
 
 import (
@@ -35,8 +35,8 @@ func unsortedStore(rng *rand.Rand, n int) *particle.Store {
 }
 
 // TestLocalSortSteadyStateAllocs pins LocalSort's steady-state allocation
-// count at zero: after one warm-up call primes the pooled sorter scratch,
-// re-sorting a shuffled population must not allocate.
+// count at zero: after one warm-up call sizes the Incremental's sorter and
+// spare set, re-sorting a shuffled population must not allocate.
 func TestLocalSortSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector distorts allocation counts")
@@ -45,11 +45,12 @@ func TestLocalSortSteadyStateAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		ref := unsortedStore(rng, 4096)
 		s := ref.Clone()
-		psort.LocalSort(r, s, nil) // warm the sorter pool
+		inc := psort.NewIncremental(0)
+		inc.LocalSort(r, s) // warm the sorter and the spare set
 		allocs := testing.AllocsPerRun(20, func() {
 			copy(s.Key, ref.Key)
 			copy(s.ID, ref.ID)
-			psort.LocalSort(r, s, nil)
+			inc.LocalSort(r, s)
 		})
 		if allocs != 0 {
 			t.Errorf("LocalSort steady state: %v allocs/op, want 0", allocs)
@@ -70,8 +71,8 @@ func unsortedStore3(rng *rand.Rand, n int) *particle.Store {
 }
 
 // TestLocalSort3DSteadyStateAllocs pins the 3-D steady state at zero
-// allocations too: the optional z column must ride the same pooled scratch
-// as the 2-D hot path.
+// allocations too: the optional z column must ride the same spare set as
+// the 2-D hot path.
 func TestLocalSort3DSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector distorts allocation counts")
@@ -80,11 +81,12 @@ func TestLocalSort3DSteadyStateAllocs(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		ref := unsortedStore3(rng, 4096)
 		s := ref.Clone()
-		psort.LocalSort(r, s, nil) // warm the sorter pool
+		inc := psort.NewIncremental(0)
+		inc.LocalSort(r, s) // warm the sorter and the spare set
 		allocs := testing.AllocsPerRun(20, func() {
 			copy(s.Key, ref.Key)
 			copy(s.ID, ref.ID)
-			psort.LocalSort(r, s, nil)
+			inc.LocalSort(r, s)
 		})
 		if allocs != 0 {
 			t.Errorf("3-D LocalSort steady state: %v allocs/op, want 0", allocs)
@@ -194,23 +196,66 @@ func redistributeAllocs(p, n, warm, steady int) (warmBytes, steadyAllocs float64
 
 // TestRedistributeSizedOnceAllocs pins the incremental redistribution's
 // store discipline on a P=4 world. Warm-up: the first two calls on n
-// particles per rank allocate at most six stores' worth per rank — the
-// kept, merged and receive stores plus the two alternating output slots,
-// each sized once from the count it receives, with room for the bucket
-// lists and one regrowth — where stores grown by append pay several times
-// their final size. Steady state: a call allocates O(P) objects per rank
-// (message and collective bookkeeping), nothing per particle.
+// particles per rank allocate at most three stores' worth per rank — the
+// two sets the Incremental adds to the primed store it adopted, each sized
+// once with headroom, plus the classification and sort scratch (2.6
+// measured). Fresh kept, merged and output stores per call measure 4.8,
+// and stores grown by append several times their final size. Steady
+// state: a call allocates O(P) objects per rank (message and collective
+// bookkeeping), nothing per particle.
 func TestRedistributeSizedOnceAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector distorts allocation counts")
 	}
 	const p, n = 4, 1 << 14
 	warmBytes, steadyAllocs := redistributeAllocs(p, n, 2, 8)
-	if stores := warmBytes / (n * particle.WireBytes); stores > 6 {
-		t.Errorf("first two redistributions allocate %.1f stores' worth per rank (%.0f B), want <= 6", stores, warmBytes)
+	if stores := warmBytes / (n * particle.WireBytes); stores > 3 {
+		t.Errorf("first two redistributions allocate %.1f stores' worth per rank (%.0f B), want <= 3", stores, warmBytes)
 	}
 	if steadyAllocs > 12*p+24 {
 		t.Errorf("steady redistribution allocates %.1f objects per call per rank, want O(P) <= %d", steadyAllocs, 12*p+24)
+	}
+}
+
+// TestBootAllocBudget pins what a run allocates before its first time
+// step: a P=4 run of 2^16 irregular particles with no iterations — world,
+// fields, ledger and ghost table, then generation, the dealt chunks, the
+// sample sort and its balance — allocates at most 7.5 population-sizes
+// (N·56 B). Each rank builds its particles in its Incremental's sets, and
+// rank 0 keeps its chunk in the generated store: 7.07 measured. A boot
+// that builds the sorted run, the balanced share and rank 0's chunk in
+// fresh stores, with the sorters pooled, measures 9.1–9.5. The least of
+// three runs counts, so a collection that empties the wire pool mid-run
+// cannot fail it.
+func TestBootAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	const n, budget = 1 << 16, 7.5
+	cfg := picpar.Config{
+		Grid:         picpar.NewGrid(128, 64),
+		P:            4,
+		NumParticles: n,
+		Distribution: picpar.DistIrregular,
+		Seed:         3,
+		Iterations:   0,
+		Policy:       picpar.StaticPolicy(),
+		Workers:      1,
+	}
+	least := math.Inf(1)
+	for run := 0; run < 3; run++ {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := picpar.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		least = math.Min(least, float64(m1.TotalAlloc-m0.TotalAlloc)/(n*particle.WireBytes))
+	}
+	t.Logf("boot allocates %.2f population-sizes", least)
+	if least > budget {
+		t.Errorf("boot allocates %.2f population-sizes, want <= %.1f", least, budget)
 	}
 }
 

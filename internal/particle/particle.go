@@ -132,19 +132,25 @@ func (s *Store) AppendFrom(src *Store, i int) {
 	s.Key = append(s.Key, src.Key[i])
 }
 
+// columnPairs returns pointers to the columns of s and to the same columns
+// of o, in s's layout (Z included for 3-D stores), and how many there are.
+func columnPairs(s, o *Store) (a, b [8]*[]float64, n int) {
+	a = [8]*[]float64{&s.X, &s.Y, &s.Px, &s.Py, &s.Pz, &s.ID, &s.Key, &s.Z}
+	b = [8]*[]float64{&o.X, &o.Y, &o.Px, &o.Py, &o.Pz, &o.ID, &o.Key, &o.Z}
+	n = 7
+	if s.Z != nil {
+		n = 8
+	}
+	return a, b, n
+}
+
 // eachColumn calls f on every column of s paired with the same column of
 // src, Z included for 3-D stores.
 func (s *Store) eachColumn(src *Store, f func(dst *[]float64, src []float64)) {
-	f(&s.X, src.X)
-	f(&s.Y, src.Y)
-	if s.Z != nil {
-		f(&s.Z, src.Z)
+	a, b, n := columnPairs(s, src)
+	for k := 0; k < n; k++ {
+		f(a[k], *b[k])
 	}
-	f(&s.Px, src.Px)
-	f(&s.Py, src.Py)
-	f(&s.Pz, src.Pz)
-	f(&s.ID, src.ID)
-	f(&s.Key, src.Key)
 }
 
 // Grow ensures room for n more particles, so the next n appended
@@ -195,91 +201,29 @@ func (s *Store) Less(i, j int) bool {
 	return s.ID[i] < s.ID[j]
 }
 
-// Scratch holds the reusable destination arrays of ApplyPermutation. The
-// zero value is ready to use; arrays grow on demand and are retained (the
-// store's previous arrays swap into the scratch), so repeated sorts of
-// similar-sized stores allocate nothing.
-type Scratch struct {
-	x, y, z, px, py, pz, id, key []float64
-}
-
-func (sc *Scratch) grow(n int, withZ bool) {
-	if cap(sc.x) < n {
-		sc.x = make([]float64, n)
-		sc.y = make([]float64, n)
-		sc.px = make([]float64, n)
-		sc.py = make([]float64, n)
-		sc.pz = make([]float64, n)
-		sc.id = make([]float64, n)
-		sc.key = make([]float64, n)
-	}
-	if withZ && cap(sc.z) < n {
-		sc.z = make([]float64, n)
-	}
-	sc.x = sc.x[:n]
-	sc.y = sc.y[:n]
-	sc.px = sc.px[:n]
-	sc.py = sc.py[:n]
-	sc.pz = sc.pz[:n]
-	sc.id = sc.id[:n]
-	sc.key = sc.key[:n]
-	if withZ {
-		sc.z = sc.z[:n]
-	}
-}
-
 // ApplyPermutation reorders the store so that position i holds the particle
-// previously at perm[i], for all 7 SoA fields, using a single out-of-place
-// gather per field instead of O(n log n) element swaps. perm must be a
-// permutation of 0..Len()−1. scr provides the destination arrays (nil means
-// allocate fresh ones); afterwards scr holds the store's previous arrays
-// for reuse by the next call.
-func (s *Store) ApplyPermutation(perm []int32, scr *Scratch) {
+// previously at perm[i], with one out-of-place gather per column instead of
+// O(n log n) element swaps. perm must be a permutation of 0..Len()−1. The
+// gathers write into spare's arrays, which then trade places with the
+// store's: afterwards spare holds the store's previous arrays, so a caller
+// that keeps one spare store sorts repeatedly without allocating. A nil
+// spare gathers into fresh arrays.
+func (s *Store) ApplyPermutation(perm []int32, spare *Store) {
 	n := s.Len()
 	if len(perm) != n {
 		panic(fmt.Sprintf("particle: ApplyPermutation perm len %d, store len %d", len(perm), n))
 	}
-	if scr == nil {
-		scr = &Scratch{}
+	if spare == nil {
+		spare = s.NewLike(n)
 	}
-	scr.grow(n, s.Z != nil)
-	for i, p := range perm {
-		scr.x[i] = s.X[p]
-		scr.y[i] = s.Y[p]
-		scr.px[i] = s.Px[p]
-		scr.py[i] = s.Py[p]
-		scr.pz[i] = s.Pz[p]
-		scr.id[i] = s.ID[p]
-		scr.key[i] = s.Key[p]
-	}
-	if s.Z != nil {
+	a, b, cols := columnPairs(s, spare)
+	for k := 0; k < cols; k++ {
+		src, dst := *a[k], slices.Grow((*b[k])[:0], n)[:n]
 		for i, p := range perm {
-			scr.z[i] = s.Z[p]
+			dst[i] = src[p]
 		}
-		s.Z, scr.z = scr.z, s.Z
+		*a[k], *b[k] = dst, src
 	}
-	s.X, scr.x = scr.x, s.X
-	s.Y, scr.y = scr.y, s.Y
-	s.Px, scr.px = scr.px, s.Px
-	s.Py, scr.py = scr.py, s.Py
-	s.Pz, scr.pz = scr.pz, s.Pz
-	s.ID, scr.id = scr.id, s.ID
-	s.Key, scr.key = scr.key, s.Key
-}
-
-// SwapContents exchanges the particle arrays of a and b in O(1), leaving
-// the species constants untouched. It is the zero-copy way to hand a
-// scratch store's contents to a caller-visible store (and recycle the
-// caller's old arrays as scratch).
-func SwapContents(a, b *Store) {
-	a.X, b.X = b.X, a.X
-	a.Y, b.Y = b.Y, a.Y
-	a.Z, b.Z = b.Z, a.Z
-	a.Px, b.Px = b.Px, a.Px
-	a.Py, b.Py = b.Py, a.Py
-	a.Pz, b.Pz = b.Pz, a.Pz
-	a.ID, b.ID = b.ID, a.ID
-	a.Key, b.Key = b.Key, a.Key
 }
 
 // Truncate shrinks the store to n particles.

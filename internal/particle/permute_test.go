@@ -60,9 +60,9 @@ func TestApplyPermutationRoundTrip(t *testing.T) {
 	for i, p := range perm {
 		inv[p] = int32(i)
 	}
-	var scr Scratch
-	s.ApplyPermutation(perm, &scr)
-	s.ApplyPermutation(inv, &scr)
+	spare := s.NewLike(0)
+	s.ApplyPermutation(perm, spare)
+	s.ApplyPermutation(inv, spare)
 	for i := 0; i < n; i++ {
 		if s.X[i] != orig.X[i] || s.Y[i] != orig.Y[i] ||
 			s.Px[i] != orig.Px[i] || s.Py[i] != orig.Py[i] || s.Pz[i] != orig.Pz[i] ||
@@ -84,7 +84,7 @@ func TestApplyPermutationLengthMismatchPanics(t *testing.T) {
 }
 
 // TestApplyPermutationScratchReuse checks the steady state: with a warm
-// Scratch, repeated applies allocate nothing.
+// spare store, repeated applies allocate nothing.
 func TestApplyPermutationScratchReuse(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector distorts allocation counts")
@@ -96,11 +96,11 @@ func TestApplyPermutationScratchReuse(t *testing.T) {
 	for i, p := range rng.Perm(n) {
 		perm[i] = int32(p)
 	}
-	var scr Scratch
-	s.ApplyPermutation(perm, &scr) // warm
+	spare := s.NewLike(0)
+	s.ApplyPermutation(perm, spare) // warm
 	if allocs := testing.AllocsPerRun(20, func() {
-		s.ApplyPermutation(perm, &scr)
+		s.ApplyPermutation(perm, spare)
 	}); allocs != 0 {
-		t.Errorf("ApplyPermutation with warm scratch: %v allocs/op, want 0", allocs)
+		t.Errorf("ApplyPermutation with a warm spare: %v allocs/op, want 0", allocs)
 	}
 }

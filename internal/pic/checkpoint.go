@@ -266,6 +266,9 @@ func (st *rankState) checkShardSignature(sh *ckpt.Shard, epoch int) {
 func (st *rankState) restoreShard(sh *ckpt.Shard, res *Result) {
 	r := st.r
 	st.store = sh.Particles
+	// Prime adopts the shard's store into the incremental sorter's sets;
+	// the checkpointed bounds below then replace the ones it derives.
+	st.inc.Prime(st.store)
 	fa := st.farr
 	dst := [ckpt.NumFieldArrays][]float64{fa.Ex, fa.Ey, fa.Ez, fa.Bx, fa.By, fa.Bz, fa.Jx, fa.Jy, fa.Jz, fa.Rho}
 	for i := range dst {

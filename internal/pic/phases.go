@@ -116,7 +116,7 @@ func (st *rankState) assignKeys() {
 // zero-value strategy is the classic equal-count one.
 func (st *rankState) rebalance(strat policy.Strategy) {
 	if strat.Movement == policy.MovementEulerian {
-		st.migrateOneShot()
+		st.migrate()
 		return
 	}
 	st.assignKeys()
@@ -127,23 +127,12 @@ func (st *rankState) rebalance(strat policy.Strategy) {
 	st.store, _ = st.inc.RedistributeWeighted(st.r, st.store, wf)
 }
 
-// migrateOneShot runs one Eulerian migration as a strategy-selected
-// rebalance. migrate ping-pongs st.spare with the live store; in the
-// Lagrangian pipeline the live store may be one of the incremental
-// sorter's internal output slots, which a later Redistribute reuses — so
-// the spare is parked for the duration instead of capturing that slot,
-// and the migrated-out store is left to the collector.
-func (st *rankState) migrateOneShot() {
-	spare := st.spare
-	st.spare = nil
-	st.migrate()
-	st.spare = spare
-}
-
 // migrate moves every particle to the rank owning its cell's lower-left
 // grid point — the per-iteration particle movement of the direct Eulerian
 // method. Communication uses the same traffic-table + all-to-many protocol
-// as redistribution.
+// as redistribution, and the migrated store is built in one of the
+// incremental sorter's sets, so migrations and redistributions rotate
+// through the same rank-owned memory.
 func (st *rankState) migrate() {
 	r := st.r
 	s := st.store
@@ -157,15 +146,7 @@ func (st *rankState) migrate() {
 	for d := range ownIdx {
 		ownIdx[d] = ownIdx[d][:0]
 	}
-	// Ping-pong the kept store with the spare slot so each migration
-	// recycles the arrays freed by the previous one.
-	kept := st.spare
-	if kept == nil {
-		kept = s.NewLike(s.Len())
-	} else {
-		kept.Truncate(0)
-		kept.Charge, kept.Mass = s.Charge, s.Mass
-	}
+	kept := st.inc.Spare(s, s.Len())
 	for i := 0; i < s.Len(); i++ {
 		owner := st.ge.OwnerOfParticle(s, i)
 		ownIdx[owner] = append(ownIdx[owner], i)
@@ -192,7 +173,6 @@ func (st *rankState) migrate() {
 			wire.Put(recv[src])
 		}
 	}
-	st.spare = s
 	st.store = kept
 }
 

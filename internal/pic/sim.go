@@ -226,11 +226,10 @@ type rankState struct {
 
 	// Exchange scratch: reusable per-destination buffer headers and counts
 	// (the buffers themselves cycle through the wire pool), and per-rank
-	// index lists plus a spare store for the Eulerian migrate ping-pong.
+	// index lists for the Eulerian migrate.
 	sendBufs   [][]float64
 	sendCounts []int
 	migrateIdx [][]int
-	spare      *particle.Store
 
 	// Strategy scratch (strategy.go): the flattened local ledger export,
 	// the world-summed per-cell cost and count estimates, and the derived
@@ -454,74 +453,62 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 // starts with a compact, balanced, mesh-aligned particle subdomain.
 func (st *rankState) initialDistribution() {
 	r := st.r
-	cfg := st.cfg
 	if r.Rank() == 0 {
-		var global *particle.Store
-		if cfg.CustomParticles != nil {
-			global = cfg.CustomParticles.Clone()
-		} else {
-			var err error
-			global, err = st.ge.Generate(geom.GenConfig{
-				N:            cfg.NumParticles,
-				Distribution: cfg.Distribution,
-				Seed:         cfg.Seed,
-				Thermal:      cfg.Thermal,
-				Drift:        cfg.Drift,
-				Charge:       cfg.MacroCharge,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("pic: generate: %v", err))
-			}
-		}
-		st.dealChunks(global)
+		st.dealChunks(population(st.cfg, st.ge))
 	} else {
 		st.recvChunk()
 	}
 	st.assignKeys()
-	st.store = psort.SampleSortParX(r, st.store, st.pool, st.bootEx)
+	st.store = st.inc.Distribute(r, st.store, st.bootEx)
 	st.inc.Prime(st.store)
+}
+
+// population returns a copy of the run's global particle population:
+// cfg.CustomParticles, or the configured distribution generated under ge.
+// Particle ids are the generation indices.
+func population(cfg Config, ge geom.Geometry) *particle.Store {
+	if cfg.CustomParticles != nil {
+		return cfg.CustomParticles.Clone()
+	}
+	global, err := ge.Generate(geom.GenConfig{
+		N:            cfg.NumParticles,
+		Distribution: cfg.Distribution,
+		Seed:         cfg.Seed,
+		Thermal:      cfg.Thermal,
+		Drift:        cfg.Drift,
+		Charge:       cfg.MacroCharge,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("pic: generate: %v", err))
+	}
+	return global
 }
 
 // dealChunks ships contiguous chunks of the rank-0 global population to
 // every rank. The classic path is one point-to-point message per
 // destination; under a sparse topology that scatter cannot use direct
 // links, so the chunks ride the systolic ring instead (skeleton links
-// only, same payloads).
+// only, same payloads). Rank 0's own chunk is the head of the population,
+// so the generated store, cut to it, becomes rank 0's store.
 func (st *rankState) dealChunks(global *particle.Store) {
 	r := st.r
 	p := r.Size()
 	wf := global.WireFloats()
-	if st.bootEx == nil {
-		for dst := p - 1; dst >= 0; dst-- {
-			lo, hi := mesh.BlockRange(global.Len(), p, dst)
-			if dst == 0 {
-				st.keepChunk(global, lo, hi)
-				continue
-			}
-			chunk := global.MarshalRange(wire.Get((hi-lo)*wf), lo, hi)
-			comm.SendFloat64s(r, dst, tagInitChunk, chunk)
-		}
-		return
-	}
 	send := make([][]float64, p)
-	for dst := p - 1; dst >= 0; dst-- {
+	for dst := p - 1; dst > 0; dst-- {
 		lo, hi := mesh.BlockRange(global.Len(), p, dst)
-		if dst == 0 {
-			st.keepChunk(global, lo, hi)
-			continue
-		}
 		send[dst] = global.MarshalRange(wire.Get((hi-lo)*wf), lo, hi)
+		if st.bootEx == nil {
+			comm.SendFloat64s(r, dst, tagInitChunk, send[dst])
+		}
 	}
-	// Rank 0 receives nothing: its own chunk stayed local.
-	comm.AllToManySystolicFloat64s(r, send, make([]int, p))
-}
-
-// keepChunk copies the [lo, hi) range of the global population into this
-// rank's own store.
-func (st *rankState) keepChunk(global *particle.Store, lo, hi int) {
-	local := global.NewLike(hi - lo)
-	local.AppendRange(global, lo, hi)
-	st.store = local
+	if st.bootEx != nil {
+		// Rank 0 receives nothing: its own chunk stayed local.
+		comm.AllToManySystolicFloat64s(r, send, make([]int, p))
+	}
+	_, hi := mesh.BlockRange(global.Len(), p, 0)
+	global.Truncate(hi)
+	st.store = global
 }
 
 // recvChunk receives this rank's chunk of the initial population from rank
@@ -546,7 +533,9 @@ func (st *rankState) recvChunk() {
 		recv := comm.AllToManySystolicFloat64s(r, make([][]float64, p), recvCounts)
 		chunk = recv[0]
 	}
-	st.store = st.ge.NewStore(len(chunk)/wf, cfg.MacroCharge, 1)
+	// The empty geometry store only names the layout and species of the
+	// rank's set the chunk lands in.
+	st.store = st.inc.Spare(st.ge.NewStore(0, cfg.MacroCharge, 1), len(chunk)/wf)
 	if err := st.store.AppendWire(chunk); err != nil {
 		panic(err)
 	}

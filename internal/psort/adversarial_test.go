@@ -123,7 +123,7 @@ func TestLoadBalanceExtremeSkew(t *testing.T) {
 				s.Key[s.Len()-1] = float64(i)
 			}
 		}
-		g.put(r.Rank(), loadBalanceInto(r, s, nil, nil))
+		g.put(r.Rank(), balanced(r, s, nil))
 	})
 	wantIDs := map[float64]bool{}
 	for i := 0; i < total; i++ {
@@ -135,11 +135,12 @@ func TestLoadBalanceExtremeSkew(t *testing.T) {
 func BenchmarkLocalSort(b *testing.B) {
 	commtest.Launch(1, machine.Zero(), func(r comm.Transport) {
 		rng := rand.New(rand.NewSource(1))
+		inc := NewIncremental(0)
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			s := makeLocal(rng, 4096, 0, 1<<20)
 			b.StartTimer()
-			LocalSort(r, s, nil)
+			inc.LocalSort(r, s)
 		}
 	})
 }

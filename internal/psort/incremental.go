@@ -18,14 +18,13 @@ import (
 // moved little and fall into the same bucket, making reclassification far
 // cheaper than a full sort.
 //
-// The struct additionally owns all scratch of the redistribution hot path
-// (classification lists, marshal buffers, the intermediate stores and the
-// two output slots), so steady-state redistributions allocate nothing in
-// the classify/marshal inner loop. Every store is sized from the count it
-// is about to receive before the first append and filled by bulk column
-// copies, one per particle and stage; a store reallocates only when a call
-// needs more room than any before it (as the first call into each output
-// slot does).
+// The struct also owns the rank's particle memory: three column sets that
+// every particle array it produces is built in (see sets), plus the sort,
+// classification, exchange and balance scratch. Every buffer is sized
+// from the count it is about to hold, with headroom, and only grows when a
+// call needs more room than any before it, so steady-state calls allocate
+// nothing per particle. A store returned by any method (or handed out by
+// Spare) stays valid until the next call that does not take it as input.
 type Incremental struct {
 	// L is the number of buckets the local array is divided into.
 	L int
@@ -35,29 +34,94 @@ type Incremental struct {
 	// upper is the largest key held at the last redistribution.
 	upper float64
 
-	// Classification scratch: per-bucket and per-destination index lists,
-	// reused (truncated, never freed) across redistributions.
-	bucketOf [][]int
-	sendIdx  [][]int
+	// Classification scratch (see classify): every particle's class, the
+	// particle indices grouped by class, and the start of each group.
+	cls   []int32
+	order []int
+	cut   []int
 	// side holds the out-of-order particles of one bucket (see
 	// sortNearlySorted).
 	side []int
-	// Marshal scratch: per-destination buffer headers and element counts.
-	send   [][]float64
-	counts []int
-	// Intermediate stores, purely internal to Redistribute.
-	kept, recvS, merged *particle.Store
-	// Output slots: Redistribute alternates between them so the store it
-	// returned last time (usually this call's input) is never clobbered.
-	outA, outB *particle.Store
-	// pool spreads the received-run radix sort over the rank's
-	// shared-memory workers (nil: one). Results are bit-identical either way.
+	// Exchange scratch: per-destination buffer headers and element counts
+	// of every all-to-many this rank starts, and the local run a balance
+	// retains.
+	send           [][]float64
+	counts         []int
+	keepLo, keepHi int
+	// Weighted balance scratch: raw sanitized and quantized weights.
+	w  []float64
+	iw []int64
+
+	mem sets
+	so  sorter
+	// pool spreads the radix sorts over the rank's shared-memory workers
+	// (nil: one). Results are bit-identical either way.
 	pool *par.Pool
-	// ex, when non-nil, routes the all-to-many exchanges through a
-	// topology-native protocol (systolic ring, sparse hybrid) instead of
-	// the classic pairwise schedule. The redistributed population is
-	// identical either way.
+	// ex, when non-nil, routes the redistribution's all-to-many exchanges
+	// through a topology-native protocol (systolic ring, sparse hybrid)
+	// instead of the classic pairwise schedule. The redistributed
+	// population is identical either way.
 	ex *comm.Exchanger
+}
+
+// sets is a rank's particle memory. A call of the Incremental holds at
+// most three stores at once — its input and two it builds: the received
+// run and the merge in a redistribution, the sorted run and the balanced
+// share in the sample sort, a store and its permutation target in a local
+// sort — so three sets rotate by pointer and none is ever the input of the
+// call that overwrites it.
+type sets [3]*particle.Store
+
+// headroom sizes every buffer that has to grow at n + n/headroom, so a
+// population that creeps upwards regrows geometrically, not on every call.
+const headroom = 8
+
+// free returns one of the sets that is neither a nor b, emptied, with room
+// for n particles and the layout and species constants of a. Sets are
+// created on first use.
+func (m *sets) free(a, b *particle.Store, n int) *particle.Store {
+	for i, s := range m {
+		switch {
+		case s == nil:
+			m[i] = a.NewLike(n + n/headroom)
+		case s == a || s == b:
+			continue
+		default:
+			reserve(s, n)
+			s.Charge, s.Mass = a.Charge, a.Mass
+		}
+		return m[i]
+	}
+	panic("psort: no free particle set")
+}
+
+// adopt makes s one of the sets if a slot is still empty.
+func (m *sets) adopt(s *particle.Store) {
+	for i, t := range m {
+		if t == s {
+			return
+		}
+		if t == nil {
+			m[i] = s
+			return
+		}
+	}
+}
+
+// reserve empties s and makes room for n particles.
+func reserve(s *particle.Store, n int) {
+	s.Truncate(0)
+	if cap(s.X) < n {
+		s.Grow(n + n/headroom)
+	}
+}
+
+// fit returns buf resliced to n, reallocated with headroom when too short.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = make([]T, n, n+n/headroom)
+	}
+	return buf[:n]
 }
 
 // DefaultBuckets is a reasonable bucket count per rank: fine enough that a
@@ -71,12 +135,12 @@ func NewIncremental(l int) *Incremental {
 	if l <= 0 {
 		l = DefaultBuckets
 	}
-	return &Incremental{L: l, localBound: make([]float64, l), bucketOf: make([][]int, l)}
+	return &Incremental{L: l, localBound: make([]float64, l)}
 }
 
 // SetPool attaches a shared-memory worker pool used to parallelise the
-// local radix sorts inside Redistribute (nil detaches it). Safe to call any
-// time between redistributions; the sorted output is identical either way.
+// local radix sorts (nil detaches it). Safe to call any time between
+// calls; the sorted output is identical either way.
 func (inc *Incremental) SetPool(p *par.Pool) { inc.pool = p }
 
 // SetExchanger attaches an all-to-many exchange protocol used by
@@ -87,8 +151,11 @@ func (inc *Incremental) SetExchanger(ex *comm.Exchanger) { inc.ex = ex }
 
 // Prime records bucket boundaries from a locally sorted store, preparing
 // for the next Redistribute call (Figure 12, lines 4–6 of
-// Particle_Redistribution).
+// Particle_Redistribution). A store built elsewhere (a restored
+// checkpoint's) takes the place of a set not yet created, so it joins the
+// rotation instead of costing a fourth.
 func (inc *Incremental) Prime(s *particle.Store) {
+	inc.mem.adopt(s)
 	n := s.Len()
 	for b := 0; b < inc.L; b++ {
 		if n == 0 {
@@ -171,13 +238,11 @@ func (inc *Incremental) Redistribute(r comm.Transport, s *particle.Store) (*part
 // cut. Requires keys to be already up to date (Hilbert_Base_Indexing done)
 // and Prime to have been called on the previous order.
 //
-// The returned store draws on buffers owned by this Incremental: it stays
-// valid until the second following call (callers that only keep the latest
-// store — the usual pattern — are unaffected). The input store is never
-// modified.
+// The input store is never modified: a caller that discards the result
+// still holds its previous alignment. The result is one of the
+// Incremental's sets other than s.
 func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store, wf func(key float64) float64) (*particle.Store, Stats) {
 	p := r.Size()
-	n := s.Len()
 
 	// Line 1: global concatenation of every rank's upper key bound.
 	globalUpper := comm.AllgatherFloat64s(r, []float64{inc.upper})
@@ -190,86 +255,95 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 	recv := inc.ex.Exchange(r, send, counts)
 
 	// Line 21: collect and sort the received particles.
-	recvStore := resetStore(&inc.recvS, received(recv, s.WireFloats()), s)
+	got := inc.mem.free(s, nil, received(recv, s.WireFloats()))
 	for src := 0; src < p; src++ {
 		if src != r.Rank() {
-			absorb(r, recvStore, recv[src])
+			absorb(r, got, recv[src])
 		}
 	}
-	LocalSort(r, recvStore, inc.pool)
+	inc.localSort(r, got, s)
 
 	// Lines 22–23: sort each bucket locally. Buckets are key-disjoint and
-	// ordered, so concatenating them yields a sorted run. The charge is the
-	// comparison sort's, whatever the particles' order.
-	kept := resetStore(&inc.kept, n, s)
+	// ordered, so the bucket groups of inc.order index a sorted kept run
+	// of s. The charge is the comparison sort's, whatever the particles'
+	// order.
 	for b := 0; b < inc.L; b++ {
-		idx := inc.bucketOf[b]
-		inc.side = sortNearlySorted(s, idx, inc.side)
+		idx := inc.order[inc.cut[b]:inc.cut[b+1]]
+		inc.side = inc.so.sortNearlySorted(s, idx, inc.side)
 		if len(idx) > 1 {
 			r.Compute(len(idx) * ilog2(len(idx)) * compareWork)
 		}
-		kept.AppendIndices(s, idx)
 	}
+	kept := inc.order[:inc.cut[inc.L]]
 
-	// Line 24: merge the kept run with the received run.
-	merged := mergeSortedInto(r, kept, recvStore, resetStore(&inc.merged, kept.Len()+recvStore.Len(), s))
+	// Line 24: merge the kept run with the received run into the third
+	// set.
+	merged := inc.mem.free(s, got, len(kept)+got.Len())
+	mergeInto(r, s, kept, got, merged)
 
-	// Order-maintaining (possibly weighted) balance into the output slot
-	// that does not alias the caller's store, then remember the new
-	// boundaries.
-	out := weightedBalanceInto(r, merged, inc.outSlot(s), wf, inc.ex)
+	// Order-maintaining (possibly weighted) balance into got's set, whose
+	// particles all sit in merged now, then remember the new boundaries.
+	out := inc.weightedBalanceInto(r, merged, got, wf, inc.ex)
 	inc.Prime(out)
 	return out, st
 }
 
-// classify sorts every particle of s into its bucket or destination-rank
-// list (Figure 12 lines 3–14), filling inc.bucketOf and inc.sendIdx from
-// reused scratch. It charges the modelled classification δ but performs no
-// communication, so its steady-state allocation count is exactly zero.
+// classify assigns every particle of s a class (Figure 12 lines 3–14):
+// its bucket b < L, or L+d for an off-processor particle bound for rank
+// d. It then groups the particle indices by class, ascending within each
+// group, into inc.order, with group c at inc.order[inc.cut[c]:inc.cut[c+1]]
+// — a counting sort into buffers sized from the particle count once. It
+// charges the modelled classification δ but performs no communication, so
+// its steady-state allocation count is exactly zero.
 func (inc *Incremental) classify(r comm.Transport, s *particle.Store, globalUpper []float64) Stats {
 	n := s.Len()
+	classes := inc.L + r.Size()
+	inc.cls = fit(inc.cls, n)
+	inc.order = fit(inc.order, n)
+	inc.cut = fit(inc.cut, classes+1)
+	clear(inc.cut)
 	var st Stats
-	for b := range inc.bucketOf {
-		inc.bucketOf[b] = inc.bucketOf[b][:0]
-	}
-	if cap(inc.sendIdx) < r.Size() {
-		inc.sendIdx = make([][]int, r.Size())
-	}
-	inc.sendIdx = inc.sendIdx[:r.Size()]
-	for d := range inc.sendIdx {
-		inc.sendIdx[d] = inc.sendIdx[d][:0]
-	}
 	for i := 0; i < n; i++ {
 		key := s.Key[i]
 		// The particle's previous bucket is its position's bucket.
-		prevB := i * inc.L / n
-		if inBucket(inc.localBound, inc.upper, prevB, key) {
-			inc.bucketOf[prevB] = append(inc.bucketOf[prevB], i)
+		c := i * inc.L / n
+		switch {
+		case inBucket(inc.localBound, inc.upper, c, key):
 			st.SameBucket++
 			r.Compute(classifyWorkSameBucket)
-			continue
-		}
-		if key >= inc.localBound[0] && key <= inc.upper {
-			b := inc.bucketFor(key)
-			inc.bucketOf[b] = append(inc.bucketOf[b], i)
+		case key >= inc.localBound[0] && key <= inc.upper:
+			c = inc.bucketFor(key)
 			st.OtherBucket++
 			r.Compute(classifyWorkLocal)
-			continue
+		default:
+			c = searchOwner(globalUpper, key)
+			if c == r.Rank() {
+				// Keys outside the remembered bounds can still map to
+				// this rank (e.g. below the old lower bound but above the
+				// previous rank's upper, or above every recorded bound on
+				// the last rank); clamp into the nearest bucket.
+				c = inc.bucketFor(key)
+				st.OtherBucket++
+				r.Compute(classifyWorkLocal)
+				break
+			}
+			c += inc.L
+			st.OffProc++
+			r.Compute(classifyWorkRemote)
 		}
-		dest := searchOwner(globalUpper, key)
-		if dest == r.Rank() {
-			// Keys outside the remembered bounds can still map to this
-			// rank (e.g. below the old lower bound but above the previous
-			// rank's upper, or above every recorded bound on the last
-			// rank); clamp into the nearest bucket.
-			inc.bucketOf[inc.bucketFor(key)] = append(inc.bucketOf[inc.bucketFor(key)], i)
-			st.OtherBucket++
-			r.Compute(classifyWorkLocal)
-			continue
-		}
-		inc.sendIdx[dest] = append(inc.sendIdx[dest], i)
-		st.OffProc++
-		r.Compute(classifyWorkRemote)
+		inc.cls[i] = int32(c)
+		inc.cut[c]++
+	}
+	// cut[c] becomes the end of group c, then, filled from the back, its
+	// start; cut[classes] is n.
+	for c := 1; c < classes; c++ {
+		inc.cut[c] += inc.cut[c-1]
+	}
+	inc.cut[classes] = n
+	for i := n - 1; i >= 0; i-- {
+		c := inc.cls[i]
+		inc.cut[c]--
+		inc.order[inc.cut[c]] = i
 	}
 	return st
 }
@@ -282,36 +356,23 @@ func (inc *Incremental) classify(r comm.Transport, s *particle.Store, globalUppe
 func (inc *Incremental) pack(r comm.Transport, s *particle.Store) ([][]float64, []int) {
 	p := r.Size()
 	wf := s.WireFloats()
-	if cap(inc.send) < p {
-		inc.send = make([][]float64, p)
-		inc.counts = make([]int, p)
-	}
-	inc.send = inc.send[:p]
-	inc.counts = inc.counts[:p]
+	send, counts := inc.sendScratch(p)
 	for d := 0; d < p; d++ {
-		inc.send[d] = nil
-		inc.counts[d] = 0
-		if len(inc.sendIdx[d]) > 0 {
-			inc.send[d] = s.MarshalIndices(wire.Get(len(inc.sendIdx[d])*wf), inc.sendIdx[d])
-			inc.counts[d] = len(inc.send[d])
-			r.Compute(len(inc.sendIdx[d]) * packWorkPerParticle)
+		idx := inc.order[inc.cut[inc.L+d]:inc.cut[inc.L+d+1]]
+		if len(idx) > 0 {
+			send[d] = s.MarshalIndices(wire.Get(len(idx)*wf), idx)
+			counts[d] = len(send[d])
+			r.Compute(len(idx) * packWorkPerParticle)
 		}
 	}
-	return inc.send, inc.counts
+	return send, counts
 }
 
-// resetStore empties (or creates) an internal scratch store with room for
-// capHint particles and the species constants of ref.
-func resetStore(slot **particle.Store, capHint int, ref *particle.Store) *particle.Store {
-	if *slot == nil {
-		*slot = ref.NewLike(capHint)
-		return *slot
-	}
-	s := *slot
-	s.Truncate(0)
-	s.Grow(capHint)
-	s.Charge, s.Mass = ref.Charge, ref.Mass
-	return s
+// Spare returns one of the Incremental's sets, other than s, emptied, with
+// room for n particles and s's layout and species constants: the target of
+// a store the caller builds itself, such as an Eulerian migration.
+func (inc *Incremental) Spare(s *particle.Store, n int) *particle.Store {
+	return inc.mem.free(s, nil, n)
 }
 
 // received returns the number of particles in a set of wire buffers.
@@ -321,21 +382,6 @@ func received(recv [][]float64, wf int) int {
 		words += len(w)
 	}
 	return words / wf
-}
-
-// outSlot returns whichever of the two output stores does not alias s, so
-// the store handed to the caller last time survives this call.
-func (inc *Incremental) outSlot(s *particle.Store) *particle.Store {
-	if inc.outA == nil {
-		inc.outA = s.NewLike(0)
-	}
-	if inc.outB == nil {
-		inc.outB = s.NewLike(0)
-	}
-	if s == inc.outA {
-		return inc.outB
-	}
-	return inc.outA
 }
 
 // bucketFor returns the bucket whose remembered range admits key, clamping
@@ -373,29 +419,28 @@ func searchOwner(globalUpper []float64, key float64) int {
 	return d
 }
 
-// mergeSortedInto merges a and b (each locally sorted) into out, which must
-// be empty and alias neither input. It compares keys only: on equal keys
-// the particle of a (the kept run) goes first, whatever the ids. Runs are
-// copied in bulk.
-func mergeSortedInto(r comm.Transport, a, b, out *particle.Store) *particle.Store {
+// mergeInto merges the kept run — the particles of a at the indices kept,
+// in that order, sorted — with the sorted store b into out, which must be
+// empty and alias neither. It compares keys only: on equal keys the kept
+// particle goes first, whatever the ids. Runs are copied in bulk.
+func mergeInto(r comm.Transport, a *particle.Store, kept []int, b, out *particle.Store) {
 	i, j := 0, 0
-	for i < a.Len() && j < b.Len() {
+	for i < len(kept) && j < b.Len() {
 		i0 := i
-		for i < a.Len() && !(b.Key[j] < a.Key[i]) {
+		for i < len(kept) && !(b.Key[j] < a.Key[kept[i]]) {
 			i++
 		}
-		out.AppendRange(a, i0, i)
-		if i == a.Len() {
+		out.AppendIndices(a, kept[i0:i])
+		if i == len(kept) {
 			break
 		}
 		j0 := j
-		for j < b.Len() && b.Key[j] < a.Key[i] {
+		for j < b.Len() && b.Key[j] < a.Key[kept[i]] {
 			j++
 		}
 		out.AppendRange(b, j0, j)
 	}
-	out.AppendRange(a, i, a.Len())
+	out.AppendIndices(a, kept[i:])
 	out.AppendRange(b, j, b.Len())
-	r.Compute((a.Len() + b.Len()) * compareWork)
-	return out
+	r.Compute((len(kept) + b.Len()) * compareWork)
 }

@@ -18,11 +18,9 @@ package psort
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"picpar/internal/comm"
 	"picpar/internal/mesh"
-	"picpar/internal/par"
 	"picpar/internal/particle"
 	"picpar/internal/wire"
 )
@@ -43,15 +41,22 @@ const (
 )
 
 // LocalSort sorts s in place by (key, id) and charges the comparison cost.
-// The real work is a radix sort plus one permutation apply (see radix.go),
-// with the radix passes spread over pool's shared-memory workers (nil or
-// 1-worker pool: sequential), but the simulated charge stays the
-// comparison-sort formula n·⌈log₂ n⌉·compareWork so all paper results are
-// unchanged. The sorted order, the simulated charge and the steady-state
-// zero-allocation property are identical for every pool size.
-func LocalSort(r comm.Transport, s *particle.Store, pool *par.Pool) {
+// The real work is a radix sort plus one permutation apply (see radix.go)
+// that gathers into one of the Incremental's sets and trades arrays with s,
+// with the radix passes spread over the attached pool, but the simulated
+// charge stays the comparison-sort formula n·⌈log₂ n⌉·compareWork so all
+// paper results are unchanged. The sorted order and the simulated charge
+// are identical for every pool size, and once the sets and the sorter
+// have grown to the population a sort allocates nothing.
+func (inc *Incremental) LocalSort(r comm.Transport, s *particle.Store) {
+	inc.localSort(r, s, nil)
+}
+
+// localSort is LocalSort with busy naming a set the permutation must not
+// gather into (the input of the enclosing call).
+func (inc *Incremental) localSort(r comm.Transport, s, busy *particle.Store) {
 	n := s.Len()
-	radixSortStore(s, pool)
+	inc.sortStore(s, busy)
 	if n > 1 {
 		r.Compute(n * ilog2(n) * compareWork)
 	}
@@ -88,20 +93,25 @@ func IsLocallySorted(s *particle.Store) bool {
 // SampleSort performs a full regular-sampling sample sort of the global
 // particle population and returns this rank's sorted, balanced share. This
 // is the paper's initial "distribution algorithm"; the incremental sort is
-// the cheaper alternative for subsequent redistributions.
+// the cheaper alternative for subsequent redistributions. It is Distribute
+// on a fresh Incremental over the classic pairwise exchange.
 func SampleSort(r comm.Transport, s *particle.Store) *particle.Store {
-	return SampleSortParX(r, s, nil, nil)
+	return NewIncremental(0).Distribute(r, s, nil)
 }
 
-// SampleSortParX is SampleSort with the local radix sorts spread over
-// pool's shared-memory workers (nil: sequential) and the all-to-many halves
-// routed through ex (nil: the classic pairwise protocol). The returned
+// Distribute is the sample sort on the Incremental's sets and scratch,
+// with the local radix sorts spread over the attached pool and the
+// all-to-many halves routed through ex (nil: the classic pairwise
+// protocol). It consumes s: every particle leaves s in a message (this
+// rank's own run included), so s takes the received particles in their
+// place, and the balanced share lands in one of the sets (with one rank or
+// no particles at all, the share is s itself). The returned
 // distribution is identical for every pool size and every exchanger — only
 // the message schedule (and on non-classic protocols the modelled network
 // charges) differs.
-func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex *comm.Exchanger) *particle.Store {
+func (inc *Incremental) Distribute(r comm.Transport, s *particle.Store, ex *comm.Exchanger) *particle.Store {
 	p := r.Size()
-	LocalSort(r, s, pool)
+	inc.LocalSort(r, s)
 	if p == 1 {
 		return s
 	}
@@ -134,8 +144,7 @@ func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex *com
 	r.Compute((p - 1) * ilog2(n+1) * compareWork)
 
 	wf := s.WireFloats()
-	send := make([][]float64, p)
-	counts := make([]int, p)
+	send, counts := inc.sendScratch(p)
 	for d := 0; d < p; d++ {
 		lo, hi := cuts[d], cuts[d+1]
 		if hi > lo {
@@ -146,79 +155,50 @@ func SampleSortParX(r comm.Transport, s *particle.Store, pool *par.Pool, ex *com
 	}
 	recv := ex.Exchange(r, send, counts)
 
-	out := s.NewLike(received(recv, wf))
+	reserve(s, received(recv, wf))
 	for src := 0; src < p; src++ {
-		absorb(r, out, recv[src])
+		absorb(r, s, recv[src])
 	}
-	LocalSort(r, out, pool)
-	return loadBalanceInto(r, out, nil, ex)
+	inc.LocalSort(r, s)
+	return inc.loadBalanceInto(r, s, inc.mem.free(s, nil, 0), ex)
 }
 
-// balScratch recycles the per-call bookkeeping of the order-maintaining
-// balances: the per-destination wire buffers and counts, the retained local
-// run, and (weighted cut only) the raw and quantized per-particle weights.
-type balScratch struct {
-	send           [][]float64
-	counts         []int
-	keepLo, keepHi int
-	w              []float64 // raw sanitized weights, sorted-local order
-	iw             []int64   // quantized weights
-}
-
-var balPool = sync.Pool{New: func() any { return new(balScratch) }}
-
-// getBalScratch returns a cleared scratch for p destinations and nw
-// particle weights.
-func getBalScratch(p, nw int) *balScratch {
-	sc := balPool.Get().(*balScratch)
-	if cap(sc.send) < p {
-		sc.send = make([][]float64, p)
-		sc.counts = make([]int, p)
-	}
-	sc.send = sc.send[:p]
-	sc.counts = sc.counts[:p]
-	for d := 0; d < p; d++ {
-		sc.send[d] = nil
-		sc.counts[d] = 0
-	}
-	sc.keepLo, sc.keepHi = 0, 0
-	if cap(sc.w) < nw {
-		sc.w = make([]float64, nw)
-		sc.iw = make([]int64, nw)
-	}
-	sc.w = sc.w[:nw]
-	sc.iw = sc.iw[:nw]
-	return sc
+// sendScratch clears and returns the per-destination wire buffers and
+// element counts of an all-to-many over p ranks, and forgets the run a
+// previous balance retained.
+func (inc *Incremental) sendScratch(p int) ([][]float64, []int) {
+	inc.send = fit(inc.send, p)
+	inc.counts = fit(inc.counts, p)
+	clear(inc.send)
+	clear(inc.counts)
+	inc.keepLo, inc.keepHi = 0, 0
+	return inc.send, inc.counts
 }
 
 // route assigns the contiguous local run [lo, hi) of s to rank d: the run
 // this rank owns is retained in place, any other is marshalled (and
 // charged) into a pooled wire buffer. Owners are monotone in position, so a
 // cut preamble calls route once per destination, in ascending d.
-func (sc *balScratch) route(r comm.Transport, s *particle.Store, d, lo, hi int) {
+func (inc *Incremental) route(r comm.Transport, s *particle.Store, d, lo, hi int) {
 	if d == r.Rank() {
-		sc.keepLo, sc.keepHi = lo, hi
+		inc.keepLo, inc.keepHi = lo, hi
 		return
 	}
-	sc.send[d] = s.MarshalRange(wire.Get((hi-lo)*s.WireFloats()), lo, hi)
-	sc.counts[d] = len(sc.send[d])
+	inc.send[d] = s.MarshalRange(wire.Get((hi-lo)*s.WireFloats()), lo, hi)
+	inc.counts[d] = len(inc.send[d])
 	r.Compute((hi - lo) * packWorkPerParticle)
 }
 
 // deliver is the tail both balances share: exchange the routed runs through
-// ex (nil: classic pairwise), then reassemble in source-rank order with the
-// retained local run spliced in at this rank's position — which is what
-// preserves the global concatenated order. It releases sc. When reuse is
-// non-nil its arrays are recycled for the output (it must not alias s).
-func (sc *balScratch) deliver(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchanger) *particle.Store {
-	recv := ex.Exchange(r, sc.send, sc.counts)
-	keepLo, keepHi := sc.keepLo, sc.keepHi
-	balPool.Put(sc)
-
-	out := resetStore(&reuse, keepHi-keepLo+received(recv, s.WireFloats()), s)
+// ex (nil: classic pairwise), then reassemble into out in source-rank order
+// with the retained local run spliced in at this rank's position — which
+// is what preserves the global concatenated order. out must not alias s.
+func (inc *Incremental) deliver(r comm.Transport, s, out *particle.Store, ex *comm.Exchanger) *particle.Store {
+	recv := ex.Exchange(r, inc.send, inc.counts)
+	reserve(out, inc.keepHi-inc.keepLo+received(recv, s.WireFloats()))
 	for src := 0; src < r.Size(); src++ {
 		if src == r.Rank() {
-			out.AppendRange(s, keepLo, keepHi)
+			out.AppendRange(s, inc.keepLo, inc.keepHi)
 			continue
 		}
 		absorb(r, out, recv[src])
@@ -241,29 +221,22 @@ func absorb(r comm.Transport, out *particle.Store, w []float64) {
 
 // loadBalanceInto equalises particle counts across ranks while preserving
 // the global concatenated order: local particle i (at global position
-// offset+i) moves to the BLOCK owner of that position. Requires that the
+// offset+i) moves to the BLOCK owner of that position, and the rank's new
+// share is built in out (which must not alias s). Requires that the
 // per-rank stores concatenate to a globally key-sorted sequence, and
-// preserves that property. When reuse is non-nil its arrays are recycled
-// for the output (it must not alias s); when nil a fresh store is returned,
-// or s itself on the p = 1 / empty fast path. ex selects the exchange
-// protocol (nil: classic pairwise).
-func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchanger) *particle.Store {
+// preserves that property. With one rank or no particles nothing moves and
+// s itself is returned. ex selects the exchange protocol (nil: classic
+// pairwise).
+func (inc *Incremental) loadBalanceInto(r comm.Transport, s, out *particle.Store, ex *comm.Exchanger) *particle.Store {
 	p := r.Size()
 	n := s.Len()
 	total := comm.AllreduceSumInt(r, n)
 	if p == 1 || total == 0 {
-		if reuse == nil {
-			return s
-		}
-		// The caller wants its scratch arrays back in play: hand s's
-		// contents to reuse in O(1). s is internal scratch on this path
-		// (see Incremental.RedistributeWeighted), so emptying it is fine.
-		particle.SwapContents(resetStore(&reuse, 0, s), s)
-		return reuse
+		return s
 	}
 	offset := comm.ScanSumInt(r, n)
 
-	sc := getBalScratch(p, 0)
+	inc.sendScratch(p)
 	// Consecutive positions map to non-decreasing owners, so the local
 	// range splits into contiguous runs per destination.
 	i := 0
@@ -274,8 +247,8 @@ func loadBalanceInto(r comm.Transport, s, reuse *particle.Store, ex *comm.Exchan
 		if runEnd > n {
 			runEnd = n
 		}
-		sc.route(r, s, d, i, runEnd)
+		inc.route(r, s, d, i, runEnd)
 		i = runEnd
 	}
-	return sc.deliver(r, s, reuse, ex)
+	return inc.deliver(r, s, out, ex)
 }

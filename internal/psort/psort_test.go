@@ -32,6 +32,13 @@ type gather struct {
 
 func newGather() *gather { return &gather{stores: map[int]*particle.Store{}} }
 
+// balanced runs the order-maintaining balance of s — weighted under wf,
+// equal-count under nil — on a fresh Incremental.
+func balanced(r comm.Transport, s *particle.Store, wf func(key float64) float64) *particle.Store {
+	inc := NewIncremental(0)
+	return inc.weightedBalanceInto(r, s, inc.Spare(s, 0), wf, nil)
+}
+
 func (g *gather) put(rank int, s *particle.Store) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -86,7 +93,7 @@ func (g *gather) checkGlobal(t *testing.T, p, total int, wantIDs map[float64]boo
 func TestLocalSort(t *testing.T) {
 	ws := commtest.Launch(1, machine.CM5(), func(r comm.Transport) {
 		s := makeLocal(rand.New(rand.NewSource(1)), 100, 0, 50)
-		LocalSort(r, s, nil)
+		NewIncremental(0).LocalSort(r, s)
 		if !IsLocallySorted(s) {
 			t.Error("not sorted")
 		}
@@ -166,7 +173,7 @@ func TestLoadBalancePreservesOrder(t *testing.T) {
 			s.Append(0, 0, 0, 0, 0, float64(base+i))
 			s.Key[s.Len()-1] = float64(base + i) // keys already globally sorted
 		}
-		g.put(r.Rank(), loadBalanceInto(r, s, nil, nil))
+		g.put(r.Rank(), balanced(r, s, nil))
 	})
 	wantIDs := map[float64]bool{}
 	for i := 0; i < total; i++ {
@@ -188,7 +195,7 @@ func TestLoadBalancePreservesOrder(t *testing.T) {
 func TestLoadBalanceSingleRankNoOp(t *testing.T) {
 	commtest.Launch(1, machine.CM5(), func(r comm.Transport) {
 		s := makeLocal(rand.New(rand.NewSource(1)), 10, 0, 10)
-		out := loadBalanceInto(r, s, nil, nil)
+		out := balanced(r, s, nil)
 		if out != s {
 			t.Error("p=1 must return the same store")
 		}
@@ -346,22 +353,26 @@ func TestIncrementalCheaperThanFullSort(t *testing.T) {
 }
 
 // TestMergeSorted pins the kept-run merge: keys alone decide, and on equal
-// keys the kept particle (a) goes before the received one (b) even when
-// the received id is smaller, so the merge is not the (Key, ID) order. All
-// columns travel with their particle, Z included.
+// keys the kept particle (of a, read through the kept indices) goes before
+// the received one (b) even when the received id is smaller, so the merge
+// is not the (Key, ID) order. All columns travel with their particle, Z
+// included.
 func TestMergeSorted(t *testing.T) {
 	commtest.Launch(1, machine.Zero(), func(r comm.Transport) {
 		a := particle.NewStore3(0, -1, 1)
 		b := particle.NewStore3(0, -1, 1)
-		for i, k := range []float64{1, 3, 3, 5} {
-			a.Append3(float64(10+i), 0, float64(-10-i), 0, 0, 0, float64(10+i))
+		// a holds the kept run back to front; kept reads it in order.
+		for i, k := range []float64{5, 3, 3, 1} {
+			a.Append3(float64(13-i), 0, float64(i-13), 0, 0, 0, float64(13-i))
 			a.Key[a.Len()-1] = k
 		}
+		kept := []int{3, 2, 1, 0}
 		for i, k := range []float64{2, 3, 3, 6, 7} {
 			b.Append3(float64(i), 0, float64(-i), 0, 0, 0, float64(i))
 			b.Key[b.Len()-1] = k
 		}
-		m := mergeSortedInto(r, a, b, a.NewLike(a.Len()+b.Len()))
+		m := a.NewLike(a.Len() + b.Len())
+		mergeInto(r, a, kept, b, m)
 		wantKey := []float64{1, 2, 3, 3, 3, 3, 5, 6, 7}
 		wantID := []float64{10, 0, 11, 12, 1, 2, 13, 3, 4}
 		if m.Len() != len(wantID) {

@@ -7,69 +7,56 @@ package psort
 
 import (
 	"sort"
-	"sync"
 
-	"picpar/internal/par"
 	"picpar/internal/particle"
 	"picpar/internal/radix"
 )
 
-// sorter bundles the reusable buffers of one radix store sort: the
-// (key-bits, id-bits, index) triples, the radix ping-pong scratch, and the
-// permutation-apply destination arrays.
+// sorter holds the reusable buffers of a rank's radix sorts: the
+// (key-bits, id-bits, index) triples and the radix ping-pong scratch. Each
+// Incremental owns one, so its buffers live as long as the rank.
 type sorter struct {
 	hi, lo []uint64
 	idx    []int32
 	rs     radix.Scratch
-	ps     particle.Scratch
 }
 
-// sorterPool recycles sorters across ranks; all ranks of a world live in
-// one process, so a handful of sorters serve any number of worlds with
-// zero steady-state allocation.
-var sorterPool = sync.Pool{New: func() any { return new(sorter) }}
-
 func (so *sorter) grow(n int) {
-	if cap(so.hi) < n {
-		so.hi = make([]uint64, n)
-		so.lo = make([]uint64, n)
-		so.idx = make([]int32, n)
-	}
-	so.hi = so.hi[:n]
-	so.lo = so.lo[:n]
-	so.idx = so.idx[:n]
+	so.hi = fit(so.hi, n)
+	so.lo = fit(so.lo, n)
+	so.idx = fit(so.idx, n)
 }
 
 // smallStoreCutoff is the store size below which sort.Sort's lower setup
 // cost wins over building the bit arrays.
 const smallStoreCutoff = 32
 
-// radixSortStore sorts s by (Key, ID) — the exact order of sort.Sort(s) —
-// with the radix passes optionally spread over pool's workers. The
-// resulting permutation is identical for every pool size (including nil).
-func radixSortStore(s *particle.Store, pool *par.Pool) {
+// sortStore sorts s by (Key, ID) — the exact order of sort.Sort(s) — with
+// the radix passes spread over the attached pool; the permutation gathers
+// into a set that is neither s nor busy. The resulting order is identical
+// for every pool size (including nil).
+func (inc *Incremental) sortStore(s, busy *particle.Store) {
 	n := s.Len()
 	if n < smallStoreCutoff {
 		sort.Sort(s)
 		return
 	}
-	so := sorterPool.Get().(*sorter)
+	so := &inc.so
 	so.grow(n)
 	for i := 0; i < n; i++ {
 		so.hi[i] = radix.Bits64(s.Key[i])
 		so.lo[i] = radix.Bits64(s.ID[i])
 		so.idx[i] = int32(i)
 	}
-	so.hi, so.lo, so.idx = radix.SortPairsPar(so.hi, so.lo, so.idx, &so.rs, pool)
-	s.ApplyPermutation(so.idx, &so.ps)
-	sorterPool.Put(so)
+	so.hi, so.lo, so.idx = radix.SortPairsPar(so.hi, so.lo, so.idx, &so.rs, inc.pool)
+	s.ApplyPermutation(so.idx, inc.mem.free(s, busy, n))
 }
 
-// sortIndicesByKeyID sorts idx so that the referenced particles are in
-// (Key, ID) order — the per-bucket sort of the incremental redistribution.
-// Small lists use an insertion sort on Less; larger ones go through the
-// pooled radix sorter.
-func sortIndicesByKeyID(s *particle.Store, idx []int) {
+// sortIndices sorts idx so that the referenced particles are in (Key, ID)
+// order — the per-bucket sort of the incremental redistribution. Small
+// lists use an insertion sort on Less; larger ones go through the radix
+// sort.
+func (so *sorter) sortIndices(s *particle.Store, idx []int) {
 	n := len(idx)
 	if n < 2 {
 		return
@@ -86,7 +73,6 @@ func sortIndicesByKeyID(s *particle.Store, idx []int) {
 		}
 		return
 	}
-	so := sorterPool.Get().(*sorter)
 	so.grow(n)
 	for k, i := range idx {
 		so.hi[k] = radix.Bits64(s.Key[i])
@@ -103,16 +89,15 @@ func sortIndicesByKeyID(s *particle.Store, idx []int) {
 	for k := range idx {
 		idx[k] = int(tmp[k])
 	}
-	sorterPool.Put(so)
 }
 
-// sortNearlySorted sorts idx into the (Key, ID) order of sortIndicesByKeyID
-// but sorts only the particles whose order changed: every descent peels
+// sortNearlySorted sorts idx into the (Key, ID) order of sortIndices but
+// sorts only the particles whose order changed: every descent peels
 // both of its elements onto side, leaving an ascending run in idx; side is
 // sorted and merged back in from the tail. (Key, ID) is a total order, so
-// the result is the one sortIndicesByKeyID gives. side is scratch, returned
-// for reuse.
-func sortNearlySorted(s *particle.Store, idx, side []int) []int {
+// the result is the one sortIndices gives. side is scratch, returned for
+// reuse.
+func (so *sorter) sortNearlySorted(s *particle.Store, idx, side []int) []int {
 	side = side[:0]
 	m := 0
 	for _, v := range idx {
@@ -127,7 +112,7 @@ func sortNearlySorted(s *particle.Store, idx, side []int) []int {
 	if len(side) == 0 {
 		return side
 	}
-	sortIndicesByKeyID(s, side)
+	so.sortIndices(s, side)
 	i, j := m-1, len(side)-1
 	for k := len(idx) - 1; j >= 0; k-- {
 		if i >= 0 && s.Less(side[j], idx[i]) {

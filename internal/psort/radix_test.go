@@ -52,7 +52,7 @@ func TestRadixSortStoreMatchesSortSort(t *testing.T) {
 		}
 		ref := s.Clone()
 		sort.Sort(ref)
-		radixSortStore(s, nil)
+		NewIncremental(0).sortStore(s, nil)
 		for i := 0; i < n; i++ {
 			if !sameBits(s.Key[i], ref.Key[i]) || s.ID[i] != ref.ID[i] ||
 				s.X[i] != ref.X[i] || s.Y[i] != ref.Y[i] ||
@@ -82,7 +82,7 @@ func TestSortIndicesByKeyIDMatchesReference(t *testing.T) {
 		idx := rng.Perm(8192)[:m]
 		want := append([]int(nil), idx...)
 		sort.Slice(want, func(a, b int) bool { return s.Less(want[a], want[b]) })
-		sortIndicesByKeyID(s, idx)
+		new(sorter).sortIndices(s, idx)
 		for k := range idx {
 			if idx[k] != want[k] {
 				t.Fatalf("m=%d pos %d: got idx %d want %d", m, k, idx[k], want[k])
@@ -148,12 +148,13 @@ func TestSortNearlySortedMatchesStable(t *testing.T) {
 		{"equal-keys-shuffled-ids", flat, span(0, n)},
 		{"equal-keys-swapped-pair", flat, append(append([]int{}, byID[1], byID[0]), byID[2:]...)},
 	}
+	var so sorter
 	var side []int
 	for _, c := range cases {
 		want := append([]int(nil), c.idx...)
 		sort.SliceStable(want, func(a, b int) bool { return c.s.Less(want[a], want[b]) })
 		got := append([]int(nil), c.idx...)
-		side = sortNearlySorted(c.s, got, side)
+		side = so.sortNearlySorted(c.s, got, side)
 		for k := range got {
 			if got[k] != want[k] {
 				t.Fatalf("%s: pos %d holds particle %d, want %d", c.name, k, got[k], want[k])
@@ -171,7 +172,7 @@ func TestEqualKeyIDTiebreakWitness(t *testing.T) {
 		s.Append(0, 0, 0, 0, 0, float64(n-1-i)) // ids descending
 		s.Key[i] = float64(i % 2)               // two key classes, interleaved
 	}
-	radixSortStore(s, nil)
+	NewIncremental(0).sortStore(s, nil)
 	for i := 1; i < n; i++ {
 		if s.Key[i] < s.Key[i-1] {
 			t.Fatalf("pos %d: keys out of order", i)
@@ -198,8 +199,8 @@ func TestRedistributeClassifyPackZeroAlloc(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(17))
 		s := makeLocal(rng, 4096, 0, 1000)
-		LocalSort(r, s, nil)
 		inc := NewIncremental(0)
+		inc.LocalSort(r, s)
 		inc.Prime(s)
 		// Drift a slice of the population off-processor so pack has real
 		// marshalling to do.

@@ -1,0 +1,116 @@
+package psort
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"picpar/internal/comm"
+	"picpar/internal/commtest"
+	"picpar/internal/machine"
+	"picpar/internal/particle"
+)
+
+// sameStore reports whether a and b hold bit-identical particles, every
+// column (Z included) and the species constants.
+func sameStore(a, b *particle.Store) bool {
+	if a.Len() != b.Len() || a.Dims() != b.Dims() || a.Charge != b.Charge || a.Mass != b.Mass {
+		return false
+	}
+	col := func(x, y []float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return col(a.X, b.X) && col(a.Y, b.Y) && col(a.Z, b.Z) && col(a.Px, b.Px) &&
+		col(a.Py, b.Py) && col(a.Pz, b.Pz) && col(a.ID, b.ID) && col(a.Key, b.Key)
+}
+
+// TestSetRotationNeverClobbersLiveStores drives an Incremental's three
+// rotating sets through the two call sequences pic makes besides plain
+// redistribution, on 3-D stores so the Z column rotates too:
+//   - redistribute, discard the output, redistribute the same input again
+//     (pic's rollback after a failed exchange);
+//   - an Eulerian one-shot migration (a store rebuilt in a Spare set)
+//     between redistributions.
+//
+// Every output must equal, bit for bit, what a fresh Incremental with the
+// same bounds makes of a copy of the same input, and no call may change
+// the bytes of its input or of the store the caller holds.
+func TestSetRotationNeverClobbersLiveStores(t *testing.T) {
+	const p, perRank, keys = 4, 700, 1 << 14
+	commtest.Launch(p, machine.Zero(), func(r comm.Transport) {
+		rng := rand.New(rand.NewSource(int64(61 + r.Rank())))
+		s := particle.NewStore3(perRank, -1, 1)
+		for i := 0; i < perRank; i++ {
+			id := float64(r.Rank()*perRank + i)
+			s.Append3(rng.Float64(), rng.Float64(), rng.Float64(), 0, 0, 0, id)
+			s.Key[i] = float64(rng.Intn(keys))
+		}
+		inc := NewIncremental(0)
+		s = inc.Distribute(r, s, nil)
+		inc.Prime(s)
+
+		drift := func(s *particle.Store) {
+			for i := range s.Key {
+				k := s.Key[i] + math.Round(rng.NormFloat64()*40)
+				if rng.Intn(50) == 0 {
+					k = float64(rng.Intn(keys))
+				}
+				s.Key[i] = math.Min(math.Max(k, 0), keys-1)
+			}
+		}
+		// redistribute checks one call against a fresh Incremental primed
+		// with the same bounds, and that the input survived it.
+		redistribute := func(step string, in *particle.Store) *particle.Store {
+			b := inc.SnapshotBounds()
+			fresh := NewIncremental(0)
+			fresh.RestoreBounds(b)
+			want, _ := fresh.Redistribute(r, in.Clone())
+			before := in.Clone()
+			out, _ := inc.Redistribute(r, in)
+			if !sameStore(in, before) {
+				t.Errorf("rank %d %s: redistribution changed its input", r.Rank(), step)
+			}
+			if !sameStore(out, want) {
+				t.Errorf("rank %d %s: output differs from a fresh Incremental's", r.Rank(), step)
+			}
+			return out
+		}
+		// migrate rebuilds cur, reversed, in a Spare set — the shape of
+		// pic's Eulerian one-shot migration — and checks cur survived it.
+		migrate := func(cur *particle.Store) *particle.Store {
+			before := cur.Clone()
+			idx := make([]int, cur.Len())
+			for i := range idx {
+				idx[i] = cur.Len() - 1 - i
+			}
+			m := inc.Spare(cur, cur.Len())
+			m.AppendIndices(cur, idx)
+			if !sameStore(cur, before) {
+				t.Errorf("rank %d: Spare handed out the caller's store", r.Rank())
+			}
+			return m
+		}
+
+		for round := 0; round < 3; round++ {
+			// Rollback: the first output is discarded together with the
+			// bounds it primed, and the same input goes round again.
+			drift(s)
+			b := inc.SnapshotBounds()
+			discarded := redistribute("first attempt", s).Clone()
+			inc.RestoreBounds(b)
+			kept := redistribute("retry", s)
+			if !sameStore(kept, discarded) {
+				t.Errorf("rank %d: retry after rollback differs from the discarded attempt", r.Rank())
+			}
+			// A migration between two redistributions.
+			s = migrate(kept)
+			drift(s)
+			s = redistribute("after migration", s)
+		}
+	})
+}

@@ -25,18 +25,18 @@ const weighWorkPerParticle = 2
 
 // weightedBalanceInto is loadBalanceInto with per-particle weights wf(key):
 // it preserves the global concatenated key order while equalising
-// cumulative weight instead of count, under the same reuse and exchanger
+// cumulative weight instead of count, under the same output and exchanger
 // contracts. Degenerate weight states (nil wf, all weights zero or
 // unusable) fall back to the equal-count split — every rank sees the same
 // allgathered totals, so the fallback is collectively consistent.
-func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key float64) float64, ex *comm.Exchanger) *particle.Store {
+func (inc *Incremental) weightedBalanceInto(r comm.Transport, s, out *particle.Store, wf func(key float64) float64, ex *comm.Exchanger) *particle.Store {
 	if wf == nil {
-		return loadBalanceInto(r, s, reuse, ex)
+		return inc.loadBalanceInto(r, s, out, ex)
 	}
 	p := r.Size()
 	n := s.Len()
-
-	sc := getBalScratch(p, n)
+	inc.w = fit(inc.w, n)
+	inc.iw = fit(inc.iw, n)
 
 	// Local weights and their max; the max allgather fixes the shared
 	// quantization scale.
@@ -46,7 +46,7 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 		if !(w > 0) { // sanitize NaN/Inf/negatives to zero
 			w = 0
 		}
-		sc.w[i] = w
+		inc.w[i] = w
 		if w > maxW {
 			maxW = w
 		}
@@ -64,8 +64,8 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 	scale := mesh.WeightScale(maxW)
 	localW := int64(0)
 	for i := 0; i < n; i++ {
-		sc.iw[i] = mesh.QuantizeWeight(sc.w[i], scale)
-		localW += sc.iw[i]
+		inc.iw[i] = mesh.QuantizeWeight(inc.w[i], scale)
+		localW += inc.iw[i]
 	}
 	// Rank-ordered exact sums: int64 weights transported through float64
 	// stay exact far beyond any realistic population (< 2^52 total).
@@ -80,13 +80,13 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 	}
 
 	if p == 1 || total == 0 || totW <= 0 {
-		balPool.Put(sc)
-		return loadBalanceInto(r, s, reuse, ex)
+		return inc.loadBalanceInto(r, s, out, ex)
 	}
 
 	// Walk the local particles in order, advancing through the weighted
 	// cuts: owners are monotone, so the local range splits into contiguous
 	// runs per destination and the self-run (if any) is a single range.
+	inc.sendScratch(p)
 	cuts := mesh.WeightedCuts(totW, total, p)
 	i, prefix := 0, before
 	k := mesh.AdvanceCut(cuts, 0, prefix)
@@ -94,12 +94,12 @@ func weightedBalanceInto(r comm.Transport, s, reuse *particle.Store, wf func(key
 		d := k
 		runEnd := i
 		for runEnd < n && k == d {
-			prefix += sc.iw[runEnd]
+			prefix += inc.iw[runEnd]
 			runEnd++
 			k = mesh.AdvanceCut(cuts, k, prefix)
 		}
-		sc.route(r, s, d, i, runEnd)
+		inc.route(r, s, d, i, runEnd)
 		i = runEnd
 	}
-	return sc.deliver(r, s, reuse, ex)
+	return inc.deliver(r, s, out, ex)
 }

@@ -45,13 +45,13 @@ func TestWeightedBalanceUniformEqualsLoadBalance(t *testing.T) {
 	}
 	want := newGather()
 	commtest.Launch(p, machine.CM5(), func(r comm.Transport) {
-		want.put(r.Rank(), loadBalanceInto(r, build(r.Rank()), nil, nil))
+		want.put(r.Rank(), balanced(r, build(r.Rank()), nil))
 	})
 	for _, w := range []float64{1, 0.125, 3.7} {
 		w := w
 		got := newGather()
 		commtest.Launch(p, machine.CM5(), func(r comm.Transport) {
-			got.put(r.Rank(), weightedBalanceInto(r, build(r.Rank()), nil, func(float64) float64 { return w }, nil))
+			got.put(r.Rank(), balanced(r, build(r.Rank()), func(float64) float64 { return w }))
 		})
 		for rank := 0; rank < p; rank++ {
 			if !storesEqual(got.stores[rank], want.stores[rank]) {
@@ -82,7 +82,7 @@ func TestWeightedBalanceSkewedWeights(t *testing.T) {
 			s.Append(0, 0, 0, 0, 0, float64(gidx))
 			s.Key[s.Len()-1] = math.Floor(float64(gidx) / float64(total/200))
 		}
-		g.put(r.Rank(), weightedBalanceInto(r, s, nil, wf, nil))
+		g.put(r.Rank(), balanced(r, s, wf))
 	})
 
 	count := 0
@@ -141,7 +141,7 @@ func TestRedistributeWeightedNilIsRedistribute(t *testing.T) {
 			for i := range s.Key {
 				s.Key[i] += math.Floor(rng.Float64() * 3)
 			}
-			LocalSort(r, s, nil)
+			inc.LocalSort(r, s)
 			var out *particle.Store
 			if weighted {
 				out, _ = inc.RedistributeWeighted(r, s, nil)
@@ -242,7 +242,7 @@ func TestWeightedBalanceDegenerateWeights(t *testing.T) {
 				s.Append(0, 0, 0, 0, 0, float64(gidx))
 				s.Key[s.Len()-1] = float64(gidx)
 			}
-			g.put(r.Rank(), weightedBalanceInto(r, s, nil, wf, nil))
+			g.put(r.Rank(), balanced(r, s, wf))
 		})
 		for r := 0; r < p; r++ {
 			if g.stores[r].Len() != 30 {

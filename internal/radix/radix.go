@@ -28,11 +28,15 @@ type Scratch struct {
 	pass   parPass      // reusable task so steady-state calls allocate nothing
 }
 
+// grow sizes the ping-pong arrays for n keys. Short arrays are replaced
+// with an eighth's headroom, so a caller whose sorts creep upwards in size
+// reallocates geometrically rather than on every call.
 func (sc *Scratch) grow(n, workers int) {
 	if cap(sc.hi2) < n {
-		sc.hi2 = make([]uint64, n)
-		sc.lo2 = make([]uint64, n)
-		sc.idx2 = make([]int32, n)
+		c := n + n/8
+		sc.hi2 = make([]uint64, n, c)
+		sc.lo2 = make([]uint64, n, c)
+		sc.idx2 = make([]int32, n, c)
 	}
 	sc.hi2 = sc.hi2[:n]
 	sc.lo2 = sc.lo2[:n]

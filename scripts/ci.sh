@@ -62,13 +62,17 @@ echo "== deleted-path audit (grep) =="
 # layer (internal/engine and pic's adapters onto it), the Elastic twins of
 # the TCP entry points, the nil-topology digest and diag's dead histogram
 # are gone, and so are the untested FaultPlan rank filters, the unused
-# collective-tag aliases and serve's copy of the atomic write; benchmark/ is
+# collective-tag aliases, serve's copy of the atomic write, and the particle
+# memory nobody owned (psort's pooled sorters and balance scratch,
+# particle.Scratch and SwapContents, the Incremental's two output slots,
+# SampleSortParX, pic's keepChunk copy and parked migrate spare); benchmark/ is
 # the one wall-clock harness, Config.Topology names a link set, the time
 # step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
-# are the one rank entry point, in-process launcher and supervisor, and
-# ckpt.WriteFileAtomic is the one atomic write. None may come back in
+# are the one rank entry point, in-process launcher and supervisor,
+# ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
+# owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
