@@ -26,7 +26,7 @@ import (
 
 // Version is the checkpoint format version this package writes. Readers
 // reject any other version loudly rather than guessing.
-const Version = 1
+const Version = 2
 
 // shardMagic opens every checkpoint file.
 const shardMagic = "PICPARCK"
@@ -69,7 +69,6 @@ type Record struct {
 	ScatterMsgsRecv  int64
 	Redistributed    bool
 	RedistTime       float64
-	RedistFailed     bool
 	RedistStrategy   string
 	BusyImbalance    float64
 	FieldEnergy      float64
@@ -236,7 +235,6 @@ func appendPayload(dst []byte, sh *Shard) []byte {
 		w.U64(uint64(rec.ScatterMsgsRecv))
 		w.Bool(rec.Redistributed)
 		w.F64(rec.RedistTime)
-		w.Bool(rec.RedistFailed)
 		w.String(rec.RedistStrategy)
 		w.F64(rec.BusyImbalance)
 		w.F64(rec.FieldEnergy)
@@ -248,7 +246,7 @@ func appendPayload(dst []byte, sh *Shard) []byte {
 // recordMinBytes is the smallest encoding of one Record (empty strategy
 // string), used to validate a declared record count against the remaining
 // input before allocating.
-const recordMinBytes = 8 + 8 + 8 + 4*8 + 1 + 8 + 1 + 8 + 8 + 8 + 8
+const recordMinBytes = 8 + 8 + 8 + 4*8 + 1 + 8 + 8 + 8 + 8 + 8
 
 // decodePayload parses a shard body. It is the surface the fuzz harness
 // drives directly (bypassing the CRC, which would mask payload bugs). The
@@ -304,7 +302,6 @@ func decodePayload(b []byte) (*Shard, error) {
 				ScatterMsgsRecv:  int64(r.U64("record msgs recv")),
 				Redistributed:    r.Bool("record redistributed"),
 				RedistTime:       r.F64("record redist time"),
-				RedistFailed:     r.Bool("record redist failed"),
 				RedistStrategy:   r.String("record strategy"),
 				BusyImbalance:    r.F64("record busy imbalance"),
 				FieldEnergy:      r.F64("record field energy"),

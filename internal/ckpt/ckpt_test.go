@@ -110,6 +110,7 @@ func TestDecodeRejectsCorruptImages(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }},
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
 		{"bad version", func(b []byte) []byte { b[8] = 99; return b }},
+		{"retired v1 image", func(b []byte) []byte { b[8] = 1; return b }},
 		{"flipped payload bit", func(b []byte) []byte { b[headerSize+3] ^= 0x10; return b }},
 		{"flipped crc", func(b []byte) []byte { b[13] ^= 1; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},

@@ -107,66 +107,27 @@ func TestNetShutdownRacesInFlightTraffic(t *testing.T) {
 	}
 }
 
-// TestReliableExhaustionPeerVanishedGoroutine: the goroutine-backend half
-// of "Reliable retry exhaustion when the peer disappears permanently". A
-// link whose every copy is dropped (the Faulty model of a vanished peer)
-// must exhaust the retry budget into a DeliveryError naming the attempts —
-// under an armed watchdog, so a hang would fail differently and loudly.
-func TestReliableExhaustionPeerVanishedGoroutine(t *testing.T) {
-	plan := FaultPlan{Seed: 11, DropProb: 1, MaxDropAttempts: 10}
+// TestClosedWorldTypedError: a rank outliving its Launch world fails with a
+// *TransportError wrapping ErrClosedWorld — typed, so a recover site (elastic
+// rejoin among them) can tell a teardown bug from a dead peer.
+func TestClosedWorldTypedError(t *testing.T) {
+	var leaked Transport
+	Launch(2, machine.Zero(), func(tr Transport) {
+		if tr.Rank() == 0 {
+			leaked = tr
+		}
+		Barrier(tr)
+	})
 	defer func() {
-		de := AsDeliveryError(recover())
-		if de == nil {
-			t.Fatal("expected a DeliveryError when every retry is swallowed")
+		e := recover()
+		var te *TransportError
+		err, ok := e.(error)
+		if !ok || !errors.As(err, &te) {
+			t.Fatalf("panic %T (%v), want *TransportError", e, e)
 		}
-		if de.Reason != "retries exhausted" {
-			t.Errorf("reason %q, want \"retries exhausted\"", de.Reason)
-		}
-		if de.Attempts < 3 {
-			t.Errorf("attempts %d, want the full budget spent", de.Attempts)
+		if !errors.Is(te, ErrClosedWorld) {
+			t.Errorf("error %v does not wrap ErrClosedWorld", te)
 		}
 	}()
-	faulty := NewFaulty(plan)
-	rel := NewReliable(ReliableConfig{MaxRetries: 2})
-	w := NewWorld(2, machine.CM5())
-	w.SetWatchdog(5 * time.Second)
-	w.RunWrapped(func(tr Transport) Transport { return rel.Wrap(faulty.Wrap(tr)) },
-		func(tr Transport) {
-			if tr.Rank() == 0 {
-				SendInts(tr, 1, TagUser, []int{1})
-			} else {
-				RecvInts(tr, 0, TagUser)
-			}
-		})
-}
-
-// TestReliableExhaustionPeerVanishedNet is the same contract over real TCP
-// sockets: the chaos stack's retry exhaustion stays a typed, bounded
-// failure when the envelopes cross a real wire.
-func TestReliableExhaustionPeerVanishedNet(t *testing.T) {
-	plan := FaultPlan{Seed: 11, DropProb: 1, MaxDropAttempts: 10}
-	faulty := NewFaulty(plan)
-	rel := NewReliable(ReliableConfig{MaxRetries: 2})
-	tmpl := netTestTemplate()
-	tmpl.Watchdog = 5 * time.Second
-	_, errs := LaunchLoopback(tmpl, 2, func(tr Transport) Transport {
-		return rel.Wrap(faulty.Wrap(tr))
-	}, func(tr Transport) {
-		if tr.Rank() == 0 {
-			SendInts(tr, 1, TagUser, []int{1})
-		} else {
-			RecvInts(tr, 0, TagUser)
-		}
-	})
-	var rp *RankPanic
-	if errs[1] == nil || !errors.As(errs[1], &rp) {
-		t.Fatalf("rank 1 error = %v, want *RankPanic", errs[1])
-	}
-	de := AsDeliveryError(rp.Value)
-	if de == nil {
-		t.Fatalf("rank 1 panic value %v, want *DeliveryError", rp.Value)
-	}
-	if de.Reason != "retries exhausted" {
-		t.Errorf("reason %q over TCP, want \"retries exhausted\"", de.Reason)
-	}
+	leaked.Send(1, TagUser, nil, 0)
 }

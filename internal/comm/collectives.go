@@ -19,9 +19,9 @@ import (
 func Barrier(t Transport) { barrier(t, tagBarrier) }
 
 // barrier is the dissemination barrier on an explicit tag. Expose's
-// internal barriers use the dedicated tagExpose so they can never pair with
-// decorator-level tagBarrier traffic (e.g. a duplicate envelope a Faulty
-// decorator left behind after the application's barrier completed).
+// internal barriers run on the core, below any decorator, under the
+// dedicated tagExpose, so a decorator never sees or counts them as
+// application barrier traffic.
 func barrier(t Transport, tag Tag) {
 	p := t.Size()
 	if p == 1 {

@@ -99,10 +99,6 @@ type Transport interface {
 	Clock() machine.Clock
 	// Stats returns this rank's per-phase accounting ledger.
 	Stats() *machine.Stats
-	// Params returns the machine cost parameters of the backend, so layers
-	// above (e.g. the Reliable decorator charging retransmission costs) can
-	// price a message without a handle on the backend itself.
-	Params() machine.Params
 }
 
 type message struct {

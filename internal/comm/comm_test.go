@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -342,4 +343,81 @@ func TestInvalidRankPanics(t *testing.T) {
 			r.Send(5, TagUser, nil, 0)
 		}
 	})
+}
+
+// exerciseCollectives drives the full collective surface plus point-to-point
+// traffic with deterministic data and returns a digest of every result this
+// rank observed. Equal digests across runs mean byte-identical outputs.
+func exerciseCollectives(t Transport) string {
+	r, p := t.Rank(), t.Size()
+	Barrier(t)
+	bc := Bcast(t, 0, fmt.Sprintf("payload-from-%d", 0), 16)
+	sum := AllreduceSumInt(t, r+1)
+	maxv := AllreduceMaxFloat64(t, 1.5*float64(r))
+	vec := AllreduceSumFloat64s(t, []float64{float64(r), 1, float64(r * r)})
+	ag := AllgatherInts(t, []int{10 * r, 10*r + 1})
+	scan := ScanSumInt(t, r+1)
+
+	// All-to-many: every rank sends one float to every rank (self included).
+	send := make([][]float64, p)
+	counts := make([]int, p)
+	for j := 0; j < p; j++ {
+		send[j] = []float64{float64(100*r + j)}
+		counts[j] = 1
+	}
+	recvCounts := ExchangeCounts(t, counts)
+	a2m := AllToManyFloat64s(t, send, recvCounts)
+
+	// Point-to-point ring with a user tag, two laps so per-link sequence
+	// numbers grow past 0.
+	const tagRing = TagUser + 9
+	var ring []int
+	for lap := 0; lap < 2; lap++ {
+		next, prev := (r+1)%p, (r-1+p)%p
+		SendInts(t, next, tagRing, []int{1000*lap + r})
+		ring = append(ring, RecvInts(t, prev, tagRing)...)
+	}
+	Barrier(t)
+	return fmt.Sprint(bc, sum, maxv, vec, ag, scan, a2m, ring)
+}
+
+// runSoak executes the exerciser on a fresh world and returns the per-rank
+// digests.
+func runSoak(p int) []any {
+	var digests []any
+	w := newTestWorld(p, machine.CM5())
+	w.Run(func(t Transport) {
+		d := exerciseCollectives(t)
+		out := t.Expose(d)
+		if t.Rank() == 0 {
+			digests = out
+		}
+	})
+	return digests
+}
+
+// TestChaosSoakTracedStackByteIdentical: the documented decorator stack,
+// Tracer ∘ World, leaves every collective and point-to-point output of the
+// soak byte-identical to the bare goroutine world, and the tracer observes
+// the traffic it passes through.
+func TestChaosSoakTracedStackByteIdentical(t *testing.T) {
+	const p = 4
+	baseline := runSoak(p)
+	tracer := NewTracer()
+	var got []any
+	w := newTestWorld(p, machine.CM5())
+	w.RunWrapped(tracer.Wrap, func(tr Transport) {
+		out := tr.Expose(exerciseCollectives(tr))
+		if tr.Rank() == 0 {
+			got = out
+		}
+	})
+	for r := range baseline {
+		if got[r] != baseline[r] {
+			t.Errorf("rank %d: output diverged under the traced stack\n got %v\nwant %v", r, got[r], baseline[r])
+		}
+	}
+	if tracer.Total().MsgsSent == 0 {
+		t.Error("tracer observed no traffic")
+	}
 }

@@ -70,9 +70,6 @@ func (c *core) Clock() machine.Clock { return c.clock }
 // Stats implements Transport.
 func (c *core) Stats() *machine.Stats { return &c.stats }
 
-// Params implements Transport.
-func (c *core) Params() machine.Params { return c.params }
-
 // SetPhase implements Transport.
 func (c *core) SetPhase(p machine.Phase) { c.stats.SetPhase(p) }
 
@@ -196,13 +193,6 @@ func runRank(id int, t Transport, wrap func(Transport) Transport, fn func(Transp
 	if wrap != nil {
 		t = wrap(t)
 	}
-	// Release any messages a decorator is still holding (e.g. a Faulty
-	// reorder hold) when the program returns, even on panic, so no peer is
-	// stranded waiting for withheld traffic.
-	defer func() {
-		defer func() { _ = recover() }() // a failed flush must not mask fn's panic
-		flushChain(t)
-	}()
 	fn(t)
 	return nil
 }

@@ -1,24 +1,17 @@
-// Typed errors of the transport layer. The SPMD substrate historically
-// reported every failure as a panic with a formatted string; the reliability
-// subsystem needs to distinguish "the network perturbed this message"
-// (recoverable, the Reliable decorator's job) from "the program is broken"
-// (teardown bugs, protocol misuse — must never be masked by retries), so
-// the error paths now carry typed values:
+// Typed errors of the transport layer. Transport.Send/Recv have no error
+// returns, matching the message-passing substrate the paper's algorithms
+// assume, where a failed primitive aborts the program: a failure surfaces
+// as a panic carrying a typed value, and World.Run (or the launcher)
+// converts it into a *RankPanic on the launching goroutine.
 //
-//   - DeliveryError: a message could not be delivered intact. Raised by the
-//     Faulty decorator when no reliability layer is present to recover an
-//     injected fault, and by Reliable when its retry budget is exhausted.
-//     Names rank, peer, tag and phase so a failed collective is diagnosable
-//     without a stack trace.
+//   - DeliveryError: the exchange with a peer failed under the backend — a
+//     dead peer or host, a failed write. It names rank, peer, tag and phase
+//     so a failed collective is diagnosable without a stack trace, and it
+//     is the one failure elastic NetRank recovery rejoins from.
 //   - TransportError: the transport was used incorrectly — send to an
-//     invalid rank, operation on a closed world. Never retried.
+//     invalid rank, operation on a closed world. Never recovered.
 //   - RankPanic: the value re-raised by World.Run when a rank panicked,
 //     wrapping the original panic value so callers can errors.As/Is into it.
-//
-// Because Transport.Send/Recv have no error returns (matching the message-
-// passing substrate the paper's algorithms assume, where a failed primitive
-// aborts the program), typed errors surface as panics; World.Run converts
-// them into a *RankPanic on the launching goroutine.
 
 package comm
 
@@ -34,9 +27,9 @@ import (
 var ErrClosedWorld = errors.New("world is closed")
 
 // TransportError reports a structural misuse of the transport: an operation
-// that can never succeed regardless of network conditions. The reliability
-// layer re-raises these untouched — retrying a send to a closed world would
-// only hide a teardown bug.
+// that can never succeed whatever the peers do. Elastic recovery does not
+// rejoin from it — rerunning a send to a closed world would only hide a
+// teardown bug.
 type TransportError struct {
 	Op   string // "send", "recv" or "expose"
 	Rank int    // the rank performing the operation
@@ -53,23 +46,23 @@ func (e *TransportError) Error() string {
 // Unwrap exposes the sentinel for errors.Is.
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// DeliveryError reports that a message was lost, duplicated or reordered
-// beyond what the installed reliability layer (if any) could recover. It is
-// terminal: the receiving rank raises it instead of hanging, and World.Run
-// re-raises it wrapped in a RankPanic on the caller.
+// DeliveryError reports that the exchange with a peer failed: the peer or
+// its host died, or a write to it failed. It is terminal for the run: the
+// rank raises it instead of hanging, World.Run re-raises it wrapped in a
+// RankPanic on the caller, and an elastic NetRank rejoins from the last
+// checkpoint.
 type DeliveryError struct {
-	Rank     int           // the receiving rank that detected the failure
-	Peer     int           // the sending rank
-	Tag      Tag           // the message tag
-	Phase    machine.Phase // the accounting phase the receiver was in
-	Attempts int           // delivery attempts observed (0 if not applicable)
-	Reason   string        // "dropped", "duplicated", "reordered", "retries exhausted"
+	Rank   int           // the rank that detected the failure
+	Peer   int           // the rank it was exchanging with
+	Tag    Tag           // the message tag
+	Phase  machine.Phase // the accounting phase the rank was in
+	Reason string        // the root cause, e.g. a heartbeat timeout or a write error
 }
 
 // Error implements error.
 func (e *DeliveryError) Error() string {
-	return fmt.Sprintf("comm: delivery failed: rank %d <- rank %d, tag %d, phase %s: %s (attempts=%d)",
-		e.Rank, e.Peer, e.Tag, e.Phase, e.Reason, e.Attempts)
+	return fmt.Sprintf("comm: delivery failed: rank %d <- rank %d, tag %d, phase %s: %s",
+		e.Rank, e.Peer, e.Tag, e.Phase, e.Reason)
 }
 
 // RankPanic wraps a panic raised on one rank of an SPMD program so the
@@ -108,60 +101,8 @@ func AsDeliveryError(v any) *DeliveryError {
 }
 
 // Wrapper is implemented by decorator transports; Unwrap returns the next
-// transport down the stack. Capability helpers (AsDegradable, flushChain)
-// walk the chain with it, so a capability added by one decorator stays
-// reachable when another decorator wraps it.
+// transport down the stack, so a helper that looks for a capability of the
+// backend (SocketCount) finds it through any decorator wrapping it.
 type Wrapper interface {
 	Unwrap() Transport
-}
-
-// Degradable is the failure-scoping capability of the Reliable decorator:
-// code that can tolerate a failed exchange (e.g. the redistribution phase,
-// which keeps the previous alignment) runs it inside CollectFailures, where
-// terminal delivery failures are recorded and returned instead of raised.
-type Degradable interface {
-	// CollectFailures runs fn with terminal delivery failures downgraded
-	// from panics to recorded values; the protocol still completes
-	// structurally (the substrate is lossless), so the SPMD world stays
-	// synchronised and the caller decides what to discard.
-	CollectFailures(fn func()) []*DeliveryError
-}
-
-// AsDegradable walks the decorator chain of t looking for a Degradable
-// layer (the Reliable decorator). pic's redistribution uses it to discover
-// whether a failed exchange is survivable on the transport it was handed.
-func AsDegradable(t Transport) (Degradable, bool) {
-	for t != nil {
-		if d, ok := t.(Degradable); ok {
-			return d, true
-		}
-		w, ok := t.(Wrapper)
-		if !ok {
-			return nil, false
-		}
-		t = w.Unwrap()
-	}
-	return nil, false
-}
-
-// flusher is implemented by decorators holding deferred messages (the
-// Faulty reorder hold); RunWrapped flushes the chain when a rank's program
-// returns so no message is withheld past the end of the run.
-type flusher interface {
-	flushHeld()
-}
-
-// flushChain walks the decorator chain flushing every layer that holds
-// deferred messages.
-func flushChain(t Transport) {
-	for t != nil {
-		if f, ok := t.(flusher); ok {
-			f.flushHeld()
-		}
-		w, ok := t.(Wrapper)
-		if !ok {
-			return
-		}
-		t = w.Unwrap()
-	}
 }

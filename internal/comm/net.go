@@ -221,7 +221,7 @@ func NetRank(cfg NetConfig, wrap func(Transport) Transport, fn func(Transport)) 
 // supplies Params and any timeout overrides; Coordinator, Rank and Size are
 // filled in. With tmpl.RejoinAttempts > 0 the coordinator serves
 // ServeElastic rounds until every rank is done, so a rank whose world
-// collapses mid-run (e.g. a fault decorator panicking a *DeliveryError)
+// collapses mid-run (a peer's death surfacing as a *DeliveryError)
 // rejoins and retries instead of failing the launch. Returns every rank's
 // stats ledger and a per-rank error slice (nil entries for clean ranks).
 func LaunchLoopback(tmpl NetConfig, p int, wrap func(Transport) Transport, fn func(Transport)) (machine.WorldStats, []error) {
@@ -336,9 +336,8 @@ type netTransport struct {
 // Once encoded, a bare []float64 body has no holder left: the sender gave
 // it up with the Send and the receiver decodes into a buffer of its own. So
 // post returns it to the wire pool here, as the goroutine world's receiver
-// does after unpacking. Envelope bodies are not returned (a Faulty dup or
-// delay resends the same envelope), and neither are Expose values (publish
-// aliases the caller's value) or relayed frames.
+// does after unpacking. Expose values (publish aliases the caller's value)
+// and relayed frames are not returned.
 func (n *netTransport) post(dst int, m message) {
 	f := netFrame{kind: frameData, tag: m.tag, nbytes: m.bytes, sentAt: m.sentAt, body: m.body}
 	if err := n.writePeer(dst, &f); err != nil {

@@ -49,17 +49,22 @@ func runNetSoak(t *testing.T, p int, wrap func(Transport) Transport) []any {
 }
 
 // TestNetCollectivesByteIdentical: the full collective surface over real
-// TCP sockets produces outputs and simulated clocks byte-identical to the
-// goroutine backend — the cost model does not know which wire it runs on.
+// TCP sockets, traced, produces outputs byte-identical to the bare
+// goroutine backend — the cost model does not know which wire it runs on,
+// and a Tracer observes the traffic without disturbing it.
 func TestNetCollectivesByteIdentical(t *testing.T) {
 	for _, p := range []int{2, 4} {
-		baseline := runSoak(p, nil)
-		got := runNetSoak(t, p, nil)
+		baseline := runSoak(p)
+		tracer := NewTracer()
+		got := runNetSoak(t, p, tracer.Wrap)
 		for r := range baseline {
 			if got[r] != baseline[r] {
-				t.Errorf("p=%d rank %d: TCP output diverged from goroutine backend\n got %v\nwant %v",
+				t.Errorf("p=%d rank %d: traced TCP output diverged from goroutine backend\n got %v\nwant %v",
 					p, r, got[r], baseline[r])
 			}
+		}
+		if tracer.Total().MsgsSent == 0 {
+			t.Errorf("p=%d: tracer observed no traffic over TCP", p)
 		}
 	}
 }
@@ -102,36 +107,6 @@ func TestNetClocksMatchGoroutineBackend(t *testing.T) {
 	}
 }
 
-// TestNetChaosStackByteIdentical: the documented chaos stack
-// Tracer ∘ Reliable ∘ Faulty composes unchanged over the TCP backend, with
-// outputs byte-identical to the fault-free goroutine run. This exercises
-// the codec on every envelope nesting the decorators produce.
-func TestNetChaosStackByteIdentical(t *testing.T) {
-	const p = 4
-	baseline := runSoak(p, nil)
-	for pi, plan := range soakPlans {
-		faulty := NewFaulty(plan)
-		rel := NewReliable(ReliableConfig{})
-		tracer := NewTracer()
-		got := runNetSoak(t, p, func(tr Transport) Transport {
-			return tracer.Wrap(rel.Wrap(faulty.Wrap(tr)))
-		})
-		for r := range baseline {
-			if got[r] != baseline[r] {
-				t.Errorf("plan %d rank %d: output diverged under chaos stack over TCP\n got %v\nwant %v",
-					pi, r, got[r], baseline[r])
-			}
-		}
-		c := faulty.Counts()
-		if c.Drops+c.Dups+c.Reorders+c.Delays == 0 {
-			t.Errorf("plan %d: injected no faults over TCP — soak exercised nothing", pi)
-		}
-		if tracer.Total().MsgsSent == 0 {
-			t.Errorf("plan %d: tracer observed no traffic over TCP", pi)
-		}
-	}
-}
-
 // TestNetPeerDeathDeliveryError: a rank that crashes mid-run surfaces at
 // every peer blocked on it as a *DeliveryError naming rank, peer, tag and
 // phase — within the failure-detection window, never as a hang.
@@ -170,30 +145,6 @@ func TestNetPeerDeathDeliveryError(t *testing.T) {
 		if de.Reason == "" {
 			t.Errorf("rank %d DeliveryError carries no reason", r)
 		}
-	}
-}
-
-// TestNetDeliveryErrorThroughReliable: when the peer disappears permanently
-// the underlying transport's DeliveryError propagates through a Reliable
-// layer unmasked — reliability recovers lost messages, not lost processes.
-func TestNetDeliveryErrorThroughReliable(t *testing.T) {
-	rel := NewReliable(ReliableConfig{})
-	_, errs := LaunchLoopback(netTestTemplate(), 2, rel.Wrap, func(tr Transport) {
-		if tr.Rank() == 1 {
-			panic("peer gone for good")
-		}
-		RecvInts(tr, 1, TagUser)
-	})
-	var rp *RankPanic
-	if errs[0] == nil || !errors.As(errs[0], &rp) {
-		t.Fatalf("rank 0 error = %v, want *RankPanic", errs[0])
-	}
-	de := AsDeliveryError(rp.Value)
-	if de == nil {
-		t.Fatalf("panic value %T (%v) through Reliable, want *DeliveryError", rp.Value, rp.Value)
-	}
-	if de.Peer != 1 {
-		t.Errorf("DeliveryError names peer %d, want 1: %+v", de.Peer, de)
 	}
 }
 

@@ -1,7 +1,6 @@
 // The versioned binary codec of the TCP transport backend (net.go): it
-// turns the `any` message bodies the algorithms exchange — and the
-// decorator envelopes the chaos stack wraps them in — into length-prefixed
-// frames on a socket, and back.
+// turns the `any` message bodies the algorithms exchange into
+// length-prefixed frames on a socket, and back.
 //
 // Design rules, in priority order:
 //
@@ -39,7 +38,7 @@ import (
 // frame or body layout; peers with mismatched versions refuse to pair
 // during the handshake and a mismatched frame fails decode with a typed
 // error.
-const NetCodecVersion = 2
+const NetCodecVersion = 3
 
 // Frame kinds. Control frames (hello, welcome, reject, heartbeat, goodbye)
 // carry the connection lifecycle; data and oob frames carry application
@@ -68,15 +67,8 @@ const (
 	kString   = 0x05
 	kFloat64s = 0x06
 	kInts     = 0x07
-	kRelEnv   = 0x08 // reliability envelope: seq + nested body
-	kFaultEnv = 0x09 // fault envelope: metadata + nested body
 	kStats    = 0x0a // machine.Stats ledger (end-of-run gathering)
 )
-
-// maxEnvelopeDepth bounds decorator-envelope nesting in a decoded body. The
-// deepest legitimate stack is fault(rel(payload)) = 3; the cap keeps a
-// hostile byte stream from inducing deep recursion.
-const maxEnvelopeDepth = 6
 
 // maxFrameBytes bounds a single frame (1 GiB). The length prefix of an
 // incoming frame is rejected above this before any allocation happens.
@@ -135,10 +127,10 @@ func appendFrame(buf []byte, f *netFrame) ([]byte, error) {
 		w.Int(int(f.tag))
 		w.Int(f.nbytes)
 		w.F64(f.sentAt)
-		err = appendBody(&w, f.body, 0)
+		err = appendBody(&w, f.body)
 	case frameOOBFrom:
 		w.Int(f.rank)
-		err = appendBody(&w, f.body, 0)
+		err = appendBody(&w, f.body)
 	case frameHello:
 		w.U64(f.worldID)
 		w.Int(f.rank)
@@ -179,10 +171,10 @@ func decodeFrame(b []byte) (netFrame, error) {
 		fallthrough
 	case frameData, frameOOB:
 		f.tag, f.nbytes, f.sentAt = Tag(r.Int("tag")), r.Nat("nbytes"), r.F64("sentAt")
-		f.body = decodeBody(&r, 0)
+		f.body = decodeBody(&r)
 	case frameOOBFrom:
 		f.rank = r.Int("oob origin")
-		f.body = decodeBody(&r, 0)
+		f.body = decodeBody(&r)
 	case frameHello:
 		f.worldID, f.rank, f.size = r.U64("world id"), r.Int("rank"), r.Int("size")
 		f.addr, f.topo = r.String("listen addr"), r.U64("topology digest")
@@ -216,10 +208,6 @@ func bodyBytes(body any) int {
 		return 8 * len(v)
 	case []int:
 		return 8 * len(v)
-	case relEnvelope:
-		return bodyBytes(v.body)
-	case faultEnvelope:
-		return bodyBytes(v.body)
 	}
 	return 0
 }
@@ -227,10 +215,7 @@ func bodyBytes(body any) int {
 // appendBody encodes one message body. Unsupported types are an encode
 // error (the transport turns it into a TransportError — it is a programming
 // mistake, not a network condition).
-func appendBody(w *wire.Writer, body any, depth int) error {
-	if depth > maxEnvelopeDepth {
-		return &CodecError{Op: "encode", Msg: "envelope nesting too deep"}
-	}
+func appendBody(w *wire.Writer, body any) error {
 	switch v := body.(type) {
 	case nil:
 		w.Byte(kNil)
@@ -258,17 +243,6 @@ func appendBody(w *wire.Writer, body any, depth int) error {
 		for _, x := range v {
 			w.Int(x)
 		}
-	case relEnvelope:
-		w.Byte(kRelEnv)
-		w.U64(v.seq)
-		return appendBody(w, v.body, depth+1)
-	case faultEnvelope:
-		w.Byte(kFaultEnv)
-		w.U64(v.seq)
-		w.Int(v.drops)
-		w.Bool(v.dup)
-		w.F64(v.delay)
-		return appendBody(w, v.body, depth+1)
 	case machine.Stats:
 		w.Byte(kStats)
 		w.Byte(byte(machine.NumPhases))
@@ -283,11 +257,7 @@ func appendBody(w *wire.Writer, body any, depth int) error {
 // decodeBody parses one body from r. A failure is left in r for
 // decodeFrame to report; the reader's length checks keep a hostile length
 // prefix from forcing a huge allocation.
-func decodeBody(r *wire.Reader, depth int) any {
-	if depth > maxEnvelopeDepth {
-		r.Fail("body", "envelope nesting deeper than %d", maxEnvelopeDepth)
-		return nil
-	}
+func decodeBody(r *wire.Reader) any {
 	switch kind := r.Byte("body kind"); kind {
 	case kNil:
 		return nil
@@ -313,11 +283,6 @@ func decodeBody(r *wire.Reader, depth int) any {
 			out[i] = r.Int("[]int")
 		}
 		return out
-	case kRelEnv:
-		return relEnvelope{seq: r.U64("rel seq"), body: decodeBody(r, depth+1)}
-	case kFaultEnv:
-		return faultEnvelope{seq: r.U64("fault seq"), drops: r.Int("fault drops"),
-			dup: r.Bool("fault dup"), delay: r.F64("fault delay"), body: decodeBody(r, depth+1)}
 	case kStats:
 		if n := r.Byte("stats phase count"); int(n) != machine.NumPhases {
 			r.Fail("stats", "%d phases, want %d", n, machine.NumPhases)

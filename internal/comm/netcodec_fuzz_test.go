@@ -40,10 +40,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	seed(&netFrame{kind: frameData, body: "hello"})
 	seed(&netFrame{kind: frameData, body: []float64{1, 2, 3}})
 	seed(&netFrame{kind: frameData, body: []int{4, 5}})
-	seed(&netFrame{kind: frameOOB, body: relEnvelope{seq: 2, body: []float64{8}}})
-	seed(&netFrame{kind: frameData,
-		body: faultEnvelope{seq: 1, drops: 1, dup: true, delay: 1e-3,
-			body: relEnvelope{seq: 2, body: []int{6}}}})
+	f.Add(retiredEnvelope(0x08))
+	f.Add(retiredEnvelope(0x09))
 	f.Add([]byte{})
 	f.Add([]byte{NetCodecVersion, 0x7f})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))

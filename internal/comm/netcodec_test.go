@@ -32,9 +32,8 @@ func roundTrip(t *testing.T, f *netFrame) netFrame {
 	return got
 }
 
-// TestCodecRoundTripBodies: every body type crossing Send — and every
-// decorator envelope nesting the chaos stack produces — survives the wire
-// bit-exactly.
+// TestCodecRoundTripBodies: every body type crossing Send survives the
+// wire bit-exactly.
 func TestCodecRoundTripBodies(t *testing.T) {
 	var st machine.Stats
 	st.SetPhase(machine.PhasePush)
@@ -55,9 +54,6 @@ func TestCodecRoundTripBodies(t *testing.T) {
 		[]float64{1.5, -2.5, 0, math.MaxFloat64},
 		[]int{},
 		[]int{-1, 0, 7 << 40},
-		relEnvelope{seq: 9, body: []float64{1, 2}},
-		faultEnvelope{seq: 3, drops: 2, dup: true, delay: 1e-3,
-			body: relEnvelope{seq: 9, body: []int{5}}},
 		st.Snapshot(),
 	}
 	for _, body := range bodies {
@@ -117,6 +113,8 @@ func TestCodecRejectsMalformed(t *testing.T) {
 			kFloat64s, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
 		"bad bool byte": append(encodeFrame(t,
 			&netFrame{kind: frameData})[:26], kBool, 2),
+		"retired body kind 0x08 (reliability envelope)": retiredEnvelope(0x08),
+		"retired body kind 0x09 (fault envelope)":       retiredEnvelope(0x09),
 	}
 	for name, in := range cases {
 		f, err := decodeFrame(in)
@@ -132,31 +130,53 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		if ce.Msg == "" || ce.Op != "decode" {
 			t.Errorf("%s: undiagnostic codec error %+v", name, ce)
 		}
+		if strings.Contains(name, "body kind") && !strings.Contains(ce.Msg, "unknown body kind") {
+			t.Errorf("%s: reason %q, want an unknown body kind", name, ce.Msg)
+		}
 	}
 }
 
-// TestCodecEnvelopeDepthBounded: nesting beyond the legitimate decorator
-// stack is refused on both sides — encode (a wrapping bug) and decode (a
-// hostile byte stream inducing recursion).
-func TestCodecEnvelopeDepthBounded(t *testing.T) {
-	body := any("x")
-	for i := 0; i < maxEnvelopeDepth+2; i++ {
-		body = relEnvelope{seq: uint64(i), body: body}
-	}
-	if _, err := appendFrame(nil, &netFrame{kind: frameData, body: body}); err == nil {
-		t.Error("encode accepted envelope nesting beyond the cap")
-	}
-	// Hand-build the hostile equivalent: header + (kRelEnv, seq) repeated.
-	w := wire.Writer{B: encodeFrame(t, &netFrame{kind: frameData})[:26]}
-	for i := 0; i < maxEnvelopeDepth+2; i++ {
-		w.Byte(kRelEnv)
-		w.U64(0)
+// retiredEnvelope is a data frame whose body is one of the envelope kinds
+// codec version 2 carried — 0x08 (seq + nested body) or 0x09 (seq, drops,
+// dup, delay + nested body) — laid out as version 2 wrote them around a nil
+// payload. The current codec has no such kinds and must refuse them.
+func retiredEnvelope(kind byte) []byte {
+	w := wire.Writer{B: []byte{NetCodecVersion, frameData}}
+	w.Int(int(TagUser)) // tag
+	w.Int(8)            // nbytes
+	w.F64(0.25)         // sentAt
+	w.Byte(kind)
+	w.U64(9) // seq
+	if kind == 0x09 {
+		w.Int(2)     // drops
+		w.Bool(true) // dup
+		w.F64(1e-3)  // delay
 	}
 	w.Byte(kNil)
-	if _, err := decodeFrame(w.B); err == nil {
-		t.Error("decode accepted envelope nesting beyond the cap")
-	} else if !strings.Contains(err.Error(), "nesting") {
-		t.Errorf("depth rejection reason missing: %v", err)
+	return w.B
+}
+
+// TestCodecEnvelopeDepthBounded: a hostile byte stream of nested envelope
+// headers — kind 0x08 and its sequence number, repeated far deeper than any
+// decorator stack — is refused at the first header with a typed
+// *CodecError, so decode never recurses on attacker-controlled depth.
+func TestCodecEnvelopeDepthBounded(t *testing.T) {
+	for _, kind := range []byte{0x08, 0x09} {
+		w := wire.Writer{B: encodeFrame(t, &netFrame{kind: frameData})[:26]}
+		for i := 0; i < 1<<12; i++ {
+			w.Byte(kind)
+			w.U64(uint64(i))
+		}
+		w.Byte(kNil)
+		f, err := decodeFrame(w.B)
+		var ce *CodecError
+		if !errors.As(err, &ce) {
+			t.Errorf("kind 0x%02x nested: decoded to %+v (err %v), want *CodecError", kind, f, err)
+			continue
+		}
+		if ce.Op != "decode" || !strings.Contains(ce.Msg, "unknown body kind") {
+			t.Errorf("kind 0x%02x nested: %+v, want a decode error naming an unknown body kind", kind, ce)
+		}
 	}
 }
 

@@ -1,8 +1,7 @@
 // The tracing decorator transport: wraps any Transport and records, per
 // rank, per accounting phase and per tag, the messages and modelled bytes
 // flowing through Send/Recv. Because every collective is built from those
-// two primitives, the tracer sees collective traffic message by message —
-// the shape a future fault-injection or real-network decorator will reuse.
+// two primitives, the tracer sees collective traffic message by message.
 
 package comm
 
@@ -170,8 +169,8 @@ type tracedTransport struct {
 	tracer *Tracer
 }
 
-// Unwrap implements Wrapper, so capabilities of layers below (Degradable,
-// held-message flushing) stay reachable through a tracing wrapper.
+// Unwrap implements Wrapper, so capabilities of layers below (the socket
+// count SocketCount reads) stay reachable through a tracing wrapper.
 func (t *tracedTransport) Unwrap() Transport { return t.Transport }
 
 func (t *tracedTransport) Send(dst int, tag Tag, body any, nbytes int) {

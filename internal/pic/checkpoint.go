@@ -318,7 +318,6 @@ func recordToCkpt(rec *IterationRecord) ckpt.Record {
 		ScatterMsgsRecv:  rec.ScatterMsgsRecv,
 		Redistributed:    rec.Redistributed,
 		RedistTime:       rec.RedistTime,
-		RedistFailed:     rec.RedistFailed,
 		RedistStrategy:   rec.RedistStrategy,
 		BusyImbalance:    rec.BusyImbalance,
 		FieldEnergy:      rec.FieldEnergy,
@@ -337,7 +336,6 @@ func recordFromCkpt(rec *ckpt.Record) IterationRecord {
 		ScatterMsgsRecv:  rec.ScatterMsgsRecv,
 		Redistributed:    rec.Redistributed,
 		RedistTime:       rec.RedistTime,
-		RedistFailed:     rec.RedistFailed,
 		RedistStrategy:   rec.RedistStrategy,
 		BusyImbalance:    rec.BusyImbalance,
 		FieldEnergy:      rec.FieldEnergy,

@@ -11,6 +11,7 @@ import (
 	"picpar/internal/comm"
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
+	"picpar/internal/policy"
 )
 
 // TestCheckpointingIsFree: enabling checkpoint writes changes nothing the
@@ -143,80 +144,114 @@ func TestRecoverWithoutEpochsIsFreshStart(t *testing.T) {
 }
 
 // killOnce is a transport decorator that panics a *DeliveryError out of
-// one rank's Nth send, once per process lifetime — the in-process stand-in
-// for kill -9 (the rank's endpoint tears down abruptly, peers see EOF).
+// the first send for which due reports true, once per test — the
+// in-process stand-in for kill -9 (the rank's endpoint tears down
+// abruptly, peers see EOF).
 type killOnce struct {
 	comm.Transport
-	sends *atomic.Int64
+	due   func() bool
 	fired *atomic.Bool
-	after int64
 }
 
 func (k killOnce) Send(dst int, tag comm.Tag, body any, nbytes int) {
-	if k.sends.Add(1) == k.after && k.fired.CompareAndSwap(false, true) {
-		panic(&comm.DeliveryError{Rank: k.Rank(), Peer: dst, Tag: tag, Reason: "chaos: injected rank death"})
+	if k.due() && k.fired.CompareAndSwap(false, true) {
+		panic(&comm.DeliveryError{Rank: k.Rank(), Peer: dst, Tag: tag, Reason: "injected rank death"})
 	}
 	k.Transport.Send(dst, tag, body, nbytes)
 }
 
-// TestElasticRecoveryByteIdentical is the in-Go chaos gate for the whole
+// TestElasticRecoveryByteIdentical is the in-Go gate for the whole
 // recovery stack: a 4-rank world over real loopback TCP runs elastic
 // NetRanks (RejoinAttempts set) with checkpointing on; rank 2 dies mid-run
-// (injected delivery failure, abrupt teardown). Every rank parks, re-registers
-// through the rendezvous, rolls back to the agreed epoch and continues —
-// and the final fingerprint and TotalTime match an undisturbed run
-// exactly. (The multi-process version with a real kill -9 is
-// scripts/netsmoke.sh.)
+// (injected delivery failure, abrupt teardown). Every rank parks,
+// re-registers through the rendezvous, rolls back to the agreed epoch and
+// continues — and the final fingerprint and TotalTime match an undisturbed
+// run exactly. One row kills rank 2 on its 40th send; the other kills it
+// inside a redistribution exchange after the first checkpoint, so the
+// replay crosses a redistribution restored from its checkpointed bounds.
+// (The multi-process version with a real kill -9 is scripts/netsmoke.sh.)
 func TestElasticRecoveryByteIdentical(t *testing.T) {
-	ref, err := Run(base())
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name   string
+		policy policy.Factory
+		// due builds rank 2's kill condition for one run of that rank.
+		due func(tr comm.Transport, dir string) func() bool
+	}{
+		{"40th send", nil, func(comm.Transport, string) func() bool {
+			n := 0
+			return func() bool { n++; return n == 40 }
+		}},
+		{"redistribution after the first checkpoint", policy.NewPeriodic(3),
+			func(tr comm.Transport, dir string) func() bool {
+				first := ckpt.ShardPath(dir, 3, tr.Rank())
+				return func() bool {
+					if tr.Stats().CurrentPhase() != machine.PhaseRedistribute {
+						return false
+					}
+					_, err := os.Stat(first)
+					return err == nil
+				}
+			}},
 	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := base()
+			if row.policy != nil {
+				cfg.Policy = row.policy
+			}
+			ref, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.policy != nil && ref.NumRedistributions < 2 {
+				t.Fatalf("%d redistributions — none after the first checkpoint", ref.NumRedistributions)
+			}
 
-	cfg := base()
-	cfg.Recover = true
-	cfg.CheckpointDir = t.TempDir()
-	cfg.CheckpointEvery = 3
-	var res *Result
-	var mu sync.Mutex
-	var attempts atomic.Int64
-	fired := &atomic.Bool{}
-	wrap := func(tr comm.Transport) comm.Transport {
-		if tr.Rank() != 2 {
-			return tr
-		}
-		return killOnce{Transport: tr, sends: &atomic.Int64{}, fired: fired, after: 40}
-	}
-	tmpl := commtest.NetTemplate(machine.CM5())
-	tmpl.RejoinAttempts = 8
-	_, errs := comm.LaunchLoopback(tmpl, 4, wrap, func(tr comm.Transport) {
-		attempts.Add(1)
-		r, rerr := RunRank(tr, cfg)
-		if rerr != nil {
-			panic(rerr)
-		}
-		if r != nil {
-			mu.Lock()
-			res = r
-			mu.Unlock()
-		}
-	})
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d failed: %v", rank, err)
-		}
-	}
-	if !fired.Load() {
-		t.Fatal("chaos injection never fired — the run was undisturbed")
-	}
-	if got := attempts.Load(); got <= 4 {
-		t.Errorf("only %d rank attempts — no rank actually rejoined", got)
-	}
-	if res == nil {
-		t.Fatal("rank 0 produced no result")
-	}
-	if res.TotalTime != ref.TotalTime || res.Fingerprint != ref.Fingerprint {
-		t.Errorf("recovered world differs: total %.7f/%016x, want %.7f/%016x",
-			res.TotalTime, res.Fingerprint, ref.TotalTime, ref.Fingerprint)
+			cfg.Recover = true
+			cfg.CheckpointDir = t.TempDir()
+			cfg.CheckpointEvery = 3
+			var res *Result
+			var mu sync.Mutex
+			var attempts atomic.Int64
+			fired := &atomic.Bool{}
+			wrap := func(tr comm.Transport) comm.Transport {
+				if tr.Rank() != 2 {
+					return tr
+				}
+				return killOnce{Transport: tr, due: row.due(tr, cfg.CheckpointDir), fired: fired}
+			}
+			tmpl := commtest.NetTemplate(machine.CM5())
+			tmpl.RejoinAttempts = 8
+			_, errs := comm.LaunchLoopback(tmpl, 4, wrap, func(tr comm.Transport) {
+				attempts.Add(1)
+				r, rerr := RunRank(tr, cfg)
+				if rerr != nil {
+					panic(rerr)
+				}
+				if r != nil {
+					mu.Lock()
+					res = r
+					mu.Unlock()
+				}
+			})
+			for rank, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d failed: %v", rank, err)
+				}
+			}
+			if !fired.Load() {
+				t.Fatal("injected rank death never fired — the run was undisturbed")
+			}
+			if got := attempts.Load(); got <= 4 {
+				t.Errorf("only %d rank attempts — no rank actually rejoined", got)
+			}
+			if res == nil {
+				t.Fatal("rank 0 produced no result")
+			}
+			if res.TotalTime != ref.TotalTime || res.Fingerprint != ref.Fingerprint {
+				t.Errorf("recovered world differs: total %.7f/%016x, want %.7f/%016x",
+					res.TotalTime, res.Fingerprint, ref.TotalTime, ref.Fingerprint)
+			}
+		})
 	}
 }

@@ -111,11 +111,8 @@ type Config struct {
 	// momentum be finite, or the run is refused with a *ParticleError.
 	CustomParticles *particle.Store
 	// Transport, when non-nil, decorates every rank's transport endpoint
-	// (comm.World.RunWrapped semantics). This is how chaos stacks are
-	// installed under a simulation: e.g. rel.Wrap ∘ faulty.Wrap to run the
-	// experiment over a perturbed-but-recovered network. With a Degradable
-	// layer installed (comm.Reliable), a failed redistribution exchange
-	// degrades gracefully instead of aborting the run.
+	// (comm.World.RunWrapped semantics), e.g. a comm.Tracer's Wrap to count
+	// the run's traffic per phase and tag.
 	Transport func(comm.Transport) comm.Transport
 	// Watchdog, when positive, arms the deadlock watchdog on the world
 	// (comm.World.SetWatchdog) so a stuck protocol fails with a diagnostic
@@ -347,14 +344,8 @@ type IterationRecord struct {
 	// iteration; RedistTime is its cost.
 	Redistributed bool
 	RedistTime    float64
-	// RedistFailed reports that a triggered redistribution was attempted
-	// but its exchange failed (delivery failures beyond the reliability
-	// layer's retry budget); the previous alignment was kept, RedistTime
-	// holds the wasted attempt time, and the policy was not notified — it
-	// retries at the next trigger.
-	RedistFailed bool
-	// RedistStrategy names the layout strategy of a redistribution decided
-	// after this iteration (successful or failed); empty when none was.
+	// RedistStrategy names the layout strategy of the redistribution run
+	// after this iteration; empty when none was.
 	RedistStrategy string
 	// BusyImbalance is max/mean over ranks of the iteration's busy time
 	// (computation plus communication, excluding barrier idling) — the live
@@ -390,13 +381,7 @@ type Result struct {
 	NumRedistributions int
 	// RedistTime is the total time spent redistributing.
 	RedistTime float64
-	// FailedRedistributions counts triggered redistributions that were
-	// discarded after a failed exchange (graceful degradation);
-	// WastedRedistTime is the simulated time those attempts burned. Both
-	// stay zero on a healthy network.
-	FailedRedistributions int
-	WastedRedistTime      float64
-	// RedistByStrategy counts successful redistributions per layout
+	// RedistByStrategy counts redistributions per layout
 	// strategy name — under the Adaptive policy it shows which layouts the
 	// live Table-1 scoring actually picked.
 	RedistByStrategy map[string]int

@@ -13,8 +13,7 @@ import (
 // RunNet joins the TCP world described by ncfg and runs this process's rank
 // of the configured simulation. The world size comes from ncfg; cfg.P is
 // overridden. cfg.Transport (the decorator chain) wraps the TCP endpoint
-// exactly as it wraps goroutine ranks, so the chaos stack composes
-// unchanged. Returns rank 0's Result, or (nil, nil) on other ranks; any
+// exactly as it wraps goroutine ranks. Returns rank 0's Result, or (nil, nil) on other ranks; any
 // rank failure — including a peer dying mid-run — comes back as an error
 // (never a hang, bounded by the backend's timeouts).
 func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {

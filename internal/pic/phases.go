@@ -13,61 +13,25 @@ import (
 	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/policy"
-	"picpar/internal/psort"
 	"picpar/internal/pusher"
 	"picpar/internal/wire"
 )
 
 // redistribute rebuilds the layout strat names after iteration iter and
 // marks rec with the outcome. It owns its measurement: the globally agreed
-// redistribution time feeds back into the policy.
-//
-// Failure contract: when the transport stack is Degradable (a comm.Reliable
-// layer is installed), a redistribution whose exchange suffers
-// unrecoverable delivery failures is discarded. Every rank keeps its
-// previous alignment, the wasted attempt time stays on the simulated clock
-// (it is real time the machine burned), and the policy is NOT notified — it
-// still sees the degraded balance and fires again at its next opportunity,
-// so failed attempts are retried, never silently consumed, and a pending
-// adaptive strategy choice rolls back with the layout. Without a Degradable
-// layer the failure propagates as a panic, aborting the run loudly.
+// redistribution time feeds back into the policy. A failed exchange means
+// a dead rank: its *comm.DeliveryError aborts the run, and an elastic rank
+// rejoins from the last checkpoint.
 func (st *rankState) redistribute(iter int, strat policy.Strategy, rec *IterationRecord) {
 	r := st.r
 	r.SetPhase(machine.PhaseRedistribute)
 	t0 := r.Clock().Now()
-	prevStore := st.store
-	var bounds psort.Bounds
-	failed := 0.0
-	if deg, ok := comm.AsDegradable(r); ok {
-		bounds = st.inc.SnapshotBounds()
-		if len(deg.CollectFailures(func() { st.rebalance(strat) })) > 0 {
-			failed = 1
-		}
-	} else {
-		st.rebalance(strat)
-	}
+	st.rebalance(strat)
 	comm.Barrier(r)
-	// The discard vote rides the timing Expose, so a fault-free run under a
-	// Degradable layer charges exactly what a bare run does. It must be
-	// unanimous — one rank's failed exchange invalidates the redistribution
-	// everywhere, or the bucket-boundary tables would diverge across ranks.
-	rt, anyFailed := 0.0, false
-	for _, x := range r.Expose([]float64{r.Clock().Now() - t0, failed}) {
-		v := x.([]float64)
-		rt = max(rt, v[0])
-		anyFailed = anyFailed || v[1] > 0
-	}
+	rt := comm.ExposeMaxFloat64(r, r.Clock().Now()-t0)
+	st.pol.NotifyRedistribution(iter, rt)
 	rec.RedistStrategy = strat.String()
 	rec.RedistTime = rt
-	if anyFailed {
-		// Roll back: Redistribute never modifies its input store, so the
-		// previous alignment is exactly (previous store, previous bounds).
-		st.store = prevStore
-		st.inc.RestoreBounds(bounds)
-		rec.RedistFailed = true
-		return
-	}
-	st.pol.NotifyRedistribution(iter, rt)
 	rec.Redistributed = true
 }
 

@@ -130,10 +130,6 @@ func (res *Result) finalize(p int, ws machine.WorldStats) {
 				res.RedistByStrategy[s]++
 			}
 		}
-		if res.Records[i].RedistFailed {
-			res.FailedRedistributions++
-			res.WastedRedistTime += res.Records[i].RedistTime
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package pic
 import (
 	"testing"
 
-	"picpar/internal/comm"
 	"picpar/internal/commtest"
 	"picpar/internal/mesh3"
 	"picpar/internal/particle"
@@ -68,7 +67,7 @@ func TestGolden3DDeterminism(t *testing.T) {
 
 // TestRun3DDynamicRedistributes: the Stop-At-Rise policy observes the 3-D
 // run's measured iteration times and triggers incremental redistributions
-// through the same degradable phase as 2-D — with conservation intact.
+// through the same redistribution phase as 2-D — with conservation intact.
 func TestRun3DDynamicRedistributes(t *testing.T) {
 	cfg := base3()
 	cfg.Iterations = 30
@@ -98,85 +97,16 @@ func TestRun3DDynamicRedistributes(t *testing.T) {
 	}
 }
 
-// chaosBase3 mirrors chaosBase in three dimensions: a Periodic policy so
-// the redistribution schedule is clock-independent and physics must be
-// byte-identical under recovered perturbation.
-func chaosBase3() Config {
-	cfg := base3()
-	cfg.Policy = policy.NewPeriodic(3)
-	return cfg
-}
-
-// TestChaos3DByteIdenticalUnderReliable: the full 3-D simulation, perturbed
-// by every seeded plan but recovered by Reliable underneath a Tracer (the
-// production decorator stack Tracer∘Reliable∘Faulty), reproduces the
-// fault-free physics exactly — the graceful-degradation machinery composes
-// over the geometry seam unchanged.
+// TestChaos3DByteIdenticalUnderReliable: the 3-D simulation, with every
+// receive delayed by seeded jitter under a Tracer, ends with the
+// undisturbed physics on the full mesh and on the neighbour-sparse link
+// set — the geometry seam adds no dependence on message timing.
 func TestChaos3DByteIdenticalUnderReliable(t *testing.T) {
-	cfg := chaosBase3()
-	cfg.Diagnostics = true
-	cfg.DiagEvery = 1
-	clean, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(clean)
-
-	for pi, plan := range e2ePlans {
-		faulty := comm.NewFaulty(plan)
-		rel := comm.NewReliable(comm.ReliableConfig{})
-		tracer := comm.NewTracer()
-		perturbed := cfg
-		perturbed.Transport = func(tr comm.Transport) comm.Transport {
-			return tracer.Wrap(rel.Wrap(faulty.Wrap(tr)))
-		}
-		res, err := Run(perturbed)
-		if err != nil {
-			t.Fatalf("plan %d: %v", pi, err)
-		}
-		got := fingerprint(res)
-		if !equalFingerprints(got, want) {
-			t.Errorf("plan %d: 3-D physics diverged under recovered faults\n got %+v\nwant %+v",
-				pi, got, want)
-		}
-		if res.FailedRedistributions != 0 {
-			t.Errorf("plan %d: %d redistributions failed under a recoverable plan",
-				pi, res.FailedRedistributions)
-		}
-		c := faulty.Counts()
-		if c.Drops+c.Dups+c.Reorders+c.Delays == 0 {
-			t.Errorf("plan %d injected no faults — soak exercised nothing", pi)
-		}
-		if res.TotalTime <= clean.TotalTime {
-			t.Errorf("plan %d: perturbed run not slower than clean (%.9g <= %.9g)",
-				pi, res.TotalTime, clean.TotalTime)
-		}
-	}
-}
-
-// TestChaos3DDegradesGracefully: unrecoverable redistribution exchanges in
-// 3-D are rolled back exactly like 2-D — the run completes on the previous
-// alignment with conservation and the invariant checks intact.
-func TestChaos3DDegradesGracefully(t *testing.T) {
-	cfg := chaosBase3()
-	cfg.Verify = true
-	faulty := comm.NewFaulty(redistKillPlan())
-	rel := comm.NewReliable(comm.ReliableConfig{MaxRetries: 2})
-	cfg.Transport = func(tr comm.Transport) comm.Transport {
-		return rel.Wrap(faulty.Wrap(tr))
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FailedRedistributions == 0 {
-		t.Fatal("no redistribution failed under a redistribution-killing plan")
-	}
-	if res.NumRedistributions != 0 {
-		t.Errorf("%d redistributions succeeded despite certain exchange failure", res.NumRedistributions)
-	}
-	if res.FinalParticleCount != cfg.NumParticles {
-		t.Errorf("particles lost across failed 3-D redistributions: %d, want %d",
-			res.FinalParticleCount, cfg.NumParticles)
+	for i, topo := range []string{TopologyFullMesh, TopologyNeighborSparse} {
+		t.Run(topo, func(t *testing.T) {
+			cfg := chaosBase3()
+			cfg.Topology = topo
+			checkJitteredPhysics(t, cfg, false, int64(300+100*i))
+		})
 	}
 }

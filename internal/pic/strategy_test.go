@@ -97,7 +97,7 @@ func TestStrategyAdaptiveSelectsCostWeighted(t *testing.T) {
 		if rec.Redistributed && rec.RedistStrategy == "" {
 			t.Errorf("iter %d redistributed without a recorded strategy", rec.Iter)
 		}
-		if !rec.Redistributed && !rec.RedistFailed && rec.RedistStrategy != "" {
+		if !rec.Redistributed && rec.RedistStrategy != "" {
 			t.Errorf("iter %d records strategy %q without a redistribution",
 				rec.Iter, rec.RedistStrategy)
 		}

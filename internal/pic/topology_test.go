@@ -169,42 +169,20 @@ func TestEulerianAcrossTopologies(t *testing.T) {
 	}
 }
 
-// TestChaosAcrossTopologies is the chaos soak over every topology: the
-// Tracer∘Reliable∘Faulty stack wraps each rank's transport unchanged, and
-// the physics fingerprint must match the unperturbed run of the same
-// topology, since every injected fault is recovered below the protocol
-// layer.
+// TestChaosAcrossTopologies: on every topology, a 2-D run with each
+// receive delayed by seeded jitter under a Tracer ends with the physics of
+// the undisturbed run of that topology.
 func TestChaosAcrossTopologies(t *testing.T) {
-	plan := comm.FaultPlan{Seed: 0xD15EA5E, DropProb: 0.05, MaxDropAttempts: 3,
-		DupProb: 0.05, ReorderProb: 0.05}
-	for _, topo := range allTopologies {
-		cfg := base()
-		cfg.Topology = topo
-		cfg.Policy = policy.NewPeriodic(3)
-		clean, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("topology %q clean: %v", topo, err)
+	for i, topo := range allTopologies {
+		name := topo
+		if name == "" {
+			name = "default"
 		}
-		faulty := comm.NewFaulty(plan)
-		rel := comm.NewReliable(comm.ReliableConfig{})
-		tracer := comm.NewTracer()
-		cfg.Transport = func(tr comm.Transport) comm.Transport {
-			return tracer.Wrap(rel.Wrap(faulty.Wrap(tr)))
-		}
-		perturbed, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("topology %q chaos: %v", topo, err)
-		}
-		if c := faulty.Counts(); c.Drops+c.Dups+c.Reorders == 0 {
-			t.Errorf("topology %q: fault plan injected nothing", topo)
-		}
-		if tracer.Total().MsgsSent == 0 {
-			t.Errorf("topology %q: tracer observed no traffic", topo)
-		}
-		if perturbed.Fingerprint != clean.Fingerprint {
-			t.Errorf("topology %q: chaos fingerprint %016x, clean %016x",
-				topo, perturbed.Fingerprint, clean.Fingerprint)
-		}
+		t.Run(name, func(t *testing.T) {
+			cfg := chaosBase()
+			cfg.Topology = topo
+			checkJitteredPhysics(t, cfg, false, int64(500+100*i))
+		})
 	}
 }
 

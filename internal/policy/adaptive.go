@@ -5,20 +5,13 @@ package policy
 // redistribute, and a chooser callback — installed by the pipeline, which
 // owns the cost ledger — scores the candidate strategies against measured
 // per-cell costs to decide *which* layout to rebuild.
-//
-// The chosen strategy is committed only when NotifyRedistribution reports
-// the rebuild succeeded. A failed, rolled-back redistribution therefore
-// rolls back the strategy state too: the policy never hears about the
-// attempt, keeps its previous committed strategy, and the when-trigger's
-// retry behaviour is exactly that of the inner policy.
 type Adaptive struct {
 	// When is the inner trigger policy deciding the redistribution moments;
 	// its own strategy field is ignored.
 	When Policy
 
-	chooser   func(iter int, current Strategy) Strategy
-	committed Strategy
-	pending   Strategy
+	chooser func(iter int, current Strategy) Strategy
+	current Strategy
 }
 
 // NewAdaptive returns a Factory for Adaptive over the SAR dynamic trigger.
@@ -34,33 +27,29 @@ func NewAdaptiveEvery(k int) Factory {
 }
 
 // SetChooser installs the strategy-scoring callback. Without one, Adaptive
-// keeps deciding its current committed strategy (initially equal-count).
+// keeps deciding its current strategy (initially equal-count).
 // The chooser must be deterministic and cross-rank agreed — the pipeline's
 // chooser derives everything from allgathered ledger state.
 func (a *Adaptive) SetChooser(f func(iter int, current Strategy) Strategy) { a.chooser = f }
 
-// Strategy returns the currently committed strategy.
-func (a *Adaptive) Strategy() Strategy { return a.committed }
+// Strategy returns the strategy of the latest decided rebuild.
+func (a *Adaptive) Strategy() Strategy { return a.current }
 
 // Decide implements Policy: the inner trigger decides when; the chooser
-// decides what. The choice stays pending until the rebuild succeeds.
+// decides what.
 func (a *Adaptive) Decide(iter int, iterTime float64) Decision {
 	if !a.When.Decide(iter, iterTime).Redistribute {
 		return KeepLayout
 	}
-	a.pending = a.committed
 	if a.chooser != nil {
-		a.pending = a.chooser(iter, a.committed)
+		a.current = a.chooser(iter, a.current)
 	}
-	return Rebalance(a.pending)
+	return Rebalance(a.current)
 }
 
-// NotifyRedistribution implements Policy: forwards to the inner trigger
-// and commits the pending strategy — the rollback seam for failed
-// attempts, which never reach this method.
+// NotifyRedistribution implements Policy: forwards to the inner trigger.
 func (a *Adaptive) NotifyRedistribution(iter int, redistTime float64) {
 	a.When.NotifyRedistribution(iter, redistTime)
-	a.committed = a.pending
 }
 
 // Name implements Policy.

@@ -60,7 +60,7 @@ func TestDefaultDecisionsAreEqualCount(t *testing.T) {
 }
 
 // TestAdaptiveChoosesViaChooser: the inner trigger gates the timing, the
-// chooser picks the strategy, and a successful notification commits it.
+// chooser picks the strategy, and the next firing presents it as current.
 func TestAdaptiveChoosesViaChooser(t *testing.T) {
 	a := NewAdaptiveEvery(3)().(*Adaptive)
 	var sawCurrent []Strategy
@@ -76,56 +76,23 @@ func TestAdaptiveChoosesViaChooser(t *testing.T) {
 	if !d.Redistribute || d.Strategy != CostWeighted {
 		t.Fatalf("decision %+v, want cost-weighted rebalance", d)
 	}
-	if a.Strategy() != EqualCount {
-		t.Fatal("strategy committed before NotifyRedistribution")
-	}
 	a.NotifyRedistribution(2, 0.5)
 	if a.Strategy() != CostWeighted {
-		t.Fatal("strategy not committed after successful redistribution")
+		t.Fatal("decided strategy not current after the redistribution")
 	}
 	if len(sawCurrent) != 1 || sawCurrent[0] != EqualCount {
 		t.Errorf("chooser saw current %v, want one equal-count call", sawCurrent)
 	}
 
-	// The next firing presents the committed strategy as current.
+	// The next firing presents the decided strategy as current.
 	a.Decide(5, 1.0)
 	if len(sawCurrent) != 2 || sawCurrent[1] != CostWeighted {
 		t.Errorf("second chooser call saw %v, want cost-weighted", sawCurrent)
 	}
 }
 
-// TestAdaptiveRollbackWithoutNotify: when a decided rebuild fails (the
-// pipeline rolls back and does NOT notify), the pending strategy is
-// discarded: the committed strategy and the retry cadence are unchanged,
-// and the next successful attempt commits its own fresh choice.
-func TestAdaptiveRollbackWithoutNotify(t *testing.T) {
-	a := NewAdaptiveEvery(2)().(*Adaptive)
-	choice := CostWeighted
-	a.SetChooser(func(int, Strategy) Strategy { return choice })
-
-	d := a.Decide(1, 1.0)
-	if !d.Redistribute || d.Strategy != CostWeighted {
-		t.Fatalf("decision %+v", d)
-	}
-	// Rebuild failed: no notification. Nothing may have committed.
-	if a.Strategy() != EqualCount {
-		t.Fatal("failed attempt leaked into committed strategy")
-	}
-
-	// Trigger retries on cadence, chooser now picks differently.
-	choice = Eulerian
-	d = a.Decide(3, 1.0)
-	if !d.Redistribute || d.Strategy != Eulerian {
-		t.Fatalf("retry decision %+v, want eulerian", d)
-	}
-	a.NotifyRedistribution(3, 0.5)
-	if a.Strategy() != Eulerian {
-		t.Fatal("retry's choice not committed")
-	}
-}
-
 // TestAdaptiveWithoutChooserKeepsCurrent: with no chooser installed the
-// adaptive policy behaves like its inner trigger with the committed
+// adaptive policy behaves like its inner trigger with its current
 // (initially equal-count) strategy.
 func TestAdaptiveWithoutChooserKeepsCurrent(t *testing.T) {
 	a := NewAdaptiveEvery(1)().(*Adaptive)

@@ -113,7 +113,7 @@ type Dynamic struct {
 
 // Decide implements Policy: triggers when (t1−t0)·(i1−i0) ≥ T_redist.
 // The decision is monotone in the measured iteration time — extra delay on
-// t1 (network jitter, recovery charges) can only move the trigger earlier,
+// t1 (network jitter) can only move the trigger earlier,
 // never suppress it — and a non-positive measurement window (i1 ≤ i0, e.g.
 // a caller replaying the redistribution iteration itself) never fires: it
 // carries no degradation signal.

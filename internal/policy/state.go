@@ -69,15 +69,13 @@ func (d *Dynamic) RestoreState(src []float64) error {
 }
 
 // adaptiveStateLen is Adaptive's own state width (the inner trigger's
-// state follows): committed and pending strategy coordinates.
-const adaptiveStateLen = 4
+// state follows): the current strategy's coordinates.
+const adaptiveStateLen = 2
 
-// AppendState implements StateCodec: the committed/pending strategies
-// followed by the inner when-trigger's state (when it has any).
+// AppendState implements StateCodec: the current strategy followed by the
+// inner when-trigger's state (when it has any).
 func (a *Adaptive) AppendState(dst []float64) []float64 {
-	dst = append(dst,
-		float64(a.committed.Split), float64(a.committed.Movement),
-		float64(a.pending.Split), float64(a.pending.Movement))
+	dst = append(dst, float64(a.current.Split), float64(a.current.Movement))
 	if sc, ok := a.When.(StateCodec); ok {
 		dst = sc.AppendState(dst)
 	}
@@ -89,8 +87,7 @@ func (a *Adaptive) RestoreState(src []float64) error {
 	if len(src) < adaptiveStateLen {
 		return fmt.Errorf("policy: adaptive restore of %d values (want >= %d)", len(src), adaptiveStateLen)
 	}
-	a.committed = Strategy{Split: Split(src[0]), Movement: Movement(src[1])}
-	a.pending = Strategy{Split: Split(src[2]), Movement: Movement(src[3])}
+	a.current = Strategy{Split: Split(src[0]), Movement: Movement(src[1])}
 	rest := src[adaptiveStateLen:]
 	if sc, ok := a.When.(StateCodec); ok {
 		return sc.RestoreState(rest)

@@ -172,31 +172,6 @@ func (inc *Incremental) Prime(s *particle.Store) {
 	}
 }
 
-// Bounds is a snapshot of the remembered bucket state: the boundary table
-// plus the upper key. A caller that may discard a redistribution (e.g. the
-// pic's redistribution degrading after a failed exchange) snapshots before the
-// attempt and restores afterwards, since Redistribute reprimes the bounds
-// from its output before the caller can decide to keep it.
-type Bounds struct {
-	localBound []float64
-	upper      float64
-}
-
-// SnapshotBounds captures the current bucket boundaries and upper key.
-func (inc *Incremental) SnapshotBounds() Bounds {
-	return Bounds{localBound: append([]float64(nil), inc.localBound...), upper: inc.upper}
-}
-
-// RestoreBounds reinstates a snapshot taken by SnapshotBounds, as if the
-// Redistribute calls since then had not happened. The particle store the
-// caller kept must be the one the snapshot was taken against (Redistribute
-// never modifies its input store, so rolling back is pairing the old store
-// with its old bounds).
-func (inc *Incremental) RestoreBounds(b Bounds) {
-	copy(inc.localBound, b.localBound)
-	inc.upper = b.upper
-}
-
 // ExportBounds appends the remembered bucket boundaries followed by the
 // upper key (L+1 values) to dst and returns it — the checkpoint form of
 // the incremental-sort state.
@@ -238,9 +213,9 @@ func (inc *Incremental) Redistribute(r comm.Transport, s *particle.Store) (*part
 // cut. Requires keys to be already up to date (Hilbert_Base_Indexing done)
 // and Prime to have been called on the previous order.
 //
-// The input store is never modified: a caller that discards the result
-// still holds its previous alignment. The result is one of the
-// Incremental's sets other than s.
+// The input store is never modified, and the result is one of the
+// Incremental's sets other than s, so the caller's store stays valid until
+// its next call.
 func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store, wf func(key float64) float64) (*particle.Store, Stats) {
 	p := r.Size()
 

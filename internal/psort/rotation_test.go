@@ -32,8 +32,9 @@ func sameStore(a, b *particle.Store) bool {
 // TestSetRotationNeverClobbersLiveStores drives an Incremental's three
 // rotating sets through the two call sequences pic makes besides plain
 // redistribution, on 3-D stores so the Z column rotates too:
-//   - redistribute, discard the output, redistribute the same input again
-//     (pic's rollback after a failed exchange);
+//   - redistribute, then re-import the bounds that call started from and
+//     redistribute the same input again (the replay a checkpoint restore
+//     makes through ImportBounds);
 //   - an Eulerian one-shot migration (a store rebuilt in a Spare set)
 //     between redistributions.
 //
@@ -66,9 +67,10 @@ func TestSetRotationNeverClobbersLiveStores(t *testing.T) {
 		// redistribute checks one call against a fresh Incremental primed
 		// with the same bounds, and that the input survived it.
 		redistribute := func(step string, in *particle.Store) *particle.Store {
-			b := inc.SnapshotBounds()
 			fresh := NewIncremental(0)
-			fresh.RestoreBounds(b)
+			if err := fresh.ImportBounds(inc.ExportBounds(nil)); err != nil {
+				panic(err)
+			}
 			want, _ := fresh.Redistribute(r, in.Clone())
 			before := in.Clone()
 			out, _ := inc.Redistribute(r, in)
@@ -97,15 +99,17 @@ func TestSetRotationNeverClobbersLiveStores(t *testing.T) {
 		}
 
 		for round := 0; round < 3; round++ {
-			// Rollback: the first output is discarded together with the
-			// bounds it primed, and the same input goes round again.
+			// Replay: the first output is dropped, the bounds it started
+			// from are imported again, and the same input goes round again.
 			drift(s)
-			b := inc.SnapshotBounds()
-			discarded := redistribute("first attempt", s).Clone()
-			inc.RestoreBounds(b)
-			kept := redistribute("retry", s)
-			if !sameStore(kept, discarded) {
-				t.Errorf("rank %d: retry after rollback differs from the discarded attempt", r.Rank())
+			b := inc.ExportBounds(nil)
+			first := redistribute("first run", s).Clone()
+			if err := inc.ImportBounds(b); err != nil {
+				panic(err)
+			}
+			kept := redistribute("replay", s)
+			if !sameStore(kept, first) {
+				t.Errorf("rank %d: replay from imported bounds differs from the first run", r.Rank())
 			}
 			// A migration between two redistributions.
 			s = migrate(kept)

@@ -147,30 +147,6 @@ func ModernMachine() MachineParams { return machine.Modern() }
 // accepts a decorator chain over it (see DESIGN.md "The decorator stack").
 type Transport = comm.Transport
 
-// FaultPlan is a deterministic, seeded fault-injection schedule for the
-// Faulty transport decorator: per-link drop/duplicate/reorder/delay
-// probabilities with optional rank, tag and phase filters.
-type FaultPlan = comm.FaultPlan
-
-// Faulty injects the faults of a FaultPlan; Reliable recovers them.
-type Faulty = comm.Faulty
-
-// NewFaulty builds a fault-injecting transport decorator from plan.
-func NewFaulty(plan FaultPlan) *Faulty { return comm.NewFaulty(plan) }
-
-// Reliable is the reliable-delivery transport decorator: it recovers
-// drops, duplicates and reorderings injected by Faulty underneath it, or
-// fails with a diagnostic delivery error when the retry budget is
-// exhausted — never by hanging.
-type Reliable = comm.Reliable
-
-// ReliableConfig tunes the reliability layer's retry budget and simulated
-// backoff; the zero value selects sensible defaults.
-type ReliableConfig = comm.ReliableConfig
-
-// NewReliable builds a reliable-delivery transport decorator.
-func NewReliable(cfg ReliableConfig) *Reliable { return comm.NewReliable(cfg) }
-
 // NetConfig describes one rank's endpoint of a TCP-backed world: the
 // coordinator address, rank identity, cost-model constants, and the
 // supervision timeouts (dial retry/backoff, heartbeats, drain).
