@@ -155,28 +155,47 @@ func DecodeShard(b []byte) (*Shard, error) {
 // checkImage validates the header and CRC of a file image and returns the
 // payload bytes.
 func checkImage(b []byte) ([]byte, error) {
-	if len(b) < headerSize {
-		return nil, decErr("header", "file too short: %d bytes", len(b))
-	}
-	if string(b[:8]) != shardMagic {
-		return nil, decErr("header", "bad magic %q", b[:8])
-	}
-	if v := binary.LittleEndian.Uint32(b[8:]); v != Version {
-		return nil, decErr("header", "unsupported version %d (want %d)", v, Version)
-	}
-	crc := binary.LittleEndian.Uint32(b[12:])
-	n := binary.LittleEndian.Uint64(b[16:])
-	if n > maxShardBytes {
-		return nil, decErr("header", "declared payload length %d exceeds limit", n)
-	}
-	if uint64(len(b)-headerSize) != n {
-		return nil, decErr("header", "payload length %d, header declares %d", len(b)-headerSize, n)
+	crc, err := checkHeader(b, len(b))
+	if err != nil {
+		return nil, err
 	}
 	payload := b[headerSize:]
-	if got := crc32.ChecksumIEEE(payload); got != crc {
-		return nil, decErr("header", "crc mismatch: file %08x, computed %08x", crc, got)
+	if err := checkCRC(crc, crc32.ChecksumIEEE(payload)); err != nil {
+		return nil, err
 	}
 	return payload, nil
+}
+
+// checkHeader validates the header h of an image of fileLen bytes (h holds
+// at least the first min(fileLen, headerSize) of them) and returns the
+// CRC the header declares for the payload.
+func checkHeader(h []byte, fileLen int) (uint32, error) {
+	if fileLen < headerSize {
+		return 0, decErr("header", "file too short: %d bytes", fileLen)
+	}
+	if string(h[:8]) != shardMagic {
+		return 0, decErr("header", "bad magic %q", h[:8])
+	}
+	if v := binary.LittleEndian.Uint32(h[8:]); v != Version {
+		return 0, decErr("header", "unsupported version %d (want %d)", v, Version)
+	}
+	n := binary.LittleEndian.Uint64(h[16:])
+	if n > maxShardBytes {
+		return 0, decErr("header", "declared payload length %d exceeds limit", n)
+	}
+	if uint64(fileLen-headerSize) != n {
+		return 0, decErr("header", "payload length %d, header declares %d", fileLen-headerSize, n)
+	}
+	return binary.LittleEndian.Uint32(h[12:]), nil
+}
+
+// checkCRC compares the CRC a header declares with the one computed over
+// the payload.
+func checkCRC(file, computed uint32) error {
+	if computed != file {
+		return decErr("header", "crc mismatch: file %08x, computed %08x", file, computed)
+	}
+	return nil
 }
 
 // appendPayload encodes the shard body (everything the CRC guards).

@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -101,22 +103,37 @@ func TestShardRoundTrip(t *testing.T) {
 	}
 }
 
+// corruptImages are malformed variants of a valid image (mutate gets a
+// private copy) that every reader of shard files must refuse with a
+// *CodecError.
+var corruptImages = []struct {
+	name   string
+	mutate func([]byte) []byte
+}{
+	{"empty", func(b []byte) []byte { return nil }},
+	{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
+	{"bad version", func(b []byte) []byte { b[8] = 99; return b }},
+	{"retired v1 image", func(b []byte) []byte { b[8] = 1; return b }},
+	{"flipped payload bit", func(b []byte) []byte { b[headerSize+3] ^= 0x10; return b }},
+	{"flipped last payload byte", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }},
+	{"flipped crc", func(b []byte) []byte { b[13] ^= 1; return b }},
+	{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"truncated payload", func(b []byte) []byte { return b[:len(b)-1] }},
+	{"header only", func(b []byte) []byte { return b[:headerSize] }},
+	{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
+	{"payload shorter than identity", func(b []byte) []byte {
+		// An intact header and CRC over a 10-byte payload: only the
+		// payload decode can refuse it.
+		payload := b[headerSize : headerSize+10]
+		binary.LittleEndian.PutUint32(b[12:], crc32.ChecksumIEEE(payload))
+		binary.LittleEndian.PutUint64(b[16:], uint64(len(payload)))
+		return b[:headerSize+len(payload)]
+	}},
+}
+
 func TestDecodeRejectsCorruptImages(t *testing.T) {
 	img := EncodeShard(nil, sampleShard(2, 1))
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"empty", func(b []byte) []byte { return nil }},
-		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
-		{"bad version", func(b []byte) []byte { b[8] = 99; return b }},
-		{"retired v1 image", func(b []byte) []byte { b[8] = 1; return b }},
-		{"flipped payload bit", func(b []byte) []byte { b[headerSize+3] ^= 0x10; return b }},
-		{"flipped crc", func(b []byte) []byte { b[13] ^= 1; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptImages {
 		b := tc.mutate(append([]byte(nil), img...))
 		sh, err := DecodeShard(b)
 		if err == nil {

@@ -3,6 +3,8 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -70,6 +72,47 @@ func FuzzDecodeShard(f *testing.F) {
 		// The full-image wrapper must accept what it produces.
 		if _, err := DecodeShard(EncodeShard(nil, sh)); err != nil {
 			t.Fatalf("EncodeShard image of decoded shard rejected: %v", err)
+		}
+	})
+}
+
+// FuzzShardIdentity holds the streamed completeness probe to DecodeShard on
+// arbitrary file contents: ShardIdentity never panics, refuses with the
+// same *CodecError every image whose header or CRC DecodeShard refuses, and
+// reads the identity DecodeShard decodes from every image it accepts. The
+// probe decodes no further than the identity prefix, so an image with an
+// intact header and CRC over a payload malformed past that prefix passes
+// it; DecodeShard refuses it at restore time.
+func FuzzShardIdentity(f *testing.F) {
+	for _, dims := range []int{2, 3} {
+		img := EncodeShard(nil, sampleShard(dims, 0))
+		f.Add(img)
+		for _, tc := range corruptImages {
+			f.Add(tc.mutate(append([]byte(nil), img...)))
+		}
+	}
+	f.Add([]byte(shardMagic))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		path := filepath.Join(t.TempDir(), "rank-0.ckpt")
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, r, s, err := ShardIdentity(path) // must not panic, whatever in is
+		var ce *CodecError
+		if err != nil && !errors.As(err, &ce) {
+			t.Fatalf("probe error is %T (%v), want *CodecError", err, err)
+		}
+		sh, derr := DecodeShard(in)
+		if derr == nil {
+			if err != nil || e != sh.Epoch || r != sh.Rank || s != sh.Size {
+				t.Fatalf("probe gave %d/%d/%d, %v for an image DecodeShard accepts as %d/%d/%d",
+					e, r, s, err, sh.Epoch, sh.Rank, sh.Size)
+			}
+			return
+		}
+		if _, herr := checkImage(in); herr != nil && (err == nil || err.Error() != herr.Error()) {
+			t.Fatalf("probe gave %d/%d/%d, %v for an image DecodeShard refuses with %v", e, r, s, err, herr)
 		}
 	})
 }

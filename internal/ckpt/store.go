@@ -13,6 +13,8 @@ package ckpt
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,20 +86,57 @@ func ReadShard(path string) (*Shard, error) {
 	return DecodeShard(b)
 }
 
-// ShardIdentity reads just the identity prefix of a shard file — the
-// epoch, rank and world size it was written as — after validating the
-// header and CRC. It never decodes the bulk payload, so the completeness
-// scan stays cheap while still refusing shards that merely *look* intact.
+// scanChunk is the read size of ShardIdentity's one pass over a file.
+const scanChunk = 64 << 10
+
+// identityBytes is the length of the identity prefix (epoch, rank, size)
+// that opens every payload.
+const identityBytes = 3 * 8
+
+// ShardIdentity returns the epoch, rank and world size a shard file was
+// written as, after the checks DecodeShard makes before it decodes: the
+// header, the declared against the real payload length, and the CRC of
+// the whole payload, with the same *CodecError cases. It streams the file
+// once through a pooled read buffer into the CRC, keeping only the header
+// and the identity prefix, so the completeness scan reads every byte of a
+// shard (one that merely *looks* intact is refused) without holding the
+// file in memory. The bulk payload is never decoded.
 func ShardIdentity(path string) (epoch, rank, size int, err error) {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("ckpt: %w", err)
 	}
-	payload, err := checkImage(b)
+	defer f.Close()
+	buf := wire.GetBytes(scanChunk)[:scanChunk]
+	defer wire.PutBytes(buf)
+	var head [headerSize + identityBytes]byte
+	var crc uint32
+	n := 0 // bytes read so far
+	for {
+		k, rerr := f.Read(buf)
+		chunk := buf[:k]
+		if n < len(head) {
+			copy(head[n:], chunk)
+		}
+		if n+k > headerSize {
+			crc = crc32.Update(crc, crc32.IEEETable, chunk[max(headerSize-n, 0):])
+		}
+		n += k
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return 0, 0, 0, fmt.Errorf("ckpt: %w", rerr)
+		}
+	}
+	want, err := checkHeader(head[:], n)
+	if err == nil {
+		err = checkCRC(want, crc)
+	}
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	r := wire.Reader{B: payload}
+	r := wire.Reader{B: head[headerSize:min(n, len(head))]}
 	epoch, rank, size = r.Nat("epoch"), r.Nat("rank"), r.Nat("size")
 	return epoch, rank, size, readErr(&r)
 }

@@ -1,13 +1,17 @@
 package ckpt
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"picpar/internal/raceflag"
 )
 
 // captureWarnings redirects the package warning hook into a
@@ -38,8 +42,8 @@ func (c *warnCapture) all() []string {
 	return append([]string(nil), c.msgs...)
 }
 
-// TestShardIdentity: the cheap probe reads exactly the identity prefix and
-// still refuses corrupt files.
+// TestShardIdentity: the probe reads exactly the identity prefix and still
+// refuses corrupt files.
 func TestShardIdentity(t *testing.T) {
 	dir := t.TempDir()
 	sh := sampleShard(2, 2)
@@ -66,6 +70,87 @@ func TestShardIdentity(t *testing.T) {
 	}
 	if _, _, _, err := ShardIdentity(path); err == nil {
 		t.Error("bit-flipped shard produced an identity")
+	}
+}
+
+// TestShardIdentityMatchesDecodeShard: the streamed probe refuses every
+// image DecodeShard refuses, with the same *CodecError, and reads the
+// identity DecodeShard decodes from every image it accepts.
+func TestShardIdentityMatchesDecodeShard(t *testing.T) {
+	dir := t.TempDir()
+	for _, dims := range []int{2, 3} {
+		img := EncodeShard(nil, sampleShard(dims, 1))
+		images := [][]byte{img}
+		for _, tc := range corruptImages {
+			images = append(images, tc.mutate(append([]byte(nil), img...)))
+		}
+		for i, b := range images {
+			name := "intact"
+			if i > 0 {
+				name = corruptImages[i-1].name
+			}
+			path := filepath.Join(dir, fmt.Sprintf("%d-%d.ckpt", dims, i))
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, r, s, err := ShardIdentity(path)
+			sh, derr := DecodeShard(b)
+			if derr != nil {
+				var ce *CodecError
+				if !errors.As(err, &ce) {
+					t.Errorf("dims %d, %s: ShardIdentity gave %d/%d/%d, %v; DecodeShard refused it with %v",
+						dims, name, e, r, s, err, derr)
+				} else if err.Error() != derr.Error() {
+					t.Errorf("dims %d, %s: ShardIdentity error %q, DecodeShard error %q", dims, name, err, derr)
+				}
+				continue
+			}
+			if err != nil || e != sh.Epoch || r != sh.Rank || s != sh.Size {
+				t.Errorf("dims %d, %s: ShardIdentity gave %d/%d/%d, %v; want %d/%d/%d",
+					dims, name, e, r, s, err, sh.Epoch, sh.Rank, sh.Size)
+			}
+		}
+	}
+}
+
+// TestShardIdentityAllocs pins the streamed scan: once its read buffer is
+// in the pool, probing a shard of over 1 MB allocates a few small objects
+// (the open file), never a buffer the size of the file.
+func TestShardIdentityAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	dir := t.TempDir()
+	sh := sampleShard(2, 1)
+	s := sh.Particles
+	for i := s.Len(); i < 1<<15; i++ {
+		f := float64(i)
+		s.X, s.Y = append(s.X, f), append(s.Y, f)
+		s.Px, s.Py, s.Pz = append(s.Px, f), append(s.Py, f), append(s.Pz, f)
+		s.ID, s.Key = append(s.ID, f), append(s.Key, f)
+	}
+	if err := WriteShard(dir, sh); err != nil {
+		t.Fatal(err)
+	}
+	path := ShardPath(dir, sh.Epoch, sh.Rank)
+	if fi, err := os.Stat(path); err != nil || fi.Size() < 1<<20 {
+		t.Fatalf("shard %s: %v, size under 1 MB", path, err)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 { // the first scan warms the pool
+			runtime.ReadMemStats(&m0)
+		}
+		if _, _, _, err := ShardIdentity(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	per := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("warm scan: %.0f B per shard", per)
+	if per >= 16<<10 {
+		t.Errorf("warm ShardIdentity allocates %.0f B per scan, want < 16 KiB", per)
 	}
 }
 

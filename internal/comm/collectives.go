@@ -176,14 +176,14 @@ func AllgatherInts(t Transport, block []int) []int { return Allgather(t, block, 
 
 // AllgatherFloat64s gathers fixed-size float64 blocks from all ranks. It
 // performs exactly the same ring exchange as the generic Allgather (so the
-// simulated cost is identical) but draws its ring buffer from the wire
-// pool and returns the last-held block to it, keeping the per-call
-// allocation down to the result slice.
+// simulated cost is identical) but draws both its ring buffer and the
+// result from the wire pool, so a warm call allocates nothing. The caller
+// owns the result and returns it with wire.Put once it is done with it.
 func AllgatherFloat64s(t Transport, block []float64) []float64 {
 	p := t.Size()
 	id := t.Rank()
 	n := len(block)
-	out := make([]float64, n*p)
+	out := wire.Get(n * p)[:n*p]
 	copy(out[id*n:], block)
 	if p == 1 {
 		return out

@@ -136,3 +136,41 @@ func TestSystolicSteadyStateRecyclesBuffers(t *testing.T) {
 			perRound, payload/4, payload)
 	}
 }
+
+// TestAllgatherSteadyStateRecyclesResult pins the pooled allgather result:
+// once warm, a P=4 AllgatherFloat64s whose caller returns the result with
+// wire.Put allocates far less than the n·P result every rank gets back —
+// the ledger sync's pattern. A result allocated per call costs them all.
+func TestAllgatherSteadyStateRecyclesResult(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	const p, n = 4, 1 << 12
+	results := float64(p * p * n * Float64Bytes)
+	w := newTestWorld(p, machine.CM5())
+	defer w.Close()
+	var perRound float64
+	w.Run(func(r Transport) {
+		block := make([]float64, n)
+		for i := range block {
+			block[i] = float64(r.Rank())
+		}
+		round := func() {
+			all := AllgatherFloat64s(r, block)
+			for k := 0; k < p; k++ {
+				if all[k*n] != float64(k) || all[k*n+n-1] != float64(k) {
+					panic("pooled allgather result holds a wrong block")
+				}
+			}
+			wire.Put(all)
+		}
+		if b := steadyBytesPerRound(r, 10, 50, round); r.Rank() == 0 {
+			perRound = b
+		}
+	})
+	t.Logf("warm allgather: %.0f B per round for %.0f B of results", perRound, results)
+	if perRound >= results/4 {
+		t.Errorf("warm allgather allocates %.0f B per round, want < %.0f (a quarter of the %.0f B of results)",
+			perRound, results/4, results)
+	}
+}

@@ -171,14 +171,18 @@ func (st *rankState) buildShard(epoch int, res *Result) *ckpt.Shard {
 	for i := range src {
 		sh.Fields[i] = src[i]
 	}
-	bounds := st.inc.ExportBounds(nil)
-	sh.Bounds, sh.UpperKey = bounds[:len(bounds)-1], bounds[len(bounds)-1]
+	// Bounds and ledger share the rank's shard scratch: WriteShard encodes
+	// the shard before writeEpoch returns, so the next epoch may reuse it.
+	buf := st.inc.ExportBounds(st.shardBuf[:0])
+	nb := len(buf)
+	buf = st.led.Export(buf)
+	st.shardBuf = buf
+	cells := st.led.Cells()
+	sh.Bounds, sh.UpperKey = buf[:nb-1], buf[nb-1]
+	sh.LedgerCost, sh.LedgerCount = buf[nb:nb+cells], buf[nb+cells:]
 	if sc, ok := st.pol.(policy.StateCodec); ok {
 		sh.PolicyState = sc.AppendState(nil)
 	}
-	ledger := st.led.Export(nil)
-	cells := st.led.Cells()
-	sh.LedgerCost, sh.LedgerCount = ledger[:cells], ledger[cells:]
 	if r.Rank() == 0 {
 		sh.Records = make([]ckpt.Record, epoch)
 		for i := 0; i < epoch; i++ {

@@ -204,6 +204,9 @@ type rankState struct {
 	// carry so a restored run resumes the same TotalTime accounting.
 	runStart float64
 	initTime float64
+	// shardBuf is buildShard's scratch for the exported bucket bounds and
+	// ledger estimates, reused from epoch to epoch.
+	shardBuf []float64
 	// Parsed PICPAR_CRASH chaos hook (checkpoint.go), armed once per run so
 	// a malformed spec warns once, not once per iteration.
 	crashRank, crashIter int

@@ -12,6 +12,7 @@ import (
 	"picpar/internal/machine"
 	"picpar/internal/policy"
 	"picpar/internal/pusher"
+	"picpar/internal/wire"
 )
 
 // ghostVertexWork approximates the δ units one off-processor footprint
@@ -54,9 +55,10 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 
 // syncWeights synchronises the cost ledgers: every rank's decayed per-cell
 // (cost, count) estimates are allgathered and summed in rank order, so all
-// ranks derive bit-identical global estimates. The exchange is charged to
-// the caller's current phase — it only ever runs on the cost-weighted or
-// adaptive paths, never under the default strategies.
+// ranks derive bit-identical global estimates; the allgather result then
+// goes back to the wire pool. The exchange is charged to the caller's
+// current phase — it only ever runs on the cost-weighted or adaptive
+// paths, never under the default strategies.
 func (st *rankState) syncWeights() {
 	nc := st.led.Cells()
 	st.ledgerBuf = st.led.Export(st.ledgerBuf[:0])
@@ -77,6 +79,7 @@ func (st *rankState) syncWeights() {
 			st.gN[c] += all[base+nc+c]
 		}
 	}
+	wire.Put(all)
 }
 
 // particleWeightFn synchronises the ledgers and returns the per-particle

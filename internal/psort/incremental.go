@@ -224,6 +224,7 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 
 	// Lines 3–14: classify, then marshal the off-processor particles.
 	st := inc.classify(r, s, globalUpper)
+	wire.Put(globalUpper)
 	send, counts := inc.pack(r, s)
 
 	// Lines 15–20: exchange the traffic table, then all-to-many.

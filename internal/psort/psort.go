@@ -134,6 +134,7 @@ func (inc *Incremental) Distribute(r comm.Transport, s *particle.Store, ex *comm
 	for k := 1; k < p; k++ {
 		splitters[k-1] = all[k*p]
 	}
+	wire.Put(all)
 
 	// Partition the sorted local array at the splitters.
 	cuts := make([]int, p+1)

@@ -17,6 +17,7 @@ import (
 	"picpar/internal/comm"
 	"picpar/internal/mesh"
 	"picpar/internal/particle"
+	"picpar/internal/wire"
 )
 
 // weighWorkPerParticle is the modelled δ units to evaluate and quantize
@@ -60,6 +61,7 @@ func (inc *Incremental) weightedBalanceInto(r comm.Transport, s, out *particle.S
 		}
 		total += int(head[2*k+1])
 	}
+	wire.Put(head)
 
 	scale := mesh.WeightScale(maxW)
 	localW := int64(0)
@@ -78,6 +80,7 @@ func (inc *Incremental) weightedBalanceInto(r comm.Transport, s, out *particle.S
 			before += v
 		}
 	}
+	wire.Put(sums)
 
 	if p == 1 || total == 0 || totW <= 0 {
 		return inc.loadBalanceInto(r, s, out, ex)

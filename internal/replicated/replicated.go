@@ -23,6 +23,7 @@ import (
 	"picpar/internal/particle"
 	"picpar/internal/pic"
 	"picpar/internal/pusher"
+	"picpar/internal/wire"
 )
 
 // Result summarises a replicated-mesh run with the same headline fields as
@@ -256,6 +257,7 @@ func fieldSolveReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, j0, j1 in
 	// Global concatenation of the new E (3·m values), then install.
 	allE := comm.AllgatherFloat64s(r, eBuf)
 	installRows3(g, r.Size(), maxRows, allE, fm.Ex, fm.Ey, fm.Ez)
+	wire.Put(allE)
 
 	bBuf := make([]float64, 3*maxRows*nx)
 	for j := j0; j < j1; j++ {
@@ -276,6 +278,7 @@ func fieldSolveReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, j0, j1 in
 	r.Compute(rows * nx * fieldSolveWork)
 	allB := comm.AllgatherFloat64s(r, bBuf)
 	installRows3(g, r.Size(), maxRows, allB, fm.Bx, fm.By, fm.Bz)
+	wire.Put(allB)
 }
 
 // installRows3 unpacks an allgathered per-rank row-block buffer of 3

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full CI gate: vet, build, the one-body, kernel, deleted-path,
 # message-buffer and one-codec grep audits, plain tests (root and the
-# benchmark module), short fuzz runs of both binary decoders, race-enabled
+# benchmark module), short fuzz runs of both binary decoders and the
+# checkpoint shard probe, race-enabled
 # tests, the layout-strategy comparison (2-D and 3-D), the per-phase
 # traffic regression gate, the 2-D and 3-D golden pins, the multi-process
 # TCP smoke (loopback golden + kill -9 crash detection + kill-and-recover
@@ -141,10 +142,11 @@ fi
 echo "== go test =="
 go test ./...
 
-echo "== fuzz (15 s per binary decoder) =="
+echo "== fuzz (15 s per binary decoder and the shard probe) =="
 # The committed corpora replay in go test; these are short real searches.
 go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/comm/
 go test -run '^$' -fuzz FuzzDecodeShard -fuzztime 15s ./internal/ckpt/
+go test -run '^$' -fuzz FuzzShardIdentity -fuzztime 15s ./internal/ckpt/
 
 echo "== benchmark module (vet + test) =="
 # benchmark/ is its own Go module: the root ./... patterns cannot see it,
