@@ -7,8 +7,6 @@
 package field
 
 import (
-	"math"
-
 	"picpar/internal/comm"
 	"picpar/internal/mesh3"
 	"picpar/internal/par"
@@ -287,23 +285,4 @@ func (l *Local3) Energy() float64 {
 		}
 	}
 	return e / 2
-}
-
-// MaxAbs returns the largest |value| across the six field components of the
-// owned region.
-func (l *Local3) MaxAbs() float64 {
-	m := 0.0
-	for k := 0; k < l.Nz; k++ {
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				c := l.Idx(i, j, k)
-				for _, v := range [6]float64{l.Ex[c], l.Ey[c], l.Ez[c], l.Bx[c], l.By[c], l.Bz[c]} {
-					if a := math.Abs(v); a > m {
-						m = a
-					}
-				}
-			}
-		}
-	}
-	return m
 }

@@ -149,6 +149,9 @@ type Geometry interface {
 	// Generate creates the global initial population for this geometry's
 	// domain (a store of the matching dimensionality).
 	Generate(cfg GenConfig) (*particle.Store, error)
+	// Generator returns the generator of the population Generate creates,
+	// for filling it chunk by chunk.
+	Generator(cfg GenConfig) (*particle.Generator, error)
 	// NewStore returns an empty store of this geometry's dimensionality.
 	NewStore(n int, charge, mass float64) *particle.Store
 	// NewFields allocates rank r's field substrate. pool spreads the

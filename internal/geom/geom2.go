@@ -206,7 +206,17 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 
 // Generate implements Geometry.
 func (ge *G2) Generate(cfg GenConfig) (*particle.Store, error) {
-	return particle.Generate(particle.Config{
+	return particle.Generate(ge.genConfig(cfg))
+}
+
+// Generator implements Geometry.
+func (ge *G2) Generator(cfg GenConfig) (*particle.Generator, error) {
+	return particle.NewGenerator(ge.genConfig(cfg))
+}
+
+// genConfig is cfg over this geometry's domain.
+func (ge *G2) genConfig(cfg GenConfig) particle.Config {
+	return particle.Config{
 		N:            cfg.N,
 		Lx:           ge.G.Lx,
 		Ly:           ge.G.Ly,
@@ -216,7 +226,7 @@ func (ge *G2) Generate(cfg GenConfig) (*particle.Store, error) {
 		Drift:        cfg.Drift,
 		Charge:       cfg.Charge,
 		Mass:         1,
-	})
+	}
 }
 
 // NewStore implements Geometry.

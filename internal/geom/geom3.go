@@ -207,7 +207,17 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 
 // Generate implements Geometry.
 func (ge *G3) Generate(cfg GenConfig) (*particle.Store, error) {
-	return particle.Generate3(particle.Config3{
+	return particle.Generate3(ge.genConfig(cfg))
+}
+
+// Generator implements Geometry.
+func (ge *G3) Generator(cfg GenConfig) (*particle.Generator, error) {
+	return particle.NewGenerator3(ge.genConfig(cfg))
+}
+
+// genConfig is cfg over this geometry's domain.
+func (ge *G3) genConfig(cfg GenConfig) particle.Config3 {
+	return particle.Config3{
 		N:            cfg.N,
 		Lx:           ge.G.Lx,
 		Ly:           ge.G.Ly,
@@ -218,7 +228,7 @@ func (ge *G3) Generate(cfg GenConfig) (*particle.Store, error) {
 		Drift:        cfg.Drift,
 		Charge:       cfg.Charge,
 		Mass:         1,
-	})
+	}
 }
 
 // NewStore implements Geometry.

@@ -14,7 +14,7 @@ import "fmt"
 // consumes modelled charges (already aggregated by the caller from the
 // Stats phase deltas) — it never reads wall-clock time, so its contents
 // are deterministic and invariant under the shared-memory worker count.
-// All storage is preallocated at construction and reused: Observe/Commit
+// All storage is preallocated at construction and reused: ObserveN/Commit
 // allocate nothing in steady state (touched has capacity for every cell).
 type CostLedger struct {
 	alpha     float64   // decay weight of the newest iteration
@@ -52,10 +52,6 @@ func NewCostLedger(cells int, alpha float64) *CostLedger {
 // Cells returns the ledger's cell-space size.
 func (l *CostLedger) Cells() int { return len(l.cost) }
 
-// Observe records that one particle spent this iteration in cell c.
-// Out-of-range cells are ignored.
-func (l *CostLedger) Observe(c int) { l.ObserveN(c, 1) }
-
 // ObserveN records one particle in cell c performing `units` units of
 // modelled work this iteration (e.g. base phase work plus its share of
 // off-processor ghost operations). Commit apportions the measured cost
@@ -81,7 +77,7 @@ func (l *CostLedger) ObserveN(c, units int) {
 // Commit folds the iteration's observations into the decayed estimates,
 // attributing the iteration's total particle-phase cost proportionally to
 // each cell's observed work units (uniform per particle when every
-// observation used Observe's unit weight). Resets the per-iteration
+// observation carried one unit). Resets the per-iteration
 // scratch.
 func (l *CostLedger) Commit(cost float64) {
 	keep := 1 - l.alpha

@@ -10,9 +10,9 @@ import (
 // by alpha.
 func TestCostLedgerAttribution(t *testing.T) {
 	l := NewCostLedger(4, 0.5)
-	l.Observe(0)
-	l.Observe(0)
-	l.Observe(2)
+	l.ObserveN(0, 1)
+	l.ObserveN(0, 1)
+	l.ObserveN(2, 1)
 	l.Commit(30)
 	// 3 particles share cost 30 → 10 each; alpha 0.5.
 	if got := l.cost[0]; got != 0.5*20 {
@@ -34,8 +34,8 @@ func TestCostLedgerAttribution(t *testing.T) {
 func TestCostLedgerDecay(t *testing.T) {
 	l := NewCostLedger(2, 0.3)
 	for i := 0; i < 200; i++ {
-		l.Observe(0)
-		l.Observe(1)
+		l.ObserveN(0, 1)
+		l.ObserveN(1, 1)
 		l.Commit(8)
 	}
 	// Fixed point: cost = (1-a)·cost + a·4 → cost → 4.
@@ -61,8 +61,8 @@ func TestCostLedgerDeterministic(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		for i := 0; i < 100; i++ {
 			c := (iter*31 + i*7) % 16
-			a.Observe(c)
-			b.Observe(c)
+			a.ObserveN(c, 1)
+			b.ObserveN(c, 1)
 		}
 		cost := float64(iter%5) + 0.25
 		a.Commit(cost)
@@ -79,9 +79,9 @@ func TestCostLedgerDeterministic(t *testing.T) {
 // TestCostLedgerOutOfRange: stray cell ids are dropped, not a panic.
 func TestCostLedgerOutOfRange(t *testing.T) {
 	l := NewCostLedger(2, 0.5)
-	l.Observe(-1)
-	l.Observe(2)
-	l.Observe(0)
+	l.ObserveN(-1, 1)
+	l.ObserveN(2, 1)
+	l.ObserveN(0, 1)
 	l.Commit(10)
 	if l.cost[0] != 0.5*10 {
 		t.Errorf("cell 0 cost %g, want 5 (out-of-range observations must not dilute)", l.cost[0])
@@ -91,7 +91,7 @@ func TestCostLedgerOutOfRange(t *testing.T) {
 // TestCostLedgerExport: Export appends cost then count and reuses dst.
 func TestCostLedgerExport(t *testing.T) {
 	l := NewCostLedger(3, 1)
-	l.Observe(1)
+	l.ObserveN(1, 1)
 	l.Commit(6)
 	buf := make([]float64, 0, 6)
 	out := l.Export(buf)
@@ -107,7 +107,7 @@ func TestCostLedgerExport(t *testing.T) {
 }
 
 // TestCostLedgerZeroAllocSteadyState: after construction, a full
-// Observe-all/Commit cycle allocates nothing — the acceptance criterion
+// ObserveN-all/Commit cycle allocates nothing — the acceptance criterion
 // for running the ledger inside the iteration loop.
 func TestCostLedgerZeroAllocSteadyState(t *testing.T) {
 	const cells = 256
@@ -115,7 +115,7 @@ func TestCostLedgerZeroAllocSteadyState(t *testing.T) {
 	buf := make([]float64, 0, 2*cells)
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 1000; i++ {
-			l.Observe(i % cells) // touches every cell: worst-case touched growth
+			l.ObserveN(i%cells, 1) // touches every cell: worst-case touched growth
 		}
 		l.Commit(12.5)
 		buf = l.Export(buf[:0])

@@ -246,18 +246,6 @@ func (d *Dist) LocalSize(r int) (nx, ny, nz int) {
 	return i1 - i0, j1 - j0, k1 - k0
 }
 
-// MaxLocalPoints returns the largest owned block over all ranks.
-func (d *Dist) MaxLocalPoints() int {
-	m := 0
-	for r := 0; r < d.P; r++ {
-		nx, ny, nz := d.LocalSize(r)
-		if nx*ny*nz > m {
-			m = nx * ny * nz
-		}
-	}
-	return m
-}
-
 // OwnerOfPoint returns the rank owning grid point (i, j, k), wrapped.
 func (d *Dist) OwnerOfPoint(i, j, k int) int {
 	i = wrap(i, d.G.Nx)

@@ -42,22 +42,33 @@ func (c Config3) withDefaults() Config3 {
 
 // Generate3 creates the global 3-D particle population for a simulation.
 func Generate3(cfg Config3) (*Store, error) {
+	g, err := NewGenerator3(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := NewStore3(cfg.N, g.charge, g.mass)
+	g.Fill(s, cfg.N)
+	return s, nil
+}
+
+// NewGenerator3 returns the generator of the 3-D population cfg describes.
+func NewGenerator3(cfg Config3) (*Generator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 0 || cfg.Lx <= 0 || cfg.Ly <= 0 || cfg.Lz <= 0 {
 		return nil, fmt.Errorf("particle: invalid 3-D config n=%d domain=%gx%gx%g", cfg.N, cfg.Lx, cfg.Ly, cfg.Lz)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := NewStore3(cfg.N, cfg.Charge, cfg.Mass)
+	g := &Generator{charge: cfg.Charge, mass: cfg.Mass}
 	switch cfg.Distribution {
 	case DistUniform, "":
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			s.Append3(rng.Float64()*cfg.Lx, rng.Float64()*cfg.Ly, rng.Float64()*cfg.Lz,
 				rng.NormFloat64()*cfg.Thermal, rng.NormFloat64()*cfg.Thermal,
 				rng.NormFloat64()*cfg.Thermal, float64(i))
 		}
 	case DistIrregular:
 		sx, sy, sz := cfg.Sigma*cfg.Lx, cfg.Sigma*cfg.Ly, cfg.Sigma*cfg.Lz
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			x := gaussInDomain(rng, cfg.Lx/2, sx, cfg.Lx)
 			y := gaussInDomain(rng, cfg.Ly/2, sy, cfg.Ly)
 			z := gaussInDomain(rng, cfg.Lz/2, sz, cfg.Lz)
@@ -66,7 +77,7 @@ func Generate3(cfg Config3) (*Store, error) {
 				rng.NormFloat64()*cfg.Thermal, float64(i))
 		}
 	case DistTwoStream:
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			drift := cfg.Drift
 			if i%2 == 1 {
 				drift = -cfg.Drift
@@ -77,7 +88,7 @@ func Generate3(cfg Config3) (*Store, error) {
 		}
 	case DistBeam:
 		sx, sy, sz := cfg.Sigma*cfg.Lx, cfg.Sigma*cfg.Ly, cfg.Sigma*cfg.Lz
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			x := gaussInDomain(rng, cfg.Lx*0.15, sx, cfg.Lx)
 			y := gaussInDomain(rng, cfg.Ly/2, sy, cfg.Ly)
 			z := gaussInDomain(rng, cfg.Lz/2, sz, cfg.Lz)
@@ -88,7 +99,7 @@ func Generate3(cfg Config3) (*Store, error) {
 		}
 	case DistSpike:
 		sx, sy, sz := 0.03*cfg.Lx, 0.03*cfg.Ly, 0.03*cfg.Lz
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			var x, y, z float64
 			if i%5 == 0 { // uniform background, every fifth particle
 				x, y, z = rng.Float64()*cfg.Lx, rng.Float64()*cfg.Ly, rng.Float64()*cfg.Lz
@@ -102,7 +113,7 @@ func Generate3(cfg Config3) (*Store, error) {
 				rng.NormFloat64()*cfg.Thermal, float64(i))
 		}
 	case DistCollapse:
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			x, y, z := rng.Float64()*cfg.Lx, rng.Float64()*cfg.Ly, rng.Float64()*cfg.Lz
 			dx, dy, dz := cfg.Lx/2-x, cfg.Ly/2-y, cfg.Lz/2-z
 			norm := math.Sqrt(dx*dx + dy*dy + dz*dz)
@@ -117,5 +128,5 @@ func Generate3(cfg Config3) (*Store, error) {
 	default:
 		return nil, fmt.Errorf("particle: unknown distribution %q", cfg.Distribution)
 	}
-	return s, nil
+	return g, nil
 }

@@ -22,9 +22,6 @@ import (
 // concrete store.
 const WireFloats = 7
 
-// WireBytes is the modelled wire size of one 2-D particle.
-const WireBytes = WireFloats * 8
-
 // Store holds particles of one species in structure-of-arrays layout.
 // All slices always have equal length. Z is nil for two-dimensional
 // populations and present (same length as X) for three-dimensional ones —
@@ -238,10 +235,9 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// MarshalRange packs particles [lo, hi) into dst (len ≥ (hi−lo)·WireFloats())
-// for transmission and returns the filled prefix. 3-D stores emit z after y.
+// MarshalRange appends particles [lo, hi) to dst in wire layout for
+// transmission and returns the extended slice. 3-D stores emit z after y.
 func (s *Store) MarshalRange(dst []float64, lo, hi int) []float64 {
-	dst = dst[:0]
 	if s.Z != nil {
 		for i := lo; i < hi; i++ {
 			dst = append(dst, s.X[i], s.Y[i], s.Z[i], s.Px[i], s.Py[i], s.Pz[i], s.ID[i], s.Key[i])
@@ -254,9 +250,9 @@ func (s *Store) MarshalRange(dst []float64, lo, hi int) []float64 {
 	return dst
 }
 
-// MarshalIndices packs the particles at the given indices.
+// MarshalIndices appends the particles at the given indices to dst, as
+// MarshalRange does.
 func (s *Store) MarshalIndices(dst []float64, idx []int) []float64 {
-	dst = dst[:0]
 	if s.Z != nil {
 		for _, i := range idx {
 			dst = append(dst, s.X[i], s.Y[i], s.Z[i], s.Px[i], s.Py[i], s.Pz[i], s.ID[i], s.Key[i])
@@ -370,17 +366,47 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Generator emits a population in id order, from one random stream: every
+// Fill appends the next run of ids, so a population filled in chunks is bit
+// for bit the one a single Generate call makes. Each distribution is one
+// emit function, shared by both.
+type Generator struct {
+	next         int
+	emit         func(s *Store, i int)
+	charge, mass float64
+}
+
+// Fill appends the next n particles of the population to s, which must
+// have the generator's dimensionality.
+func (g *Generator) Fill(s *Store, n int) {
+	s.Grow(n)
+	for end := g.next + n; g.next < end; g.next++ {
+		g.emit(s, g.next)
+	}
+}
+
 // Generate creates the global particle population for a simulation.
 func Generate(cfg Config) (*Store, error) {
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := NewStore(cfg.N, g.charge, g.mass)
+	g.Fill(s, cfg.N)
+	return s, nil
+}
+
+// NewGenerator returns the generator of the 2-D population cfg describes.
+func NewGenerator(cfg Config) (*Generator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 0 || cfg.Lx <= 0 || cfg.Ly <= 0 {
 		return nil, fmt.Errorf("particle: invalid config n=%d domain=%gx%g", cfg.N, cfg.Lx, cfg.Ly)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := NewStore(cfg.N, cfg.Charge, cfg.Mass)
+	g := &Generator{charge: cfg.Charge, mass: cfg.Mass}
 	switch cfg.Distribution {
 	case DistUniform, "":
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			s.Append(rng.Float64()*cfg.Lx, rng.Float64()*cfg.Ly,
 				rng.NormFloat64()*cfg.Thermal, rng.NormFloat64()*cfg.Thermal,
 				rng.NormFloat64()*cfg.Thermal, float64(i))
@@ -390,14 +416,14 @@ func Generate(cfg Config) (*Store, error) {
 		// paper's "irregularly distributed particles ... concentrated in
 		// the center of the domain".
 		sx, sy := cfg.Sigma*cfg.Lx, cfg.Sigma*cfg.Ly
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			x, y := gaussInDomain(rng, cfg.Lx/2, sx, cfg.Lx), gaussInDomain(rng, cfg.Ly/2, sy, cfg.Ly)
 			s.Append(x, y,
 				rng.NormFloat64()*cfg.Thermal, rng.NormFloat64()*cfg.Thermal,
 				rng.NormFloat64()*cfg.Thermal, float64(i))
 		}
 	case DistTwoStream:
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			drift := cfg.Drift
 			if i%2 == 1 {
 				drift = -cfg.Drift
@@ -410,7 +436,7 @@ func Generate(cfg Config) (*Store, error) {
 		// A compact beam near the left edge drifting right: the moving
 		// hot-spot workload that makes redistribution matter most.
 		sx, sy := cfg.Sigma*cfg.Lx, cfg.Sigma*cfg.Ly
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			x := gaussInDomain(rng, cfg.Lx*0.15, sx, cfg.Lx)
 			y := gaussInDomain(rng, cfg.Ly/2, sy, cfg.Ly)
 			s.Append(x, y,
@@ -420,7 +446,7 @@ func Generate(cfg Config) (*Store, error) {
 		}
 	case DistSpike:
 		sx, sy := 0.03*cfg.Lx, 0.03*cfg.Ly
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			var x, y float64
 			if i%5 == 0 { // uniform background, every fifth particle
 				x, y = rng.Float64()*cfg.Lx, rng.Float64()*cfg.Ly
@@ -433,7 +459,7 @@ func Generate(cfg Config) (*Store, error) {
 				rng.NormFloat64()*cfg.Thermal, float64(i))
 		}
 	case DistCollapse:
-		for i := 0; i < cfg.N; i++ {
+		g.emit = func(s *Store, i int) {
 			x, y := rng.Float64()*cfg.Lx, rng.Float64()*cfg.Ly
 			dx, dy := cfg.Lx/2-x, cfg.Ly/2-y
 			norm := math.Hypot(dx, dy)
@@ -448,7 +474,7 @@ func Generate(cfg Config) (*Store, error) {
 	default:
 		return nil, fmt.Errorf("particle: unknown distribution %q", cfg.Distribution)
 	}
-	return s, nil
+	return g, nil
 }
 
 // gaussInDomain samples a Gaussian and resamples until it lands inside

@@ -2,16 +2,82 @@ package pic
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
 	"picpar/internal/comm"
 	"picpar/internal/commtest"
+	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/particle"
 	"picpar/internal/partition"
 	"picpar/internal/psort"
 )
+
+// bootWorld is one boot configuration: the run config with its geometry
+// and link-set plan, as runRank builds them.
+type bootWorld struct {
+	cfg Config
+	ge  geom.Geometry
+	pl  topoPlan
+}
+
+func newBootWorld(t *testing.T, dims, p int, dist, topo string) bootWorld {
+	t.Helper()
+	cfg := base()
+	if dims == 3 {
+		cfg = base3()
+	}
+	cfg.P, cfg.Distribution, cfg.Topology = p, dist, topo
+	cfg.NumParticles = 1999 // no P here divides it
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	ge, err := newGeometry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := buildTopoPlan(cfg, ge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bootWorld{cfg: cfg, ge: ge, pl: pl}
+}
+
+// run calls boot on a fresh rank state of every rank and returns each
+// rank's store afterwards.
+func (w bootWorld) run(boot func(st *rankState)) []*particle.Store {
+	var mu sync.Mutex
+	stores := make([]*particle.Store, w.cfg.P)
+	commtest.Launch(w.cfg.P, machine.CM5(), func(r comm.Transport) {
+		st := &rankState{r: r, cfg: w.cfg, ge: w.ge, inc: psort.NewIncremental(psort.DefaultBuckets),
+			bootEx: w.pl.bootEx, dataEx: w.pl.dataEx, topo: w.pl.topo}
+		boot(st)
+		mu.Lock()
+		defer mu.Unlock()
+		stores[r.Rank()] = st.store
+	})
+	return stores
+}
+
+// generate returns the whole population the run's configuration names.
+func (w bootWorld) generate(t *testing.T) *particle.Store {
+	t.Helper()
+	s, err := w.ge.Generate(geom.GenConfig{
+		N:            w.cfg.NumParticles,
+		Distribution: w.cfg.Distribution,
+		Seed:         w.cfg.Seed,
+		Thermal:      w.cfg.Thermal,
+		Drift:        w.cfg.Drift,
+		Charge:       w.cfg.MacroCharge,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestBootLayoutMatchesPartitionOracle runs the initial distribution as
 // runRank does — deal or receive a chunk, assign keys, the sample sort
@@ -38,48 +104,85 @@ func TestBootLayoutMatchesPartitionOracle(t *testing.T) {
 }
 
 func checkBootLayout(t *testing.T, dims, p int, dist, topo string) {
-	cfg := base()
-	if dims == 3 {
-		cfg = base3()
-	}
-	cfg.P, cfg.Distribution, cfg.Topology = p, dist, topo
-	cfg.NumParticles = 1999 // no P here divides it
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		t.Fatal(err)
-	}
-	ge, err := newGeometry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := buildTopoPlan(cfg, ge)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	owner := make([]int, cfg.NumParticles)
+	w := newBootWorld(t, dims, p, dist, topo)
+	owner := make([]int, w.cfg.NumParticles)
 	for i := range owner {
 		owner[i] = -1
 	}
-	commtest.Launch(p, machine.CM5(), func(r comm.Transport) {
-		st := &rankState{r: r, cfg: cfg, ge: ge, inc: psort.NewIncremental(psort.DefaultBuckets),
-			bootEx: pl.bootEx, dataEx: pl.dataEx, topo: pl.topo}
-		st.initialDistribution()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, id := range st.store.ID {
+	for rank, s := range w.run((*rankState).initialDistribution) {
+		for _, id := range s.ID {
 			if owner[int(id)] != -1 {
-				t.Errorf("particle %v on ranks %d and %d", id, owner[int(id)], r.Rank())
+				t.Errorf("particle %v on ranks %d and %d", id, owner[int(id)], rank)
 			}
-			owner[int(id)] = r.Rank()
+			owner[int(id)] = rank
 		}
-	})
+	}
 
-	want := partition.BuildIndependent(ge, population(cfg, ge))
+	want := partition.BuildIndependent(w.ge, w.generate(t))
 	for id, got := range owner {
 		if got != want.Particles[id] {
 			t.Fatalf("particle %d booted on rank %d, partition oracle says %d", id, got, want.Particles[id])
 		}
 	}
+}
+
+// TestDealtChunksConcatenateToGenerate pins the chunked generation: rank 0
+// generates the population chunk by chunk as it deals it, and the dealt
+// chunks, concatenated in rank order, must be the store Generate (2-D) or
+// Generate3 (3-D) makes in one call — every column bit for bit, ids
+// included — for every distribution, on both link sets.
+func TestDealtChunksConcatenateToGenerate(t *testing.T) {
+	dists := []string{particle.DistUniform, particle.DistIrregular, particle.DistTwoStream,
+		particle.DistBeam, particle.DistSpike, particle.DistCollapse}
+	for _, dims := range []int{2, 3} {
+		for _, p := range []int{1, 3, 4, 7} {
+			for _, dist := range dists {
+				for _, topo := range []string{TopologyFullMesh, TopologyNeighborSparse} {
+					name := fmt.Sprintf("%dD/P%d/%s/%s", dims, p, dist, topo)
+					t.Run(name, func(t *testing.T) {
+						w := newBootWorld(t, dims, p, dist, topo)
+						deal := func(st *rankState) {
+							if st.r.Rank() == 0 {
+								st.dealChunks()
+							} else {
+								st.recvChunk()
+							}
+						}
+						chunks := w.run(deal)
+						all := chunks[0].NewLike(w.cfg.NumParticles)
+						for _, c := range chunks {
+							all.AppendRange(c, 0, c.Len())
+						}
+						if msg := diffStores(all, w.generate(t)); msg != "" {
+							t.Fatal(msg)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// diffStores describes the first difference between two stores, every
+// column bit for bit plus the layout and species constants, or returns "".
+func diffStores(got, want *particle.Store) string {
+	if got.Len() != want.Len() || got.Dims() != want.Dims() {
+		return fmt.Sprintf("%d %d-D particles, want %d %d-D", got.Len(), got.Dims(), want.Len(), want.Dims())
+	}
+	if got.Charge != want.Charge || got.Mass != want.Mass {
+		return fmt.Sprintf("species (%g, %g), want (%g, %g)", got.Charge, got.Mass, want.Charge, want.Mass)
+	}
+	cols := []struct {
+		name string
+		a, b []float64
+	}{{"x", got.X, want.X}, {"y", got.Y, want.Y}, {"z", got.Z, want.Z}, {"px", got.Px, want.Px},
+		{"py", got.Py, want.Py}, {"pz", got.Pz, want.Pz}, {"id", got.ID, want.ID}, {"key", got.Key, want.Key}}
+	for _, c := range cols {
+		for i := range c.b {
+			if math.Float64bits(c.a[i]) != math.Float64bits(c.b[i]) {
+				return fmt.Sprintf("particle %d: %s = %v, want %v", i, c.name, c.a[i], c.b[i])
+			}
+		}
+	}
+	return ""
 }

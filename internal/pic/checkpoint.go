@@ -175,7 +175,7 @@ func (st *rankState) buildShard(epoch int, res *Result) *ckpt.Shard {
 	// the shard before writeEpoch returns, so the next epoch may reuse it.
 	buf := st.inc.ExportBounds(st.shardBuf[:0])
 	nb := len(buf)
-	buf = st.led.Export(buf)
+	buf = st.ledger().Export(buf)
 	st.shardBuf = buf
 	cells := st.led.Cells()
 	sh.Bounds, sh.UpperKey = buf[:nb-1], buf[nb-1]
@@ -295,7 +295,7 @@ func (st *rankState) restoreShard(sh *ckpt.Shard, res *Result) {
 			r.Rank(), sh.Epoch, len(sh.PolicyState)))
 	}
 	ledger := append(sh.LedgerCost, sh.LedgerCount...)
-	if err := st.led.Import(ledger); err != nil {
+	if err := st.ledger().Import(ledger); err != nil {
 		panic(fmt.Sprintf("pic: rank %d restore epoch %d: %v", r.Rank(), sh.Epoch, err))
 	}
 	*r.Stats() = sh.Stats

@@ -192,7 +192,8 @@ type rankState struct {
 	topo       *comm.Topology
 	scatterFar bool
 	// led accumulates measured per-cell phase costs between redistributions
-	// (strategy.go).
+	// (strategy.go). It is built on first use (see ledger): a run that
+	// never observes costs builds it only for a checkpoint's ledger block.
 	led *machine.CostLedger
 	// observeLedger gates the per-iteration cost observation: real
 	// wall-clock work per particle (never simulated time), skipped when the
@@ -262,7 +263,6 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 	st.armCrashHook()
 	st.inc.SetExchanger(st.dataEx)
 	st.farr = st.fields.Arrays()
-	st.led = machine.NewCostLedger(ge.NumCells(), machine.DefaultLedgerDecay)
 	if u, ok := st.pol.(policy.CostWeightUser); ok {
 		st.observeLedger = u.UsesCostWeights()
 	} else {
@@ -447,13 +447,13 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 	}
 }
 
-// initialDistribution generates the global population on rank 0, deals
-// contiguous chunks to all ranks, and sample-sorts by SFC key so every rank
-// starts with a compact, balanced, mesh-aligned particle subdomain.
+// initialDistribution deals the global population from rank 0 in
+// contiguous chunks and sample-sorts by SFC key so every rank starts with a
+// compact, balanced, mesh-aligned particle subdomain.
 func (st *rankState) initialDistribution() {
 	r := st.r
 	if r.Rank() == 0 {
-		st.dealChunks(population(st.cfg, st.ge))
+		st.dealChunks()
 	} else {
 		st.recvChunk()
 	}
@@ -462,52 +462,60 @@ func (st *rankState) initialDistribution() {
 	st.inc.Prime(st.store)
 }
 
-// population returns a copy of the run's global particle population:
-// cfg.CustomParticles, or the configured distribution generated under ge.
-// Particle ids are the generation indices.
-func population(cfg Config, ge geom.Geometry) *particle.Store {
-	if cfg.CustomParticles != nil {
-		return cfg.CustomParticles.Clone()
-	}
-	global, err := ge.Generate(geom.GenConfig{
-		N:            cfg.NumParticles,
-		Distribution: cfg.Distribution,
-		Seed:         cfg.Seed,
-		Thermal:      cfg.Thermal,
-		Drift:        cfg.Drift,
-		Charge:       cfg.MacroCharge,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("pic: generate: %v", err))
-	}
-	return global
-}
-
-// dealChunks ships contiguous chunks of the rank-0 global population to
-// every rank. The classic path is one point-to-point message per
-// destination; under a sparse topology that scatter cannot use direct
-// links, so the chunks ride the systolic ring instead (skeleton links
-// only, same payloads). Rank 0's own chunk is the head of the population,
-// so the generated store, cut to it, becomes rank 0's store.
-func (st *rankState) dealChunks(global *particle.Store) {
+// dealChunks deals the run's population — cfg.CustomParticles, or the
+// configured distribution generated under ge in id order, ids being the
+// generation indices — in contiguous BLOCK chunks, one per rank. Chunk 0
+// becomes rank 0's store. Every other chunk is generated into a second set
+// (or read straight from the caller's store) and marshalled from there, so
+// no rank ever holds the whole population. The classic path is one
+// point-to-point message per destination, last rank first; under a sparse
+// topology that scatter cannot use direct links, so the chunks ride the
+// systolic ring instead (skeleton links only, same payloads).
+func (st *rankState) dealChunks() {
 	r := st.r
+	cfg := st.cfg
 	p := r.Size()
-	wf := global.WireFloats()
+	n := cfg.NumParticles
 	send := make([][]float64, p)
-	for dst := p - 1; dst > 0; dst-- {
-		lo, hi := mesh.BlockRange(global.Len(), p, dst)
-		send[dst] = global.MarshalRange(wire.Get((hi-lo)*wf), lo, hi)
-		if st.bootEx == nil {
-			comm.SendFloat64s(r, dst, tagInitChunk, send[dst])
+	_, hi0 := mesh.BlockRange(n, p, 0)
+	if custom := cfg.CustomParticles; custom != nil {
+		st.store = st.inc.Spare(custom, hi0)
+		st.store.AppendRange(custom, 0, hi0)
+		for dst := 1; dst < p; dst++ {
+			lo, hi := mesh.BlockRange(n, p, dst)
+			send[dst] = custom.MarshalRange(wire.Get((hi-lo)*custom.WireFloats()), lo, hi)
+		}
+	} else {
+		gen, err := st.ge.Generator(geom.GenConfig{
+			N:            n,
+			Distribution: cfg.Distribution,
+			Seed:         cfg.Seed,
+			Thermal:      cfg.Thermal,
+			Drift:        cfg.Drift,
+			Charge:       cfg.MacroCharge,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("pic: generate: %v", err))
+		}
+		// The empty geometry store only names the layout and species of
+		// the rank's set the chunk lands in.
+		st.store = st.inc.Spare(st.ge.NewStore(0, cfg.MacroCharge, 1), hi0)
+		gen.Fill(st.store, hi0)
+		for dst := 1; dst < p; dst++ {
+			lo, hi := mesh.BlockRange(n, p, dst)
+			chunk := st.inc.Spare(st.store, hi-lo)
+			gen.Fill(chunk, hi-lo)
+			send[dst] = chunk.MarshalRange(wire.Get((hi-lo)*chunk.WireFloats()), 0, hi-lo)
 		}
 	}
 	if st.bootEx != nil {
 		// Rank 0 receives nothing: its own chunk stayed local.
 		comm.AllToManySystolicFloat64s(r, send, make([]int, p))
+		return
 	}
-	_, hi := mesh.BlockRange(global.Len(), p, 0)
-	global.Truncate(hi)
-	st.store = global
+	for dst := p - 1; dst > 0; dst-- {
+		comm.SendFloat64s(r, dst, tagInitChunk, send[dst])
+	}
 }
 
 // recvChunk receives this rank's chunk of the initial population from rank

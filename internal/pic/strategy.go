@@ -20,6 +20,14 @@ import (
 // marshalling, owner-side accumulation and gather reply.
 const ghostVertexWork = 6
 
+// ledger returns the rank's cost ledger, building it on first use.
+func (st *rankState) ledger() *machine.CostLedger {
+	if st.led == nil {
+		st.led = machine.NewCostLedger(st.ge.NumCells(), machine.DefaultLedgerDecay)
+	}
+	return st.led
+}
+
 // observeCosts books one iteration's per-particle phase costs — scatter
 // and gather/push, computation plus ghost communication — onto the cells
 // the particles currently occupy, weighted by each particle's modelled
@@ -40,6 +48,7 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 	base := nv*(pusher.ScatterWorkPerVertex+pusher.GatherWorkPerVertex) + pusher.PushWorkPerParticle
 	offCost := st.table.CostPerOp() + ghostVertexWork
 	fp := &st.costFP.fp
+	led := st.ledger()
 	for i := 0; i < s.Len(); i++ {
 		st.ge.Footprint(s, i, fp)
 		off := 0
@@ -48,9 +57,9 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 				off++
 			}
 		}
-		st.led.ObserveN(int(st.ge.CellKey(s, i)), base+off*offCost)
+		led.ObserveN(int(st.ge.CellKey(s, i)), base+off*offCost)
 	}
-	st.led.Commit(cost)
+	led.Commit(cost)
 }
 
 // syncWeights synchronises the cost ledgers: every rank's decayed per-cell
@@ -60,8 +69,9 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 // current phase — it only ever runs on the cost-weighted or adaptive
 // paths, never under the default strategies.
 func (st *rankState) syncWeights() {
-	nc := st.led.Cells()
-	st.ledgerBuf = st.led.Export(st.ledgerBuf[:0])
+	led := st.ledger()
+	nc := led.Cells()
+	st.ledgerBuf = led.Export(st.ledgerBuf[:0])
 	all := comm.AllgatherFloat64s(st.r, st.ledgerBuf)
 	if cap(st.gW) < nc {
 		st.gW = make([]float64, nc)

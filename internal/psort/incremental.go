@@ -42,6 +42,10 @@ type Incremental struct {
 	// side holds the out-of-order particles of one bucket (see
 	// sortNearlySorted).
 	side []int
+	// recv indexes the received run in (Key, ID) order, and merged holds
+	// the kept/received merge as runs (see merge), or a whole store.
+	recv   []int
+	merged seq
 	// Exchange scratch: per-destination buffer headers and element counts
 	// of every all-to-many this rank starts, and the local run a balance
 	// retains.
@@ -66,33 +70,58 @@ type Incremental struct {
 
 // sets is a rank's particle memory. A call of the Incremental holds at
 // most three stores at once — its input and two it builds: the received
-// run and the merge in a redistribution, the sorted run and the balanced
-// share in the sample sort, a store and its permutation target in a local
-// sort — so three sets rotate by pointer and none is ever the input of the
-// call that overwrites it.
+// run and the balanced share in a redistribution, the sorted run and the
+// balanced share in the sample sort, a store and its permutation target in
+// a local sort — so three sets rotate by pointer and none is ever the input
+// of the call that overwrites it. Sets are picked by best fit, so a
+// redistribution keeps two full-size sets and one sized to what arrives.
 type sets [3]*particle.Store
 
 // headroom sizes every buffer that has to grow at n + n/headroom, so a
 // population that creeps upwards regrows geometrically, not on every call.
 const headroom = 8
 
-// free returns one of the sets that is neither a nor b, emptied, with room
-// for n particles and the layout and species constants of a. Sets are
-// created on first use.
+// free returns the set that best fits n particles among those that are
+// neither a nor b — the smallest that holds n already, else the largest,
+// grown — emptied, with the layout and species constants of a. A slot gets
+// a new set only when no existing one is free.
 func (m *sets) free(a, b *particle.Store, n int) *particle.Store {
+	best := -1
 	for i, s := range m {
-		switch {
-		case s == nil:
-			m[i] = a.NewLike(n + n/headroom)
-		case s == a || s == b:
+		if s == nil || s == a || s == b {
 			continue
-		default:
-			reserve(s, n)
-			s.Charge, s.Mass = a.Charge, a.Mass
 		}
-		return m[i]
+		if best < 0 || betterFit(cap(s.X), cap(m[best].X), n) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		s := m[best]
+		reserve(s, n)
+		s.Charge, s.Mass = a.Charge, a.Mass
+		return s
+	}
+	for i, s := range m {
+		if s == nil {
+			m[i] = a.NewLike(n + n/headroom)
+			return m[i]
+		}
 	}
 	panic("psort: no free particle set")
+}
+
+// betterFit reports whether capacity c fits n particles better than
+// capacity d: it holds n and is smaller, or neither holds n and it is
+// larger.
+func betterFit(c, d, n int) bool {
+	switch {
+	case (c >= n) != (d >= n):
+		return c >= n
+	case c >= n:
+		return c < d
+	default:
+		return c > d
+	}
 }
 
 // adopt makes s one of the sets if a slot is still empty.
@@ -108,12 +137,14 @@ func (m *sets) adopt(s *particle.Store) {
 	}
 }
 
-// reserve empties s and makes room for n particles.
+// reserve empties s and makes room for n particles: a set too small is
+// replaced by one sized n + n/headroom exactly, its old arrays dropped.
 func reserve(s *particle.Store, n int) {
-	s.Truncate(0)
 	if cap(s.X) < n {
-		s.Grow(n + n/headroom)
+		*s = *s.NewLike(n + n/headroom)
+		return
 	}
+	s.Truncate(0)
 }
 
 // fit returns buf resliced to n, reallocated with headroom when too short.
@@ -215,7 +246,9 @@ func (inc *Incremental) Redistribute(r comm.Transport, s *particle.Store) (*part
 //
 // The input store is never modified, and the result is one of the
 // Incremental's sets other than s, so the caller's store stays valid until
-// its next call.
+// its next call. The received particles land in a third set sized to what
+// arrived; the merge is a list of runs over s and that set, so every
+// particle is copied once, into the result or a message.
 func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store, wf func(key float64) float64) (*particle.Store, Stats) {
 	p := r.Size()
 
@@ -230,14 +263,25 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 	// Lines 15–20: exchange the traffic table, then all-to-many.
 	recv := inc.ex.Exchange(r, send, counts)
 
-	// Line 21: collect and sort the received particles.
-	got := inc.mem.free(s, nil, received(recv, s.WireFloats()))
+	// Line 21: collect the received particles and sort them through an
+	// index list. The balanced share takes the free set that best fits a
+	// full share, the received run the other one.
+	out := inc.mem.free(s, nil, s.Len())
+	got := inc.mem.free(s, out, received(recv, s.WireFloats()))
 	for src := 0; src < p; src++ {
 		if src != r.Rank() {
 			absorb(r, got, recv[src])
 		}
 	}
-	inc.localSort(r, got, s)
+	m := got.Len()
+	inc.recv = fit(inc.recv, m)
+	for i := range inc.recv {
+		inc.recv[i] = i
+	}
+	inc.so.sortIndices(got, inc.recv)
+	if m > 1 {
+		r.Compute(m * ilog2(m) * compareWork)
+	}
 
 	// Lines 22–23: sort each bucket locally. Buckets are key-disjoint and
 	// ordered, so the bucket groups of inc.order index a sorted kept run
@@ -252,14 +296,11 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 	}
 	kept := inc.order[:inc.cut[inc.L]]
 
-	// Line 24: merge the kept run with the received run into the third
-	// set.
-	merged := inc.mem.free(s, got, len(kept)+got.Len())
-	mergeInto(r, s, kept, got, merged)
-
-	// Order-maintaining (possibly weighted) balance into got's set, whose
-	// particles all sit in merged now, then remember the new boundaries.
-	out := inc.weightedBalanceInto(r, merged, got, wf, inc.ex)
+	// Line 24: merge the kept run with the received run, as runs. Then the
+	// order-maintaining (possibly weighted) balance routes and delivers
+	// straight from them into out, and the new boundaries are remembered.
+	q := inc.merge(r, s, kept, got, inc.recv)
+	out = inc.weightedBalanceInto(r, q, out, wf, inc.ex)
 	inc.Prime(out)
 	return out, st
 }
@@ -395,28 +436,126 @@ func searchOwner(globalUpper []float64, key float64) int {
 	return d
 }
 
-// mergeInto merges the kept run — the particles of a at the indices kept,
-// in that order, sorted — with the sorted store b into out, which must be
-// empty and alias neither. It compares keys only: on equal keys the kept
-// particle goes first, whatever the ids. Runs are copied in bulk.
-func mergeInto(r comm.Transport, a *particle.Store, kept []int, b, out *particle.Store) {
+// merge records the merge of the kept run — the particles of s at the
+// indices kept, in that order, sorted — with the received run — got at the
+// indices rcv, sorted — as runs in inc.merged, copying no particle. It
+// compares keys only: on equal keys the kept particle goes first, whatever
+// the ids.
+func (inc *Incremental) merge(r comm.Transport, s *particle.Store, kept []int, got *particle.Store, rcv []int) seq {
+	q := inc.merged[:0]
 	i, j := 0, 0
-	for i < len(kept) && j < b.Len() {
+	for i < len(kept) && j < len(rcv) {
 		i0 := i
-		for i < len(kept) && !(b.Key[j] < a.Key[kept[i]]) {
+		for i < len(kept) && !(got.Key[rcv[j]] < s.Key[kept[i]]) {
 			i++
 		}
-		out.AppendIndices(a, kept[i0:i])
+		q = q.add(s, kept[i0:i])
 		if i == len(kept) {
 			break
 		}
 		j0 := j
-		for j < b.Len() && b.Key[j] < a.Key[kept[i]] {
+		for j < len(rcv) && got.Key[rcv[j]] < s.Key[kept[i]] {
 			j++
 		}
-		out.AppendRange(b, j0, j)
+		q = q.add(got, rcv[j0:j])
 	}
-	out.AppendIndices(a, kept[i:])
-	out.AppendRange(b, j, b.Len())
-	r.Compute((len(kept) + b.Len()) * compareWork)
+	q = q.add(s, kept[i:])
+	q = q.add(got, rcv[j:])
+	r.Compute((len(kept) + len(rcv)) * compareWork)
+	inc.merged = q
+	return q
+}
+
+// whole returns s as a one-run sequence.
+func (inc *Incremental) whole(s *particle.Store) seq {
+	inc.merged = append(inc.merged[:0], run{s: s, n: s.Len()})
+	return inc.merged
+}
+
+// run is a slice of one store's particles: s at the indices idx, in that
+// order, or the contiguous range s[lo:lo+n] when idx is nil.
+type run struct {
+	s     *particle.Store
+	idx   []int
+	lo, n int
+}
+
+// key returns the key of the run's k-th particle.
+func (ru run) key(k int) float64 {
+	if ru.idx != nil {
+		return ru.s.Key[ru.idx[k]]
+	}
+	return ru.s.Key[ru.lo+k]
+}
+
+// marshal appends the run's particles to dst in wire layout.
+func (ru run) marshal(dst []float64) []float64 {
+	if ru.idx != nil {
+		return ru.s.MarshalIndices(dst, ru.idx)
+	}
+	return ru.s.MarshalRange(dst, ru.lo, ru.lo+ru.n)
+}
+
+// appendTo copies the run's particles onto the end of out.
+func (ru run) appendTo(out *particle.Store) {
+	if ru.idx != nil {
+		out.AppendIndices(ru.s, ru.idx)
+		return
+	}
+	out.AppendRange(ru.s, ru.lo, ru.lo+ru.n)
+}
+
+// seq is a key-sorted particle sequence held as consecutive runs of the
+// stores its particles sit in — a redistribution's kept/received merge, or
+// the sample sort's whole store — so a balance routes and delivers each
+// particle straight from where it is.
+type seq []run
+
+// add appends the particles of s at the indices idx as a run, if any.
+func (q seq) add(s *particle.Store, idx []int) seq {
+	if len(idx) == 0 {
+		return q
+	}
+	return append(q, run{s: s, idx: idx, n: len(idx)})
+}
+
+// len returns the number of particles in q.
+func (q seq) len() int {
+	n := 0
+	for _, ru := range q {
+		n += ru.n
+	}
+	return n
+}
+
+// each calls f, in order, on the parts of q's runs that hold positions
+// [lo, hi) of the sequence.
+func (q seq) each(lo, hi int, f func(part run)) {
+	for _, ru := range q {
+		if hi <= 0 {
+			return
+		}
+		if lo < ru.n {
+			a, b := max(lo, 0), min(hi, ru.n)
+			part := run{s: ru.s, lo: ru.lo + a, n: b - a}
+			if ru.idx != nil {
+				part.idx, part.lo = ru.idx[a:b], 0
+			}
+			f(part)
+		}
+		lo -= ru.n
+		hi -= ru.n
+	}
+}
+
+// copyTo returns q as one store: the store q is the whole of, if it is
+// one, else out, emptied and filled with q's particles.
+func (q seq) copyTo(out *particle.Store) *particle.Store {
+	if len(q) == 1 && q[0].idx == nil && q[0].lo == 0 && q[0].n == q[0].s.Len() {
+		return q[0].s
+	}
+	n := q.len()
+	reserve(out, n)
+	q.each(0, n, func(part run) { part.appendTo(out) })
+	return out
 }

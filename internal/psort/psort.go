@@ -49,14 +49,8 @@ const (
 // are identical for every pool size, and once the sets and the sorter
 // have grown to the population a sort allocates nothing.
 func (inc *Incremental) LocalSort(r comm.Transport, s *particle.Store) {
-	inc.localSort(r, s, nil)
-}
-
-// localSort is LocalSort with busy naming a set the permutation must not
-// gather into (the input of the enclosing call).
-func (inc *Incremental) localSort(r comm.Transport, s, busy *particle.Store) {
 	n := s.Len()
-	inc.sortStore(s, busy)
+	inc.sortStore(s)
 	if n > 1 {
 		r.Compute(n * ilog2(n) * compareWork)
 	}
@@ -80,16 +74,6 @@ func ilog2(n int) int {
 	return k
 }
 
-// IsLocallySorted reports whether s is non-decreasing by key.
-func IsLocallySorted(s *particle.Store) bool {
-	for i := 1; i < s.Len(); i++ {
-		if s.Key[i] < s.Key[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // SampleSort performs a full regular-sampling sample sort of the global
 // particle population and returns this rank's sorted, balanced share. This
 // is the paper's initial "distribution algorithm"; the incremental sort is
@@ -104,11 +88,11 @@ func SampleSort(r comm.Transport, s *particle.Store) *particle.Store {
 // all-to-many halves routed through ex (nil: the classic pairwise
 // protocol). It consumes s: every particle leaves s in a message (this
 // rank's own run included), so s takes the received particles in their
-// place, and the balanced share lands in one of the sets (with one rank or
-// no particles at all, the share is s itself). The returned
-// distribution is identical for every pool size and every exchanger — only
-// the message schedule (and on non-classic protocols the modelled network
-// charges) differs.
+// place, and the balance delivers that whole store as one run into another
+// set (with one rank or no particles at all, the share is s itself). The
+// returned distribution is identical for every pool size and every
+// exchanger — only the message schedule (and on non-classic protocols the
+// modelled network charges) differs.
 func (inc *Incremental) Distribute(r comm.Transport, s *particle.Store, ex *comm.Exchanger) *particle.Store {
 	p := r.Size()
 	inc.LocalSort(r, s)
@@ -161,7 +145,7 @@ func (inc *Incremental) Distribute(r comm.Transport, s *particle.Store, ex *comm
 		absorb(r, s, recv[src])
 	}
 	inc.LocalSort(r, s)
-	return inc.loadBalanceInto(r, s, inc.mem.free(s, nil, 0), ex)
+	return inc.loadBalanceInto(r, inc.whole(s), inc.mem.free(s, nil, 0), ex)
 }
 
 // sendScratch clears and returns the per-destination wire buffers and
@@ -176,30 +160,33 @@ func (inc *Incremental) sendScratch(p int) ([][]float64, []int) {
 	return inc.send, inc.counts
 }
 
-// route assigns the contiguous local run [lo, hi) of s to rank d: the run
-// this rank owns is retained in place, any other is marshalled (and
+// route assigns positions [lo, hi) of the local sequence q to rank d: the
+// run this rank owns is retained where it is, any other is marshalled (and
 // charged) into a pooled wire buffer. Owners are monotone in position, so a
 // cut preamble calls route once per destination, in ascending d.
-func (inc *Incremental) route(r comm.Transport, s *particle.Store, d, lo, hi int) {
+func (inc *Incremental) route(r comm.Transport, q seq, d, lo, hi int) {
 	if d == r.Rank() {
 		inc.keepLo, inc.keepHi = lo, hi
 		return
 	}
-	inc.send[d] = s.MarshalRange(wire.Get((hi-lo)*s.WireFloats()), lo, hi)
-	inc.counts[d] = len(inc.send[d])
+	buf := wire.Get((hi - lo) * q[0].s.WireFloats())
+	q.each(lo, hi, func(part run) { buf = part.marshal(buf) })
+	inc.send[d] = buf
+	inc.counts[d] = len(buf)
 	r.Compute((hi - lo) * packWorkPerParticle)
 }
 
 // deliver is the tail both balances share: exchange the routed runs through
 // ex (nil: classic pairwise), then reassemble into out in source-rank order
 // with the retained local run spliced in at this rank's position — which
-// is what preserves the global concatenated order. out must not alias s.
-func (inc *Incremental) deliver(r comm.Transport, s, out *particle.Store, ex *comm.Exchanger) *particle.Store {
+// is what preserves the global concatenated order. out must hold none of
+// q's particles.
+func (inc *Incremental) deliver(r comm.Transport, q seq, out *particle.Store, ex *comm.Exchanger) *particle.Store {
 	recv := ex.Exchange(r, inc.send, inc.counts)
-	reserve(out, inc.keepHi-inc.keepLo+received(recv, s.WireFloats()))
+	reserve(out, inc.keepHi-inc.keepLo+received(recv, out.WireFloats()))
 	for src := 0; src < r.Size(); src++ {
 		if src == r.Rank() {
-			out.AppendRange(s, inc.keepLo, inc.keepHi)
+			q.each(inc.keepLo, inc.keepHi, func(part run) { part.appendTo(out) })
 			continue
 		}
 		absorb(r, out, recv[src])
@@ -221,19 +208,19 @@ func absorb(r comm.Transport, out *particle.Store, w []float64) {
 }
 
 // loadBalanceInto equalises particle counts across ranks while preserving
-// the global concatenated order: local particle i (at global position
+// the global concatenated order: local particle i of q (at global position
 // offset+i) moves to the BLOCK owner of that position, and the rank's new
-// share is built in out (which must not alias s). Requires that the
-// per-rank stores concatenate to a globally key-sorted sequence, and
-// preserves that property. With one rank or no particles nothing moves and
-// s itself is returned. ex selects the exchange protocol (nil: classic
-// pairwise).
-func (inc *Incremental) loadBalanceInto(r comm.Transport, s, out *particle.Store, ex *comm.Exchanger) *particle.Store {
+// share is built in out (which must hold none of q's particles). Requires
+// that the per-rank sequences concatenate to a globally key-sorted one,
+// and preserves that property. With one rank or no particles nothing moves
+// and q comes back as one store (see copyTo). ex selects the exchange
+// protocol (nil: classic pairwise).
+func (inc *Incremental) loadBalanceInto(r comm.Transport, q seq, out *particle.Store, ex *comm.Exchanger) *particle.Store {
 	p := r.Size()
-	n := s.Len()
+	n := q.len()
 	total := comm.AllreduceSumInt(r, n)
 	if p == 1 || total == 0 {
-		return s
+		return q.copyTo(out)
 	}
 	offset := comm.ScanSumInt(r, n)
 
@@ -248,8 +235,8 @@ func (inc *Incremental) loadBalanceInto(r comm.Transport, s, out *particle.Store
 		if runEnd > n {
 			runEnd = n
 		}
-		inc.route(r, s, d, i, runEnd)
+		inc.route(r, q, d, i, runEnd)
 		i = runEnd
 	}
-	return inc.deliver(r, s, out, ex)
+	return inc.deliver(r, q, out, ex)
 }

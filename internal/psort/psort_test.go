@@ -36,7 +36,17 @@ func newGather() *gather { return &gather{stores: map[int]*particle.Store{}} }
 // equal-count under nil — on a fresh Incremental.
 func balanced(r comm.Transport, s *particle.Store, wf func(key float64) float64) *particle.Store {
 	inc := NewIncremental(0)
-	return inc.weightedBalanceInto(r, s, inc.Spare(s, 0), wf, nil)
+	return inc.weightedBalanceInto(r, inc.whole(s), inc.Spare(s, 0), wf, nil)
+}
+
+// isLocallySorted reports whether s is non-decreasing by key.
+func isLocallySorted(s *particle.Store) bool {
+	for i := 1; i < s.Len(); i++ {
+		if s.Key[i] < s.Key[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 func (g *gather) put(rank int, s *particle.Store) {
@@ -58,7 +68,7 @@ func (g *gather) checkGlobal(t *testing.T, p, total int, wantIDs map[float64]boo
 		if s == nil {
 			t.Fatalf("rank %d produced no store", r)
 		}
-		if !IsLocallySorted(s) {
+		if !isLocallySorted(s) {
 			t.Errorf("rank %d not locally sorted", r)
 		}
 		n := s.Len()
@@ -94,7 +104,7 @@ func TestLocalSort(t *testing.T) {
 	ws := commtest.Launch(1, machine.CM5(), func(r comm.Transport) {
 		s := makeLocal(rand.New(rand.NewSource(1)), 100, 0, 50)
 		NewIncremental(0).LocalSort(r, s)
-		if !IsLocallySorted(s) {
+		if !isLocallySorted(s) {
 			t.Error("not sorted")
 		}
 	})
@@ -108,11 +118,11 @@ func TestIsLocallySorted(t *testing.T) {
 	s.Append(0, 0, 0, 0, 0, 0)
 	s.Append(0, 0, 0, 0, 0, 1)
 	s.Key[0], s.Key[1] = 2, 1
-	if IsLocallySorted(s) {
+	if isLocallySorted(s) {
 		t.Error("descending keys reported sorted")
 	}
 	s.Key[1] = 2
-	if !IsLocallySorted(s) {
+	if !isLocallySorted(s) {
 		t.Error("equal keys must count as sorted")
 	}
 }
@@ -354,9 +364,10 @@ func TestIncrementalCheaperThanFullSort(t *testing.T) {
 
 // TestMergeSorted pins the kept-run merge: keys alone decide, and on equal
 // keys the kept particle (of a, read through the kept indices) goes before
-// the received one (b) even when the received id is smaller, so the merge
-// is not the (Key, ID) order. All columns travel with their particle, Z
-// included.
+// the received one (of b, read through its sorted index list) even when
+// the received id is smaller, so the merge is not the (Key, ID) order. The
+// merge is recorded as runs; copied out, all columns travel with their
+// particle, Z included.
 func TestMergeSorted(t *testing.T) {
 	commtest.Launch(1, machine.Zero(), func(r comm.Transport) {
 		a := particle.NewStore3(0, -1, 1)
@@ -367,21 +378,41 @@ func TestMergeSorted(t *testing.T) {
 			a.Key[a.Len()-1] = k
 		}
 		kept := []int{3, 2, 1, 0}
-		for i, k := range []float64{2, 3, 3, 6, 7} {
-			b.Append3(float64(i), 0, float64(-i), 0, 0, 0, float64(i))
+		// b holds the received run in reverse too.
+		for i, k := range []float64{7, 6, 3, 3, 2} {
+			b.Append3(float64(4-i), 0, float64(i-4), 0, 0, 0, float64(4-i))
 			b.Key[b.Len()-1] = k
 		}
-		m := a.NewLike(a.Len() + b.Len())
-		mergeInto(r, a, kept, b, m)
+		rcv := []int{4, 3, 2, 1, 0}
+		inc := NewIncremental(0)
+		q := inc.merge(r, a, kept, b, rcv)
+		m := q.copyTo(a.NewLike(0))
 		wantKey := []float64{1, 2, 3, 3, 3, 3, 5, 6, 7}
 		wantID := []float64{10, 0, 11, 12, 1, 2, 13, 3, 4}
-		if m.Len() != len(wantID) {
-			t.Fatalf("merged len %d", m.Len())
+		if m.Len() != len(wantID) || q.len() != len(wantID) {
+			t.Fatalf("merged len %d (runs hold %d)", m.Len(), q.len())
 		}
 		for i := range wantID {
 			if m.Key[i] != wantKey[i] || m.ID[i] != wantID[i] || m.X[i] != m.ID[i] || m.Z[i] != -m.ID[i] {
 				t.Errorf("merged[%d] = key %g id %g (x %g z %g), want key %g id %g",
 					i, m.Key[i], m.ID[i], m.X[i], m.Z[i], wantKey[i], wantID[i])
+			}
+		}
+		// Every part of every run, read back piecewise across run
+		// boundaries, marshals to the same words as the copied store.
+		for lo := 0; lo <= m.Len(); lo++ {
+			for hi := lo; hi <= m.Len(); hi++ {
+				var got []float64
+				q.each(lo, hi, func(part run) { got = part.marshal(got) })
+				want := m.MarshalRange(nil, lo, hi)
+				if len(got) != len(want) {
+					t.Fatalf("positions [%d, %d): %d words, want %d", lo, hi, len(got), len(want))
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("positions [%d, %d): word %d = %g, want %g", lo, hi, k, got[k], want[k])
+					}
+				}
 			}
 		}
 	})

@@ -33,9 +33,9 @@ const smallStoreCutoff = 32
 
 // sortStore sorts s by (Key, ID) — the exact order of sort.Sort(s) — with
 // the radix passes spread over the attached pool; the permutation gathers
-// into a set that is neither s nor busy. The resulting order is identical
-// for every pool size (including nil).
-func (inc *Incremental) sortStore(s, busy *particle.Store) {
+// into a set other than s. The resulting order is identical for every pool
+// size (including nil).
+func (inc *Incremental) sortStore(s *particle.Store) {
 	n := s.Len()
 	if n < smallStoreCutoff {
 		sort.Sort(s)
@@ -49,7 +49,7 @@ func (inc *Incremental) sortStore(s, busy *particle.Store) {
 		so.idx[i] = int32(i)
 	}
 	so.hi, so.lo, so.idx = radix.SortPairsPar(so.hi, so.lo, so.idx, &so.rs, inc.pool)
-	s.ApplyPermutation(so.idx, inc.mem.free(s, busy, n))
+	s.ApplyPermutation(so.idx, inc.mem.free(s, nil, n))
 }
 
 // sortIndices sorts idx so that the referenced particles are in (Key, ID)

@@ -52,7 +52,7 @@ func TestRadixSortStoreMatchesSortSort(t *testing.T) {
 		}
 		ref := s.Clone()
 		sort.Sort(ref)
-		NewIncremental(0).sortStore(s, nil)
+		NewIncremental(0).sortStore(s)
 		for i := 0; i < n; i++ {
 			if !sameBits(s.Key[i], ref.Key[i]) || s.ID[i] != ref.ID[i] ||
 				s.X[i] != ref.X[i] || s.Y[i] != ref.Y[i] ||
@@ -172,7 +172,7 @@ func TestEqualKeyIDTiebreakWitness(t *testing.T) {
 		s.Append(0, 0, 0, 0, 0, float64(n-1-i)) // ids descending
 		s.Key[i] = float64(i % 2)               // two key classes, interleaved
 	}
-	NewIncremental(0).sortStore(s, nil)
+	NewIncremental(0).sortStore(s)
 	for i := 1; i < n; i++ {
 		if s.Key[i] < s.Key[i-1] {
 			t.Fatalf("pos %d: keys out of order", i)

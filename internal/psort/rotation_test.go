@@ -40,7 +40,10 @@ func sameStore(a, b *particle.Store) bool {
 //
 // Every output must equal, bit for bit, what a fresh Incremental with the
 // same bounds makes of a copy of the same input, and no call may change
-// the bytes of its input or of the store the caller holds.
+// the bytes of its input or of the store the caller holds. A set picker
+// that hands a call its own input, its received run or the caller's store
+// as the target of a balance or a migration trips these checks (or the
+// reads of the run it overwrites).
 func TestSetRotationNeverClobbersLiveStores(t *testing.T) {
 	const p, perRank, keys = 4, 700, 1 << 14
 	commtest.Launch(p, machine.Zero(), func(r comm.Transport) {
@@ -115,6 +118,59 @@ func TestSetRotationNeverClobbersLiveStores(t *testing.T) {
 			s = migrate(kept)
 			drift(s)
 			s = redistribute("after migration", s)
+		}
+	})
+}
+
+// TestSetCapacityTwoSharesPlusReceived pins the best-fit set picker: after
+// the boot's sample sort and ten redistributions of a drifting population,
+// a rank's sets hold at most two full shares with headroom plus the largest
+// run it received, with headroom. A balance that wrote its share into the
+// received-run set would grow that set to full size too, and three full
+// sets exceed the bound.
+func TestSetCapacityTwoSharesPlusReceived(t *testing.T) {
+	const p, perRank, keys = 4, 3000, 1 << 16
+	commtest.Launch(p, machine.Zero(), func(r comm.Transport) {
+		rng := rand.New(rand.NewSource(int64(71 + r.Rank())))
+		inc := NewIncremental(0)
+		// The boot's shape: the dealt chunk already lives in a set.
+		s := inc.Spare(particle.NewStore(0, -1, 1), perRank)
+		for i := 0; i < perRank; i++ {
+			s.Append(rng.Float64(), rng.Float64(), 0, 0, 0, float64(r.Rank()*perRank+i))
+			s.Key[i] = float64(rng.Intn(keys))
+		}
+		s = inc.Distribute(r, s, nil)
+		inc.Prime(s)
+		most := 0
+		for call := 0; call < 10; call++ {
+			for i := range s.Key {
+				k := s.Key[i] + math.Round(rng.NormFloat64()*60)
+				if rng.Intn(40) == 0 {
+					k = float64(rng.Intn(keys))
+				}
+				s.Key[i] = math.Min(math.Max(k, 0), keys-1)
+			}
+			out, _ := inc.Redistribute(r, s)
+			// The set that is neither the input nor the output holds the
+			// run this call received.
+			for _, set := range inc.mem {
+				if set != nil && set != s && set != out {
+					most = max(most, set.Len())
+				}
+			}
+			s = out
+		}
+		total := 0
+		for _, set := range inc.mem {
+			if set != nil {
+				total += cap(set.X)
+			}
+		}
+		bound := 2*(perRank+perRank/headroom) + most + most/headroom
+		t.Logf("rank %d: sets hold %d particles' room, bound %d (largest received run %d)", r.Rank(), total, bound, most)
+		if total > bound {
+			t.Errorf("rank %d: sets hold room for %d particles, want <= %d (two shares of %d plus a received run of %d, with headroom)",
+				r.Rank(), total, bound, perRank, most)
 		}
 	})
 }

@@ -26,30 +26,34 @@ const weighWorkPerParticle = 2
 
 // weightedBalanceInto is loadBalanceInto with per-particle weights wf(key):
 // it preserves the global concatenated key order while equalising
-// cumulative weight instead of count, under the same output and exchanger
-// contracts. Degenerate weight states (nil wf, all weights zero or
-// unusable) fall back to the equal-count split — every rank sees the same
-// allgathered totals, so the fallback is collectively consistent.
-func (inc *Incremental) weightedBalanceInto(r comm.Transport, s, out *particle.Store, wf func(key float64) float64, ex *comm.Exchanger) *particle.Store {
+// cumulative weight instead of count, under the same input, output and
+// exchanger contracts. Degenerate weight states (nil wf, all weights zero
+// or unusable) fall back to the equal-count split — every rank sees the
+// same allgathered totals, so the fallback is collectively consistent.
+func (inc *Incremental) weightedBalanceInto(r comm.Transport, q seq, out *particle.Store, wf func(key float64) float64, ex *comm.Exchanger) *particle.Store {
 	if wf == nil {
-		return inc.loadBalanceInto(r, s, out, ex)
+		return inc.loadBalanceInto(r, q, out, ex)
 	}
 	p := r.Size()
-	n := s.Len()
+	n := q.len()
 	inc.w = fit(inc.w, n)
 	inc.iw = fit(inc.iw, n)
 
 	// Local weights and their max; the max allgather fixes the shared
 	// quantization scale.
 	maxW := 0.0
-	for i := 0; i < n; i++ {
-		w := wf(s.Key[i])
-		if !(w > 0) { // sanitize NaN/Inf/negatives to zero
-			w = 0
-		}
-		inc.w[i] = w
-		if w > maxW {
-			maxW = w
+	j := 0
+	for _, ru := range q {
+		for k := 0; k < ru.n; k++ {
+			w := wf(ru.key(k))
+			if !(w > 0) { // sanitize NaN/Inf/negatives to zero
+				w = 0
+			}
+			inc.w[j] = w
+			j++
+			if w > maxW {
+				maxW = w
+			}
 		}
 	}
 	r.Compute(n * weighWorkPerParticle)
@@ -83,7 +87,7 @@ func (inc *Incremental) weightedBalanceInto(r comm.Transport, s, out *particle.S
 	wire.Put(sums)
 
 	if p == 1 || total == 0 || totW <= 0 {
-		return inc.loadBalanceInto(r, s, out, ex)
+		return inc.loadBalanceInto(r, q, out, ex)
 	}
 
 	// Walk the local particles in order, advancing through the weighted
@@ -101,8 +105,8 @@ func (inc *Incremental) weightedBalanceInto(r comm.Transport, s, out *particle.S
 			runEnd++
 			k = mesh.AdvanceCut(cuts, k, prefix)
 		}
-		inc.route(r, s, d, i, runEnd)
+		inc.route(r, q, d, i, runEnd)
 		i = runEnd
 	}
-	return inc.deliver(r, s, out, ex)
+	return inc.deliver(r, q, out, ex)
 }

@@ -91,7 +91,7 @@ func TestWeightedBalanceSkewedWeights(t *testing.T) {
 	seen := map[float64]bool{}
 	for r := 0; r < p; r++ {
 		s := g.stores[r]
-		if !IsLocallySorted(s) {
+		if !isLocallySorted(s) {
 			t.Errorf("rank %d not locally sorted", r)
 		}
 		if s.Len() > 0 {
@@ -194,7 +194,7 @@ func TestRedistributeWeightedBalancesCost(t *testing.T) {
 	loads := make([]float64, p)
 	for r := 0; r < p; r++ {
 		s := g.stores[r]
-		if !IsLocallySorted(s) {
+		if !isLocallySorted(s) {
 			t.Errorf("rank %d not locally sorted", r)
 		}
 		if s.Len() > 0 {

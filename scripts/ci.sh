@@ -70,15 +70,19 @@ echo "== deleted-path audit (grep) =="
 # Reliable decorators, FaultPlan, Degradable and CollectFailures, the
 # held-message flushChain, the two envelope body kinds of the TCP codec, the
 # last collective-tag alias, psort's bounds snapshot, and pic's rollback of
-# a failed redistribution with its record and result fields). A failed
-# exchange is a dead rank that checkpoint recovery handles, benchmark/ is
+# a failed redistribution with its record and result fields), and the
+# boot and merge copies of the particle memory (pic's whole-population
+# population() helper, psort's materialised mergeInto and the localSort
+# that sorted the received run as a store) with the dead exports that went
+# with them (IsLocallySorted, particle.WireBytes, CostLedger.Observe). A
+# failed exchange is a dead rank that checkpoint recovery handles, benchmark/ is
 # the one wall-clock harness, Config.Topology names a link set, the time
 # step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
 # are the one rank entry point, in-process launcher and supervisor,
 # ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
 # owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
