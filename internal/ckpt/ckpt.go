@@ -26,7 +26,7 @@ import (
 
 // Version is the checkpoint format version this package writes. Readers
 // reject any other version loudly rather than guessing.
-const Version = 2
+const Version = 3
 
 // shardMagic opens every checkpoint file.
 const shardMagic = "PICPARCK"
@@ -87,7 +87,8 @@ type Shard struct {
 	Dims         int
 	GridNx       int
 	GridNy       int
-	GridNz       int // zero for 2-D runs
+	GridNz       int    // zero for 2-D runs
+	Block        [6]int // owned mesh block i0, i1, j0, j1, k0, k1; k0 = k1 = 0 in 2-D
 	NumParticles int
 	Seed         int64
 	Iterations   int
@@ -208,6 +209,9 @@ func appendPayload(dst []byte, sh *Shard) []byte {
 	w.Int(sh.GridNx)
 	w.Int(sh.GridNy)
 	w.Int(sh.GridNz)
+	for _, v := range sh.Block {
+		w.Int(v)
+	}
 	w.Int(sh.NumParticles)
 	w.U64(uint64(sh.Seed))
 	w.Int(sh.Iterations)
@@ -282,6 +286,7 @@ func decodePayload(b []byte) (*Shard, error) {
 		GridNx:       r.Nat("grid nx"),
 		GridNy:       r.Nat("grid ny"),
 		GridNz:       r.Nat("grid nz"),
+		Block:        readBlock(&r),
 		NumParticles: r.Nat("numparticles"),
 		Seed:         int64(r.U64("seed")),
 		Iterations:   r.Nat("iterations"),
@@ -333,6 +338,14 @@ func decodePayload(b []byte) (*Shard, error) {
 		return nil, err
 	}
 	return sh, nil
+}
+
+// readBlock reads the owned block appendPayload wrote.
+func readBlock(r *wire.Reader) (b [6]int) {
+	for i := range b {
+		b[i] = r.Nat("block")
+	}
+	return b
 }
 
 // readStore reads the particle columns appendPayload wrote into a store

@@ -45,6 +45,7 @@ func sampleShard(dims, rank int) *Shard {
 		Dims:         dims,
 		GridNx:       32,
 		GridNy:       16,
+		Block:        [6]int{8 * rank, 8*rank + 8, 0, 16, 0, 0},
 		NumParticles: 2048,
 		Seed:         7,
 		Iterations:   20,
@@ -114,6 +115,7 @@ var corruptImages = []struct {
 	{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
 	{"bad version", func(b []byte) []byte { b[8] = 99; return b }},
 	{"retired v1 image", func(b []byte) []byte { b[8] = 1; return b }},
+	{"retired v2 image", func(b []byte) []byte { b[8] = 2; return b }},
 	{"flipped payload bit", func(b []byte) []byte { b[headerSize+3] ^= 0x10; return b }},
 	{"flipped last payload byte", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }},
 	{"flipped crc", func(b []byte) []byte { b[13] ^= 1; return b }},

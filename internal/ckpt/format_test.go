@@ -20,9 +20,9 @@ func TestShardFormatPinned(t *testing.T) {
 		enc  []byte
 		want string
 	}{
-		{"2-D payload", appendPayload(nil, pinShard(2)), "af71aab7e99f38f794062098c4fec7adedbe7206a937a7f432b4ecf5b039ccc9"},
-		{"3-D payload", appendPayload(nil, pinShard(3)), "082a60bc5139c4ce58ce956c635e20785aeaca6bf44dac8fc683cca89045b6b3"},
-		{"file image", EncodeShard(nil, pinShard(3)), "69686195a4066ae7a65f143308d3242d4f0bba61e3022508d6840c44aa590f4c"},
+		{"2-D payload", appendPayload(nil, pinShard(2)), "fc4df737f94c3ad0e3a9247e633874b57f42a8a13c2cc31c826e612a76fba19b"},
+		{"3-D payload", appendPayload(nil, pinShard(3)), "e226e14c20d3c619755a88f0d39c5ec495356bab09b1130462a2ff30fbce0e8d"},
+		{"file image", EncodeShard(nil, pinShard(3)), "5154e2baf0ad4212c27ffabe724dccd7164d1950e30b488025baf95d5eae47be"},
 	}
 	for _, tc := range cases {
 		sum := sha256.Sum256(tc.enc)
@@ -39,6 +39,7 @@ func pinShard(dims int) *Shard {
 	sh := sampleShard(dims, 0)
 	sh.Epoch, sh.Rank, sh.Size = 11, 1, 5
 	sh.GridNx, sh.GridNy, sh.GridNz = 32, 16, 8
+	sh.Block = [6]int{16, 31, 4, 12, 1, 7}
 	sh.RunStart, sh.InitTime = 0.5, 0.375
 	for p := range sh.Stats.Phases {
 		f := float64(p)

@@ -65,11 +65,7 @@ func ND(w io.Writer, quick bool) *NDResult {
 				if err != nil {
 					panic(err)
 				}
-				ix, err := sfc.New3(scheme, side, side, side)
-				if err != nil {
-					panic(err)
-				}
-				ge := geom.New3(g, d, ix)
+				ge := geom.New3(g, d, d.Cells)
 				q := partition.MeasureIndependent(ge, partition.BuildIndependent(ge, s), s)
 				res.Cells = append(res.Cells, NDCell{Distribution: dist, Scheme: scheme, P: p, Quality: q})
 				fmt.Fprintf(w, "%-10s %-8s %6d %10d %10d %9d %9.3f\n",

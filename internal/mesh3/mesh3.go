@@ -1,8 +1,10 @@
 // Package mesh3 is the three-dimensional counterpart of internal/mesh:
 // global grid geometry and BLOCK distribution over a Px×Py×Pz processor
-// grid, with optional space-filling-curve rank numbering for alignment.
-// It backs the 3-D partitioning analysis that demonstrates the paper's
-// "generalizes to n dimensions" claim.
+// grid. NewDistOrdered picks the processor grid, among the most cube-like
+// ones, and numbers its tiles from the cell curve that keys the
+// particles, so each rank's equal-count P-th of that curve covers its own
+// tile. It backs the 3-D simulation and the partitioning analysis that
+// demonstrates the paper's "generalizes to n dimensions" claim.
 package mesh3
 
 import (
@@ -111,28 +113,64 @@ func wrap(i, n int) int {
 }
 
 // Dist is a BLOCK distribution over a Px×Py×Pz processor grid, with an
-// optional SFC tile numbering (identity when nil).
+// optional tile numbering (identity when nil).
 type Dist struct {
 	G          Grid
 	P          int
 	Px, Py, Pz int
-	tileRank   []int
-	rankTile   []int
+	// Cells is the cell indexer the tile numbering was aligned against
+	// (nil for an unnumbered Dist): the curve whose keys order the
+	// particles, so a geometry can reuse it rather than build it again.
+	Cells    sfc.Indexer3
+	tileRank []int
+	rankTile []int
 
 	// Per-axis BLOCK owner tables; see mesh.Dist.
 	ownerX, ownerY, ownerZ []int32
 }
 
-// NewDist picks the factorisation with the most cube-like blocks.
-func NewDist(g Grid, p int) (*Dist, error) {
+// maxShapes bounds the processor grids that share one block shape: the
+// orderings of three extents.
+const maxShapes = 6
+
+// factorisations returns the processor grids whose blocks are the most
+// cube-like (the smallest surface-to-volume proxy) and n, how many there
+// are. They are the orderings of one block shape, so they share halo
+// volume and field-solve traffic. The first is the one the proxy alone
+// picks, the earliest in (px, py, pz) order.
+func factorisations(g Grid, p int) (grids [maxShapes][3]int, n int, err error) {
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return grids, 0, err
 	}
 	if p <= 0 {
-		return nil, fmt.Errorf("mesh3: non-positive rank count %d", p)
+		return grids, 0, fmt.Errorf("mesh3: non-positive rank count %d", p)
 	}
-	best := [3]int{}
 	bestScore := 1e300
+	eachGrid(g, p, func(c [3]int) {
+		bx, by, bz := g.blockExtents(c)
+		// Surface-to-volume proxy: smaller is more cube-like.
+		if score := (bx*by + by*bz + bx*bz) / (bx * by * bz); score < bestScore {
+			bestScore = score
+			grids[0] = c
+		}
+	})
+	if bestScore == 1e300 {
+		return grids, 0, fmt.Errorf("mesh3: cannot block-distribute %dx%dx%d over %d ranks", g.Nx, g.Ny, g.Nz, p)
+	}
+	want := g.blockShape(grids[0])
+	n = 1
+	eachGrid(g, p, func(c [3]int) {
+		if c != grids[0] && g.blockShape(c) == want {
+			grids[n] = c
+			n++
+		}
+	})
+	return grids, n, nil
+}
+
+// eachGrid calls fn with every px×py×pz = p grid that fits g, in
+// lexicographic order.
+func eachGrid(g Grid, p int, fn func(c [3]int)) {
 	for px := 1; px <= p; px++ {
 		if p%px != 0 {
 			continue
@@ -142,57 +180,102 @@ func NewDist(g Grid, p int) (*Dist, error) {
 			if rem%py != 0 {
 				continue
 			}
-			pz := rem / py
-			if px > g.Nx || py > g.Ny || pz > g.Nz {
-				continue
-			}
-			bx := float64(g.Nx) / float64(px)
-			by := float64(g.Ny) / float64(py)
-			bz := float64(g.Nz) / float64(pz)
-			// Surface-to-volume proxy: smaller is more cube-like.
-			score := (bx*by + by*bz + bx*bz) / (bx * by * bz)
-			if score < bestScore {
-				bestScore = score
-				best = [3]int{px, py, pz}
+			if pz := rem / py; px <= g.Nx && py <= g.Ny && pz <= g.Nz {
+				fn([3]int{px, py, pz})
 			}
 		}
 	}
-	if bestScore == 1e300 {
-		return nil, fmt.Errorf("mesh3: cannot block-distribute %dx%dx%d over %d ranks", g.Nx, g.Ny, g.Nz, p)
-	}
-	return &Dist{G: g, P: p, Px: best[0], Py: best[1], Pz: best[2],
-		ownerX: mesh.BlockOwners(g.Nx, best[0]),
-		ownerY: mesh.BlockOwners(g.Ny, best[1]),
-		ownerZ: mesh.BlockOwners(g.Nz, best[2])}, nil
 }
 
-// NewDistOrdered builds a distribution with ranks numbered along the named
-// 3-D space-filling curve of the processor grid.
+// blockExtents returns the mean block extents of processor grid c.
+func (g Grid) blockExtents(c [3]int) (bx, by, bz float64) {
+	return float64(g.Nx) / float64(c[0]), float64(g.Ny) / float64(c[1]), float64(g.Nz) / float64(c[2])
+}
+
+// blockShape returns the block extents of processor grid c, sorted.
+func (g Grid) blockShape(c [3]int) [3]float64 {
+	a, b, e := g.blockExtents(c)
+	if a > b {
+		a, b = b, a
+	}
+	if b > e {
+		b, e = e, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	return [3]float64{a, b, e}
+}
+
+// newDist builds the unnumbered distribution over the most cube-like
+// processor grid.
+func newDist(g Grid, p int) (*Dist, error) {
+	grids, _, err := factorisations(g, p)
+	if err != nil {
+		return nil, err
+	}
+	return newDistOn(g, p, grids[0]), nil
+}
+
+func newDistOn(g Grid, p int, c [3]int) *Dist {
+	return &Dist{G: g, P: p, Px: c[0], Py: c[1], Pz: c[2],
+		ownerX: mesh.BlockOwners(g.Nx, c[0]),
+		ownerY: mesh.BlockOwners(g.Ny, c[1]),
+		ownerZ: mesh.BlockOwners(g.Nz, c[2])}
+}
+
+// NewDistOrdered builds the distribution whose tiles line up with the
+// equal P-ths of the named cell curve — the paper's alignment device:
+// particles are keyed by that curve and dealt in equal-count P-ths, so
+// rank r should own the tile the r-th P-th of the keys covers.
+//
+// Numbering the processor grid along a second curve of the same scheme
+// (the 2-D mesh.NewDistOrdered) only approximates that. In 3-D it can
+// miss badly: at 32³ over 4 ranks, each Hilbert quarter is a column the
+// 1×2×2 tiles cut across, and only a quarter of the cells lie on their
+// own rank's tile. So NewDistOrdered counts, for every processor grid of
+// the most cube-like block shape, how many cells of each tile fall in
+// each key P-th, numbers the tiles greedily by descending overlap (ties
+// toward the processor-grid curve's numbering, then by tile and P-th
+// index), and keeps the grid whose numbering aligns the most cells. The
+// curve numbering of the first grid stands unless some numbering aligns
+// strictly more, so where it is already fully aligned (Hilbert cubes over
+// 8 or 64 ranks) the result is the curve-numbered Dist.
 func NewDistOrdered(g Grid, p int, scheme string) (*Dist, error) {
-	d, err := NewDist(g, p)
+	grids, n, err := factorisations(g, p)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := sfc.New3(scheme, d.Px, d.Py, d.Pz)
+	cells, err := sfc.New3(scheme, g.Nx, g.Ny, g.Nz)
 	if err != nil {
 		return nil, err
 	}
-	d.tileRank = make([]int, p)
-	d.rankTile = make([]int, p)
-	seen := make([]bool, p)
-	for tz := 0; tz < d.Pz; tz++ {
-		for ty := 0; ty < d.Py; ty++ {
-			for tx := 0; tx < d.Px; tx++ {
-				r := ix.Index(tx, ty, tz)
-				if r < 0 || r >= p || seen[r] {
-					return nil, fmt.Errorf("mesh3: ordering not a bijection at (%d,%d,%d)", tx, ty, tz)
-				}
-				seen[r] = true
-				tile := (tz*d.Py+ty)*d.Px + tx
-				d.tileRank[tile] = r
-				d.rankTile[r] = tile
-			}
+	// tileRank and rankTile, then the aligner's two numberings.
+	ints := make([]int, 4*p)
+	numbering := ints[:2*p]
+	a := newAligner(g, p, cells, grids[:n])
+	a.curve, a.rank = ints[2*p:3*p], ints[3*p:]
+	best, bestAligned := 0, -1
+	for c := 0; c < n; c++ {
+		aligned, err := a.number(grids[c], scheme)
+		if err != nil {
+			return nil, err
 		}
+		if c == 0 {
+			// The first grid's curve numbering is the one to beat.
+			bestAligned = a.curveAligned
+			copy(numbering, a.curve)
+		}
+		if aligned > bestAligned {
+			best, bestAligned = c, aligned
+			copy(numbering, a.rank)
+		}
+	}
+	d := newDistOn(g, p, grids[best])
+	d.Cells = cells
+	d.tileRank, d.rankTile = numbering[:p], numbering[p:]
+	for t, r := range d.tileRank {
+		d.rankTile[r] = t
 	}
 	return d, nil
 }

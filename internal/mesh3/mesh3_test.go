@@ -43,7 +43,7 @@ func TestCellOfBoundaries(t *testing.T) {
 }
 
 func TestNewDistPrefersCubes(t *testing.T) {
-	d, err := NewDist(NewGrid(32, 32, 32), 64)
+	d, err := newDist(NewGrid(32, 32, 32), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestNewDistPrefersCubes(t *testing.T) {
 func TestNewDistAnisotropic(t *testing.T) {
 	// A flat slab should not be split along its thin dimension more than
 	// it can bear.
-	d, err := NewDist(NewGrid(64, 64, 2), 16)
+	d, err := newDist(NewGrid(64, 64, 2), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,10 @@ func TestNewDistAnisotropic(t *testing.T) {
 }
 
 func TestNewDistErrors(t *testing.T) {
-	if _, err := NewDist(NewGrid(2, 2, 2), 0); err == nil {
+	if _, err := newDist(NewGrid(2, 2, 2), 0); err == nil {
 		t.Error("p=0 accepted")
 	}
-	if _, err := NewDist(NewGrid(2, 2, 2), 1000); err == nil {
+	if _, err := newDist(NewGrid(2, 2, 2), 1000); err == nil {
 		t.Error("unfactorable p accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestNewDistOrderedRoundTrip(t *testing.T) {
 
 func TestBoundsCoverGrid(t *testing.T) {
 	g := NewGrid(10, 6, 4)
-	d, err := NewDist(g, 6)
+	d, err := newDist(g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBoundsCoverGrid(t *testing.T) {
 // with mesh.BlockOwner at every index, also where the extents do not divide.
 func TestOwnerTablesMatchBlockOwner(t *testing.T) {
 	g := NewGrid(13, 10, 7)
-	plain, err := NewDist(g, 12)
+	plain, err := newDist(g, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

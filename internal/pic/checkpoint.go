@@ -20,6 +20,7 @@ import (
 
 	"picpar/internal/ckpt"
 	"picpar/internal/comm"
+	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/policy"
 )
@@ -166,6 +167,7 @@ func (st *rankState) buildShard(epoch int, res *Result) *ckpt.Shard {
 	} else {
 		sh.GridNx, sh.GridNy = cfg.Grid.Nx, cfg.Grid.Ny
 	}
+	sh.Block = ownedBlock(st.ge, r.Rank())
 	fa := st.farr
 	src := [ckpt.NumFieldArrays][]float64{fa.Ex, fa.Ey, fa.Ez, fa.Bx, fa.By, fa.Bz, fa.Jx, fa.Jy, fa.Jz, fa.Rho}
 	for i := range src {
@@ -241,6 +243,11 @@ func (st *rankState) checkShardSignature(sh *ckpt.Shard, epoch int) {
 	if sh.GridNx != nx || sh.GridNy != ny || sh.GridNz != nz {
 		fail("grid %dx%dx%d (run has %dx%dx%d)", sh.GridNx, sh.GridNy, sh.GridNz, nx, ny, nz)
 	}
+	// Blocks of one size may be tiled or numbered differently by another
+	// build; the field arrays would then load into the wrong block.
+	if b := ownedBlock(st.ge, r.Rank()); sh.Block != b {
+		fail("owned block %v (run owns %v)", sh.Block, b)
+	}
 	if sh.NumParticles != cfg.NumParticles || sh.Seed != cfg.Seed {
 		fail("population n=%d seed=%d (run has n=%d seed=%d)",
 			sh.NumParticles, sh.Seed, cfg.NumParticles, cfg.Seed)
@@ -260,6 +267,18 @@ func (st *rankState) checkShardSignature(sh *ckpt.Shard, epoch int) {
 	if sh.Particles.Dims() != cfg.Dims {
 		fail("%d-D particles (run has %d-D)", sh.Particles.Dims(), cfg.Dims)
 	}
+}
+
+// ownedBlock is rank r's owned mesh block as a shard records it: i0, i1,
+// j0, j1, k0, k1, with k0 = k1 = 0 in 2-D.
+func ownedBlock(ge geom.Geometry, r int) (b [6]int) {
+	switch g := ge.(type) {
+	case *geom.G2:
+		b[0], b[1], b[2], b[3] = g.D.Bounds(r)
+	case *geom.G3:
+		b[0], b[1], b[2], b[3], b[4], b[5] = g.D.Bounds(r)
+	}
+	return b
 }
 
 // restoreShard reinstates a shard into the rank's live state: particles,

@@ -1,8 +1,10 @@
 package pic
 
 import (
+	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,5 +255,48 @@ func TestElasticRecoveryByteIdentical(t *testing.T) {
 					res.TotalTime, res.Fingerprint, ref.TotalTime, ref.Fingerprint)
 			}
 		})
+	}
+}
+
+// TestRecoverRefusesMovedBlock: a shard records the mesh block its rank
+// owned. Two ranks' blocks of one size swapped — what a build that tiles
+// or numbers the mesh differently writes — leave every field array the
+// right length, so only that record can refuse the restore.
+func TestRecoverRefusesMovedBlock(t *testing.T) {
+	dir := t.TempDir()
+	cfg := base3()
+	cfg.P = 2
+	cfg.CheckpointDir = dir
+	cfg.CheckpointEvery = 5
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var shards [2]*ckpt.Shard
+	for r := range shards {
+		sh, err := ckpt.ReadShard(ckpt.ShardPath(dir, cfg.Iterations, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[r] = sh
+	}
+	if shards[0].Block == shards[1].Block {
+		t.Fatalf("both ranks recorded block %v", shards[0].Block)
+	}
+	shards[0].Block, shards[1].Block = shards[1].Block, shards[0].Block
+	for _, sh := range shards {
+		if err := ckpt.WriteShard(dir, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.Recover = true
+	refusal := func() (v any) {
+		defer func() { v = recover() }()
+		if _, err := Run(cfg); err != nil {
+			return err
+		}
+		return nil
+	}()
+	if msg := fmt.Sprint(refusal); !strings.Contains(msg, "refusing checkpoint") || !strings.Contains(msg, "owned block") {
+		t.Fatalf("restore onto swapped blocks: %v, want a refusal naming the owned block", refusal)
 	}
 }

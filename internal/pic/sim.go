@@ -134,20 +134,19 @@ func (res *Result) finalize(p int, ws machine.WorldStats) {
 }
 
 // newGeometry builds the run's Geometry: the BLOCK mesh distribution with
-// its tiles numbered along the same curve that orders the particles
-// (aligning particle chunk r with mesh block r), plus the matching cell
-// indexer — in the configured dimensionality.
+// its tiles numbered so that particle chunk r, the r-th P-th of the cell
+// curve that orders the particles, lands on mesh block r, plus that cell
+// indexer — in the configured dimensionality. In 2-D the tiles are
+// numbered along the same curve over the processor grid; in 3-D
+// mesh3.NewDistOrdered picks the tiling and numbering from the cell curve
+// itself and hands back the indexer it built for that.
 func newGeometry(cfg Config) (geom.Geometry, error) {
 	if cfg.Dims == 3 {
 		dist, err := mesh3.NewDistOrdered(cfg.Grid3, cfg.P, cfg.Indexing)
 		if err != nil {
 			return nil, err
 		}
-		indexer, err := sfc.New3(cfg.Indexing, cfg.Grid3.Nx, cfg.Grid3.Ny, cfg.Grid3.Nz)
-		if err != nil {
-			return nil, err
-		}
-		return geom.New3(cfg.Grid3, dist, indexer), nil
+		return geom.New3(cfg.Grid3, dist, dist.Cells), nil
 	}
 	var dist *mesh.Dist
 	var err error

@@ -3,7 +3,9 @@ package pic
 import (
 	"testing"
 
+	"picpar/internal/comm"
 	"picpar/internal/commtest"
+	"picpar/internal/machine"
 	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/policy"
@@ -108,5 +110,56 @@ func TestChaos3DByteIdenticalUnderReliable(t *testing.T) {
 			cfg.Topology = topo
 			checkJitteredPhysics(t, cfg, false, int64(300+100*i))
 		})
+	}
+}
+
+// TestGolden3DP4 pins the 3-D reference run at four ranks, where the cell
+// curve's quarters are 16×16×32 columns: the tiles are chosen and numbered
+// from those quarters (mesh3.NewDistOrdered), so each rank's particles
+// deposit on its own tile.
+func TestGolden3DP4(t *testing.T) {
+	cfg := base3()
+	cfg.P = 4
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const recorded = 2.839984
+	if diff := res.TotalTime - recorded; diff > 1e-7 || diff < -1e-7 {
+		t.Errorf("3-D P=4 reference run total changed: got %.12g, recorded %.12g", res.TotalTime, recorded)
+	}
+}
+
+// TestScatterTraffic3DAlignedAtEveryP: on a uniform 32³ plasma, every
+// rank's particle P-th covers its own tile at two and four ranks as at
+// eight, so the scatter sends no more than half again the eight-rank
+// bytes. A tiling that cuts across the curve's P-ths sends about ten times
+// as much.
+func TestScatterTraffic3DAlignedAtEveryP(t *testing.T) {
+	scatter := func(p int) int64 {
+		cfg := base3()
+		cfg.Grid3 = mesh3.NewGrid(32, 32, 32)
+		cfg.P = p
+		cfg.NumParticles = 16384
+		cfg.Distribution = particle.DistUniform
+		cfg.Seed, cfg.Verify = 1, false
+		cfg.Iterations = 2
+		tracer := comm.NewTracer()
+		cfg.Transport = tracer.Wrap
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var most int64
+		for r := 0; r < p; r++ {
+			most = max(most, tracer.Rank(r).Phases[machine.PhaseScatter].BytesSent)
+		}
+		t.Logf("P=%d: scatter sends at most %d B per rank, %d B in all", p, most, tracer.PhaseTotals()[machine.PhaseScatter].BytesSent)
+		return most
+	}
+	ref := scatter(8)
+	for _, p := range []int{2, 4} {
+		if got := scatter(p); 2*got > 3*ref {
+			t.Errorf("P=%d scatter sends %d B from one rank, more than 1.5× the P=8 run's %d B", p, got, ref)
+		}
 	}
 }

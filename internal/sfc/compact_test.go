@@ -77,7 +77,7 @@ func TestCompactTablesBijective2D3D(t *testing.T) {
 			}
 		}
 
-		ix3 := MustNew3(scheme, 5, 6, 3)
+		ix3 := mustNew3(scheme, 5, 6, 3)
 		bijective(t, scheme+"-3d", 5*6*3, func(cell int) int {
 			return ix3.Index(cell%5, (cell/5)%6, cell/30)
 		})

@@ -43,15 +43,6 @@ func New3(scheme string, w, h, d int) (Indexer3, error) {
 	}
 }
 
-// MustNew3 is New3 for known-good arguments; it panics on error.
-func MustNew3(scheme string, w, h, d int) Indexer3 {
-	ix, err := New3(scheme, w, h, d)
-	if err != nil {
-		panic(err)
-	}
-	return ix
-}
-
 // RowMajor3 orders cells x-fastest, then y, then z.
 type RowMajor3 struct{ W, H, D int }
 

@@ -41,7 +41,7 @@ func TestIndexer3Bijection(t *testing.T) {
 func TestHilbert3Adjacency(t *testing.T) {
 	// On a power-of-two cube, consecutive compacted-Hilbert indices are
 	// 6-neighbour adjacent cells.
-	ix := MustNew3(SchemeHilbert, 8, 8, 8)
+	ix := mustNew3(SchemeHilbert, 8, 8, 8)
 	px, py, pz := ix.Coords(0)
 	for idx := 1; idx < 8*8*8; idx++ {
 		x, y, z := ix.Coords(idx)
@@ -76,8 +76,8 @@ func TestLocality3HilbertBeatsSnake(t *testing.T) {
 	const n = 16
 	const ranks = 16
 	share := n * n * n / ranks
-	hil := MustNew3(SchemeHilbert, n, n, n)
-	snk := MustNew3(SchemeSnake, n, n, n)
+	hil := mustNew3(SchemeHilbert, n, n, n)
+	snk := mustNew3(SchemeSnake, n, n, n)
 	surface := func(ix Indexer3, lo, hi int) int {
 		minX, minY, minZ := n, n, n
 		maxX, maxY, maxZ := -1, -1, -1
@@ -101,7 +101,7 @@ func TestLocality3HilbertBeatsSnake(t *testing.T) {
 }
 
 func TestMorton3RoundTripViaTables(t *testing.T) {
-	ix := MustNew3(SchemeMorton, 8, 4, 2)
+	ix := mustNew3(SchemeMorton, 8, 4, 2)
 	for idx := 0; idx < 8*4*2; idx++ {
 		x, y, z := ix.Coords(idx)
 		if ix.Index(x, y, z) != idx {
@@ -129,12 +129,15 @@ func TestNew3Rejects(t *testing.T) {
 	if _, err := New3("spiral", 2, 2, 2); err == nil {
 		t.Error("expected error for unknown scheme")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew3 must panic")
-		}
-	}()
-	MustNew3("spiral", 2, 2, 2)
+}
+
+// mustNew3 is New3 for known-good arguments; it panics on error.
+func mustNew3(scheme string, w, h, d int) Indexer3 {
+	ix, err := New3(scheme, w, h, d)
+	if err != nil {
+		panic(err)
+	}
+	return ix
 }
 
 func min(a, b int) int {
