@@ -89,11 +89,14 @@ func (w bootWorld) generate(t *testing.T) *particle.Store {
 // key with ties in generation order. Generation assigns ID = generation
 // index, so the two orders are the same sequence, both cut it into the
 // same BLOCK ranges, and every particle must land on the rank the oracle
-// names.
+// names. Each rank's store must also be in strict (Key, ID) order: the
+// sample sort merges the sorted runs its sources sent, and under the spike
+// distribution runs from different sources share keys, so a merge that
+// breaks key ties any other way than by id fails here.
 func TestBootLayoutMatchesPartitionOracle(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		for _, p := range []int{1, 3, 4, 7} {
-			for _, dist := range []string{particle.DistUniform, particle.DistIrregular} {
+			for _, dist := range []string{particle.DistUniform, particle.DistIrregular, particle.DistSpike} {
 				for _, topo := range []string{TopologyFullMesh, TopologyNeighborSparse} {
 					name := fmt.Sprintf("%dD/P%d/%s/%s", dims, p, dist, topo)
 					t.Run(name, func(t *testing.T) { checkBootLayout(t, dims, p, dist, topo) })
@@ -109,7 +112,9 @@ func checkBootLayout(t *testing.T, dims, p int, dist, topo string) {
 	for i := range owner {
 		owner[i] = -1
 	}
-	for rank, s := range w.run((*rankState).initialDistribution) {
+	stores := w.run((*rankState).initialDistribution)
+	checkKeyIDOrder(t, stores)
+	for rank, s := range stores {
 		for _, id := range s.ID {
 			if owner[int(id)] != -1 {
 				t.Errorf("particle %v on ranks %d and %d", id, owner[int(id)], rank)
@@ -122,6 +127,52 @@ func checkBootLayout(t *testing.T, dims, p int, dist, topo string) {
 	for id, got := range owner {
 		if got != want.Particles[id] {
 			t.Fatalf("particle %d booted on rank %d, partition oracle says %d", id, got, want.Particles[id])
+		}
+	}
+}
+
+// checkKeyIDOrder fails unless the ranks' stores, concatenated in rank
+// order, are in strict (Key, ID) order.
+func checkKeyIDOrder(t *testing.T, stores []*particle.Store) {
+	t.Helper()
+	prevKey, prevID, prevRank := math.Inf(-1), math.Inf(-1), -1
+	for rank, s := range stores {
+		for i := range s.Key {
+			k, id := s.Key[i], s.ID[i]
+			if k < prevKey || k == prevKey && id <= prevID {
+				t.Fatalf("rank %d particle %d (key %v, id %v) does not follow (key %v, id %v) of rank %d in (Key, ID) order",
+					rank, i, k, id, prevKey, prevID, prevRank)
+			}
+			prevKey, prevID, prevRank = k, id, rank
+		}
+	}
+}
+
+// TestBootOrderIgnoresDealingOrder boots a caller's spike population whose
+// ids run against the dealing order: the ranks' sources send id blocks in
+// descending order, so a merge that broke key ties by source, as
+// redistribution's merge breaks them for the kept run, would pass the
+// generated populations above and fail here.
+func TestBootOrderIgnoresDealingOrder(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		for _, p := range []int{3, 4} {
+			t.Run(fmt.Sprintf("%dD/P%d", dims, p), func(t *testing.T) {
+				w := newBootWorld(t, dims, p, particle.DistSpike, TopologyFullMesh)
+				custom := w.generate(t)
+				for i := range custom.ID {
+					custom.ID[i] = float64(custom.Len() - 1 - i)
+				}
+				w.cfg.CustomParticles = custom
+				stores := w.run((*rankState).initialDistribution)
+				checkKeyIDOrder(t, stores)
+				n := 0
+				for _, s := range stores {
+					n += s.Len()
+				}
+				if n != custom.Len() {
+					t.Fatalf("booted %d particles, want %d", n, custom.Len())
+				}
+			})
 		}
 	}
 }

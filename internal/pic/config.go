@@ -222,21 +222,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validate rejects configurations the substrates cannot represent.
+// validate rejects configurations the substrates cannot represent. It does
+// no per-cell work: the grid validates its own extents, and the indexing
+// scheme is checked on a one-cell box, so the run's cell curve is built
+// once, by newGeometry.
 func (c Config) validate() error {
 	switch c.Dims {
 	case 2:
 		if err := c.Grid.Validate(); err != nil {
 			return err
 		}
-		if _, err := sfc.New(c.Indexing, c.Grid.Nx, c.Grid.Ny); err != nil {
+		if _, err := sfc.New(c.Indexing, 1, 1); err != nil {
 			return err
 		}
 	case 3:
 		if err := c.Grid3.Validate(); err != nil {
 			return err
 		}
-		if _, err := sfc.New3(c.Indexing, c.Grid3.Nx, c.Grid3.Ny, c.Grid3.Nz); err != nil {
+		if _, err := sfc.New3(c.Indexing, 1, 1, 1); err != nil {
 			return err
 		}
 		if c.MeshDist1D {

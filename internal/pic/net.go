@@ -18,19 +18,17 @@ import (
 // (never a hang, bounded by the backend's timeouts).
 func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
 	cfg.P = ncfg.Size
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	// The geometry and the topology plan are built once per process and
+	// shared by every attempt below: both are read-only during a run.
+	cfg, ge, pl, err := prepare(cfg)
+	if err != nil {
 		return nil, err
 	}
 	// Topology: the configured link set is the descriptor the TCP backend
 	// assembles its socket mesh from — O(P·k) sockets under neighbor-sparse
 	// instead of the full mesh's O(P²) — and the rendezvous pins its digest
 	// so mismatched ranks are rejected at assembly.
-	tp, err := TopologyFor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ncfg.Topology = tp
+	ncfg.Topology = pl.topo
 	if ncfg.Params == (machine.Params{}) {
 		ncfg.Params = cfg.Machine
 	}
@@ -39,7 +37,7 @@ func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
 	}
 	var res *Result
 	rank := func(t comm.Transport) {
-		r, rerr := RunRank(t, cfg)
+		r, rerr := runPrepared(t, cfg, ge, pl)
 		if rerr != nil {
 			panic(rerr)
 		}
@@ -48,8 +46,8 @@ func RunNet(ncfg comm.NetConfig, cfg Config) (*Result, error) {
 	// With Recover on, the rank is elastic: when the world dies under it
 	// (a peer was killed), it parks, rejoins through the rendezvous and
 	// reruns the simulation — which restores the agreed checkpoint epoch
-	// and continues. RunRank is re-entered from the top, so each attempt
-	// starts from a clean state; it runs at most 8 times.
+	// and continues. Every attempt starts the rank from a clean state on
+	// the same geometry; it runs at most 8 times.
 	if cfg.Recover {
 		ncfg.RejoinAttempts = 8
 	}

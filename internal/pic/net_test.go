@@ -113,3 +113,49 @@ func TestNetChaosSparseTopology(t *testing.T) {
 	cfg.Topology = TopologyNeighborSparse
 	checkJitteredPhysics(t, cfg, true, 1400)
 }
+
+// TestRunNet3DMatchesRun runs the 3-D reference configuration through
+// RunNet, one goroutine per rank joined over loopback TCP, as each picsim
+// -net rank process does: every rank builds its geometry and topology plan
+// once and runs on them, and the result must be the goroutine world's run,
+// TotalTime and fingerprint alike.
+func TestRunNet3DMatchesRun(t *testing.T) {
+	cfg := base3()
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := commtest.NetTemplate(machine.CM5())
+	co, err := comm.StartCoordinator("127.0.0.1:0", cfg.P, tmpl.RendezvousTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	go co.Serve()
+	results := make([]*Result, cfg.P)
+	errs := make([]error, cfg.P)
+	var wg sync.WaitGroup
+	for rank := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ncfg := tmpl
+			ncfg.Coordinator, ncfg.Rank, ncfg.Size = co.Addr(), rank, cfg.P
+			results[rank], errs[rank] = RunNet(ncfg, cfg)
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	res := results[0]
+	if res == nil {
+		t.Fatal("rank 0 produced no result")
+	}
+	if res.TotalTime != ref.TotalTime || res.Fingerprint != ref.Fingerprint {
+		t.Errorf("RunNet: total %.7f, fingerprint %016x; Run: %.7f, %016x",
+			res.TotalTime, res.Fingerprint, ref.TotalTime, ref.Fingerprint)
+	}
+}

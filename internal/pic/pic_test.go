@@ -2,14 +2,18 @@ package pic
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"picpar/internal/commopt"
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
+	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/policy"
+	"picpar/internal/raceflag"
 	"picpar/internal/sfc"
 )
 
@@ -272,6 +276,39 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestValidateDoesNoPerCellWork: validate checks the indexing scheme on a
+// one-cell box, so on a 64³ Hilbert mesh it allocates next to nothing where
+// building the cell curve takes 2 MiB of tables — and an unknown scheme is
+// still refused in both dimensionalities.
+func TestValidateDoesNoPerCellWork(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation accounting is distorted by the race runtime")
+	}
+	cfg := base3()
+	cfg.Grid3 = mesh3.NewGrid(64, 64, 64)
+	cfg = cfg.withDefaults()
+	const calls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := cfg.validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 4<<10 {
+		t.Errorf("validate allocated %d B per call on a 64³ mesh, want < 4 KiB", per)
+	}
+
+	for _, c := range []Config{base(), base3()} {
+		c.Indexing = "spiral"
+		c = c.withDefaults()
+		if err := c.validate(); err == nil || !strings.Contains(err.Error(), "sfc: unknown scheme") {
+			t.Errorf("%d-D validate of an unknown scheme: %v, want an sfc: unknown scheme error", c.Dims, err)
 		}
 	}
 }

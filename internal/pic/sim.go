@@ -37,20 +37,10 @@ const gatherWireFloats = 6
 
 // Run executes the configured simulation and returns its measurements.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ge, err := newGeometry(cfg)
+	cfg, ge, pl, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	pl, err := buildTopoPlan(cfg, ge)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &Result{Config: cfg, Records: make([]IterationRecord, cfg.Iterations)}
 	w := comm.NewWorld(cfg.P, cfg.Machine)
 	// Enforce the link set in-process: any send outside it panics with a
@@ -67,6 +57,22 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// prepare fills cfg's defaults, validates it and builds what every rank of
+// the run shares read-only: the geometry, with the one cell curve of the
+// run, and the topology plan. Each entry point calls it once per process.
+func prepare(cfg Config) (Config, geom.Geometry, topoPlan, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return cfg, nil, topoPlan{}, err
+	}
+	ge, err := newGeometry(cfg)
+	if err != nil {
+		return cfg, nil, topoPlan{}, err
+	}
+	pl, err := buildTopoPlan(cfg, ge)
+	return cfg, ge, pl, err
+}
+
 // RunRank executes one rank of the configured simulation over an existing
 // Transport endpoint — the multi-process counterpart of Run, used when each
 // rank is its own OS process joined over the TCP backend (comm.NetRank).
@@ -76,18 +82,15 @@ func Run(cfg Config) (*Result, error) {
 // return (nil, nil) on success.
 func RunRank(t comm.Transport, cfg Config) (*Result, error) {
 	cfg.P = t.Size()
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ge, err := newGeometry(cfg)
+	cfg, ge, pl, err := prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := buildTopoPlan(cfg, ge)
-	if err != nil {
-		return nil, err
-	}
+	return runPrepared(t, cfg, ge, pl)
+}
+
+// runPrepared is RunRank on a prepared configuration, geometry and plan.
+func runPrepared(t comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan) (*Result, error) {
 	res := &Result{Config: cfg, Records: make([]IterationRecord, cfg.Iterations)}
 	runRank(t, cfg, ge, pl, res)
 	// Gather every rank's ledger so rank 0 can report world aggregates.

@@ -60,15 +60,7 @@ func parseTopology(spec string) (string, error) {
 // topology names, sized for cfg.P — what the TCP backend assembles its
 // socket mesh from (comm.NetConfig.Topology).
 func TopologyFor(cfg Config) (*comm.Topology, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ge, err := newGeometry(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := buildTopoPlan(cfg, ge)
+	_, _, pl, err := prepare(cfg)
 	return pl.topo, err
 }
 

@@ -279,9 +279,7 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 		inc.recv[i] = i
 	}
 	inc.so.sortIndices(got, inc.recv)
-	if m > 1 {
-		r.Compute(m * ilog2(m) * compareWork)
-	}
+	chargeSort(r, m)
 
 	// Lines 22–23: sort each bucket locally. Buckets are key-disjoint and
 	// ordered, so the bucket groups of inc.order index a sorted kept run
@@ -290,9 +288,7 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 	for b := 0; b < inc.L; b++ {
 		idx := inc.order[inc.cut[b]:inc.cut[b+1]]
 		inc.side = inc.so.sortNearlySorted(s, idx, inc.side)
-		if len(idx) > 1 {
-			r.Compute(len(idx) * ilog2(len(idx)) * compareWork)
-		}
+		chargeSort(r, len(idx))
 	}
 	kept := inc.order[:inc.cut[inc.L]]
 

@@ -49,8 +49,14 @@ const (
 // are identical for every pool size, and once the sets and the sorter
 // have grown to the population a sort allocates nothing.
 func (inc *Incremental) LocalSort(r comm.Transport, s *particle.Store) {
-	n := s.Len()
 	inc.sortStore(s)
+	chargeSort(r, s.Len())
+}
+
+// chargeSort charges the comparison sort of n particles, n·⌈log₂ n⌉
+// compare steps — the price of every local sort in the model, whatever
+// real algorithm (radix, merge, insertion) put them in order.
+func chargeSort(r comm.Transport, n int) {
 	if n > 1 {
 		r.Compute(n * ilog2(n) * compareWork)
 	}
@@ -84,8 +90,8 @@ func SampleSort(r comm.Transport, s *particle.Store) *particle.Store {
 }
 
 // Distribute is the sample sort on the Incremental's sets and scratch,
-// with the local radix sorts spread over the attached pool and the
-// all-to-many halves routed through ex (nil: the classic pairwise
+// with the local radix sort spread over the attached pool, the received
+// runs merged, and the all-to-many halves routed through ex (nil: the classic pairwise
 // protocol). It consumes s: every particle leaves s in a message (this
 // rank's own run included), so s takes the received particles in their
 // place, and the balance delivers that whole store as one run into another
@@ -112,7 +118,7 @@ func (inc *Incremental) Distribute(r comm.Transport, s *particle.Store, ex *comm
 	}
 	all := comm.AllgatherFloat64s(r, samples)
 	sort.Float64s(all)
-	r.Compute(len(all) * ilog2(len(all)) * compareWork)
+	chargeSort(r, len(all))
 	// p−1 splitters: every p-th sample.
 	splitters := make([]float64, p-1)
 	for k := 1; k < p; k++ {
@@ -140,11 +146,16 @@ func (inc *Incremental) Distribute(r comm.Transport, s *particle.Store, ex *comm
 	}
 	recv := ex.Exchange(r, send, counts)
 
+	// Every source sent a contiguous range of its sorted array, so s
+	// receives p sorted runs back to back; cuts now bounds them. Merging
+	// the runs orders s, charged as the comparison sort it replaces.
 	reserve(s, received(recv, wf))
 	for src := 0; src < p; src++ {
 		absorb(r, s, recv[src])
+		cuts[src+1] = s.Len()
 	}
-	inc.LocalSort(r, s)
+	inc.mergeRuns(s, cuts)
+	chargeSort(r, s.Len())
 	return inc.loadBalanceInto(r, inc.whole(s), inc.mem.free(s, nil, 0), ex)
 }
 

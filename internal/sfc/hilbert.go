@@ -5,26 +5,8 @@ import (
 	"math/bits"
 )
 
-// HilbertXY2D maps cell (x, y) on an n×n grid (n a power of two) to its
-// distance along the Hilbert curve. Classic quadrant-rotation formulation.
-func HilbertXY2D(n, x, y int) int {
-	d := 0
-	for s := n / 2; s > 0; s /= 2 {
-		rx, ry := 0, 0
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += s * s * ((3 * rx) ^ ry)
-		x, y = hilbertRot(s, x, y, rx, ry)
-	}
-	return d
-}
-
-// HilbertD2XY inverts HilbertXY2D: it maps curve distance d on an n×n grid
-// to cell coordinates.
+// HilbertD2XY maps distance d along the Hilbert curve of an n×n grid (n a
+// power of two) to cell coordinates. Classic quadrant-rotation formulation.
 func HilbertD2XY(n, d int) (x, y int) {
 	t := d
 	for s := 1; s < n; s *= 2 {
@@ -79,27 +61,29 @@ func NewMorton(w, h int) (*Morton, error) {
 }
 
 // newCompacted walks the enclosing square's curve in rank order and assigns
-// consecutive compact indices to the cells inside the rectangle, via the
-// shared buildCompactTables walker. The 2-D Hilbert curve itself stays the
-// classic quadrant-rotation formulation (HilbertD2XY) — only the table
-// compaction is shared with 3-D.
+// consecutive compact indices to the cells inside the rectangle, stepping
+// past the curve's blocks that lie wholly outside it. The 2-D Hilbert curve
+// itself stays the classic quadrant-rotation formulation (HilbertD2XY) —
+// only the compaction is shared with 3-D.
 func newCompacted(w, h int, hilbert bool) *Hilbert {
 	side := SideForGrid(w, h)
-	hx := &Hilbert{w: w, h: h}
-	hx.cellToIdx, hx.idxToCell = buildCompactTables(w*h, uint64(side)*uint64(side),
-		func(rank uint64) (int32, bool) {
-			var x, y int
-			if hilbert {
-				x, y = HilbertD2XY(side, int(rank))
-			} else {
-				x, y = mortonD2XY(int(rank))
-			}
-			if x >= w || y >= h {
-				return 0, false
-			}
-			return int32(y*w + x), true
-		})
-	return hx
+	bitCount := bits.Len(uint(side - 1))
+	c := newCompactor(w * h)
+	for rank, total := uint64(0), uint64(side)*uint64(side); rank < total; {
+		var x, y int
+		if hilbert {
+			x, y = HilbertD2XY(side, int(rank))
+		} else {
+			x, y = mortonD2XY(int(rank))
+		}
+		if x >= w || y >= h {
+			rank += skipOutside(rank, 2, bitCount, [3]int{x, y}, [3]int{w, h, 1})
+			continue
+		}
+		c.add(int32(y*w + x))
+		rank++
+	}
+	return &Hilbert{w: w, h: h, cellToIdx: c.cellToIdx, idxToCell: c.idxToCell}
 }
 
 // Index implements Indexer.
@@ -132,23 +116,7 @@ func mortonD2XY(d int) (x, y int) {
 	return x, y
 }
 
-// MortonXY2D interleaves the bits of x and y (x in the even positions).
-func MortonXY2D(x, y int) int {
-	return int(spreadBits(uint64(x)) | spreadBits(uint64(y))<<1)
-}
-
-// spreadBits inserts a zero between each of the low 32 bits of v.
-func spreadBits(v uint64) uint64 {
-	v &= 0xffffffff
-	v = (v | v<<16) & 0x0000ffff0000ffff
-	v = (v | v<<8) & 0x00ff00ff00ff00ff
-	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
-	v = (v | v<<2) & 0x3333333333333333
-	v = (v | v<<1) & 0x5555555555555555
-	return v
-}
-
-// compactBits inverts spreadBits (keeps the even-position bits of v).
+// compactBits keeps the even-position bits of v, packed.
 func compactBits(v uint64) uint64 {
 	v &= 0x5555555555555555
 	v = (v | v>>1) & 0x3333333333333333

@@ -1,13 +1,16 @@
 package sfc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // The paper notes that its indexing scheme "can be generalized to
 // n-dimensions and used to convert an n-dimensional index into a
 // one-dimensional index such that proximity in the n-dimensions is
 // generally maintained". This file provides the three-dimensional
 // instantiation used by the 3-D partitioning analysis: Hilbert (via
-// Skilling's algorithm in nd.go), snakelike, row-major and Morton orders
+// Skilling's algorithm, hilbertAxes3), snakelike, row-major and Morton orders
 // over a W×H×D cell box.
 
 // Indexer3 linearises a W×H×D grid of cells; a bijection onto 0..W*H*D−1.
@@ -31,9 +34,9 @@ func New3(scheme string, w, h, d int) (Indexer3, error) {
 	}
 	switch scheme {
 	case SchemeHilbert:
-		return newCompacted3(w, h, d, curveHilbert3), nil
+		return newCompacted3(w, h, d, true), nil
 	case SchemeMorton:
-		return newCompacted3(w, h, d, curveMorton3), nil
+		return newCompacted3(w, h, d, false), nil
 	case SchemeSnake:
 		return Snake3{W: w, H: h, D: d}, nil
 	case SchemeRowMajor:
@@ -105,58 +108,87 @@ type compacted3 struct {
 	idxToCell []int32
 }
 
-type curveKind3 int
-
-const (
-	curveHilbert3 curveKind3 = iota
-	curveMorton3
-)
-
-func newCompacted3(w, h, d int, kind curveKind3) *compacted3 {
+// newCompacted3 walks the enclosing cube's curve in rank order, decoding
+// each rank inline with the fixed-width three-axis decoders below, and
+// assigns consecutive compact indices to the cells inside the box, stepping
+// past the curve's blocks that lie wholly outside it.
+func newCompacted3(w, h, d int, hilbert bool) *compacted3 {
 	side := SideForGrid(SideForGrid(w, h), d) // max extent rounded up to pow2
-	bits := 0
-	for 1<<bits < side {
-		bits++
+	bitCount := max(bits.Len(uint(side-1)), 1)
+	name := SchemeMorton
+	if hilbert {
+		name = SchemeHilbert
 	}
-	if bits == 0 {
-		bits = 1
+	c := newCompactor(w * h * d)
+	for rank, total := uint64(0), uint64(1)<<uint(3*bitCount); rank < total; {
+		var x, y, z int
+		if hilbert {
+			x, y, z = hilbertAxes3(rank, bitCount)
+		} else {
+			x, y, z = mortonAxes3(rank)
+		}
+		if x >= w || y >= h || z >= d {
+			rank += skipOutside(rank, 3, bitCount, [3]int{x, y, z}, [3]int{w, h, d})
+			continue
+		}
+		c.add(int32((z*h+y)*w + x))
+		rank++
 	}
-	c := &compacted3{w: w, h: h, d: d}
-	switch kind {
-	case curveHilbert3:
-		c.name = SchemeHilbert
-	case curveMorton3:
-		c.name = SchemeMorton
-	}
-	total := uint64(1) << uint(3*bits)
-	coords := make([]uint32, 3)
-	c.cellToIdx, c.idxToCell = buildCompactTables(w*h*d, total,
-		func(rank uint64) (int32, bool) {
-			var x, y, z int
-			if kind == curveHilbert3 {
-				HilbertIndexToAxes(rank, bits, coords)
-				x, y, z = int(coords[0]), int(coords[1]), int(coords[2])
-			} else {
-				x = int(compact3Bits(rank))
-				y = int(compact3Bits(rank >> 1))
-				z = int(compact3Bits(rank >> 2))
-			}
-			if x >= w || y >= h || z >= d {
-				return 0, false
-			}
-			return int32((z*h+y)*w + x), true
-		})
-	return c
+	return &compacted3{w: w, h: h, d: d, name: name, cellToIdx: c.cellToIdx, idxToCell: c.idxToCell}
 }
 
-// compact3Bits keeps every third bit of v (positions 0, 3, 6, …), the
+// hilbertAxes3 decodes the 3-D Hilbert curve rank idx over a cube of side
+// 2^bitCount into its cell: Skilling's transpose algorithm ("Programming
+// the Hilbert curve", AIP Conf. Proc. 707, 2004) unrolled for three axes —
+// de-interleave the rank into the transpose form, Gray-decode it, then undo
+// the excess work level by level.
+func hilbertAxes3(idx uint64, bitCount int) (x, y, z int) {
+	x0 := uint32(compact3Bits(idx >> 2))
+	x1 := uint32(compact3Bits(idx >> 1))
+	x2 := uint32(compact3Bits(idx))
+	t := x2 >> 1
+	x2 ^= x1
+	x1 ^= x0
+	x0 ^= t
+	for q := uint32(2); q != 2<<uint(bitCount-1); q <<= 1 {
+		p := q - 1
+		if x2&q != 0 {
+			x0 ^= p
+		} else {
+			t := (x0 ^ x2) & p
+			x0 ^= t
+			x2 ^= t
+		}
+		if x1&q != 0 {
+			x0 ^= p
+		} else {
+			t := (x0 ^ x1) & p
+			x0 ^= t
+			x1 ^= t
+		}
+		if x0&q != 0 {
+			x0 ^= p
+		}
+	}
+	return int(x0), int(x1), int(x2)
+}
+
+// mortonAxes3 de-interleaves the 3-D Morton rank idx (x in bit positions 0,
+// 3, 6, …) into its cell.
+func mortonAxes3(idx uint64) (x, y, z int) {
+	return int(compact3Bits(idx)), int(compact3Bits(idx >> 1)), int(compact3Bits(idx >> 2))
+}
+
+// compact3Bits keeps every third bit of v (positions 0, 3, 6, …, 60), the
 // inverse of 3-way Morton interleaving for one dimension.
 func compact3Bits(v uint64) uint64 {
-	var out uint64
-	for b := 0; b < 21; b++ {
-		out |= (v >> uint(3*b) & 1) << uint(b)
-	}
-	return out
+	v &= 0x1249249249249249
+	v = (v ^ v>>2) & 0x10c30c30c30c30c3
+	v = (v ^ v>>4) & 0x100f00f00f00f00f
+	v = (v ^ v>>8) & 0x001f0000ff0000ff
+	v = (v ^ v>>16) & 0x001f00000000ffff
+	v = (v ^ v>>32) & 0x00000000001fffff
+	return v
 }
 
 // Index implements Indexer3.

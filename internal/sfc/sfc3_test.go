@@ -139,17 +139,3 @@ func mustNew3(scheme string, w, h, d int) Indexer3 {
 	}
 	return ix
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

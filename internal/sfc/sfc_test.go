@@ -276,3 +276,40 @@ func absU(a, b uint32) uint32 {
 	}
 	return b - a
 }
+
+// HilbertXY2D maps cell (x, y) on an n×n grid (n a power of two) to its
+// distance along the Hilbert curve: the encoder that HilbertD2XY inverts,
+// kept as its test oracle.
+func HilbertXY2D(n, x, y int) int {
+	d := 0
+	for s := n / 2; s > 0; s /= 2 {
+		rx, ry := 0, 0
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += s * s * ((3 * rx) ^ ry)
+		x, y = hilbertRot(s, x, y, rx, ry)
+	}
+	return d
+}
+
+// MortonXY2D interleaves the bits of x and y (x in the even positions):
+// the encoder that mortonD2XY inverts, kept as its test oracle.
+func MortonXY2D(x, y int) int {
+	return int(spreadBits(uint64(x)) | spreadBits(uint64(y))<<1)
+}
+
+// spreadBits inserts a zero between each of the low 32 bits of v; compactBits
+// inverts it.
+func spreadBits(v uint64) uint64 {
+	v &= 0xffffffff
+	v = (v | v<<16) & 0x0000ffff0000ffff
+	v = (v | v<<8) & 0x00ff00ff00ff00ff
+	v = (v | v<<4) & 0x0f0f0f0f0f0f0f0f
+	v = (v | v<<2) & 0x3333333333333333
+	v = (v | v<<1) & 0x5555555555555555
+	return v
+}

@@ -5,7 +5,10 @@
 #     2-D golden TotalTime 1.1831223 byte-identically to the in-process
 #     goroutine backend; a second run assembles the neighbor-sparse
 #     topology (sparse socket mesh, digest-pinned rendezvous) and must
-#     reproduce the same golden.
+#     reproduce the same golden. A third run, 8 processes on a 16³ mesh,
+#     must reproduce the 3-D golden TotalTime 1.5221545 and fingerprint
+#     327ee7497adb6f01 (the rank path builds its 3-D geometry once per
+#     process and runs every attempt on it).
 #  2. Crash gate — kill -9 one rank mid-run; the coordinator process must
 #     exit nonzero with a typed delivery diagnostic within a bounded
 #     window, never hang.
@@ -39,6 +42,16 @@ echo "$OUT" | grep -q 'TotalTime 1\.1831223' || {
 	exit 1
 }
 echo "golden TotalTime 1.1831223 reproduced over sparse TCP assembly"
+
+echo "== net golden: 8 processes, 3-D mesh =="
+OUT="$("$BIN" -net 127.0.0.1:0 -verify -dim 3 \
+	-mesh 16x16x16 -n 2048 -p 8 -iters 10 -dist irregular -seed 7 -policy static)"
+echo "$OUT" | grep -q 'TotalTime 1\.5221545' && echo "$OUT" | grep -q 'Fingerprint 327ee7497adb6f01' || {
+	echo "FAIL: 3-D net golden mismatch; output was:" >&2
+	echo "$OUT" >&2
+	exit 1
+}
+echo "3-D golden TotalTime 1.5221545 reproduced over TCP"
 
 echo "== net crash: kill -9 one rank, expect typed failure =="
 LOG="$(dirname "$BIN")/crash.log"
