@@ -36,7 +36,7 @@ const headerSize = 8 + 4 + 4 + 8
 
 // NumFieldArrays is the number of field-component arrays a shard carries,
 // in the fixed order Ex, Ey, Ez, Bx, By, Bz, Jx, Jy, Jz, Rho (the layout
-// of geom.Arrays).
+// of field.Arrays).
 const NumFieldArrays = 10
 
 // maxShardBytes bounds a declared payload length so corrupt headers cannot
@@ -56,23 +56,37 @@ func decErr(op, format string, args ...any) error {
 	return &CodecError{Op: op, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Record is the checkpoint image of one completed iteration's measurement
-// record (pic.IterationRecord — mirrored here because ckpt sits below pic).
-// Only rank 0 carries records; other shards store an empty list.
+// Record captures one iteration's measurements, max over ranks (the
+// quantities plotted in Figures 17–19): pic.IterationRecord, defined here
+// because ckpt sits below pic and encodes it. Only rank 0's shard carries
+// records; other shards store an empty list.
 type Record struct {
-	Iter             int
-	Time             float64
-	Compute          float64
+	Iter int
+	// Time is the iteration's execution time (simulated seconds),
+	// excluding any redistribution triggered after it.
+	Time float64
+	// Compute is the iteration's computation time.
+	Compute float64
+	// Scatter-phase ghost traffic.
 	ScatterBytesSent int64
 	ScatterBytesRecv int64
 	ScatterMsgsSent  int64
 	ScatterMsgsRecv  int64
-	Redistributed    bool
-	RedistTime       float64
-	RedistStrategy   string
-	BusyImbalance    float64
-	FieldEnergy      float64
-	KineticEnergy    float64
+	// Redistributed reports whether redistribution ran after this
+	// iteration; RedistTime is its cost.
+	Redistributed bool
+	RedistTime    float64
+	// RedistStrategy names the layout strategy of the redistribution run
+	// after this iteration; empty when none was.
+	RedistStrategy string
+	// BusyImbalance is max/mean over ranks of the iteration's busy time
+	// (computation plus communication, excluding barrier idling) — the live
+	// per-rank iteration-time load measurement the strategy experiments
+	// compare (1.0 = perfectly balanced).
+	BusyImbalance float64
+	// Energies are recorded when diagnostics are enabled (else zero).
+	FieldEnergy   float64
+	KineticEnergy float64
 }
 
 // Shard is one rank's complete restart image at an epoch boundary (epoch E

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -28,9 +27,9 @@ type NDResult struct {
 }
 
 // ND demonstrates the paper's "generalizes to n dimensions" claim through
-// the unified geometry seam: the same partition.BuildIndependent /
-// MeasureIndependent code that produces the 2-D Table 1 numbers runs here
-// over a 3-D geometry, showing that Hilbert-keyed equal-count particle
+// the unified geometry seam: Table 1's independent strategy
+// (partition.BuildIndependent) and its one measurement (partition.Measure)
+// run here over a 3-D geometry, showing that Hilbert-keyed equal-count particle
 // chunks aligned with an SFC-numbered BLOCK distribution touch fewer
 // off-processor grid points and communicate more locally than snake-keyed
 // ones, for uniform and centre-concentrated distributions.
@@ -52,7 +51,7 @@ func ND(w io.Writer, quick bool) *NDResult {
 	hr(w, 68)
 
 	for _, dist := range []string{particle.DistUniform, particle.DistIrregular} {
-		s, err := particle.Generate3(particle.Config3{
+		s, err := particle.Generate(particle.Config{
 			N: n, Lx: g.Lx, Ly: g.Ly, Lz: g.Lz,
 			Distribution: dist, Seed: 55,
 		})
@@ -66,7 +65,7 @@ func ND(w io.Writer, quick bool) *NDResult {
 					panic(err)
 				}
 				ge := geom.New3(g, d, d.Cells)
-				q := partition.MeasureIndependent(ge, partition.BuildIndependent(ge, s), s)
+				q := partition.Measure(ge, partition.BuildIndependent(ge, s), s, nil)
 				res.Cells = append(res.Cells, NDCell{Distribution: dist, Scheme: scheme, P: p, Quality: q})
 				fmt.Fprintf(w, "%-10s %-8s %6d %10d %10d %9d %9.3f\n",
 					dist, scheme, p, q.MaxGhostPoints, q.TotalGhostPoints, q.MaxPartners, q.NonLocalFraction)
@@ -89,21 +88,14 @@ func (r *NDResult) Find(dist, scheme string, p int) *NDCell {
 
 // WriteCSV exports the 3-D measurements.
 func (r *NDResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"distribution", "scheme", "ranks",
-		"max_ghost_points", "total_ghost_points", "max_partners", "nonlocal_fraction"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, c := range r.Cells {
-		row := []string{
+		rows = append(rows, []string{
 			c.Distribution, c.Scheme, strconv.Itoa(c.P),
 			strconv.Itoa(c.Quality.MaxGhostPoints), strconv.Itoa(c.Quality.TotalGhostPoints),
 			strconv.Itoa(c.Quality.MaxPartners), f(c.Quality.NonLocalFraction),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"distribution", "scheme", "ranks",
+		"max_ghost_points", "total_ghost_points", "max_partners", "nonlocal_fraction"}, rows)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"picpar/internal/geom"
 	"picpar/internal/mesh"
 	"picpar/internal/particle"
 	"picpar/internal/partition"
@@ -41,7 +42,7 @@ func Table1(w io.Writer, quick bool) *Table1Result {
 	if err != nil {
 		panic(err)
 	}
-	ix := sfc.MustNew(sfc.SchemeHilbert, g.Nx, g.Ny)
+	ge := geom.New2(g, d, sfc.MustNew(sfc.SchemeHilbert, g.Nx, g.Ny))
 	s, err := particle.Generate(particle.Config{
 		N: n, Lx: g.Lx, Ly: g.Ly, Distribution: particle.DistIrregular, Seed: 21,
 	})
@@ -67,7 +68,7 @@ func Table1(w io.Writer, quick bool) *Table1Result {
 	hr(w, 86)
 
 	record := func(st partition.Strategy, movement, epoch string, pos *particle.Store, l *partition.Layout) {
-		q := partition.Measure(l, g, d, pos)
+		q := partition.Measure(ge, l, pos, nil)
 		res.Rows = append(res.Rows, Table1Row{Strategy: st, Movement: movement, Epoch: epoch, Quality: q})
 		fmt.Fprintf(w, "%-12s %-10s %-9s %10.3f %10.3f %10d %9d %9.3f\n",
 			st, movement, epoch, q.GridImbalance, q.ParticleImbalance,
@@ -75,13 +76,13 @@ func Table1(w io.Writer, quick bool) *Table1Result {
 	}
 
 	for _, st := range strategies {
-		l0, err := partition.Build(st, g, d, ix, s)
+		l0, err := partition.Build(st, ge, s)
 		if err != nil {
 			panic(err)
 		}
 		record(st, "both", "initial", s, l0)
 		// Eulerian: re-derive the assignment at the evolved positions.
-		le, err := partition.Build(st, g, d, ix, evolved)
+		le, err := partition.Build(st, ge, evolved)
 		if err != nil {
 			panic(err)
 		}

@@ -10,27 +10,35 @@
 package field
 
 import (
-	"fmt"
-	"math"
-
 	"picpar/internal/comm"
 	"picpar/internal/mesh"
 	"picpar/internal/par"
 	"picpar/internal/wire"
 )
 
-// Local is the field storage of one rank: the owned submesh plus a one-point
-// halo on all sides. Owned local coordinates run 0..Nx-1 × 0..Ny-1; halo
-// coordinates extend to −1 and Nx (Ny).
-type Local struct {
-	I0, J0 int // global coordinates of owned point (0, 0)
-	Nx, Ny int // owned extents
-
+// Arrays is the component storage of one rank's fields in halo layout. The
+// range kernels index these slices directly: by offset from the cell's
+// lower-corner slot on the interior path, via Slot on the general path.
+type Arrays struct {
 	Ex, Ey, Ez []float64
 	Bx, By, Bz []float64
 	Jx, Jy, Jz []float64
 	Rho        []float64
+}
 
+// arrays is the name Local and Local3 embed Arrays under, so the components
+// read l.Ex and the Arrays method can return them.
+type arrays = Arrays
+
+// Local is the field storage of one rank: the owned submesh plus a one-point
+// halo on all sides. Owned local coordinates run 0..Nx-1 × 0..Ny-1; halo
+// coordinates extend to −1 and Nx (Ny). It is the 2-D geom.Fields.
+type Local struct {
+	I0, J0 int // global coordinates of owned point (0, 0)
+	Nx, Ny int // owned extents
+	arrays
+
+	d      *mesh.Dist // the distribution the block was cut from
 	stride int
 
 	// pool parallelises the curl sweeps over owned rows. Every
@@ -66,7 +74,7 @@ func (t *sweepTask) Work(_, jLo, jHi int) {
 func NewLocal(d *mesh.Dist, r int) *Local {
 	i0, i1, j0, j1 := d.Bounds(r)
 	nx, ny := i1-i0, j1-j0
-	l := &Local{I0: i0, J0: j0, Nx: nx, Ny: ny, stride: nx + 2}
+	l := &Local{I0: i0, J0: j0, Nx: nx, Ny: ny, d: d, stride: nx + 2}
 	n := (nx + 2) * (ny + 2)
 	l.Ex, l.Ey, l.Ez = make([]float64, n), make([]float64, n), make([]float64, n)
 	l.Bx, l.By, l.Bz = make([]float64, n), make([]float64, n), make([]float64, n)
@@ -85,16 +93,18 @@ func (l *Local) Contains(gi, gj int) bool {
 	return gi >= l.I0 && gi < l.I0+l.Nx && gj >= l.J0 && gj < l.J0+l.Ny
 }
 
-// LocalOf converts owned global coordinates to local ones. It panics if the
-// point is not owned; callers route off-processor accesses through ghost
-// tables instead.
-func (l *Local) LocalOf(gi, gj int) (int, int) {
+// Slot maps a global grid-point id to its offset in the component arrays,
+// or −1 when the point is not owned.
+func (l *Local) Slot(gid int) int {
+	gi, gj := l.d.G.PointCoords(gid)
 	if !l.Contains(gi, gj) {
-		panic(fmt.Sprintf("field: point (%d,%d) not owned by submesh at (%d,%d)+%dx%d",
-			gi, gj, l.I0, l.J0, l.Nx, l.Ny))
+		return -1
 	}
-	return gi - l.I0, gj - l.J0
+	return l.Idx(gi-l.I0, gj-l.J0)
 }
+
+// Arrays returns the component storage (stable for the Local's lifetime).
+func (l *Local) Arrays() *Arrays { return &l.arrays }
 
 // ZeroSources clears J and Rho in preparation for a new scatter phase.
 func (l *Local) ZeroSources() {
@@ -193,9 +203,9 @@ const (
 //
 // Faces are wire buffers: a sent face belongs to its receiver, and each
 // fill returns the face it unpacked to the pool.
-func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
+func (l *Local) ExchangeHalo(r comm.Transport, which Components) {
 	f := l.comps(which)
-	left, right, down, up := d.Neighbours(r.Rank())
+	left, right, down, up := l.d.Neighbours(r.Rank())
 
 	// X direction: send owned column 0 to the left neighbour (it becomes
 	// their i=Nx halo column), and column Nx−1 to the right neighbour.
@@ -248,10 +258,10 @@ func (l *Local) ExchangeHalo(r comm.Transport, d *mesh.Dist, which Components) {
 
 // Solve performs one full leapfrog field-solve step: refresh B halo, update
 // E, refresh E halo, update B.
-func (l *Local) Solve(r comm.Transport, d *mesh.Dist, dt float64) {
-	l.ExchangeHalo(r, d, CompB)
+func (l *Local) Solve(r comm.Transport, dt float64) {
+	l.ExchangeHalo(r, CompB)
 	l.UpdateE(r, dt)
-	l.ExchangeHalo(r, d, CompE)
+	l.ExchangeHalo(r, CompE)
 	l.UpdateB(r, dt)
 }
 
@@ -268,24 +278,13 @@ func (l *Local) Energy() float64 {
 	return e / 2
 }
 
-// TotalEnergy returns the global field energy on every rank.
-func (l *Local) TotalEnergy(r comm.Transport) float64 {
-	return comm.AllreduceFloat64(r, l.Energy(), func(a, b float64) float64 { return a + b })
-}
-
-// MaxAbs returns the largest |value| across the six field components of the
-// owned region — a cheap stability diagnostic (blow-up detector).
-func (l *Local) MaxAbs() float64 {
-	m := 0.0
+// SumRho returns the deposited charge over owned points.
+func (l *Local) SumRho() float64 {
+	rho := 0.0
 	for j := 0; j < l.Ny; j++ {
 		for i := 0; i < l.Nx; i++ {
-			c := l.Idx(i, j)
-			for _, v := range [6]float64{l.Ex[c], l.Ey[c], l.Ez[c], l.Bx[c], l.By[c], l.Bz[c]} {
-				if a := math.Abs(v); a > m {
-					m = a
-				}
-			}
+			rho += l.Rho[l.Idx(i, j)]
 		}
 	}
-	return m
+	return rho
 }

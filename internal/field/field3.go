@@ -16,17 +16,14 @@ import (
 // Local3 is the field storage of one rank in three dimensions: the owned
 // submesh plus a one-point halo on all sides. Owned local coordinates run
 // 0..Nx-1 × 0..Ny-1 × 0..Nz-1; halo coordinates extend to −1 and Nx (Ny,
-// Nz).
+// Nz). It is the 3-D geom.Fields.
 type Local3 struct {
 	I0, J0, K0 int // global coordinates of owned point (0, 0, 0)
 	Nx, Ny, Nz int // owned extents
+	arrays
 
-	Ex, Ey, Ez []float64
-	Bx, By, Bz []float64
-	Jx, Jy, Jz []float64
-	Rho        []float64
-
-	strideX, strideY int // strideX = Nx+2, strideY = (Nx+2)·(Ny+2)
+	d                *mesh3.Dist // the distribution the block was cut from
+	strideX, strideY int         // strideX = Nx+2, strideY = (Nx+2)·(Ny+2)
 
 	// pool parallelises the curl sweeps over owned z slabs; see Local.pool
 	// for the determinism argument (identical in 3-D).
@@ -60,7 +57,7 @@ func NewLocal3(d *mesh3.Dist, r int) *Local3 {
 	nx, ny, nz := i1-i0, j1-j0, k1-k0
 	l := &Local3{
 		I0: i0, J0: j0, K0: k0,
-		Nx: nx, Ny: ny, Nz: nz,
+		Nx: nx, Ny: ny, Nz: nz, d: d,
 		strideX: nx + 2, strideY: (nx + 2) * (ny + 2),
 	}
 	n := (nx + 2) * (ny + 2) * (nz + 2)
@@ -84,6 +81,19 @@ func (l *Local3) Contains(gi, gj, gk int) bool {
 		gj >= l.J0 && gj < l.J0+l.Ny &&
 		gk >= l.K0 && gk < l.K0+l.Nz
 }
+
+// Slot maps a global grid-point id to its offset in the component arrays,
+// or −1 when the point is not owned.
+func (l *Local3) Slot(gid int) int {
+	gi, gj, gk := l.d.G.PointCoords(gid)
+	if !l.Contains(gi, gj, gk) {
+		return -1
+	}
+	return l.Idx(gi-l.I0, gj-l.J0, gk-l.K0)
+}
+
+// Arrays returns the component storage (stable for the Local3's lifetime).
+func (l *Local3) Arrays() *Arrays { return &l.arrays }
 
 // ZeroSources clears J and Rho in preparation for a new scatter phase.
 func (l *Local3) ZeroSources() {
@@ -171,9 +181,9 @@ func (l *Local3) comps(c Components) [3][]float64 {
 // The 6-point stencil needs no edge or corner halos, so owned faces
 // suffice in every direction. Faces are wire buffers, returned to the pool
 // by the fill that unpacks them.
-func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components) {
+func (l *Local3) ExchangeHalo(r comm.Transport, which Components) {
 	f := l.comps(which)
-	left, right, down, up, back, front := d.Neighbours(r.Rank())
+	left, right, down, up, back, front := l.d.Neighbours(r.Rank())
 
 	// X direction: owned faces i=0 and i=Nx−1 (extent Ny×Nz per component).
 	sendFaceX := func(i int) []float64 {
@@ -265,10 +275,10 @@ func (l *Local3) ExchangeHalo(r comm.Transport, d *mesh3.Dist, which Components)
 
 // Solve performs one full leapfrog field-solve step: refresh B halo, update
 // E, refresh E halo, update B.
-func (l *Local3) Solve(r comm.Transport, d *mesh3.Dist, dt float64) {
-	l.ExchangeHalo(r, d, CompB)
+func (l *Local3) Solve(r comm.Transport, dt float64) {
+	l.ExchangeHalo(r, CompB)
 	l.UpdateE(r, dt)
-	l.ExchangeHalo(r, d, CompE)
+	l.ExchangeHalo(r, CompE)
 	l.UpdateB(r, dt)
 }
 
@@ -285,4 +295,17 @@ func (l *Local3) Energy() float64 {
 		}
 	}
 	return e / 2
+}
+
+// SumRho returns the deposited charge over owned points.
+func (l *Local3) SumRho() float64 {
+	rho := 0.0
+	for k := 0; k < l.Nz; k++ {
+		for j := 0; j < l.Ny; j++ {
+			for i := 0; i < l.Nx; i++ {
+				rho += l.Rho[l.Idx(i, j, k)]
+			}
+		}
+	}
+	return rho
 }

@@ -31,7 +31,7 @@ func TestExchangeHalo1DDist(t *testing.T) {
 				l.Bx[l.Idx(i, j)] = val(l.I0+i, l.J0+j)
 			}
 		}
-		l.ExchangeHalo(r, d, CompB)
+		l.ExchangeHalo(r, CompB)
 		// X halo wraps onto the rank's own opposite edge.
 		for j := 0; j < l.Ny; j++ {
 			if got := l.Bx[l.Idx(-1, j)]; got != val(l.I0-1, l.J0+j) {
@@ -63,7 +63,7 @@ func TestSelfHaloNoNetworkTraffic(t *testing.T) {
 	}
 	ws := commtest.Launch(2, machine.Params{Tau: 1}, func(r comm.Transport) {
 		l := NewLocal(d, r.Rank())
-		l.ExchangeHalo(r, d, CompE)
+		l.ExchangeHalo(r, CompE)
 	})
 	for i := range ws.Ranks {
 		// Only the two y-direction messages hit the network.

@@ -18,6 +18,7 @@ import (
 
 	"picpar/internal/comm"
 	"picpar/internal/commopt"
+	"picpar/internal/field"
 	"picpar/internal/par"
 	"picpar/internal/particle"
 )
@@ -41,20 +42,10 @@ type Footprint struct {
 	W   [MaxVertices]float64
 }
 
-// Arrays exposes the field component storage of a Fields implementation in
-// halo layout. The range kernels index these slices directly: by offset
-// from the cell's lower-corner slot on the interior path, via Fields.Slot
-// on the general path.
-type Arrays struct {
-	Ex, Ey, Ez []float64
-	Bx, By, Bz []float64
-	Jx, Jy, Jz []float64
-	Rho        []float64
-}
-
 // Fields is one rank's field substrate as the pipeline sees it: source
 // deposition targets, the Maxwell solve (including its halo exchanges), and
 // the owned-region reductions used by diagnostics and invariant checks.
+// field.Local (2-D) and field.Local3 (3-D) implement it.
 type Fields interface {
 	// ZeroSources clears J and Rho before a scatter phase.
 	ZeroSources()
@@ -62,7 +53,7 @@ type Fields interface {
 	// or −1 when the point is not owned by this rank.
 	Slot(gid int) int
 	// Arrays returns the component storage (stable for the Fields' lifetime).
-	Arrays() *Arrays
+	Arrays() *field.Arrays
 	// Solve advances Maxwell's equations one leapfrog step, exchanging halos
 	// with the neighbour ranks and charging compute costs to r.
 	Solve(r comm.Transport, dt float64)
@@ -81,6 +72,23 @@ type GenConfig struct {
 	Thermal      float64
 	Drift        float64
 	Charge       float64
+}
+
+// over is cfg as the particle generator's configuration over an lx×ly
+// domain, or lx×ly×lz when lz > 0.
+func (cfg GenConfig) over(lx, ly, lz float64) particle.Config {
+	return particle.Config{
+		N:            cfg.N,
+		Lx:           lx,
+		Ly:           ly,
+		Lz:           lz,
+		Distribution: cfg.Distribution,
+		Seed:         cfg.Seed,
+		Thermal:      cfg.Thermal,
+		Drift:        cfg.Drift,
+		Charge:       cfg.Charge,
+		Mass:         1,
+	}
 }
 
 // Geometry is the seam between the simulation pipeline and space. One
@@ -162,7 +170,7 @@ type Geometry interface {
 
 // depositOwned adds one particle's charge q and current q·v to the owned
 // slots c0+off[k] with CIC weights w[k]: the interior path of Deposit.
-func depositOwned(a *Arrays, c0 int, off []int, w []float64, q, vx, vy, vz float64) {
+func depositOwned(a *field.Arrays, c0 int, off []int, w []float64, q, vx, vy, vz float64) {
 	jx, jy, jz, rho := a.Jx, a.Jy, a.Jz, a.Rho
 	for k, o := range off {
 		wq := w[k] * q
@@ -177,7 +185,7 @@ func depositOwned(a *Arrays, c0 int, off []int, w []float64, q, vx, vy, vz float
 // depositFootprint is the general path of Deposit for one particle: each
 // footprint vertex goes to its owned slot or, through the ghost table, to
 // its four ghost values. Returns the number of ghost contributions.
-func depositFootprint(fp *Footprint, f Fields, a *Arrays, table commopt.DupTable, ghostVals *[]float64, q, vx, vy, vz float64) int {
+func depositFootprint(fp *Footprint, f Fields, a *field.Arrays, table commopt.DupTable, ghostVals *[]float64, q, vx, vy, vz float64) int {
 	ops := 0
 	for k := 0; k < fp.N; k++ {
 		wq := fp.W[k] * q
@@ -205,7 +213,7 @@ func depositFootprint(fp *Footprint, f Fields, a *Arrays, table commopt.DupTable
 
 // gatherOwned interpolates E and B from the owned slots c0+off[k] with CIC
 // weights w[k]: the interior path of GatherPush.
-func gatherOwned(a *Arrays, c0 int, off []int, w []float64) (ex, ey, ez, bx, by, bz float64) {
+func gatherOwned(a *field.Arrays, c0 int, off []int, w []float64) (ex, ey, ez, bx, by, bz float64) {
 	aex, aey, aez, abx, aby, abz := a.Ex, a.Ey, a.Ez, a.Bx, a.By, a.Bz
 	for k, o := range off {
 		wk := w[k]
@@ -223,7 +231,7 @@ func gatherOwned(a *Arrays, c0 int, off []int, w []float64) (ex, ey, ez, bx, by,
 // gatherFootprint is the general path of GatherPush for one particle: each
 // footprint vertex reads its owned slot or the ghost values the scatter's
 // table slot received.
-func gatherFootprint(fp *Footprint, f Fields, a *Arrays, table commopt.DupTable, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
+func gatherFootprint(fp *Footprint, f Fields, a *field.Arrays, table commopt.DupTable, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
 	for k := 0; k < fp.N; k++ {
 		wk := fp.W[k]
 		gid := int(fp.Gid[k])

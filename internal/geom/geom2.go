@@ -6,7 +6,6 @@
 package geom
 
 import (
-	"picpar/internal/comm"
 	"picpar/internal/commopt"
 	"picpar/internal/field"
 	"picpar/internal/mesh"
@@ -147,7 +146,7 @@ type block2 struct {
 }
 
 func (ge *G2) block(f Fields) block2 {
-	l := f.(*fields2).l
+	l := f.(*field.Local)
 	g := ge.G
 	b := block2{
 		x: axis{l: g.Lx, d: g.Dx(), i0: l.I0, m: l.Nx - 1},
@@ -206,27 +205,12 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 
 // Generate implements Geometry.
 func (ge *G2) Generate(cfg GenConfig) (*particle.Store, error) {
-	return particle.Generate(ge.genConfig(cfg))
+	return particle.Generate(cfg.over(ge.G.Lx, ge.G.Ly, 0))
 }
 
 // Generator implements Geometry.
 func (ge *G2) Generator(cfg GenConfig) (*particle.Generator, error) {
-	return particle.NewGenerator(ge.genConfig(cfg))
-}
-
-// genConfig is cfg over this geometry's domain.
-func (ge *G2) genConfig(cfg GenConfig) particle.Config {
-	return particle.Config{
-		N:            cfg.N,
-		Lx:           ge.G.Lx,
-		Ly:           ge.G.Ly,
-		Distribution: cfg.Distribution,
-		Seed:         cfg.Seed,
-		Thermal:      cfg.Thermal,
-		Drift:        cfg.Drift,
-		Charge:       cfg.Charge,
-		Mass:         1,
-	}
+	return particle.NewGenerator(cfg.over(ge.G.Lx, ge.G.Ly, 0))
 }
 
 // NewStore implements Geometry.
@@ -238,52 +222,7 @@ func (ge *G2) NewStore(n int, charge, mass float64) *particle.Store {
 func (ge *G2) NewFields(r int, pool *par.Pool) Fields {
 	l := field.NewLocal(ge.D, r)
 	l.SetPool(pool)
-	f := &fields2{l: l, d: ge.D, nx: ge.G.Nx}
-	f.arr = Arrays{
-		Ex: l.Ex, Ey: l.Ey, Ez: l.Ez,
-		Bx: l.Bx, By: l.By, Bz: l.Bz,
-		Jx: l.Jx, Jy: l.Jy, Jz: l.Jz,
-		Rho: l.Rho,
-	}
-	return f
-}
-
-// fields2 adapts field.Local to the Fields interface, closing over the
-// distribution so Solve keeps its historical signature.
-type fields2 struct {
-	l   *field.Local
-	d   *mesh.Dist
-	nx  int // global grid width, for gid decoding
-	arr Arrays
-}
-
-func (f *fields2) ZeroSources() { f.l.ZeroSources() }
-
-func (f *fields2) Slot(gid int) int {
-	ci := gid % f.nx
-	cj := gid / f.nx
-	l := f.l
-	if !l.Contains(ci, cj) {
-		return -1
-	}
-	return l.Idx(ci-l.I0, cj-l.J0)
-}
-
-func (f *fields2) Arrays() *Arrays { return &f.arr }
-
-func (f *fields2) Solve(r comm.Transport, dt float64) { f.l.Solve(r, f.d, dt) }
-
-func (f *fields2) Energy() float64 { return f.l.Energy() }
-
-func (f *fields2) SumRho() float64 {
-	l := f.l
-	rho := 0.0
-	for j := 0; j < l.Ny; j++ {
-		for i := 0; i < l.Nx; i++ {
-			rho += l.Rho[l.Idx(i, j)]
-		}
-	}
-	return rho
+	return l
 }
 
 func wrapDist(d, n int) int {

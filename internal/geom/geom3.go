@@ -6,7 +6,6 @@
 package geom
 
 import (
-	"picpar/internal/comm"
 	"picpar/internal/commopt"
 	"picpar/internal/field"
 	"picpar/internal/mesh3"
@@ -145,7 +144,7 @@ type block3 struct {
 }
 
 func (ge *G3) block(f Fields) block3 {
-	l := f.(*fields3).l
+	l := f.(*field.Local3)
 	g := ge.G
 	b := block3{
 		x: axis3{l: g.Lx, n: float64(g.Nx), d: g.Dx(), i0: l.I0, m: l.Nx - 1},
@@ -207,28 +206,12 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 
 // Generate implements Geometry.
 func (ge *G3) Generate(cfg GenConfig) (*particle.Store, error) {
-	return particle.Generate3(ge.genConfig(cfg))
+	return particle.Generate(cfg.over(ge.G.Lx, ge.G.Ly, ge.G.Lz))
 }
 
 // Generator implements Geometry.
 func (ge *G3) Generator(cfg GenConfig) (*particle.Generator, error) {
-	return particle.NewGenerator3(ge.genConfig(cfg))
-}
-
-// genConfig is cfg over this geometry's domain.
-func (ge *G3) genConfig(cfg GenConfig) particle.Config3 {
-	return particle.Config3{
-		N:            cfg.N,
-		Lx:           ge.G.Lx,
-		Ly:           ge.G.Ly,
-		Lz:           ge.G.Lz,
-		Distribution: cfg.Distribution,
-		Seed:         cfg.Seed,
-		Thermal:      cfg.Thermal,
-		Drift:        cfg.Drift,
-		Charge:       cfg.Charge,
-		Mass:         1,
-	}
+	return particle.NewGenerator(cfg.over(ge.G.Lx, ge.G.Ly, ge.G.Lz))
 }
 
 // NewStore implements Geometry.
@@ -240,52 +223,5 @@ func (ge *G3) NewStore(n int, charge, mass float64) *particle.Store {
 func (ge *G3) NewFields(r int, pool *par.Pool) Fields {
 	l := field.NewLocal3(ge.D, r)
 	l.SetPool(pool)
-	f := &fields3{l: l, d: ge.D, nx: ge.G.Nx, ny: ge.G.Ny}
-	f.arr = Arrays{
-		Ex: l.Ex, Ey: l.Ey, Ez: l.Ez,
-		Bx: l.Bx, By: l.By, Bz: l.Bz,
-		Jx: l.Jx, Jy: l.Jy, Jz: l.Jz,
-		Rho: l.Rho,
-	}
-	return f
-}
-
-// fields3 adapts field.Local3 to the Fields interface.
-type fields3 struct {
-	l      *field.Local3
-	d      *mesh3.Dist
-	nx, ny int // global grid extents, for gid decoding
-	arr    Arrays
-}
-
-func (f *fields3) ZeroSources() { f.l.ZeroSources() }
-
-func (f *fields3) Slot(gid int) int {
-	ci := gid % f.nx
-	cj := (gid / f.nx) % f.ny
-	ck := gid / (f.nx * f.ny)
-	l := f.l
-	if !l.Contains(ci, cj, ck) {
-		return -1
-	}
-	return l.Idx(ci-l.I0, cj-l.J0, ck-l.K0)
-}
-
-func (f *fields3) Arrays() *Arrays { return &f.arr }
-
-func (f *fields3) Solve(r comm.Transport, dt float64) { f.l.Solve(r, f.d, dt) }
-
-func (f *fields3) Energy() float64 { return f.l.Energy() }
-
-func (f *fields3) SumRho() float64 {
-	l := f.l
-	rho := 0.0
-	for k := 0; k < l.Nz; k++ {
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				rho += l.Rho[l.Idx(i, j, k)]
-			}
-		}
-	}
-	return rho
+	return l
 }

@@ -1,7 +1,12 @@
-// Geometry-generic independent partitioning: the same equal-count SFC-key
-// assignment and quality metrics as the 2-D Table 1 analysis, expressed
-// over the geom.Geometry seam so the identical code measures 2-D and 3-D
-// layouts. This is the collapsed form of the former partition3 package.
+// Independent partitioning over any geometry: particles are dealt in
+// (key, original index) order into P contiguous chunks, while the mesh
+// keeps its BLOCK distribution. The chunk boundaries equalise count, or
+// cumulative *weight* under per-cell weights — Liu et al.'s Hilbert-SFC
+// weighted splitting expressed over the same radix-sorted order. Weights
+// are quantized to integers on a shared power-of-two scale so the
+// prefix-sum arithmetic is exact: equal-count is recovered bit for bit when
+// every weight is the same, and the split is exactly invariant under
+// power-of-two weight rescaling.
 
 package partition
 
@@ -12,99 +17,100 @@ import (
 	"picpar/internal/radix"
 )
 
-// IndependentLayout is an independent-partitioning assignment over any
-// geometry: particles into equal-count chunks by SFC key, while the mesh
-// keeps its BLOCK distribution (queried through the geometry).
-type IndependentLayout struct {
-	P         int
-	Particles []int // particle -> rank
+// WeightFunc maps an SFC cell key to the estimated cost of one particle in
+// that cell. Non-finite and non-positive values are treated as zero weight.
+type WeightFunc func(cellKey uint64) float64
+
+// sanitizeWeight clamps NaN, ±Inf and negative weights to zero so a single
+// bad estimate cannot poison the split.
+func sanitizeWeight(w float64) float64 {
+	if !(w > 0) { // catches NaN, zero, negatives
+		return 0
+	}
+	return w
 }
 
-// equalCountOwners deals the particles, in stable (key, original index)
-// order, into P equal-count contiguous chunks — the shared core of
-// StrategyIndependent in every dimensionality.
-func equalCountOwners(keys []uint64, p int) []int {
+// weightedOwners deals the particles, in stable (key, original index)
+// order, into P contiguous chunks of approximately equal cumulative
+// weight. A nil wf (or all-zero weights) deals equal-count BLOCK chunks.
+func weightedOwners(keys []uint64, p int, wf WeightFunc) []int {
 	n := len(keys)
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	_, order = radix.SortKeysIndex(keys, order, nil)
+	sorted, order := radix.SortKeysIndex(keys, order, nil)
 	owners := make([]int, n)
+
+	// Quantize weights in sorted order on the shared power-of-two scale.
+	var iw []int64
+	total := int64(0)
+	if wf != nil {
+		w := make([]float64, n)
+		maxW := 0.0
+		for pos := range sorted {
+			w[pos] = sanitizeWeight(wf(sorted[pos]))
+			if w[pos] > maxW {
+				maxW = w[pos]
+			}
+		}
+		scale := mesh.WeightScale(maxW)
+		iw = make([]int64, n)
+		for pos := range w {
+			iw[pos] = mesh.QuantizeWeight(w[pos], scale)
+			total += iw[pos]
+		}
+	}
+	if total <= 0 {
+		for pos, i := range order {
+			owners[i] = mesh.BlockOwner(n, p, pos)
+		}
+		return owners
+	}
+
+	cuts := mesh.WeightedCuts(total, n, p)
+	k, prefix := 0, int64(0)
 	for pos, i := range order {
-		owners[i] = mesh.BlockOwner(n, p, pos)
+		k = mesh.AdvanceCut(cuts, k, prefix)
+		owners[i] = k
+		prefix += iw[pos]
 	}
 	return owners
 }
 
 // BuildIndependent computes the independent-partitioning layout for the
-// store's current positions under ge. The store's keys are refreshed as a
-// side effect (exactly what ge.AssignKeys produces).
-func BuildIndependent(ge geom.Geometry, s *particle.Store) *IndependentLayout {
+// store's current positions under ge: particles into equal-count chunks by
+// SFC key, while the mesh keeps its BLOCK distribution. The store's keys
+// are refreshed as a side effect (exactly what ge.AssignKeys produces).
+func BuildIndependent(ge geom.Geometry, s *particle.Store) *Layout {
+	return BuildIndependentWeighted(ge, s, nil)
+}
+
+// BuildIndependentWeighted computes the weighted independent-partitioning
+// layout for the store's current positions under ge, splitting the SFC
+// order by cumulative weight. A nil wf is BuildIndependent. The store's
+// keys are refreshed as a side effect.
+func BuildIndependentWeighted(ge geom.Geometry, s *particle.Store, wf WeightFunc) *Layout {
 	ge.AssignKeys(s)
 	keys := make([]uint64, s.Len())
 	for i := range keys {
 		keys[i] = uint64(s.Key[i])
 	}
-	return &IndependentLayout{P: ge.Ranks(), Particles: equalCountOwners(keys, ge.Ranks())}
+	return &Layout{Particles: weightedOwners(keys, ge.Ranks(), wf), Points: blockPoints(ge)}
 }
 
-// MeasureIndependent computes the Table 1 quality metrics for an
-// independent layout in any dimensionality: per-rank ghost points of the
-// CIC footprint against the geometry's mesh ownership, partner counts, and
-// the local/non-local communication split under the geometry's neighbour
-// stencil.
-func MeasureIndependent(ge geom.Geometry, l *IndependentLayout, s *particle.Store) Quality {
-	p := l.P
-	partCount := make([]int, p)
-	for _, r := range l.Particles {
-		partCount[r]++
-	}
-	cellCount := make([]int, p)
-	for gid := 0; gid < ge.NumPoints(); gid++ {
-		cellCount[ge.OwnerOfPoint(gid)]++
-	}
-
-	ghost := make([]map[int]bool, p)
-	for r := range ghost {
-		ghost[r] = make(map[int]bool)
-	}
-	var fp geom.Footprint
-	for i := 0; i < s.Len(); i++ {
-		r := l.Particles[i]
-		ge.Footprint(s, i, &fp)
-		for k := 0; k < fp.N; k++ {
-			gid := int(fp.Gid[k])
-			if ge.OwnerOfPoint(gid) != r {
-				ghost[r][gid] = true
-			}
+// imbalanceF is imbalance over float loads: max/mean, or 1 for zero total.
+func imbalanceF(loads []float64) float64 {
+	total, max := 0.0, 0.0
+	for _, l := range loads {
+		total += l
+		if l > max {
+			max = l
 		}
 	}
-
-	var q Quality
-	q.ParticleImbalance = imbalance(partCount)
-	q.WeightedImbalance = q.ParticleImbalance // unit weights
-	q.GridImbalance = imbalance(cellCount)
-	nonLocal := 0
-	for r := 0; r < p; r++ {
-		if len(ghost[r]) > q.MaxGhostPoints {
-			q.MaxGhostPoints = len(ghost[r])
-		}
-		q.TotalGhostPoints += len(ghost[r])
-		owners := map[int]bool{}
-		for gid := range ghost[r] {
-			o := ge.OwnerOfPoint(gid)
-			owners[o] = true
-			if !ge.AdjacentRanks(r, o) {
-				nonLocal++
-			}
-		}
-		if len(owners) > q.MaxPartners {
-			q.MaxPartners = len(owners)
-		}
+	if total == 0 {
+		return 1
 	}
-	if q.TotalGhostPoints > 0 {
-		q.NonLocalFraction = float64(nonLocal) / float64(q.TotalGhostPoints)
-	}
-	return q
+	mean := total / float64(len(loads))
+	return max / mean
 }

@@ -4,55 +4,10 @@ import (
 	"testing"
 
 	"picpar/internal/geom"
-	"picpar/internal/mesh"
 	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/sfc"
 )
-
-// TestBuildIndependentMatches2DStrategy pins the collapsed geometry-generic
-// dealer to the original 2-D StrategyIndependent assignment: identical
-// particle→rank maps and identical quality metrics.
-func TestBuildIndependentMatches2DStrategy(t *testing.T) {
-	g := mesh.NewGrid(32, 32)
-	d, err := mesh.NewDistOrdered(g, 8, sfc.SchemeHilbert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := sfc.New(sfc.SchemeHilbert, g.Nx, g.Ny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := particle.Generate(particle.Config{
-		N: 4096, Lx: g.Lx, Ly: g.Ly, Distribution: particle.DistIrregular, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l2, err := Build(StrategyIndependent, g, d, ix, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge := geom.New2(g, d, ix)
-	lg := BuildIndependent(ge, s)
-
-	if lg.P != l2.P {
-		t.Fatalf("rank count %d != %d", lg.P, l2.P)
-	}
-	for i := range l2.Particles {
-		if lg.Particles[i] != l2.Particles[i] {
-			t.Fatalf("particle %d: generic owner %d != 2-D strategy owner %d",
-				i, lg.Particles[i], l2.Particles[i])
-		}
-	}
-
-	q2 := Measure(l2, g, d, s)
-	qg := MeasureIndependent(ge, lg, s)
-	if qg != q2 {
-		t.Fatalf("quality mismatch:\ngeneric %+v\n2-D     %+v", qg, q2)
-	}
-}
 
 // TestMeasureIndependent3D sanity-checks the generic metrics over a 3-D
 // geometry: a uniform population on an 8-rank cube is balanced, every rank
@@ -68,7 +23,7 @@ func TestMeasureIndependent3D(t *testing.T) {
 		t.Fatal(err)
 	}
 	ge := geom.New3(g, d, ix)
-	s, err := particle.Generate3(particle.Config3{
+	s, err := particle.Generate(particle.Config{
 		N: 8192, Lx: g.Lx, Ly: g.Ly, Lz: g.Lz, Distribution: particle.DistUniform, Seed: 3,
 	})
 	if err != nil {
@@ -76,7 +31,7 @@ func TestMeasureIndependent3D(t *testing.T) {
 	}
 
 	l := BuildIndependent(ge, s)
-	q := MeasureIndependent(ge, l, s)
+	q := Measure(ge, l, s, nil)
 	if q.ParticleImbalance > 1.001 {
 		t.Errorf("equal-count dealing should balance particles, got imbalance %g", q.ParticleImbalance)
 	}

@@ -26,14 +26,29 @@ func testKeys(n int, seed int64) []uint64 {
 	return keys
 }
 
+// equalCount is the reference equal-count split: the particles in stable
+// (key, original index) order, dealt into P BLOCK chunks.
+func equalCount(keys []uint64, p int) []int {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	owners := make([]int, len(keys))
+	for pos, i := range order {
+		owners[i] = mesh.BlockOwner(len(keys), p, pos)
+	}
+	return owners
+}
+
 // TestWeightedOwnersUniformEqualsEqualCount: with every cell at the same
-// weight — any same weight — the weighted split must equal equalCountOwners
-// exactly, particle for particle. Equal-count is the weight-1 special case.
+// weight — any same weight — the weighted split must equal the equal-count
+// split exactly, particle for particle. Equal-count is the weight-1 special case.
 func TestWeightedOwnersUniformEqualsEqualCount(t *testing.T) {
 	for _, n := range []int{0, 1, 17, 1000} {
 		for _, p := range []int{1, 2, 3, 8, 13} {
 			keys := testKeys(n, int64(n*31+p))
-			want := equalCountOwners(cloneKeys(keys), p)
+			want := equalCount(keys, p)
 			for _, w := range []float64{1, 0.125, 3.7, 1e-9, 1e12} {
 				w := w
 				got := weightedOwners(cloneKeys(keys), p, func(uint64) float64 { return w })
@@ -110,7 +125,7 @@ func TestWeightedOwnersBalancesWeight(t *testing.T) {
 		}
 		return imbalanceF(loads)
 	}
-	eq := loadOf(equalCountOwners(cloneKeys(keys), p))
+	eq := loadOf(equalCount(keys, p))
 	wt := loadOf(weightedOwners(cloneKeys(keys), p, wf))
 	if wt >= eq {
 		t.Errorf("weighted split imbalance %g not better than equal-count %g", wt, eq)
@@ -160,9 +175,9 @@ func TestMeasureIndependentWeightedBruteForce(t *testing.T) {
 	wf := func(k uint64) float64 { return 1 + float64(k%13) }
 
 	l := BuildIndependentWeighted(ge, s, wf)
-	q := MeasureIndependentWeighted(ge, l, s, wf)
+	q := Measure(ge, l, s, wf)
 
-	loads := make([]float64, l.P)
+	loads := make([]float64, ge.Ranks())
 	total := 0.0
 	for i := 0; i < s.Len(); i++ {
 		w := wf(uint64(s.Key[i]))
@@ -175,7 +190,7 @@ func TestMeasureIndependentWeightedBruteForce(t *testing.T) {
 			max = ld
 		}
 	}
-	want := max / (total / float64(l.P))
+	want := max / (total / float64(ge.Ranks()))
 	if q.WeightedImbalance != want {
 		t.Errorf("WeightedImbalance %g, want brute force %g", q.WeightedImbalance, want)
 	}
@@ -186,7 +201,7 @@ func TestMeasureIndependentWeightedBruteForce(t *testing.T) {
 	// Unit weights: WeightedImbalance == ParticleImbalance, and the layout
 	// matches BuildIndependent.
 	lu := BuildIndependentWeighted(ge, s, func(uint64) float64 { return 1 })
-	qu := MeasureIndependentWeighted(ge, lu, s, func(uint64) float64 { return 1 })
+	qu := Measure(ge, lu, s, func(uint64) float64 { return 1 })
 	if qu.WeightedImbalance != qu.ParticleImbalance {
 		t.Errorf("unit-weight WeightedImbalance %g != ParticleImbalance %g",
 			qu.WeightedImbalance, qu.ParticleImbalance)

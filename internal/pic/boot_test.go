@@ -179,8 +179,8 @@ func TestBootOrderIgnoresDealingOrder(t *testing.T) {
 
 // TestDealtChunksConcatenateToGenerate pins the chunked generation: rank 0
 // generates the population chunk by chunk as it deals it, and the dealt
-// chunks, concatenated in rank order, must be the store Generate (2-D) or
-// Generate3 (3-D) makes in one call — every column bit for bit, ids
+// chunks, concatenated in rank order, must be the store Generate makes in
+// one call — every column bit for bit, ids
 // included — for every distribution, on both link sets.
 func TestDealtChunksConcatenateToGenerate(t *testing.T) {
 	dists := []string{particle.DistUniform, particle.DistIrregular, particle.DistTwoStream,

@@ -11,6 +11,7 @@ import (
 
 	"picpar/internal/comm"
 	"picpar/internal/commopt"
+	"picpar/internal/field"
 	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
@@ -177,7 +178,7 @@ type rankState struct {
 
 	store  *particle.Store
 	fields geom.Fields
-	farr   *geom.Arrays
+	farr   *field.Arrays
 	inc    *psort.Incremental
 	pol    policy.Policy
 	// bootEx and dataEx are the topology-selected exchange protocols for

@@ -28,7 +28,7 @@ func testGeom3(t *testing.T, p int) *geom.G3 {
 // wire buffer and appended back is bit-identical, including the z axis and
 // the 8-float stride.
 func TestWire3DParticleRoundTrip(t *testing.T) {
-	s, err := particle.Generate3(particle.Config3{
+	s, err := particle.Generate(particle.Config{
 		N: 257, Lx: 16, Ly: 16, Lz: 16, Distribution: particle.DistIrregular, Seed: 11,
 	})
 	if err != nil {
