@@ -59,9 +59,3 @@ func NetTemplate(params machine.Params) comm.NetConfig {
 		RendezvousTimeout: 20 * time.Second,
 	}
 }
-
-// LaunchNet runs fn as a p-rank world over real loopback TCP sockets (one
-// coordinator plus p NetRank endpoints in-process), watchdog armed.
-func LaunchNet(p int, params machine.Params, fn func(comm.Transport)) (machine.WorldStats, []error) {
-	return comm.LaunchLoopback(NetTemplate(params), p, nil, fn)
-}

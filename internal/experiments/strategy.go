@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -160,20 +159,13 @@ func (r *StrategyResult) Find(dims int, strategy string) *StrategyCell {
 
 // WriteCSV exports the comparison.
 func (r *StrategyResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"dims", "strategy", "busy_imbalance",
-		"total_time", "redistributions", "by_strategy"}); err != nil {
-		return err
-	}
+	var rows [][]string
 	for _, c := range r.Cells {
-		row := []string{
+		rows = append(rows, []string{
 			strconv.Itoa(c.Dims), c.Strategy, f(c.BusyImbalance),
 			f(c.TotalTime), strconv.Itoa(c.Redistributions), formatByStrategy(c.ByStrategy),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return writeCSV(w, []string{"dims", "strategy", "busy_imbalance",
+		"total_time", "redistributions", "by_strategy"}, rows)
 }

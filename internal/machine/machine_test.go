@@ -182,24 +182,6 @@ func TestWorldStatsTotals(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	ranks := make([]Stats, 5)
-	for i := range ranks {
-		ranks[i].RecordCompute(float64(i + 1)) // 1..5
-	}
-	w := WorldStats{Ranks: ranks}
-	f := func(s PhaseStats) float64 { return s.ComputeTime }
-	if got := w.Percentile(0, f); got != 1 {
-		t.Errorf("p0 = %v, want 1", got)
-	}
-	if got := w.Percentile(100, f); got != 5 {
-		t.Errorf("p100 = %v, want 5", got)
-	}
-	if got := w.Percentile(50, f); got != 3 {
-		t.Errorf("p50 = %v, want 3", got)
-	}
-}
-
 func TestFormatIncludesAllPhases(t *testing.T) {
 	w := WorldStats{Ranks: make([]Stats, 2)}
 	out := w.Format()

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -186,30 +185,4 @@ func (w WorldStats) Format() string {
 		fmt.Fprintf(&b, "%-13s %12.6f %12.6f %12.0f %10.0f\n", p, comp, comm, bs, ms)
 	}
 	return b.String()
-}
-
-// Percentile returns the q-th percentile (0..100) over ranks of extractor f
-// applied to the all-phase totals.
-func (w WorldStats) Percentile(q float64, f func(PhaseStats) float64) float64 {
-	if len(w.Ranks) == 0 {
-		return 0
-	}
-	vals := make([]float64, len(w.Ranks))
-	for i := range w.Ranks {
-		vals[i] = f(w.Ranks[i].Total())
-	}
-	sort.Float64s(vals)
-	if q <= 0 {
-		return vals[0]
-	}
-	if q >= 100 {
-		return vals[len(vals)-1]
-	}
-	pos := q / 100 * float64(len(vals)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(vals) {
-		return vals[len(vals)-1]
-	}
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
 }

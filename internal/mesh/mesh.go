@@ -268,25 +268,6 @@ func (d *Dist) OwnerOfPoint(i, j int) int {
 	return d.RankAt(int(d.ownerX[i]), int(d.ownerY[j]))
 }
 
-// LocalSize returns the owned extents of rank r.
-func (d *Dist) LocalSize(r int) (nx, ny int) {
-	i0, i1, j0, j1 := d.Bounds(r)
-	return i1 - i0, j1 - j0
-}
-
-// MaxLocalPoints returns the largest owned point count over ranks: the m/p
-// term of the complexity analysis (exactly m/p when p divides both extents).
-func (d *Dist) MaxLocalPoints() int {
-	m := 0
-	for r := 0; r < d.P; r++ {
-		nx, ny := d.LocalSize(r)
-		if nx*ny > m {
-			m = nx * ny
-		}
-	}
-	return m
-}
-
 // Neighbours returns the ranks adjacent to r in the four cardinal
 // directions of the processor grid (−x, +x, −y, +y), with periodic wrap.
 // Some entries may equal r when the processor grid is 1 wide in a

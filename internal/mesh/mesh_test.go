@@ -221,25 +221,6 @@ func TestNeighboursPeriodic(t *testing.T) {
 	}
 }
 
-func TestMaxLocalPoints(t *testing.T) {
-	d, err := NewDist(NewGrid(128, 64), 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.MaxLocalPoints(); got != 128*64/32 {
-		t.Errorf("MaxLocalPoints = %d, want %d", got, 128*64/32)
-	}
-	// Uneven case: max is within one row/col of the mean.
-	d2, err := NewDist(NewGrid(17, 13), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := 17 * 13 / 4
-	if got := d2.MaxLocalPoints(); got < mean || got > mean+17+13 {
-		t.Errorf("uneven MaxLocalPoints = %d (mean %d)", got, mean)
-	}
-}
-
 func TestWrapPosition(t *testing.T) {
 	g := NewGrid(4, 4)
 	x, y := g.WrapPosition(-0.5, 4.5)

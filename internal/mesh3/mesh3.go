@@ -323,12 +323,6 @@ func (d *Dist) Neighbours(r int) (left, right, down, up, back, front int) {
 		d.RankAt(px, py, pz-1), d.RankAt(px, py, pz+1)
 }
 
-// LocalSize returns rank r's owned extents.
-func (d *Dist) LocalSize(r int) (nx, ny, nz int) {
-	i0, i1, j0, j1, k0, k1 := d.Bounds(r)
-	return i1 - i0, j1 - j0, k1 - k0
-}
-
 // OwnerOfPoint returns the rank owning grid point (i, j, k), wrapped.
 func (d *Dist) OwnerOfPoint(i, j, k int) int {
 	i = wrap(i, d.G.Nx)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -186,10 +187,7 @@ func (st *rankState) buildShard(epoch int, res *Result) *ckpt.Shard {
 		sh.PolicyState = sc.AppendState(nil)
 	}
 	if r.Rank() == 0 {
-		sh.Records = make([]ckpt.Record, epoch)
-		for i := 0; i < epoch; i++ {
-			sh.Records[i] = recordToCkpt(&res.Records[i])
-		}
+		sh.Records = slices.Clone(res.Records[:epoch])
 	}
 	return sh
 }
@@ -324,45 +322,7 @@ func (st *rankState) restoreShard(sh *ckpt.Shard, res *Result) {
 	st.initTime = sh.InitTime
 	if r.Rank() == 0 {
 		res.InitTime = sh.InitTime
-		for i := range sh.Records {
-			res.Records[i] = recordFromCkpt(&sh.Records[i])
-		}
-	}
-}
-
-func recordToCkpt(rec *IterationRecord) ckpt.Record {
-	return ckpt.Record{
-		Iter:             rec.Iter,
-		Time:             rec.Time,
-		Compute:          rec.Compute,
-		ScatterBytesSent: rec.ScatterBytesSent,
-		ScatterBytesRecv: rec.ScatterBytesRecv,
-		ScatterMsgsSent:  rec.ScatterMsgsSent,
-		ScatterMsgsRecv:  rec.ScatterMsgsRecv,
-		Redistributed:    rec.Redistributed,
-		RedistTime:       rec.RedistTime,
-		RedistStrategy:   rec.RedistStrategy,
-		BusyImbalance:    rec.BusyImbalance,
-		FieldEnergy:      rec.FieldEnergy,
-		KineticEnergy:    rec.KineticEnergy,
-	}
-}
-
-func recordFromCkpt(rec *ckpt.Record) IterationRecord {
-	return IterationRecord{
-		Iter:             rec.Iter,
-		Time:             rec.Time,
-		Compute:          rec.Compute,
-		ScatterBytesSent: rec.ScatterBytesSent,
-		ScatterBytesRecv: rec.ScatterBytesRecv,
-		ScatterMsgsSent:  rec.ScatterMsgsSent,
-		ScatterMsgsRecv:  rec.ScatterMsgsRecv,
-		Redistributed:    rec.Redistributed,
-		RedistTime:       rec.RedistTime,
-		RedistStrategy:   rec.RedistStrategy,
-		BusyImbalance:    rec.BusyImbalance,
-		FieldEnergy:      rec.FieldEnergy,
-		KineticEnergy:    rec.KineticEnergy,
+		copy(res.Records, sh.Records)
 	}
 }
 

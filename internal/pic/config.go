@@ -330,35 +330,9 @@ func checkParticles(s *particle.Store, extent [3]float64) error {
 }
 
 // IterationRecord captures one iteration's measurements, max over ranks
-// (the quantities plotted in Figures 17–19).
-type IterationRecord struct {
-	Iter int
-	// Time is the iteration's execution time (simulated seconds),
-	// excluding any redistribution triggered after it.
-	Time float64
-	// Compute is the iteration's computation time.
-	Compute float64
-	// Scatter-phase ghost traffic.
-	ScatterBytesSent int64
-	ScatterBytesRecv int64
-	ScatterMsgsSent  int64
-	ScatterMsgsRecv  int64
-	// Redistributed reports whether redistribution ran after this
-	// iteration; RedistTime is its cost.
-	Redistributed bool
-	RedistTime    float64
-	// RedistStrategy names the layout strategy of the redistribution run
-	// after this iteration; empty when none was.
-	RedistStrategy string
-	// BusyImbalance is max/mean over ranks of the iteration's busy time
-	// (computation plus communication, excluding barrier idling) — the live
-	// per-rank iteration-time load measurement the strategy experiments
-	// compare (1.0 = perfectly balanced).
-	BusyImbalance float64
-	// Energies are recorded when diagnostics are enabled (else zero).
-	FieldEnergy   float64
-	KineticEnergy float64
-}
+// (the quantities plotted in Figures 17–19). It is the record a checkpoint
+// carries, defined where it is encoded.
+type IterationRecord = ckpt.Record
 
 // Result aggregates a whole run.
 type Result struct {

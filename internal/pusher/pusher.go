@@ -123,9 +123,3 @@ func MoveRange(s *particle.Store, lo, hi int, g mesh.Grid, dt float64) {
 
 // Move is the one-particle form of MoveRange.
 func Move(s *particle.Store, i int, g mesh.Grid, dt float64) { MoveRange(s, i, i+1, g, dt) }
-
-// Speed returns |v| of particle i (always < 1 = c).
-func Speed(s *particle.Store, i int) float64 {
-	g := s.Gamma(i)
-	return math.Sqrt(s.Px[i]*s.Px[i]+s.Py[i]*s.Py[i]+s.Pz[i]*s.Pz[i]) / g
-}
