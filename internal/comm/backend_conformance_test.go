@@ -58,18 +58,18 @@ func conformanceProgram(t *testing.T, backend string, sparse bool, leaked []Tran
 			t.Errorf("%s rank %d: ping from %d carried %v", backend, id, prev, got)
 		}
 		r.Compute(100 * (id + 1))
-		SendInts(r, prev, tagA, []int{id})
-		if got := RecvInts(r, next, tagA); got[0] != next {
+		sendInts(r, prev, tagA, []int{id})
+		if got := recvInts(r, next, tagA); got[0] != next {
 			t.Errorf("%s rank %d: pong from %d carried %v", backend, id, next, got)
 		}
 
 		// Out-of-order tags: B is awaited first, so A is parked in pending
 		// and must come back out of it, each tag in its own FIFO order.
 		r.SetPhase(machine.PhaseGather)
-		SendInts(r, next, tagA, []int{1})
-		SendInts(r, next, tagB, []int{2, 2})
-		SendInts(r, next, tagA, []int{3, 3, 3})
-		if b, a1, a3 := RecvInts(r, prev, tagB), RecvInts(r, prev, tagA), RecvInts(r, prev, tagA); len(b) != 2 || len(a1) != 1 || len(a3) != 3 {
+		sendInts(r, next, tagA, []int{1})
+		sendInts(r, next, tagB, []int{2, 2})
+		sendInts(r, next, tagA, []int{3, 3, 3})
+		if b, a1, a3 := recvInts(r, prev, tagB), recvInts(r, prev, tagA), recvInts(r, prev, tagA); len(b) != 2 || len(a1) != 1 || len(a3) != 3 {
 			t.Errorf("%s rank %d: pending drained out of order: B=%v A=%v,%v", backend, id, b, a1, a3)
 		}
 

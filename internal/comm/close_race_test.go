@@ -50,8 +50,8 @@ func TestCloseRacesInFlightTraffic(t *testing.T) {
 				next := (r.Rank() + 1) % r.Size()
 				prev := (r.Rank() - 1 + r.Size()) % r.Size()
 				for i := 0; i < 200; i++ {
-					SendInts(r, next, TagUser, []int{i})
-					RecvInts(r, prev, TagUser)
+					sendInts(r, next, TagUser, []int{i})
+					recvInts(r, prev, TagUser)
 				}
 			})
 		}()
@@ -69,14 +69,14 @@ func TestNetShutdownRacesInFlightTraffic(t *testing.T) {
 		if tr.Rank() == 2 {
 			// Participates briefly, then leaves the world early and cleanly
 			// while ranks 0 and 1 still expect it in the ring.
-			SendInts(tr, 0, TagUser, []int{99})
+			sendInts(tr, 0, TagUser, []int{99})
 			return
 		}
 		next := (tr.Rank() + 1) % 3
 		prev := (tr.Rank() + 2) % 3
 		for i := 0; i < 100; i++ {
-			SendInts(tr, next, TagUser, []int{i})
-			RecvInts(tr, prev, TagUser)
+			sendInts(tr, next, TagUser, []int{i})
+			recvInts(tr, prev, TagUser)
 		}
 	})
 	if errs[2] != nil {

@@ -61,7 +61,7 @@ func collectivesProgram(t *testing.T, p int, backend string) func(Transport) {
 			}
 		}
 
-		gat := Allgather(r, []float64{float64(id), float64(10*id + 1)}, Float64Bytes)
+		gat := AllgatherFloat64s(r, []float64{float64(id), float64(10*id + 1)})
 		if len(gat) != len(wantGather) {
 			t.Errorf("%s p=%d: Allgather rank=%d len %d, want %d", backend, p, id, len(gat), len(wantGather))
 		} else {

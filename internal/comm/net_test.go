@@ -158,10 +158,10 @@ func TestNetHeartbeatKeepsSilentPeerAlive(t *testing.T) {
 	_, errs := LaunchLoopback(tmpl, 2, nil, func(tr Transport) {
 		if tr.Rank() == 1 {
 			time.Sleep(1200 * time.Millisecond) // 3× the heartbeat timeout
-			SendInts(tr, 0, TagUser, []int{42})
+			sendInts(tr, 0, TagUser, []int{42})
 			return
 		}
-		got := RecvInts(tr, 1, TagUser)
+		got := recvInts(tr, 1, TagUser)
 		if got[0] != 42 {
 			t.Errorf("got %v after peer's long silence, want [42]", got)
 		}

@@ -35,9 +35,9 @@ func TestCodecFormatPinned(t *testing.T) {
 		{kind: frameWelcome, worldID: 1, addrs: []string{"a:1", "b:22", ""}},
 		{kind: framePeerHello, worldID: 7, rank: 5, peer: 2},
 		{kind: frameReject, reason: "world size mismatch"},
-		{kind: frameData, tag: TagUser + 3, nbytes: 640, sentAt: 0.125, body: []float64{1, 2}},
+		{kind: frameData, tag: TagUser + 3, nbytes: 640, sentAt: 0.125, body: &[]float64{1, 2}},
 		{kind: frameOOB, body: float64(2.5)},
-		{kind: frameRelay, rank: 6, peer: 1, tag: -4, nbytes: 24, sentAt: 1.5, body: []int{-1, 9}},
+		{kind: frameRelay, rank: 6, peer: 1, tag: -4, nbytes: 24, sentAt: 1.5, body: &[]int{-1, 9}},
 		{kind: frameOOBFrom, rank: 2, body: "origin"},
 	}
 	bodies := []any{
@@ -49,8 +49,8 @@ func TestCodecFormatPinned(t *testing.T) {
 		true,
 		false,
 		"payload-from-0",
-		[]float64{1.5, -2.5, 0, math.MaxFloat64},
-		[]int{-1, 0, 7 << 40},
+		&[]float64{1.5, -2.5, 0, math.MaxFloat64},
+		&[]int{-1, 0, 7 << 40},
 		st.Snapshot(),
 	}
 	digest := func(fs []*netFrame) string {

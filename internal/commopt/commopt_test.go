@@ -131,12 +131,13 @@ func TestGroupByOwnerCoalesces(t *testing.T) {
 	for _, gid := range []int{51, 52, 71, 53, 12} {
 		tab.Slot(gid)
 	}
-	reg := GroupByOwner(tab, 3, 10, func(gid int) int { return gid / 10 })
-	if reg.NumMessages() != 3 {
-		t.Fatalf("NumMessages = %d, want 3 (ranks 5,7,1)", reg.NumMessages())
+	var reg Registry
+	reg.Build(tab, 3, 10, func(gid int) int { return gid / 10 })
+	if len(reg.Dest) != 3 {
+		t.Fatalf("%d destinations, want 3 (ranks 5,7,1)", len(reg.Dest))
 	}
-	if reg.TotalPoints() != 5 {
-		t.Errorf("TotalPoints = %d, want 5", reg.TotalPoints())
+	if n := len(reg.Gids[0]) + len(reg.Gids[1]) + len(reg.Gids[2]); n != 5 {
+		t.Errorf("%d ghost points, want 5", n)
 	}
 	// Destinations appear in rank order with their gids grouped.
 	wantDest := []int{1, 5, 7}
@@ -164,7 +165,7 @@ func TestGroupByOwnerPanicsOnSelf(t *testing.T) {
 			t.Error("expected panic for self-owned ghost point")
 		}
 	}()
-	GroupByOwner(tab, 0, 2, func(gid int) int { return 0 })
+	new(Registry).Build(tab, 0, 2, func(gid int) int { return 0 })
 }
 
 func TestDirectTableResetIsSparse(t *testing.T) {

@@ -15,6 +15,7 @@ package geom
 
 import (
 	"fmt"
+	"slices"
 
 	"picpar/internal/comm"
 	"picpar/internal/commopt"
@@ -37,9 +38,10 @@ const KeyAssignWorkPerParticle = 4
 // filled in place by Geometry.Footprint so per-particle loops allocate
 // nothing.
 type Footprint struct {
-	N   int
-	Gid [MaxVertices]int32
-	W   [MaxVertices]float64
+	N    int
+	Gid  [MaxVertices]int32
+	W    [MaxVertices]float64
+	slot [MaxVertices]int32 // in a range kernel's block (see G3.footprint)
 }
 
 // Fields is one rank's field substrate as the pipeline sees it: source
@@ -185,12 +187,12 @@ func depositOwned(a *field.Arrays, c0 int, off []int, w []float64, q, vx, vy, vz
 // depositFootprint is the general path of Deposit for one particle: each
 // footprint vertex goes to its owned slot or, through the ghost table, to
 // its four ghost values. Returns the number of ghost contributions.
-func depositFootprint(fp *Footprint, f Fields, a *field.Arrays, table commopt.DupTable, ghostVals *[]float64, q, vx, vy, vz float64) int {
+func depositFootprint(fp *Footprint, a *field.Arrays, table commopt.DupTable, ghostVals *[]float64, q, vx, vy, vz float64) int {
 	ops := 0
 	for k := 0; k < fp.N; k++ {
 		wq := fp.W[k] * q
 		gid := int(fp.Gid[k])
-		if c := f.Slot(gid); c >= 0 {
+		if c := fp.slot[k]; c >= 0 {
 			a.Jx[c] += wq * vx
 			a.Jy[c] += wq * vy
 			a.Jz[c] += wq * vz
@@ -198,7 +200,10 @@ func depositFootprint(fp *Footprint, f Fields, a *field.Arrays, table commopt.Du
 			continue
 		}
 		slot := table.Slot(gid)
-		if 4*slot == len(*ghostVals) {
+		if n := len(*ghostVals); 4*slot == n {
+			if n == cap(*ghostVals) { // double: the ghost set creeps
+				*ghostVals = slices.Grow(*ghostVals, n+4)
+			}
 			*ghostVals = append(*ghostVals, 0, 0, 0, 0)
 		}
 		gv := (*ghostVals)[4*slot : 4*slot+4]
@@ -231,11 +236,11 @@ func gatherOwned(a *field.Arrays, c0 int, off []int, w []float64) (ex, ey, ez, b
 // gatherFootprint is the general path of GatherPush for one particle: each
 // footprint vertex reads its owned slot or the ghost values the scatter's
 // table slot received.
-func gatherFootprint(fp *Footprint, f Fields, a *field.Arrays, table commopt.DupTable, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
+func gatherFootprint(fp *Footprint, a *field.Arrays, table commopt.DupTable, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
 	for k := 0; k < fp.N; k++ {
 		wk := fp.W[k]
 		gid := int(fp.Gid[k])
-		if c := f.Slot(gid); c >= 0 {
+		if c := fp.slot[k]; c >= 0 {
 			ex += wk * a.Ex[c]
 			ey += wk * a.Ey[c]
 			ez += wk * a.Ez[c]

@@ -67,7 +67,11 @@ func (ge *G2) CellOwner(key uint64) int {
 
 // Footprint implements Geometry: bilinear CIC over the four cell vertices,
 // with the high-edge wrap the scatter loop has always used.
-func (ge *G2) Footprint(s *particle.Store, i int, fp *Footprint) {
+func (ge *G2) Footprint(s *particle.Store, i int, fp *Footprint) { ge.footprint(s, i, fp, nil) }
+
+// footprint is Footprint that, given a range kernel's block b, also
+// records each vertex's slot in it (see G3.footprint).
+func (ge *G2) footprint(s *particle.Store, i int, fp *Footprint, b *block2) {
 	g := ge.G
 	w := pusher.Weights(g, s.X[i], s.Y[i])
 	fp.N = 4
@@ -82,6 +86,10 @@ func (ge *G2) Footprint(s *particle.Store, i int, fp *Footprint) {
 		}
 		fp.Gid[k] = int32(gj*g.Nx + gi)
 		fp.W[k] = w.W[k]
+		fp.slot[k] = -1
+		if b != nil && uint(gi-b.x.i0) <= uint(b.x.m) && uint(gj-b.y.i0) <= uint(b.y.m) {
+			fp.slot[k] = int32(b.l.Idx(gi-b.x.i0, gj-b.y.i0))
+		}
 	}
 }
 
@@ -176,8 +184,8 @@ func (ge *G2) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.Dup
 			depositOwned(a, b.l.Idx(li, lj), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		ge.Footprint(s, i, &fp)
-		ops += depositFootprint(&fp, f, a, table, ghostVals, q, vx, vy, vz)
+		ge.footprint(s, i, &fp, &b)
+		ops += depositFootprint(&fp, a, table, ghostVals, q, vx, vy, vz)
 	}
 	return ops
 }
@@ -196,8 +204,8 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj), b.off[:], w[:])
 		} else {
-			ge.Footprint(s, i, &fp)
-			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, f, a, table, ghostEB)
+			ge.footprint(s, i, &fp, &b)
+			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
 	}

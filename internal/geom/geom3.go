@@ -67,7 +67,12 @@ func (ge *G3) CellOwner(key uint64) int {
 
 // Footprint implements Geometry: trilinear CIC over the eight cell
 // vertices, wrapping the high edges like the 2-D footprint does.
-func (ge *G3) Footprint(s *particle.Store, i int, fp *Footprint) {
+func (ge *G3) Footprint(s *particle.Store, i int, fp *Footprint) { ge.footprint(s, i, fp, nil) }
+
+// footprint is Footprint that, given a range kernel's block b, also
+// records each vertex's slot in it (−1 outside): a range check per axis on
+// coordinates it has, not Fields.Slot's three divisions of the vertex id.
+func (ge *G3) footprint(s *particle.Store, i int, fp *Footprint, b *block3) {
 	g := ge.G
 	w := pusher.Weights3(g, s.X[i], s.Y[i], s.Z[i])
 	fp.N = 8
@@ -86,6 +91,10 @@ func (ge *G3) Footprint(s *particle.Store, i int, fp *Footprint) {
 		}
 		fp.Gid[k] = int32((gk*g.Ny+gj)*g.Nx + gi)
 		fp.W[k] = w.W[k]
+		fp.slot[k] = -1
+		if b != nil && uint(gi-b.x.i0) <= uint(b.x.m) && uint(gj-b.y.i0) <= uint(b.y.m) && uint(gk-b.z.i0) <= uint(b.z.m) {
+			fp.slot[k] = int32(b.l.Idx(gi-b.x.i0, gj-b.y.i0, gk-b.z.i0))
+		}
 	}
 }
 
@@ -176,8 +185,8 @@ func (ge *G3) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.Dup
 			depositOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		ge.Footprint(s, i, &fp)
-		ops += depositFootprint(&fp, f, a, table, ghostVals, q, vx, vy, vz)
+		ge.footprint(s, i, &fp, &b)
+		ops += depositFootprint(&fp, a, table, ghostVals, q, vx, vy, vz)
 	}
 	return ops
 }
@@ -197,8 +206,8 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
 		} else {
-			ge.Footprint(s, i, &fp)
-			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, f, a, table, ghostEB)
+			ge.footprint(s, i, &fp, &b)
+			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
 	}

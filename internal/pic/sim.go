@@ -349,7 +349,7 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 		}
 		// One out-of-band Expose serves the element-wise max the records
 		// always carried plus the busy-time max and sum behind the
-		// max/mean imbalance (same barriers as ExposeMaxFloat64s). The
+		// max/mean imbalance (two barriers, like one ExposeMaxFloat64). The
 		// trailing element is the drain flag: any rank whose StopRequested
 		// poll fired makes the whole world agree to stop at this iteration
 		// boundary — same free, deterministic agreement the measurements

@@ -80,7 +80,9 @@ echo "== deleted-path audit (grep) =="
 # and the 2-D/3-D twins above the kernels (particle's Config3, Generate3 and
 # NewGenerator3, geom's fields2/fields3 adapters, partition's
 # IndependentLayout and MeasureIndependent) with the field and mesh exports
-# only their tests called (LocalOf, MaxLocalPoints). A
+# only their tests called (LocalOf, MaxLocalPoints), and the message-body
+# exports nothing called (comm's SendInts, RecvInts, ExposeMaxFloat64s and
+# the generic Allgather/AllToMany, commopt's GroupByOwner). A
 # failed exchange is a dead rank that checkpoint recovery handles, benchmark/ is
 # the one wall-clock harness, Config.Topology names a link set, the time
 # step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
@@ -88,7 +90,7 @@ echo "== deleted-path audit (grep) =="
 # ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
 # owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
@@ -154,9 +156,11 @@ go test ./...
 
 echo "== fuzz (15 s per binary decoder and the shard probe) =="
 # The committed corpora replay in go test; these are short real searches.
-go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 15s ./internal/comm/
-go test -run '^$' -fuzz FuzzDecodeShard -fuzztime 15s ./internal/ckpt/
-go test -run '^$' -fuzz FuzzShardIdentity -fuzztime 15s ./internal/ckpt/
+# go test minimizes each new-coverage input for up to 60 s by default, which
+# spends a 15 s budget on the first one: cap it at 1 s.
+go test -run '^$' -fuzz FuzzDecodeFrame -fuzztime 15s -fuzzminimizetime 1s ./internal/comm/
+go test -run '^$' -fuzz FuzzDecodeShard -fuzztime 15s -fuzzminimizetime 1s ./internal/ckpt/
+go test -run '^$' -fuzz FuzzShardIdentity -fuzztime 15s -fuzzminimizetime 1s ./internal/ckpt/
 
 echo "== benchmark module (vet + test) =="
 # benchmark/ is its own Go module: the root ./... patterns cannot see it,
