@@ -163,3 +163,26 @@ func TestWatchdogHappyPathUnaffected(t *testing.T) {
 		Barrier(r)
 	})
 }
+
+// TestWatchdogTimerRearms arms a rank's one timer, lets it fire outside any
+// wait and arms it again: the late tick must not reach the new wait, where
+// it would report a false deadlock at once. A timer rearmed before it fired
+// must still fire at its new deadline.
+func TestWatchdogTimerRearms(t *testing.T) {
+	var c core
+	c.arm(time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // fires with nobody waiting
+	select {
+	case <-c.arm(time.Hour):
+		t.Fatal("a tick from the previous arm reached the new wait")
+	case <-time.After(50 * time.Millisecond):
+	}
+	select {
+	case <-c.arm(10 * time.Millisecond):
+	case <-time.After(10 * time.Second):
+		t.Fatal("a timer rearmed before its deadline never fired")
+	}
+	if d := c.arm(0); d != nil {
+		t.Error("a disarmed watchdog returned a channel")
+	}
+}

@@ -43,6 +43,15 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm GetBytes/PutBytes cycle: %v allocs/op, want 0", allocs)
 	}
+	// A message body's full cycle: Get, Box for Send, Unbox on receipt, Put.
+	Put(Unbox(Box(Get(4096))))
+	PutInts(Unbox(Box(GetInts(64))))
+	if allocs := testing.AllocsPerRun(50, func() {
+		Put(Unbox(Box(append(Get(4096), 1))))
+		PutInts(Unbox(Box(append(GetInts(64), 1))))
+	}); allocs != 0 {
+		t.Errorf("warm Get/Box/Unbox/Put cycle: %v allocs/op, want 0", allocs)
+	}
 }
 
 func TestPutNilAndTiny(t *testing.T) {
