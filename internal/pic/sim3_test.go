@@ -43,8 +43,8 @@ func TestRun3DBasic(t *testing.T) {
 	}
 }
 
-// TestGolden3DDeterminism pins the exact simulated total of the 3-D
-// reference run, exactly as TestGoldenDeterminism does for 2-D: the
+// TestGolden3DDeterminism pins the exact simulated total and fingerprint of
+// the 3-D reference run, exactly as TestGoldenDeterminism does for 2-D: the
 // dimension-generic pipeline is fully deterministic, so any drift means
 // the cost model, the protocol, or the physics changed.
 func TestGolden3DDeterminism(t *testing.T) {
@@ -64,6 +64,10 @@ func TestGolden3DDeterminism(t *testing.T) {
 	const recorded = 1.5221545
 	if diff := got - recorded; diff > 1e-7 || diff < -1e-7 {
 		t.Errorf("3-D reference run total changed: got %.12g, recorded %.12g", got, recorded)
+	}
+	const fp = 0x327ee7497adb6f01
+	if res.Fingerprint != fp {
+		t.Errorf("3-D reference run fingerprint changed: got %016x, recorded %016x", res.Fingerprint, uint64(fp))
 	}
 }
 
