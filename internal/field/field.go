@@ -1,17 +1,22 @@
 // Package field holds the electromagnetic mesh-grid arrays of the PIC
 // problem on each rank's BLOCK submesh and advances Maxwell's equations on
 // them with a finite-difference scheme in which every grid point needs data
-// only from its four axis neighbours — the stencil assumed by the paper's
+// only from its axis neighbours — the stencil assumed by the paper's
 // field-solve cost analysis.
 //
-// Units are normalised: c = 1, ε₀ = μ₀ = 1, unit cells. The full 2d3v
+// One block type serves both dimensions. A 3-D block carries a one-point
+// halo on all six faces; a 2-D block is its one-plane case: Nz = 1, no z
+// halo and a z stride of 0, so the two z-differences of the 3-D curl read
+// the same slot and vanish exactly, and the arrays keep the (Nx+2)(Ny+2)
+// slots of the plane.
+//
+// Units are normalised: c = 1, ε₀ = μ₀ = 1, unit cells. The full vector
 // component set is carried: E = (Ex, Ey, Ez), B = (Bx, By, Bz), current
 // density J = (Jx, Jy, Jz) and charge density Rho.
 package field
 
 import (
 	"picpar/internal/comm"
-	"picpar/internal/mesh"
 	"picpar/internal/par"
 	"picpar/internal/wire"
 )
@@ -26,22 +31,30 @@ type Arrays struct {
 	Rho        []float64
 }
 
-// arrays is the name Local and Local3 embed Arrays under, so the components
-// read l.Ex and the Arrays method can return them.
+// arrays is the name Local embeds Arrays under, so the components read
+// l.Ex and the Arrays method can return them.
 type arrays = Arrays
 
-// Local is the field storage of one rank: the owned submesh plus a one-point
-// halo on all sides. Owned local coordinates run 0..Nx-1 × 0..Ny-1; halo
-// coordinates extend to −1 and Nx (Ny). It is the 2-D geom.Fields.
+// Block describes one rank's share of the global grid. Axis 2 of a 2-D
+// block is the single plane k = 0: Global[2] = N[2] = 1 and Lo[2] = 0.
+type Block struct {
+	Dims   int       // 2 or 3
+	Global [3]int    // global point extents
+	Lo     [3]int    // global coordinates of owned point (0, 0, 0)
+	N      [3]int    // owned extents
+	Nbr    [3][2]int // low and high face neighbour ranks along each axis
+}
+
+// Local is the field storage of one rank: the owned block plus a one-point
+// halo on every face. Owned local coordinates run 0..N[a]-1 along axis a;
+// halo coordinates extend to −1 and N[a] (along z in 3-D only).
 type Local struct {
-	I0, J0 int // global coordinates of owned point (0, 0)
-	Nx, Ny int // owned extents
+	Block
 	arrays
 
-	d      *mesh.Dist // the distribution the block was cut from
-	stride int
+	stride [3]int // slot step along each axis; stride[2] = 0 in 2-D
 
-	// pool parallelises the curl sweeps over owned rows. Every
+	// pool parallelises the curl sweeps over owned (k, j) rows. Every
 	// grid point's update reads only the other family of components (plus
 	// J), so row ranges are write-disjoint and the result is bit-identical
 	// for any worker count. task is stored so Run calls allocate nothing.
@@ -49,33 +62,33 @@ type Local struct {
 	task sweepTask
 }
 
-// SetPool installs the shared-memory worker pool the update sweeps run on;
-// nil (a 1-worker pool) runs them inline.
-func (l *Local) SetPool(p *par.Pool) { l.pool = p }
-
-// sweepTask is the par.Task of one curl sweep: rows [jLo, jHi) of one
-// component-family update.
+// sweepTask is the par.Task of one curl sweep: flattened rows [lo, hi) of
+// one component-family update.
 type sweepTask struct {
 	l    *Local
 	dt   float64
 	comp Components // CompE: update E from B; CompB: update B from E
 }
 
-func (t *sweepTask) Work(_, jLo, jHi int) {
+func (t *sweepTask) Work(_, lo, hi int) {
 	if t.comp == CompE {
-		t.l.updateERows(t.dt, jLo, jHi)
+		t.l.updateERows(t.dt, lo, hi)
 	} else {
-		t.l.updateBRows(t.dt, jLo, jHi)
+		t.l.updateBRows(t.dt, lo, hi)
 	}
 }
 
-// NewLocal allocates zeroed fields for the owned region of rank r under
-// distribution d.
-func NewLocal(d *mesh.Dist, r int) *Local {
-	i0, i1, j0, j1 := d.Bounds(r)
-	nx, ny := i1-i0, j1-j0
-	l := &Local{I0: i0, J0: j0, Nx: nx, Ny: ny, d: d, stride: nx + 2}
-	n := (nx + 2) * (ny + 2)
+// NewLocal allocates zeroed fields for block b. pool spreads the update
+// sweeps over shared-memory workers; nil (a 1-worker pool) runs them
+// inline.
+func NewLocal(b Block, pool *par.Pool) *Local {
+	sy := b.N[0] + 2
+	n := sy * (b.N[1] + 2)
+	l := &Local{Block: b, stride: [3]int{1, sy, 0}, pool: pool}
+	if b.Dims == 3 {
+		l.stride[2] = n
+		n *= b.N[2] + 2
+	}
 	l.Ex, l.Ey, l.Ez = make([]float64, n), make([]float64, n), make([]float64, n)
 	l.Bx, l.By, l.Bz = make([]float64, n), make([]float64, n), make([]float64, n)
 	l.Jx, l.Jy, l.Jz = make([]float64, n), make([]float64, n), make([]float64, n)
@@ -83,24 +96,35 @@ func NewLocal(d *mesh.Dist, r int) *Local {
 	return l
 }
 
-// Idx maps local owned coordinates (i ∈ [−1, Nx], j ∈ [−1, Ny]) to the halo
-// array offset.
-func (l *Local) Idx(i, j int) int { return (j+1)*l.stride + (i + 1) }
+// Idx maps local coordinates (i ∈ [−1, Nx], j ∈ [−1, Ny], k ∈ [−1, Nz]; k
+// = 0 in 2-D) to the halo array offset.
+func (l *Local) Idx(i, j, k int) int {
+	return (k+1)*l.stride[2] + (j+1)*l.stride[1] + (i + 1)
+}
 
-// Contains reports whether global grid point (gi, gj) is owned by this
-// submesh.
-func (l *Local) Contains(gi, gj int) bool {
-	return gi >= l.I0 && gi < l.I0+l.Nx && gj >= l.J0 && gj < l.J0+l.Ny
+// row is the slot of owned point (0, j, k) of flattened row k·Ny + j.
+func (l *Local) row(r int) int { return l.Idx(0, r%l.N[1], r/l.N[1]) }
+
+// rows is the number of owned (k, j) rows.
+func (l *Local) rows() int { return l.N[1] * l.N[2] }
+
+// Contains reports whether global grid point (gi, gj, gk) is owned by this
+// block.
+func (l *Local) Contains(gi, gj, gk int) bool {
+	return gi >= l.Lo[0] && gi < l.Lo[0]+l.N[0] &&
+		gj >= l.Lo[1] && gj < l.Lo[1]+l.N[1] &&
+		gk >= l.Lo[2] && gk < l.Lo[2]+l.N[2]
 }
 
 // Slot maps a global grid-point id to its offset in the component arrays,
 // or −1 when the point is not owned.
 func (l *Local) Slot(gid int) int {
-	gi, gj := l.d.G.PointCoords(gid)
-	if !l.Contains(gi, gj) {
+	nx, ny := l.Global[0], l.Global[1]
+	gi, gj, gk := gid%nx, gid/nx%ny, gid/(nx*ny)
+	if !l.Contains(gi, gj, gk) {
 		return -1
 	}
-	return l.Idx(gi-l.I0, gj-l.J0)
+	return l.Idx(gi-l.Lo[0], gj-l.Lo[1], gk-l.Lo[2])
 }
 
 // Arrays returns the component storage (stable for the Local's lifetime).
@@ -113,56 +137,61 @@ func (l *Local) ZeroSources() {
 	}
 }
 
-// fieldSolveWorkPerPoint is the modelled compute units (T_f_comp) for one
-// grid-point update of one curl step: 6 components × (2 differences + 2
-// multiply-adds) ≈ 24 flops.
-const fieldSolveWorkPerPoint = 24
+// fieldSolveWorkPerAxis is the modelled compute units (T_f_comp) for one
+// grid-point update of one curl step, per dimension: 6 components × (2
+// differences + 2 multiply-adds) ≈ 24 flops in 2-D, 6 × (4 + 2) ≈ 36 in
+// 3-D.
+const fieldSolveWorkPerAxis = 12
 
 // UpdateE advances E by dt using ∂E/∂t = ∇×B − J with central differences.
 // The B halo must be current (call ExchangeHalo with the B components
 // first). Compute cost is charged to r's current phase.
 func (l *Local) UpdateE(r comm.Transport, dt float64) { l.sweep(r, dt, CompE) }
 
+// UpdateB advances B by dt using ∂B/∂t = −∇×E. The E halo must be current.
+func (l *Local) UpdateB(r comm.Transport, dt float64) { l.sweep(r, dt, CompB) }
+
 // sweep runs one curl sweep over the owned rows on the pool.
 func (l *Local) sweep(r comm.Transport, dt float64, comp Components) {
 	l.task = sweepTask{l: l, dt: dt, comp: comp}
-	l.pool.Run(l.Ny, &l.task)
+	l.pool.Run(l.rows(), &l.task)
 	// The modelled charge is the total point count — invariant under the
 	// worker count, so simulated times never depend on host parallelism.
-	r.Compute(l.Nx * l.Ny * fieldSolveWorkPerPoint)
+	r.Compute(l.N[0] * l.rows() * fieldSolveWorkPerAxis * l.Dims)
 }
 
-func (l *Local) updateERows(dt float64, jLo, jHi int) {
-	s := l.stride
-	for j := jLo; j < jHi; j++ {
-		for i := 0; i < l.Nx; i++ {
-			c := l.Idx(i, j)
+func (l *Local) updateERows(dt float64, lo, hi int) {
+	sy, sz := l.stride[1], l.stride[2]
+	for r := lo; r < hi; r++ {
+		c0 := l.row(r)
+		for c := c0; c < c0+l.N[0]; c++ {
 			// Central differences with unit cells: ∂/∂x f = (f[i+1]−f[i−1])/2.
-			dBzDy := (l.Bz[c+s] - l.Bz[c-s]) / 2
+			dBzDy := (l.Bz[c+sy] - l.Bz[c-sy]) / 2
+			dByDz := (l.By[c+sz] - l.By[c-sz]) / 2
+			dBxDz := (l.Bx[c+sz] - l.Bx[c-sz]) / 2
 			dBzDx := (l.Bz[c+1] - l.Bz[c-1]) / 2
 			dByDx := (l.By[c+1] - l.By[c-1]) / 2
-			dBxDy := (l.Bx[c+s] - l.Bx[c-s]) / 2
-			l.Ex[c] += dt * (dBzDy - l.Jx[c])
-			l.Ey[c] += dt * (-dBzDx - l.Jy[c])
+			dBxDy := (l.Bx[c+sy] - l.Bx[c-sy]) / 2
+			l.Ex[c] += dt * (dBzDy - dByDz - l.Jx[c])
+			l.Ey[c] += dt * (dBxDz - dBzDx - l.Jy[c])
 			l.Ez[c] += dt * (dByDx - dBxDy - l.Jz[c])
 		}
 	}
 }
 
-// UpdateB advances B by dt using ∂B/∂t = −∇×E. The E halo must be current.
-func (l *Local) UpdateB(r comm.Transport, dt float64) { l.sweep(r, dt, CompB) }
-
-func (l *Local) updateBRows(dt float64, jLo, jHi int) {
-	s := l.stride
-	for j := jLo; j < jHi; j++ {
-		for i := 0; i < l.Nx; i++ {
-			c := l.Idx(i, j)
-			dEzDy := (l.Ez[c+s] - l.Ez[c-s]) / 2
+func (l *Local) updateBRows(dt float64, lo, hi int) {
+	sy, sz := l.stride[1], l.stride[2]
+	for r := lo; r < hi; r++ {
+		c0 := l.row(r)
+		for c := c0; c < c0+l.N[0]; c++ {
+			dEzDy := (l.Ez[c+sy] - l.Ez[c-sy]) / 2
+			dEyDz := (l.Ey[c+sz] - l.Ey[c-sz]) / 2
+			dExDz := (l.Ex[c+sz] - l.Ex[c-sz]) / 2
 			dEzDx := (l.Ez[c+1] - l.Ez[c-1]) / 2
 			dEyDx := (l.Ey[c+1] - l.Ey[c-1]) / 2
-			dExDy := (l.Ex[c+s] - l.Ex[c-s]) / 2
-			l.Bx[c] += dt * (-dEzDy)
-			l.By[c] += dt * (dEzDx)
+			dExDy := (l.Ex[c+sy] - l.Ex[c-sy]) / 2
+			l.Bx[c] += dt * (-(dEzDy - dEyDz))
+			l.By[c] += dt * (-(dExDz - dEzDx))
 			l.Bz[c] += dt * (-(dEyDx - dExDy))
 		}
 	}
@@ -184,76 +213,76 @@ func (l *Local) comps(c Components) [3][]float64 {
 	return [3][]float64{l.Bx, l.By, l.Bz}
 }
 
-// Exchange tags (application tag space).
-const (
-	tagHaloXLow comm.Tag = comm.TagUser + 10 + iota
-	tagHaloXHigh
-	tagHaloYLow
-	tagHaloYHigh
-)
+// tagHalo is the first exchange tag (application tag space): axis a's
+// faces travel on tagHalo+2a (towards the low neighbour) and tagHalo+2a+1.
+const tagHalo comm.Tag = comm.TagUser + 10
 
-// ExchangeHalo fills the one-point halo of the selected components from the
-// four neighbouring ranks with periodic global boundaries. All three
+// faceAxes lists, for each axis, the other two axes: a face's inner and
+// outer loop.
+var faceAxes = [3][2]int{{1, 2}, {0, 2}, {0, 1}}
+
+// ExchangeHalo fills the one-point face halos of the selected components
+// from the neighbouring ranks with periodic global boundaries. All three
 // components travelling in the same direction are coalesced into a single
-// message, so each rank sends exactly four messages of 3·extent values —
-// the 4·(τ + √(m/p)·l_grid·μ) term of the paper's field-solve analysis.
+// message, so each rank sends exactly 2·dims messages of 3·(face extent)
+// values — the 4·(τ + √(m/p)·l_grid·μ) term of the paper's 2-D field-solve
+// analysis. The axis-neighbour stencil needs no edge or corner halos, so
+// owned faces suffice in every direction.
 //
-// Works for any processor grid, including degenerate 1×p and p×1 grids
-// (neighbour == self is handled without network traffic).
-//
-// Faces are wire buffers: a sent face belongs to its receiver, and each
-// fill returns the face it unpacked to the pool.
+// Works for any processor grid, including degenerate ones (neighbour ==
+// self is handled without network traffic). Faces are wire buffers: a sent
+// face belongs to its receiver, and each fill returns the face it unpacked
+// to the pool.
 func (l *Local) ExchangeHalo(r comm.Transport, which Components) {
 	f := l.comps(which)
-	left, right, down, up := l.d.Neighbours(r.Rank())
+	for a := 0; a < l.Dims; a++ {
+		low, high := l.Nbr[a][0], l.Nbr[a][1]
+		tag := tagHalo + comm.Tag(2*a)
+		// The owned face 0 becomes the low neighbour's halo face N[a], and
+		// the owned face N[a]−1 the high neighbour's halo face −1.
+		comm.SendFloat64s(r, low, tag, l.packFace(f, a, 0))
+		comm.SendFloat64s(r, high, tag+1, l.packFace(f, a, l.N[a]-1))
+		l.fillFace(f, a, l.N[a], comm.RecvFloat64s(r, high, tag))
+		l.fillFace(f, a, -1, comm.RecvFloat64s(r, low, tag+1))
+	}
+}
 
-	// X direction: send owned column 0 to the left neighbour (it becomes
-	// their i=Nx halo column), and column Nx−1 to the right neighbour.
-	sendCol := func(i int) []float64 {
-		buf := wire.Get(3 * l.Ny)
-		for k := 0; k < 3; k++ {
-			for j := 0; j < l.Ny; j++ {
-				buf = append(buf, f[k][l.Idx(i, j)])
-			}
-		}
-		return buf
-	}
-	fillCol := func(i int, buf []float64) {
-		for k := 0; k < 3; k++ {
-			for j := 0; j < l.Ny; j++ {
-				f[k][l.Idx(i, j)] = buf[k*l.Ny+j]
-			}
-		}
-		wire.Put(buf)
-	}
-	comm.SendFloat64s(r, left, tagHaloXLow, sendCol(0))
-	comm.SendFloat64s(r, right, tagHaloXHigh, sendCol(l.Nx-1))
-	fillCol(l.Nx, comm.RecvFloat64s(r, right, tagHaloXLow))
-	fillCol(-1, comm.RecvFloat64s(r, left, tagHaloXHigh))
+// face returns the slot of point p on axis a with the other axes at 0, and
+// the extents and strides of the face's inner and outer axes.
+func (l *Local) face(a, p int) (c0, nu, su, nv, sv int) {
+	u, v := faceAxes[a][0], faceAxes[a][1]
+	return l.Idx(0, 0, 0) + p*l.stride[a], l.N[u], l.stride[u], l.N[v], l.stride[v]
+}
 
-	// Y direction: rows, including the x halo just filled is unnecessary
-	// for the 4-point stencil, so plain owned rows suffice.
-	sendRow := func(j int) []float64 {
-		buf := wire.Get(3 * l.Nx)
-		for k := 0; k < 3; k++ {
-			for i := 0; i < l.Nx; i++ {
-				buf = append(buf, f[k][l.Idx(i, j)])
+// packFace copies axis a's plane p into a wire buffer: component first,
+// then the other two axes with the higher one outer.
+func (l *Local) packFace(f [3][]float64, a, p int) []float64 {
+	c0, nu, su, nv, sv := l.face(a, p)
+	buf := wire.Get(3 * nu * nv)
+	for _, comp := range f {
+		for v := 0; v < nv; v++ {
+			for u := 0; u < nu; u++ {
+				buf = append(buf, comp[c0+v*sv+u*su])
 			}
 		}
-		return buf
 	}
-	fillRow := func(j int, buf []float64) {
-		for k := 0; k < 3; k++ {
-			for i := 0; i < l.Nx; i++ {
-				f[k][l.Idx(i, j)] = buf[k*l.Nx+i]
+	return buf
+}
+
+// fillFace is packFace's inverse: it unpacks buf into axis a's plane p and
+// returns buf to the pool.
+func (l *Local) fillFace(f [3][]float64, a, p int, buf []float64) {
+	c0, nu, su, nv, sv := l.face(a, p)
+	o := 0
+	for _, comp := range f {
+		for v := 0; v < nv; v++ {
+			for u := 0; u < nu; u++ {
+				comp[c0+v*sv+u*su] = buf[o]
+				o++
 			}
 		}
-		wire.Put(buf)
 	}
-	comm.SendFloat64s(r, down, tagHaloYLow, sendRow(0))
-	comm.SendFloat64s(r, up, tagHaloYHigh, sendRow(l.Ny-1))
-	fillRow(l.Ny, comm.RecvFloat64s(r, up, tagHaloYLow))
-	fillRow(-1, comm.RecvFloat64s(r, down, tagHaloYHigh))
+	wire.Put(buf)
 }
 
 // Solve performs one full leapfrog field-solve step: refresh B halo, update
@@ -268,9 +297,9 @@ func (l *Local) Solve(r comm.Transport, dt float64) {
 // Energy returns this rank's field energy ½Σ(E² + B²) over owned points.
 func (l *Local) Energy() float64 {
 	e := 0.0
-	for j := 0; j < l.Ny; j++ {
-		for i := 0; i < l.Nx; i++ {
-			c := l.Idx(i, j)
+	for r := 0; r < l.rows(); r++ {
+		c0 := l.row(r)
+		for c := c0; c < c0+l.N[0]; c++ {
 			e += l.Ex[c]*l.Ex[c] + l.Ey[c]*l.Ey[c] + l.Ez[c]*l.Ez[c] +
 				l.Bx[c]*l.Bx[c] + l.By[c]*l.By[c] + l.Bz[c]*l.Bz[c]
 		}
@@ -281,9 +310,10 @@ func (l *Local) Energy() float64 {
 // SumRho returns the deposited charge over owned points.
 func (l *Local) SumRho() float64 {
 	rho := 0.0
-	for j := 0; j < l.Ny; j++ {
-		for i := 0; i < l.Nx; i++ {
-			rho += l.Rho[l.Idx(i, j)]
+	for r := 0; r < l.rows(); r++ {
+		c0 := l.row(r)
+		for c := c0; c < c0+l.N[0]; c++ {
+			rho += l.Rho[c]
 		}
 	}
 	return rho

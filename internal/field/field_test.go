@@ -1,6 +1,7 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,9 @@ import (
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
+	"picpar/internal/mesh3"
+	"picpar/internal/par"
+	"picpar/internal/sfc"
 )
 
 func dist(t *testing.T, nx, ny, p int) *mesh.Dist {
@@ -19,14 +23,94 @@ func dist(t *testing.T, nx, ny, p int) *mesh.Dist {
 	return d
 }
 
+// block2 is rank r's block of the 2-D distribution d.
+func block2(d *mesh.Dist, r int) Block {
+	i0, i1, j0, j1 := d.Bounds(r)
+	left, right, down, up := d.Neighbours(r)
+	return Block{
+		Dims:   2,
+		Global: [3]int{d.G.Nx, d.G.Ny, 1},
+		Lo:     [3]int{i0, j0, 0},
+		N:      [3]int{i1 - i0, j1 - j0, 1},
+		Nbr:    [3][2]int{{left, right}, {down, up}},
+	}
+}
+
+// block3 is rank r's block of the 3-D distribution d.
+func block3(d *mesh3.Dist, r int) Block {
+	i0, i1, j0, j1, k0, k1 := d.Bounds(r)
+	left, right, down, up, back, front := d.Neighbours(r)
+	return Block{
+		Dims:   3,
+		Global: [3]int{d.G.Nx, d.G.Ny, d.G.Nz},
+		Lo:     [3]int{i0, j0, k0},
+		N:      [3]int{i1 - i0, j1 - j0, k1 - k0},
+		Nbr:    [3][2]int{{left, right}, {down, up}, {back, front}},
+	}
+}
+
+// grid is one distributed mesh under test: its rank count and each rank's
+// block.
+type grid struct {
+	name  string
+	p     int
+	g     [3]int // global extents (1 in z for 2-D)
+	block func(r int) Block
+	procs [3]int // processor grid
+}
+
+func grid2(t *testing.T, nx, ny, p int) grid {
+	d := dist(t, nx, ny, p)
+	return grid{fmt.Sprintf("2d-%dx%d-p%d", nx, ny, p), p, [3]int{nx, ny, 1},
+		func(r int) Block { return block2(d, r) }, [3]int{d.Px, d.Py, 1}}
+}
+
+func grid3(t *testing.T, nx, ny, nz, p int) grid {
+	t.Helper()
+	d, err := mesh3.NewDistOrdered(mesh3.NewGrid(nx, ny, nz), p, sfc.SchemeHilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grid{fmt.Sprintf("3d-%dx%dx%d-p%d", nx, ny, nz, p), p, [3]int{nx, ny, nz},
+		func(r int) Block { return block3(d, r) }, [3]int{d.Px, d.Py, d.Pz}}
+}
+
+// eachPoint calls fn with the local coordinates of every owned point of l,
+// and with halo too of every face-halo point (one coordinate out of range).
+func eachPoint(l *Local, halo bool, fn func(i, j, k int)) {
+	h := 0
+	if halo {
+		h = 1
+	}
+	hz := h
+	if l.Dims == 2 {
+		hz = 0
+	}
+	for k := -hz; k < l.N[2]+hz; k++ {
+		for j := -h; j < l.N[1]+h; j++ {
+			for i := -h; i < l.N[0]+h; i++ {
+				out := 0
+				for a, x := range [3]int{i, j, k} {
+					if x < 0 || x >= l.N[a] {
+						out++
+					}
+				}
+				if out <= h {
+					fn(i, j, k)
+				}
+			}
+		}
+	}
+}
+
 func TestNewLocalGeometry(t *testing.T) {
 	d := dist(t, 16, 8, 4) // expect 4x1 or 2x2 grid; blocks owned exactly
 	total := 0
 	for r := 0; r < 4; r++ {
-		l := NewLocal(d, r)
-		total += l.Nx * l.Ny
+		l := NewLocal(block2(d, r), nil)
+		total += l.N[0] * l.N[1]
 		i0, i1, j0, j1 := d.Bounds(r)
-		if l.I0 != i0 || l.J0 != j0 || l.Nx != i1-i0 || l.Ny != j1-j0 {
+		if l.Lo[0] != i0 || l.Lo[1] != j0 || l.N[0] != i1-i0 || l.N[1] != j1-j0 {
 			t.Errorf("rank %d geometry mismatch", r)
 		}
 	}
@@ -36,35 +120,50 @@ func TestNewLocalGeometry(t *testing.T) {
 }
 
 func TestIdxHaloLayout(t *testing.T) {
-	d := dist(t, 8, 8, 1)
-	l := NewLocal(d, 0)
-	// Distinct offsets for all owned + halo points.
-	seen := map[int]bool{}
-	for j := -1; j <= l.Ny; j++ {
-		for i := -1; i <= l.Nx; i++ {
-			c := l.Idx(i, j)
-			if c < 0 || c >= len(l.Ez) {
-				t.Fatalf("Idx(%d,%d) = %d out of array", i, j, c)
+	// Owned and halo points (corners included) take every slot exactly
+	// once; a 2-D block keeps its (Nx+2)(Ny+2) slots.
+	for _, g := range []grid{grid2(t, 8, 8, 1), grid3(t, 4, 6, 5, 1)} {
+		l := NewLocal(g.block(0), nil)
+		hz := 1
+		if l.Dims == 2 {
+			hz = 0
+		}
+		want := (l.N[0] + 2) * (l.N[1] + 2) * (l.N[2] + 2*hz)
+		if len(l.Ez) != want {
+			t.Fatalf("%s: %d slots, want %d", g.name, len(l.Ez), want)
+		}
+		seen := map[int]bool{}
+		for k := -hz; k < l.N[2]+hz; k++ {
+			for j := -1; j <= l.N[1]; j++ {
+				for i := -1; i <= l.N[0]; i++ {
+					c := l.Idx(i, j, k)
+					if c < 0 || c >= len(l.Ez) {
+						t.Fatalf("%s: Idx(%d,%d,%d) = %d out of array", g.name, i, j, k, c)
+					}
+					if seen[c] {
+						t.Fatalf("%s: Idx collision at (%d,%d,%d)", g.name, i, j, k)
+					}
+					seen[c] = true
+				}
 			}
-			if seen[c] {
-				t.Fatalf("Idx collision at (%d,%d)", i, j)
-			}
-			seen[c] = true
+		}
+		if len(seen) != want {
+			t.Errorf("%s: %d slots addressed, want %d", g.name, len(seen), want)
 		}
 	}
 }
 
 func TestContainsLocalOf(t *testing.T) {
 	d := dist(t, 16, 16, 4)
-	l := NewLocal(d, 3)
-	if !l.Contains(l.I0, l.J0) || l.Contains(l.I0-1, l.J0) {
+	l := NewLocal(block2(d, 3), nil)
+	if !l.Contains(l.Lo[0], l.Lo[1], 0) || l.Contains(l.Lo[0]-1, l.Lo[1], 0) {
 		t.Error("Contains boundary wrong")
 	}
 }
 
 func TestZeroSources(t *testing.T) {
 	d := dist(t, 4, 4, 1)
-	l := NewLocal(d, 0)
+	l := NewLocal(block2(d, 0), nil)
 	l.Jx[5], l.Rho[7] = 3, 4
 	l.ZeroSources()
 	if l.Jx[5] != 0 || l.Rho[7] != 0 {
@@ -80,55 +179,52 @@ func runWorld(p int, fn func(r comm.Transport)) machine.WorldStats {
 func TestExchangeHaloMatchesGlobalField(t *testing.T) {
 	// Fill every rank's owned region from a known global function, exchange
 	// halos, and verify each halo point equals the global value at the
-	// periodic neighbour coordinate.
-	for _, p := range []int{1, 2, 4, 8} {
-		d := dist(t, 16, 12, p)
-		g := d.G
-		val := func(gi, gj int) float64 {
-			gi = (gi + g.Nx) % g.Nx
-			gj = (gj + g.Ny) % g.Ny
-			return float64(gj*g.Nx+gi) + 0.25
+	// periodic neighbour coordinate. The 3-D grid at P=4 is tiled 2×2×1,
+	// so its z faces are self-neighbours.
+	grids := []grid{grid2(t, 16, 12, 1), grid2(t, 16, 12, 2), grid2(t, 16, 12, 4), grid2(t, 16, 12, 8),
+		grid3(t, 8, 8, 8, 4), grid3(t, 8, 8, 8, 8)}
+	if pr := grids[4].procs; pr != [3]int{2, 2, 1} {
+		t.Fatalf("3-D P=4 tiled %v, want 2×2×1", pr)
+	}
+	for _, g := range grids {
+		val := func(l *Local, i, j, k int) float64 {
+			gi := (l.Lo[0] + i + g.g[0]) % g.g[0]
+			gj := (l.Lo[1] + j + g.g[1]) % g.g[1]
+			gk := (l.Lo[2] + k + g.g[2]) % g.g[2]
+			return float64((gk*g.g[1]+gj)*g.g[0]+gi) + 0.25
 		}
-		runWorld(p, func(r comm.Transport) {
-			l := NewLocal(d, r.Rank())
-			for j := 0; j < l.Ny; j++ {
-				for i := 0; i < l.Nx; i++ {
-					v := val(l.I0+i, l.J0+j)
-					c := l.Idx(i, j)
-					l.Ex[c], l.Ey[c], l.Ez[c] = v, 2*v, 3*v
-				}
-			}
+		runWorld(g.p, func(r comm.Transport) {
+			l := NewLocal(g.block(r.Rank()), nil)
+			eachPoint(l, false, func(i, j, k int) {
+				v, c := val(l, i, j, k), l.Idx(i, j, k)
+				l.Ex[c], l.Ey[c], l.Ez[c] = v, 2*v, 3*v
+			})
 			l.ExchangeHalo(r, CompE)
-			check := func(i, j int) {
-				c := l.Idx(i, j)
-				want := val(l.I0+i, l.J0+j)
+			eachPoint(l, true, func(i, j, k int) {
+				c, want := l.Idx(i, j, k), val(l, i, j, k)
 				if l.Ex[c] != want || l.Ey[c] != 2*want || l.Ez[c] != 3*want {
-					t.Errorf("p=%d rank=%d halo (%d,%d): got %g want %g", p, r.Rank(), i, j, l.Ex[c], want)
+					t.Errorf("%s rank=%d point (%d,%d,%d): got %g want %g", g.name, r.Rank(), i, j, k, l.Ex[c], want)
 				}
-			}
-			for i := 0; i < l.Nx; i++ {
-				check(i, -1)
-				check(i, l.Ny)
-			}
-			for j := 0; j < l.Ny; j++ {
-				check(-1, j)
-				check(l.Nx, j)
-			}
+			})
 		})
 	}
 }
 
 func TestExchangeHaloMessageCount(t *testing.T) {
-	// Each rank sends exactly 4 coalesced messages per exchange on a
-	// processor grid with distinct neighbours.
-	d := dist(t, 16, 16, 16) // 4x4
-	ws := commtest.Launch(16, machine.Params{Tau: 1}, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
-		l.ExchangeHalo(r, CompB)
-	})
-	for i := range ws.Ranks {
-		if got := ws.Ranks[i].Total().MsgsSent; got != 4 {
-			t.Errorf("rank %d sent %d messages, want 4", i, got)
+	// Each rank sends exactly one coalesced message per face on a
+	// processor grid with distinct neighbours: four in 2-D, six in 3-D.
+	for _, c := range []struct {
+		g    grid
+		want int64
+	}{{grid2(t, 16, 16, 16), 4}, {grid3(t, 8, 8, 8, 8), 6}} {
+		ws := commtest.Launch(c.g.p, machine.Params{Tau: 1}, func(r comm.Transport) {
+			l := NewLocal(c.g.block(r.Rank()), nil)
+			l.ExchangeHalo(r, CompB)
+		})
+		for i := range ws.Ranks {
+			if got := ws.Ranks[i].Total().MsgsSent; got != c.want {
+				t.Errorf("%s: rank %d sent %d messages, want %d", c.g.name, i, got, c.want)
+			}
 		}
 	}
 }
@@ -136,7 +232,7 @@ func TestExchangeHaloMessageCount(t *testing.T) {
 func TestSolvePreservesZeroField(t *testing.T) {
 	d := dist(t, 8, 8, 4)
 	runWorld(4, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
+		l := NewLocal(block2(d, r.Rank()), nil)
 		l.Solve(r, 0.25)
 		if l.Energy() != 0 {
 			t.Errorf("rank %d: zero field gained energy %g", r.Rank(), l.Energy())
@@ -150,17 +246,17 @@ func TestSolveUniformJProducesUniformE(t *testing.T) {
 	const p = 4
 	d := dist(t, 8, 8, p)
 	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				l.Jz[l.Idx(i, j)] = 2.0
+		l := NewLocal(block2(d, r.Rank()), nil)
+		for j := 0; j < l.N[1]; j++ {
+			for i := 0; i < l.N[0]; i++ {
+				l.Jz[l.Idx(i, j, 0)] = 2.0
 			}
 		}
 		dt := 0.25
 		l.Solve(r, dt)
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				c := l.Idx(i, j)
+		for j := 0; j < l.N[1]; j++ {
+			for i := 0; i < l.N[0]; i++ {
+				c := l.Idx(i, j, 0)
 				if math.Abs(l.Ez[c]-(-2.0*dt)) > 1e-14 {
 					t.Fatalf("Ez[%d,%d] = %g, want %g", i, j, l.Ez[c], -2.0*dt)
 				}
@@ -173,45 +269,56 @@ func TestSolveUniformJProducesUniformE(t *testing.T) {
 }
 
 func TestSolveParallelMatchesSerial(t *testing.T) {
-	// The distributed solve must be bitwise independent of the processor
-	// count: compare a 4-rank run against a 1-rank run point by point.
-	nx, ny := 16, 8
-	serial := solveToGlobal(t, nx, ny, 1, 3)
-	for _, p := range []int{2, 4, 8} {
-		par := solveToGlobal(t, nx, ny, p, 3)
-		for k := range serial {
-			if math.Abs(serial[k]-par[k]) > 1e-13 {
-				t.Fatalf("p=%d: field diverges at %d: serial %g parallel %g", p, k, serial[k], par[k])
+	// The distributed solve must be independent of the processor count:
+	// compare multi-rank runs against a 1-rank run point by point. Across
+	// worker counts it must be bit-identical: the row ranges write
+	// disjoint slots.
+	for _, grids := range [][]grid{
+		{grid2(t, 16, 8, 1), grid2(t, 16, 8, 2), grid2(t, 16, 8, 4), grid2(t, 16, 8, 8)},
+		{grid3(t, 8, 6, 4, 1), grid3(t, 8, 6, 4, 4), grid3(t, 8, 6, 4, 8)},
+	} {
+		serial := solveToGlobal(grids[0], 1, 3)
+		for _, g := range grids {
+			par := solveToGlobal(g, 1, 3)
+			for k := range serial {
+				if math.Abs(serial[k]-par[k]) > 1e-13 {
+					t.Fatalf("%s: field diverges at %d: serial %g parallel %g", g.name, k, serial[k], par[k])
+				}
+			}
+			pooled := solveToGlobal(g, 3, 3)
+			for k := range par {
+				if math.Float64bits(pooled[k]) != math.Float64bits(par[k]) {
+					t.Fatalf("%s: 3 workers diverge at %d: %g, 1 worker %g", g.name, k, pooled[k], par[k])
+				}
 			}
 		}
 	}
 }
 
 // solveToGlobal seeds deterministic J and initial E, runs `steps` solves on
-// p ranks and gathers global Ez into a flat array.
-func solveToGlobal(t *testing.T, nx, ny, p, steps int) []float64 {
-	t.Helper()
-	d := dist(t, nx, ny, p)
-	out := make([]float64, nx*ny)
-	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				gi, gj := l.I0+i, l.J0+j
-				c := l.Idx(i, j)
-				l.Jz[c] = math.Sin(float64(gi)) * math.Cos(float64(gj))
-				l.Ez[c] = math.Cos(float64(gi + gj))
-				l.Ex[c] = float64(gi%3) * 0.1
-			}
-		}
+// g's ranks with the given worker count each, and gathers global Ez into a
+// flat array.
+func solveToGlobal(g grid, workers, steps int) []float64 {
+	out := make([]float64, g.g[0]*g.g[1]*g.g[2])
+	runWorld(g.p, func(r comm.Transport) {
+		pool := par.New(workers)
+		defer pool.Close()
+		l := NewLocal(g.block(r.Rank()), pool)
+		gid := func(i, j, k int) (int, int, int) { return l.Lo[0] + i, l.Lo[1] + j, l.Lo[2] + k }
+		eachPoint(l, false, func(i, j, k int) {
+			gi, gj, gk := gid(i, j, k)
+			c := l.Idx(i, j, k)
+			l.Jz[c] = math.Sin(float64(gi)) * math.Cos(float64(gj)) * math.Cos(float64(gk))
+			l.Ez[c] = math.Cos(float64(gi + gj + gk))
+			l.Ex[c] = float64(gi%3) * 0.1
+		})
 		for s := 0; s < steps; s++ {
 			l.Solve(r, 0.2)
 		}
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				out[(l.J0+j)*nx+(l.I0+i)] = l.Ez[l.Idx(i, j)]
-			}
-		}
+		eachPoint(l, false, func(i, j, k int) {
+			gi, gj, gk := gid(i, j, k)
+			out[(gk*g.g[1]+gj)*g.g[0]+gi] = l.Ez[l.Idx(i, j, k)]
+		})
 	})
 	return out
 }
@@ -225,14 +332,14 @@ func TestEnergyAndTotalEnergy(t *testing.T) {
 	const p = 4
 	d := dist(t, 8, 8, p)
 	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				l.Ex[l.Idx(i, j)] = 2 // energy ½·4 per point
+		l := NewLocal(block2(d, r.Rank()), nil)
+		for j := 0; j < l.N[1]; j++ {
+			for i := 0; i < l.N[0]; i++ {
+				l.Ex[l.Idx(i, j, 0)] = 2 // energy ½·4 per point
 			}
 		}
 		local := l.Energy()
-		wantLocal := float64(l.Nx*l.Ny) * 2
+		wantLocal := float64(l.N[0]*l.N[1]) * 2
 		if math.Abs(local-wantLocal) > 1e-12 {
 			t.Errorf("local energy %g, want %g", local, wantLocal)
 		}
@@ -250,11 +357,11 @@ func TestVacuumWaveEnergyStable(t *testing.T) {
 	d := dist(t, 32, 32, p)
 	energies := make([]float64, p)
 	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				gi := l.I0 + i
-				l.Ez[l.Idx(i, j)] = math.Sin(2 * math.Pi * float64(gi) / 32)
+		l := NewLocal(block2(d, r.Rank()), nil)
+		for j := 0; j < l.N[1]; j++ {
+			for i := 0; i < l.N[0]; i++ {
+				gi := l.Lo[0] + i
+				l.Ez[l.Idx(i, j, 0)] = math.Sin(2 * math.Pi * float64(gi) / 32)
 			}
 		}
 		e0 := totalEnergy(r, l)

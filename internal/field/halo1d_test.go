@@ -25,28 +25,28 @@ func TestExchangeHalo1DDist(t *testing.T) {
 		return float64(gj*100 + gi)
 	}
 	runWorld(3, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
-		for j := 0; j < l.Ny; j++ {
-			for i := 0; i < l.Nx; i++ {
-				l.Bx[l.Idx(i, j)] = val(l.I0+i, l.J0+j)
+		l := NewLocal(block2(d, r.Rank()), nil)
+		for j := 0; j < l.N[1]; j++ {
+			for i := 0; i < l.N[0]; i++ {
+				l.Bx[l.Idx(i, j, 0)] = val(l.Lo[0]+i, l.Lo[1]+j)
 			}
 		}
 		l.ExchangeHalo(r, CompB)
 		// X halo wraps onto the rank's own opposite edge.
-		for j := 0; j < l.Ny; j++ {
-			if got := l.Bx[l.Idx(-1, j)]; got != val(l.I0-1, l.J0+j) {
+		for j := 0; j < l.N[1]; j++ {
+			if got := l.Bx[l.Idx(-1, j, 0)]; got != val(l.Lo[0]-1, l.Lo[1]+j) {
 				t.Errorf("rank %d x-low halo row %d = %g", r.Rank(), j, got)
 			}
-			if got := l.Bx[l.Idx(l.Nx, j)]; got != val(l.I0+l.Nx, l.J0+j) {
+			if got := l.Bx[l.Idx(l.N[0], j, 0)]; got != val(l.Lo[0]+l.N[0], l.Lo[1]+j) {
 				t.Errorf("rank %d x-high halo row %d = %g", r.Rank(), j, got)
 			}
 		}
 		// Y halo comes from the neighbouring ranks.
-		for i := 0; i < l.Nx; i++ {
-			if got := l.Bx[l.Idx(i, -1)]; got != val(l.I0+i, l.J0-1) {
+		for i := 0; i < l.N[0]; i++ {
+			if got := l.Bx[l.Idx(i, -1, 0)]; got != val(l.Lo[0]+i, l.Lo[1]-1) {
 				t.Errorf("rank %d y-low halo col %d = %g", r.Rank(), i, got)
 			}
-			if got := l.Bx[l.Idx(i, l.Ny)]; got != val(l.I0+i, l.J0+l.Ny) {
+			if got := l.Bx[l.Idx(i, l.N[1], 0)]; got != val(l.Lo[0]+i, l.Lo[1]+l.N[1]) {
 				t.Errorf("rank %d y-high halo col %d = %g", r.Rank(), i, got)
 			}
 		}
@@ -62,7 +62,7 @@ func TestSelfHaloNoNetworkTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := commtest.Launch(2, machine.Params{Tau: 1}, func(r comm.Transport) {
-		l := NewLocal(d, r.Rank())
+		l := NewLocal(block2(d, r.Rank()), nil)
 		l.ExchangeHalo(r, CompE)
 	})
 	for i := range ws.Ranks {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 
-	"picpar/internal/comm"
 	"picpar/internal/commopt"
 	"picpar/internal/field"
 	"picpar/internal/par"
@@ -42,27 +41,6 @@ type Footprint struct {
 	Gid  [MaxVertices]int32
 	W    [MaxVertices]float64
 	slot [MaxVertices]int32 // in a range kernel's block (see G3.footprint)
-}
-
-// Fields is one rank's field substrate as the pipeline sees it: source
-// deposition targets, the Maxwell solve (including its halo exchanges), and
-// the owned-region reductions used by diagnostics and invariant checks.
-// field.Local (2-D) and field.Local3 (3-D) implement it.
-type Fields interface {
-	// ZeroSources clears J and Rho before a scatter phase.
-	ZeroSources()
-	// Slot maps a global grid-point id to its offset in the Arrays slices,
-	// or −1 when the point is not owned by this rank.
-	Slot(gid int) int
-	// Arrays returns the component storage (stable for the Fields' lifetime).
-	Arrays() *field.Arrays
-	// Solve advances Maxwell's equations one leapfrog step, exchanging halos
-	// with the neighbour ranks and charging compute costs to r.
-	Solve(r comm.Transport, dt float64)
-	// Energy returns this rank's field energy over owned points.
-	Energy() float64
-	// SumRho returns the deposited charge over owned points.
-	SumRho() float64
 }
 
 // GenConfig parameterises the initial particle population of a run,
@@ -148,11 +126,11 @@ type Geometry interface {
 	// to points f does not own accumulate in *ghostVals, four values (Jx,
 	// Jy, Jz, Rho) per table slot, the table assigning slots in first-seen
 	// order. Returns the number of off-processor contributions.
-	Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostVals *[]float64) (offprocOps int)
+	Deposit(s *particle.Store, lo, hi int, f *field.Local, table commopt.DupTable, ghostVals *[]float64) (offprocOps int)
 	// GatherPush interpolates E and B at each particle — from f, or for
 	// points f does not own from ghostEB, six values per table slot — and
 	// Boris-pushes its momentum by dt.
-	GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostEB []float64, dt float64)
+	GatherPush(s *particle.Store, lo, hi int, f *field.Local, table commopt.DupTable, ghostEB []float64, dt float64)
 	// MoveRange advances the positions by dt with periodic wrapping.
 	MoveRange(s *particle.Store, lo, hi int, dt float64)
 
@@ -164,10 +142,12 @@ type Geometry interface {
 	Generator(cfg GenConfig) (*particle.Generator, error)
 	// NewStore returns an empty store of this geometry's dimensionality.
 	NewStore(n int, charge, mass float64) *particle.Store
-	// NewFields allocates rank r's field substrate. pool spreads the
-	// Maxwell update sweeps over the rank's shared-memory workers
-	// (bit-identical results for any pool size; nil is the 1-worker pool).
-	NewFields(r int, pool *par.Pool) Fields
+	// NewFields allocates rank r's field block: source deposition
+	// targets, the Maxwell solve with its halo exchanges, and the
+	// owned-region reductions. pool spreads the update sweeps over the
+	// rank's shared-memory workers (bit-identical results for any pool
+	// size; nil is the 1-worker pool).
+	NewFields(r int, pool *par.Pool) *field.Local
 }
 
 // depositOwned adds one particle's charge q and current q·v to the owned

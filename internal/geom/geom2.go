@@ -1,7 +1,7 @@
-// The two-dimensional geometry: internal/mesh + internal/sfc + the 2-D
-// field and pusher substrates, adapted to the Geometry seam. Every formula
-// here is the one the pre-seam pipeline used inline, expression for
-// expression, so 2-D runs stay bit-identical.
+// The two-dimensional geometry: internal/mesh + internal/sfc + the
+// one-plane field block and the bilinear pusher, adapted to the Geometry
+// seam. Every formula here is the one the pre-seam pipeline used inline,
+// expression for expression, so 2-D runs stay bit-identical.
 
 package geom
 
@@ -88,7 +88,7 @@ func (ge *G2) footprint(s *particle.Store, i int, fp *Footprint, b *block2) {
 		fp.W[k] = w.W[k]
 		fp.slot[k] = -1
 		if b != nil && uint(gi-b.x.i0) <= uint(b.x.m) && uint(gj-b.y.i0) <= uint(b.y.m) {
-			fp.slot[k] = int32(b.l.Idx(gi-b.x.i0, gj-b.y.i0))
+			fp.slot[k] = int32(b.l.Idx(gi-b.x.i0, gj-b.y.i0, 0))
 		}
 	}
 }
@@ -153,22 +153,21 @@ type block2 struct {
 	off  [4]int
 }
 
-func (ge *G2) block(f Fields) block2 {
-	l := f.(*field.Local)
+func (ge *G2) block(l *field.Local) block2 {
 	g := ge.G
 	b := block2{
-		x: axis{l: g.Lx, d: g.Dx(), i0: l.I0, m: l.Nx - 1},
-		y: axis{l: g.Ly, d: g.Dy(), i0: l.J0, m: l.Ny - 1},
+		x: axis{l: g.Lx, d: g.Dx(), i0: l.Lo[0], m: l.N[0] - 1},
+		y: axis{l: g.Ly, d: g.Dy(), i0: l.Lo[1], m: l.N[1] - 1},
 		l: l,
 	}
 	for k, v := range pusher.VertexOffsets {
-		b.off[k] = l.Idx(v[0], v[1]) - l.Idx(0, 0)
+		b.off[k] = l.Idx(v[0], v[1], 0) - l.Idx(0, 0, 0)
 	}
 	return b
 }
 
 // Deposit implements Geometry.
-func (ge *G2) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostVals *[]float64) int {
+func (ge *G2) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commopt.DupTable, ghostVals *[]float64) int {
 	b := ge.block(f)
 	a := f.Arrays()
 	q := s.Charge
@@ -181,7 +180,7 @@ func (ge *G2) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.Dup
 		lj, fy, oky := b.y.cell(s.Y[i])
 		if okx && oky {
 			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
-			depositOwned(a, b.l.Idx(li, lj), b.off[:], w[:], q, vx, vy, vz)
+			depositOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
 		ge.footprint(s, i, &fp, &b)
@@ -191,7 +190,7 @@ func (ge *G2) Deposit(s *particle.Store, lo, hi int, f Fields, table commopt.Dup
 }
 
 // GatherPush implements Geometry.
-func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.DupTable, ghostEB []float64, dt float64) {
+func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table commopt.DupTable, ghostEB []float64, dt float64) {
 	b := ge.block(f)
 	a := f.Arrays()
 	qmdt2 := pusher.HalfKick(s, dt)
@@ -202,7 +201,7 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f Fields, table commopt.
 		lj, fy, oky := b.y.cell(s.Y[i])
 		if okx && oky {
 			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
-			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj), b.off[:], w[:])
+			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:])
 		} else {
 			ge.footprint(s, i, &fp, &b)
 			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
@@ -227,10 +226,16 @@ func (ge *G2) NewStore(n int, charge, mass float64) *particle.Store {
 }
 
 // NewFields implements Geometry.
-func (ge *G2) NewFields(r int, pool *par.Pool) Fields {
-	l := field.NewLocal(ge.D, r)
-	l.SetPool(pool)
-	return l
+func (ge *G2) NewFields(r int, pool *par.Pool) *field.Local {
+	i0, i1, j0, j1 := ge.D.Bounds(r)
+	left, right, down, up := ge.D.Neighbours(r)
+	return field.NewLocal(field.Block{
+		Dims:   2,
+		Global: [3]int{ge.G.Nx, ge.G.Ny, 1},
+		Lo:     [3]int{i0, j0, 0},
+		N:      [3]int{i1 - i0, j1 - j0, 1},
+		Nbr:    [3][2]int{{left, right}, {down, up}},
+	}, pool)
 }
 
 func wrapDist(d, n int) int {

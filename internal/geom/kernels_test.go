@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"picpar/internal/commopt"
+	"picpar/internal/field"
 	"picpar/internal/mesh"
 	"picpar/internal/mesh3"
 	"picpar/internal/particle"
@@ -141,14 +142,14 @@ func saltedStore(c kernelCase, rng *rand.Rand) *particle.Store {
 }
 
 // allArrays lists f's ten component arrays in fieldNames order.
-func allArrays(f Fields) [10][]float64 {
+func allArrays(f *field.Local) [10][]float64 {
 	a := f.Arrays()
 	return [10][]float64{a.Ex, a.Ey, a.Ez, a.Bx, a.By, a.Bz, a.Jx, a.Jy, a.Jz, a.Rho}
 }
 
-// randomFieldsPair returns two Fields of rank r with identical random E and
+// randomFieldsPair returns two field blocks of rank r with identical random E and
 // B (halo slots included) and zero sources.
-func randomFieldsPair(ge Geometry, r int, rng *rand.Rand) (Fields, Fields) {
+func randomFieldsPair(ge Geometry, r int, rng *rand.Rand) (*field.Local, *field.Local) {
 	f, g := ge.NewFields(r, nil), ge.NewFields(r, nil)
 	fa, ga := allArrays(f), allArrays(g)
 	for c := 0; c < 6; c++ {
@@ -161,8 +162,8 @@ func randomFieldsPair(ge Geometry, r int, rng *rand.Rand) (Fields, Fields) {
 }
 
 // refDeposit is the per-vertex scatter the range kernel replaced, written
-// over the interface alone: Footprint, Fields.Slot, DupTable.
-func refDeposit(ge Geometry, s *particle.Store, f Fields, table commopt.DupTable, ghostVals *[]float64) int {
+// over the interface alone: Footprint, Local.Slot, DupTable.
+func refDeposit(ge Geometry, s *particle.Store, f *field.Local, table commopt.DupTable, ghostVals *[]float64) int {
 	a := f.Arrays()
 	var fp Footprint
 	q := s.Charge
@@ -196,7 +197,7 @@ func refDeposit(ge Geometry, s *particle.Store, f Fields, table commopt.DupTable
 }
 
 // refGatherPush is the per-vertex gather and the one-particle push.
-func refGatherPush(ge Geometry, s *particle.Store, f Fields, table commopt.DupTable, ghostEB []float64) {
+func refGatherPush(ge Geometry, s *particle.Store, f *field.Local, table commopt.DupTable, ghostEB []float64) {
 	a := f.Arrays()
 	var fp Footprint
 	for i := 0; i < s.Len(); i++ {

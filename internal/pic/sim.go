@@ -177,7 +177,7 @@ type rankState struct {
 	ge  geom.Geometry
 
 	store  *particle.Store
-	fields geom.Fields
+	fields *field.Local
 	farr   *field.Arrays
 	inc    *psort.Incremental
 	pol    policy.Policy
@@ -528,10 +528,10 @@ func (st *rankState) dealChunks() {
 func (st *rankState) recvChunk() {
 	r := st.r
 	cfg := st.cfg
-	wf := particle.WireFloats
-	if st.ge.Dims() == 3 {
-		wf++
-	}
+	// The empty geometry store names the layout and species of the rank's
+	// set the chunk lands in.
+	empty := st.ge.NewStore(0, cfg.MacroCharge, 1)
+	wf := empty.WireFloats()
 	var chunk []float64
 	if st.bootEx == nil {
 		chunk = comm.RecvFloat64s(r, 0, tagInitChunk)
@@ -543,9 +543,7 @@ func (st *rankState) recvChunk() {
 		recv := comm.AllToManySystolicFloat64s(r, make([][]float64, p), recvCounts)
 		chunk = recv[0]
 	}
-	// The empty geometry store only names the layout and species of the
-	// rank's set the chunk lands in.
-	st.store = st.inc.Spare(st.ge.NewStore(0, cfg.MacroCharge, 1), len(chunk)/wf)
+	st.store = st.inc.Spare(empty, len(chunk)/wf)
 	if err := st.store.AppendWire(chunk); err != nil {
 		panic(err)
 	}
