@@ -293,14 +293,14 @@ func TestPruneRetention(t *testing.T) {
 	for _, e := range []int{2, 4, 6, 8} {
 		writeEpoch(t, dir, e, size)
 	}
-	// A newer, still-assembling partial epoch must survive pruning.
+	// The partial epoch just written, still assembling, survives pruning.
 	sh := sampleShard(2, 0)
 	sh.Epoch = 10
 	sh.Size = size
 	if err := WriteShard(dir, sh); err != nil {
 		t.Fatal(err)
 	}
-	if err := Prune(dir, size, 2); err != nil {
+	if err := Prune(dir, 10, size, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := Epochs(dir), []int{6, 8, 10}; !reflect.DeepEqual(got, want) {
@@ -308,6 +308,46 @@ func TestPruneRetention(t *testing.T) {
 	}
 	if got := LatestComplete(dir, size); got != 8 {
 		t.Errorf("after prune: LatestComplete = %d, want 8", got)
+	}
+}
+
+// TestPruneKeepsTheWrittenEpoch: a second run into a directory that holds
+// an older run's later epochs prunes relative to what it writes. Its own
+// epochs survive while its ranks are still writing them, every other
+// rank's shard lands, and the older run's epochs go, so recovery can no
+// longer agree on them. Pruning by the directory's newest complete epochs
+// instead removes each of the new run's epochs as soon as rank 0 writes it.
+func TestPruneKeepsTheWrittenEpoch(t *testing.T) {
+	const size, keep = 4, 2
+	dir := t.TempDir()
+	for e := 5; e <= 30; e += 5 { // the first run: 30 iterations
+		writeEpoch(t, dir, e, size)
+		if err := Prune(dir, e, size, keep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := Epochs(dir), []int{25, 30}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the first run: epochs %v, want %v", got, want)
+	}
+	for _, e := range []int{5, 10} { // the second run: 12 iterations
+		for r := 0; r < size; r++ {
+			sh := sampleShard(2, r)
+			sh.Epoch, sh.Size = e, size
+			if err := WriteShard(dir, sh); err != nil {
+				t.Fatalf("epoch %d rank %d: %v", e, r, err)
+			}
+			if r == 0 { // rank 0 prunes before the others have written
+				if err := Prune(dir, e, size, keep); err != nil {
+					t.Fatalf("prune after epoch %d: %v", e, err)
+				}
+			}
+		}
+	}
+	if got, want := Epochs(dir), []int{5, 10}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after the second run: epochs %v, want %v", got, want)
+	}
+	if got := LatestComplete(dir, size); got != 10 {
+		t.Errorf("after the second run: LatestComplete = %d, want 10", got)
 	}
 }
 

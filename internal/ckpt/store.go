@@ -207,11 +207,14 @@ func LatestComplete(dir string, size int) int {
 	return -1
 }
 
-// Prune enforces bounded retention: the newest keep complete epochs are
-// retained (along with any newer, still-assembling partial epochs), and
-// everything older is removed. Best-effort — the first removal error is
-// returned but the walk continues.
-func Prune(dir string, size, keep int) error {
+// Prune enforces bounded retention relative to the epoch just written:
+// every epoch newer than it is stale — another run's, or an attempt that
+// was rolled back — and is removed; of the rest, the newest keep complete
+// epochs are retained (along with the written epoch and any partial epoch
+// between them, which may still be assembling), and everything older is
+// removed. Best-effort — the first removal error is returned but the walk
+// continues.
+func Prune(dir string, epoch, size, keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -219,7 +222,7 @@ func Prune(dir string, size, keep int) error {
 	var first error
 	complete := 0
 	for i := len(epochs) - 1; i >= 0; i-- {
-		if complete >= keep {
+		if epochs[i] > epoch || complete >= keep {
 			if err := os.RemoveAll(EpochDir(dir, epochs[i])); err != nil && first == nil {
 				first = err
 			}

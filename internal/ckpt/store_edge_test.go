@@ -265,10 +265,10 @@ func TestEpochCompleteRejectsSwappedRankFiles(t *testing.T) {
 // TestPruneEdges: pruning nothing succeeds, keep clamps to 1, and an old
 // zero-shard partial epoch is removed while a newer one survives.
 func TestPruneEdges(t *testing.T) {
-	if err := Prune(t.TempDir(), 4, 2); err != nil {
+	if err := Prune(t.TempDir(), 8, 4, 2); err != nil {
 		t.Errorf("prune of empty dir: %v", err)
 	}
-	if err := Prune("/nonexistent/picpar-ckpt", 4, 2); err != nil {
+	if err := Prune("/nonexistent/picpar-ckpt", 8, 4, 2); err != nil {
 		t.Errorf("prune of missing dir: %v", err)
 	}
 
@@ -276,14 +276,14 @@ func TestPruneEdges(t *testing.T) {
 	writeEpoch(t, dir, 4, 2)
 	writeEpoch(t, dir, 8, 2)
 	// Zero-shard partials: epoch 2 is older than every retained epoch and
-	// must go; epoch 9 is newer than the newest complete epoch and must
-	// stay (it may still be assembling).
+	// must go; epoch 9, the one being written, is newer than the newest
+	// complete epoch and must stay (it may still be assembling).
 	for _, e := range []int{2, 9} {
 		if err := os.MkdirAll(EpochDir(dir, e), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := Prune(dir, 2, 0); err != nil { // keep 0 clamps to 1
+	if err := Prune(dir, 9, 2, 0); err != nil { // keep 0 clamps to 1
 		t.Fatal(err)
 	}
 	if got, want := Epochs(dir), []int{8, 9}; !reflect.DeepEqual(got, want) {

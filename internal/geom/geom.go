@@ -19,6 +19,7 @@ import (
 
 	"picpar/internal/commopt"
 	"picpar/internal/field"
+	"picpar/internal/machine"
 	"picpar/internal/par"
 	"picpar/internal/particle"
 )
@@ -133,6 +134,10 @@ type Geometry interface {
 	GatherPush(s *particle.Store, lo, hi int, f *field.Local, table commopt.DupTable, ghostEB []float64, dt float64)
 	// MoveRange advances the positions by dt with periodic wrapping.
 	MoveRange(s *particle.Store, lo, hi int, dt float64)
+	// ObserveCosts books each particle into led, in order: ObserveN of its
+	// CellKey with base units plus perGhost for each footprint vertex f
+	// does not own.
+	ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *machine.CostLedger, base, perGhost int)
 
 	// Generate creates the global initial population for this geometry's
 	// domain (a store of the matching dimensionality).

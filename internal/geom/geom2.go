@@ -8,6 +8,7 @@ package geom
 import (
 	"picpar/internal/commopt"
 	"picpar/internal/field"
+	"picpar/internal/machine"
 	"picpar/internal/mesh"
 	"picpar/internal/par"
 	"picpar/internal/particle"
@@ -67,13 +68,14 @@ func (ge *G2) CellOwner(key uint64) int {
 
 // Footprint implements Geometry: bilinear CIC over the four cell vertices,
 // with the high-edge wrap the scatter loop has always used.
-func (ge *G2) Footprint(s *particle.Store, i int, fp *Footprint) { ge.footprint(s, i, fp, nil) }
+func (ge *G2) Footprint(s *particle.Store, i int, fp *Footprint) {
+	ge.footprint(pusher.Weights(ge.G, s.X[i], s.Y[i]), fp, nil)
+}
 
-// footprint is Footprint that, given a range kernel's block b, also
-// records each vertex's slot in it (see G3.footprint).
-func (ge *G2) footprint(s *particle.Store, i int, fp *Footprint, b *block2) {
+// footprint fills fp from the cell and weights w and, given a range
+// kernel's block b, records each vertex's slot in it (see G3.footprint).
+func (ge *G2) footprint(w pusher.Interp, fp *Footprint, b *block2) {
 	g := ge.G
-	w := pusher.Weights(g, s.X[i], s.Y[i])
 	fp.N = 4
 	for k, off := range pusher.VertexOffsets {
 		gi := w.CX + off[0]
@@ -87,7 +89,7 @@ func (ge *G2) footprint(s *particle.Store, i int, fp *Footprint, b *block2) {
 		fp.Gid[k] = int32(gj*g.Nx + gi)
 		fp.W[k] = w.W[k]
 		fp.slot[k] = -1
-		if b != nil && uint(gi-b.x.i0) <= uint(b.x.m) && uint(gj-b.y.i0) <= uint(b.y.m) {
+		if b != nil && b.x.owns(gi) && b.y.owns(gj) {
 			fp.slot[k] = int32(b.l.Idx(gi-b.x.i0, gj-b.y.i0, 0))
 		}
 	}
@@ -124,11 +126,27 @@ func (ge *G2) MoveRange(s *particle.Store, lo, hi int, dt float64) {
 	pusher.MoveRange(s, lo, hi, ge.G, dt)
 }
 
+// span is a block's owned points i0 .. i0+m along an axis of n points.
+type span struct{ i0, m, n int }
+
+func (sp span) owns(c int) bool { return uint(c-sp.i0) <= uint(sp.m) }
+
+// vertices counts the owned points among cell c's two, the +1 point
+// wrapping at the high edge as footprint's does.
+func (sp span) vertices(c int) (n int) {
+	for _, v := range [2]int{c, (c + 1) % sp.n} {
+		if sp.owns(v) {
+			n++
+		}
+	}
+	return n
+}
+
 // axis is one dimension of a rank's owned block as a range kernel sees it:
 // what the kernel hoists out of its particle loop.
 type axis struct {
-	l, d  float64 // domain length and cell size
-	i0, m int     // the block's first point; owned extent − 1
+	l, d float64 // domain length and cell size
+	span
 }
 
 // cell locates coordinate x: its cell relative to the block's first point
@@ -144,6 +162,10 @@ func (a axis) cell(x float64) (li int, f float64, ok bool) {
 	return li, q - float64(c), x >= 0 && x < a.l && uint(li) < uint(a.m)
 }
 
+// exact reports whether cell's li and fraction for x are Weights' own: x
+// in [0, L) and the cell below N, so CellOf's clamp does not bind.
+func (a axis) exact(x float64, li int) bool { return x >= 0 && x < a.l && li+a.i0 < a.n }
+
 // block2 is one rank's owned block in halo layout: its two axes and the
 // slot offsets of a cell's four vertices from its lower-left one, in
 // VertexOffsets order.
@@ -156,14 +178,23 @@ type block2 struct {
 func (ge *G2) block(l *field.Local) block2 {
 	g := ge.G
 	b := block2{
-		x: axis{l: g.Lx, d: g.Dx(), i0: l.Lo[0], m: l.N[0] - 1},
-		y: axis{l: g.Ly, d: g.Dy(), i0: l.Lo[1], m: l.N[1] - 1},
+		x: axis{g.Lx, g.Dx(), span{l.Lo[0], l.N[0] - 1, g.Nx}},
+		y: axis{g.Ly, g.Dy(), span{l.Lo[1], l.N[1] - 1, g.Ny}},
 		l: l,
 	}
 	for k, v := range pusher.VertexOffsets {
 		b.off[k] = l.Idx(v[0], v[1], 0) - l.Idx(0, 0, 0)
 	}
 	return b
+}
+
+// weights is pusher.Weights for particle i, located by cell at (li, fx)
+// and (lj, fy) in b: those when exact on both axes, recomputed otherwise.
+func (ge *G2) weights(b *block2, s *particle.Store, i, li, lj int, fx, fy float64) pusher.Interp {
+	if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) {
+		return pusher.Weights(ge.G, s.X[i], s.Y[i])
+	}
+	return pusher.Interp{CX: li + b.x.i0, CY: lj + b.y.i0, W: pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))}
 }
 
 // Deposit implements Geometry.
@@ -183,7 +214,7 @@ func (ge *G2) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 			depositOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		ge.footprint(s, i, &fp, &b)
+		ge.footprint(ge.weights(&b, s, i, li, lj, fx, fy), &fp, &b)
 		ops += depositFootprint(&fp, a, table, ghostVals, q, vx, vy, vz)
 	}
 	return ops
@@ -203,10 +234,29 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:])
 		} else {
-			ge.footprint(s, i, &fp, &b)
+			ge.footprint(ge.weights(&b, s, i, li, lj, fx, fy), &fp, &b)
 			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
+	}
+}
+
+// ObserveCosts implements Geometry: an interior particle has the cell its
+// axis quotients found and no unowned vertex; any other takes that cell if
+// exact, else CellOf's, and counts its owned vertices axis by axis.
+func (ge *G2) ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *machine.CostLedger, base, perGhost int) {
+	b := ge.block(f)
+	for i := lo; i < hi; i++ {
+		li, _, okx := b.x.cell(s.X[i])
+		lj, _, oky := b.y.cell(s.Y[i])
+		cx, cy, ghosts := li+b.x.i0, lj+b.y.i0, 0
+		if !okx || !oky {
+			if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) {
+				cx, cy = ge.G.CellOf(s.X[i], s.Y[i])
+			}
+			ghosts = 4 - b.x.vertices(cx)*b.y.vertices(cy)
+		}
+		led.ObserveN(ge.Ix.Index(cx, cy), base+ghosts*perGhost)
 	}
 }
 

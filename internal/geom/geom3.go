@@ -8,6 +8,7 @@ package geom
 import (
 	"picpar/internal/commopt"
 	"picpar/internal/field"
+	"picpar/internal/machine"
 	"picpar/internal/mesh3"
 	"picpar/internal/par"
 	"picpar/internal/particle"
@@ -67,14 +68,16 @@ func (ge *G3) CellOwner(key uint64) int {
 
 // Footprint implements Geometry: trilinear CIC over the eight cell
 // vertices, wrapping the high edges like the 2-D footprint does.
-func (ge *G3) Footprint(s *particle.Store, i int, fp *Footprint) { ge.footprint(s, i, fp, nil) }
+func (ge *G3) Footprint(s *particle.Store, i int, fp *Footprint) {
+	ge.footprint(pusher.Weights3(ge.G, s.X[i], s.Y[i], s.Z[i]), fp, nil)
+}
 
-// footprint is Footprint that, given a range kernel's block b, also
-// records each vertex's slot in it (−1 outside): a range check per axis on
-// coordinates it has, not Local.Slot's three divisions of the vertex id.
-func (ge *G3) footprint(s *particle.Store, i int, fp *Footprint, b *block3) {
+// footprint fills fp from the cell and weights w and, given a range
+// kernel's block b, records each vertex's slot in it (−1 outside): a range
+// check per axis on coordinates it has, not Local.Slot's three divisions
+// of the vertex id.
+func (ge *G3) footprint(w pusher.Interp3, fp *Footprint, b *block3) {
 	g := ge.G
-	w := pusher.Weights3(g, s.X[i], s.Y[i], s.Z[i])
 	fp.N = 8
 	for k, off := range pusher.VertexOffsets3 {
 		gi := w.CX + off[0]
@@ -92,7 +95,7 @@ func (ge *G3) footprint(s *particle.Store, i int, fp *Footprint, b *block3) {
 		fp.Gid[k] = int32((gk*g.Ny+gj)*g.Nx + gi)
 		fp.W[k] = w.W[k]
 		fp.slot[k] = -1
-		if b != nil && uint(gi-b.x.i0) <= uint(b.x.m) && uint(gj-b.y.i0) <= uint(b.y.m) && uint(gk-b.z.i0) <= uint(b.z.m) {
+		if b != nil && b.x.owns(gi) && b.y.owns(gj) && b.z.owns(gk) {
 			fp.slot[k] = int32(b.l.Idx(gi-b.x.i0, gj-b.y.i0, gk-b.z.i0))
 		}
 	}
@@ -134,16 +137,19 @@ func (ge *G3) MoveRange(s *particle.Store, lo, hi int, dt float64) {
 // axis3 is axis for the 3-D grid, whose CellOf takes the cell from x/L·N
 // while Weights3 takes the fraction from x/dx: both quotients are kept.
 type axis3 struct {
-	l, n, d float64 // domain length, global extent, cell size
-	i0, m   int
+	l, nf, d float64 // domain length, global extent, cell size
+	span
 }
 
 // cell is axis.cell in three dimensions.
 func (a axis3) cell(x float64) (li int, f float64, ok bool) {
-	c := int(x / a.l * a.n)
+	c := int(x / a.l * a.nf)
 	li = c - a.i0
 	return li, x/a.d - float64(c), x >= 0 && x < a.l && uint(li) < uint(a.m)
 }
+
+// exact is axis.exact in three dimensions.
+func (a axis3) exact(x float64, li int) bool { return x >= 0 && x < a.l && li+a.i0 < a.n }
 
 // block3 is block2 in three dimensions.
 type block3 struct {
@@ -155,15 +161,23 @@ type block3 struct {
 func (ge *G3) block(l *field.Local) block3 {
 	g := ge.G
 	b := block3{
-		x: axis3{l: g.Lx, n: float64(g.Nx), d: g.Dx(), i0: l.Lo[0], m: l.N[0] - 1},
-		y: axis3{l: g.Ly, n: float64(g.Ny), d: g.Dy(), i0: l.Lo[1], m: l.N[1] - 1},
-		z: axis3{l: g.Lz, n: float64(g.Nz), d: g.Dz(), i0: l.Lo[2], m: l.N[2] - 1},
+		x: axis3{g.Lx, float64(g.Nx), g.Dx(), span{l.Lo[0], l.N[0] - 1, g.Nx}},
+		y: axis3{g.Ly, float64(g.Ny), g.Dy(), span{l.Lo[1], l.N[1] - 1, g.Ny}},
+		z: axis3{g.Lz, float64(g.Nz), g.Dz(), span{l.Lo[2], l.N[2] - 1, g.Nz}},
 		l: l,
 	}
 	for k, v := range pusher.VertexOffsets3 {
 		b.off[k] = l.Idx(v[0], v[1], v[2]) - l.Idx(0, 0, 0)
 	}
 	return b
+}
+
+// weights is G2.weights in three dimensions.
+func (ge *G3) weights(b *block3, s *particle.Store, i, li, lj, lk int, fx, fy, fz float64) pusher.Interp3 {
+	if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) || !b.z.exact(s.Z[i], lk) {
+		return pusher.Weights3(ge.G, s.X[i], s.Y[i], s.Z[i])
+	}
+	return pusher.Interp3{CX: li + b.x.i0, CY: lj + b.y.i0, CZ: lk + b.z.i0, W: pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))}
 }
 
 // Deposit implements Geometry.
@@ -184,7 +198,7 @@ func (ge *G3) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 			depositOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		ge.footprint(s, i, &fp, &b)
+		ge.footprint(ge.weights(&b, s, i, li, lj, lk, fx, fy, fz), &fp, &b)
 		ops += depositFootprint(&fp, a, table, ghostVals, q, vx, vy, vz)
 	}
 	return ops
@@ -205,10 +219,28 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
 		} else {
-			ge.footprint(s, i, &fp, &b)
+			ge.footprint(ge.weights(&b, s, i, li, lj, lk, fx, fy, fz), &fp, &b)
 			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
+	}
+}
+
+// ObserveCosts implements Geometry, as G2.ObserveCosts does.
+func (ge *G3) ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *machine.CostLedger, base, perGhost int) {
+	b := ge.block(f)
+	for i := lo; i < hi; i++ {
+		li, _, okx := b.x.cell(s.X[i])
+		lj, _, oky := b.y.cell(s.Y[i])
+		lk, _, okz := b.z.cell(s.Z[i])
+		cx, cy, cz, ghosts := li+b.x.i0, lj+b.y.i0, lk+b.z.i0, 0
+		if !okx || !oky || !okz {
+			if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) || !b.z.exact(s.Z[i], lk) {
+				cx, cy, cz = ge.G.CellOf(s.X[i], s.Y[i], s.Z[i])
+			}
+			ghosts = 8 - b.x.vertices(cx)*b.y.vertices(cy)*b.z.vertices(cz)
+		}
+		led.ObserveN(ge.Ix.Index(cx, cy, cz), base+ghosts*perGhost)
 	}
 }
 

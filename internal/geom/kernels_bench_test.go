@@ -5,17 +5,22 @@ import (
 	"testing"
 
 	"picpar/internal/commopt"
+	"picpar/internal/field"
+	"picpar/internal/machine"
 	"picpar/internal/mesh"
 	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/sfc"
 )
 
-// rank0Share generates n uniform particles over ge's domain, orders them
-// along ge's curve and returns the first quarter: what rank 0 of a P=4 run
-// holds after an equal-count balance. Most of it lies inside rank 0's
-// block; the particles on its faces take the per-vertex path.
-func rank0Share(b *testing.B, ge Geometry, n int) *particle.Store {
+// rank0Share generates n uniform particles over ge's domain and returns a
+// quarter of them: what rank 0 of a P=4 run holds. Aligned, it is the
+// first quarter along ge's curve, as after an equal-count balance: most of
+// it lies inside rank 0's block and the particles on its faces take the
+// per-vertex path. Misaligned, it is the first quarter in generation
+// order, spread over the whole domain: three in four particles lie in
+// other ranks' blocks, as after cuts that miss the mesh blocks.
+func rank0Share(b *testing.B, ge Geometry, n int, aligned bool) *particle.Store {
 	s, err := ge.Generate(GenConfig{N: n, Distribution: particle.DistUniform, Seed: 11, Thermal: 0.1, Charge: -1})
 	if err != nil {
 		b.Fatal(err)
@@ -25,17 +30,21 @@ func rank0Share(b *testing.B, ge Geometry, n int) *particle.Store {
 	for i := range idx {
 		idx[i] = i
 	}
-	slices.SortStableFunc(idx, func(a, c int) int {
-		return int(s.Key[a] - s.Key[c])
-	})
+	if aligned {
+		slices.SortStableFunc(idx, func(a, c int) int {
+			return int(s.Key[a] - s.Key[c])
+		})
+	}
 	out := ge.NewStore(n/4, s.Charge, s.Mass)
 	out.AppendIndices(s, idx[:n/4])
 	return out
 }
 
-// BenchmarkRangeKernels times Deposit and GatherPush on rank 0 of a P=4
-// Hilbert-ordered run — the 2-D 256×128 mesh with 262 144 particles, the
-// 3-D 32³ mesh with 16 384 — and reports ns per particle.
+// BenchmarkRangeKernels times Deposit, GatherPush and ObserveCosts on rank
+// 0 of a P=4 Hilbert-ordered run — the 2-D 256×128 mesh with 262 144
+// particles, the 3-D 32³ mesh with 16 384 — for the aligned and the
+// misaligned share, and reports ns per particle. RefObserve is the
+// per-vertex walk ObserveCosts replaced (refObserve, the test oracle).
 func BenchmarkRangeKernels(b *testing.B) {
 	g2, g3 := mesh.NewGrid(256, 128), mesh3.NewGrid(32, 32, 32)
 	d2, err2 := mesh.NewDistOrdered(g2, 4, sfc.SchemeHilbert)
@@ -55,31 +64,50 @@ func BenchmarkRangeKernels(b *testing.B) {
 		{"2d-256x128", New2(g2, d2, ix2), 262144},
 		{"3d-32x32x32", New3(g3, d3, ix3), 16384},
 	} {
-		s := rank0Share(b, c.ge, c.n)
-		f := c.ge.NewFields(0, nil)
-		table := commopt.NewDirectTable(c.ge.NumPoints())
-		var gv []float64
-		deposit := func() {
-			table.Reset()
-			gv = gv[:0]
-			c.ge.Deposit(s, 0, s.Len(), f, table, &gv)
-		}
-		perParticle := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/particle")
-		}
-		b.Run(c.name+"/Deposit", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				deposit()
+		for _, aligned := range []bool{true, false} {
+			name := c.name
+			if !aligned {
+				name += "/misaligned"
 			}
-			perParticle(b)
-		})
-		deposit()
-		ghostEB := make([]float64, 6*table.Len())
-		b.Run(c.name+"/GatherPush", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.ge.GatherPush(s, 0, s.Len(), f, table, ghostEB, 0)
+			s := rank0Share(b, c.ge, c.n, aligned)
+			f := c.ge.NewFields(0, nil)
+			table := commopt.NewDirectTable(c.ge.NumPoints())
+			var gv []float64
+			deposit := func() {
+				table.Reset()
+				gv = gv[:0]
+				c.ge.Deposit(s, 0, s.Len(), f, table, &gv)
 			}
-			perParticle(b)
-		})
+			perParticle := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/particle")
+			}
+			b.Run(name+"/Deposit", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					deposit()
+				}
+				perParticle(b)
+			})
+			deposit()
+			ghostEB := make([]float64, 6*table.Len())
+			b.Run(name+"/GatherPush", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.ge.GatherPush(s, 0, s.Len(), f, table, ghostEB, 0)
+				}
+				perParticle(b)
+			})
+			led := machine.NewCostLedger(c.ge.NumCells(), machine.DefaultLedgerDecay)
+			for _, o := range []struct {
+				name    string
+				observe func(Geometry, *particle.Store, int, int, *field.Local, *machine.CostLedger, int, int)
+			}{{"ObserveCosts", Geometry.ObserveCosts}, {"RefObserve", refObserve}} {
+				b.Run(name+"/"+o.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						o.observe(c.ge, s, 0, s.Len(), f, led, 40, 7)
+						led.Commit(1)
+					}
+					perParticle(b)
+				})
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"picpar/internal/commopt"
 	"picpar/internal/field"
+	"picpar/internal/machine"
 	"picpar/internal/mesh"
 	"picpar/internal/mesh3"
 	"picpar/internal/particle"
@@ -73,9 +74,10 @@ func kernelCases(t *testing.T) []kernelCase {
 	var cs []kernelCase
 	for _, p := range []int{1, 4, 6} {
 		cs = append(cs,
-			case2(t, mesh.NewGrid(32, 16), p),                      // power of two; 6 ranks do not divide 32
-			case2(t, mesh.NewGrid(48, 20), p),                      // anisotropic, not a power of two
-			case2(t, mesh.Grid{Nx: 48, Ny: 20, Lx: 30, Ly: 27}, p), // cells 0.625 × 1.35
+			case2(t, mesh.NewGrid(32, 16), p),                        // power of two; 6 ranks do not divide 32
+			case2(t, mesh.NewGrid(48, 20), p),                        // anisotropic, not a power of two
+			case2(t, mesh.Grid{Nx: 48, Ny: 20, Lx: 30, Ly: 27}, p),   // cells 0.625 × 1.35
+			case2(t, mesh.Grid{Nx: 48, Ny: 20, Lx: 13, Ly: 11.1}, p), // one ulp below L divides to N
 			case3(t, mesh3.NewGrid(8, 8, 8), p),
 			case3(t, mesh3.NewGrid(12, 10, 6), p),
 			case3(t, mesh3.Grid{Nx: 12, Ny: 10, Nz: 6, Lx: 9, Ly: 13, Lz: 4.2}, p),
@@ -227,6 +229,22 @@ func refGatherPush(ge Geometry, s *particle.Store, f *field.Local, table commopt
 	}
 }
 
+// refObserve is the cost ledger's observation as a per-particle walk over
+// the interface: Footprint, Local.Slot for each vertex, CellKey.
+func refObserve(ge Geometry, s *particle.Store, lo, hi int, f *field.Local, led *machine.CostLedger, base, perGhost int) {
+	var fp Footprint
+	for i := lo; i < hi; i++ {
+		ge.Footprint(s, i, &fp)
+		ghosts := 0
+		for k := 0; k < fp.N; k++ {
+			if f.Slot(int(fp.Gid[k])) < 0 {
+				ghosts++
+			}
+		}
+		led.ObserveN(int(ge.CellKey(s, i)), base+ghosts*perGhost)
+	}
+}
+
 // refMove advances positions with the formula of the paper's push step and
 // a wrap written here.
 func refMove(c kernelCase, s *particle.Store) {
@@ -344,6 +362,53 @@ func TestRangeKernelsMatchPerVertexReference(t *testing.T) {
 	}
 }
 
+// TestObserveCostsMatchesPerVertexReference books the salted stores of
+// every rank of every case through ObserveCosts and through refObserve,
+// in runs of particles whose reference cells are distinct, and requires
+// each run to leave both ledgers bit-identical. Both ledgers also see one
+// unit in a cell outside the run, so after a full-weight Commit a
+// particle's wrong cell shows in the counts and its wrong units in every
+// cell's share of the cost.
+func TestObserveCostsMatchesPerVertexReference(t *testing.T) {
+	const base, perGhost = 100, 7
+	for _, c := range kernelCases(t) {
+		rng := rand.New(rand.NewSource(35))
+		s := saltedStore(c, rng)
+		n, cells := s.Len(), c.ge.NumCells()
+		for r := 0; r < c.ge.Ranks(); r++ {
+			f := c.ge.NewFields(r, nil)
+			ledK, ledR := machine.NewCostLedger(cells, 1), machine.NewCostLedger(cells, 1)
+			var expK, expR []float64
+			run := make(map[int]bool)
+			lo := 0
+			for i := 0; i <= n; i++ {
+				key := -1
+				if i < n {
+					key = int(c.ge.CellKey(s, i))
+				}
+				if i < n && !run[key] {
+					run[key] = true
+					continue
+				}
+				outside := 0
+				for run[outside] {
+					outside++
+				}
+				ledK.ObserveN(outside, 1)
+				ledR.ObserveN(outside, 1)
+				c.ge.ObserveCosts(s, lo, i, f, ledK, base, perGhost)
+				refObserve(c.ge, s, lo, i, f, ledR, base, perGhost)
+				ledK.Commit(1)
+				ledR.Commit(1)
+				expK, expR = ledK.Export(expK[:0]), ledR.Export(expR[:0])
+				sameBits(t, fmt.Sprintf("%s/rank %d, particles [%d, %d): ledger", c.name, r, lo, i), expK, expR)
+				clear(run)
+				run[key], lo = true, i
+			}
+		}
+	}
+}
+
 // TestInteriorPathTaken: the cases above would pass with an interior guard
 // that never fires. A store confined to the strict interior of one rank's
 // block must deposit and gather without touching the ghost table.
@@ -384,8 +449,8 @@ func TestInteriorPathTaken(t *testing.T) {
 }
 
 // TestRangeKernelsAllocateNothing: once the ghost values have grown, a
-// scatter, a gather/push and a move allocate nothing, called through the
-// interface as the pipeline calls them.
+// scatter, a gather/push, a move and a cost observation allocate nothing,
+// called through the interface as the pipeline calls them.
 func TestRangeKernelsAllocateNothing(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are distorted by the race runtime")
@@ -398,12 +463,15 @@ func TestRangeKernelsAllocateNothing(t *testing.T) {
 		var gv []float64
 		c.ge.Deposit(s, 0, s.Len(), f, table, &gv)
 		ghostEB := make([]float64, 6*table.Len())
+		led := machine.NewCostLedger(c.ge.NumCells(), machine.DefaultLedgerDecay)
 		allocs := testing.AllocsPerRun(10, func() {
 			table.Reset()
 			gv = gv[:0]
 			c.ge.Deposit(s, 0, s.Len(), f, table, &gv)
 			c.ge.GatherPush(s, 0, s.Len(), f, table, ghostEB, testDt)
 			c.ge.MoveRange(s, 0, s.Len(), testDt)
+			c.ge.ObserveCosts(s, 0, s.Len(), f, led, 40, 7)
+			led.Commit(1)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: one warm step allocates %v times, want 0", c.name, allocs)

@@ -52,8 +52,8 @@ func (st *rankState) checkpointNow(iter int, res *Result) {
 
 // writeEpoch writes this rank's shard for one epoch. Failures degrade to a
 // warning: a sick disk must not kill a healthy simulation, it only ages
-// the epoch recovery would restart from. Rank 0 prunes old epochs after a
-// successful write.
+// the epoch recovery would restart from. Rank 0 prunes the directory
+// relative to this epoch after a successful write.
 func (st *rankState) writeEpoch(epoch int, res *Result) {
 	cfg := st.cfg
 	sh := st.buildShard(epoch, res)
@@ -62,7 +62,7 @@ func (st *rankState) writeEpoch(epoch int, res *Result) {
 		return
 	}
 	if st.r.Rank() == 0 {
-		if err := ckpt.Prune(cfg.CheckpointDir, st.r.Size(), cfg.CheckpointKeep); err != nil {
+		if err := ckpt.Prune(cfg.CheckpointDir, epoch, st.r.Size(), cfg.CheckpointKeep); err != nil {
 			warnf("picpar: checkpoint prune: %v", err)
 		}
 	}

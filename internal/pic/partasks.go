@@ -8,23 +8,6 @@
 
 package pic
 
-import (
-	"unsafe"
-
-	"picpar/internal/geom"
-)
-
-// workerScratch is the footprint scratch observeCosts' vertex-by-vertex
-// walk fills through the geometry interface (a local would escape to the
-// heap at every call). It is rewritten for every particle, so it is padded
-// to 256 bytes and kept last in rankState: no two ranks' scratch can share
-// a cache line or the adjacent line the hardware prefetches with it.
-// Unpadded neighbours measured +15 % to +80 % on a steady iteration.
-type workerScratch struct {
-	fp geom.Footprint
-	_  [256 - unsafe.Sizeof(geom.Footprint{})]byte
-}
-
 // gatherPushTask interpolates E and B at each particle of the range and
 // Boris-pushes it — per-particle independent, so any range split gives the
 // same bits.

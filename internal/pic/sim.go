@@ -240,11 +240,10 @@ type rankState struct {
 	ledgerBuf, gW, gN, pw []float64
 
 	// Shared-memory parallelism (partasks.go): the rank's worker pool and
-	// its two range tasks, plus observeCosts' padded footprint scratch.
+	// its two range tasks.
 	pool   *par.Pool
 	gpTask gatherPushTask
 	mvTask moveTask
-	costFP workerScratch
 }
 
 func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *Result) {

@@ -43,22 +43,10 @@ func (st *rankState) observeCosts(diff *machine.Stats) {
 	cost := sc.ComputeTime + sc.CommTime +
 		ga.ComputeTime + ga.CommTime +
 		pu.ComputeTime + pu.CommTime
-	s := st.store
 	nv := st.ge.NumVertices()
 	base := nv*(pusher.ScatterWorkPerVertex+pusher.GatherWorkPerVertex) + pusher.PushWorkPerParticle
-	offCost := st.table.CostPerOp() + ghostVertexWork
-	fp := &st.costFP.fp
 	led := st.ledger()
-	for i := 0; i < s.Len(); i++ {
-		st.ge.Footprint(s, i, fp)
-		off := 0
-		for k := 0; k < fp.N; k++ {
-			if st.fields.Slot(int(fp.Gid[k])) < 0 {
-				off++
-			}
-		}
-		led.ObserveN(int(st.ge.CellKey(s, i)), base+off*offCost)
-	}
+	st.ge.ObserveCosts(st.store, 0, st.store.Len(), st.fields, led, base, st.table.CostPerOp()+ghostVertexWork)
 	led.Commit(cost)
 }
 
