@@ -41,7 +41,8 @@ type Footprint struct {
 	N    int
 	Gid  [MaxVertices]int32
 	W    [MaxVertices]float64
-	slot [MaxVertices]int32 // in a range kernel's block (see G3.footprint)
+	slot [MaxVertices]int32 // in a range kernel's block (see G3.footprint), or ^ghost slot
+	cell int                // whose targets resolve put in slot (see resolve)
 }
 
 // GenConfig parameterises the initial particle population of a run,
@@ -118,10 +119,10 @@ type Geometry interface {
 	// crosses this interface once per range. f must come from this
 	// geometry's NewFields. A particle whose cell has every vertex inside
 	// f's owned block (and no periodic wrap) addresses the halo arrays by
-	// offset; every other particle goes vertex by vertex through
-	// Footprint, f.Slot and the ghost table. Both paths perform the same
-	// floating-point operations on the same operands in the same (particle,
-	// vertex) order as that per-vertex form alone would.
+	// offset; any other through its cell's footprint and ghost-table slots,
+	// resolved once per run of same-cell particles. Both paths perform the
+	// same floating-point operations on the same operands in the same
+	// (particle, vertex) order as that per-vertex form alone would.
 
 	// Deposit scatters charge and current onto f's sources. Contributions
 	// to points f does not own accumulate in *ghostVals, four values (Jx,
@@ -169,29 +170,48 @@ func depositOwned(a *field.Arrays, c0 int, off []int, w []float64, q, vx, vy, vz
 	}
 }
 
-// depositFootprint is the general path of Deposit for one particle: each
-// footprint vertex goes to its owned slot or, through the ghost table, to
-// its four ghost values. Returns the number of ghost contributions.
-func depositFootprint(fp *Footprint, a *field.Arrays, table commopt.DupTable, ghostVals *[]float64, q, vx, vy, vz float64) int {
-	ops := 0
+// resolve makes fp, filled with a range kernel's block, the memo of cell
+// that the kernel reuses while its particles stay in that cell: an unowned
+// vertex's slot becomes ^s for its ghost-table slot s, from Slot (growing
+// *ghostVals by four values per new slot) or, when ghostVals is nil, from
+// Lookup, which must find it.
+func (fp *Footprint) resolve(cell int, table commopt.DupTable, ghostVals *[]float64) {
+	fp.cell = cell
 	for k := 0; k < fp.N; k++ {
-		wq := fp.W[k] * q
+		if fp.slot[k] >= 0 {
+			continue
+		}
 		gid := int(fp.Gid[k])
-		if c := fp.slot[k]; c >= 0 {
+		slot := 0
+		if ghostVals == nil {
+			if slot = table.Lookup(gid); slot < 0 {
+				panic(fmt.Sprintf("geom: gather miss at point %d", gid))
+			}
+		} else if slot = table.Slot(gid); 4*slot == len(*ghostVals) {
+			if n := len(*ghostVals); n == cap(*ghostVals) { // double: the ghost set creeps
+				*ghostVals = slices.Grow(*ghostVals, n+4)
+			}
+			*ghostVals = append(*ghostVals, 0, 0, 0, 0)
+		}
+		fp.slot[k] = ^int32(slot)
+	}
+}
+
+// depositCell is the general path of Deposit for one particle in fp's
+// resolved cell: each vertex's charge and current, with CIC weight w[k], go
+// to its owned slot or its four ghost values. Returns the ghost count.
+func depositCell(fp *Footprint, w []float64, a *field.Arrays, ghostVals []float64, q, vx, vy, vz float64) (ops int) {
+	for k, wk := range w {
+		wq := wk * q
+		c := fp.slot[k]
+		if c >= 0 {
 			a.Jx[c] += wq * vx
 			a.Jy[c] += wq * vy
 			a.Jz[c] += wq * vz
 			a.Rho[c] += wq
 			continue
 		}
-		slot := table.Slot(gid)
-		if n := len(*ghostVals); 4*slot == n {
-			if n == cap(*ghostVals) { // double: the ghost set creeps
-				*ghostVals = slices.Grow(*ghostVals, n+4)
-			}
-			*ghostVals = append(*ghostVals, 0, 0, 0, 0)
-		}
-		gv := (*ghostVals)[4*slot : 4*slot+4]
+		gv := ghostVals[4*^c : 4*^c+4]
 		gv[0] += wq * vx
 		gv[1] += wq * vy
 		gv[2] += wq * vz
@@ -218,14 +238,13 @@ func gatherOwned(a *field.Arrays, c0 int, off []int, w []float64) (ex, ey, ez, b
 	return
 }
 
-// gatherFootprint is the general path of GatherPush for one particle: each
-// footprint vertex reads its owned slot or the ghost values the scatter's
-// table slot received.
-func gatherFootprint(fp *Footprint, a *field.Arrays, table commopt.DupTable, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
-	for k := 0; k < fp.N; k++ {
-		wk := fp.W[k]
-		gid := int(fp.Gid[k])
-		if c := fp.slot[k]; c >= 0 {
+// gatherCell is the general path of GatherPush for one particle in fp's
+// resolved cell: each vertex, with CIC weight w[k], reads its owned slot or
+// the ghost values the scatter's table slot received.
+func gatherCell(fp *Footprint, w []float64, a *field.Arrays, ghostEB []float64) (ex, ey, ez, bx, by, bz float64) {
+	for k, wk := range w {
+		c := fp.slot[k]
+		if c >= 0 {
 			ex += wk * a.Ex[c]
 			ey += wk * a.Ey[c]
 			ez += wk * a.Ez[c]
@@ -234,11 +253,7 @@ func gatherFootprint(fp *Footprint, a *field.Arrays, table commopt.DupTable, gho
 			bz += wk * a.Bz[c]
 			continue
 		}
-		slot := table.Lookup(gid)
-		if slot < 0 {
-			panic(fmt.Sprintf("geom: gather miss at point %d", gid))
-		}
-		eb := ghostEB[6*slot : 6*slot+6]
+		eb := ghostEB[6*^c : 6*^c+6]
 		ex += wk * eb[0]
 		ey += wk * eb[1]
 		ez += wk * eb[2]

@@ -203,7 +203,7 @@ func (ge *G2) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 	a := f.Arrays()
 	q := s.Charge
 	ops := 0
-	var fp Footprint
+	fp := Footprint{cell: -1}
 	for i := lo; i < hi; i++ {
 		gamma := s.Gamma(i)
 		vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
@@ -214,8 +214,12 @@ func (ge *G2) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 			depositOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		ge.footprint(ge.weights(&b, s, i, li, lj, fx, fy), &fp, &b)
-		ops += depositFootprint(&fp, a, table, ghostVals, q, vx, vy, vz)
+		w := ge.weights(&b, s, i, li, lj, fx, fy)
+		if cell := w.CY*ge.G.Nx + w.CX; cell != fp.cell {
+			ge.footprint(w, &fp, &b)
+			fp.resolve(cell, table, ghostVals)
+		}
+		ops += depositCell(&fp, w.W[:], a, *ghostVals, q, vx, vy, vz)
 	}
 	return ops
 }
@@ -225,7 +229,7 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 	b := ge.block(f)
 	a := f.Arrays()
 	qmdt2 := pusher.HalfKick(s, dt)
-	var fp Footprint
+	fp := Footprint{cell: -1}
 	for i := lo; i < hi; i++ {
 		var ex, ey, ez, bx, by, bz float64
 		li, fx, okx := b.x.cell(s.X[i])
@@ -234,8 +238,12 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:])
 		} else {
-			ge.footprint(ge.weights(&b, s, i, li, lj, fx, fy), &fp, &b)
-			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
+			w := ge.weights(&b, s, i, li, lj, fx, fy)
+			if cell := w.CY*ge.G.Nx + w.CX; cell != fp.cell {
+				ge.footprint(w, &fp, &b)
+				fp.resolve(cell, table, nil)
+			}
+			ex, ey, ez, bx, by, bz = gatherCell(&fp, w.W[:], a, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
 	}
@@ -243,20 +251,27 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 
 // ObserveCosts implements Geometry: an interior particle has the cell its
 // axis quotients found and no unowned vertex; any other takes that cell if
-// exact, else CellOf's, and counts its owned vertices axis by axis.
+// exact, else CellOf's, and counts its owned vertices axis by axis, once
+// per run of particles in that cell, as it looks up the cell's key.
 func (ge *G2) ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *machine.CostLedger, base, perGhost int) {
 	b := ge.block(f)
+	mx, my, key, units := -1, -1, 0, 0
 	for i := lo; i < hi; i++ {
 		li, _, okx := b.x.cell(s.X[i])
 		lj, _, oky := b.y.cell(s.Y[i])
-		cx, cy, ghosts := li+b.x.i0, lj+b.y.i0, 0
-		if !okx || !oky {
-			if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) {
-				cx, cy = ge.G.CellOf(s.X[i], s.Y[i])
-			}
-			ghosts = 4 - b.x.vertices(cx)*b.y.vertices(cy)
+		cx, cy := li+b.x.i0, lj+b.y.i0
+		if okx && oky {
+			led.ObserveN(ge.Ix.Index(cx, cy), base)
+			continue
 		}
-		led.ObserveN(ge.Ix.Index(cx, cy), base+ghosts*perGhost)
+		if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) {
+			cx, cy = ge.G.CellOf(s.X[i], s.Y[i])
+		}
+		if cx != mx || cy != my {
+			mx, my, key = cx, cy, ge.Ix.Index(cx, cy)
+			units = base + (4-b.x.vertices(cx)*b.y.vertices(cy))*perGhost
+		}
+		led.ObserveN(key, units)
 	}
 }
 

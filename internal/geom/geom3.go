@@ -186,7 +186,7 @@ func (ge *G3) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 	a := f.Arrays()
 	q := s.Charge
 	ops := 0
-	var fp Footprint
+	fp := Footprint{cell: -1}
 	for i := lo; i < hi; i++ {
 		gamma := s.Gamma(i)
 		vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
@@ -198,8 +198,12 @@ func (ge *G3) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 			depositOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		ge.footprint(ge.weights(&b, s, i, li, lj, lk, fx, fy, fz), &fp, &b)
-		ops += depositFootprint(&fp, a, table, ghostVals, q, vx, vy, vz)
+		w := ge.weights(&b, s, i, li, lj, lk, fx, fy, fz)
+		if cell := (w.CZ*ge.G.Ny+w.CY)*ge.G.Nx + w.CX; cell != fp.cell {
+			ge.footprint(w, &fp, &b)
+			fp.resolve(cell, table, ghostVals)
+		}
+		ops += depositCell(&fp, w.W[:], a, *ghostVals, q, vx, vy, vz)
 	}
 	return ops
 }
@@ -209,7 +213,7 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 	b := ge.block(f)
 	a := f.Arrays()
 	qmdt2 := pusher.HalfKick(s, dt)
-	var fp Footprint
+	fp := Footprint{cell: -1}
 	for i := lo; i < hi; i++ {
 		var ex, ey, ez, bx, by, bz float64
 		li, fx, okx := b.x.cell(s.X[i])
@@ -219,8 +223,12 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
 		} else {
-			ge.footprint(ge.weights(&b, s, i, li, lj, lk, fx, fy, fz), &fp, &b)
-			ex, ey, ez, bx, by, bz = gatherFootprint(&fp, a, table, ghostEB)
+			w := ge.weights(&b, s, i, li, lj, lk, fx, fy, fz)
+			if cell := (w.CZ*ge.G.Ny+w.CY)*ge.G.Nx + w.CX; cell != fp.cell {
+				ge.footprint(w, &fp, &b)
+				fp.resolve(cell, table, nil)
+			}
+			ex, ey, ez, bx, by, bz = gatherCell(&fp, w.W[:], a, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
 	}
@@ -229,18 +237,24 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 // ObserveCosts implements Geometry, as G2.ObserveCosts does.
 func (ge *G3) ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *machine.CostLedger, base, perGhost int) {
 	b := ge.block(f)
+	mx, my, mz, key, units := -1, -1, -1, 0, 0
 	for i := lo; i < hi; i++ {
 		li, _, okx := b.x.cell(s.X[i])
 		lj, _, oky := b.y.cell(s.Y[i])
 		lk, _, okz := b.z.cell(s.Z[i])
-		cx, cy, cz, ghosts := li+b.x.i0, lj+b.y.i0, lk+b.z.i0, 0
-		if !okx || !oky || !okz {
-			if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) || !b.z.exact(s.Z[i], lk) {
-				cx, cy, cz = ge.G.CellOf(s.X[i], s.Y[i], s.Z[i])
-			}
-			ghosts = 8 - b.x.vertices(cx)*b.y.vertices(cy)*b.z.vertices(cz)
+		cx, cy, cz := li+b.x.i0, lj+b.y.i0, lk+b.z.i0
+		if okx && oky && okz {
+			led.ObserveN(ge.Ix.Index(cx, cy, cz), base)
+			continue
 		}
-		led.ObserveN(ge.Ix.Index(cx, cy, cz), base+ghosts*perGhost)
+		if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) || !b.z.exact(s.Z[i], lk) {
+			cx, cy, cz = ge.G.CellOf(s.X[i], s.Y[i], s.Z[i])
+		}
+		if cx != mx || cy != my || cz != mz {
+			mx, my, mz, key = cx, cy, cz, ge.Ix.Index(cx, cy, cz)
+			units = base + (8-b.x.vertices(cx)*b.y.vertices(cy)*b.z.vertices(cz))*perGhost
+		}
+		led.ObserveN(key, units)
 	}
 }
 

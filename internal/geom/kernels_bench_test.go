@@ -14,13 +14,16 @@ import (
 )
 
 // rank0Share generates n uniform particles over ge's domain and returns a
-// quarter of them: what rank 0 of a P=4 run holds. Aligned, it is the
-// first quarter along ge's curve, as after an equal-count balance: most of
-// it lies inside rank 0's block and the particles on its faces take the
-// per-vertex path. Misaligned, it is the first quarter in generation
-// order, spread over the whole domain: three in four particles lie in
-// other ranks' blocks, as after cuts that miss the mesh blocks.
-func rank0Share(b *testing.B, ge Geometry, n int, aligned bool) *particle.Store {
+// quarter of them: what rank 0 of a P=4 run holds. Sorted, it is the
+// quarter from sixteenth from on along ge's curve: at 0 the first quarter,
+// as after an equal-count balance, with most of it inside rank 0's block
+// and the particles on its faces on the per-vertex path; at 3 a contiguous
+// key range straddling blocks, as after cost-weighted cuts that miss them,
+// with three in four particles in rank 1's block and each cell's in one run.
+// Unsorted, it is the first quarter in generation order, spread over the
+// whole domain: three in four particles lie in other ranks' blocks, and
+// no two neighbours share a cell.
+func rank0Share(b *testing.B, ge Geometry, n int, sorted bool, from int) *particle.Store {
 	s, err := ge.Generate(GenConfig{N: n, Distribution: particle.DistUniform, Seed: 11, Thermal: 0.1, Charge: -1})
 	if err != nil {
 		b.Fatal(err)
@@ -30,21 +33,22 @@ func rank0Share(b *testing.B, ge Geometry, n int, aligned bool) *particle.Store 
 	for i := range idx {
 		idx[i] = i
 	}
-	if aligned {
+	if sorted {
 		slices.SortStableFunc(idx, func(a, c int) int {
 			return int(s.Key[a] - s.Key[c])
 		})
 	}
 	out := ge.NewStore(n/4, s.Charge, s.Mass)
-	out.AppendIndices(s, idx[:n/4])
+	out.AppendIndices(s, idx[from*n/16:from*n/16+n/4])
 	return out
 }
 
 // BenchmarkRangeKernels times Deposit, GatherPush and ObserveCosts on rank
 // 0 of a P=4 Hilbert-ordered run — the 2-D 256×128 mesh with 262 144
-// particles, the 3-D 32³ mesh with 16 384 — for the aligned and the
-// misaligned share, and reports ns per particle. RefObserve is the
-// per-vertex walk ObserveCosts replaced (refObserve, the test oracle).
+// particles, the 3-D 32³ mesh with 16 384 — for the aligned, the
+// misaligned and the sorted-misaligned share, and reports ns per
+// particle. RefObserve is the per-vertex walk ObserveCosts replaced
+// (refObserve, the test oracle).
 func BenchmarkRangeKernels(b *testing.B) {
 	g2, g3 := mesh.NewGrid(256, 128), mesh3.NewGrid(32, 32, 32)
 	d2, err2 := mesh.NewDistOrdered(g2, 4, sfc.SchemeHilbert)
@@ -64,12 +68,13 @@ func BenchmarkRangeKernels(b *testing.B) {
 		{"2d-256x128", New2(g2, d2, ix2), 262144},
 		{"3d-32x32x32", New3(g3, d3, ix3), 16384},
 	} {
-		for _, aligned := range []bool{true, false} {
-			name := c.name
-			if !aligned {
-				name += "/misaligned"
-			}
-			s := rank0Share(b, c.ge, c.n, aligned)
+		for _, share := range []struct {
+			name   string
+			sorted bool
+			from   int
+		}{{"", true, 0}, {"/misaligned", false, 0}, {"/sorted-misaligned", true, 3}} {
+			name := c.name + share.name
+			s := rank0Share(b, c.ge, c.n, share.sorted, share.from)
 			f := c.ge.NewFields(0, nil)
 			table := commopt.NewDirectTable(c.ge.NumPoints())
 			var gv []float64

@@ -1,9 +1,11 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"picpar/internal/commopt"
@@ -93,14 +95,7 @@ func kernelCases(t *testing.T) []kernelCase {
 func saltedStore(c kernelCase, rng *rand.Rand) *particle.Store {
 	dims := c.ge.Dims()
 	s := c.ge.NewStore(0, -1.5, 1)
-	add := func(pos [3]float64) {
-		px, py, pz := 0.5*rng.NormFloat64(), 0.5*rng.NormFloat64(), 0.5*rng.NormFloat64()
-		if dims == 3 {
-			s.Append3(pos[0], pos[1], pos[2], px, py, pz, float64(s.Len()))
-		} else {
-			s.Append(pos[0], pos[1], px, py, pz, float64(s.Len()))
-		}
-	}
+	add := func(pos [3]float64) { addParticle(s, pos, rng) }
 	random := func() (pos [3]float64) {
 		for d := 0; d < dims; d++ {
 			pos[d] = rng.Float64() * c.l[d]
@@ -139,6 +134,90 @@ func saltedStore(c kernelCase, rng *rand.Rand) *particle.Store {
 			pos[d] = special[d][rng.Intn(len(special[d]))]
 		}
 		add(pos)
+	}
+	return s
+}
+
+// addParticle appends a particle at pos with a random momentum.
+func addParticle(s *particle.Store, pos [3]float64, rng *rand.Rand) {
+	px, py, pz := 0.5*rng.NormFloat64(), 0.5*rng.NormFloat64(), 0.5*rng.NormFloat64()
+	if s.Dims() == 3 {
+		s.Append3(pos[0], pos[1], pos[2], px, py, pz, float64(s.Len()))
+	} else {
+		s.Append(pos[0], pos[1], px, py, pz, float64(s.Len()))
+	}
+}
+
+// sortedByKey returns s's particles in (cell key, index) order, as a
+// balanced rank holds them: the particles of one cell form one run.
+func sortedByKey(ge Geometry, s *particle.Store) *particle.Store {
+	idx := make([]int, s.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(ge.CellKey(s, a), ge.CellKey(s, b)) })
+	out := ge.NewStore(s.Len(), s.Charge, s.Mass)
+	out.AppendIndices(s, idx)
+	return out
+}
+
+// cellRuns returns long runs of particles sharing a cell, in key order,
+// over cells that lie on a rank's block edge or in the high-edge row whose
+// +1 vertices wrap along some axes and anywhere along the others: mixed
+// owned and ghost cells for one rank, all-ghost or interior for another.
+// A tail then leaves cells and comes back — c, c+e_d, c along each axis d,
+// so neighbouring runs differ on one axis only — and the store ends in
+// the cell it starts in.
+func cellRuns(c kernelCase, rng *rand.Rand) *particle.Store {
+	dims := c.ge.Dims()
+	var n [3]int
+	var edges [3][]int
+	for d := 0; d < dims; d++ {
+		n[d] = int(math.Round(c.l[d] / c.d[d]))
+		edges[d] = []int{n[d] - 1}
+		for r := 0; r < c.ge.Ranks(); r++ {
+			for _, e := range c.bounds(r)[d] {
+				edges[d] = append(edges[d], (e+n[d]-1)%n[d], e%n[d])
+			}
+		}
+	}
+	s := c.ge.NewStore(0, 0.75, 1)
+	run := func(cell [3]int) {
+		for k := 3 + rng.Intn(8); k > 0; k-- {
+			var pos [3]float64
+			for d := 0; d < dims; d++ {
+				pos[d] = min((float64(cell[d])+rng.Float64())*c.d[d], math.Nextafter(c.l[d], 0))
+			}
+			addParticle(s, pos, rng)
+		}
+	}
+	var cells [][3]int
+	for i := 0; i < 80; i++ {
+		var cell [3]int
+		for d := 0; d < dims; d++ {
+			if cell[d] = rng.Intn(n[d]); rng.Intn(3) > 0 {
+				cell[d] = edges[d][rng.Intn(len(edges[d]))]
+			}
+		}
+		cells = append(cells, cell)
+		run(cell)
+	}
+	s = sortedByKey(c.ge, s)
+	for _, cell := range cells[:8] {
+		for d := 0; d < dims; d++ {
+			next := cell
+			next[d] = (cell[d] + 1) % n[d]
+			run(cell)
+			run(next)
+		}
+		run(cell)
+	}
+	first := [3]float64{s.X[0], s.Y[0]}
+	if dims == 3 {
+		first[2] = s.Z[0]
+	}
+	for k := 0; k < 4; k++ {
+		addParticle(s, first, rng)
 	}
 	return s
 }
@@ -297,68 +376,88 @@ var fieldNames = [10]string{"Ex", "Ey", "Ez", "Bx", "By", "Bz", "Jx", "Jy", "Jz"
 // unevenly) and through the per-vertex reference loops above, on every rank
 // of every case with both table kinds, and requires every float the step
 // touches to agree bit for bit, the ghost table to hold the same points in
-// the same order, and the off-processor count to match.
+// the same order, and the off-processor count to match. It runs the salted
+// store, the same store in key order, and cellRuns' long same-cell runs,
+// where the kernels resolve a cell once per run. The gather reads a table
+// reset and refilled in reverse order, so its targets must come from the
+// table it is given, not from the scatter.
 func TestRangeKernelsMatchPerVertexReference(t *testing.T) {
 	for _, c := range kernelCases(t) {
 		rng := rand.New(rand.NewSource(16))
-		store := saltedStore(c, rng)
-		n := store.Len()
-		cuts := []int{0, n / 3, n/3 + 1, n/3 + 1, n - 7, n}
-		for r := 0; r < c.ge.Ranks(); r++ {
-			for _, kind := range []string{commopt.TableDirect, commopt.TableHash} {
-				name := fmt.Sprintf("%s/rank %d/%s", c.name, r, kind)
-				fK, fR := randomFieldsPair(c.ge, r, rng)
-				tabK, _ := commopt.NewTable(kind, c.ge.NumPoints(), 16)
-				tabR, _ := commopt.NewTable(kind, c.ge.NumPoints(), 16)
-				sK, sR := store.Clone(), store.Clone()
-				var gvK, gvR []float64
-
-				opsK := 0
-				for k := 1; k < len(cuts); k++ {
-					opsK += c.ge.Deposit(sK, cuts[k-1], cuts[k], fK, tabK, &gvK)
-				}
-				opsR := refDeposit(c.ge, sR, fR, tabR, &gvR)
-				if opsK != opsR {
-					t.Fatalf("%s: Deposit counted %d off-processor contributions, want %d", name, opsK, opsR)
-				}
-				if opsR == 0 && c.ge.Ranks() > 1 {
-					t.Fatalf("%s: no particle took the ghost path", name)
-				}
-				keysK, keysR := tabK.Keys(), tabR.Keys()
-				if len(keysK) != len(keysR) {
-					t.Fatalf("%s: %d ghost points, want %d", name, len(keysK), len(keysR))
-				}
-				for i := range keysK {
-					if keysK[i] != keysR[i] {
-						t.Fatalf("%s: ghost slot %d holds point %d, want %d", name, i, keysK[i], keysR[i])
-					}
-				}
-				sameBits(t, name+" ghostVals", gvK, gvR)
-				aK, aR := allArrays(fK), allArrays(fR)
-				for i := range aK {
-					sameBits(t, name+" after Deposit, "+fieldNames[i], aK[i], aR[i])
-				}
-
-				ghostEB := make([]float64, 6*tabR.Len())
-				for i := range ghostEB {
-					ghostEB[i] = rng.NormFloat64()
-				}
-				for k := 1; k < len(cuts); k++ {
-					c.ge.GatherPush(sK, cuts[k-1], cuts[k], fK, tabK, ghostEB, testDt)
-				}
-				refGatherPush(c.ge, sR, fR, tabR, ghostEB)
-				sameStore(t, name+" after GatherPush,", sK, sR)
-
-				for k := 1; k < len(cuts); k++ {
-					c.ge.MoveRange(sK, cuts[k-1], cuts[k], testDt)
-				}
-				refMove(c, sR)
-				sameStore(t, name+" after MoveRange,", sK, sR)
-				for i := range aK {
-					sameBits(t, name+" after the step, "+fieldNames[i], aK[i], aR[i])
+		salted := saltedStore(c, rng)
+		for _, st := range []struct {
+			name  string
+			store *particle.Store
+		}{{"salted", salted}, {"key-sorted", sortedByKey(c.ge, salted)}, {"cell runs", cellRuns(c, rng)}} {
+			for r := 0; r < c.ge.Ranks(); r++ {
+				for _, kind := range []string{commopt.TableDirect, commopt.TableHash} {
+					checkStep(t, fmt.Sprintf("%s/%s/rank %d/%s", c.name, st.name, r, kind), c, r, kind, st.store, rng)
 				}
 			}
 		}
+	}
+}
+
+// checkStep is one rank and table kind of TestRangeKernelsMatchPerVertexReference.
+func checkStep(t *testing.T, name string, c kernelCase, r int, kind string, store *particle.Store, rng *rand.Rand) {
+	t.Helper()
+	n := store.Len()
+	cuts := []int{0, n / 3, n/3 + 1, n/3 + 1, n - 7, n}
+	fK, fR := randomFieldsPair(c.ge, r, rng)
+	tabK, _ := commopt.NewTable(kind, c.ge.NumPoints(), 16)
+	tabR, _ := commopt.NewTable(kind, c.ge.NumPoints(), 16)
+	sK, sR := store.Clone(), store.Clone()
+	var gvK, gvR []float64
+
+	opsK := 0
+	for k := 1; k < len(cuts); k++ {
+		opsK += c.ge.Deposit(sK, cuts[k-1], cuts[k], fK, tabK, &gvK)
+	}
+	opsR := refDeposit(c.ge, sR, fR, tabR, &gvR)
+	if opsK != opsR {
+		t.Fatalf("%s: Deposit counted %d off-processor contributions, want %d", name, opsK, opsR)
+	}
+	if opsR == 0 && c.ge.Ranks() > 1 {
+		t.Fatalf("%s: no particle took the ghost path", name)
+	}
+	keysK, keysR := tabK.Keys(), tabR.Keys()
+	if len(keysK) != len(keysR) {
+		t.Fatalf("%s: %d ghost points, want %d", name, len(keysK), len(keysR))
+	}
+	for i := range keysK {
+		if keysK[i] != keysR[i] {
+			t.Fatalf("%s: ghost slot %d holds point %d, want %d", name, i, keysK[i], keysR[i])
+		}
+	}
+	sameBits(t, name+" ghostVals", gvK, gvR)
+	aK, aR := allArrays(fK), allArrays(fR)
+	for i := range aK {
+		sameBits(t, name+" after Deposit, "+fieldNames[i], aK[i], aR[i])
+	}
+
+	ghostEB := make([]float64, 6*tabR.Len())
+	for i := range ghostEB {
+		ghostEB[i] = rng.NormFloat64()
+	}
+	keys := slices.Clone(keysK)
+	tabK.Reset()
+	ghostEBK := make([]float64, len(ghostEB))
+	for i := len(keys) - 1; i >= 0; i-- {
+		copy(ghostEBK[6*tabK.Slot(int(keys[i])):], ghostEB[6*i:6*i+6])
+	}
+	for k := 1; k < len(cuts); k++ {
+		c.ge.GatherPush(sK, cuts[k-1], cuts[k], fK, tabK, ghostEBK, testDt)
+	}
+	refGatherPush(c.ge, sR, fR, tabR, ghostEB)
+	sameStore(t, name+" after GatherPush,", sK, sR)
+
+	for k := 1; k < len(cuts); k++ {
+		c.ge.MoveRange(sK, cuts[k-1], cuts[k], testDt)
+	}
+	refMove(c, sR)
+	sameStore(t, name+" after MoveRange,", sK, sR)
+	for i := range aK {
+		sameBits(t, name+" after the step, "+fieldNames[i], aK[i], aR[i])
 	}
 }
 
@@ -368,15 +467,26 @@ func TestRangeKernelsMatchPerVertexReference(t *testing.T) {
 // each run to leave both ledgers bit-identical. Both ledgers also see one
 // unit in a cell outside the run, so after a full-weight Commit a
 // particle's wrong cell shows in the counts and its wrong units in every
-// cell's share of the cost.
+// cell's share of the cost. The key-sorted salted store and cellRuns'
+// store, where ObserveCosts reuses a cell's key and units along a run, are
+// booked in one call each and compared the same way.
 func TestObserveCostsMatchesPerVertexReference(t *testing.T) {
 	const base, perGhost = 100, 7
 	for _, c := range kernelCases(t) {
 		rng := rand.New(rand.NewSource(35))
 		s := saltedStore(c, rng)
 		n, cells := s.Len(), c.ge.NumCells()
+		runs := []*particle.Store{sortedByKey(c.ge, s), cellRuns(c, rng)}
 		for r := 0; r < c.ge.Ranks(); r++ {
 			f := c.ge.NewFields(r, nil)
+			for k, rs := range runs {
+				ledK, ledR := machine.NewCostLedger(cells, 1), machine.NewCostLedger(cells, 1)
+				c.ge.ObserveCosts(rs, 0, rs.Len(), f, ledK, base, perGhost)
+				refObserve(c.ge, rs, 0, rs.Len(), f, ledR, base, perGhost)
+				ledK.Commit(1)
+				ledR.Commit(1)
+				sameBits(t, fmt.Sprintf("%s/rank %d, run store %d: ledger", c.name, r, k), ledK.Export(nil), ledR.Export(nil))
+			}
 			ledK, ledR := machine.NewCostLedger(cells, 1), machine.NewCostLedger(cells, 1)
 			var expK, expR []float64
 			run := make(map[int]bool)

@@ -192,79 +192,93 @@ func (st *rankState) buildShard(epoch int, res *Result) *ckpt.Shard {
 	return sh
 }
 
-// agreeCheckpoint scans the checkpoint directory for the latest locally
-// complete epoch, agrees the minimum over ranks (every rank must be able
-// to restore the same epoch), and loads this rank's shard. When no epoch
-// is agreed it wipes the agreement's simulated charges — so the ensuing
-// fresh start is byte-identical to a non-recovering run — and returns nil.
+// agreeCheckpoint finds the newest complete epoch within the run's
+// iterations whose shard readShard accepts, agrees the minimum over ranks
+// (every rank must be able to restore the same epoch), and loads this
+// rank's shard. When no epoch is agreed it wipes the agreement's simulated
+// charges — so the ensuing fresh start is byte-identical to a
+// non-recovering run — and returns nil.
 func (st *rankState) agreeCheckpoint() *ckpt.Shard {
 	r := st.r
 	dir := st.cfg.CheckpointDir
-	local := ckpt.LatestComplete(dir, r.Size())
+	local, epochs := -1, ckpt.Epochs(dir)
+	var sh *ckpt.Shard
+	var err error
+	for i := len(epochs) - 1; i >= 0 && local < 0; i-- {
+		if e := epochs[i]; e <= st.cfg.Iterations && ckpt.EpochComplete(dir, e, r.Size()) {
+			if sh, err = st.readShard(e); err != nil {
+				warnf("%v; skipping it", err)
+			} else {
+				local = e
+			}
+		}
+	}
 	agreed := int(-comm.ExposeMaxFloat64(r, -float64(local)))
 	if agreed < 0 {
 		*r.Stats() = machine.Stats{}
 		r.Clock().Reset()
 		return nil
 	}
-	sh, err := ckpt.ReadShard(ckpt.ShardPath(dir, agreed, r.Rank()))
-	if err != nil {
-		panic(fmt.Sprintf("pic: rank %d restore epoch %d: %v", r.Rank(), agreed, err))
+	if agreed != local {
+		if sh, err = st.readShard(agreed); err != nil {
+			panic(err.Error())
+		}
 	}
-	st.checkShardSignature(sh, agreed)
 	return sh
 }
 
-// checkShardSignature refuses a shard written by a differently configured
-// run — restoring it would not replay the original physics.
-func (st *rankState) checkShardSignature(sh *ckpt.Shard, epoch int) {
+// readShard reads this rank's shard of epoch, refusing one written by a
+// differently configured run, whose restore would not replay its physics.
+func (st *rankState) readShard(epoch int) (*ckpt.Shard, error) {
 	r := st.r
 	cfg := st.cfg
-	fail := func(format string, args ...any) {
-		panic(fmt.Sprintf("pic: rank %d refusing checkpoint epoch %d: %s",
-			r.Rank(), epoch, fmt.Sprintf(format, args...)))
+	fail := func(format string, args ...any) (*ckpt.Shard, error) {
+		return nil, fmt.Errorf("pic: rank %d refusing checkpoint epoch %d: %s",
+			r.Rank(), epoch, fmt.Sprintf(format, args...))
+	}
+	sh, err := ckpt.ReadShard(ckpt.ShardPath(cfg.CheckpointDir, epoch, r.Rank()))
+	if err != nil {
+		return fail("%v", err)
 	}
 	if sh.Epoch != epoch {
-		fail("shard is epoch %d", sh.Epoch)
+		return fail("shard is epoch %d", sh.Epoch)
 	}
 	if sh.Rank != r.Rank() || sh.Size != r.Size() {
-		fail("identity mismatch: shard rank %d of %d, world rank %d of %d",
+		return fail("identity mismatch: shard rank %d of %d, world rank %d of %d",
 			sh.Rank, sh.Size, r.Rank(), r.Size())
 	}
 	if sh.Dims != cfg.Dims {
-		fail("dimensionality %d (run has %d)", sh.Dims, cfg.Dims)
+		return fail("dimensionality %d (run has %d)", sh.Dims, cfg.Dims)
 	}
 	nx, ny, nz := cfg.Grid.Nx, cfg.Grid.Ny, 0
 	if cfg.Dims == 3 {
 		nx, ny, nz = cfg.Grid3.Nx, cfg.Grid3.Ny, cfg.Grid3.Nz
 	}
 	if sh.GridNx != nx || sh.GridNy != ny || sh.GridNz != nz {
-		fail("grid %dx%dx%d (run has %dx%dx%d)", sh.GridNx, sh.GridNy, sh.GridNz, nx, ny, nz)
+		return fail("grid %dx%dx%d (run has %dx%dx%d)", sh.GridNx, sh.GridNy, sh.GridNz, nx, ny, nz)
 	}
 	// Blocks of one size may be tiled or numbered differently by another
 	// build; the field arrays would then load into the wrong block.
 	if b := ownedBlock(st.ge, r.Rank()); sh.Block != b {
-		fail("owned block %v (run owns %v)", sh.Block, b)
+		return fail("owned block %v (run owns %v)", sh.Block, b)
 	}
 	if sh.NumParticles != cfg.NumParticles || sh.Seed != cfg.Seed {
-		fail("population n=%d seed=%d (run has n=%d seed=%d)",
+		return fail("population n=%d seed=%d (run has n=%d seed=%d)",
 			sh.NumParticles, sh.Seed, cfg.NumParticles, cfg.Seed)
 	}
 	if sh.Iterations != cfg.Iterations {
-		fail("run length %d (run has %d)", sh.Iterations, cfg.Iterations)
+		return fail("run length %d (run has %d)", sh.Iterations, cfg.Iterations)
 	}
 	if sh.PolicyName != st.pol.Name() {
-		fail("policy %q (run has %q)", sh.PolicyName, st.pol.Name())
-	}
-	if sh.Epoch > cfg.Iterations {
-		fail("epoch beyond the run's %d iterations", cfg.Iterations)
+		return fail("policy %q (run has %q)", sh.PolicyName, st.pol.Name())
 	}
 	if sh.Rank == 0 && len(sh.Records) != sh.Epoch {
-		fail("%d records for %d completed iterations", len(sh.Records), sh.Epoch)
+		return fail("%d records for %d completed iterations", len(sh.Records), sh.Epoch)
 	}
 	if sh.Particles.Dims() != cfg.Dims {
-		fail("%d-D particles (run has %d-D)", sh.Particles.Dims(), cfg.Dims)
+		return fail("%d-D particles (run has %d-D)", sh.Particles.Dims(), cfg.Dims)
 	}
+	return sh, nil
 }
 
 // ownedBlock is rank r's owned mesh block as a shard records it: i0, i1,

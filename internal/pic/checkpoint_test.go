@@ -212,44 +212,7 @@ func TestElasticRecoveryByteIdentical(t *testing.T) {
 			cfg.Recover = true
 			cfg.CheckpointDir = t.TempDir()
 			cfg.CheckpointEvery = 3
-			var res *Result
-			var mu sync.Mutex
-			var attempts atomic.Int64
-			fired := &atomic.Bool{}
-			wrap := func(tr comm.Transport) comm.Transport {
-				if tr.Rank() != 2 {
-					return tr
-				}
-				return killOnce{Transport: tr, due: row.due(tr, cfg.CheckpointDir), fired: fired}
-			}
-			tmpl := commtest.NetTemplate(machine.CM5())
-			tmpl.RejoinAttempts = 8
-			_, errs := comm.LaunchLoopback(tmpl, 4, wrap, func(tr comm.Transport) {
-				attempts.Add(1)
-				r, rerr := RunRank(tr, cfg)
-				if rerr != nil {
-					panic(rerr)
-				}
-				if r != nil {
-					mu.Lock()
-					res = r
-					mu.Unlock()
-				}
-			})
-			for rank, err := range errs {
-				if err != nil {
-					t.Fatalf("rank %d failed: %v", rank, err)
-				}
-			}
-			if !fired.Load() {
-				t.Fatal("injected rank death never fired — the run was undisturbed")
-			}
-			if got := attempts.Load(); got <= 4 {
-				t.Errorf("only %d rank attempts — no rank actually rejoined", got)
-			}
-			if res == nil {
-				t.Fatal("rank 0 produced no result")
-			}
+			res := runElastic(t, cfg, func(tr comm.Transport) func() bool { return row.due(tr, cfg.CheckpointDir) })
 			if res.TotalTime != ref.TotalTime || res.Fingerprint != ref.Fingerprint {
 				t.Errorf("recovered world differs: total %.7f/%016x, want %.7f/%016x",
 					res.TotalTime, res.Fingerprint, ref.TotalTime, ref.Fingerprint)
@@ -258,17 +221,112 @@ func TestElasticRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
+// runElastic runs cfg on a 4-rank world of elastic NetRanks over loopback
+// TCP whose rank 2 dies once, on the first send for which due reports
+// true, and returns rank 0's result. It fails the test unless the death
+// fired, some rank rejoined and every rank finished.
+func runElastic(t *testing.T, cfg Config, due func(tr comm.Transport) func() bool) *Result {
+	t.Helper()
+	var res *Result
+	var mu sync.Mutex
+	var attempts atomic.Int64
+	fired := &atomic.Bool{}
+	wrap := func(tr comm.Transport) comm.Transport {
+		if tr.Rank() != 2 {
+			return tr
+		}
+		return killOnce{Transport: tr, due: due(tr), fired: fired}
+	}
+	tmpl := commtest.NetTemplate(machine.CM5())
+	tmpl.RejoinAttempts = 8
+	_, errs := comm.LaunchLoopback(tmpl, 4, wrap, func(tr comm.Transport) {
+		attempts.Add(1)
+		r, rerr := RunRank(tr, cfg)
+		if rerr != nil {
+			panic(rerr)
+		}
+		if r != nil {
+			mu.Lock()
+			res = r
+			mu.Unlock()
+		}
+	})
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d failed: %v", rank, err)
+		}
+	}
+	if !fired.Load() {
+		t.Fatal("injected rank death never fired — the run was undisturbed")
+	}
+	if got := attempts.Load(); got <= 4 {
+		t.Errorf("only %d rank attempts — no rank actually rejoined", got)
+	}
+	if res == nil {
+		t.Fatal("rank 0 produced no result")
+	}
+	return res
+}
+
+// TestRecoverSkipsAnotherRunsEpochs: a recovering run restores only an
+// epoch it could have written. A 30-iteration run leaves its last epochs
+// in the directory; a 12-iteration elastic world whose rank 2 dies before
+// its first checkpoint must skip them on every attempt, start afresh, and
+// match an undisturbed 12-iteration run — then prune the longer run's
+// epochs when it writes its own.
+func TestRecoverSkipsAnotherRunsEpochs(t *testing.T) {
+	dir := t.TempDir()
+	long := base()
+	long.Iterations = 30
+	long.CheckpointDir = dir
+	long.CheckpointEvery = 5
+	if _, err := Run(long); err != nil {
+		t.Fatal(err)
+	}
+	if epochs := ckpt.Epochs(dir); len(epochs) == 0 || epochs[0] <= 12 {
+		t.Fatalf("the 30-iteration run left epochs %v, want only epochs beyond 12", epochs)
+	}
+
+	cfg := base()
+	cfg.Iterations = 12
+	ref, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recover = true
+	cfg.CheckpointDir = dir
+	cfg.CheckpointEvery = 5
+	res := runElastic(t, cfg, func(tr comm.Transport) func() bool {
+		first, n := ckpt.ShardPath(dir, 5, tr.Rank()), 0
+		return func() bool {
+			n++
+			_, err := os.Stat(first)
+			return n == 20 && err != nil
+		}
+	})
+	if res.TotalTime != ref.TotalTime || res.Fingerprint != ref.Fingerprint {
+		t.Errorf("recovered world differs: total %.7f/%016x, want %.7f/%016x",
+			res.TotalTime, res.Fingerprint, ref.TotalTime, ref.Fingerprint)
+	}
+	if epochs := ckpt.Epochs(dir); !reflect.DeepEqual(epochs, []int{5, 10}) {
+		t.Errorf("epochs after the 12-iteration run: %v, want [5 10]", epochs)
+	}
+}
+
 // TestRecoverRefusesMovedBlock: a shard records the mesh block its rank
 // owned. Two ranks' blocks of one size swapped — what a build that tiles
 // or numbers the mesh differently writes — leave every field array the
-// right length, so only that record can refuse the restore.
+// right length, so only that record can refuse the restore: recovery must
+// name the owned block, skip that epoch and replay from the one before,
+// matching the undisturbed run.
 func TestRecoverRefusesMovedBlock(t *testing.T) {
 	dir := t.TempDir()
 	cfg := base3()
 	cfg.P = 2
 	cfg.CheckpointDir = dir
 	cfg.CheckpointEvery = 5
-	if _, err := Run(cfg); err != nil {
+	ref, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var shards [2]*ckpt.Shard
@@ -289,14 +347,22 @@ func TestRecoverRefusesMovedBlock(t *testing.T) {
 		}
 	}
 	cfg.Recover = true
-	refusal := func() (v any) {
-		defer func() { v = recover() }()
-		if _, err := Run(cfg); err != nil {
-			return err
+	log := captureWarnings(t)
+	got, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := 0
+	for _, msg := range log.all() {
+		if strings.Contains(msg, fmt.Sprintf("refusing checkpoint epoch %d", cfg.Iterations)) && strings.Contains(msg, "owned block") {
+			refused++
 		}
-		return nil
-	}()
-	if msg := fmt.Sprint(refusal); !strings.Contains(msg, "refusing checkpoint") || !strings.Contains(msg, "owned block") {
-		t.Fatalf("restore onto swapped blocks: %v, want a refusal naming the owned block", refusal)
+	}
+	if refused != 2 {
+		t.Errorf("%d ranks refused the swapped blocks, want 2; warnings: %q", refused, log.all())
+	}
+	if got.TotalTime != ref.TotalTime || got.Fingerprint != ref.Fingerprint {
+		t.Errorf("recovery past the swapped epoch differs: total %.7f/%016x, want %.7f/%016x",
+			got.TotalTime, got.Fingerprint, ref.TotalTime, ref.Fingerprint)
 	}
 }
