@@ -4,8 +4,8 @@
 // boot stays within a budget of population-sizes, a whole simulation's
 // per-iteration allocation count does not grow with the worker count, a
 // 3-D iteration over loopback TCP recycles its message buffers, a warm
-// iteration allocates a bounded number of objects on both backends, and no
-// slice-typed body reaches Send.
+// iteration allocates a bounded number of objects on both backends and
+// none at all on the goroutine world, and no slice-typed body reaches Send.
 package picpar_test
 
 import (
@@ -14,6 +14,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -129,30 +131,38 @@ func runSim(t *testing.T, cfg picpar.Config) func(iters int) {
 	}
 }
 
-// runNet3D runs a 3-D P=4 simulation of 16³ cells and 4 096 uniform
-// particles rank by rank (pic.RunRank) over loopback TCP, watchdog armed.
+// net3D is a 3-D P=4 simulation of 16³ cells and 4 096 uniform particles.
+var net3D = picpar.Config{
+	Dims:         3,
+	Grid3:        picpar.NewGrid3(16, 16, 16),
+	NumParticles: 4096,
+	Distribution: picpar.DistUniform,
+	Seed:         3,
+	Policy:       picpar.StaticPolicy(),
+	Workers:      1,
+}
+
+// runNet runs cfg rank by rank (pic.RunRank) over loopback TCP, watchdog
+// armed, and fails the test on error.
+func runNet(t *testing.T, cfg picpar.Config) {
+	_, errs := comm.LaunchLoopback(commtest.NetTemplate(machine.CM5()), 4, nil, func(r comm.Transport) {
+		if _, err := pic.RunRank(r, cfg); err != nil {
+			panic(err)
+		}
+	})
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+}
+
+// runNet3D runs net3D over loopback TCP.
 func runNet3D(t *testing.T) func(iters int) {
 	return func(iters int) {
-		cfg := picpar.Config{
-			Dims:         3,
-			Grid3:        picpar.NewGrid3(16, 16, 16),
-			NumParticles: 4096,
-			Distribution: picpar.DistUniform,
-			Seed:         3,
-			Iterations:   iters,
-			Policy:       picpar.StaticPolicy(),
-			Workers:      1,
-		}
-		_, errs := comm.LaunchLoopback(commtest.NetTemplate(machine.CM5()), 4, nil, func(r comm.Transport) {
-			if _, err := pic.RunRank(r, cfg); err != nil {
-				panic(err)
-			}
-		})
-		for rank, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d: %v", rank, err)
-			}
-		}
+		cfg := net3D
+		cfg.Iterations = iters
+		runNet(t, cfg)
 	}
 }
 
@@ -407,11 +417,12 @@ func TestNetIterationRecyclesBuffers(t *testing.T) {
 // redistribution every iteration — and on the 3-D loopback-TCP run above.
 // Slice bodies cross the transport boxed in the wire pool's spare headers,
 // the collectives return rank-owned scratch and the watchdog rearms one
-// timer per rank, so what is left is per-iteration bookkeeping: the Expose
-// record, GC-emptied pool classes (11–21, 22–36 and 32–51 measured over
-// seventeen single pairs). Boxing every slice body, fresh collective
-// results and a timer per blocking receive measured 283–297, 533–551 and
-// 343–359 objects; the bounds, 33, 60 and 120, are at most a third of those.
+// timer per rank, so what is left is GC-emptied pool classes: 3.6, 4.4
+// and 11.7 on one pair once the Expose record stopped allocating (11–21,
+// 22–36 and 32–51 over seventeen single pairs before). Boxing every slice
+// body, fresh collective results and a timer per blocking receive measured
+// 283–297, 533–551 and 343–359 objects; the bounds, 33, 60 and 120, are at
+// most a third of those.
 func TestWarmIterationAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector distorts allocation counts")
@@ -442,5 +453,82 @@ func TestWarmIterationAllocs(t *testing.T) {
 		if objects > c.bound {
 			t.Errorf("%s: %.1f objects per warm iteration, want <= %.1f", c.name, objects, c.bound)
 		}
+	}
+}
+
+// iterationObjects runs cfg for 4·iters iterations with the garbage
+// collector off and returns the heap objects one iteration allocates: the
+// lower quartile, over the three-iteration windows of the last 3·iters, of
+// the objects allocated from one window's end on rank 0 to the next's,
+// over three. An allocation the time step makes every iteration, or at
+// every redistribution of a policy firing every three, recurs in every
+// window, so it moves even the cleanest; what a run allocates once (world,
+// stores, sockets, pool warm-up) falls before the first window, and a
+// buffer reaching a new high-water mark, or the runtime's own bookkeeping,
+// lands in a few. With no collection the wire pools keep what they are
+// given.
+func iterationObjects(cfg picpar.Config, iters int, run func(picpar.Config)) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const window = 3
+	counts := make([]float64, 0, 3*iters/window)
+	var ms runtime.MemStats
+	last := uint64(0)
+	cfg.Iterations = 4 * iters
+	cfg.OnIteration = func(rec picpar.IterationRecord) {
+		if (rec.Iter+1-iters)%window != 0 {
+			return
+		}
+		runtime.ReadMemStats(&ms)
+		if rec.Iter >= iters {
+			counts = append(counts, float64(ms.Mallocs-last))
+		}
+		last = ms.Mallocs
+	}
+	run(cfg)
+	slices.Sort(counts)
+	return counts[len(counts)/4] / window
+}
+
+// TestIterationAllocatesNothing pins the time step at zero heap objects on
+// the goroutine world — scatter, field solve, gather and push, the
+// per-iteration measurement Expose, and redistributions of both splits
+// with their scalar collectives — under every policy family in 2-D and
+// 3-D, and at most one on loopback TCP, where sockets and heartbeats run
+// beside the step. The goroutine worlds' plasma is cold, so few buffers
+// reach a new high-water mark as particles diffuse across block edges;
+// net3D's warm one is counted from iteration 40, when its ghost set has
+// stopped growing.
+func TestIterationAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector distorts allocation counts")
+	}
+	base2 := picpar.Config{Grid: picpar.NewGrid(64, 32), P: 4, NumParticles: 8192,
+		Distribution: picpar.DistUniform, Seed: 3, Workers: 1, Thermal: 0.001}
+	base3 := picpar.Config{Dims: 3, Grid3: picpar.NewGrid3(16, 16, 16), P: 4, NumParticles: 4096,
+		Distribution: picpar.DistUniform, Seed: 3, Workers: 1, Thermal: 0.001}
+	sim := func(cfg picpar.Config) { runSim(t, cfg)(cfg.Iterations) }
+	for _, base := range []picpar.Config{base2, base3} {
+		for _, pc := range []struct {
+			name string
+			pol  picpar.PolicyFactory
+		}{
+			{"static", picpar.StaticPolicy()},
+			{"periodic:1", picpar.PeriodicPolicy(1)},
+			{"periodic:1 cost-weighted", picpar.WithStrategy(picpar.PeriodicPolicy(1), picpar.StrategyCostWeighted)},
+			{"adaptive:3", picpar.AdaptivePolicyEvery(3)},
+		} {
+			cfg := base
+			cfg.Policy = pc.pol
+			got := iterationObjects(cfg, 24, sim)
+			t.Logf("%d-D %s: %.2f objects per iteration", max(cfg.Dims, 2), pc.name, got)
+			if got != 0 {
+				t.Errorf("%d-D %s: %.2f objects per iteration, want 0", max(cfg.Dims, 2), pc.name, got)
+			}
+		}
+	}
+	got := iterationObjects(net3D, 40, func(cfg picpar.Config) { runNet(t, cfg) })
+	t.Logf("3-D TCP static: %.2f objects per iteration", got)
+	if got > 1 {
+		t.Errorf("3-D TCP static: %.2f objects per iteration, want <= 1", got)
 	}
 }

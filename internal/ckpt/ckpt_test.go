@@ -300,7 +300,7 @@ func TestPruneRetention(t *testing.T) {
 	if err := WriteShard(dir, sh); err != nil {
 		t.Fatal(err)
 	}
-	if err := Prune(dir, 10, size, 2); err != nil {
+	if err := Prune(dir, 10, 10, size, 2); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := Epochs(dir), []int{6, 8, 10}; !reflect.DeepEqual(got, want) {
@@ -322,7 +322,7 @@ func TestPruneKeepsTheWrittenEpoch(t *testing.T) {
 	dir := t.TempDir()
 	for e := 5; e <= 30; e += 5 { // the first run: 30 iterations
 		writeEpoch(t, dir, e, size)
-		if err := Prune(dir, e, size, keep); err != nil {
+		if err := Prune(dir, e, e, size, keep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func TestPruneKeepsTheWrittenEpoch(t *testing.T) {
 				t.Fatalf("epoch %d rank %d: %v", e, r, err)
 			}
 			if r == 0 { // rank 0 prunes before the others have written
-				if err := Prune(dir, e, size, keep); err != nil {
+				if err := Prune(dir, e, e, size, keep); err != nil {
 					t.Fatalf("prune after epoch %d: %v", e, err)
 				}
 			}

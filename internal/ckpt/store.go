@@ -207,14 +207,16 @@ func LatestComplete(dir string, size int) int {
 	return -1
 }
 
-// Prune enforces bounded retention relative to the epoch just written:
-// every epoch newer than it is stale — another run's, or an attempt that
-// was rolled back — and is removed; of the rest, the newest keep complete
-// epochs are retained (along with the written epoch and any partial epoch
-// between them, which may still be assembling), and everything older is
-// removed. Best-effort — the first removal error is returned but the walk
-// continues.
-func Prune(dir string, epoch, size, keep int) error {
+// Prune enforces bounded retention relative to the epoch just written and
+// the newest epoch every rank is known to have finished, settled (at most
+// epoch): every epoch newer than epoch is stale — another run's, or an
+// attempt that was rolled back — and is removed; those after settled are
+// kept, as they may still be assembling; of the rest, the newest keep
+// complete epochs are retained (along with any partial epoch between them),
+// and everything older is removed. Counting only settled epochs makes what
+// survives independent of how far the other ranks have got. Best-effort —
+// the first removal error is returned but the walk continues.
+func Prune(dir string, epoch, settled, size, keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -228,7 +230,7 @@ func Prune(dir string, epoch, size, keep int) error {
 			}
 			continue
 		}
-		if EpochComplete(dir, epochs[i], size) {
+		if epochs[i] <= settled && EpochComplete(dir, epochs[i], size) {
 			complete++
 		}
 	}

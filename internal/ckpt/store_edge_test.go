@@ -265,10 +265,10 @@ func TestEpochCompleteRejectsSwappedRankFiles(t *testing.T) {
 // TestPruneEdges: pruning nothing succeeds, keep clamps to 1, and an old
 // zero-shard partial epoch is removed while a newer one survives.
 func TestPruneEdges(t *testing.T) {
-	if err := Prune(t.TempDir(), 8, 4, 2); err != nil {
+	if err := Prune(t.TempDir(), 8, 8, 4, 2); err != nil {
 		t.Errorf("prune of empty dir: %v", err)
 	}
-	if err := Prune("/nonexistent/picpar-ckpt", 8, 4, 2); err != nil {
+	if err := Prune("/nonexistent/picpar-ckpt", 8, 8, 4, 2); err != nil {
 		t.Errorf("prune of missing dir: %v", err)
 	}
 
@@ -283,7 +283,7 @@ func TestPruneEdges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := Prune(dir, 9, 2, 0); err != nil { // keep 0 clamps to 1
+	if err := Prune(dir, 9, 9, 2, 0); err != nil { // keep 0 clamps to 1
 		t.Fatal(err)
 	}
 	if got, want := Epochs(dir), []int{8, 9}; !reflect.DeepEqual(got, want) {

@@ -41,6 +41,16 @@ func barrier(t Transport, tag Tag) {
 // A sent slice belongs to its receiver, yet every rank keeps and returns the
 // value it forwards, so a []float64 goes to each child as a pooled copy.
 func Bcast(t Transport, root int, body any, nbytes int) any {
+	val := bcast(t, root, body, nbytes)
+	if h, ok := val.(*[]float64); ok {
+		return wire.Unbox(h)
+	}
+	return val
+}
+
+// bcast is Bcast returning a received []float64 still boxed, the box this
+// rank's own (the root's is body).
+func bcast(t Transport, root int, body any, nbytes int) any {
 	p := t.Size()
 	if p == 1 {
 		return body
@@ -52,21 +62,32 @@ func Bcast(t Transport, root int, body any, nbytes int) any {
 		// Parent in the binomial tree: clear the highest set bit.
 		parent := ((vr - hb) + root) % p
 		val, _ = t.Recv(parent, tagBcast)
-		if h, ok := val.(*[]float64); ok {
-			val = wire.Unbox(h)
-		}
 	}
 	// Children of vr are vr+2^k for every 2^k above vr's highest set bit.
 	for mask := nextPow2(p) >> 1; mask > hb; mask >>= 1 {
 		if child := vr + mask; child < p {
 			send := val
-			if v, ok := val.([]float64); ok {
+			switch v := val.(type) {
+			case []float64:
 				send = wire.Box(append(wire.Get(len(v)), v...))
+			case *[]float64:
+				send = wire.Box(append(wire.Get(len(*v)), *v...))
 			}
 			t.Send((child+root)%p, tagBcast, send, nbytes)
 		}
 	}
 	return val
+}
+
+// boxOne returns x as a pooled length-1 box, the body of a scalar
+// collective's message: boxing the float64 itself would allocate.
+func boxOne(x float64) *[]float64 { return wire.Box(append(wire.Get(1), x)) }
+
+// unboxOne returns the value of a length-1 box and recycles it.
+func unboxOne(body any) float64 {
+	v := wire.Unbox(body.(*[]float64))
+	defer wire.Put(v)
+	return v[0]
 }
 
 // ReduceFloat64 reduces one float64 per rank to root with op (must be
@@ -78,12 +99,12 @@ func ReduceFloat64(t Transport, root int, x float64, op func(a, b float64) float
 	for mask := 1; mask < nextPow2(p); mask <<= 1 {
 		if vr&mask != 0 {
 			parent := (vr - mask + root) % p
-			t.Send(parent, tagReduce, acc, Float64Bytes)
+			t.Send(parent, tagReduce, boxOne(acc), Float64Bytes)
 			return 0
 		}
 		if child := vr + mask; child < p {
 			body, _ := t.Recv((child+root)%p, tagReduce)
-			acc = op(acc, body.(float64))
+			acc = op(acc, unboxOne(body))
 			t.Compute(1)
 		}
 	}
@@ -94,7 +115,11 @@ func ReduceFloat64(t Transport, root int, x float64, op func(a, b float64) float
 // result on every rank (reduce-to-root then broadcast; correct for any p).
 func AllreduceFloat64(t Transport, x float64, op func(a, b float64) float64) float64 {
 	v := ReduceFloat64(t, 0, x, op)
-	return Bcast(t, 0, v, Float64Bytes).(float64)
+	var body any
+	if t.Rank() == 0 {
+		body = boxOne(v)
+	}
+	return unboxOne(bcast(t, 0, body, Float64Bytes))
 }
 
 // AllreduceSumFloat64s element-wise sums a vector across ranks, returning
@@ -242,10 +267,9 @@ func AllToManyFloat64s(t Transport, send [][]float64, recvCounts []int) [][]floa
 // ExposeMaxFloat64 returns the maximum over ranks of a float64 measurement,
 // free of modelled network cost except two barriers.
 func ExposeMaxFloat64(t Transport, v float64) float64 {
-	all := t.Expose(v)
 	m := v
-	for _, x := range all {
-		if f := x.(float64); f > m {
+	for _, x := range exposeOne(t, v) {
+		if f := (*x.(*[]float64))[0]; f > m {
 			m = f
 		}
 	}
@@ -254,25 +278,35 @@ func ExposeMaxFloat64(t Transport, v float64) float64 {
 
 // ExposeSumFloat64 returns the sum over ranks of a float64 measurement.
 func ExposeSumFloat64(t Transport, v float64) float64 {
-	all := t.Expose(v)
 	s := 0.0
-	for _, x := range all {
-		s += x.(float64)
+	for _, x := range exposeOne(t, v) {
+		s += (*x.(*[]float64))[0]
 	}
 	return s
 }
 
+// exposeOne publishes v as a length-1 box from the rank's scratch, the two
+// buffers in turn, and returns the Expose table.
+func exposeOne(t Transport, v float64) []any {
+	c := endpointOf(t)
+	one := &c.coll.one[c.coll.ones%2]
+	c.coll.ones++
+	*one = append((*one)[:0], v)
+	return t.Expose(one)
+}
+
 // ScanSumInt returns the exclusive prefix sum of x over ranks: rank i gets
 // x₀+…+x_{i−1} (rank 0 gets 0). Linear chain; used by the order-maintaining
-// load balance.
+// load balance. The running sum travels as a length-1 box, exact below
+// 2^53.
 func ScanSumInt(t Transport, x int) int {
 	acc := 0
 	if t.Rank() > 0 {
 		body, _ := t.Recv(t.Rank()-1, tagScan)
-		acc = body.(int)
+		acc = int(unboxOne(body))
 	}
 	if t.Rank()+1 < t.Size() {
-		t.Send(t.Rank()+1, tagScan, acc+x, IntBytes)
+		t.Send(t.Rank()+1, tagScan, boxOne(float64(acc+x)), IntBytes)
 	}
 	return acc
 }

@@ -88,10 +88,18 @@ type Transport interface {
 	// charged. Use it for instrumentation (collecting timings and counters
 	// that a real run would log locally and merge offline), never for
 	// algorithm data.
+	//
+	// The table and the values in it are valid until this rank's next
+	// Expose; another rank's value may be its own buffer or a decoded one
+	// recycled then. A publisher changes a published value only after its
+	// own next Expose returned, so one rewritten every call needs two.
 	Expose(v any) []any
 	// Compute charges n units of local computation (n·δ) to the clock and
 	// the current phase.
 	Compute(n int)
+	// ComputeRepeat charges exactly what times calls of Compute(n) charge,
+	// addition for addition, to the clock and the current phase.
+	ComputeRepeat(n, times int)
 	// ComputeTime charges t simulated seconds of local computation directly.
 	ComputeTime(t float64)
 	// SetPhase selects the accounting phase for subsequent operations.
@@ -376,15 +384,17 @@ func (w *World) deadlockReport(self int) string {
 	return b.String()
 }
 
-// publish writes this rank's slot of the world's scratch table and reads
-// the whole table once every rank has written.
+// publish writes this rank's slot of the world's scratch table and returns
+// the table once every rank has written. No rank writes it again before
+// every rank is inside its next Expose, so it is valid as long as
+// Transport.Expose promises.
 func (r *rank) publish(v any) []any {
 	w := r.world
 	w.scratch[r.id] = v
 	if !w.gate.wait() {
 		panic(&TransportError{Op: "expose", Rank: r.id, Peer: r.id, Tag: tagExpose, Err: ErrClosedWorld})
 	}
-	return append([]any(nil), w.scratch...)
+	return w.scratch
 }
 
 // RecvFloat64s receives a []float64 message.

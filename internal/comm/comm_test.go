@@ -93,6 +93,41 @@ func TestSendChargesCostModel(t *testing.T) {
 	}
 }
 
+// TestComputeRepeatIsRepeatedCompute: ComputeRepeat(n, times) leaves the
+// clock and every phase's ledger bit for bit where times calls of
+// Compute(n) leave them, on the simulated clock and the wall clock, for no
+// repeats and for non-positive n too. The clocks start off zero and the
+// phases change between calls, so a multiplication instead of repeated
+// addition, or a charge to the wrong phase, shows.
+func TestComputeRepeatIsRepeatedCompute(t *testing.T) {
+	params := machine.CM5()
+	for _, clock := range []func() machine.Clock{
+		func() machine.Clock { return machine.NewSimClock() },
+		func() machine.Clock { return machine.NewWallClock() },
+	} {
+		repeat := &core{params: params, clock: clock()}
+		single := &core{params: params, clock: clock()}
+		for _, c := range []*core{repeat, single} {
+			c.ComputeTime(0.1)
+		}
+		for k, call := range [][2]int{{1, 1}, {3, 7}, {5, 0}, {0, 4}, {-2, 3}, {6, 1000}, {2, 3}, {8, 1}} {
+			phase := machine.Phase(k % machine.NumPhases)
+			repeat.SetPhase(phase)
+			single.SetPhase(phase)
+			repeat.ComputeRepeat(call[0], call[1])
+			for i := 0; i < call[1]; i++ {
+				single.Compute(call[0])
+			}
+			if _, sim := repeat.clock.(*machine.SimClock); sim && repeat.clock.Now() != single.clock.Now() {
+				t.Errorf("ComputeRepeat%v: clock %v, %d Compute calls %v", call, repeat.clock.Now(), call[1], single.clock.Now())
+			}
+			if repeat.stats != single.stats {
+				t.Errorf("ComputeRepeat%v: ledger %+v, %d Compute calls %+v", call, repeat.stats, call[1], single.stats)
+			}
+		}
+	}
+}
+
 func TestRecvIsCausal(t *testing.T) {
 	// Receiver's clock must end at least at sender's post-send clock plus
 	// the receive cost, even if the receiver did no work of its own.

@@ -61,6 +61,10 @@ type collScratch struct {
 	recv, sys     [][]float64 // AllToManyFloat64s, the systolic exchange
 	split         [][]float64 // AllToManySparseFloat64s' near and far sends
 	splitCounts   []int       // and their counts
+	// one holds the value ExposeMaxFloat64 and ExposeSumFloat64 publish,
+	// two buffers used in turn (see Transport.Expose); ones counts them.
+	one  [2][]float64
+	ones int
 }
 
 // newCore builds the core of rank id of p over link l; isClosed is the
@@ -102,13 +106,18 @@ func (c *core) Stats() *machine.Stats { return &c.stats }
 func (c *core) SetPhase(p machine.Phase) { c.stats.SetPhase(p) }
 
 // Compute implements Transport.
-func (c *core) Compute(n int) {
+func (c *core) Compute(n int) { c.ComputeRepeat(n, 1) }
+
+// ComputeRepeat implements Transport.
+func (c *core) ComputeRepeat(n, times int) {
 	if n <= 0 {
 		return
 	}
 	cost := c.params.ComputeCost(n)
-	c.clock.Advance(cost)
-	c.stats.RecordCompute(cost)
+	for ; times > 0; times-- {
+		c.clock.Advance(cost)
+		c.stats.RecordCompute(cost)
+	}
 }
 
 // ComputeTime implements Transport.

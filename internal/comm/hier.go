@@ -231,7 +231,7 @@ func (n *hierTransport) publish(v any) []any {
 	if !host.gate.wait() { // leader done filling the table
 		n.deliveryPanic(n.id, tagExpose, host.failure())
 	}
-	return append([]any(nil), host.scratch...)
+	return host.scratch // valid until this rank's next Expose, as rank.publish's
 }
 
 // LaunchHierarchical runs fn as an SPMD program of p world ranks packed

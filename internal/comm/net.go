@@ -322,6 +322,11 @@ type netTransport struct {
 	// start (dialWorld), never after.
 	relay func(netFrame)
 
+	// exposed is Expose's table, its decoded publications returned to wire
+	// at the next publish; seen marks the origins exposeRing received.
+	exposed []any
+	seen    []bool
+
 	closed  atomic.Bool
 	closing chan struct{} // closed at shutdown; unblocks reader channel pushes
 	stopHB  chan struct{}
@@ -337,7 +342,7 @@ type netTransport struct {
 // with the Send and the receiver decodes into a boxed buffer of its
 // own. So post recycles it here, as the goroutine world's receiver does
 // after unpacking. Expose values (publish aliases the caller's value) are
-// not returned.
+// not returned: publish recycles the ones it decoded.
 func (n *netTransport) post(dst int, m message) {
 	f := netFrame{kind: frameData, tag: m.tag, nbytes: m.bytes, sentAt: m.sentAt, body: m.body}
 	if err := n.writePeer(dst, &f); err != nil {
@@ -416,8 +421,18 @@ func (n *netTransport) pull(src int, tag Tag) message {
 // predecessor for p−1 rounds. A dead non-adjacent rank surfaces as a
 // cascade: its neighbors' Expose fails, they crash, and the EOF propagates
 // around the ring within the heartbeat bound.
+//
+// A publication arrives decoded into a pooled buffer; the table holds it
+// until this rank's next publish, which returns it to the pool.
 func (n *netTransport) publish(v any) []any {
-	out := make([]any, n.p)
+	out := n.exposed
+	for i, x := range out {
+		if h, ok := x.(*[]float64); ok && i != n.id {
+			wire.Put(wire.Unbox(h))
+		}
+	}
+	out = cleared(out, n.p)
+	n.exposed = out
 	out[n.id] = v
 	if !n.topo.IsFullMesh() {
 		n.exposeRing(v, out)
@@ -457,7 +472,8 @@ func (n *netTransport) exposeRing(v any, out []any) {
 		n.deliveryPanic(next, tagExpose, "expose publication failed: "+err.Error())
 	}
 	pp := n.peers[prev]
-	seen := make([]bool, n.p)
+	n.seen = cleared(n.seen, n.p)
+	seen := n.seen
 	for i := 0; i < n.p-1; i++ {
 		m, ok := <-pp.oob
 		if !ok {

@@ -195,9 +195,6 @@ func decodeFrame(b []byte) (netFrame, error) {
 	if what, msg := r.Failure(); msg != "" {
 		return netFrame{}, decErr("%s: %s", what, msg)
 	}
-	if h, ok := f.body.(*[]float64); ok && (f.kind == frameOOB || f.kind == frameOOBFrom) {
-		f.body = wire.Unbox(h) // Expose publishes and returns plain values
-	}
 	return f, nil
 }
 
@@ -207,8 +204,6 @@ func decodeFrame(b []byte) (netFrame, error) {
 // request never asks for).
 func bodyBytes(body any) int {
 	switch v := body.(type) {
-	case []float64: // an Expose publication
-		return 8 * len(v)
 	case *[]float64:
 		return 8 * len(*v)
 	case *[]int:
@@ -239,9 +234,6 @@ func appendBody(w *wire.Writer, body any) error {
 	case string:
 		w.Byte(kString)
 		w.String(v)
-	case []float64: // an Expose publication
-		w.Byte(kFloat64s)
-		w.Floats(v)
 	case *[]float64:
 		w.Byte(kFloat64s)
 		w.Floats(*v)

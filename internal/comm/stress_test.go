@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"picpar/internal/machine"
+	"picpar/internal/wire"
 )
 
 // TestCollectivesAgreeUnderRandomLoads drives reduce/allgather/all-to-many
@@ -198,4 +200,68 @@ func BenchmarkAllToMany(b *testing.B) {
 			AllToManyFloat64s(r, send, recvCounts)
 		}
 	})
+}
+
+// lateReader is a decorator under which rank 0 returns from every Expose a
+// few milliseconds after the others, so they race ahead into their next
+// publication while it still holds the table.
+type lateReader struct{ Transport }
+
+func (l lateReader) Unwrap() Transport { return l.Transport }
+
+func (l lateReader) Expose(v any) []any {
+	all := l.Transport.Expose(v)
+	if l.Rank() == 0 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	return all
+}
+
+// TestExposeTableLifetime checks Expose's lifetime rule on every backend:
+// a table, and the values in it, stay intact until the rank's own next
+// Expose, even when the other ranks have already published again and
+// traffic has cycled the wire pool in between. Each round publishes a
+// vector from two buffers used in turn, as the time step's measurement
+// does, then two scalars back to back through ExposeSumFloat64 and
+// ExposeMaxFloat64; rank 0 reads the vector table only after a ring of
+// pooled messages.
+func TestExposeTableLifetime(t *testing.T) {
+	const p, rounds = 4, 12
+	program := func(backend string) func(Transport) {
+		return func(tr Transport) {
+			r := tr.Rank()
+			var bufs [2][]float64
+			for round := 0; round < rounds; round++ {
+				vec := &bufs[round%2]
+				*vec = append((*vec)[:0], float64(100*round+r), float64(-r))
+				all := tr.Expose(vec)
+				next, prev := (r+1)%p, (r-1+p)%p
+				SendFloat64s(tr, next, TagUser, append(wire.Get(3), -1, -2, -3))
+				wire.Put(RecvFloat64s(tr, prev, TagUser))
+				for i, x := range all {
+					if got := *x.(*[]float64); got[0] != float64(100*round+i) || got[1] != float64(-i) {
+						t.Errorf("%s round %d rank %d: slot %d holds %v", backend, round, r, i, got)
+					}
+				}
+				want := float64(p*round + p*(p-1)/2)
+				if got := ExposeSumFloat64(tr, float64(round+r)); got != want {
+					t.Errorf("%s round %d rank %d: ExposeSumFloat64 = %v, want %v", backend, round, r, got, want)
+				}
+				if got := ExposeMaxFloat64(tr, float64(-round-r)); got != float64(-round) {
+					t.Errorf("%s round %d rank %d: ExposeMaxFloat64 = %v, want %v", backend, round, r, got, -round)
+				}
+			}
+		}
+	}
+	wrap := func(tr Transport) Transport { return lateReader{tr} }
+	newTestWorld(p, machine.Zero()).RunWrapped(wrap, program("world"))
+	_, errs := LaunchLoopback(netTestTemplate(), p, wrap, program("tcp"))
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("tcp rank %d: %v", rank, err)
+		}
+	}
+	if _, err := LaunchHierarchical(p, 2, machine.Zero(), EnvWatchdog(10*time.Second), wrap, program("hier")); err != nil {
+		t.Fatalf("hier: %v", err)
+	}
 }

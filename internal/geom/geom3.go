@@ -172,12 +172,16 @@ func (ge *G3) block(l *field.Local) block3 {
 	return b
 }
 
-// weights is G2.weights in three dimensions.
-func (ge *G3) weights(b *block3, s *particle.Store, i, li, lj, lk int, fx, fy, fz float64) pusher.Interp3 {
-	if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) || !b.z.exact(s.Z[i], lk) {
-		return pusher.Weights3(ge.G, s.X[i], s.Y[i], s.Z[i])
-	}
-	return pusher.Interp3{CX: li + b.x.i0, CY: lj + b.y.i0, CZ: lk + b.z.i0, W: pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))}
+// exact is block2.exact in three dimensions.
+func (b *block3) exact(x, y, z float64, li, lj, lk int) bool {
+	return b.x.exact(x, li) && b.y.exact(y, lj) && b.z.exact(z, lk)
+}
+
+// recell is pusher.Weights3's cell and unclamped fractions for (x, y, z).
+func (ge *G3) recell(x, y, z float64) (cx, cy, cz int, fx, fy, fz float64) {
+	g := &ge.G
+	cx, cy, cz = g.CellOf(x, y, z)
+	return cx, cy, cz, x/g.Dx() - float64(cx), y/g.Dy() - float64(cy), z/g.Dz() - float64(cz)
 }
 
 // Deposit implements Geometry.
@@ -198,12 +202,16 @@ func (ge *G3) Deposit(s *particle.Store, lo, hi int, f *field.Local, table commo
 			depositOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:], q, vx, vy, vz)
 			continue
 		}
-		w := ge.weights(&b, s, i, li, lj, lk, fx, fy, fz)
-		if cell := (w.CZ*ge.G.Ny+w.CY)*ge.G.Nx + w.CX; cell != fp.cell {
-			ge.footprint(w, &fp, &b)
+		cx, cy, cz := li+b.x.i0, lj+b.y.i0, lk+b.z.i0
+		if !b.exact(s.X[i], s.Y[i], s.Z[i], li, lj, lk) {
+			cx, cy, cz, fx, fy, fz = ge.recell(s.X[i], s.Y[i], s.Z[i])
+		}
+		w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
+		if cell := (cz*ge.G.Ny+cy)*ge.G.Nx + cx; cell != fp.cell {
+			ge.footprint(pusher.Interp3{CX: cx, CY: cy, CZ: cz, W: w}, &fp, &b)
 			fp.resolve(cell, table, ghostVals)
 		}
-		ops += depositCell(&fp, w.W[:], a, *ghostVals, q, vx, vy, vz)
+		ops += depositCell(&fp, w[:], a, *ghostVals, q, vx, vy, vz)
 	}
 	return ops
 }
@@ -223,12 +231,16 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
 			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
 		} else {
-			w := ge.weights(&b, s, i, li, lj, lk, fx, fy, fz)
-			if cell := (w.CZ*ge.G.Ny+w.CY)*ge.G.Nx + w.CX; cell != fp.cell {
-				ge.footprint(w, &fp, &b)
+			cx, cy, cz := li+b.x.i0, lj+b.y.i0, lk+b.z.i0
+			if !b.exact(s.X[i], s.Y[i], s.Z[i], li, lj, lk) {
+				cx, cy, cz, fx, fy, fz = ge.recell(s.X[i], s.Y[i], s.Z[i])
+			}
+			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
+			if cell := (cz*ge.G.Ny+cy)*ge.G.Nx + cx; cell != fp.cell {
+				ge.footprint(pusher.Interp3{CX: cx, CY: cy, CZ: cz, W: w}, &fp, &b)
 				fp.resolve(cell, table, nil)
 			}
-			ex, ey, ez, bx, by, bz = gatherCell(&fp, w.W[:], a, ghostEB)
+			ex, ey, ez, bx, by, bz = gatherCell(&fp, w[:], a, ghostEB)
 		}
 		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
 	}
@@ -247,7 +259,7 @@ func (ge *G3) ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *m
 			led.ObserveN(ge.Ix.Index(cx, cy, cz), base)
 			continue
 		}
-		if !b.x.exact(s.X[i], li) || !b.y.exact(s.Y[i], lj) || !b.z.exact(s.Z[i], lk) {
+		if !b.exact(s.X[i], s.Y[i], s.Z[i], li, lj, lk) {
 			cx, cy, cz = ge.G.CellOf(s.X[i], s.Y[i], s.Z[i])
 		}
 		if cx != mx || cy != my || cz != mz {

@@ -11,7 +11,7 @@ import "math"
 // can never disagree at a boundary, and the uniform-weight case collapses
 // to BlockOwner item for item.
 
-// WeightedCuts returns the p−1 cumulative-weight cut positions for
+// WeightedCuts appends to dst the p−1 cumulative-weight cut positions for
 // splitting n items of total integer weight totalW into p pieces. Item i
 // (0-based) belongs to piece k iff its prefix weight (sum of weights of
 // items 0..i−1) lies in [cut_{k−1}, cut_k), with cut_{−1}=0 and cut_{p−1}
@@ -19,17 +19,16 @@ import "math"
 // exact rational totalW·(k·n/p)/n — the cumulative weight at BlockRange's
 // item boundary under uniform weights — evaluated without overflow as
 // q·lo + rem·lo/n where q, rem = totalW divmod n and lo = k·n/p.
-func WeightedCuts(totalW int64, n, p int) []int64 {
-	cuts := make([]int64, p-1)
+func WeightedCuts(dst []int64, totalW int64, n, p int) []int64 {
 	if n == 0 {
-		return cuts
+		return append(dst, make([]int64, p-1)...)
 	}
 	q, rem := totalW/int64(n), totalW%int64(n)
 	for k := 1; k < p; k++ {
 		lo := int64(k * n / p)
-		cuts[k-1] = q*lo + rem*lo/int64(n)
+		dst = append(dst, q*lo+rem*lo/int64(n))
 	}
-	return cuts
+	return dst
 }
 
 // AdvanceCut returns the owner of the item whose prefix weight is prefix,

@@ -12,7 +12,7 @@ func TestWeightedCutsUniformMatchesBlockOwner(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 16, 100, 1023} {
 		for _, p := range []int{1, 2, 3, 4, 7, 8, 16, 32} {
 			for _, w := range []int64{1, 524288, 777} {
-				cuts := WeightedCuts(w*int64(n), n, p)
+				cuts := WeightedCuts(nil, w*int64(n), n, p)
 				k, prefix := 0, int64(0)
 				for i := 0; i < n; i++ {
 					k = AdvanceCut(cuts, k, prefix)
@@ -33,7 +33,7 @@ func TestWeightedCutsBoundariesMatchBlockRange(t *testing.T) {
 	for _, n := range []int{5, 64, 129} {
 		for _, p := range []int{2, 3, 8, 13} {
 			const w = 3
-			cuts := WeightedCuts(w*int64(n), n, p)
+			cuts := WeightedCuts(nil, w*int64(n), n, p)
 			for k := 1; k < p; k++ {
 				lo, _ := BlockRange(n, p, k)
 				if cuts[k-1] != w*int64(lo) {
@@ -53,7 +53,7 @@ func TestWeightedCutsMonotone(t *testing.T) {
 	}{
 		{17, 5, 3}, {1, 100, 8}, {1 << 40, 1000, 32}, {999999937, 1023, 7},
 	} {
-		cuts := WeightedCuts(tc.totalW, tc.n, tc.p)
+		cuts := WeightedCuts(nil, tc.totalW, tc.n, tc.p)
 		prev := int64(0)
 		for i, c := range cuts {
 			if c < prev || c > tc.totalW {

@@ -68,7 +68,7 @@ func weightedOwners(keys []uint64, p int, wf WeightFunc) []int {
 		return owners
 	}
 
-	cuts := mesh.WeightedCuts(total, n, p)
+	cuts := mesh.WeightedCuts(nil, total, n, p)
 	k, prefix := 0, int64(0)
 	for pos, i := range order {
 		k = mesh.AdvanceCut(cuts, k, prefix)

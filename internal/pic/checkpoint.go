@@ -53,7 +53,9 @@ func (st *rankState) checkpointNow(iter int, res *Result) {
 // writeEpoch writes this rank's shard for one epoch. Failures degrade to a
 // warning: a sick disk must not kill a healthy simulation, it only ages
 // the epoch recovery would restart from. Rank 0 prunes the directory
-// relative to this epoch after a successful write.
+// after a successful write, counting epochs up to the one before: every
+// rank has passed a barrier since writing that one, while the others may
+// still be writing this one.
 func (st *rankState) writeEpoch(epoch int, res *Result) {
 	cfg := st.cfg
 	sh := st.buildShard(epoch, res)
@@ -61,10 +63,18 @@ func (st *rankState) writeEpoch(epoch int, res *Result) {
 		warnf("picpar: rank %d checkpoint epoch %d: %v", st.r.Rank(), epoch, err)
 		return
 	}
-	if st.r.Rank() == 0 {
-		if err := ckpt.Prune(cfg.CheckpointDir, epoch, st.r.Size(), cfg.CheckpointKeep); err != nil {
-			warnf("picpar: checkpoint prune: %v", err)
-		}
+	st.prune(epoch, st.epoch)
+	st.epoch = epoch
+}
+
+// prune is rank 0's ckpt.Prune of the checkpoint directory relative to the
+// epoch just written and the newest one every rank has finished.
+func (st *rankState) prune(epoch, settled int) {
+	if st.r.Rank() != 0 {
+		return
+	}
+	if err := ckpt.Prune(st.cfg.CheckpointDir, epoch, settled, st.r.Size(), st.cfg.CheckpointKeep); err != nil {
+		warnf("picpar: checkpoint prune: %v", err)
 	}
 }
 

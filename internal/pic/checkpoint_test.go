@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"picpar/internal/ckpt"
 	"picpar/internal/comm"
@@ -364,5 +365,51 @@ func TestRecoverRefusesMovedBlock(t *testing.T) {
 	if got.TotalTime != ref.TotalTime || got.Fingerprint != ref.Fingerprint {
 		t.Errorf("recovery past the swapped epoch differs: total %.7f/%016x, want %.7f/%016x",
 			got.TotalTime, got.Fingerprint, ref.TotalTime, ref.Fingerprint)
+	}
+}
+
+// lateShards is a decorator under which every rank but 0 sleeps after the
+// measurement Expose of each iteration ending a checkpoint epoch of
+// cadence every, so rank 0 writes its shard and prunes while the others
+// have not begun theirs. It counts Exposes: the boot's one, then one per
+// iteration of a static run without diagnostics.
+type lateShards struct {
+	comm.Transport
+	every, exposes int
+}
+
+func (l *lateShards) Unwrap() comm.Transport { return l.Transport }
+
+func (l *lateShards) Expose(v any) []any {
+	all := l.Transport.Expose(v)
+	l.exposes++
+	if iter := l.exposes - 2; l.Rank() != 0 && iter >= 0 && (iter+1)%l.every == 0 {
+		time.Sleep(30 * time.Millisecond)
+	}
+	return all
+}
+
+// TestPruneLeavesNewestEpochs: whatever the ranks' timing, a finished run
+// leaves exactly its CheckpointKeep newest complete epochs. Rank 0 counts
+// only epochs every rank has finished while the run goes on, and prunes
+// once more after the closing barrier. Pruning relative to the epoch rank
+// 0 just wrote, with the other ranks still writing it, left one epoch too
+// many — [20 25 30] for keep 2 — and nothing pruned it afterwards.
+func TestPruneLeavesNewestEpochs(t *testing.T) {
+	for keep, want := range map[int][]int{1: {30}, 2: {25, 30}} {
+		cfg := base()
+		cfg.Iterations = 30
+		cfg.Verify = false
+		cfg.Policy = policy.NewStatic()
+		cfg.CheckpointDir = t.TempDir()
+		cfg.CheckpointEvery = 5
+		cfg.CheckpointKeep = keep
+		cfg.Transport = func(tr comm.Transport) comm.Transport { return &lateShards{Transport: tr, every: 5} }
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := ckpt.Epochs(cfg.CheckpointDir); !reflect.DeepEqual(got, want) {
+			t.Errorf("keep %d: run left epochs %v, want %v", keep, got, want)
+		}
 	}
 }

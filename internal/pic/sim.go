@@ -209,8 +209,10 @@ type rankState struct {
 	runStart float64
 	initTime float64
 	// shardBuf is buildShard's scratch for the exported bucket bounds and
-	// ledger estimates, reused from epoch to epoch.
+	// ledger estimates, reused from epoch to epoch; epoch is the newest
+	// epoch this run restored or wrote (0: none).
 	shardBuf []float64
+	epoch    int
 	// Parsed PICPAR_CRASH chaos hook (checkpoint.go), armed once per run so
 	// a malformed spec warns once, not once per iteration.
 	crashRank, crashIter int
@@ -235,9 +237,17 @@ type rankState struct {
 	migrateIdx [][]int
 
 	// Strategy scratch (strategy.go): the flattened local ledger export,
-	// the world-summed per-cell cost and count estimates, and the derived
-	// per-cell weights. Truncated, never freed, between synchronisations.
-	ledgerBuf, gW, gN, pw []float64
+	// the world-summed per-cell cost and count estimates, the derived
+	// per-cell weights, their mean and the weight function reading them,
+	// and the Eulerian score's per-rank loads. Truncated, never freed,
+	// between synchronisations.
+	ledgerBuf, gW, gN, pw, loads []float64
+	pwMean                       float64
+	pwFn                         func(key float64) float64
+
+	// meas holds the published measurement vector, two buffers used in
+	// turn by iteration parity (comm.Transport.Expose).
+	meas [2][]float64
 
 	// Shared-memory parallelism (partasks.go): the rank's worker pool and
 	// its two range tasks.
@@ -286,6 +296,7 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 		if sh := st.agreeCheckpoint(); sh != nil {
 			st.restoreShard(sh, res)
 			startIter = sh.Epoch
+			st.epoch = sh.Epoch
 			restored = true
 		}
 		// No usable epoch: agreeCheckpoint wiped its charges, so the fresh
@@ -357,19 +368,21 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 		if cfg.StopRequested != nil && cfg.StopRequested() {
 			stopFlag = 1
 		}
-		all := r.Expose([]float64{
-			r.Clock().Now() - iterStart,
+		pub := &st.meas[iter%2]
+		*pub = append((*pub)[:0],
+			r.Clock().Now()-iterStart,
 			comp,
 			float64(sc.BytesSent), float64(sc.BytesRecv),
 			float64(sc.MsgsSent), float64(sc.MsgsRecv),
 			busy,
 			stopFlag,
-		})
+		)
+		all := r.Expose(pub)
 		var meas [7]float64
 		busySum := 0.0
 		stopAgreed := false
 		for _, x := range all {
-			vec := x.([]float64)
+			vec := *x.(*[]float64)
 			busySum += vec[6]
 			if vec[7] > 0 {
 				stopAgreed = true
@@ -434,6 +447,10 @@ func runRank(r comm.Transport, cfg Config, ge geom.Geometry, pl topoPlan, res *R
 	}
 
 	comm.Barrier(r)
+	if st.epoch > 0 {
+		// Every rank has finished the last epoch: prune relative to it.
+		st.prune(st.epoch, st.epoch)
+	}
 	total := comm.ExposeMaxFloat64(r, r.Clock().Now()-st.runStart)
 	finalCount := int(comm.ExposeSumFloat64(r, float64(st.store.Len())) + 0.5)
 	fp := st.worldFingerprint()

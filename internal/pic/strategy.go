@@ -96,7 +96,7 @@ func (st *rankState) particleWeightFn() func(key float64) float64 {
 	if totW <= 0 || totN <= 0 {
 		return nil
 	}
-	mean := totW / totN
+	st.pwMean = totW / totN
 	nc := len(st.gW)
 	if cap(st.pw) < nc {
 		st.pw = make([]float64, nc)
@@ -106,17 +106,19 @@ func (st *rankState) particleWeightFn() func(key float64) float64 {
 		if st.gN[c] > 1e-12 && st.gW[c] > 0 {
 			st.pw[c] = st.gW[c] / st.gN[c]
 		} else {
-			st.pw[c] = mean
+			st.pw[c] = st.pwMean
 		}
 	}
-	pw := st.pw
-	return func(key float64) float64 {
-		c := int(key)
-		if c < 0 || c >= len(pw) {
-			return mean
+	if st.pwFn == nil {
+		st.pwFn = func(key float64) float64 {
+			c := int(key)
+			if c < 0 || c >= len(st.pw) {
+				return st.pwMean
+			}
+			return st.pw[c]
 		}
-		return pw[c]
 	}
+	return st.pwFn
 }
 
 // strategyHysteresis is the margin a candidate layout's estimated max
@@ -213,7 +215,8 @@ func splitCost(gW, gN []float64, p int) float64 {
 // eulerianCost estimates the max per-rank cost of the Eulerian layout:
 // every cell's estimated cost lands on the mesh rank owning it.
 func (st *rankState) eulerianCost() float64 {
-	loads := make([]float64, st.r.Size())
+	st.loads = append(st.loads[:0], make([]float64, st.r.Size())...)
+	loads := st.loads
 	for c := range st.gW {
 		if o := st.ge.CellOwner(uint64(c)); o >= 0 && o < len(loads) {
 			loads[o] += st.gW[c]

@@ -52,9 +52,10 @@ type Incremental struct {
 	send           [][]float64
 	counts         []int
 	keepLo, keepHi int
-	// Weighted balance scratch: raw sanitized and quantized weights.
-	w  []float64
-	iw []int64
+	// Weighted balance scratch: raw sanitized and quantized weights, and
+	// the cuts.
+	w        []float64
+	iw, cuts []int64
 
 	mem sets
 	so  sorter
@@ -306,8 +307,10 @@ func (inc *Incremental) RedistributeWeighted(r comm.Transport, s *particle.Store
 // d. It then groups the particle indices by class, ascending within each
 // group, into inc.order, with group c at inc.order[inc.cut[c]:inc.cut[c+1]]
 // — a counting sort into buffers sized from the particle count once. It
-// charges the modelled classification δ but performs no communication, so
-// its steady-state allocation count is exactly zero.
+// charges the modelled classification δ, one ComputeRepeat per run of
+// particles of equal cost in particle order — the clock and ledger
+// additions of one Compute per particle — but performs no communication,
+// so its steady-state allocation count is exactly zero.
 func (inc *Incremental) classify(r comm.Transport, s *particle.Store, globalUpper []float64) Stats {
 	n := s.Len()
 	classes := inc.L + r.Size()
@@ -316,37 +319,47 @@ func (inc *Incremental) classify(r comm.Transport, s *particle.Store, globalUppe
 	inc.cut = fit(inc.cut, classes+1)
 	clear(inc.cut)
 	var st Stats
+	// b is position i's bucket, i·L/n, and next the first position of the
+	// bucket after it; work and run are the pending run of charges.
+	b, next := 0, (n+inc.L-1)/inc.L
+	work, run := 0, 0
 	for i := 0; i < n; i++ {
+		for i >= next {
+			b++
+			next = ((b+1)*n + inc.L - 1) / inc.L
+		}
 		key := s.Key[i]
 		// The particle's previous bucket is its position's bucket.
-		c := i * inc.L / n
+		c, w := b, classifyWorkSameBucket
 		switch {
 		case inBucket(inc.localBound, inc.upper, c, key):
 			st.SameBucket++
-			r.Compute(classifyWorkSameBucket)
 		case key >= inc.localBound[0] && key <= inc.upper:
-			c = inc.bucketFor(key)
+			c, w = inc.bucketFor(key), classifyWorkLocal
 			st.OtherBucket++
-			r.Compute(classifyWorkLocal)
 		default:
-			c = searchOwner(globalUpper, key)
+			c, w = searchOwner(globalUpper, key), classifyWorkRemote
 			if c == r.Rank() {
 				// Keys outside the remembered bounds can still map to
 				// this rank (e.g. below the old lower bound but above the
 				// previous rank's upper, or above every recorded bound on
 				// the last rank); clamp into the nearest bucket.
-				c = inc.bucketFor(key)
+				c, w = inc.bucketFor(key), classifyWorkLocal
 				st.OtherBucket++
-				r.Compute(classifyWorkLocal)
 				break
 			}
 			c += inc.L
 			st.OffProc++
-			r.Compute(classifyWorkRemote)
 		}
+		if w != work {
+			r.ComputeRepeat(work, run)
+			work, run = w, 0
+		}
+		run++
 		inc.cls[i] = int32(c)
 		inc.cut[c]++
 	}
+	r.ComputeRepeat(work, run)
 	// cut[c] becomes the end of group c, then, filled from the back, its
 	// start; cut[classes] is n.
 	for c := 1; c < classes; c++ {

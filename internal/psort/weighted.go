@@ -94,7 +94,8 @@ func (inc *Incremental) weightedBalanceInto(r comm.Transport, q seq, out *partic
 	// cuts: owners are monotone, so the local range splits into contiguous
 	// runs per destination and the self-run (if any) is a single range.
 	inc.sendScratch(p)
-	cuts := mesh.WeightedCuts(totW, total, p)
+	inc.cuts = mesh.WeightedCuts(inc.cuts[:0], totW, total, p)
+	cuts := inc.cuts
 	i, prefix := 0, before
 	k := mesh.AdvanceCut(cuts, 0, prefix)
 	for i < n {

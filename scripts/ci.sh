@@ -56,6 +56,13 @@ if [ "$walks" -gt 0 ] || [ "$wire" -ne 2 ] || [ "$slots" -gt "$wire" ] || grep -
     grep -n '\.Footprint(\|fields\.Slot(' $pic
     exit 1
 fi
+# The redistribution's classification charges its δ once per run of
+# equal-cost particles (Transport.ComputeRepeat), never a Compute per
+# particle.
+if grep -n 'Compute(classifyWork' internal/psort/*.go | grep -v '_test\.go:'; then
+    echo "per-particle classification charge reappeared in internal/psort"
+    exit 1
+fi
 
 echo "== deleted-path audit (grep) =="
 # The tiled scatter, the second wall-clock harness (picbench -bench/-cpu,
@@ -98,7 +105,7 @@ echo "== deleted-path audit (grep) =="
 # ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
 # owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
@@ -133,10 +140,12 @@ fi
 
 echo "== message-buffer audit (grep) =="
 # DESIGN.md "The TCP backend": message buffers cycle through internal/wire.
-# Halo faces are drawn from the pool, never made per send, and the reader
-# both codecs decode through builds no error context on the success path.
+# Halo faces are drawn from the pool, never made per send, the reader both
+# codecs decode through builds no error context on the success path, and
+# an Expose table is rank-owned scratch, never a fresh []any per call.
 old=$( { grep -n 'make(\[\]float64, 0' internal/field/*.go | grep -v '_test\.go:'
-    grep -n 'what+"' internal/wire/codec.go; } || true)
+    grep -n 'what+"' internal/wire/codec.go
+    grep -nE 'make\(\[\]any, n\.p\)|\[\]any\(nil\)' internal/comm/*.go | grep -v '_test\.go:'; } || true)
 if [ -n "$old" ]; then
     echo "per-message allocation reappeared on the message path:"
     printf '%s\n' "$old"
