@@ -242,26 +242,32 @@ func (ge *G2) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 	a := f.Arrays()
 	qmdt2 := pusher.HalfKick(s, dt)
 	fp := Footprint{cell: -1}
-	for i := lo; i < hi; i++ {
-		var ex, ey, ez, bx, by, bz float64
-		li, fx, okx := b.x.cell(s.X[i])
-		lj, fy, oky := b.y.cell(s.Y[i])
-		if okx && oky {
-			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
-			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:])
-		} else {
-			cx, cy := li+b.x.i0, lj+b.y.i0
-			if !b.exact(s.X[i], s.Y[i], li, lj) {
-				cx, cy, fx, fy = ge.recell(s.X[i], s.Y[i])
+	var eb [6][pusher.Strip]float64
+	for ; lo < hi; lo += pusher.Strip {
+		n := min(hi-lo, pusher.Strip)
+		for j := 0; j < n; j++ {
+			i := lo + j
+			var ex, ey, ez, bx, by, bz float64
+			li, fx, okx := b.x.cell(s.X[i])
+			lj, fy, oky := b.y.cell(s.Y[i])
+			if okx && oky {
+				w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
+				ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, 0), b.off[:], w[:])
+			} else {
+				cx, cy := li+b.x.i0, lj+b.y.i0
+				if !b.exact(s.X[i], s.Y[i], li, lj) {
+					cx, cy, fx, fy = ge.recell(s.X[i], s.Y[i])
+				}
+				w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
+				if cell := cy*ge.G.Nx + cx; cell != fp.cell {
+					ge.footprint(pusher.Interp{CX: cx, CY: cy, W: w}, &fp, &b)
+					fp.resolve(cell, table, nil)
+				}
+				ex, ey, ez, bx, by, bz = gatherCell(&fp, w[:], a, ghostEB)
 			}
-			w := pusher.CIC(pusher.Clamp01(fx), pusher.Clamp01(fy))
-			if cell := cy*ge.G.Nx + cx; cell != fp.cell {
-				ge.footprint(pusher.Interp{CX: cx, CY: cy, W: w}, &fp, &b)
-				fp.resolve(cell, table, nil)
-			}
-			ex, ey, ez, bx, by, bz = gatherCell(&fp, w[:], a, ghostEB)
+			eb[0][j], eb[1][j], eb[2][j], eb[3][j], eb[4][j], eb[5][j] = ex, ey, ez, bx, by, bz
 		}
-		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
+		pusher.BorisStrip(s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], &eb, qmdt2)
 	}
 }
 

@@ -222,27 +222,33 @@ func (ge *G3) GatherPush(s *particle.Store, lo, hi int, f *field.Local, table co
 	a := f.Arrays()
 	qmdt2 := pusher.HalfKick(s, dt)
 	fp := Footprint{cell: -1}
-	for i := lo; i < hi; i++ {
-		var ex, ey, ez, bx, by, bz float64
-		li, fx, okx := b.x.cell(s.X[i])
-		lj, fy, oky := b.y.cell(s.Y[i])
-		lk, fz, okz := b.z.cell(s.Z[i])
-		if okx && oky && okz {
-			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
-			ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
-		} else {
-			cx, cy, cz := li+b.x.i0, lj+b.y.i0, lk+b.z.i0
-			if !b.exact(s.X[i], s.Y[i], s.Z[i], li, lj, lk) {
-				cx, cy, cz, fx, fy, fz = ge.recell(s.X[i], s.Y[i], s.Z[i])
+	var eb [6][pusher.Strip]float64
+	for ; lo < hi; lo += pusher.Strip {
+		n := min(hi-lo, pusher.Strip)
+		for j := 0; j < n; j++ {
+			i := lo + j
+			var ex, ey, ez, bx, by, bz float64
+			li, fx, okx := b.x.cell(s.X[i])
+			lj, fy, oky := b.y.cell(s.Y[i])
+			lk, fz, okz := b.z.cell(s.Z[i])
+			if okx && oky && okz {
+				w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
+				ex, ey, ez, bx, by, bz = gatherOwned(a, b.l.Idx(li, lj, lk), b.off[:], w[:])
+			} else {
+				cx, cy, cz := li+b.x.i0, lj+b.y.i0, lk+b.z.i0
+				if !b.exact(s.X[i], s.Y[i], s.Z[i], li, lj, lk) {
+					cx, cy, cz, fx, fy, fz = ge.recell(s.X[i], s.Y[i], s.Z[i])
+				}
+				w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
+				if cell := (cz*ge.G.Ny+cy)*ge.G.Nx + cx; cell != fp.cell {
+					ge.footprint(pusher.Interp3{CX: cx, CY: cy, CZ: cz, W: w}, &fp, &b)
+					fp.resolve(cell, table, nil)
+				}
+				ex, ey, ez, bx, by, bz = gatherCell(&fp, w[:], a, ghostEB)
 			}
-			w := pusher.CIC3(pusher.Clamp01(fx), pusher.Clamp01(fy), pusher.Clamp01(fz))
-			if cell := (cz*ge.G.Ny+cy)*ge.G.Nx + cx; cell != fp.cell {
-				ge.footprint(pusher.Interp3{CX: cx, CY: cy, CZ: cz, W: w}, &fp, &b)
-				fp.resolve(cell, table, nil)
-			}
-			ex, ey, ez, bx, by, bz = gatherCell(&fp, w[:], a, ghostEB)
+			eb[0][j], eb[1][j], eb[2][j], eb[3][j], eb[4][j], eb[5][j] = ex, ey, ez, bx, by, bz
 		}
-		s.Px[i], s.Py[i], s.Pz[i] = pusher.Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, qmdt2)
+		pusher.BorisStrip(s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], &eb, qmdt2)
 	}
 }
 

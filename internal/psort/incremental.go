@@ -78,9 +78,14 @@ type Incremental struct {
 // redistribution keeps two full-size sets and one sized to what arrives.
 type sets [3]*particle.Store
 
-// headroom sizes every buffer that has to grow at n + n/headroom, so a
-// population that creeps upwards regrows geometrically, not on every call.
-const headroom = 8
+// grown is the size of a buffer that has to grow to hold n: n + n/8, so a
+// population that creeps upwards regrows geometrically, not on every call,
+// but at least n + minHeadroom, so a small one — the received run and its
+// index lists, where n/8 is a handful — does not regrow at almost every
+// new high-water mark. Full shares of 2 048 or more keep n + n/8.
+func grown(n int) int { return n + max(n/8, minHeadroom) }
+
+const minHeadroom = 256
 
 // free returns the set that best fits n particles among those that are
 // neither a nor b — the smallest that holds n already, else the largest,
@@ -104,7 +109,7 @@ func (m *sets) free(a, b *particle.Store, n int) *particle.Store {
 	}
 	for i, s := range m {
 		if s == nil {
-			m[i] = a.NewLike(n + n/headroom)
+			m[i] = a.NewLike(grown(n))
 			return m[i]
 		}
 	}
@@ -139,19 +144,19 @@ func (m *sets) adopt(s *particle.Store) {
 }
 
 // reserve empties s and makes room for n particles: a set too small is
-// replaced by one sized n + n/headroom exactly, its old arrays dropped.
+// replaced by one sized grown(n), its old arrays dropped.
 func reserve(s *particle.Store, n int) {
 	if cap(s.X) < n {
-		*s = *s.NewLike(n + n/headroom)
+		*s = *s.NewLike(grown(n))
 		return
 	}
 	s.Truncate(0)
 }
 
-// fit returns buf resliced to n, reallocated with headroom when too short.
+// fit returns buf resliced to n, reallocated to grown(n) when too short.
 func fit[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		buf = make([]T, n, n+n/headroom)
+		buf = make([]T, n, grown(n))
 	}
 	return buf[:n]
 }

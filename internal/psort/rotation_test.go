@@ -2,6 +2,7 @@ package psort
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -166,11 +167,50 @@ func TestSetCapacityTwoSharesPlusReceived(t *testing.T) {
 				total += cap(set.X)
 			}
 		}
-		bound := 2*(perRank+perRank/headroom) + most + most/headroom
+		bound := 2*grown(perRank) + grown(most)
 		t.Logf("rank %d: sets hold %d particles' room, bound %d (largest received run %d)", r.Rank(), total, bound, most)
 		if total > bound {
 			t.Errorf("rank %d: sets hold room for %d particles, want <= %d (two shares of %d plus a received run of %d, with headroom)",
 				r.Rank(), total, bound, perRank, most)
 		}
 	})
+}
+
+// TestCreepingBufferRegrowsLogarithmically grows one set and one index
+// list by a single element per call, from 1 to 4 096, the way a received
+// run creeps up over the iterations, and allows each at most 2·log₂ n
+// regrowths. With n + n/8 alone a small buffer regrows at almost every
+// new high-water mark: 56 times here.
+func TestCreepingBufferRegrowsLogarithmically(t *testing.T) {
+	const n = 4096
+	bound := 2 * bits.Len(n)
+	in := particle.NewStore(0, -1, 1)
+	var m sets
+	m.adopt(in)
+	var buf []int
+	setGrows, listGrows := 0, 0
+	for k := 1; k <= n; k++ {
+		c := cap(buf)
+		if buf = fit(buf, k); cap(buf) != c {
+			listGrows++
+		}
+		c = m.capacity()
+		m.free(in, nil, k)
+		if m.capacity() != c {
+			setGrows++
+		}
+	}
+	if setGrows > bound || listGrows > bound {
+		t.Errorf("creeping to %d: the set regrew %d times, the index list %d, want <= %d", n, setGrows, listGrows, bound)
+	}
+}
+
+// capacity is the room the sets hold, in particles.
+func (m *sets) capacity() (c int) {
+	for _, s := range m {
+		if s != nil {
+			c += cap(s.X)
+		}
+	}
+	return c
 }

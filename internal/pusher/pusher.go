@@ -73,19 +73,20 @@ func Clamp01(f float64) float64 {
 }
 
 // BorisPush advances the momentum of particle i of s by dt under fields
-// (ex, ey, ez, bx, by, bz): the one-particle form of Boris.
+// (ex, ey, ez, bx, by, bz): the one-particle form of BorisStrip.
 func BorisPush(s *particle.Store, i int, ex, ey, ez, bx, by, bz, dt float64) {
-	s.Px[i], s.Py[i], s.Pz[i] = Boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, HalfKick(s, dt))
+	s.Px[i], s.Py[i], s.Pz[i] = boris(s.Px[i], s.Py[i], s.Pz[i], ex, ey, ez, bx, by, bz, HalfKick(s, dt))
 }
 
-// HalfKick returns q/m·dt/2, the factor Boris scales both field vectors by
+// HalfKick returns q/m·dt/2, the factor boris scales both field vectors by
 // — constant over a store, so range kernels hoist it.
 func HalfKick(s *particle.Store, dt float64) float64 { return s.Charge / s.Mass * dt / 2 }
 
-// Boris advances momentum (px, py, pz) under fields (ex, ey, ez, bx, by, bz)
+// boris advances momentum (px, py, pz) under fields (ex, ey, ez, bx, by, bz)
 // using the relativistic Boris scheme — half electric kick, magnetic
-// rotation, half electric kick — with qmdt2 = HalfKick(s, dt).
-func Boris(px, py, pz, ex, ey, ez, bx, by, bz, qmdt2 float64) (float64, float64, float64) {
+// rotation, half electric kick — with qmdt2 = HalfKick(s, dt). It is the
+// scalar reference of BorisStrip, operand for operand.
+func boris(px, py, pz, ex, ey, ez, bx, by, bz, qmdt2 float64) (float64, float64, float64) {
 	// Half electric acceleration.
 	ux := px + qmdt2*ex
 	uy := py + qmdt2*ey
@@ -113,13 +114,12 @@ func Boris(px, py, pz, ex, ey, ez, bx, by, bz, qmdt2 float64) (float64, float64,
 // MoveRange advances the positions of particles [lo, hi) of s by dt using
 // their current momenta, wrapping periodically on grid g.
 func MoveRange(s *particle.Store, lo, hi int, g mesh.Grid, dt float64) {
-	for i := lo; i < hi; i++ {
-		gamma := s.Gamma(i)
-		x := s.X[i] + s.Px[i]/gamma*dt
-		y := s.Y[i] + s.Py[i]/gamma*dt
-		s.X[i], s.Y[i] = g.WrapPosition(x, y)
+	for ; lo < hi; lo += Strip {
+		n := min(hi-lo, Strip)
+		x, y := s.X[lo:lo+n], s.Y[lo:lo+n]
+		advance(x, y, nil, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
+		for j := range x {
+			x[j], y[j] = g.WrapPosition(x[j], y[j])
+		}
 	}
 }
-
-// Move is the one-particle form of MoveRange.
-func Move(s *particle.Store, i int, g mesh.Grid, dt float64) { MoveRange(s, i, i+1, g, dt) }

@@ -1,7 +1,7 @@
 // The three-dimensional counterparts of the per-particle kernels: trilinear
 // (cloud-in-cell) weights over the eight vertices of a 3-D cell and the
 // position update. The Boris momentum push is already dimension-independent
-// (particles carry full 3-momenta in 2d3v), so BorisPush is shared.
+// (particles carry full 3-momenta in 2d3v), so BorisStrip is shared.
 
 package pusher
 
@@ -54,11 +54,12 @@ func CIC3(fx, fy, fz float64) [8]float64 {
 // MoveRange3 advances the positions of particles [lo, hi) of s by dt using
 // their current momenta, wrapping periodically on grid g.
 func MoveRange3(s *particle.Store, lo, hi int, g mesh3.Grid, dt float64) {
-	for i := lo; i < hi; i++ {
-		gamma := s.Gamma(i)
-		x := s.X[i] + s.Px[i]/gamma*dt
-		y := s.Y[i] + s.Py[i]/gamma*dt
-		z := s.Z[i] + s.Pz[i]/gamma*dt
-		s.X[i], s.Y[i], s.Z[i] = g.WrapPosition(x, y, z)
+	for ; lo < hi; lo += Strip {
+		n := min(hi-lo, Strip)
+		x, y, z := s.X[lo:lo+n], s.Y[lo:lo+n], s.Z[lo:lo+n]
+		advance(x, y, z, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
+		for j := range x {
+			x[j], y[j], z[j] = g.WrapPosition(x[j], y[j], z[j])
+		}
 	}
 }

@@ -126,7 +126,7 @@ func TestMoveStraightLine(t *testing.T) {
 	s := newSingle(0.3, 0.4, 0) // gamma = sqrt(1.25)
 	s.X[0], s.Y[0] = 1, 1
 	gamma := math.Sqrt(1.25)
-	Move(s, 0, g, 1.0)
+	MoveRange(s, 0, 1, g, 1.0)
 	if math.Abs(s.X[0]-(1+0.3/gamma)) > 1e-14 || math.Abs(s.Y[0]-(1+0.4/gamma)) > 1e-14 {
 		t.Errorf("moved to (%g,%g)", s.X[0], s.Y[0])
 	}
@@ -136,7 +136,7 @@ func TestMoveWrapsPeriodically(t *testing.T) {
 	g := mesh.NewGrid(4, 4)
 	s := newSingle(10, 0, 0) // v ≈ c
 	s.X[0], s.Y[0] = 3.9, 0.5
-	Move(s, 0, g, 1.0)
+	MoveRange(s, 0, 1, g, 1.0)
 	if s.X[0] < 0 || s.X[0] >= 4 {
 		t.Errorf("x = %g not wrapped", s.X[0])
 	}

@@ -324,8 +324,6 @@ func gatherPushReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, s *partic
 	r.Compute(s.Len() * 4 * pusher.GatherWorkPerVertex)
 
 	r.SetPhase(machine.PhasePush)
-	for i := 0; i < s.Len(); i++ {
-		pusher.Move(s, i, g, dt)
-	}
+	pusher.MoveRange(s, 0, s.Len(), g, dt)
 	r.Compute(s.Len() * pusher.PushWorkPerParticle)
 }

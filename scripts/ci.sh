@@ -1,9 +1,9 @@
 #!/bin/sh
-# Full CI gate: vet, build, the one-body, kernel, deleted-path,
-# message-buffer and one-codec grep audits, plain tests (root and the
-# benchmark module), short fuzz runs of both binary decoders and the
-# checkpoint shard probe, race-enabled
-# tests, the layout-strategy comparison (2-D and 3-D), the per-phase
+# Full CI gate: vet (amd64 and arm64), build, the one-body, kernel,
+# assembly, deleted-path, message-buffer and one-codec grep audits, plain
+# tests (root and the benchmark module), short fuzz runs of both binary
+# decoders and the checkpoint shard probe, race-enabled tests, the
+# layout-strategy comparison (2-D and 3-D), the per-phase
 # traffic regression gate, the 2-D and 3-D golden pins, the multi-process
 # TCP smoke (loopback golden + kill -9 crash detection + kill-and-recover
 # byte-identity), the picserve daemon smoke (served golden + typed
@@ -15,6 +15,12 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet =="
 go vet ./...
+
+echo "== go vet, arm64 (the portable path beside the amd64 assembly) =="
+# The strip kernels have an SSE2 body on amd64 and a scalar one elsewhere;
+# vetting both keeps the portable path compiling and, on amd64, the
+# assembly's frame in step with its Go declaration (asmdecl).
+GOARCH=arm64 go vet ./...
 
 echo "== go build =="
 go build ./...
@@ -64,6 +70,18 @@ if grep -n 'Compute(classifyWork' internal/psort/*.go | grep -v '_test\.go:'; th
     exit 1
 fi
 
+echo "== assembly audit (grep) =="
+# DESIGN.md "The geometry layer", strip kernels: assembly in internal/ is
+# SSE2, which every amd64 CPU has, so no CPU feature check or dispatch is
+# ever needed: no VEX-encoded (V...) and no FMA mnemonic. A fused
+# multiply-add would also round differently from the scalar reference.
+old=$(find internal -name '*.s' -exec grep -nHE '^[[:space:]]*(V[A-Z0-9]+|[A-Z0-9]*FMA[A-Z0-9]*)[[:space:]]' {} + || true)
+if [ -n "$old" ]; then
+    echo "a VEX or FMA instruction in internal/ assembly (SSE2 only):"
+    printf '%s\n' "$old"
+    exit 1
+fi
+
 echo "== deleted-path audit (grep) =="
 # The tiled scatter, the second wall-clock harness (picbench -bench/-cpu,
 # bench/BENCH_*.json), the dominated topology spellings (systolic-ring,
@@ -97,7 +115,9 @@ echo "== deleted-path audit (grep) =="
 # holds both dimensions, and the cost ledger's per-particle footprint walk
 # with its padded scratch (pic's workerScratch and costFP): the observation
 # is a geom range kernel, and the kernels' per-particle table walks
-# (depositFootprint, gatherFootprint): a cell's targets are memoised. A
+# (depositFootprint, gatherFootprint): a cell's targets are memoised, and
+# the one-particle pusher.Boris and pusher.Move: the range kernels push
+# and move whole strips (pusher.BorisStrip, MoveRange). A
 # failed exchange is a dead rank that checkpoint recovery handles, benchmark/ is
 # the one wall-clock harness, Config.Topology names a link set, the time
 # step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
@@ -105,7 +125,7 @@ echo "== deleted-path audit (grep) =="
 # ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
 # owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(|pusher\.(Boris|Move)\(' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
