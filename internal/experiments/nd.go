@@ -6,7 +6,7 @@ import (
 	"strconv"
 
 	"picpar/internal/geom"
-	"picpar/internal/mesh3"
+	"picpar/internal/mesh"
 	"picpar/internal/particle"
 	"picpar/internal/partition"
 	"picpar/internal/sfc"
@@ -42,7 +42,7 @@ func ND(w io.Writer, quick bool) *NDResult {
 		side = 16
 		ranks = []int{8, 64}
 	}
-	g := mesh3.NewGrid(side, side, side)
+	g := mesh.NewGrid3(side, side, side)
 	res := &NDResult{}
 
 	fmt.Fprintf(w, "3-D generalisation (measured): %d particles, %d^3 mesh, independent partitioning\n", n, side)
@@ -60,7 +60,7 @@ func ND(w io.Writer, quick bool) *NDResult {
 		}
 		for _, scheme := range []string{sfc.SchemeHilbert, sfc.SchemeSnake} {
 			for _, p := range ranks {
-				d, err := mesh3.NewDistOrdered(g, p, scheme)
+				d, err := mesh.NewDistOrdered(g, p, scheme)
 				if err != nil {
 					panic(err)
 				}

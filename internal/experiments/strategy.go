@@ -6,7 +6,7 @@ import (
 	"sort"
 	"strconv"
 
-	"picpar/internal/mesh3"
+	"picpar/internal/mesh"
 	"picpar/internal/particle"
 	"picpar/internal/pic"
 	"picpar/internal/policy"
@@ -90,7 +90,7 @@ func Strategies(w io.Writer, quick bool) *StrategyResult {
 			if dims == 2 {
 				cfg.Grid = grid(128, 64)
 			} else {
-				cfg.Grid3 = mesh3.NewGrid(16, 16, 16)
+				cfg.Grid3 = mesh.NewGrid3(16, 16, 16)
 			}
 			r := run(cfg)
 			cell := StrategyCell{

@@ -56,7 +56,7 @@ func Table1(w io.Writer, quick bool) *Table1Result {
 	for i := 0; i < evolved.Len(); i++ {
 		dx := 4.0 + 3.0*evolved.Px[i]/(0.05+abs(evolved.Px[i]))
 		dy := 3.0 + 2.0*evolved.Py[i]/(0.05+abs(evolved.Py[i]))
-		evolved.X[i], evolved.Y[i] = g.WrapPosition(evolved.X[i]+dx, evolved.Y[i]+dy)
+		evolved.X[i], evolved.Y[i], _ = g.WrapPosition(evolved.X[i]+dx, evolved.Y[i]+dy, 0)
 	}
 
 	res := &Table1Result{}

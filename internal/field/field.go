@@ -166,15 +166,15 @@ func (l *Local) updateERows(dt float64, lo, hi int) {
 		c0 := l.row(r)
 		for c := c0; c < c0+l.N[0]; c++ {
 			// Central differences with unit cells: ∂/∂x f = (f[i+1]−f[i−1])/2.
-			dBzDy := (l.Bz[c+sy] - l.Bz[c-sy]) / 2
-			dByDz := (l.By[c+sz] - l.By[c-sz]) / 2
-			dBxDz := (l.Bx[c+sz] - l.Bx[c-sz]) / 2
-			dBzDx := (l.Bz[c+1] - l.Bz[c-1]) / 2
-			dByDx := (l.By[c+1] - l.By[c-1]) / 2
-			dBxDy := (l.Bx[c+sy] - l.Bx[c-sy]) / 2
-			l.Ex[c] += dt * (dBzDy - dByDz - l.Jx[c])
-			l.Ey[c] += dt * (dBxDz - dBzDx - l.Jy[c])
-			l.Ez[c] += dt * (dByDx - dBxDy - l.Jz[c])
+			dBzDy := float64((l.Bz[c+sy] - l.Bz[c-sy]) / 2)
+			dByDz := float64((l.By[c+sz] - l.By[c-sz]) / 2)
+			dBxDz := float64((l.Bx[c+sz] - l.Bx[c-sz]) / 2)
+			dBzDx := float64((l.Bz[c+1] - l.Bz[c-1]) / 2)
+			dByDx := float64((l.By[c+1] - l.By[c-1]) / 2)
+			dBxDy := float64((l.Bx[c+sy] - l.Bx[c-sy]) / 2)
+			l.Ex[c] += float64(dt * (dBzDy - dByDz - l.Jx[c]))
+			l.Ey[c] += float64(dt * (dBxDz - dBzDx - l.Jy[c]))
+			l.Ez[c] += float64(dt * (dByDx - dBxDy - l.Jz[c]))
 		}
 	}
 }
@@ -184,15 +184,15 @@ func (l *Local) updateBRows(dt float64, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		c0 := l.row(r)
 		for c := c0; c < c0+l.N[0]; c++ {
-			dEzDy := (l.Ez[c+sy] - l.Ez[c-sy]) / 2
-			dEyDz := (l.Ey[c+sz] - l.Ey[c-sz]) / 2
-			dExDz := (l.Ex[c+sz] - l.Ex[c-sz]) / 2
-			dEzDx := (l.Ez[c+1] - l.Ez[c-1]) / 2
-			dEyDx := (l.Ey[c+1] - l.Ey[c-1]) / 2
-			dExDy := (l.Ex[c+sy] - l.Ex[c-sy]) / 2
-			l.Bx[c] += dt * (-(dEzDy - dEyDz))
-			l.By[c] += dt * (-(dExDz - dEzDx))
-			l.Bz[c] += dt * (-(dEyDx - dExDy))
+			dEzDy := float64((l.Ez[c+sy] - l.Ez[c-sy]) / 2)
+			dEyDz := float64((l.Ey[c+sz] - l.Ey[c-sz]) / 2)
+			dExDz := float64((l.Ex[c+sz] - l.Ex[c-sz]) / 2)
+			dEzDx := float64((l.Ez[c+1] - l.Ez[c-1]) / 2)
+			dEyDx := float64((l.Ey[c+1] - l.Ey[c-1]) / 2)
+			dExDy := float64((l.Ex[c+sy] - l.Ex[c-sy]) / 2)
+			l.Bx[c] += float64(dt * (-(dEzDy - dEyDz)))
+			l.By[c] += float64(dt * (-(dExDz - dEzDx)))
+			l.Bz[c] += float64(dt * (-(dEyDx - dExDy)))
 		}
 	}
 }
@@ -300,8 +300,8 @@ func (l *Local) Energy() float64 {
 	for r := 0; r < l.rows(); r++ {
 		c0 := l.row(r)
 		for c := c0; c < c0+l.N[0]; c++ {
-			e += l.Ex[c]*l.Ex[c] + l.Ey[c]*l.Ey[c] + l.Ez[c]*l.Ez[c] +
-				l.Bx[c]*l.Bx[c] + l.By[c]*l.By[c] + l.Bz[c]*l.Bz[c]
+			e += float64(l.Ex[c]*l.Ex[c]) + float64(l.Ey[c]*l.Ey[c]) + float64(l.Ez[c]*l.Ez[c]) +
+				float64(l.Bx[c]*l.Bx[c]) + float64(l.By[c]*l.By[c]) + float64(l.Bz[c]*l.Bz[c])
 		}
 	}
 	return e / 2

@@ -9,7 +9,6 @@ import (
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/par"
 	"picpar/internal/sfc"
 )
@@ -23,29 +22,15 @@ func dist(t *testing.T, nx, ny, p int) *mesh.Dist {
 	return d
 }
 
-// block2 is rank r's block of the 2-D distribution d.
-func block2(d *mesh.Dist, r int) Block {
-	i0, i1, j0, j1 := d.Bounds(r)
-	left, right, down, up := d.Neighbours(r)
+// blockOf is rank r's block of the distribution d.
+func blockOf(d *mesh.Dist, r int) Block {
+	lo, hi := d.Bounds(r)
 	return Block{
-		Dims:   2,
-		Global: [3]int{d.G.Nx, d.G.Ny, 1},
-		Lo:     [3]int{i0, j0, 0},
-		N:      [3]int{i1 - i0, j1 - j0, 1},
-		Nbr:    [3][2]int{{left, right}, {down, up}},
-	}
-}
-
-// block3 is rank r's block of the 3-D distribution d.
-func block3(d *mesh3.Dist, r int) Block {
-	i0, i1, j0, j1, k0, k1 := d.Bounds(r)
-	left, right, down, up, back, front := d.Neighbours(r)
-	return Block{
-		Dims:   3,
+		Dims:   d.G.Dims(),
 		Global: [3]int{d.G.Nx, d.G.Ny, d.G.Nz},
-		Lo:     [3]int{i0, j0, k0},
-		N:      [3]int{i1 - i0, j1 - j0, k1 - k0},
-		Nbr:    [3][2]int{{left, right}, {down, up}, {back, front}},
+		Lo:     lo,
+		N:      [3]int{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]},
+		Nbr:    d.Neighbours(r),
 	}
 }
 
@@ -62,17 +47,17 @@ type grid struct {
 func grid2(t *testing.T, nx, ny, p int) grid {
 	d := dist(t, nx, ny, p)
 	return grid{fmt.Sprintf("2d-%dx%d-p%d", nx, ny, p), p, [3]int{nx, ny, 1},
-		func(r int) Block { return block2(d, r) }, [3]int{d.Px, d.Py, 1}}
+		func(r int) Block { return blockOf(d, r) }, [3]int{d.Px, d.Py, 1}}
 }
 
 func grid3(t *testing.T, nx, ny, nz, p int) grid {
 	t.Helper()
-	d, err := mesh3.NewDistOrdered(mesh3.NewGrid(nx, ny, nz), p, sfc.SchemeHilbert)
+	d, err := mesh.NewDistOrdered(mesh.NewGrid3(nx, ny, nz), p, sfc.SchemeHilbert)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return grid{fmt.Sprintf("3d-%dx%dx%d-p%d", nx, ny, nz, p), p, [3]int{nx, ny, nz},
-		func(r int) Block { return block3(d, r) }, [3]int{d.Px, d.Py, d.Pz}}
+		func(r int) Block { return blockOf(d, r) }, [3]int{d.Px, d.Py, d.Pz}}
 }
 
 // eachPoint calls fn with the local coordinates of every owned point of l,
@@ -107,10 +92,10 @@ func TestNewLocalGeometry(t *testing.T) {
 	d := dist(t, 16, 8, 4) // expect 4x1 or 2x2 grid; blocks owned exactly
 	total := 0
 	for r := 0; r < 4; r++ {
-		l := NewLocal(block2(d, r), nil)
+		l := NewLocal(blockOf(d, r), nil)
 		total += l.N[0] * l.N[1]
-		i0, i1, j0, j1 := d.Bounds(r)
-		if l.Lo[0] != i0 || l.Lo[1] != j0 || l.N[0] != i1-i0 || l.N[1] != j1-j0 {
+		lo, hi := d.Bounds(r)
+		if l.Lo[0] != lo[0] || l.Lo[1] != lo[1] || l.N[0] != hi[0]-lo[0] || l.N[1] != hi[1]-lo[1] {
 			t.Errorf("rank %d geometry mismatch", r)
 		}
 	}
@@ -155,7 +140,7 @@ func TestIdxHaloLayout(t *testing.T) {
 
 func TestContainsLocalOf(t *testing.T) {
 	d := dist(t, 16, 16, 4)
-	l := NewLocal(block2(d, 3), nil)
+	l := NewLocal(blockOf(d, 3), nil)
 	if !l.Contains(l.Lo[0], l.Lo[1], 0) || l.Contains(l.Lo[0]-1, l.Lo[1], 0) {
 		t.Error("Contains boundary wrong")
 	}
@@ -163,7 +148,7 @@ func TestContainsLocalOf(t *testing.T) {
 
 func TestZeroSources(t *testing.T) {
 	d := dist(t, 4, 4, 1)
-	l := NewLocal(block2(d, 0), nil)
+	l := NewLocal(blockOf(d, 0), nil)
 	l.Jx[5], l.Rho[7] = 3, 4
 	l.ZeroSources()
 	if l.Jx[5] != 0 || l.Rho[7] != 0 {
@@ -232,7 +217,7 @@ func TestExchangeHaloMessageCount(t *testing.T) {
 func TestSolvePreservesZeroField(t *testing.T) {
 	d := dist(t, 8, 8, 4)
 	runWorld(4, func(r comm.Transport) {
-		l := NewLocal(block2(d, r.Rank()), nil)
+		l := NewLocal(blockOf(d, r.Rank()), nil)
 		l.Solve(r, 0.25)
 		if l.Energy() != 0 {
 			t.Errorf("rank %d: zero field gained energy %g", r.Rank(), l.Energy())
@@ -246,7 +231,7 @@ func TestSolveUniformJProducesUniformE(t *testing.T) {
 	const p = 4
 	d := dist(t, 8, 8, p)
 	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(block2(d, r.Rank()), nil)
+		l := NewLocal(blockOf(d, r.Rank()), nil)
 		for j := 0; j < l.N[1]; j++ {
 			for i := 0; i < l.N[0]; i++ {
 				l.Jz[l.Idx(i, j, 0)] = 2.0
@@ -332,7 +317,7 @@ func TestEnergyAndTotalEnergy(t *testing.T) {
 	const p = 4
 	d := dist(t, 8, 8, p)
 	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(block2(d, r.Rank()), nil)
+		l := NewLocal(blockOf(d, r.Rank()), nil)
 		for j := 0; j < l.N[1]; j++ {
 			for i := 0; i < l.N[0]; i++ {
 				l.Ex[l.Idx(i, j, 0)] = 2 // energy ½·4 per point
@@ -357,7 +342,7 @@ func TestVacuumWaveEnergyStable(t *testing.T) {
 	d := dist(t, 32, 32, p)
 	energies := make([]float64, p)
 	runWorld(p, func(r comm.Transport) {
-		l := NewLocal(block2(d, r.Rank()), nil)
+		l := NewLocal(blockOf(d, r.Rank()), nil)
 		for j := 0; j < l.N[1]; j++ {
 			for i := 0; i < l.N[0]; i++ {
 				gi := l.Lo[0] + i

@@ -25,7 +25,7 @@ func TestExchangeHalo1DDist(t *testing.T) {
 		return float64(gj*100 + gi)
 	}
 	runWorld(3, func(r comm.Transport) {
-		l := NewLocal(block2(d, r.Rank()), nil)
+		l := NewLocal(blockOf(d, r.Rank()), nil)
 		for j := 0; j < l.N[1]; j++ {
 			for i := 0; i < l.N[0]; i++ {
 				l.Bx[l.Idx(i, j, 0)] = val(l.Lo[0]+i, l.Lo[1]+j)
@@ -62,7 +62,7 @@ func TestSelfHaloNoNetworkTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := commtest.Launch(2, machine.Params{Tau: 1}, func(r comm.Transport) {
-		l := NewLocal(block2(d, r.Rank()), nil)
+		l := NewLocal(blockOf(d, r.Rank()), nil)
 		l.ExchangeHalo(r, CompE)
 	})
 	for i := range ws.Ranks {

@@ -1,16 +1,18 @@
-// Package geom is the dimension seam of the simulation core: everything
-// the PIC pipeline needs to know about space — cell enumeration and SFC
+// Package geom is the space layer of the simulation core: everything the
+// PIC pipeline needs to know about space — cell enumeration and SFC
 // keying, the interpolation footprint of a particle, grid-point ownership
 // and the neighbour stencil, particle generation/movement, and the field
-// substrate — behind one Geometry interface that internal/mesh (2-D) and
-// internal/mesh3 (3-D) both satisfy.
+// substrate — behind one Geometry interface, implemented once by G over
+// an internal/mesh grid of either dimensionality.
 //
 // The time-step loop, the transport decorator stack, the policies
 // and the incremental redistribution machinery never mention a dimension;
 // they compose over a Geometry, so a 3-D run goes through the exact same
-// phases, tags and tables as a 2-D run. Adding another geometry (a new
-// dimensionality, an adaptive mesh, a different SFC family) means
-// implementing this interface — not rewriting the pipeline.
+// phases, tags and tables as a 2-D run. Below the interface a 2-D grid is
+// the one-plane 3-D grid (Nz = 1): the range kernels loop over a cell's 4
+// or 8 vertices and read a particle's z only in 3-D. Adding another
+// geometry (an adaptive mesh, a different SFC family) means implementing
+// this interface — not rewriting the pipeline.
 package geom
 
 import (
@@ -41,7 +43,7 @@ type Footprint struct {
 	N    int
 	Gid  [MaxVertices]int32
 	W    [MaxVertices]float64
-	slot [MaxVertices]int32 // in a range kernel's block (see G3.footprint), or ^ghost slot
+	slot [MaxVertices]int32 // in a range kernel's block (see G.footprint), or ^ghost slot
 	cell int                // whose targets resolve put in slot (see resolve)
 }
 
@@ -161,11 +163,11 @@ type Geometry interface {
 func depositOwned(a *field.Arrays, c0 int, off []int, w []float64, q, vx, vy, vz float64) {
 	jx, jy, jz, rho := a.Jx, a.Jy, a.Jz, a.Rho
 	for k, o := range off {
-		wq := w[k] * q
+		wq := float64(w[k] * q)
 		c := c0 + o
-		jx[c] += wq * vx
-		jy[c] += wq * vy
-		jz[c] += wq * vz
+		jx[c] += float64(wq * vx)
+		jy[c] += float64(wq * vy)
+		jz[c] += float64(wq * vz)
 		rho[c] += wq
 	}
 }
@@ -202,19 +204,19 @@ func (fp *Footprint) resolve(cell int, table commopt.DupTable, ghostVals *[]floa
 // to its owned slot or its four ghost values. Returns the ghost count.
 func depositCell(fp *Footprint, w []float64, a *field.Arrays, ghostVals []float64, q, vx, vy, vz float64) (ops int) {
 	for k, wk := range w {
-		wq := wk * q
+		wq := float64(wk * q)
 		c := fp.slot[k]
 		if c >= 0 {
-			a.Jx[c] += wq * vx
-			a.Jy[c] += wq * vy
-			a.Jz[c] += wq * vz
+			a.Jx[c] += float64(wq * vx)
+			a.Jy[c] += float64(wq * vy)
+			a.Jz[c] += float64(wq * vz)
 			a.Rho[c] += wq
 			continue
 		}
 		gv := ghostVals[4*^c : 4*^c+4]
-		gv[0] += wq * vx
-		gv[1] += wq * vy
-		gv[2] += wq * vz
+		gv[0] += float64(wq * vx)
+		gv[1] += float64(wq * vy)
+		gv[2] += float64(wq * vz)
 		gv[3] += wq
 		ops++
 	}
@@ -228,12 +230,12 @@ func gatherOwned(a *field.Arrays, c0 int, off []int, w []float64) (ex, ey, ez, b
 	for k, o := range off {
 		wk := w[k]
 		c := c0 + o
-		ex += wk * aex[c]
-		ey += wk * aey[c]
-		ez += wk * aez[c]
-		bx += wk * abx[c]
-		by += wk * aby[c]
-		bz += wk * abz[c]
+		ex += float64(wk * aex[c])
+		ey += float64(wk * aey[c])
+		ez += float64(wk * aez[c])
+		bx += float64(wk * abx[c])
+		by += float64(wk * aby[c])
+		bz += float64(wk * abz[c])
 	}
 	return
 }
@@ -245,21 +247,21 @@ func gatherCell(fp *Footprint, w []float64, a *field.Arrays, ghostEB []float64) 
 	for k, wk := range w {
 		c := fp.slot[k]
 		if c >= 0 {
-			ex += wk * a.Ex[c]
-			ey += wk * a.Ey[c]
-			ez += wk * a.Ez[c]
-			bx += wk * a.Bx[c]
-			by += wk * a.By[c]
-			bz += wk * a.Bz[c]
+			ex += float64(wk * a.Ex[c])
+			ey += float64(wk * a.Ey[c])
+			ez += float64(wk * a.Ez[c])
+			bx += float64(wk * a.Bx[c])
+			by += float64(wk * a.By[c])
+			bz += float64(wk * a.Bz[c])
 			continue
 		}
 		eb := ghostEB[6*^c : 6*^c+6]
-		ex += wk * eb[0]
-		ey += wk * eb[1]
-		ez += wk * eb[2]
-		bx += wk * eb[3]
-		by += wk * eb[4]
-		bz += wk * eb[5]
+		ex += float64(wk * eb[0])
+		ey += float64(wk * eb[1])
+		ez += float64(wk * eb[2])
+		bx += float64(wk * eb[3])
+		by += float64(wk * eb[4])
+		bz += float64(wk * eb[5])
 	}
 	return
 }

@@ -8,7 +8,6 @@ import (
 	"picpar/internal/field"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/sfc"
 )
@@ -50,10 +49,10 @@ func rank0Share(b *testing.B, ge Geometry, n int, sorted bool, from int) *partic
 // particle. RefObserve is the per-vertex walk ObserveCosts replaced
 // (refObserve, the test oracle).
 func BenchmarkRangeKernels(b *testing.B) {
-	g2, g3 := mesh.NewGrid(256, 128), mesh3.NewGrid(32, 32, 32)
+	g2, g3 := mesh.NewGrid(256, 128), mesh.NewGrid3(32, 32, 32)
 	d2, err2 := mesh.NewDistOrdered(g2, 4, sfc.SchemeHilbert)
 	ix2, err3 := sfc.New(sfc.SchemeHilbert, g2.Nx, g2.Ny)
-	d3, err4 := mesh3.NewDistOrdered(g3, 4, sfc.SchemeHilbert)
+	d3, err4 := mesh.NewDistOrdered(g3, 4, sfc.SchemeHilbert)
 	ix3, err5 := sfc.New3(sfc.SchemeHilbert, g3.Nx, g3.Ny, g3.Nz)
 	for _, err := range []error{err2, err3, err4, err5} {
 		if err != nil {

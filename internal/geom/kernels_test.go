@@ -12,7 +12,6 @@ import (
 	"picpar/internal/field"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/pusher"
 	"picpar/internal/raceflag"
@@ -21,8 +20,8 @@ import (
 
 const testDt = 0.2
 
-// kernelCase is one geometry under test with its physical extents (the
-// third is 0 in 2-D) and its cell sizes.
+// kernelCase is one geometry under test with its physical extents and its
+// cell sizes (the third of each unused in 2-D).
 type kernelCase struct {
 	name   string
 	ge     Geometry
@@ -30,44 +29,27 @@ type kernelCase struct {
 	bounds func(r int) [3][2]int // rank r's owned half-open range per axis
 }
 
-func case2(t *testing.T, g mesh.Grid, p int) kernelCase {
+func newCase(t *testing.T, g mesh.Grid, p int) kernelCase {
 	t.Helper()
 	dist, err := mesh.NewDistOrdered(g, p, sfc.SchemeSnake)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := sfc.New(sfc.SchemeSnake, g.Nx, g.Ny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kernelCase{
-		name: fmt.Sprintf("%dx%d/L=%gx%g/P=%d", g.Nx, g.Ny, g.Lx, g.Ly, p),
-		ge:   New2(g, dist, ix),
-		l:    [3]float64{g.Lx, g.Ly}, d: [3]float64{g.Dx(), g.Dy()},
-		bounds: func(r int) [3][2]int {
-			i0, i1, j0, j1 := dist.Bounds(r)
-			return [3][2]int{{i0, i1}, {j0, j1}}
-		},
-	}
-}
-
-func case3(t *testing.T, g mesh3.Grid, p int) kernelCase {
-	t.Helper()
-	dist, err := mesh3.NewDistOrdered(g, p, sfc.SchemeSnake)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := sfc.New3(sfc.SchemeSnake, g.Nx, g.Ny, g.Nz)
-	if err != nil {
-		t.Fatal(err)
+	var ge Geometry = New2(g, dist, sfc.MustNew(sfc.SchemeSnake, g.Nx, g.Ny))
+	if g.Dims() == 3 {
+		ix, err := sfc.New3(sfc.SchemeSnake, g.Nx, g.Ny, g.Nz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge = New3(g, dist, ix)
 	}
 	return kernelCase{
 		name: fmt.Sprintf("%dx%dx%d/L=%gx%gx%g/P=%d", g.Nx, g.Ny, g.Nz, g.Lx, g.Ly, g.Lz, p),
-		ge:   New3(g, dist, ix),
+		ge:   ge,
 		l:    [3]float64{g.Lx, g.Ly, g.Lz}, d: [3]float64{g.Dx(), g.Dy(), g.Dz()},
 		bounds: func(r int) [3][2]int {
-			i0, i1, j0, j1, k0, k1 := dist.Bounds(r)
-			return [3][2]int{{i0, i1}, {j0, j1}, {k0, k1}}
+			lo, hi := dist.Bounds(r)
+			return [3][2]int{{lo[0], hi[0]}, {lo[1], hi[1]}, {lo[2], hi[2]}}
 		},
 	}
 }
@@ -76,13 +58,13 @@ func kernelCases(t *testing.T) []kernelCase {
 	var cs []kernelCase
 	for _, p := range []int{1, 4, 6} {
 		cs = append(cs,
-			case2(t, mesh.NewGrid(32, 16), p),                        // power of two; 6 ranks do not divide 32
-			case2(t, mesh.NewGrid(48, 20), p),                        // anisotropic, not a power of two
-			case2(t, mesh.Grid{Nx: 48, Ny: 20, Lx: 30, Ly: 27}, p),   // cells 0.625 × 1.35
-			case2(t, mesh.Grid{Nx: 48, Ny: 20, Lx: 13, Ly: 11.1}, p), // one ulp below L divides to N
-			case3(t, mesh3.NewGrid(8, 8, 8), p),
-			case3(t, mesh3.NewGrid(12, 10, 6), p),
-			case3(t, mesh3.Grid{Nx: 12, Ny: 10, Nz: 6, Lx: 9, Ly: 13, Lz: 4.2}, p),
+			newCase(t, mesh.NewGrid(32, 16), p),                                      // power of two; 6 ranks do not divide 32
+			newCase(t, mesh.NewGrid(48, 20), p),                                      // anisotropic, not a power of two
+			newCase(t, mesh.Grid{Nx: 48, Ny: 20, Nz: 1, Lx: 30, Ly: 27, Lz: 1}, p),   // cells 0.625 × 1.35
+			newCase(t, mesh.Grid{Nx: 48, Ny: 20, Nz: 1, Lx: 13, Ly: 11.1, Lz: 1}, p), // one ulp below L divides to N
+			newCase(t, mesh.NewGrid3(8, 8, 8), p),
+			newCase(t, mesh.NewGrid3(12, 10, 6), p),
+			newCase(t, mesh.Grid{Nx: 12, Ny: 10, Nz: 6, Lx: 9, Ly: 13, Lz: 4.2}, p),
 		)
 	}
 	return cs
@@ -565,7 +547,7 @@ func TestRangeKernelsAllocateNothing(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are distorted by the race runtime")
 	}
-	for _, c := range []kernelCase{case2(t, mesh.NewGrid(48, 20), 4), case3(t, mesh3.NewGrid(12, 10, 6), 4)} {
+	for _, c := range []kernelCase{newCase(t, mesh.NewGrid(48, 20), 4), newCase(t, mesh.NewGrid3(12, 10, 6), 4)} {
 		rng := rand.New(rand.NewSource(5))
 		s := saltedStore(c, rng)
 		f, _ := randomFieldsPair(c.ge, 1, rng)

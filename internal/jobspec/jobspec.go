@@ -13,7 +13,6 @@ import (
 
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/pic"
 	"picpar/internal/policy"
 )
@@ -103,7 +102,7 @@ func (s Spec) Config() (pic.Config, error) {
 			return pic.Config{}, err
 		}
 		if dim == 3 {
-			cfg.Grid3 = mesh3.NewGrid(ext[0], ext[1], ext[2])
+			cfg.Grid3 = mesh.NewGrid3(ext[0], ext[1], ext[2])
 		} else {
 			cfg.Grid = mesh.NewGrid(ext[0], ext[1])
 		}

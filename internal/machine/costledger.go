@@ -88,8 +88,8 @@ func (l *CostLedger) Commit(cost float64) {
 	if l.seenUnits > 0 {
 		perUnit := cost / float64(l.seenUnits)
 		for _, c := range l.touched {
-			l.cost[c] += l.alpha * perUnit * float64(l.units[c])
-			l.count[c] += l.alpha * float64(l.counts[c])
+			l.cost[c] += float64(l.alpha * perUnit * float64(l.units[c]))
+			l.count[c] += float64(l.alpha * float64(l.counts[c]))
 			l.counts[c] = 0
 			l.units[c] = 0
 		}

@@ -64,7 +64,7 @@ func Zero() Params { return Params{} }
 
 // MsgCost returns the modelled cost of transferring one message of n bytes.
 func (p Params) MsgCost(nbytes int) float64 {
-	return p.Tau + float64(nbytes)*p.MuPerByte
+	return p.Tau + float64(float64(nbytes)*p.MuPerByte)
 }
 
 // ComputeCost returns the modelled cost of n units of local computation.

@@ -1,10 +1,9 @@
-package mesh3
+package mesh
 
 import (
 	"fmt"
 	"slices"
 
-	"picpar/internal/mesh"
 	"picpar/internal/sfc"
 )
 
@@ -103,7 +102,7 @@ func (a *aligner) number(c [3]int, scheme string) (int, error) {
 			for tx := 0; tx < px; tx++ {
 				r := tiles.Index(tx, ty, tz)
 				if r < 0 || r >= a.p || !a.free[r] {
-					return 0, fmt.Errorf("mesh3: ordering not a bijection at (%d,%d,%d)", tx, ty, tz)
+					return 0, fmt.Errorf("mesh: ordering not a bijection at (%d,%d,%d)", tx, ty, tz)
 				}
 				a.free[r] = false
 				a.curve[(tz*py+ty)*px+tx] = r
@@ -114,9 +113,9 @@ func (a *aligner) number(c [3]int, scheme string) (int, error) {
 	g, p := a.g, a.p
 	a.pairs, a.curveAligned = a.pairs[:0], 0
 	for t := 0; t < p; t++ {
-		i0, i1 := mesh.BlockRange(g.Nx, px, t%px)
-		j0, j1 := mesh.BlockRange(g.Ny, py, t/px%py)
-		k0, k1 := mesh.BlockRange(g.Nz, pz, t/(px*py))
+		i0, i1 := BlockRange(g.Nx, px, t%px)
+		j0, j1 := BlockRange(g.Ny, py, t/px%py)
+		k0, k1 := BlockRange(g.Nz, pz, t/(px*py))
 		for az := a.atom[2][k0]; az <= a.atom[2][k1-1]; az++ {
 			for ay := a.atom[1][j0]; ay <= a.atom[1][j1-1]; ay++ {
 				for ax := a.atom[0][i0]; ax <= a.atom[0][i1-1]; ax++ {

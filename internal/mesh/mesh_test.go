@@ -17,29 +17,29 @@ func TestGridBasics(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if err := (Grid{Nx: 0, Ny: 4, Lx: 1, Ly: 1}).Validate(); err == nil {
+	if err := (&Grid{Nx: 0, Ny: 4, Nz: 1, Lx: 1, Ly: 1, Lz: 1}).Validate(); err == nil {
 		t.Error("expected validate failure for zero extent")
 	}
-	if err := (Grid{Nx: 4, Ny: 4, Lx: 0, Ly: 1}).Validate(); err == nil {
+	if err := (&Grid{Nx: 4, Ny: 4, Nz: 1, Lx: 0, Ly: 1, Lz: 1}).Validate(); err == nil {
 		t.Error("expected validate failure for zero size")
 	}
 }
 
 func TestPointIndexWrap(t *testing.T) {
 	g := NewGrid(8, 4)
-	if g.PointIndex(0, 0) != 0 {
+	if g.PointIndex(0, 0, 0) != 0 {
 		t.Error("origin index")
 	}
-	if g.PointIndex(8, 0) != g.PointIndex(0, 0) {
+	if g.PointIndex(8, 0, 0) != g.PointIndex(0, 0, 0) {
 		t.Error("x wrap failed")
 	}
-	if g.PointIndex(-1, 0) != g.PointIndex(7, 0) {
+	if g.PointIndex(-1, 0, 0) != g.PointIndex(7, 0, 0) {
 		t.Error("negative x wrap failed")
 	}
-	if g.PointIndex(3, 4) != g.PointIndex(3, 0) {
+	if g.PointIndex(3, 4, 0) != g.PointIndex(3, 0, 0) {
 		t.Error("y wrap failed")
 	}
-	if g.PointIndex(3, -1) != g.PointIndex(3, 3) {
+	if g.PointIndex(3, -1, 0) != g.PointIndex(3, 3, 0) {
 		t.Error("negative y wrap failed")
 	}
 }
@@ -48,9 +48,9 @@ func TestPointIndexRoundTrip(t *testing.T) {
 	g := NewGrid(13, 7)
 	for j := 0; j < g.Ny; j++ {
 		for i := 0; i < g.Nx; i++ {
-			id := g.PointIndex(i, j)
-			ri, rj := g.PointCoords(id)
-			if ri != i || rj != j {
+			id := g.PointIndex(i, j, 0)
+			ri, rj, rk := g.PointCoords(id)
+			if ri != i || rj != j || rk != 0 {
 				t.Fatalf("round trip (%d,%d) -> %d -> (%d,%d)", i, j, id, ri, rj)
 			}
 		}
@@ -70,8 +70,8 @@ func TestCellOf(t *testing.T) {
 		{3.0, 5.5, 3, 5},   // exact boundary belongs to upper cell
 	}
 	for _, c := range cases {
-		cx, cy := g.CellOf(c.x, c.y)
-		if cx != c.cx || cy != c.cy {
+		cx, cy, cz := g.CellOf(c.x, c.y, 0)
+		if cx != c.cx || cy != c.cy || cz != 0 {
 			t.Errorf("CellOf(%g,%g) = (%d,%d), want (%d,%d)", c.x, c.y, cx, cy, c.cx, c.cy)
 		}
 	}
@@ -83,8 +83,8 @@ func TestCellOfAlwaysInRange(t *testing.T) {
 		if x != x || y != y || x > 1e12 || x < -1e12 || y > 1e12 || y < -1e12 {
 			return true // skip NaN/huge (wrapF is a loop)
 		}
-		cx, cy := g.CellOf(x, y)
-		return cx >= 0 && cx < g.Nx && cy >= 0 && cy < g.Ny
+		cx, cy, cz := g.CellOf(x, y, 0)
+		return cx >= 0 && cx < g.Nx && cy >= 0 && cy < g.Ny && cz == 0
 	}
 	cfg := &quick.Config{MaxCount: 2000, Values: nil}
 	if err := quick.Check(f, cfg); err != nil {
@@ -176,11 +176,11 @@ func TestDistBoundsPartitionTheGrid(t *testing.T) {
 			}
 			owned := make([]int, g.NumPoints())
 			for r := 0; r < p; r++ {
-				i0, i1, j0, j1 := d.Bounds(r)
-				for j := j0; j < j1; j++ {
-					for i := i0; i < i1; i++ {
-						owned[g.PointIndex(i, j)]++
-						if got := d.OwnerOfPoint(i, j); got != r {
+				lo, hi := d.Bounds(r)
+				for j := lo[1]; j < hi[1]; j++ {
+					for i := lo[0]; i < hi[0]; i++ {
+						owned[g.PointIndex(i, j, 0)]++
+						if got := d.OwnerOfPoint(i, j, 0); got != r {
 							t.Fatalf("%v p=%d: OwnerOfPoint(%d,%d) = %d, want %d", g, p, i, j, got, r)
 						}
 					}
@@ -203,9 +203,8 @@ func TestDist1D(t *testing.T) {
 	if d.Px != 1 || d.Py != 4 {
 		t.Fatalf("1-D dist got %dx%d", d.Px, d.Py)
 	}
-	i0, i1, j0, j1 := d.Bounds(2)
-	if i0 != 0 || i1 != 16 || j0 != 4 || j1 != 6 {
-		t.Errorf("rank 2 bounds (%d,%d,%d,%d)", i0, i1, j0, j1)
+	if lo, hi := d.Bounds(2); lo != [3]int{0, 4, 0} || hi != [3]int{16, 6, 1} {
+		t.Errorf("rank 2 bounds %v, %v", lo, hi)
 	}
 }
 
@@ -215,16 +214,15 @@ func TestNeighboursPeriodic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rank 0 is at (0,0): left wraps to (3,0)=3, down wraps to (0,3)=12.
-	left, right, down, up := d.Neighbours(0)
-	if left != 3 || right != 1 || down != 12 || up != 4 {
-		t.Errorf("neighbours of 0: %d %d %d %d", left, right, down, up)
+	if nbr := d.Neighbours(0); nbr != [3][2]int{{3, 1}, {12, 4}, {0, 0}} {
+		t.Errorf("neighbours of 0: %v", nbr)
 	}
 }
 
 func TestWrapPosition(t *testing.T) {
 	g := NewGrid(4, 4)
-	x, y := g.WrapPosition(-0.5, 4.5)
-	if x != 3.5 || y != 0.5 {
+	x, y, z := g.WrapPosition(-0.5, 4.5, 0)
+	if x != 3.5 || y != 0.5 || z != 0 {
 		t.Errorf("WrapPosition = (%g,%g), want (3.5,0.5)", x, y)
 	}
 }
@@ -251,8 +249,8 @@ func TestOwnerTablesMatchBlockOwner(t *testing.T) {
 	for _, d := range []*Dist{plain, ordered, oneD} {
 		for j := -g.Ny; j < 2*g.Ny; j++ {
 			for i := -g.Nx; i < 2*g.Nx; i++ {
-				want := d.RankAt(BlockOwner(g.Nx, d.Px, wrap(i, g.Nx)), BlockOwner(g.Ny, d.Py, wrap(j, g.Ny)))
-				if got := d.OwnerOfPoint(i, j); got != want {
+				want := d.RankAt(BlockOwner(g.Nx, d.Px, wrap(i, g.Nx)), BlockOwner(g.Ny, d.Py, wrap(j, g.Ny)), 0)
+				if got := d.OwnerOfPoint(i, j, 0); got != want {
 					t.Fatalf("%v: OwnerOfPoint(%d,%d) = %d, want %d", d, i, j, got, want)
 				}
 			}

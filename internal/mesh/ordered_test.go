@@ -15,15 +15,15 @@ func TestNewDistOrderedBijection(t *testing.T) {
 		// Every point owned exactly once; RankCoords inverts RankAt.
 		owned := make([]int, 32*16)
 		for r := 0; r < 8; r++ {
-			px, py := d.RankCoords(r)
-			if got := d.RankAt(px, py); got != r {
+			px, py, pz := d.RankCoords(r)
+			if got := d.RankAt(px, py, pz); got != r {
 				t.Fatalf("%s: RankAt(RankCoords(%d)) = %d", scheme, r, got)
 			}
-			i0, i1, j0, j1 := d.Bounds(r)
-			for j := j0; j < j1; j++ {
-				for i := i0; i < i1; i++ {
-					owned[d.G.PointIndex(i, j)]++
-					if d.OwnerOfPoint(i, j) != r {
+			lo, hi := d.Bounds(r)
+			for j := lo[1]; j < hi[1]; j++ {
+				for i := lo[0]; i < hi[0]; i++ {
+					owned[d.G.PointIndex(i, j, 0)]++
+					if d.OwnerOfPoint(i, j, 0) != r {
 						t.Fatalf("%s: owner of (%d,%d) != %d", scheme, i, j, r)
 					}
 				}
@@ -44,8 +44,8 @@ func TestNewDistOrderedHilbertAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 1; r < 16; r++ {
-		ax, ay := d.RankCoords(r - 1)
-		bx, by := d.RankCoords(r)
+		ax, ay, _ := d.RankCoords(r - 1)
+		bx, by, _ := d.RankCoords(r)
 		if dx, dy := ax-bx, ay-by; dx*dx+dy*dy != 1 {
 			t.Errorf("ranks %d,%d tiles (%d,%d),(%d,%d) not adjacent", r-1, r, ax, ay, bx, by)
 		}
@@ -57,10 +57,10 @@ func TestRenumberRejectsNonBijection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Renumber(func(tx, ty int) int { return 0 }); err == nil {
+	if err := d.Renumber(func(tx, ty, tz int) int { return 0 }); err == nil {
 		t.Error("expected error for constant ordering")
 	}
-	if err := d.Renumber(func(tx, ty int) int { return -1 }); err == nil {
+	if err := d.Renumber(func(tx, ty, tz int) int { return -1 }); err == nil {
 		t.Error("expected error for out-of-range ordering")
 	}
 }

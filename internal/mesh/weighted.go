@@ -62,5 +62,5 @@ func QuantizeWeight(w, scale float64) int64 {
 	if !(w > 0) {
 		return 0
 	}
-	return int64(w*scale + 0.5)
+	return int64(float64(w*scale) + 0.5)
 }

@@ -11,9 +11,9 @@ import (
 // curveNumbered is the numbering NewDistOrdered improves on: the most
 // cube-like processor grid, its tiles numbered along the scheme's curve
 // over the processor grid.
-func curveNumbered(t *testing.T, g Grid, p int, scheme string) *Dist {
+func curveNumbered(t *testing.T, g Grid, p int, scheme string) *mesh.Dist {
 	t.Helper()
-	d, err := newDist(g, p)
+	d, err := mesh.NewDist(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +21,15 @@ func curveNumbered(t *testing.T, g Grid, p int, scheme string) *Dist {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.tileRank, d.rankTile = make([]int, p), make([]int, p)
-	for tile := 0; tile < p; tile++ {
-		r := ix.Index(tile%d.Px, tile/d.Px%d.Py, tile/(d.Px*d.Py))
-		d.tileRank[tile], d.rankTile[r] = r, tile
+	if err := d.Renumber(ix.Index); err != nil {
+		t.Fatal(err)
 	}
 	return d
 }
 
 // alignedShare is the fraction of cells whose lower-corner point rank r
 // owns, where r is the key P-th ⌊k·P/cells⌋ of the cell's curve key k.
-func alignedShare(d *Dist, cells sfc.Indexer3) float64 {
+func alignedShare(d *mesh.Dist, cells sfc.Indexer3) float64 {
 	g := d.G
 	n := g.Nx * g.Ny * g.Nz
 	aligned := 0
@@ -126,8 +124,8 @@ func TestMeshDistOrdered2DAligned(t *testing.T) {
 		n := g.Nx * g.Ny
 		for y := 0; y < g.Ny; y++ {
 			for x := 0; x < g.Nx; x++ {
-				if want := cells.Index(x, y) * p / n; d.OwnerOfPoint(x, y) != want {
-					t.Fatalf("%dx%d: cell (%d,%d) of P-th %d lies on rank %d's tile", g.Nx, g.Ny, x, y, want, d.OwnerOfPoint(x, y))
+				if want := cells.Index(x, y) * p / n; d.OwnerOfPoint(x, y, 0) != want {
+					t.Fatalf("%dx%d: cell (%d,%d) of P-th %d lies on rank %d's tile", g.Nx, g.Ny, x, y, want, d.OwnerOfPoint(x, y, 0))
 				}
 			}
 		}

@@ -8,16 +8,17 @@ import (
 )
 
 func TestGridValidate(t *testing.T) {
-	if err := NewGrid(4, 4, 4).Validate(); err != nil {
+	g := NewGrid(4, 4, 4)
+	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
-	if err := (Grid{Nx: 0, Ny: 1, Nz: 1}).Validate(); err == nil {
+	if err := (&Grid{Nx: 0, Ny: 1, Nz: 1}).Validate(); err == nil {
 		t.Error("zero extent accepted")
 	}
 }
 
 func TestNumPoints(t *testing.T) {
-	if NewGrid(3, 4, 5).NumPoints() != 60 {
+	if g := NewGrid(3, 4, 5); g.NumPoints() != 60 {
 		t.Error("NumPoints wrong")
 	}
 }
@@ -43,7 +44,7 @@ func TestCellOfBoundaries(t *testing.T) {
 }
 
 func TestNewDistPrefersCubes(t *testing.T) {
-	d, err := newDist(NewGrid(32, 32, 32), 64)
+	d, err := mesh.NewDist(NewGrid(32, 32, 32), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestNewDistPrefersCubes(t *testing.T) {
 func TestNewDistAnisotropic(t *testing.T) {
 	// A flat slab should not be split along its thin dimension more than
 	// it can bear.
-	d, err := newDist(NewGrid(64, 64, 2), 16)
+	d, err := mesh.NewDist(NewGrid(64, 64, 2), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,10 @@ func TestNewDistAnisotropic(t *testing.T) {
 }
 
 func TestNewDistErrors(t *testing.T) {
-	if _, err := newDist(NewGrid(2, 2, 2), 0); err == nil {
+	if _, err := mesh.NewDist(NewGrid(2, 2, 2), 0); err == nil {
 		t.Error("p=0 accepted")
 	}
-	if _, err := newDist(NewGrid(2, 2, 2), 1000); err == nil {
+	if _, err := mesh.NewDist(NewGrid(2, 2, 2), 1000); err == nil {
 		t.Error("unfactorable p accepted")
 	}
 }
@@ -93,16 +94,16 @@ func TestNewDistOrderedRoundTrip(t *testing.T) {
 
 func TestBoundsCoverGrid(t *testing.T) {
 	g := NewGrid(10, 6, 4)
-	d, err := newDist(g, 6)
+	d, err := mesh.NewDist(g, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	owned := make([]int, g.NumPoints())
 	for r := 0; r < 6; r++ {
-		i0, i1, j0, j1, k0, k1 := d.Bounds(r)
-		for k := k0; k < k1; k++ {
-			for j := j0; j < j1; j++ {
-				for i := i0; i < i1; i++ {
+		lo, hi := d.Bounds(r)
+		for k := lo[2]; k < hi[2]; k++ {
+			for j := lo[1]; j < hi[1]; j++ {
+				for i := lo[0]; i < hi[0]; i++ {
 					owned[g.PointIndex(i, j, k)]++
 				}
 			}
@@ -119,7 +120,7 @@ func TestBoundsCoverGrid(t *testing.T) {
 // with mesh.BlockOwner at every index, also where the extents do not divide.
 func TestOwnerTablesMatchBlockOwner(t *testing.T) {
 	g := NewGrid(13, 10, 7)
-	plain, err := newDist(g, 12)
+	plain, err := mesh.NewDist(g, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestOwnerTablesMatchBlockOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []*Dist{plain, ordered} {
+	for _, d := range []*mesh.Dist{plain, ordered} {
 		if g.Nx%d.Px == 0 || g.Nz%d.Pz == 0 || d.Py == 1 {
 			t.Fatalf("%dx%dx%d processor grid divides the extents; pick another grid", d.Px, d.Py, d.Pz)
 		}
@@ -135,9 +136,9 @@ func TestOwnerTablesMatchBlockOwner(t *testing.T) {
 			for j := -g.Ny; j < 2*g.Ny; j++ {
 				for i := -g.Nx; i < 2*g.Nx; i++ {
 					want := d.RankAt(
-						mesh.BlockOwner(g.Nx, d.Px, wrap(i, g.Nx)),
-						mesh.BlockOwner(g.Ny, d.Py, wrap(j, g.Ny)),
-						mesh.BlockOwner(g.Nz, d.Pz, wrap(k, g.Nz)))
+						mesh.BlockOwner(g.Nx, d.Px, (i+g.Nx)%g.Nx),
+						mesh.BlockOwner(g.Ny, d.Py, (j+g.Ny)%g.Ny),
+						mesh.BlockOwner(g.Nz, d.Pz, (k+g.Nz)%g.Nz))
 					if got := d.OwnerOfPoint(i, j, k); got != want {
 						t.Fatalf("OwnerOfPoint(%d,%d,%d) = %d, want %d", i, j, k, got, want)
 					}

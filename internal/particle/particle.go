@@ -300,7 +300,7 @@ func (s *Store) AppendWire(wire []float64) error {
 
 // Gamma returns the Lorentz factor of particle i.
 func (s *Store) Gamma(i int) float64 {
-	p2 := s.Px[i]*s.Px[i] + s.Py[i]*s.Py[i] + s.Pz[i]*s.Pz[i]
+	p2 := float64(s.Px[i]*s.Px[i]) + float64(s.Py[i]*s.Py[i]) + float64(s.Pz[i]*s.Pz[i])
 	return math.Sqrt(1 + p2)
 }
 
@@ -308,7 +308,7 @@ func (s *Store) Gamma(i int) float64 {
 func (s *Store) KineticEnergy() float64 {
 	e := 0.0
 	for i := range s.X {
-		e += s.Mass * (s.Gamma(i) - 1)
+		e += float64(s.Mass * (s.Gamma(i) - 1))
 	}
 	return e
 }
@@ -466,21 +466,21 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.emit = func(s *Store, i int) {
 			var x [3]float64
 			g.uniform(&x)
-			dx, dy, dz := g.l[0]/2-x[0], g.l[1]/2-x[1], g.l[2]/2-x[2]
+			dx, dy, dz := float64(g.l[0]/2)-x[0], float64(g.l[1]/2)-x[1], float64(g.l[2]/2)-x[2]
 			var norm float64
 			if g.dims == 3 {
-				norm = math.Sqrt(dx*dx + dy*dy + dz*dz)
+				norm = math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 			} else {
 				norm = math.Hypot(dx, dy)
 			}
 			if norm == 0 {
 				norm = 1
 			}
-			px := cfg.Drift*dx/norm + g.thermal()
-			py := cfg.Drift*dy/norm + g.thermal()
+			px := float64(cfg.Drift*dx/norm) + g.thermal()
+			py := float64(cfg.Drift*dy/norm) + g.thermal()
 			pz := g.thermal()
 			if g.dims == 3 {
-				pz += cfg.Drift * dz / norm
+				pz += float64(cfg.Drift * dz / norm)
 			}
 			g.put(s, i, &x, px, py, pz)
 		}
@@ -493,7 +493,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 // uniform draws x axis by axis, uniformly over the domain.
 func (g *Generator) uniform(x *[3]float64) {
 	for k := 0; k < g.dims; k++ {
-		x[k] = g.rng.Float64() * g.l[k]
+		x[k] = float64(g.rng.Float64() * g.l[k])
 	}
 }
 
@@ -501,12 +501,12 @@ func (g *Generator) uniform(x *[3]float64) {
 // c with std-dev sigma·L, truncated to the domain.
 func (g *Generator) gauss(x *[3]float64, c [3]float64, sigma float64) {
 	for k := 0; k < g.dims; k++ {
-		x[k] = gaussInDomain(g.rng, c[k]*g.l[k], sigma*g.l[k], g.l[k])
+		x[k] = gaussInDomain(g.rng, float64(c[k]*g.l[k]), float64(sigma*g.l[k]), g.l[k])
 	}
 }
 
 // thermal draws one thermal momentum component.
-func (g *Generator) thermal() float64 { return g.rng.NormFloat64() * g.cfg.Thermal }
+func (g *Generator) thermal() float64 { return float64(g.rng.NormFloat64() * g.cfg.Thermal) }
 
 // put appends particle i at x with momentum (px, py, pz).
 func (g *Generator) put(s *Store, i int, x *[3]float64, px, py, pz float64) {
@@ -522,7 +522,7 @@ func (g *Generator) put(s *Store, i int, x *[3]float64, px, py, pz float64) {
 // preserved.
 func gaussInDomain(rng *rand.Rand, mean, sigma, l float64) float64 {
 	for {
-		v := mean + rng.NormFloat64()*sigma
+		v := mean + float64(rng.NormFloat64()*sigma)
 		if v >= 0 && v < l {
 			return v
 		}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"picpar/internal/geom"
-	"picpar/internal/mesh3"
+	"picpar/internal/mesh"
 	"picpar/internal/particle"
 	"picpar/internal/sfc"
 )
@@ -13,8 +13,8 @@ import (
 // geometry: a uniform population on an 8-rank cube is balanced, every rank
 // has ghost points, and Hilbert keying keeps communication local.
 func TestMeasureIndependent3D(t *testing.T) {
-	g := mesh3.NewGrid(16, 16, 16)
-	d, err := mesh3.NewDistOrdered(g, 8, sfc.SchemeHilbert)
+	g := mesh.NewGrid3(16, 16, 16)
+	d, err := mesh.NewDistOrdered(g, 8, sfc.SchemeHilbert)
 	if err != nil {
 		t.Fatal(err)
 	}

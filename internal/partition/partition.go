@@ -60,11 +60,12 @@ func blockPoints(ge geom.Geometry) []int {
 }
 
 // Build computes the layout of the given strategy for the current particle
-// positions under the 2-D geometry of Table 1: its BLOCK distribution
-// defines the grid blocks and its indexer the particle ordering.
+// positions under geometry ge, of either dimensionality: its BLOCK
+// distribution defines the grid blocks and its indexer the particle
+// ordering.
 // StrategyIndependent is BuildIndependent's layout, which refreshes the
 // store's keys.
-func Build(strategy Strategy, ge *geom.G2, s *particle.Store) (*Layout, error) {
+func Build(strategy Strategy, ge *geom.G, s *particle.Store) (*Layout, error) {
 	switch strategy {
 	case StrategyGrid:
 		// Grid points by BLOCK; particles follow their cell.
@@ -107,8 +108,7 @@ func Build(strategy Strategy, ge *geom.G2, s *particle.Store) (*Layout, error) {
 			l.Particles[i] = assignByKey(key)
 		}
 		for gid := range l.Points {
-			ci, cj := ge.G.PointCoords(gid)
-			l.Points[gid] = assignByKey(float64(ge.Ix.Index(ci, cj)))
+			l.Points[gid] = assignByKey(float64(ge.Ix.Index(ge.G.PointCoords(gid))))
 		}
 		return l, nil
 	case StrategyIndependent:

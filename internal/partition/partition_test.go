@@ -5,14 +5,13 @@ import (
 
 	"picpar/internal/geom"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/sfc"
 )
 
 // setup returns a Hilbert-ordered 16-rank geometry over a 32×32 mesh and n
 // particles of dist on it.
-func setup(t *testing.T, dist string, n int) (*geom.G2, *particle.Store) {
+func setup(t *testing.T, dist string, n int) (*geom.G, *particle.Store) {
 	t.Helper()
 	ge := hilbert2(t, sfc.SchemeHilbert)
 	s, err := particle.Generate(particle.Config{
@@ -26,7 +25,7 @@ func setup(t *testing.T, dist string, n int) (*geom.G2, *particle.Store) {
 
 // hilbert2 returns the 16-rank geometry over a 32×32 mesh whose tiles and
 // particle keys both follow scheme.
-func hilbert2(t *testing.T, scheme string) *geom.G2 {
+func hilbert2(t *testing.T, scheme string) *geom.G {
 	t.Helper()
 	g := mesh.NewGrid(32, 32)
 	d, err := mesh.NewDistOrdered(g, 16, scheme)
@@ -42,9 +41,9 @@ func TestAssignKeysMatchesIndexer(t *testing.T) {
 	ge, s := setup(t, particle.DistUniform, 500)
 	BuildIndependent(ge, s)
 	for i := 0; i < s.Len(); i++ {
-		cx, cy := ge.G.CellOf(s.X[i], s.Y[i])
-		if s.Key[i] != float64(ge.Ix.Index(cx, cy)) {
-			t.Fatalf("particle %d key %g != index %d", i, s.Key[i], ge.Ix.Index(cx, cy))
+		cx, cy, cz := ge.G.CellOf(s.X[i], s.Y[i], 0)
+		if s.Key[i] != float64(ge.Ix.Index(cx, cy, cz)) {
+			t.Fatalf("particle %d key %g != index %d", i, s.Key[i], ge.Ix.Index(cx, cy, cz))
 		}
 	}
 }
@@ -69,15 +68,14 @@ func TestBuildGridStrategy(t *testing.T) {
 	// Grid points follow BLOCK exactly.
 	for cy := 0; cy < g.Ny; cy++ {
 		for cx := 0; cx < g.Nx; cx++ {
-			if l.Points[g.PointIndex(cx, cy)] != d.OwnerOfPoint(cx, cy) {
+			if l.Points[g.PointIndex(cx, cy, 0)] != d.OwnerOfPoint(cx, cy, 0) {
 				t.Fatalf("point (%d,%d) owner mismatch", cx, cy)
 			}
 		}
 	}
 	// Particles follow their cell.
 	for i := 0; i < s.Len(); i++ {
-		cx, cy := g.CellOf(s.X[i], s.Y[i])
-		if l.Particles[i] != d.OwnerOfPoint(cx, cy) {
+		if l.Particles[i] != d.OwnerOfPoint(g.CellOf(s.X[i], s.Y[i], 0)) {
 			t.Fatalf("particle %d not with its cell", i)
 		}
 	}
@@ -216,7 +214,7 @@ func TestPartitionEvolutionDegradesLagrangian(t *testing.T) {
 	// Drift: move every particle diagonally by a few cells (Lagrangian:
 	// assignment stays).
 	for i := 0; i < s.Len(); i++ {
-		s.X[i], s.Y[i] = ge.G.WrapPosition(s.X[i]+3.3, s.Y[i]+2.1)
+		s.X[i], s.Y[i], _ = ge.G.WrapPosition(s.X[i]+3.3, s.Y[i]+2.1, 0)
 	}
 	q1 := Measure(ge, l, s, nil)
 	if q1.TotalGhostPoints <= q0.TotalGhostPoints {
@@ -268,8 +266,8 @@ func TestMeasurePinned(t *testing.T) {
 		}
 	}
 
-	g := mesh3.NewGrid(16, 12, 8)
-	d, err := mesh3.NewDistOrdered(g, 12, sfc.SchemeHilbert)
+	g := mesh.NewGrid3(16, 12, 8)
+	d, err := mesh.NewDistOrdered(g, 12, sfc.SchemeHilbert)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,5 +280,57 @@ func TestMeasurePinned(t *testing.T) {
 	wf := func(k uint64) float64 { return float64(1 + k%7) }
 	if got := Measure(ge, BuildIndependentWeighted(ge, s, wf), s, wf); got != want["3d/weighted"] {
 		t.Errorf("3d/weighted: got %+v\nwant %+v", got, want["3d/weighted"])
+	}
+}
+
+// TestBuild3D runs Table 1's Grid and Particle strategies on a 3-D
+// geometry whose extents and rank count do not divide evenly: every grid
+// point and particle gets an owner in [0, P), Grid puts each particle with
+// its cell's owner, and Particle leaves no rank without particles.
+func TestBuild3D(t *testing.T) {
+	g := mesh.NewGrid3(16, 12, 10)
+	const p = 6
+	d, err := mesh.NewDistOrdered(g, p, sfc.SchemeHilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ge := geom.New3(g, d, d.Cells)
+	s, err := ge.Generate(geom.GenConfig{N: 5000, Distribution: particle.DistIrregular, Seed: 3, Thermal: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []Strategy{StrategyGrid, StrategyParticle} {
+		l, err := Build(st, ge, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.Points) != g.NumPoints() || len(l.Particles) != s.Len() {
+			t.Fatalf("%v: %d point and %d particle owners for %d and %d", st, len(l.Points), len(l.Particles), g.NumPoints(), s.Len())
+		}
+		counts := make([]int, p)
+		for i, r := range l.Particles {
+			if r < 0 || r >= p {
+				t.Fatalf("%v: particle %d owned by rank %d", st, i, r)
+			}
+			if st == StrategyGrid && r != ge.OwnerOfParticle(s, i) {
+				t.Fatalf("%v: particle %d owned by rank %d, its cell by %d", st, i, r, ge.OwnerOfParticle(s, i))
+			}
+			counts[r]++
+		}
+		for gid, r := range l.Points {
+			if r < 0 || r >= p {
+				t.Fatalf("%v: point %d owned by rank %d", st, gid, r)
+			}
+		}
+		if st == StrategyParticle {
+			for r, c := range counts {
+				if c == 0 {
+					t.Errorf("%v: rank %d holds no particles", st, r)
+				}
+			}
+		}
+		if q := Measure(ge, l, s, nil); q.ParticleImbalance <= 0 || q.GridImbalance <= 0 {
+			t.Errorf("%v: quality %+v", st, q)
+		}
 	}
 }

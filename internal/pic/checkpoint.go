@@ -21,7 +21,6 @@ import (
 
 	"picpar/internal/ckpt"
 	"picpar/internal/comm"
-	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/policy"
 )
@@ -178,7 +177,7 @@ func (st *rankState) buildShard(epoch int, res *Result) *ckpt.Shard {
 	} else {
 		sh.GridNx, sh.GridNy = cfg.Grid.Nx, cfg.Grid.Ny
 	}
-	sh.Block = ownedBlock(st.ge, r.Rank())
+	sh.Block = st.ownedBlock()
 	fa := st.farr
 	src := [ckpt.NumFieldArrays][]float64{fa.Ex, fa.Ey, fa.Ez, fa.Bx, fa.By, fa.Bz, fa.Jx, fa.Jy, fa.Jz, fa.Rho}
 	for i := range src {
@@ -269,7 +268,7 @@ func (st *rankState) readShard(epoch int) (*ckpt.Shard, error) {
 	}
 	// Blocks of one size may be tiled or numbered differently by another
 	// build; the field arrays would then load into the wrong block.
-	if b := ownedBlock(st.ge, r.Rank()); sh.Block != b {
+	if b := st.ownedBlock(); sh.Block != b {
 		return fail("owned block %v (run owns %v)", sh.Block, b)
 	}
 	if sh.NumParticles != cfg.NumParticles || sh.Seed != cfg.Seed {
@@ -291,14 +290,12 @@ func (st *rankState) readShard(epoch int) (*ckpt.Shard, error) {
 	return sh, nil
 }
 
-// ownedBlock is rank r's owned mesh block as a shard records it: i0, i1,
-// j0, j1, k0, k1, with k0 = k1 = 0 in 2-D.
-func ownedBlock(ge geom.Geometry, r int) (b [6]int) {
-	switch g := ge.(type) {
-	case *geom.G2:
-		b[0], b[1], b[2], b[3] = g.D.Bounds(r)
-	case *geom.G3:
-		b[0], b[1], b[2], b[3], b[4], b[5] = g.D.Bounds(r)
+// ownedBlock is the rank's owned mesh block as a shard records it: i0,
+// i1, j0, j1, k0, k1, with k0 = k1 = 0 in 2-D.
+func (st *rankState) ownedBlock() (b [6]int) {
+	f := st.fields
+	for a := 0; a < f.Dims; a++ {
+		b[2*a], b[2*a+1] = f.Lo[a], f.Lo[a]+f.N[a]
 	}
 	return b
 }

@@ -16,7 +16,6 @@ import (
 	"picpar/internal/commopt"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/par"
 	"picpar/internal/particle"
 	"picpar/internal/policy"
@@ -30,12 +29,12 @@ type Config struct {
 	// is dimension-generic over the geometry seam (internal/geom); Dims
 	// only picks which geometry is built.
 	Dims int
-	// Grid is the global 2-D mesh; zero value means 64×32. Used when
-	// Dims == 2.
+	// Grid is the global 2-D mesh, one plane (Nz = 1; an unset Nz and Lz
+	// mean 1); zero value means 64×32. Used when Dims == 2.
 	Grid mesh.Grid
-	// Grid3 is the global 3-D mesh; zero value means 16×16×16. Used when
-	// Dims == 3.
-	Grid3 mesh3.Grid
+	// Grid3 is the global 3-D mesh, Nz ≥ 2; zero value means 16×16×16.
+	// Used when Dims == 3.
+	Grid3 mesh.Grid
 	// P is the number of ranks (processors).
 	P int
 	// NumParticles is the global particle count n.
@@ -174,8 +173,11 @@ func (c Config) withDefaults() Config {
 	if c.Dims == 2 && c.Grid.Nx == 0 {
 		c.Grid = mesh.NewGrid(64, 32)
 	}
+	if c.Dims == 2 && c.Grid.Nz == 0 && c.Grid.Lz == 0 {
+		c.Grid.Nz, c.Grid.Lz = 1, 1
+	}
 	if c.Dims == 3 && c.Grid3.Nx == 0 {
-		c.Grid3 = mesh3.NewGrid(16, 16, 16)
+		c.Grid3 = mesh.NewGrid3(16, 16, 16)
 	}
 	if c.P == 0 {
 		c.P = 4
@@ -222,23 +224,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// grid is the run's mesh: Grid in 2-D, Grid3 in 3-D.
+func (c Config) grid() mesh.Grid {
+	if c.Dims == 3 {
+		return c.Grid3
+	}
+	return c.Grid
+}
+
 // validate rejects configurations the substrates cannot represent. It does
 // no per-cell work: the grid validates its own extents, and the indexing
 // scheme is checked on a one-cell box, so the run's cell curve is built
 // once, by newGeometry.
 func (c Config) validate() error {
+	g := c.grid()
 	switch c.Dims {
 	case 2:
-		if err := c.Grid.Validate(); err != nil {
-			return err
-		}
 		if _, err := sfc.New(c.Indexing, 1, 1); err != nil {
 			return err
 		}
 	case 3:
-		if err := c.Grid3.Validate(); err != nil {
-			return err
-		}
 		if _, err := sfc.New3(c.Indexing, 1, 1, 1); err != nil {
 			return err
 		}
@@ -248,13 +253,19 @@ func (c Config) validate() error {
 	default:
 		return fmt.Errorf("pic: unsupported dimensionality %d (want 2 or 3)", c.Dims)
 	}
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	if g.Dims() != c.Dims {
+		return fmt.Errorf("pic: a %d-D run on a %dx%dx%d grid (a one-plane grid is the 2-D grid)", c.Dims, g.Nx, g.Ny, g.Nz)
+	}
 	if s := c.CustomParticles; s != nil {
 		if s.Dims() != c.Dims {
 			return fmt.Errorf("pic: CustomParticles are %d-D but Dims is %d", s.Dims(), c.Dims)
 		}
-		extent := [3]float64{c.Grid.Lx, c.Grid.Ly}
+		extent := [3]float64{g.Lx, g.Ly}
 		if c.Dims == 3 {
-			extent = [3]float64{c.Grid3.Lx, c.Grid3.Ly, c.Grid3.Lz}
+			extent[2] = g.Lz
 		}
 		if err := checkParticles(s, extent); err != nil {
 			return err

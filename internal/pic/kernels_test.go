@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/raceflag"
 )
@@ -40,7 +39,7 @@ func TestCustomParticlesValidated(t *testing.T) {
 		{"first offender wins", 2, 1, "y", func(s *particle.Store, i int) { s.Y[i] = -2; s.X[i+1] = nan }},
 	}
 	for _, tc := range cases {
-		cfg := Config{Dims: tc.dims, Grid: mesh.NewGrid(8, 4), Grid3: mesh3.NewGrid(8, 4, 4), P: 2, Iterations: 1}
+		cfg := Config{Dims: tc.dims, Grid: mesh.NewGrid(8, 4), Grid3: mesh.NewGrid3(8, 4, 4), P: 2, Iterations: 1}
 		s := particle.NewStore(8, -1, 1)
 		if tc.dims == 3 {
 			s = particle.NewStore3(8, -1, 1)

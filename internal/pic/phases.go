@@ -44,7 +44,7 @@ func (st *rankState) verifyInvariants(iter int) {
 	r.SetPhase(machine.PhaseCommSetup)
 	defer r.SetPhase(prev)
 	totalRho := comm.ExposeSumFloat64(r, st.fields.SumRho())
-	want := float64(st.cfg.NumParticles) * st.cfg.MacroCharge
+	want := float64(float64(st.cfg.NumParticles) * st.cfg.MacroCharge)
 	tol := 1e-9 * (1 + absF(want))
 	if absF(totalRho-want) > tol {
 		panic(fmt.Sprintf("pic: iter %d: mesh charge %g, want %g (scatter lost contributions)",

@@ -10,7 +10,6 @@ import (
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/policy"
 	"picpar/internal/raceflag"
@@ -289,7 +288,7 @@ func TestValidateDoesNoPerCellWork(t *testing.T) {
 		t.Skip("allocation accounting is distorted by the race runtime")
 	}
 	cfg := base3()
-	cfg.Grid3 = mesh3.NewGrid(64, 64, 64)
+	cfg.Grid3 = mesh.NewGrid3(64, 64, 64)
 	cfg = cfg.withDefaults()
 	const calls = 10
 	var before, after runtime.MemStats
@@ -420,5 +419,24 @@ func TestMaxSummaries(t *testing.T) {
 	}}
 	if res.MaxScatterBytes() != 30 || res.MaxScatterMsgs() != 5 {
 		t.Errorf("summaries: bytes=%d msgs=%d", res.MaxScatterBytes(), res.MaxScatterMsgs())
+	}
+}
+
+// TestValidateGridMatchesDims: a 2-D run takes a one-plane grid, a grid
+// literal without Nz and Lz included, and a 3-D run refuses one, since a
+// one-plane grid is the 2-D grid to the distribution and the kernels.
+func TestValidateGridMatchesDims(t *testing.T) {
+	flat := base()
+	flat.Grid = mesh.Grid{Nx: 16, Ny: 8, Lx: 16, Ly: 8}
+	if err := flat.withDefaults().validate(); err != nil {
+		t.Errorf("2-D grid literal without Nz: %v", err)
+	}
+	for _, c := range []Config{
+		func() Config { c := base3(); c.Grid3 = mesh.NewGrid3(16, 16, 1); return c }(),
+		func() Config { c := base(); c.Grid = mesh.NewGrid3(16, 8, 4); return c }(),
+	} {
+		if err := c.withDefaults().validate(); err == nil || !strings.Contains(err.Error(), "one-plane grid") {
+			t.Errorf("%d-D run on a %dx%dx%d grid: %v, want a one-plane grid error", c.Dims, c.grid().Nx, c.grid().Ny, c.grid().Nz, err)
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"picpar/internal/geom"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/par"
 	"picpar/internal/particle"
 	"picpar/internal/policy"
@@ -140,33 +139,29 @@ func (res *Result) finalize(p int, ws machine.WorldStats) {
 // newGeometry builds the run's Geometry: the BLOCK mesh distribution with
 // its tiles numbered so that particle chunk r, the r-th P-th of the cell
 // curve that orders the particles, lands on mesh block r, plus that cell
-// indexer — in the configured dimensionality. In 2-D the tiles are
-// numbered along the same curve over the processor grid; in 3-D
-// mesh3.NewDistOrdered picks the tiling and numbering from the cell curve
-// itself and hands back the indexer it built for that.
+// indexer — in the configured dimensionality. mesh.NewDistOrdered picks
+// the tiling and numbering (in 3-D from the cell curve itself, handing
+// back the indexer it built for that).
 func newGeometry(cfg Config) (geom.Geometry, error) {
-	if cfg.Dims == 3 {
-		dist, err := mesh3.NewDistOrdered(cfg.Grid3, cfg.P, cfg.Indexing)
-		if err != nil {
-			return nil, err
-		}
-		return geom.New3(cfg.Grid3, dist, dist.Cells), nil
-	}
+	g := cfg.grid()
 	var dist *mesh.Dist
 	var err error
 	if cfg.MeshDist1D {
-		dist, err = mesh.NewDist1D(cfg.Grid, cfg.P)
+		dist, err = mesh.NewDist1D(g, cfg.P)
 	} else {
-		dist, err = mesh.NewDistOrdered(cfg.Grid, cfg.P, cfg.Indexing)
+		dist, err = mesh.NewDistOrdered(g, cfg.P, cfg.Indexing)
 	}
 	if err != nil {
 		return nil, err
 	}
-	indexer, err := sfc.New(cfg.Indexing, cfg.Grid.Nx, cfg.Grid.Ny)
+	if cfg.Dims == 3 {
+		return geom.New3(g, dist, dist.Cells), nil
+	}
+	indexer, err := sfc.New(cfg.Indexing, g.Nx, g.Ny)
 	if err != nil {
 		return nil, err
 	}
-	return geom.New2(cfg.Grid, dist, indexer), nil
+	return geom.New2(g, dist, indexer), nil
 }
 
 // rankState bundles one rank's simulation state, shared by the phases in

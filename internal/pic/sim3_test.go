@@ -6,7 +6,7 @@ import (
 	"picpar/internal/comm"
 	"picpar/internal/commtest"
 	"picpar/internal/machine"
-	"picpar/internal/mesh3"
+	"picpar/internal/mesh"
 	"picpar/internal/particle"
 	"picpar/internal/policy"
 )
@@ -16,7 +16,7 @@ import (
 func base3() Config {
 	return Config{
 		Dims:         3,
-		Grid3:        mesh3.NewGrid(16, 16, 16),
+		Grid3:        mesh.NewGrid3(16, 16, 16),
 		P:            8,
 		NumParticles: 2048,
 		Distribution: particle.DistIrregular,
@@ -119,7 +119,7 @@ func TestChaos3DByteIdenticalUnderReliable(t *testing.T) {
 
 // TestGolden3DP4 pins the 3-D reference run at four ranks, where the cell
 // curve's quarters are 16×16×32 columns: the tiles are chosen and numbered
-// from those quarters (mesh3.NewDistOrdered), so each rank's particles
+// from those quarters (mesh.NewDistOrdered), so each rank's particles
 // deposit on its own tile.
 func TestGolden3DP4(t *testing.T) {
 	cfg := base3()
@@ -142,7 +142,7 @@ func TestGolden3DP4(t *testing.T) {
 func TestScatterTraffic3DAlignedAtEveryP(t *testing.T) {
 	scatter := func(p int) int64 {
 		cfg := base3()
-		cfg.Grid3 = mesh3.NewGrid(32, 32, 32)
+		cfg.Grid3 = mesh.NewGrid3(32, 32, 32)
 		cfg.P = p
 		cfg.NumParticles = 16384
 		cfg.Distribution = particle.DistUniform

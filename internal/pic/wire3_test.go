@@ -4,16 +4,16 @@ import (
 	"testing"
 
 	"picpar/internal/geom"
-	"picpar/internal/mesh3"
+	"picpar/internal/mesh"
 	"picpar/internal/particle"
 	"picpar/internal/sfc"
 	"picpar/internal/wire"
 )
 
-func testGeom3(t *testing.T, p int) *geom.G3 {
+func testGeom3(t *testing.T, p int) *geom.G {
 	t.Helper()
-	g := mesh3.NewGrid(16, 16, 16)
-	d, err := mesh3.NewDistOrdered(g, p, sfc.SchemeHilbert)
+	g := mesh.NewGrid3(16, 16, 16)
+	d, err := mesh.NewDistOrdered(g, p, sfc.SchemeHilbert)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 // Package pusher implements the per-particle kernels of the PIC time step:
-// bilinear (cloud-in-cell) interpolation weights between a particle and the
-// four vertex grid points of its cell, used by both the scatter and gather
-// phases, and the relativistic Boris push that advances momenta and
-// positions.
+// cloud-in-cell interpolation weights between a particle and the vertex
+// grid points of its cell — bilinear over a plane cell's four, trilinear
+// over a 3-D cell's eight — used by both the scatter and gather phases,
+// and the relativistic Boris push that advances momenta and positions.
+// Particles carry full 3-momenta in both dimensionalities (2d3v), so the
+// push is the same in both.
 package pusher
 
 import (
@@ -12,9 +14,13 @@ import (
 	"picpar/internal/particle"
 )
 
-// VertexOffsets enumerates the four vertices of a cell relative to its
-// lower-left grid point, in the order weights are produced.
-var VertexOffsets = [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}}
+// VertexOffsets enumerates the vertices of a cell relative to its lower
+// corner grid point, in the order weights are produced (x fastest, then
+// y, then z); a plane cell has the first four.
+var VertexOffsets = [8][3]int{
+	{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0},
+	{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
+}
 
 // Modelled compute work (in δ units) per particle per vertex / per particle,
 // matching the T_s_comp, T_g_comp and T_push terms of the paper's analysis.
@@ -32,33 +38,45 @@ const (
 )
 
 // Interp holds the interpolation footprint of one particle: its cell and
-// the bilinear weights of the cell's four vertices.
+// the CIC weights of the cell's vertices (the first four in a plane).
 type Interp struct {
-	CX, CY int
-	W      [4]float64
+	CX, CY, CZ int
+	W          [8]float64
 }
 
-// Weights computes the CIC interpolation of position (x, y) on grid g.
-// The weights are non-negative and sum to 1.
-func Weights(g mesh.Grid, x, y float64) Interp {
-	cx, cy := g.CellOf(x, y)
-	// Fractional offsets inside the cell, in [0, 1). Positions exactly on
-	// the upper wrap boundary produce fractions slightly outside [0,1)
-	// after CellOf clamping; clamp to keep weights valid.
-	fx := Clamp01(x/g.Dx() - float64(cx))
-	fy := Clamp01(y/g.Dy() - float64(cy))
-	return Interp{CX: cx, CY: cy, W: CIC(fx, fy)}
-}
-
-// CIC returns the bilinear weights of a cell's four vertices, in
-// VertexOffsets order, for in-cell fractions (fx, fy).
-func CIC(fx, fy float64) [4]float64 {
-	return [4]float64{
-		(1 - fx) * (1 - fy),
-		fx * (1 - fy),
-		(1 - fx) * fy,
-		fx * fy,
+// Weights computes the CIC interpolation of position (x, y, z) on grid g;
+// a plane ignores z. The weights are non-negative and sum to 1.
+func Weights(g mesh.Grid, x, y, z float64) (in Interp) {
+	in.CX, in.CY, in.CZ = g.CellOf(x, y, z)
+	// Fractional offsets inside the cell, in [0, 1). A position one ulp
+	// below L can divide to N, which CellOf clamps to the last cell with
+	// fraction 1; clamp to keep weights valid.
+	fx := Clamp01(x/g.Dx() - float64(in.CX))
+	fy := Clamp01(y/g.Dy() - float64(in.CY))
+	fz := 0.0
+	if g.Nz > 1 {
+		fz = Clamp01(z/g.Dz() - float64(in.CZ))
 	}
+	w := &in.W
+	w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7] = CIC(fx, fy, fz)
+	return in
+}
+
+// CIC returns the weights of a cell's vertices, in VertexOffsets order,
+// for in-cell fractions (fx, fy, fz) in [0, 1): the bilinear products
+// times the z factors 1−fz and fz. With fz = +0, as always in a plane,
+// 1−fz is exactly 1, so the first four are the bilinear products
+// unmultiplied. (Eight results, not an array: an array result is built in
+// memory and copied, which cost the range kernels a store-forwarding stall
+// per particle.)
+func CIC(fx, fy, fz float64) (w0, w1, w2, w3, w4, w5, w6, w7 float64) {
+	w0, w1, w2, w3 = (1-fx)*(1-fy), fx*(1-fy), (1-fx)*fy, fx*fy
+	w4, w5, w6, w7 = w0*fz, w1*fz, w2*fz, w3*fz
+	if math.Float64bits(fz) != 0 {
+		wz0 := 1 - fz
+		w0, w1, w2, w3 = w0*wz0, w1*wz0, w2*wz0, w3*wz0
+	}
+	return
 }
 
 // Clamp01 clamps a cell fraction into [0, 1).
@@ -88,38 +106,47 @@ func HalfKick(s *particle.Store, dt float64) float64 { return s.Charge / s.Mass 
 // scalar reference of BorisStrip, operand for operand.
 func boris(px, py, pz, ex, ey, ez, bx, by, bz, qmdt2 float64) (float64, float64, float64) {
 	// Half electric acceleration.
-	ux := px + qmdt2*ex
-	uy := py + qmdt2*ey
-	uz := pz + qmdt2*ez
+	ux := px + float64(qmdt2*ex)
+	uy := py + float64(qmdt2*ey)
+	uz := pz + float64(qmdt2*ez)
 
 	// Magnetic rotation at the mid-step Lorentz factor.
-	gamma := math.Sqrt(1 + ux*ux + uy*uy + uz*uz)
+	gamma := math.Sqrt(1 + float64(ux*ux) + float64(uy*uy) + float64(uz*uz))
 	tx, ty, tz := qmdt2*bx/gamma, qmdt2*by/gamma, qmdt2*bz/gamma
-	t2 := tx*tx + ty*ty + tz*tz
+	t2 := float64(tx*tx) + float64(ty*ty) + float64(tz*tz)
 	sx, sy, sz := 2*tx/(1+t2), 2*ty/(1+t2), 2*tz/(1+t2)
 
 	// u' = u + u × t
-	upx := ux + uy*tz - uz*ty
-	upy := uy + uz*tx - ux*tz
-	upz := uz + ux*ty - uy*tx
+	upx := ux + float64(uy*tz) - float64(uz*ty)
+	upy := uy + float64(uz*tx) - float64(ux*tz)
+	upz := uz + float64(ux*ty) - float64(uy*tx)
 	// u⁺ = u + u' × s
-	ux += upy*sz - upz*sy
-	uy += upz*sx - upx*sz
-	uz += upx*sy - upy*sx
+	ux += float64(upy*sz) - float64(upz*sy)
+	uy += float64(upz*sx) - float64(upx*sz)
+	uz += float64(upx*sy) - float64(upy*sx)
 
 	// Half electric acceleration.
-	return ux + qmdt2*ex, uy + qmdt2*ey, uz + qmdt2*ez
+	return ux + float64(qmdt2*ex), uy + float64(qmdt2*ey), uz + float64(qmdt2*ez)
 }
 
 // MoveRange advances the positions of particles [lo, hi) of s by dt using
-// their current momenta, wrapping periodically on grid g.
+// their current momenta, wrapping periodically on grid g; z moves only in
+// a 3-D store.
 func MoveRange(s *particle.Store, lo, hi int, g mesh.Grid, dt float64) {
 	for ; lo < hi; lo += Strip {
 		n := min(hi-lo, Strip)
 		x, y := s.X[lo:lo+n], s.Y[lo:lo+n]
-		advance(x, y, nil, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
+		if s.Z == nil {
+			advance(x, y, nil, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
+			for j := range x {
+				x[j], y[j], _ = g.WrapPosition(x[j], y[j], 0)
+			}
+			continue
+		}
+		z := s.Z[lo : lo+n]
+		advance(x, y, z, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
 		for j := range x {
-			x[j], y[j] = g.WrapPosition(x[j], y[j])
+			x[j], y[j], z[j] = g.WrapPosition(x[j], y[j], z[j])
 		}
 	}
 }

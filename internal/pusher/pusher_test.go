@@ -15,7 +15,7 @@ func TestWeightsSumToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		x, y := rng.Float64()*16, rng.Float64()*8
-		w := Weights(g, x, y)
+		w := Weights(g, x, y, 0)
 		sum := w.W[0] + w.W[1] + w.W[2] + w.W[3]
 		if math.Abs(sum-1) > 1e-12 {
 			return false
@@ -34,19 +34,19 @@ func TestWeightsSumToOne(t *testing.T) {
 
 func TestWeightsAtVertexAreDelta(t *testing.T) {
 	g := mesh.NewGrid(8, 8)
-	w := Weights(g, 3.0, 5.0)
+	w := Weights(g, 3.0, 5.0, 0)
 	if w.CX != 3 || w.CY != 5 {
 		t.Fatalf("cell (%d,%d), want (3,5)", w.CX, w.CY)
 	}
-	if w.W[0] != 1 || w.W[1] != 0 || w.W[2] != 0 || w.W[3] != 0 {
+	if w.W != [8]float64{1} {
 		t.Errorf("on-vertex weights %v, want delta at vertex 0", w.W)
 	}
 }
 
 func TestWeightsCellCentre(t *testing.T) {
 	g := mesh.NewGrid(8, 8)
-	w := Weights(g, 2.5, 4.5)
-	for k, v := range w.W {
+	w := Weights(g, 2.5, 4.5, 0)
+	for k, v := range w.W[:4] {
 		if math.Abs(v-0.25) > 1e-12 {
 			t.Errorf("centre weight[%d] = %g, want 0.25", k, v)
 		}
@@ -56,7 +56,7 @@ func TestWeightsCellCentre(t *testing.T) {
 func TestWeightsUpperBoundaryClamped(t *testing.T) {
 	g := mesh.NewGrid(4, 4)
 	// Position that wraps to ~0 stays in a valid cell with valid weights.
-	w := Weights(g, 4.0-1e-16, 2)
+	w := Weights(g, 4.0-1e-16, 2, 0)
 	sum := w.W[0] + w.W[1] + w.W[2] + w.W[3]
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("boundary weights sum %g", sum)
@@ -184,7 +184,7 @@ func TestVertexOffsetsMatchWeightOrder(t *testing.T) {
 	eps := 0.01
 	targets := [][2]float64{{2 + eps, 3 + eps}, {3 - eps, 3 + eps}, {2 + eps, 4 - eps}, {3 - eps, 4 - eps}}
 	for k, pos := range targets {
-		w := Weights(g, pos[0], pos[1])
+		w := Weights(g, pos[0], pos[1], 0)
 		best, bi := -1.0, -1
 		for i, v := range w.W {
 			if v > best {

@@ -33,11 +33,11 @@ func advance(x, y, z, px, py, pz []float64, dt float64) {
 		z = z[:n]
 	}
 	for j := advancePairs(x, y, z, px, py, pz, dt); j < n; j++ {
-		gamma := math.Sqrt(1 + (px[j]*px[j] + py[j]*py[j] + pz[j]*pz[j]))
-		x[j] += px[j] / gamma * dt
-		y[j] += py[j] / gamma * dt
+		gamma := math.Sqrt(1 + (float64(px[j]*px[j]) + float64(py[j]*py[j]) + float64(pz[j]*pz[j])))
+		x[j] += float64(px[j] / gamma * dt)
+		y[j] += float64(py[j] / gamma * dt)
 		if z != nil {
-			z[j] += pz[j] / gamma * dt
+			z[j] += float64(pz[j] / gamma * dt)
 		}
 	}
 }

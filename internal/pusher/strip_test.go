@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 )
 
@@ -137,17 +136,18 @@ func TestBorisStripRefusesMoreThanAStrip(t *testing.T) {
 	}
 }
 
-// TestMoveRangeMatchesScalar runs MoveRange and MoveRange3 over every
+// TestMoveRangeMatchesScalar runs MoveRange on a 2-D and a 3-D store over every
 // range length from 0 to Strip+3, at every start offset modulo 4, and
 // compares each position with the one-particle update x + (p/γ)·dt,
 // wrapped, bit for bit.
 func TestMoveRangeMatchesScalar(t *testing.T) {
 	in := stripInputs{rand.New(rand.NewSource(7))}
-	g2, g3 := mesh.NewGrid(16, 8), mesh3.NewGrid(8, 4, 4)
+	g2, g3 := mesh.NewGrid(16, 8), mesh.NewGrid3(8, 4, 4)
 	const dt = 0.7
 	for n := 0; n <= Strip+3; n++ {
 		for lo := 0; lo < 4; lo++ {
 			s := particle.NewStore3(lo+n+1, -1, 1)
+			s2 := particle.NewStore(lo+n+1, -1, 1)
 			for i := 0; i < lo+n+1; i++ {
 				p := [3]float64{in.next(), in.next(), in.next()}
 				for c := range p { // finite momenta: an infinite one has no position
@@ -156,25 +156,26 @@ func TestMoveRangeMatchesScalar(t *testing.T) {
 					}
 				}
 				s.Append3(16*in.rng.Float64(), 8*in.rng.Float64(), 4*in.rng.Float64(), p[0], p[1], p[2], 0)
+				s2.Append(s.X[i], s.Y[i], p[0], p[1], p[2], 0)
 			}
-			want2 := s.Clone()
+			want2 := s2.Clone()
 			want3 := s.Clone()
 			for i := lo; i < lo+n; i++ {
 				gamma := s.Gamma(i)
-				want2.X[i], want2.Y[i] = g2.WrapPosition(s.X[i]+s.Px[i]/gamma*dt, s.Y[i]+s.Py[i]/gamma*dt)
+				want2.X[i], want2.Y[i], _ = g2.WrapPosition(s.X[i]+s.Px[i]/gamma*dt, s.Y[i]+s.Py[i]/gamma*dt, 0)
 				want3.X[i], want3.Y[i], want3.Z[i] = g3.WrapPosition(
 					s.X[i]+s.Px[i]/gamma*dt, s.Y[i]+s.Py[i]/gamma*dt, s.Z[i]+s.Pz[i]/gamma*dt)
 			}
-			got2, got3 := s.Clone(), s.Clone()
+			got2, got3 := s2.Clone(), s.Clone()
 			MoveRange(got2, lo, lo+n, g2, dt)
-			MoveRange3(got3, lo, lo+n, g3, dt)
+			MoveRange(got3, lo, lo+n, g3, dt)
 			for i := 0; i < s.Len(); i++ {
 				if !sameBits(got2.X[i], want2.X[i]) || !sameBits(got2.Y[i], want2.Y[i]) {
 					t.Fatalf("MoveRange [%d,%d): particle %d at (%g, %g), scalar (%g, %g)",
 						lo, lo+n, i, got2.X[i], got2.Y[i], want2.X[i], want2.Y[i])
 				}
 				if !sameBits(got3.X[i], want3.X[i]) || !sameBits(got3.Y[i], want3.Y[i]) || !sameBits(got3.Z[i], want3.Z[i]) {
-					t.Fatalf("MoveRange3 [%d,%d): particle %d differs from the scalar update", lo, lo+n, i)
+					t.Fatalf("3-D MoveRange [%d,%d): particle %d differs from the scalar update", lo, lo+n, i)
 				}
 			}
 		}

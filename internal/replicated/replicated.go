@@ -199,11 +199,11 @@ func scatterReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, s *particle.
 		fm.Jx[i], fm.Jy[i], fm.Jz[i], fm.Rho[i] = 0, 0, 0, 0
 	}
 	for i := 0; i < s.Len(); i++ {
-		w := pusher.Weights(g, s.X[i], s.Y[i])
+		w := pusher.Weights(g, s.X[i], s.Y[i], 0)
 		gamma := s.Gamma(i)
 		vx, vy, vz := s.Px[i]/gamma, s.Py[i]/gamma, s.Pz[i]/gamma
-		for k, off := range pusher.VertexOffsets {
-			gid := g.PointIndex(w.CX+off[0], w.CY+off[1])
+		for k, off := range pusher.VertexOffsets[:4] {
+			gid := g.PointIndex(w.CX+off[0], w.CY+off[1], 0)
 			wq := w.W[k] * s.Charge
 			fm.Jx[gid] += wq * vx
 			fm.Jy[gid] += wq * vy
@@ -241,8 +241,8 @@ func fieldSolveReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, j0, j1 in
 	for j := j0; j < j1; j++ {
 		for i := 0; i < nx; i++ {
 			c := j*nx + i
-			xm, xp := g.PointIndex(i-1, j), g.PointIndex(i+1, j)
-			ym, yp := g.PointIndex(i, j-1), g.PointIndex(i, j+1)
+			xm, xp := g.PointIndex(i-1, j, 0), g.PointIndex(i+1, j, 0)
+			ym, yp := g.PointIndex(i, j-1, 0), g.PointIndex(i, j+1, 0)
 			dBzDy := (fm.Bz[yp] - fm.Bz[ym]) / 2
 			dBzDx := (fm.Bz[xp] - fm.Bz[xm]) / 2
 			dByDx := (fm.By[xp] - fm.By[xm]) / 2
@@ -263,8 +263,8 @@ func fieldSolveReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, j0, j1 in
 	for j := j0; j < j1; j++ {
 		for i := 0; i < nx; i++ {
 			c := j*nx + i
-			xm, xp := g.PointIndex(i-1, j), g.PointIndex(i+1, j)
-			ym, yp := g.PointIndex(i, j-1), g.PointIndex(i, j+1)
+			xm, xp := g.PointIndex(i-1, j, 0), g.PointIndex(i+1, j, 0)
+			ym, yp := g.PointIndex(i, j-1, 0), g.PointIndex(i, j+1, 0)
 			dEzDy := (fm.Ez[yp] - fm.Ez[ym]) / 2
 			dEzDx := (fm.Ez[xp] - fm.Ez[xm]) / 2
 			dEyDx := (fm.Ey[xp] - fm.Ey[xm]) / 2
@@ -307,10 +307,10 @@ func installRows3(g mesh.Grid, p, maxRows int, all []float64, c0, c1, c2 []float
 func gatherPushReplicated(r comm.Transport, g mesh.Grid, fm *fullMesh, s *particle.Store, dt float64) {
 	r.SetPhase(machine.PhaseGather)
 	for i := 0; i < s.Len(); i++ {
-		w := pusher.Weights(g, s.X[i], s.Y[i])
+		w := pusher.Weights(g, s.X[i], s.Y[i], 0)
 		var ex, ey, ez, bx, by, bz float64
-		for k, off := range pusher.VertexOffsets {
-			gid := g.PointIndex(w.CX+off[0], w.CY+off[1])
+		for k, off := range pusher.VertexOffsets[:4] {
+			gid := g.PointIndex(w.CX+off[0], w.CY+off[1], 0)
 			wk := w.W[k]
 			ex += wk * fm.Ex[gid]
 			ey += wk * fm.Ey[gid]

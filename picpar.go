@@ -41,7 +41,6 @@ import (
 	"picpar/internal/comm"
 	"picpar/internal/machine"
 	"picpar/internal/mesh"
-	"picpar/internal/mesh3"
 	"picpar/internal/particle"
 	"picpar/internal/pic"
 	"picpar/internal/policy"
@@ -60,11 +59,12 @@ type Result = pic.Result
 // IterationRecord is one iteration's measurements (max over ranks).
 type IterationRecord = pic.IterationRecord
 
-// Grid is the global 2-D mesh geometry.
+// Grid is the global mesh geometry: Nx×Ny×Nz points, a 2-D mesh being the
+// one plane Nz = 1.
 type Grid = mesh.Grid
 
-// Grid3 is the global 3-D mesh geometry, used when Config.Dims is 3.
-type Grid3 = mesh3.Grid
+// Grid3 names Grid where it is the 3-D mesh, used when Config.Dims is 3.
+type Grid3 = mesh.Grid
 
 // MachineParams are the two-level cost-model constants (τ, μ, δ).
 type MachineParams = machine.Params
@@ -80,7 +80,7 @@ func NewGrid(nx, ny int) Grid { return mesh.NewGrid(nx, ny) }
 
 // NewGrid3 builds an Nx×Ny×Nz mesh with unit cells; set Config.Dims to 3
 // and Config.Grid3 to run the same pipeline in three dimensions.
-func NewGrid3(nx, ny, nz int) Grid3 { return mesh3.NewGrid(nx, ny, nz) }
+func NewGrid3(nx, ny, nz int) Grid3 { return mesh.NewGrid3(nx, ny, nz) }
 
 // Particle distribution names for Config.Distribution.
 const (

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Full CI gate: vet (amd64 and arm64), build, the one-body, kernel,
-# assembly, deleted-path, message-buffer and one-codec grep audits, plain
+# assembly, arm64 fused-multiply-add, deleted-path, message-buffer and one-codec grep audits, plain
 # tests (root and the benchmark module), short fuzz runs of both binary
 # decoders and the checkpoint shard probe, race-enabled tests, the
 # layout-strategy comparison (2-D and 3-D), the per-phase
@@ -82,6 +82,24 @@ if [ -n "$old" ]; then
     exit 1
 fi
 
+echo "== fused multiply-add audit (arm64 compiler output) =="
+# DESIGN.md "The geometry layer": Go fuses x*y + z into one arm64
+# instruction that rounds once, so fused float kernels would not match the
+# amd64 bits. Every product that feeds an add or subtract is written as an
+# explicit float64(x*y), which forbids the fusion and is a no-op on amd64;
+# these packages' arm64 code must hold no fused multiply-add. (Nothing
+# here runs on arm64; internal/replicated is compared to a tolerance and
+# is not audited.)
+fused=$(for p in geom pusher field particle machine pic psort partition mesh; do
+    GOARCH=arm64 go build -gcflags=-S ./internal/$p/ 2>&1 |
+        grep -E '[[:space:]](FMADDD|FMSUBD|FNMADDD|FNMSUBD)[[:space:]]' | sed "s|^|internal/$p: |"
+done)
+if [ -n "$fused" ]; then
+    echo "fused multiply-adds in the arm64 build (wrap the product in float64()):"
+    printf '%s\n' "$fused"
+    exit 1
+fi
+
 echo "== deleted-path audit (grep) =="
 # The tiled scatter, the second wall-clock harness (picbench -bench/-cpu,
 # bench/BENCH_*.json), the dominated topology spellings (systolic-ring,
@@ -117,7 +135,11 @@ echo "== deleted-path audit (grep) =="
 # is a geom range kernel, and the kernels' per-particle table walks
 # (depositFootprint, gatherFootprint): a cell's targets are memoised, and
 # the one-particle pusher.Boris and pusher.Move: the range kernels push
-# and move whole strips (pusher.BorisStrip, MoveRange). A
+# and move whole strips (pusher.BorisStrip, MoveRange), and the 2-D/3-D
+# twins below the pipeline (geom's G2 and G3 with axis3 and block3,
+# pusher's Weights3, CIC3, Interp3, MoveRange3 and VertexOffsets3, and
+# mesh3.Dist): one geometry, one grid and one distribution serve both
+# dimensions. A
 # failed exchange is a dead rank that checkpoint recovery handles, benchmark/ is
 # the one wall-clock harness, Config.Topology names a link set, the time
 # step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
@@ -125,7 +147,7 @@ echo "== deleted-path audit (grep) =="
 # ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
 # owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(|pusher\.(Boris|Move)\(' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(|pusher\.(Boris|Move)\(|type G[23]\b|axis3|block3|Weights3|CIC3|Interp3|MoveRange3|VertexOffsets3|mesh3\.Dist' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
