@@ -51,7 +51,7 @@ func shade(v, max int) rune {
 	if max == 0 || v == 0 {
 		return shades[0]
 	}
-	idx := 1 + int(float64(v)/float64(max)*float64(len(shades)-2)+0.5)
+	idx := 1 + int(float64(float64(v)/float64(max)*float64(len(shades)-2))+0.5)
 	if idx >= len(shades) {
 		idx = len(shades) - 1
 	}

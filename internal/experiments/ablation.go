@@ -110,7 +110,7 @@ func measureRedist(p, n int, incremental bool) float64 {
 		inc := psort.NewIncremental(0)
 		inc.Prime(s)
 		for i := 0; i < s.Len(); i++ {
-			s.Key[i] = math.Max(0, s.Key[i]+math.Floor(rng.Float64()*10-5))
+			s.Key[i] = math.Max(0, s.Key[i]+math.Floor(float64(rng.Float64()*10)-5))
 		}
 		comm.Barrier(r)
 		t0 := r.Clock().Now()

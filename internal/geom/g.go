@@ -23,16 +23,13 @@ type G struct {
 	G    mesh.Grid
 	D    *mesh.Dist
 	Ix   sfc.Indexer3 // the cell curve; a 2-D curve is its plane z = 0
-	ix2  sfc.Indexer  // the 2-D curve itself, nil in 3-D: key's one dispatch
 	dims int
 	nv   int // vertices per cell: 4 or 8
 }
 
 // New2 builds the geometry of plane grid g under the 2-D cell curve ix.
 func New2(g mesh.Grid, d *mesh.Dist, ix sfc.Indexer) *G {
-	ge := New3(g, d, plane{ix})
-	ge.ix2 = ix
-	return ge
+	return New3(g, d, plane{ix})
 }
 
 // New3 builds the geometry of grid g under the cell curve ix.
@@ -80,37 +77,27 @@ func (ge *G) z(s *particle.Store, i int) float64 {
 	return 0
 }
 
-// key returns the SFC key of cell (cx, cy, cz): through the 2-D curve
-// itself in 2-D, so a key costs one dynamic call, not plane's two.
-func (ge *G) key(cx, cy, cz int) int {
-	if ge.ix2 != nil {
-		return ge.ix2.Index(cx, cy)
-	}
-	return ge.Ix.Index(cx, cy, cz)
-}
-
 // AssignKeys implements Geometry: CellOf with the cell sizes divided out
 // once, not per particle.
 func (ge *G) AssignKeys(s *particle.Store) {
-	g := ge.G
+	g := &ge.G
 	dx, dy, dz := g.Dx(), g.Dy(), g.Dz()
-	zs, ix2 := ge.zs(s), ge.ix2
+	zs := ge.zs(s)
 	for i := range s.Key {
-		x, y, _ := g.WrapPosition(s.X[i], s.Y[i], 0)
-		cx, cy := min(int(x/dx), g.Nx-1), min(int(y/dy), g.Ny-1)
-		if ix2 != nil { // key's 2-D branch, inline: a call costs ≈ 2 ns a particle
-			s.Key[i] = float64(ix2.Index(cx, cy))
-			continue
+		cz := 0
+		if zs != nil {
+			cz = min(int(mesh.Wrap(zs[i], g.Lz)/dz), g.Nz-1)
 		}
-		_, _, z := g.WrapPosition(0, 0, zs[i])
-		s.Key[i] = float64(ge.Ix.Index(cx, cy, min(int(z/dz), g.Nz-1)))
+		cx := min(int(mesh.Wrap(s.X[i], g.Lx)/dx), g.Nx-1)
+		cy := min(int(mesh.Wrap(s.Y[i], g.Ly)/dy), g.Ny-1)
+		s.Key[i] = float64(ge.Ix.Index(cx, cy, cz))
 	}
 }
 
 // CellKey implements Geometry: the same formula as AssignKeys, for one
 // particle, without touching s.Key.
 func (ge *G) CellKey(s *particle.Store, i int) uint64 {
-	return uint64(ge.key(ge.G.CellOf(s.X[i], s.Y[i], ge.z(s, i))))
+	return uint64(ge.Ix.Index(ge.G.CellOf(s.X[i], s.Y[i], ge.z(s, i))))
 }
 
 // CellOwner implements Geometry: ownership of the cell's lower-corner grid
@@ -385,7 +372,7 @@ func (ge *G) ObserveCosts(s *particle.Store, lo, hi int, f *field.Local, led *ma
 			cx, cy, cz = ge.G.CellOf(x, y, z)
 		}
 		if cell := ge.cellIndex(cx, cy, cz); cell != memo {
-			memo, key, units = cell, ge.key(cx, cy, cz), base
+			memo, key, units = cell, ge.Ix.Index(cx, cy, cz), base
 			if !interior {
 				owned := b.x.vertices(cx) * b.y.vertices(cy)
 				if zs != nil {

@@ -69,7 +69,7 @@ func (p Params) MsgCost(nbytes int) float64 {
 
 // ComputeCost returns the modelled cost of n units of local computation.
 func (p Params) ComputeCost(n int) float64 {
-	return float64(n) * p.Delta
+	return float64(float64(n) * p.Delta)
 }
 
 func (p Params) String() string {

@@ -38,7 +38,7 @@ func NewGrid3(nx, ny, nz int) Grid {
 }
 
 // Validate reports whether the grid is usable.
-func (g *Grid) Validate() error {
+func (g Grid) Validate() error {
 	if g.Nx <= 0 || g.Ny <= 0 || g.Nz <= 0 {
 		return fmt.Errorf("mesh: non-positive extents %dx%dx%d", g.Nx, g.Ny, g.Nz)
 	}
@@ -49,7 +49,7 @@ func (g *Grid) Validate() error {
 }
 
 // Dims returns 2 for a one-plane grid, else 3.
-func (g *Grid) Dims() int {
+func (g Grid) Dims() int {
 	if g.Nz == 1 {
 		return 2
 	}
@@ -57,31 +57,31 @@ func (g *Grid) Dims() int {
 }
 
 // Dx returns the cell size along x.
-func (g *Grid) Dx() float64 { return g.Lx / float64(g.Nx) }
+func (g Grid) Dx() float64 { return g.Lx / float64(g.Nx) }
 
 // Dy returns the cell size along y.
-func (g *Grid) Dy() float64 { return g.Ly / float64(g.Ny) }
+func (g Grid) Dy() float64 { return g.Ly / float64(g.Ny) }
 
 // Dz returns the cell size along z.
-func (g *Grid) Dz() float64 { return g.Lz / float64(g.Nz) }
+func (g Grid) Dz() float64 { return g.Lz / float64(g.Nz) }
 
 // NumPoints returns the total number of grid points m.
-func (g *Grid) NumPoints() int { return g.Nx * g.Ny * g.Nz }
+func (g Grid) NumPoints() int { return g.Nx * g.Ny * g.Nz }
 
 // PointIndex returns the row-major global id of grid point (i, j, k); the
 // coordinates may be out of range and are wrapped periodically.
-func (g *Grid) PointIndex(i, j, k int) int {
+func (g Grid) PointIndex(i, j, k int) int {
 	return (wrap(k, g.Nz)*g.Ny+wrap(j, g.Ny))*g.Nx + wrap(i, g.Nx)
 }
 
 // PointCoords inverts PointIndex for in-range ids.
-func (g *Grid) PointCoords(id int) (i, j, k int) {
+func (g Grid) PointCoords(id int) (i, j, k int) {
 	return id % g.Nx, id / g.Nx % g.Ny, id / (g.Nx * g.Ny)
 }
 
 // WrapPosition maps an arbitrary physical position into the periodic domain.
-func (g *Grid) WrapPosition(x, y, z float64) (float64, float64, float64) {
-	return wrapF(x, g.Lx), wrapF(y, g.Ly), wrapF(z, g.Lz)
+func (g Grid) WrapPosition(x, y, z float64) (float64, float64, float64) {
+	return Wrap(x, g.Lx), Wrap(y, g.Ly), Wrap(z, g.Lz)
 }
 
 // CellOf returns the cell (cx, cy, cz) containing physical position
@@ -89,11 +89,11 @@ func (g *Grid) WrapPosition(x, y, z float64) (float64, float64, float64) {
 // each axis the cell is ⌊x/d⌋ for the cell size d, so the in-cell
 // fraction x/d − c lies in [0, 1) — except where x/d rounds up to N one
 // ulp below L, which the clamp puts in the last cell with fraction 1.
-func (g *Grid) CellOf(x, y, z float64) (cx, cy, cz int) {
-	cx = min(int(wrapF(x, g.Lx)/g.Dx()), g.Nx-1)
-	cy = min(int(wrapF(y, g.Ly)/g.Dy()), g.Ny-1)
+func (g Grid) CellOf(x, y, z float64) (cx, cy, cz int) {
+	cx = min(int(Wrap(x, g.Lx)/g.Dx()), g.Nx-1)
+	cy = min(int(Wrap(y, g.Ly)/g.Dy()), g.Ny-1)
 	if g.Nz > 1 {
-		cz = min(int(wrapF(z, g.Lz)/g.Dz()), g.Nz-1)
+		cz = min(int(Wrap(z, g.Lz)/g.Dz()), g.Nz-1)
 	}
 	return cx, cy, cz
 }
@@ -109,7 +109,10 @@ func wrap(i, n int) int {
 	return i
 }
 
-func wrapF(x, l float64) float64 {
+// Wrap maps coordinate x into the periodic interval [0, l): WrapPosition
+// along one axis, for loops that hoist the domain lengths (a Grid is too
+// large to stay in registers, so an inlined method call copies it).
+func Wrap(x, l float64) float64 {
 	for x < 0 {
 		x += l
 	}

@@ -65,18 +65,15 @@ func Weights(g mesh.Grid, x, y, z float64) (in Interp) {
 // CIC returns the weights of a cell's vertices, in VertexOffsets order,
 // for in-cell fractions (fx, fy, fz) in [0, 1): the bilinear products
 // times the z factors 1−fz and fz. With fz = +0, as always in a plane,
-// 1−fz is exactly 1, so the first four are the bilinear products
-// unmultiplied. (Eight results, not an array: an array result is built in
+// 1−fz is exactly 1, so the first four are the bilinear products bit for
+// bit. (Eight results, not an array: an array result is built in
 // memory and copied, which cost the range kernels a store-forwarding stall
 // per particle.)
 func CIC(fx, fy, fz float64) (w0, w1, w2, w3, w4, w5, w6, w7 float64) {
 	w0, w1, w2, w3 = (1-fx)*(1-fy), fx*(1-fy), (1-fx)*fy, fx*fy
 	w4, w5, w6, w7 = w0*fz, w1*fz, w2*fz, w3*fz
-	if math.Float64bits(fz) != 0 {
-		wz0 := 1 - fz
-		w0, w1, w2, w3 = w0*wz0, w1*wz0, w2*wz0, w3*wz0
-	}
-	return
+	wz0 := 1 - fz
+	return w0 * wz0, w1 * wz0, w2 * wz0, w3 * wz0, w4, w5, w6, w7
 }
 
 // Clamp01 clamps a cell fraction into [0, 1).
@@ -133,20 +130,20 @@ func boris(px, py, pz, ex, ey, ez, bx, by, bz, qmdt2 float64) (float64, float64,
 // their current momenta, wrapping periodically on grid g; z moves only in
 // a 3-D store.
 func MoveRange(s *particle.Store, lo, hi int, g mesh.Grid, dt float64) {
+	lx, ly, lz := g.Lx, g.Ly, g.Lz
 	for ; lo < hi; lo += Strip {
 		n := min(hi-lo, Strip)
 		x, y := s.X[lo:lo+n], s.Y[lo:lo+n]
-		if s.Z == nil {
-			advance(x, y, nil, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
-			for j := range x {
-				x[j], y[j], _ = g.WrapPosition(x[j], y[j], 0)
-			}
-			continue
+		var z []float64
+		if s.Z != nil {
+			z = s.Z[lo : lo+n]
 		}
-		z := s.Z[lo : lo+n]
 		advance(x, y, z, s.Px[lo:lo+n], s.Py[lo:lo+n], s.Pz[lo:lo+n], dt)
 		for j := range x {
-			x[j], y[j], z[j] = g.WrapPosition(x[j], y[j], z[j])
+			x[j], y[j] = mesh.Wrap(x[j], lx), mesh.Wrap(y[j], ly)
+		}
+		for j := range z {
+			z[j] = mesh.Wrap(z[j], lz)
 		}
 	}
 }

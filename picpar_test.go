@@ -68,3 +68,17 @@ func TestPublicAPIMachines(t *testing.T) {
 		t.Error("CM-5 startup should exceed a modern cluster's")
 	}
 }
+
+// TestPublicAPIGridValues calls Grid's methods on the constructors' results
+// directly: they take a value, so a non-addressable Grid has them too.
+func TestPublicAPIGridValues(t *testing.T) {
+	if err := picpar.NewGrid(8, 4).Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d, n := picpar.NewGrid3(4, 4, 2).Dims(), picpar.NewGrid3(4, 4, 2).NumPoints(); d != 3 || n != 32 {
+		t.Fatalf("NewGrid3(4, 4, 2): Dims %d, NumPoints %d", d, n)
+	}
+	if cx, cy, cz := picpar.NewGrid(8, 4).CellOf(-0.5, 4.5, 7); cx != 7 || cy != 0 || cz != 0 {
+		t.Fatalf("NewGrid(8, 4).CellOf(-0.5, 4.5, 7) = %d, %d, %d", cx, cy, cz)
+	}
+}
