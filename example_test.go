@@ -42,7 +42,7 @@ func ExampleNewIndexer() {
 		return
 	}
 	for idx := 0; idx < 4; idx++ {
-		x, y := ix.Coords(idx)
+		x, y, _ := ix.Coords(idx)
 		fmt.Printf("index %d -> cell (%d,%d)\n", idx, x, y)
 	}
 	// Output:

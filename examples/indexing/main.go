@@ -30,13 +30,13 @@ func main() {
 		perim := 0
 		for y := h - 1; y >= 0; y-- {
 			for x := 0; x < w; x++ {
-				r := rankOf(ix.Index(x, y))
+				r := rankOf(ix.Index(x, y, 0))
 				fmt.Printf("%c", 'a'+r)
 				// Count subdomain boundary edges (perimeter proxy).
-				if x+1 < w && rankOf(ix.Index(x+1, y)) != r {
+				if x+1 < w && rankOf(ix.Index(x+1, y, 0)) != r {
 					perim++
 				}
-				if y+1 < h && rankOf(ix.Index(x, y+1)) != r {
+				if y+1 < h && rankOf(ix.Index(x, y+1, 0)) != r {
 					perim++
 				}
 			}

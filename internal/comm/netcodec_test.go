@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,11 @@ import (
 	"picpar/internal/raceflag"
 	"picpar/internal/wire"
 )
+
+// wideInt is an []int element with bits set above bit 31 (7<<40) where an
+// int has them, and 7<<20 where an int is 32 bits: an element crosses the
+// wire as an int64 either way, so the one literal serves both word sizes.
+const wideInt = 7 << (20 * (bits.UintSize / 32))
 
 // encodeFrame is the test-side convenience over appendFrame.
 func encodeFrame(t *testing.T, f *netFrame) []byte {
@@ -53,7 +59,7 @@ func TestCodecRoundTripBodies(t *testing.T) {
 		&[]float64{},
 		&[]float64{1.5, -2.5, 0, math.MaxFloat64},
 		&[]int{},
-		&[]int{-1, 0, 7 << 40},
+		&[]int{-1, 0, wideInt},
 		st.Snapshot(),
 	}
 	for _, body := range bodies {

@@ -45,7 +45,11 @@ func TestCellRule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ge := New3(g, d, sfc.RowMajor3{W: g.Nx, H: g.Ny, D: g.Nz})
+				ix, err := sfc.New3(sfc.SchemeRowMajor, g.Nx, g.Ny, g.Nz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ge := New3(g, d, ix)
 				b := ge.block(ge.NewFields(0, nil))
 				for a, ax := range [3]*axis{&b.x, &b.y, &b.z} {
 					checkCellRule(t, fmt.Sprintf("%dx%dx%d/L=%g/axis %d", g.Nx, g.Ny, g.Nz, l, a), g, a, ax)

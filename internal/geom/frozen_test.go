@@ -143,7 +143,10 @@ func TestWeightsMatchFrozenReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix3 := sfc.Indexer3(sfc.RowMajor3{W: g.Nx, H: g.Ny, D: g.Nz})
+		ix3, err := sfc.New3(sfc.SchemeRowMajor, g.Nx, g.Ny, g.Nz)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ge := New3(g, d, ix3)
 		if dims == 2 {
 			ge = New2(g, d, sfc.MustNew(sfc.SchemeHilbert, g.Nx, g.Ny))

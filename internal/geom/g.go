@@ -22,35 +22,19 @@ import (
 type G struct {
 	G    mesh.Grid
 	D    *mesh.Dist
-	Ix   sfc.Indexer3 // the cell curve; a 2-D curve is its plane z = 0
+	Ix   sfc.Indexer // the cell curve; a 2-D curve is one on the plane z = 0
 	dims int
 	nv   int // vertices per cell: 4 or 8
 }
 
-// New2 builds the geometry of plane grid g under the 2-D cell curve ix.
-func New2(g mesh.Grid, d *mesh.Dist, ix sfc.Indexer) *G {
-	return New3(g, d, plane{ix})
-}
+// New2 builds the geometry of plane grid g under the cell curve ix; it is
+// New3.
+func New2(g mesh.Grid, d *mesh.Dist, ix sfc.Indexer) *G { return New3(g, d, ix) }
 
 // New3 builds the geometry of grid g under the cell curve ix.
-func New3(g mesh.Grid, d *mesh.Dist, ix sfc.Indexer3) *G {
+func New3(g mesh.Grid, d *mesh.Dist, ix sfc.Indexer) *G {
 	dims := g.Dims()
 	return &G{G: g, D: d, Ix: ix, dims: dims, nv: 1 << dims}
-}
-
-// plane is a 2-D cell curve as the z = 0 plane of a 3-D one.
-type plane struct{ sfc.Indexer }
-
-func (p plane) Index(x, y, _ int) int { return p.Indexer.Index(x, y) }
-
-func (p plane) Coords(idx int) (x, y, z int) {
-	x, y = p.Indexer.Coords(idx)
-	return x, y, 0
-}
-
-func (p plane) Size() (w, h, d int) {
-	w, h = p.Indexer.Size()
-	return w, h, 1
 }
 
 // Dims implements Geometry.

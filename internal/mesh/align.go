@@ -35,7 +35,7 @@ type overlap struct {
 
 // newAligner counts the atom × P-th cells of the atoms the grids cut g
 // into. Cell key k falls in P-th ⌊k·p/n⌋ of the n cells.
-func newAligner(g Grid, p int, cells sfc.Indexer3, grids [][3]int) aligner {
+func newAligner(g Grid, p int, cells sfc.Indexer, grids [][3]int) aligner {
 	ext := [3]int{g.Nx, g.Ny, g.Nz}
 	a := aligner{g: g, p: p, free: make([]bool, p)}
 	axes := make([]int32, g.Nx+g.Ny+g.Nz)

@@ -167,7 +167,7 @@ type Dist struct {
 	// Cells is the cell indexer the tile numbering was aligned against
 	// (nil unless NewDistOrdered built one): the curve whose keys order
 	// the particles, so a geometry can reuse it rather than build it again.
-	Cells sfc.Indexer3
+	Cells sfc.Indexer
 
 	// tileRank[tile] is the rank owning a tile, tiles numbered x fastest;
 	// rankTile is the inverse. Nil means the identity numbering.

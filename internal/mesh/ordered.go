@@ -36,7 +36,7 @@ func NewDistOrdered(g Grid, p int, scheme string) (*Dist, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := d.Renumber(func(tx, ty, _ int) int { return tiles.Index(tx, ty) }); err != nil {
+		if err := d.Renumber(tiles.Index); err != nil {
 			return nil, err
 		}
 		return d, nil

@@ -11,7 +11,7 @@ import (
 // curveNumbered is the numbering NewDistOrdered improves on: the most
 // cube-like processor grid, its tiles numbered along the scheme's curve
 // over the processor grid.
-func curveNumbered(t *testing.T, g Grid, p int, scheme string) *mesh.Dist {
+func curveNumbered(t *testing.T, g mesh.Grid, p int, scheme string) *mesh.Dist {
 	t.Helper()
 	d, err := mesh.NewDist(g, p)
 	if err != nil {
@@ -29,7 +29,7 @@ func curveNumbered(t *testing.T, g Grid, p int, scheme string) *mesh.Dist {
 
 // alignedShare is the fraction of cells whose lower-corner point rank r
 // owns, where r is the key P-th ⌊k·P/cells⌋ of the cell's curve key k.
-func alignedShare(d *mesh.Dist, cells sfc.Indexer3) float64 {
+func alignedShare(d *mesh.Dist, cells sfc.Indexer) float64 {
 	g := d.G
 	n := g.Nx * g.Ny * g.Nz
 	aligned := 0
@@ -52,27 +52,27 @@ func alignedShare(d *mesh.Dist, cells sfc.Indexer3) float64 {
 // and it is the curve-numbered Dist itself where that was fully aligned.
 func TestNewDistOrderedAlignsCurvePths(t *testing.T) {
 	type shape struct {
-		g  Grid
+		g  mesh.Grid
 		ps []int
 	}
 	shapes := []shape{
-		{NewGrid(16, 16, 16), []int{2, 4, 8, 16, 32, 64}},
-		{NewGrid(32, 32, 32), []int{2, 4, 8, 16, 32, 64}},
-		{NewGrid(32, 16, 16), []int{4, 8}},
-		{NewGrid(64, 32, 16), []int{8}},
-		{NewGrid(24, 24, 24), []int{8}},
-		{NewGrid(12, 12, 12), []int{6}},
-		{NewGrid(20, 12, 8), []int{4}},
+		{mesh.NewGrid3(16, 16, 16), []int{2, 4, 8, 16, 32, 64}},
+		{mesh.NewGrid3(32, 32, 32), []int{2, 4, 8, 16, 32, 64}},
+		{mesh.NewGrid3(32, 16, 16), []int{4, 8}},
+		{mesh.NewGrid3(64, 32, 16), []int{8}},
+		{mesh.NewGrid3(24, 24, 24), []int{8}},
+		{mesh.NewGrid3(12, 12, 12), []int{6}},
+		{mesh.NewGrid3(20, 12, 8), []int{4}},
 	}
-	pow2Cube := func(g Grid) bool { return g.Nx == g.Ny && g.Ny == g.Nz && g.Nx&(g.Nx-1) == 0 }
-	full := func(g Grid, p int, scheme string) bool {
+	pow2Cube := func(g mesh.Grid) bool { return g.Nx == g.Ny && g.Ny == g.Nz && g.Nx&(g.Nx-1) == 0 }
+	full := func(g mesh.Grid, p int, scheme string) bool {
 		cube := pow2Cube(g)
 		switch scheme {
 		case sfc.SchemeMorton:
 			return cube
 		case sfc.SchemeHilbert:
 			return cube && (p == 2 || p == 4 || p == 8 || p == 64) ||
-				g == NewGrid(32, 16, 16)
+				g == mesh.NewGrid3(32, 16, 16)
 		}
 		return false
 	}
@@ -124,7 +124,7 @@ func TestMeshDistOrdered2DAligned(t *testing.T) {
 		n := g.Nx * g.Ny
 		for y := 0; y < g.Ny; y++ {
 			for x := 0; x < g.Nx; x++ {
-				if want := cells.Index(x, y) * p / n; d.OwnerOfPoint(x, y, 0) != want {
+				if want := cells.Index(x, y, 0) * p / n; d.OwnerOfPoint(x, y, 0) != want {
 					t.Fatalf("%dx%d: cell (%d,%d) of P-th %d lies on rank %d's tile", g.Nx, g.Ny, x, y, want, d.OwnerOfPoint(x, y, 0))
 				}
 			}

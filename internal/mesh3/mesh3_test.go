@@ -8,23 +8,23 @@ import (
 )
 
 func TestGridValidate(t *testing.T) {
-	g := NewGrid(4, 4, 4)
+	g := mesh.NewGrid3(4, 4, 4)
 	if err := g.Validate(); err != nil {
 		t.Error(err)
 	}
-	if err := (&Grid{Nx: 0, Ny: 1, Nz: 1}).Validate(); err == nil {
+	if err := (&mesh.Grid{Nx: 0, Ny: 1, Nz: 1}).Validate(); err == nil {
 		t.Error("zero extent accepted")
 	}
 }
 
 func TestNumPoints(t *testing.T) {
-	if g := NewGrid(3, 4, 5); g.NumPoints() != 60 {
+	if g := mesh.NewGrid3(3, 4, 5); g.NumPoints() != 60 {
 		t.Error("NumPoints wrong")
 	}
 }
 
 func TestPointIndexWraps(t *testing.T) {
-	g := NewGrid(4, 4, 4)
+	g := mesh.NewGrid3(4, 4, 4)
 	if g.PointIndex(-1, 0, 0) != g.PointIndex(3, 0, 0) {
 		t.Error("negative x wrap")
 	}
@@ -37,14 +37,14 @@ func TestPointIndexWraps(t *testing.T) {
 }
 
 func TestCellOfBoundaries(t *testing.T) {
-	g := NewGrid(8, 8, 8)
+	g := mesh.NewGrid3(8, 8, 8)
 	if cx, cy, cz := g.CellOf(7.9999, 0, 8.0); cx != 7 || cy != 0 || cz != 0 {
 		t.Errorf("CellOf = (%d,%d,%d)", cx, cy, cz)
 	}
 }
 
 func TestNewDistPrefersCubes(t *testing.T) {
-	d, err := mesh.NewDist(NewGrid(32, 32, 32), 64)
+	d, err := mesh.NewDist(mesh.NewGrid3(32, 32, 32), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestNewDistPrefersCubes(t *testing.T) {
 func TestNewDistAnisotropic(t *testing.T) {
 	// A flat slab should not be split along its thin dimension more than
 	// it can bear.
-	d, err := mesh.NewDist(NewGrid(64, 64, 2), 16)
+	d, err := mesh.NewDist(mesh.NewGrid3(64, 64, 2), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +66,17 @@ func TestNewDistAnisotropic(t *testing.T) {
 }
 
 func TestNewDistErrors(t *testing.T) {
-	if _, err := mesh.NewDist(NewGrid(2, 2, 2), 0); err == nil {
+	if _, err := mesh.NewDist(mesh.NewGrid3(2, 2, 2), 0); err == nil {
 		t.Error("p=0 accepted")
 	}
-	if _, err := mesh.NewDist(NewGrid(2, 2, 2), 1000); err == nil {
+	if _, err := mesh.NewDist(mesh.NewGrid3(2, 2, 2), 1000); err == nil {
 		t.Error("unfactorable p accepted")
 	}
 }
 
 func TestNewDistOrderedRoundTrip(t *testing.T) {
 	for _, scheme := range []string{sfc.SchemeHilbert, sfc.SchemeSnake, sfc.SchemeRowMajor} {
-		d, err := NewDistOrdered(NewGrid(16, 16, 16), 8, scheme)
+		d, err := NewDistOrdered(mesh.NewGrid3(16, 16, 16), 8, scheme)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -93,7 +93,7 @@ func TestNewDistOrderedRoundTrip(t *testing.T) {
 }
 
 func TestBoundsCoverGrid(t *testing.T) {
-	g := NewGrid(10, 6, 4)
+	g := mesh.NewGrid3(10, 6, 4)
 	d, err := mesh.NewDist(g, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestBoundsCoverGrid(t *testing.T) {
 // OwnerOfPoint reads per-axis tables built once per Dist; they must agree
 // with mesh.BlockOwner at every index, also where the extents do not divide.
 func TestOwnerTablesMatchBlockOwner(t *testing.T) {
-	g := NewGrid(13, 10, 7)
+	g := mesh.NewGrid3(13, 10, 7)
 	plain, err := mesh.NewDist(g, 12)
 	if err != nil {
 		t.Fatal(err)

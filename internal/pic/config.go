@@ -234,24 +234,18 @@ func (c Config) grid() mesh.Grid {
 
 // validate rejects configurations the substrates cannot represent. It does
 // no per-cell work: the grid validates its own extents, and the indexing
-// scheme is checked on a one-cell box, so the run's cell curve is built
-// once, by newGeometry.
+// scheme is checked on a one-cell plane (New and New3 accept the same
+// schemes), so the run's cell curve is built once, by newGeometry.
 func (c Config) validate() error {
 	g := c.grid()
-	switch c.Dims {
-	case 2:
-		if _, err := sfc.New(c.Indexing, 1, 1); err != nil {
-			return err
-		}
-	case 3:
-		if _, err := sfc.New3(c.Indexing, 1, 1, 1); err != nil {
-			return err
-		}
-		if c.MeshDist1D {
-			return fmt.Errorf("pic: MeshDist1D is a 2-D mesh option (Dims 3 given)")
-		}
-	default:
+	if c.Dims != 2 && c.Dims != 3 {
 		return fmt.Errorf("pic: unsupported dimensionality %d (want 2 or 3)", c.Dims)
+	}
+	if _, err := sfc.New(c.Indexing, 1, 1); err != nil {
+		return err
+	}
+	if c.Dims == 3 && c.MeshDist1D {
+		return fmt.Errorf("pic: MeshDist1D is a 2-D mesh option (Dims 3 given)")
 	}
 	if err := g.Validate(); err != nil {
 		return err

@@ -11,18 +11,18 @@ import (
 func TestSnakeSharedFormulaMatchesClosedForm(t *testing.T) {
 	for _, wh := range [][2]int{{1, 1}, {4, 4}, {5, 3}, {8, 7}, {3, 8}} {
 		w, h := wh[0], wh[1]
-		s := Snake{W: w, H: h}
+		s := MustNew(SchemeSnake, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				want := y*w + x
 				if y%2 == 1 {
 					want = y*w + (w - 1 - x)
 				}
-				if got := s.Index(x, y); got != want {
+				if got := s.Index(x, y, 0); got != want {
 					t.Fatalf("snake %dx%d: Index(%d,%d)=%d want %d", w, h, x, y, got, want)
 				}
-				gx, gy := s.Coords(s.Index(x, y))
-				if gx != x || gy != y {
+				gx, gy, gz := s.Coords(s.Index(x, y, 0))
+				if gx != x || gy != y || gz != 0 {
 					t.Fatalf("snake %dx%d: Coords round-trip (%d,%d)→(%d,%d)", w, h, x, y, gx, gy)
 				}
 			}
@@ -36,12 +36,12 @@ func TestSnakeSharedFormulaMatchesClosedForm(t *testing.T) {
 func TestSnake3DegeneratesToSnake2D(t *testing.T) {
 	for _, wh := range [][2]int{{4, 4}, {6, 2}, {7, 4}} {
 		w, h := wh[0], wh[1]
-		s2 := Snake{W: w, H: h}
-		s3 := Snake3{W: w, H: h, D: 1}
+		s2 := MustNew(SchemeSnake, w, h)
+		s3 := mustNew3(SchemeSnake, w, h, 1)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				if s2.Index(x, y) != s3.Index(x, y, 0) {
-					t.Fatalf("%dx%d: snake2(%d,%d)=%d snake3=%d", w, h, x, y, s2.Index(x, y), s3.Index(x, y, 0))
+				if s2.Index(x, y, 0) != s3.Index(x, y, 0) {
+					t.Fatalf("%dx%d: snake2(%d,%d)=%d snake3=%d", w, h, x, y, s2.Index(x, y, 0), s3.Index(x, y, 0))
 				}
 			}
 		}
@@ -71,11 +71,11 @@ func TestCompactTablesBijective2D3D(t *testing.T) {
 	for _, scheme := range []string{SchemeHilbert, SchemeMorton} {
 		ix := MustNew(scheme, 13, 6)
 		bijective(t, scheme+"-2d", 13*6, func(cell int) int {
-			return ix.Index(cell%13, cell/13)
+			return ix.Index(cell%13, cell/13, 0)
 		})
 		for cell := 0; cell < 13*6; cell++ {
-			x, y := ix.Coords(ix.Index(cell%13, cell/13))
-			if x != cell%13 || y != cell/13 {
+			x, y, z := ix.Coords(ix.Index(cell%13, cell/13, 0))
+			if x != cell%13 || y != cell/13 || z != 0 {
 				t.Fatalf("%s-2d: round-trip failed at cell %d", scheme, cell)
 			}
 		}
@@ -100,14 +100,14 @@ func TestCompactTablesBijective2D3D(t *testing.T) {
 func TestCompactedHilbert2DMatchesCurveWalk(t *testing.T) {
 	w, h := 11, 5
 	ix := MustNew(SchemeHilbert, w, h)
-	side := SideForGrid(w, h)
+	side := sideForGrid(w, h, 1)
 	next := 0
 	for d := 0; d < side*side; d++ {
-		x, y := HilbertD2XY(side, d)
+		x, y := hilbertD2XY(side, d)
 		if x >= w || y >= h {
 			continue
 		}
-		if got := ix.Index(x, y); got != next {
+		if got := ix.Index(x, y, 0); got != next {
 			t.Fatalf("compacted hilbert: Index(%d,%d)=%d want %d", x, y, got, next)
 		}
 		next++
@@ -231,7 +231,7 @@ func referenceCurve(scheme string, dims, bitCount int) [][3]int {
 				out[rank][b%dims] |= (rank >> b & 1) << (b / dims)
 			}
 		case dims == 2:
-			out[rank][0], out[rank][1] = HilbertD2XY(1<<bitCount, rank)
+			out[rank][0], out[rank][1] = hilbertD2XY(1<<bitCount, rank)
 		default:
 			HilbertIndexToAxes(uint64(rank), max(bitCount, 1), ax)
 			for i, v := range ax {
@@ -290,7 +290,7 @@ func TestCompactTablesMatchReferenceDecode(t *testing.T) {
 		}
 		for _, b := range boxes2 {
 			ix := MustNew(scheme, b.w, b.h)
-			check(2, b, func(x, y, _ int) int { return ix.Index(x, y) })
+			check(2, b, ix.Index)
 		}
 		for _, b := range boxes3 {
 			ix := mustNew3(scheme, b.w, b.h, b.d)

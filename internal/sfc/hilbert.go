@@ -1,15 +1,13 @@
 package sfc
 
-import (
-	"fmt"
-	"math/bits"
-)
+// The rank decoders of the compacted curves: each maps a curve rank over
+// the cube of side 2^bitCount to its cell, in the signature of decoder.
 
-// HilbertD2XY maps distance d along the Hilbert curve of an n×n grid (n a
-// power of two) to cell coordinates. Classic quadrant-rotation formulation.
-func HilbertD2XY(n, d int) (x, y int) {
-	t := d
-	for s := 1; s < n; s *= 2 {
+// hilbertAxes2 decodes the 2-D Hilbert curve rank over a square of side
+// 2^bitCount: the classic quadrant-rotation formulation.
+func hilbertAxes2(rank uint64, bitCount int) (x, y, z int) {
+	t := int(rank)
+	for s := 1; s < 1<<bitCount; s *= 2 {
 		rx := 1 & (t / 2)
 		ry := 1 & (t ^ rx)
 		x, y = hilbertRot(s, x, y, rx, ry)
@@ -17,7 +15,7 @@ func HilbertD2XY(n, d int) (x, y int) {
 		y += s * ry
 		t /= 4
 	}
-	return x, y
+	return x, y, 0
 }
 
 // hilbertRot rotates/reflects the quadrant as the curve recursion demands.
@@ -32,88 +30,53 @@ func hilbertRot(s, x, y, rx, ry int) (int, int) {
 	return x, y
 }
 
-// Hilbert is an Indexer that orders the cells of a W×H grid by their
-// position along the Hilbert curve of the enclosing power-of-two square,
-// with ranks compacted so that indices are exactly 0..W*H−1. Lookups in
-// both directions are O(1) table reads.
-type Hilbert struct {
-	w, h      int
-	cellToIdx []int32 // [y*w+x] -> compact curve rank
-	idxToCell []int32 // rank -> y*w+x
-}
-
-// NewHilbert builds the Hilbert indexer for a w×h grid.
-func NewHilbert(w, h int) (*Hilbert, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("sfc: invalid hilbert grid %dx%d", w, h)
-	}
-	return newCompacted(w, h, true), nil
-}
-
-// NewMorton builds a Morton (Z-order) indexer for a w×h grid, compacted the
-// same way as Hilbert. Morton preserves multi-dimensional locality on
-// average but has long jumps at power-of-two boundaries.
-func NewMorton(w, h int) (*Morton, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("sfc: invalid morton grid %dx%d", w, h)
-	}
-	return &Morton{Hilbert: *newCompacted(w, h, false)}, nil
-}
-
-// newCompacted walks the enclosing square's curve in rank order and assigns
-// consecutive compact indices to the cells inside the rectangle, stepping
-// past the curve's blocks that lie wholly outside it. The 2-D Hilbert curve
-// itself stays the classic quadrant-rotation formulation (HilbertD2XY) —
-// only the compaction is shared with 3-D.
-func newCompacted(w, h int, hilbert bool) *Hilbert {
-	side := SideForGrid(w, h)
-	bitCount := bits.Len(uint(side - 1))
-	c := newCompactor(w * h)
-	for rank, total := uint64(0), uint64(side)*uint64(side); rank < total; {
-		var x, y int
-		if hilbert {
-			x, y = HilbertD2XY(side, int(rank))
+// hilbertAxes3 decodes the 3-D Hilbert curve rank idx over a cube of side
+// 2^bitCount into its cell: Skilling's transpose algorithm ("Programming
+// the Hilbert curve", AIP Conf. Proc. 707, 2004) unrolled for three axes —
+// de-interleave the rank into the transpose form, Gray-decode it, then undo
+// the excess work level by level.
+func hilbertAxes3(idx uint64, bitCount int) (x, y, z int) {
+	x0 := uint32(compact3Bits(idx >> 2))
+	x1 := uint32(compact3Bits(idx >> 1))
+	x2 := uint32(compact3Bits(idx))
+	t := x2 >> 1
+	x2 ^= x1
+	x1 ^= x0
+	x0 ^= t
+	for q := uint32(2); q != 2<<uint(bitCount-1); q <<= 1 {
+		p := q - 1
+		if x2&q != 0 {
+			x0 ^= p
 		} else {
-			x, y = mortonD2XY(int(rank))
+			t := (x0 ^ x2) & p
+			x0 ^= t
+			x2 ^= t
 		}
-		if x >= w || y >= h {
-			rank += skipOutside(rank, 2, bitCount, [3]int{x, y}, [3]int{w, h, 1})
-			continue
+		if x1&q != 0 {
+			x0 ^= p
+		} else {
+			t := (x0 ^ x1) & p
+			x0 ^= t
+			x1 ^= t
 		}
-		c.add(int32(y*w + x))
-		rank++
+		if x0&q != 0 {
+			x0 ^= p
+		}
 	}
-	return &Hilbert{w: w, h: h, cellToIdx: c.cellToIdx, idxToCell: c.idxToCell}
+	return int(x0), int(x1), int(x2)
 }
 
-// Index implements Indexer.
-func (hx *Hilbert) Index(x, y int) int { return int(hx.cellToIdx[y*hx.w+x]) }
-
-// Coords implements Indexer.
-func (hx *Hilbert) Coords(idx int) (int, int) {
-	c := int(hx.idxToCell[idx])
-	return c % hx.w, c / hx.w
+// mortonAxes2 de-interleaves the 2-D Morton (Z-order) rank (x in the even
+// bit positions) into its cell. Morton preserves multi-dimensional
+// locality on average but has long jumps at power-of-two boundaries.
+func mortonAxes2(rank uint64, _ int) (x, y, z int) {
+	return int(compactBits(rank)), int(compactBits(rank >> 1)), 0
 }
 
-// Size implements Indexer.
-func (hx *Hilbert) Size() (int, int) { return hx.w, hx.h }
-
-// Name implements Indexer.
-func (hx *Hilbert) Name() string { return SchemeHilbert }
-
-// Morton is the Z-order counterpart of Hilbert, sharing its compacted-table
-// machinery.
-type Morton struct{ Hilbert }
-
-// Name implements Indexer.
-func (m *Morton) Name() string { return SchemeMorton }
-
-// mortonD2XY de-interleaves the bits of d into (x, y).
-func mortonD2XY(d int) (x, y int) {
-	u := uint64(d)
-	x = int(compactBits(u))
-	y = int(compactBits(u >> 1))
-	return x, y
+// mortonAxes3 de-interleaves the 3-D Morton rank (x in bit positions 0,
+// 3, 6, …) into its cell.
+func mortonAxes3(rank uint64, _ int) (x, y, z int) {
+	return int(compact3Bits(rank)), int(compact3Bits(rank >> 1)), int(compact3Bits(rank >> 2))
 }
 
 // compactBits keeps the even-position bits of v, packed.
@@ -127,15 +90,14 @@ func compactBits(v uint64) uint64 {
 	return v
 }
 
-// SideForGrid returns the power-of-two side of the enclosing square used by
-// the compacted curves for a w×h grid.
-func SideForGrid(w, h int) int {
-	m := w
-	if h > m {
-		m = h
-	}
-	if m <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(m-1))
+// compact3Bits keeps every third bit of v (positions 0, 3, 6, …, 60), the
+// inverse of 3-way Morton interleaving for one dimension.
+func compact3Bits(v uint64) uint64 {
+	v &= 0x1249249249249249
+	v = (v ^ v>>2) & 0x10c30c30c30c30c3
+	v = (v ^ v>>4) & 0x100f00f00f00f00f
+	v = (v ^ v>>8) & 0x001f0000ff0000ff
+	v = (v ^ v>>16) & 0x001f00000000ffff
+	v = (v ^ v>>32) & 0x00000000001fffff
+	return v
 }

@@ -58,7 +58,7 @@ func TestSnake3Adjacency(t *testing.T) {
 		if w*h*d == 1 {
 			continue
 		}
-		s := Snake3{W: w, H: h, D: d}
+		s := mustNew3(SchemeSnake, w, h, d)
 		px, py, pz := s.Coords(0)
 		for idx := 1; idx < w*h*d; idx++ {
 			x, y, z := s.Coords(idx)
@@ -78,7 +78,7 @@ func TestLocality3HilbertBeatsSnake(t *testing.T) {
 	share := n * n * n / ranks
 	hil := mustNew3(SchemeHilbert, n, n, n)
 	snk := mustNew3(SchemeSnake, n, n, n)
-	surface := func(ix Indexer3, lo, hi int) int {
+	surface := func(ix Indexer, lo, hi int) int {
 		minX, minY, minZ := n, n, n
 		maxX, maxY, maxZ := -1, -1, -1
 		for i := lo; i < hi; i++ {
@@ -132,7 +132,7 @@ func TestNew3Rejects(t *testing.T) {
 }
 
 // mustNew3 is New3 for known-good arguments; it panics on error.
-func mustNew3(scheme string, w, h, d int) Indexer3 {
+func mustNew3(scheme string, w, h, d int) Indexer {
 	ix, err := New3(scheme, w, h, d)
 	if err != nil {
 		panic(err)

@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,7 +25,7 @@ func TestIndexerBijection(t *testing.T) {
 			seen := make([]bool, w*h)
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
-					idx := ix.Index(x, y)
+					idx := ix.Index(x, y, 0)
 					if idx < 0 || idx >= w*h {
 						t.Fatalf("%s %dx%d: Index(%d,%d) = %d out of range", scheme, w, h, x, y, idx)
 					}
@@ -32,9 +33,9 @@ func TestIndexerBijection(t *testing.T) {
 						t.Fatalf("%s %dx%d: index %d assigned twice", scheme, w, h, idx)
 					}
 					seen[idx] = true
-					rx, ry := ix.Coords(idx)
-					if rx != x || ry != y {
-						t.Fatalf("%s %dx%d: Coords(Index(%d,%d)) = (%d,%d)", scheme, w, h, x, y, rx, ry)
+					rx, ry, rz := ix.Coords(idx)
+					if rx != x || ry != y || rz != 0 {
+						t.Fatalf("%s %dx%d: Coords(Index(%d,%d)) = (%d,%d,%d)", scheme, w, h, x, y, rx, ry, rz)
 					}
 				}
 			}
@@ -46,9 +47,9 @@ func TestHilbertAdjacency(t *testing.T) {
 	// The defining property: consecutive Hilbert indices on a power-of-two
 	// square are 4-neighbour adjacent cells.
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		px, py := HilbertD2XY(n, 0)
+		px, py := hilbertD2XY(n, 0)
 		for d := 1; d < n*n; d++ {
-			x, y := HilbertD2XY(n, d)
+			x, y := hilbertD2XY(n, d)
 			dist := abs(x-px) + abs(y-py)
 			if dist != 1 {
 				t.Fatalf("n=%d: cells at d=%d,%d are (%d,%d),(%d,%d): manhattan %d, want 1",
@@ -66,10 +67,10 @@ func TestSnakeAdjacency(t *testing.T) {
 		if w*h == 1 {
 			continue
 		}
-		s := Snake{W: w, H: h}
-		px, py := s.Coords(0)
+		s := MustNew(SchemeSnake, w, h)
+		px, py, _ := s.Coords(0)
 		for d := 1; d < w*h; d++ {
-			x, y := s.Coords(d)
+			x, y, _ := s.Coords(d)
 			if abs(x-px)+abs(y-py) != 1 {
 				t.Fatalf("snake %dx%d: jump between d=%d and d=%d", w, h, d-1, d)
 			}
@@ -84,7 +85,7 @@ func TestHilbertXY2DRoundTrip(t *testing.T) {
 		n := 1 << (1 + rng.Intn(9)) // 2..512
 		x, y := rng.Intn(n), rng.Intn(n)
 		d := HilbertXY2D(n, x, y)
-		rx, ry := HilbertD2XY(n, d)
+		rx, ry := hilbertD2XY(n, d)
 		return rx == x && ry == y && d >= 0 && d < n*n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -96,13 +97,13 @@ func TestHilbertMatchesTableImplementation(t *testing.T) {
 	// For square power-of-two grids the compacted-table indexer must agree
 	// with the direct bit-twiddling functions.
 	for _, n := range []int{2, 4, 16, 64} {
-		hx, err := NewHilbert(n, n)
+		hx, err := New(SchemeHilbert, n, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for y := 0; y < n; y++ {
 			for x := 0; x < n; x++ {
-				if got, want := hx.Index(x, y), HilbertXY2D(n, x, y); got != want {
+				if got, want := hx.Index(x, y, 0), HilbertXY2D(n, x, y); got != want {
 					t.Fatalf("n=%d (%d,%d): table %d != direct %d", n, x, y, got, want)
 				}
 			}
@@ -114,16 +115,16 @@ func TestHilbertRectCompactionPreservesOrder(t *testing.T) {
 	// Compacted rectangle indices must be ordered consistently with the
 	// enclosing square's curve ranks.
 	w, h := 12, 5
-	hx, err := NewHilbert(w, h)
+	hx, err := New(SchemeHilbert, w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	side := SideForGrid(w, h)
+	side := sideForGrid(w, h, 1)
 	type cell struct{ rank, idx int }
 	var cells []cell
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			cells = append(cells, cell{HilbertXY2D(side, x, y), hx.Index(x, y)})
+			cells = append(cells, cell{HilbertXY2D(side, x, y), hx.Index(x, y, 0)})
 		}
 	}
 	for i := range cells {
@@ -139,7 +140,7 @@ func TestHilbertRectCompactionPreservesOrder(t *testing.T) {
 func TestMortonRoundTrip(t *testing.T) {
 	f := func(x, y uint16) bool {
 		d := MortonXY2D(int(x), int(y))
-		rx, ry := mortonD2XY(d)
+		rx, ry, _ := mortonAxes2(d, 0)
 		return rx == int(x) && ry == int(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -211,7 +212,7 @@ func TestLocalityHilbertBeatsSnake(t *testing.T) {
 	perim := func(ix Indexer, lo, hi int) int {
 		minX, minY, maxX, maxY := n, n, -1, -1
 		for d := lo; d < hi; d++ {
-			x, y := ix.Coords(d)
+			x, y, _ := ix.Coords(d)
 			if x < minX {
 				minX = x
 			}
@@ -257,8 +258,8 @@ func TestSideForGrid(t *testing.T) {
 		{1, 1, 1}, {2, 2, 2}, {3, 2, 4}, {128, 64, 128}, {129, 1, 256}, {512, 256, 512},
 	}
 	for _, c := range cases {
-		if got := SideForGrid(c.w, c.h); got != c.want {
-			t.Errorf("SideForGrid(%d,%d) = %d, want %d", c.w, c.h, got, c.want)
+		if got := sideForGrid(c.w, c.h, 1); got != c.want {
+			t.Errorf("sideForGrid(%d,%d,1) = %d, want %d", c.w, c.h, got, c.want)
 		}
 	}
 }
@@ -278,7 +279,7 @@ func absU(a, b uint32) uint32 {
 }
 
 // HilbertXY2D maps cell (x, y) on an n×n grid (n a power of two) to its
-// distance along the Hilbert curve: the encoder that HilbertD2XY inverts,
+// distance along the Hilbert curve: the encoder that hilbertD2XY inverts,
 // kept as its test oracle.
 func HilbertXY2D(n, x, y int) int {
 	d := 0
@@ -297,9 +298,18 @@ func HilbertXY2D(n, x, y int) int {
 }
 
 // MortonXY2D interleaves the bits of x and y (x in the even positions):
-// the encoder that mortonD2XY inverts, kept as its test oracle.
-func MortonXY2D(x, y int) int {
-	return int(spreadBits(uint64(x)) | spreadBits(uint64(y))<<1)
+// the encoder that mortonAxes2 inverts, kept as its test oracle. The rank
+// is a uint64, as the decoder takes it: 16-bit x and y fill 32 bits, which
+// overflow a 32-bit int.
+func MortonXY2D(x, y int) uint64 {
+	return spreadBits(uint64(x)) | spreadBits(uint64(y))<<1
+}
+
+// hilbertD2XY maps distance d along the Hilbert curve of an n×n grid (n a
+// power of two) to cell coordinates.
+func hilbertD2XY(n, d int) (x, y int) {
+	x, y, _ = hilbertAxes2(uint64(d), bits.Len(uint(n-1)))
+	return x, y
 }
 
 // spreadBits inserts a zero between each of the low 32 bits of v; compactBits

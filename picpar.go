@@ -99,11 +99,12 @@ const (
 	IndexMorton   = sfc.SchemeMorton
 )
 
-// Indexer linearises the cells of a 2-D grid (see Config.Indexing).
+// Indexer linearises the cells of a grid (see Config.Indexing): Index
+// takes (x, y, z), and a 2-D grid is the plane z = 0.
 type Indexer = sfc.Indexer
 
 // NewIndexer builds the named space-filling-curve indexer for a w×h cell
-// grid.
+// grid, the plane z = 0.
 func NewIndexer(scheme string, w, h int) (Indexer, error) { return sfc.New(scheme, w, h) }
 
 // StaticPolicy never redistributes particles.

@@ -54,8 +54,8 @@ func TestPublicAPIIndexers(t *testing.T) {
 		if ix.Name() != scheme {
 			t.Errorf("name %q != %q", ix.Name(), scheme)
 		}
-		x, y := ix.Coords(ix.Index(5, 3))
-		if x != 5 || y != 3 {
+		x, y, z := ix.Coords(ix.Index(5, 3, 0))
+		if x != 5 || y != 3 || z != 0 {
 			t.Errorf("%s: round trip failed", scheme)
 		}
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Full CI gate: vet (amd64 and arm64), build, the one-body, kernel,
+# Full CI gate: vet (amd64, arm64 and 386), build, the one-body, kernel,
 # assembly, arm64 fused-multiply-add, deleted-path, message-buffer and one-codec grep audits, plain
-# tests (root and the benchmark module), short fuzz runs of both binary
+# tests (root, 386 and the benchmark module), short fuzz runs of both binary
 # decoders and the checkpoint shard probe, race-enabled tests, the
 # layout-strategy comparison (2-D and 3-D), the per-phase
 # traffic regression gate, the 2-D and 3-D golden pins, the multi-process
@@ -139,7 +139,10 @@ echo "== deleted-path audit (grep) =="
 # twins below the pipeline (geom's G2 and G3 with axis3 and block3,
 # pusher's Weights3, CIC3, Interp3, MoveRange3 and VertexOffsets3, and
 # mesh3.Dist): one geometry, one grid and one distribution serve both
-# dimensions. A
+# dimensions, and the 2-D/3-D curve twins (sfc's Indexer3, RowMajor3,
+# Snake3, compacted3 with newCompacted3, the exported Hilbert, Morton,
+# RowMajor and Snake types, HilbertD2XY and SideForGrid): one
+# sfc.Indexer over (x, y, z) serves both dimensions. A
 # failed exchange is a dead rank that checkpoint recovery handles, benchmark/ is
 # the one wall-clock harness, Config.Topology names a link set, the time
 # step is a loop in pic.runRank, NetRank, LaunchLoopback and SuperviseRanks
@@ -147,7 +150,7 @@ echo "== deleted-path audit (grep) =="
 # ckpt.WriteFileAtomic is the one atomic write, and a rank's Incremental
 # owns every particle array it builds. None may come back in
 # non-test Go or a script (this file excluded: it holds the pattern).
-old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(|pusher\.(Boris|Move)\(|type G[23]\b|axis3|block3|Weights3|CIC3|Interp3|MoveRange3|VertexOffsets3|mesh3\.Dist' \
+old=$(grep -rnE 'depositTiled|parTiles|scatterGenTask|runBench|runCPUSweep|BENCH_|TopologySystolicRing|TopologyHierarchical|autoHosts|NewRing|systolic-ring|picpar/internal/engine|engine\.(Phase|Pipeline|Trigger|Hook|Always)|composePipeline|policyTrigger|verifyHook|attemptRebalance|NetRankElastic|LaunchLoopbackElastic|SuperviseRanksElastic|topologyDigest|RankHistogram|SrcRanks|DstRanks|TagColl(Barrier|Bcast|Reduce|Gather|Allgather|Scan)|writeFileAtomic|outSlot|migrateOneShot|sorterPool|balPool|particle\.Scratch|SwapContents|SampleSortParX|keepChunk|st\.spare|NewFaulty|NewReliable|FaultPlan|Degradable|CollectFailures|SnapshotBounds|RestoreBounds|RedistFailed|FailedRedistributions|WastedRedistTime|relEnvelope|faultEnvelope|TagCollAllToMany|flushChain|mergeInto|population\(|localSort\(|IsLocallySorted|WireBytes|\.Observe\(|HilbertAxesToIndex|HilbertIndexToAxes|HilbertXY2D|MortonXY2D|Config3|Generate3|NewGenerator3|fields2|fields3|IndependentLayout|MeasureIndependent|LocalOf|MaxLocalPoints|SendInts|RecvInts|ExposeMaxFloat64s|func (Allgather|AllToMany)\[|GroupByOwner|NewLocal3|sweepTask3|updateESlabs|updateBSlabs|geom\.Fields|workerScratch|costFP|depositFootprint|gatherFootprint|ge\.weights\(|pusher\.(Boris|Move)\(|type G[23]\b|axis3|block3|Weights3|CIC3|Interp3|MoveRange3|VertexOffsets3|mesh3\.Dist|Indexer3|RowMajor3|Snake3|compacted3|newCompacted3|sfc\.(Hilbert|Morton|RowMajor|Snake)\b|HilbertD2XY|SideForGrid' \
     --include='*.go' --include='*.sh' --exclude='*_test.go' --exclude=ci.sh \
     --exclude-dir=.bench_build . || true)
 if [ -n "$old" ]; then
@@ -212,6 +215,13 @@ fi
 
 echo "== go test =="
 go test ./...
+
+echo "== go vet and go test, 386 (32-bit int) =="
+# The module runs where an int is 32 bits: a constant or a product that
+# needs 64 bits must be an int64 or uint64 there, and the golden pins,
+# which the tests assert, equal amd64's.
+GOARCH=386 go vet ./...
+GOARCH=386 go test ./...
 
 echo "== fuzz (15 s per binary decoder and the shard probe) =="
 # The committed corpora replay in go test; these are short real searches.
